@@ -1,21 +1,15 @@
-"""Concurrent serving layer: batch fan-out and partition-parallel scaling.
+"""Concurrent serving layer: serial baselines and read-lock overhead.
 
-Measures three shapes against the serial baseline:
+* a read-only multi-statement batch through the serial, input-ordered
+  ``execute_many`` (the paper's many-clients scenario);
+* one descendant-heavy unindexable scan;
+* lock overhead: the serial entry point pays one uncontended read-lock
+  round trip per statement, which must stay invisible.
 
-* a read-only multi-statement batch through ``execute_many`` (the
-  paper's many-clients scenario) with 1 vs N workers;
-* one descendant-heavy query fanned across document partitions with
-  ``xquery_parallel``;
-* lock overhead: the serial entry point now pays one uncontended
-  read-lock round trip per statement, which must stay invisible.
-
-Honest-numbers note: under CPython's GIL, pure-Python evaluation is
-CPU-bound, so thread fan-out yields at best modest gains on a
-single-core host and approaches the ISSUE's >=2x target only on
-multi-core machines where lock-free snapshot readers overlap their
-non-bytecode work (parsing, allocation churn).  The assertions below
-therefore pin *correctness* (batched == serial results); the scaling
-ratio is recorded in BENCH_results.json for the host CI runs on.
+The thread fan-out these baselines were once compared against measured
+0.62x (batch) and 0.81x (partitioned scan) under CPython's GIL and was
+removed; process-level parallelism is measured in
+``bench_replication.py``.
 """
 
 import pytest
@@ -37,22 +31,14 @@ def concurrency_db():
 def batch(concurrency_db):
     statements = [QUERY, SCAN_QUERY] * 4
     serial = [result.serialized()
-              for result in concurrency_db.execute_many(statements,
-                                                        max_workers=1)]
+              for result in concurrency_db.execute_many(statements)]
     return statements, serial
 
 
 def test_execute_many_serial_baseline(benchmark, concurrency_db, batch):
     statements, serial = batch
     results = benchmark(
-        lambda: concurrency_db.execute_many(statements, max_workers=1))
-    assert [result.serialized() for result in results] == serial
-
-
-def test_execute_many_8_workers(benchmark, concurrency_db, batch):
-    statements, serial = batch
-    results = benchmark(
-        lambda: concurrency_db.execute_many(statements, max_workers=8))
+        lambda: concurrency_db.execute_many(statements))
     assert [result.serialized() for result in results] == serial
 
 
@@ -60,15 +46,6 @@ def test_xquery_serial_descendant_scan(benchmark, concurrency_db):
     result = benchmark(
         lambda: concurrency_db.xquery(SCAN_QUERY, use_indexes=False))
     assert len(result) > 0
-
-
-def test_xquery_parallel_descendant_scan(benchmark, concurrency_db):
-    serial = concurrency_db.xquery(SCAN_QUERY,
-                                   use_indexes=False).serialized()
-    result = benchmark(
-        lambda: concurrency_db.xquery_parallel(SCAN_QUERY, max_workers=4,
-                                               use_indexes=False))
-    assert result.serialized() == serial
 
 
 def test_read_lock_overhead_indexed_query(benchmark, concurrency_db):

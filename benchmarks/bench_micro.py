@@ -55,7 +55,8 @@ def test_xquery_parse(benchmark):
              "let $price := $ord/lineitem/@price "
              "where $price > 100 "
              "return <result>{$ord/lineitem}</result>")
-    module = benchmark(lambda: parse_xquery(query))
+    # parse_xquery is memoized; time the parse, not the cache hit.
+    module = benchmark(lambda: parse_xquery.__wrapped__(query))
     assert module.body is not None
 
 

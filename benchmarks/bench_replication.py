@@ -1,7 +1,7 @@
 """Process-parallel execution vs serial: does escaping the GIL pay?
 
-The thread-based partition executor measured **0.62x** on this
-workload — on a GIL-bound interpreter, fan-out overhead with zero
+The removed thread-based partition executor measured **0.62x** on
+this workload — on a GIL-bound interpreter, fan-out overhead with zero
 added compute.  This suite measures the process backend, which holds
 the paper's serving-layer promise only when real cores exist:
 

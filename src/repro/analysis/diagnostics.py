@@ -3,21 +3,18 @@
 Same explanation-first philosophy as :mod:`repro.static.diagnostics`,
 aimed at the engine's source instead of user statements: every finding
 carries a stable ``SA4xx`` code and renders as
-``path:line: CODE — message`` (the format ``scripts/lint_repo.py``
-always used, so editors and CI greps keep working).
+``path:line: CODE — message``, which editors and CI greps parse.
 
 Codes:
 
 * ``SA401``–``SA406`` — the interprocedural concurrency passes
   (lock order, upgrades, blocking under locks / in coroutines,
   fork safety, guard-tick discipline);
-* ``SA407``–``SA410`` — the four original lexical rules, migrated
-  onto the call-graph engine.
+* ``SA407``–``SA411`` — the lexical rules (lock discipline, broad
+  excepts, metrics gating, fsync discipline, one tracing path).
 
 False positives are silenced in place with a ``# sa: ok(SA4xx)``
-pragma on (or immediately above) the offending line — parallel to the
-long-standing ``# lint: broad-except-ok`` escape, which is still
-honoured for ``SA408``.
+pragma on (or immediately above) the offending line.
 """
 
 from __future__ import annotations
@@ -32,9 +29,6 @@ __all__ = ["SACode", "SAFinding", "suppressed"]
 #: closing paren may land on a continuation line — reasons are
 #: encouraged to be real sentences — so it is not required here.
 _PRAGMA = re.compile(r"#\s*sa:\s*ok\(\s*(SA\d{3})\b")
-
-#: The pre-SA escape hatch for broad excepts, kept working.
-LEGACY_BROAD_EXCEPT_PRAGMA = "lint: broad-except-ok"
 
 
 class SACode(enum.Enum):
@@ -82,6 +76,10 @@ class SACode(enum.Enum):
         "raw file primitive in durability code; all I/O goes through "
         "durability/fsio.py where the write->fsync->rename protocol "
         "and fault points live")
+    TRACER_FORK = (
+        "SA411",
+        "tracer compared against None outside obs/trace.py; entry "
+        "points substitute NULL_TRACER once so no call is written twice")
 
     def __init__(self, code: str, title: str):
         self.code = code
@@ -130,15 +128,11 @@ def suppressed(source_lines: list[str], line: int, code: SACode) -> bool:
 
     The pragma may sit on the flagged line itself or anywhere in the
     contiguous comment block directly above it (multi-line reasons are
-    encouraged).  ``SA408`` additionally honours the legacy
-    broad-except pragma.
+    encouraged).
     """
     def _matches(text: str) -> bool:
-        for match in _PRAGMA.finditer(text):
-            if match.group(1) == code.code:
-                return True
-        return (code is SACode.BROAD_EXCEPT
-                and LEGACY_BROAD_EXCEPT_PRAGMA in text)
+        return any(match.group(1) == code.code
+                   for match in _PRAGMA.finditer(text))
 
     if not 1 <= line <= len(source_lines):
         return False

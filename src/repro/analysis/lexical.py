@@ -1,7 +1,6 @@
-"""The four original self-lint rules, migrated (SA407–SA410).
+"""The lexical self-lint rules (SA407–SA411).
 
-Logic is unchanged from the ``scripts/lint_repo.py`` originals — the
-rules were battle-tested over PRs 4–8 — but they now emit reason-coded
+Single-file AST checks that emit reason-coded
 :class:`~repro.analysis.diagnostics.SAFinding` objects through the
 same runner, pragma machinery and CLI as the interprocedural passes.
 
@@ -10,13 +9,16 @@ same runner, pragma machinery and CLI as the interprocedural passes.
   calls outside ``__init__`` must sit inside
   ``with self._rwlock.write():``.
 * **SA408 exception hygiene** (everywhere): no bare ``except:`` / no
-  ``except Exception:`` unless the handler re-raises or carries the
-  (legacy) ``# lint: broad-except-ok`` pragma.
+  ``except Exception:`` unless the handler re-raises or carries a
+  ``# sa: ok(SA408: reason)`` pragma.
 * **SA409 obs gating** (everywhere but ``obs/``): ``METRICS.inc`` /
   ``METRICS.observe`` must be inside ``if METRICS.enabled:``.
 * **SA410 fsync discipline** (``durability/`` except ``fsio.py``): no
   builtin ``open()``, no ``os.*`` / ``shutil.*``, no pathlib I/O
   methods — those live only in ``fsio.py``.
+* **SA411 one tracing path** (everywhere but ``obs/trace.py``): no
+  ``is`` / ``is not`` test of a ``tracer`` against ``None`` — entry
+  points substitute ``NULL_TRACER`` once, so no call is written twice.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ def check_lexical_rules(project: Project) -> list:
             findings.extend(_metrics_gating(relpath, info.tree))
         if "durability" in parts and info.path.name != "fsio.py":
             findings.extend(_fsync_discipline(relpath, info.tree))
+        if parts[-2:] != ("obs", "trace.py"):
+            findings.extend(_tracer_forks(relpath, info.tree))
     return findings
 
 
@@ -152,7 +156,7 @@ def _broad_excepts(relpath: str, tree: ast.Module) -> list:
             SACode.BROAD_EXCEPT, relpath, node.lineno,
             f"{what} swallows engine errors; catch ReproError (or a "
             f"subclass), re-raise, or annotate "
-            f"'# lint: broad-except-ok (reason)'"))
+            f"'# sa: ok(SA408: reason)'"))
     return findings
 
 
@@ -226,4 +230,29 @@ def _fsync_discipline(relpath: str, tree: ast.Module) -> list:
                     SACode.FSYNC_DISCIPLINE, relpath, node.lineno,
                     f".{func.attr}() on a path bypasses the fsync "
                     f"discipline; use the durability/fsio.py helper"))
+    return findings
+
+
+# -- SA411: one tracing path, no traced/untraced twins ------------------
+
+
+def _is_tracer(node: ast.expr) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "tracer")
+            or (isinstance(node, ast.Attribute)
+                and node.attr == "tracer"))
+
+
+def _tracer_forks(relpath: str, tree: ast.Module) -> list:
+    findings: list = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare) and _is_tracer(node.left)
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value is None):
+            findings.append(SAFinding(
+                SACode.TRACER_FORK, relpath, node.lineno,
+                "tracer compared against None forks the pipeline into "
+                "traced and untraced twins; normalise once with "
+                "'tracer = tracer or NULL_TRACER' and guard "
+                "trace-only work with 'if span:'"))
     return findings

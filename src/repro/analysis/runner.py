@@ -2,11 +2,10 @@
 
 ``run_checks`` loads the package sources into one :class:`Project`,
 builds the call graph, runs the four interprocedural passes plus the
-migrated lexical rules, drops findings silenced by ``# sa: ok(SA4xx)``
+lexical rules, drops findings silenced by ``# sa: ok(SA4xx)``
 pragmas, and returns the rest sorted by location.  ``main`` is the
-process entry point shared by the CLI subcommand and the
-``scripts/lint_repo.py`` shim: prints findings (text or JSON), exits
-1 when any remain.
+process entry point behind the ``repro check`` subcommand: prints
+findings (text or JSON), exits 1 when any remain.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 
 from ..obs.metrics import METRICS
+from ..obs.trace import NULL_TRACER
 from .calibrate import CostCalibration
 from .candidates import generate_candidates
 from .profiler import WorkloadProfiler
@@ -71,10 +72,7 @@ class Autopilot:
 
     def advise(self, tracer=None) -> list:
         """Ranked :class:`IndexCandidate` list for the observed load."""
-        if tracer is not None:
-            with tracer.span("autopilot.advise"):
-                advice = generate_candidates(self.database, self.profiler)
-        else:
+        with (tracer or NULL_TRACER).span("autopilot.advise"):
             advice = generate_candidates(self.database, self.profiler)
         advice = [candidate for candidate in advice
                   if candidate.benefit > self.min_benefit]
@@ -89,17 +87,11 @@ class Autopilot:
         Returns the candidates actually built.  A candidate that lost
         a race with concurrent DDL is skipped, not fatal."""
         from ..errors import CatalogError
+        tracer = tracer or NULL_TRACER
         built = []
         for candidate in self.advise(tracer=tracer)[:limit]:
             try:
-                if tracer is not None:
-                    with tracer.span("autopilot.build",
-                                     index=candidate.name):
-                        self.database.create_xml_index_online(
-                            candidate.name, candidate.table,
-                            candidate.column, candidate.pattern,
-                            candidate.index_type)
-                else:
+                with tracer.span("autopilot.build", index=candidate.name):
                     self.database.create_xml_index_online(
                         candidate.name, candidate.table,
                         candidate.column, candidate.pattern,
@@ -206,7 +198,10 @@ class AutoIndexPolicy:
         self.cycles += 1
         try:
             built = self.autopilot.apply(limit=self.max_builds_per_cycle)
-        except Exception:  # lint: broad-except-ok (a background policy thread must never die and take auto-indexing with it; the cycle is retried at the next tick)
+        # sa: ok(SA408: a background policy thread must never die and
+        # take auto-indexing with it; the cycle is retried at the next
+        # tick)
+        except Exception:
             self.errors += 1
             if METRICS.enabled:
                 METRICS.inc("autopilot.policy_errors")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from ..errors import DurabilityError
 from ..obs.metrics import METRICS
+from ..obs.trace import NULL_TRACER
 from ..storage.columnar import ingest_document
 from ..storage.pathsummary import get_summary
 from ..storage.table import StoredDocument
@@ -139,10 +140,8 @@ def write_checkpoint(database, directory, last_lsn: int, *,
                       ensure_ascii=False).encode("utf-8")
     destination = directory / CHECKPOINT_NAME
     temp = directory / (CHECKPOINT_NAME + ".tmp")
-    span = (tracer.span("checkpoint.write", lsn=last_lsn,
-                        bytes=len(data))
-            if tracer is not None else None)
-    with span if span is not None else _NullContext():
+    tracer = tracer or NULL_TRACER
+    with tracer.span("checkpoint.write", lsn=last_lsn, bytes=len(data)):
         fsio.write_bytes(temp, data)
         faults.crash_point("checkpoint.before_tmp_fsync")
         fsio.fsync_path(temp)
@@ -180,11 +179,3 @@ def load_checkpoint(directory) -> dict | None:
     if METRICS.enabled:
         METRICS.inc("checkpoint.loads")
     return state
-
-
-class _NullContext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False

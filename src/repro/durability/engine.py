@@ -1,8 +1,7 @@
 """``DurableDatabase``: the in-memory engine plus WAL + checkpoints.
 
-Same public API as :class:`repro.storage.catalog.Database` — queries,
-snapshots and ``xquery_parallel`` are inherited untouched and keep
-their shared-read-lock / copy-on-write semantics.  Only the eight
+Same public API as :class:`repro.storage.catalog.Database` — queries
+and snapshots are inherited untouched and keep their shared-read-lock / copy-on-write semantics.  Only the eight
 writer entry points are overridden, each with the same shape::
 
     with self._rwlock.write():          # reentrant: nests the base op

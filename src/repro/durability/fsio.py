@@ -1,9 +1,10 @@
 """Fsync-discipline file primitives for the durability layer.
 
 Every byte the durability subsystem puts on disk flows through this
-module: ``lint_repo.py`` bans direct ``os.*`` / ``open()`` calls in the
-rest of ``src/repro/durability/`` so the write/fsync/rename ordering
-that crash recovery depends on lives in exactly one reviewable place.
+module: ``repro check`` (SA410) bans direct ``os.*`` / ``open()`` calls
+in the rest of ``src/repro/durability/`` so the write/fsync/rename
+ordering that crash recovery depends on lives in exactly one reviewable
+place.
 
 The contract each helper provides:
 

@@ -24,11 +24,11 @@ checkpoint recorded.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..errors import DurabilityError
 from ..obs.metrics import METRICS
+from ..obs.trace import NULL_TRACER
 from ..schema.schema import Schema
 from ..storage.columnar import ColumnStore
 from ..storage.pathsummary import get_summary
@@ -101,10 +101,11 @@ def recover(database, directory, *, verify: bool = False,
     summaries, validates against schemas, and maintains indexes exactly
     as live ingest does."""
     start = time.perf_counter()
+    tracer = tracer or NULL_TRACER
     report = VerifyReport() if verify else None
     wal_path = directory / WAL_NAME
-    with _span(tracer, "recovery", directory=str(directory)):
-        with _span(tracer, "recovery.checkpoint"):
+    with tracer.span("recovery", directory=str(directory)):
+        with tracer.span("recovery.checkpoint"):
             state = load_checkpoint(directory)
             checkpoint_lsn = state["last_lsn"] if state else 0
             if state is not None:
@@ -118,8 +119,8 @@ def recover(database, directory, *, verify: bool = False,
             if METRICS.enabled:
                 METRICS.inc("wal.torn_bytes_truncated", scan.torn_bytes)
         replayed = skipped = 0
-        with _span(tracer, "recovery.wal", records=len(scan.records),
-                   torn_bytes=scan.torn_bytes):
+        with tracer.span("recovery.wal", records=len(scan.records),
+                         torn_bytes=scan.torn_bytes):
             for lsn, record in scan.records:
                 if lsn <= checkpoint_lsn:
                     skipped += 1
@@ -284,12 +285,6 @@ def _apply_record(database, record: dict) -> None:
         database._delete_positions(record["table"], record["positions"])
     else:
         raise DurabilityError(f"unknown WAL record op {op!r}")
-
-
-def _span(tracer, name: str, **attributes):
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, **attributes)
 
 
 # ---------------------------------------------------------------------------

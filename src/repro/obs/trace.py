@@ -4,8 +4,11 @@ A :class:`Tracer` records a tree of :class:`Span` objects — one per
 execution stage (parse → plan → index probe → residual predicate →
 evaluate → serialize) — and serializes them as JSON.  Tracing is
 strictly opt-in: the engine entry points accept ``tracer=None`` and
-skip all span bookkeeping when no tracer is passed, so the disabled
-cost is a ``None`` check.
+substitute :data:`NULL_TRACER` once, at the top, so below them there
+is one pipeline whether or not anyone records it.  The null tracer's
+``span()`` returns one shared falsy no-op span; work that exists only
+to decorate a trace sits under ``if span:`` and the disabled path
+never pays for it.
 
 Trace JSON schema (version 1)::
 
@@ -35,7 +38,8 @@ from __future__ import annotations
 import json
 import time
 
-__all__ = ["Span", "Tracer", "TRACE_VERSION", "validate_trace"]
+__all__ = ["Span", "Tracer", "NULL_TRACER", "TRACE_VERSION",
+           "validate_trace"]
 
 TRACE_VERSION = 1
 
@@ -88,24 +92,6 @@ class Tracer:
         """
         return _SpanContext(self, name, attrs)
 
-    def attach(self, other: "Tracer", **attrs) -> None:
-        """Graft another tracer's root spans under the current span.
-
-        A Tracer is not thread-safe (one mutable ``_stack``), so the
-        partition-parallel executor gives each worker its own Tracer
-        and the orchestrator attaches the finished trees afterwards,
-        stamping every grafted root with ``attrs`` (e.g. ``worker=2``)
-        for per-worker span attribution.  Worker spans keep their own
-        wall-clock ``start`` values, which share this tracer's clock
-        origin because both tracers use ``time.perf_counter``.
-        """
-        for root in other.roots:
-            root.attrs.update(attrs)
-            if self._stack:
-                self._stack[-1].children.append(root)
-            else:
-                self.roots.append(root)
-
     def attach_remote(self, spans: list[dict], **attrs) -> None:
         """Graft span *dicts* shipped from another process.
 
@@ -116,7 +102,7 @@ class Tracer:
         offsets, rebased onto this tracer's origin — within one remote
         tree the relative timings are exact; across processes only
         durations are meaningful.  Every grafted root is stamped with
-        ``attrs`` (e.g. ``worker=2``), mirroring :meth:`attach`.
+        ``attrs`` (e.g. ``worker=2``) for per-worker attribution.
         """
         for payload in spans:
             span = _span_from_dict(payload, self._origin)
@@ -195,6 +181,43 @@ class _SpanContext:
         if exc is not None:
             self._span.attrs.setdefault("error", repr(exc))
         self._tracer._close(self._span)
+
+
+class _NullSpan:
+    """The span of an untraced run: its own context manager, falsy so
+    ``if span:`` guards trace-only work, and never swallows errors."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+    def set(self, **attrs) -> "_NullSpan":
+        return self
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _NullTracer:
+    """Stands in for ``tracer=None`` below the entry points."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def span(self, name: str, **attrs) -> _NullSpan:
+        return _NULL_SPAN
+
+
+NULL_TRACER = _NullTracer()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Process-parallel execution: read replicas fed by log shipping.
 
-CPython's GIL caps the thread-based partition executor
-(:mod:`repro.planner.parallel`) at roughly one core of XQuery
-evaluation; this package escapes it with real processes.  The primary
-serializes a checkpoint of its current state (the same encoding
+CPython's GIL holds threads to roughly one core of XQuery evaluation;
+this package — the engine's one parallel backend — escapes it with
+real processes.  The primary serializes a checkpoint of its current state (the same encoding
 :mod:`repro.durability.checkpoint` writes to disk), ships it over a
 pipe to N worker processes, and each worker runs recovery into a
 read-only :class:`~repro.parallel.replica.ReplicaDatabase`.  From then

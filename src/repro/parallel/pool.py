@@ -34,9 +34,9 @@ any query after a write until :meth:`ProcessPool.resync` re-ships the
 full state.
 
 Every serial fallback is recorded through
-:func:`repro.planner.parallel.record_fallback` — same reason taxonomy
-as the thread backend — and every pool entry point degrades to the
-primary's ordinary execution paths rather than failing the query.
+:func:`repro.parallel.gate.record_fallback`, and every pool entry
+point degrades to the primary's ordinary execution paths rather than
+failing the query.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from ..core.querycache import compile_query
 from ..durability.checkpoint import encode_database
 from ..errors import ReplicationError
 from ..obs.metrics import METRICS
-from ..planner.parallel import _partition, partition_reference, \
-    record_fallback
+from ..obs.trace import NULL_TRACER
 from ..planner.plan import plan_prefilters
 from ..planner.stats import ExecutionStats
+from .gate import _partition, partition_reference, record_fallback
 from .worker import worker_main
 
 __all__ = ["ProcessPool", "ShippedQueryResult", "ShippedSQLResult"]
@@ -372,13 +372,13 @@ class ProcessPool:
                tracer=None, indent: bool = False):
         """Fan one partitionable XQuery across the replica processes.
 
-        Same soundness gate and order guarantees as the thread backend
-        (:mod:`repro.planner.parallel`); anything the gate refuses —
-        and any replica failure — runs serially on the primary instead,
-        with the reason recorded.  Returns a
+        Anything the soundness gate (:mod:`repro.parallel.gate`)
+        refuses — and any replica failure — runs serially on the
+        primary instead, with the reason recorded.  Returns a
         :class:`ShippedQueryResult` on the parallel path, the primary's
         ordinary ``QueryResult`` on fallbacks.
         """
+        tracer = tracer or NULL_TRACER
         if self._closed:
             return self._fallback(query, use_indexes, tracer,
                                   "pool-closed")
@@ -425,7 +425,7 @@ class ProcessPool:
                     request_id = self._next_request_id()
                     self._send(worker, (
                         "xquery", request_id, query, reference,
-                        partition, required_lsn, tracer is not None,
+                        partition, required_lsn, bool(tracer),
                         indent))
                     requests.append((worker, request_id))
             payloads, failure = self._collect(requests)
@@ -443,7 +443,7 @@ class ProcessPool:
             cache_hits += 1 if payload["cache_hit"] else 0
             worker.applied_lsn = payload["applied"]
             min_applied = min(min_applied, payload["applied"])
-            if tracer is not None and payload["spans"]:
+            if payload["spans"]:
                 tracer.attach_remote(payload["spans"],
                                      worker=worker_index,
                                      pid=worker.pid or -1)

@@ -39,6 +39,7 @@ import os
 from ..core.querycache import cache_info, compile_query, reinit_after_fork
 from ..errors import ReproError
 from ..obs.metrics import METRICS
+from ..obs.trace import NULL_TRACER, Tracer
 from ..planner.plan import PrefilteredDatabase
 from ..planner.stats import ExecutionStats
 from ..xdm.nodes import Node
@@ -94,7 +95,10 @@ def worker_main(conn) -> None:
             else:
                 raise ReproError(f"unknown pool message kind {kind!r}")
             conn.send(("result", request_id, payload))
-        except Exception as error:  # lint: broad-except-ok (a worker must survive any per-request failure and report it to the primary, which falls back to serial execution)
+        # sa: ok(SA408: a worker must survive any per-request failure
+        # and report it to the primary, which falls back to serial
+        # execution)
+        except Exception as error:
             conn.send(("error", request_id, type(error).__name__,
                        str(error), replica.last_applied_lsn))
 
@@ -129,19 +133,14 @@ def _serve_xquery(replica, query: str, reference: str,
     chosen = {docs[position].doc_id for position in positions}
     view = PrefilteredDatabase(replica, {reference: chosen})
     stats = ExecutionStats()
-    tracer = None
-    if with_trace:
-        from ..obs.trace import Tracer
-        tracer = Tracer(statement=query, language="xquery")
-        with tracer.span("replica-eval", documents=len(positions),
-                         pid=os.getpid(),
-                         applied_lsn=replica.last_applied_lsn) as span:
-            items = evaluate_module(compiled.module, database=view,
-                                    stats=stats)
-            span.set(actual_rows=len(items), unit="items")
-    else:
+    tracer = (Tracer(statement=query, language="xquery") if with_trace
+              else NULL_TRACER)
+    with tracer.span("replica-eval", documents=len(positions),
+                     pid=os.getpid(),
+                     applied_lsn=replica.last_applied_lsn) as span:
         items = evaluate_module(compiled.module, database=view,
                                 stats=stats)
+        span.set(actual_rows=len(items), unit="items")
     if isinstance(compiled.module.body,
                   (ast.PathExpr, ast.FunctionCall)) \
             and all(isinstance(item, Node) for item in items):
@@ -154,7 +153,7 @@ def _serve_xquery(replica, query: str, reference: str,
         "items": [(serialize(item, indent=indent),
                    isinstance(item, AtomicValue)) for item in items],
         "stats": stats,
-        "spans": tracer.to_dict()["spans"] if tracer else None,
+        "spans": tracer.to_dict()["spans"] if with_trace else None,
         "cache_hit": cache_hit,
         "applied": replica.last_applied_lsn,
     }

@@ -30,6 +30,7 @@ from ..core.predicates import PredicateCandidate, extract_candidates
 from ..core.querycache import cache_info, compile_query
 from ..errors import ReproError
 from ..obs.metrics import METRICS
+from ..obs.trace import NULL_TRACER
 from ..xdm.sequence import Item
 from ..xquery.evaluator import evaluate_module
 from .stats import ExecutionStats
@@ -125,6 +126,7 @@ class ColumnPrefilter:
 
     def run(self, stats: ExecutionStats, tracer=None,
             estimator=None) -> set[int]:
+        tracer = tracer or NULL_TRACER
         result: set[int] | None = None
         for probe in self.conjunct_probes:
             docs = self._run_probe(probe, stats, tracer, estimator,
@@ -137,28 +139,24 @@ class ColumnPrefilter:
                                          "disjunct")
             result = union if result is None else (result & union)
         for fixed in self.fixed_sets:
-            if tracer is not None:
-                with tracer.span("semi-join", column=self.column) as span:
-                    span.set(actual_rows=len(fixed), unit="documents")
+            with tracer.span("semi-join", column=self.column) as span:
+                span.set(actual_rows=len(fixed), unit="documents")
             result = set(fixed) if result is None else (result & fixed)
         return result if result is not None else set()
 
     def _run_probe(self, probe: _Probe, stats: ExecutionStats, tracer,
                    estimator, role: str) -> set[int]:
-        if tracer is None:
-            return probe.run(stats)
         with tracer.span("index-scan", index=probe.index.name,
-                         column=self.column, role=role,
-                         range=probe.bounds_text()) as span:
+                         column=self.column, role=role) as span:
+            if span:
+                span.set(range=probe.bounds_text())
             entries_before = stats.index_entries_scanned
             docs = probe.run(stats)
             span.set(actual_rows=len(docs), unit="documents",
                      entries_scanned=(stats.index_entries_scanned -
                                       entries_before))
             if estimator is not None:
-                estimate_attrs = estimator(self.column, probe)
-                if estimate_attrs:
-                    span.set(**estimate_attrs)
+                span.set(**estimator(self.column, probe))
         return docs
 
 
@@ -400,8 +398,9 @@ def _make_probe_estimator(database):
 
     Returns ``estimate(column, probe) -> dict`` producing the
     ``estimated_rows`` attribute (histogram selectivity capped by
-    path-summary document coverage) plus supporting attrs.  Plain
-    executions never construct this, so they never pay for histograms.
+    path-summary document coverage) plus supporting attrs.  Callers
+    construct this only for a recording tracer, so plain executions
+    never pay for histograms.
     """
     from .cost import CostModel
     model = CostModel(calibration=getattr(database, "cost_calibration",
@@ -473,8 +472,8 @@ def execute_xquery(database, query: str,
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) records per-stage
     spans — parse, plan, index-probe/index-scan, residual-eval — used
-    by ``--trace`` and EXPLAIN ANALYZE.  ``None`` (the default) skips
-    all span bookkeeping.
+    by ``--trace`` and EXPLAIN ANALYZE.  ``None`` (the default) runs
+    the same pipeline against :data:`repro.obs.trace.NULL_TRACER`.
 
     ``variables`` binds external variables (name → item sequence) in
     the dynamic context — the server's session variables ride in here.
@@ -485,15 +484,14 @@ def execute_xquery(database, query: str,
     started = (time.perf_counter()
                if METRICS.enabled or profiler is not None else 0.0)
     stats = ExecutionStats()
-    if tracer is not None:
-        hits_before = cache_info().hits
-        with tracer.span("parse") as span:
-            compiled = compile_query(query)
+    tracer = tracer or NULL_TRACER
+    with tracer.span("parse") as span:
+        hits_before = cache_info().hits if span else 0
+        compiled = compile_query(query)
+        if span:
             span.set(cache=("hit" if cache_info().hits > hits_before
                             else "miss"),
                      candidates=len(compiled.candidates))
-    else:
-        compiled = compile_query(query)
     module = compiled.module
     candidates = list(compiled.candidates)
     if rewrite_views:
@@ -515,27 +513,20 @@ def execute_xquery(database, query: str,
             cost_model = CostModel(
                 prefilter_threshold=prefilter_threshold,
                 calibration=getattr(database, "cost_calibration", None))
-        if tracer is not None:
-            with tracer.span("static-analysis") as span:
-                facts = static_prefilter_facts(database, candidates)
-                span.set(checks=facts.checked,
-                         empty_columns=len(facts.empty_columns))
-                _annotate_static_bounds(module, database, span)
-        else:
+        with tracer.span("static-analysis") as span:
             facts = static_prefilter_facts(database, candidates)
+            span.set(checks=facts.checked,
+                     empty_columns=len(facts.empty_columns))
+            if span:
+                _annotate_static_bounds(module, database, span)
         if METRICS.enabled and facts.checked:
             METRICS.inc("static.checks", facts.checked)
-        if tracer is not None:
-            with tracer.span("plan") as span:
-                prefilters = plan_prefilters(
-                    database, candidates, stats, cost_model=cost_model,
-                    path_facts=facts.docs_with_path)
-                span.set(prefilter_columns=len(prefilters),
-                         cost_based=cost_based)
-        else:
+        with tracer.span("plan") as span:
             prefilters = plan_prefilters(
                 database, candidates, stats, cost_model=cost_model,
                 path_facts=facts.docs_with_path)
+            span.set(prefilter_columns=len(prefilters),
+                     cost_based=cost_based)
         pruned: dict[str, set[int]] = {}
         for column, path_text in facts.empty_columns.items():
             # A statically-empty filtering path behaves exactly like an
@@ -547,22 +538,17 @@ def execute_xquery(database, query: str,
                        f"matches no stored document; branch eliminated")
             if METRICS.enabled:
                 METRICS.inc("static.empty_prunes")
-            if tracer is not None:
-                with tracer.span("static-prune", column=column,
-                                 path=path_text) as span:
-                    span.set(actual_rows=0, unit="documents")
+            with tracer.span("static-prune", column=column,
+                             path=path_text) as span:
+                span.set(actual_rows=0, unit="documents")
         if prefilters or pruned:
-            estimator = (_make_probe_estimator(database)
-                         if tracer is not None else None)
+            estimator = _make_probe_estimator(database) if tracer else None
             doc_filters: dict[str, set[int]] = dict(pruned)
             for column, prefilter in prefilters.items():
-                if tracer is not None:
-                    with tracer.span("index-probe", column=column) as span:
-                        docs = prefilter.run(stats, tracer=tracer,
-                                             estimator=estimator)
-                        span.set(actual_rows=len(docs), unit="documents")
-                else:
-                    docs = prefilter.run(stats)
+                with tracer.span("index-probe", column=column) as span:
+                    docs = prefilter.run(stats, tracer=tracer,
+                                         estimator=estimator)
+                    span.set(actual_rows=len(docs), unit="documents")
                 doc_filters[column] = docs
                 for note in prefilter.notes:
                     stats.note(note)
@@ -574,17 +560,13 @@ def execute_xquery(database, query: str,
             stats.note("no eligible index: full collection scan")
     else:
         stats.note("indexes disabled: full collection scan")
-    if tracer is not None:
-        docs_before = stats.docs_scanned
-        with tracer.span("residual-eval") as span:
-            items = evaluate_module(module, database=runtime_db,
-                                    variables=variables, stats=stats)
-            span.set(actual_rows=len(items), unit="items",
-                     docs_scanned=stats.docs_scanned - docs_before,
-                     summary_lookups=stats.summary_lookups)
-    else:
+    docs_before = stats.docs_scanned
+    with tracer.span("residual-eval") as span:
         items = evaluate_module(module, database=runtime_db,
                                 variables=variables, stats=stats)
+        span.set(actual_rows=len(items), unit="items",
+                 docs_scanned=stats.docs_scanned - docs_before,
+                 summary_lookups=stats.summary_lookups)
     if METRICS.enabled:
         METRICS.inc("queries.xquery")
         METRICS.observe("query.seconds", time.perf_counter() - started)

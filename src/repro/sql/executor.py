@@ -35,7 +35,9 @@ from ..core.eligibility import check_index
 from ..core.predicates import Origin, PredicateCandidate
 from ..errors import ReproError, SQLCastError, SQLError
 from ..obs.metrics import METRICS
-from ..planner.plan import PrefilteredDatabase, plan_prefilters
+from ..obs.trace import NULL_TRACER
+from ..planner.plan import (PrefilteredDatabase, _make_probe_estimator,
+                            plan_prefilters)
 from ..planner.stats import ExecutionStats
 from ..xquery.guard import active_guard
 from ..xdm import atomic
@@ -104,13 +106,11 @@ def execute_sql(database, statement_text: str,
     profiler = getattr(database, "workload_profiler", None)
     started = (time.perf_counter()
                if METRICS.enabled or profiler is not None else 0.0)
-    if tracer is not None:
-        with tracer.span("parse") as span:
-            statement = parse_statement(statement_text)
-            span.set(kind=type(statement).__name__)
-    else:
+    tracer = tracer or NULL_TRACER
+    with tracer.span("parse") as span:
         statement = parse_statement(statement_text)
-    executor = _SQLExecutor(database, use_indexes, tracer=tracer)
+        span.set(kind=type(statement).__name__)
+    executor = _SQLExecutor(database, use_indexes, tracer)
     result = executor.run(statement)
     if METRICS.enabled:
         METRICS.inc("queries.sql")
@@ -160,7 +160,7 @@ def explain_sql(database, statement_text: str) -> str:
 
 
 class _SQLExecutor:
-    def __init__(self, database, use_indexes: bool, tracer=None):
+    def __init__(self, database, use_indexes: bool, tracer=NULL_TRACER):
         self.database = database
         self.use_indexes = use_indexes
         self.stats = ExecutionStats()
@@ -235,28 +235,20 @@ class _SQLExecutor:
 
     def _run_select(self, statement: ast.SelectStmt) -> SQLResult:
         aliases = alias_table_map(statement)
-        if self.tracer is not None:
-            with self.tracer.span("plan") as span:
-                plan = (self._plan(statement, aliases)
-                        if self.use_indexes else _Plan())
-                span.set(doc_filters=len(plan.doc_filters),
-                         row_filters=len(plan.row_filters),
-                         join_probes=len(plan.join_probes))
-        else:
+        with self.tracer.span("plan") as span:
             plan = (self._plan(statement, aliases)
                     if self.use_indexes else _Plan())
+            span.set(doc_filters=len(plan.doc_filters),
+                     row_filters=len(plan.row_filters),
+                     join_probes=len(plan.join_probes))
 
         from_refs = self._order_joins(statement.from_refs, plan)
         envs: list[dict] = []
-        if self.tracer is not None:
-            rows_before = self.stats.rows_scanned
-            with self.tracer.span("join-scan") as span:
-                self._join([], from_refs, statement, plan, {}, envs)
-                span.set(actual_rows=len(envs), unit="rows",
-                         rows_scanned=(self.stats.rows_scanned -
-                                       rows_before))
-        else:
+        rows_before = self.stats.rows_scanned
+        with self.tracer.span("join-scan") as span:
             self._join([], from_refs, statement, plan, {}, envs)
+            span.set(actual_rows=len(envs), unit="rows",
+                     rows_scanned=self.stats.rows_scanned - rows_before)
 
         guard = active_guard()
         if guard is not None:
@@ -280,16 +272,11 @@ class _SQLExecutor:
                 return keys
             envs.sort(key=sort_key)
 
-        if self.tracer is not None:
-            with self.tracer.span("project") as span:
-                rows = [tuple(self.eval_expr(item.expr, env)
-                              for item in statement.items)
-                        for env in envs]
-                span.set(actual_rows=len(rows), unit="rows")
-        else:
+        with self.tracer.span("project") as span:
             rows = [tuple(self.eval_expr(item.expr, env)
                           for item in statement.items)
                     for env in envs]
+            span.set(actual_rows=len(rows), unit="rows")
         return SQLResult(columns, rows, self.stats)
 
     # ------------------------------------------------------------------
@@ -552,13 +539,12 @@ class _SQLExecutor:
         probe = _bounds_for(candidate, index)
         if probe is None:
             return None
-        if self.tracer is not None:
-            with self.tracer.span("index-scan", index=index.name,
-                                  range=probe.bounds_text()) as span:
-                docs = probe.run(self.stats)
-                span.set(actual_rows=len(docs), unit="documents")
-            return docs
-        return probe.run(self.stats)
+        with self.tracer.span("index-scan", index=index.name) as span:
+            if span:
+                span.set(range=probe.bounds_text())
+            docs = probe.run(self.stats)
+            span.set(actual_rows=len(docs), unit="documents")
+        return docs
 
     def _plan_relational(self, comparison: ast.Comparison,
                          aliases: dict[str, str], plan: _Plan) -> None:
@@ -949,22 +935,17 @@ class _SQLExecutor:
                 prefilters = plan_prefilters(self.database, candidates,
                                              self.stats)
                 if prefilters:
-                    estimator = None
-                    if self.tracer is not None:
-                        from ..planner.plan import _make_probe_estimator
-                        estimator = _make_probe_estimator(self.database)
+                    estimator = (_make_probe_estimator(self.database)
+                                 if self.tracer else None)
                     doc_filters = {}
                     for column, prefilter in prefilters.items():
-                        if self.tracer is not None:
-                            with self.tracer.span("index-probe",
-                                                  column=column) as span:
-                                docs = prefilter.run(
-                                    self.stats, tracer=self.tracer,
-                                    estimator=estimator)
-                                span.set(actual_rows=len(docs),
-                                         unit="documents")
-                        else:
-                            docs = prefilter.run(self.stats)
+                        with self.tracer.span("index-probe",
+                                              column=column) as span:
+                            docs = prefilter.run(
+                                self.stats, tracer=self.tracer,
+                                estimator=estimator)
+                            span.set(actual_rows=len(docs),
+                                     unit="documents")
                         doc_filters[column] = docs
                         for note in prefilter.notes:
                             self.stats.note(note)
@@ -1068,7 +1049,7 @@ def _cast_items_to_sql(items: list[Item], target: SQLType):
         return _atom_to_sql(atom, target)
     except SQLCastError:
         raise
-    except Exception as exc:  # lint: broad-except-ok (typed re-wrap)
+    except Exception as exc:  # sa: ok(SA408: typed re-wrap)
         raise SQLCastError(f"XMLCAST failed: {exc}") from exc
 
 

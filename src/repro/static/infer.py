@@ -322,7 +322,7 @@ class _Inferencer:
         if inner is not None and inner.is_numeric and expr.negate:
             try:
                 const = atomic.AtomicValue(inner.type_name, -inner.value)
-            except Exception:  # lint: broad-except-ok (constant folding)
+            except Exception:  # sa: ok(SA408: constant folding)
                 const = None
         elif inner is not None and inner.is_numeric:
             const = inner

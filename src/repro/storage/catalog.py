@@ -334,7 +334,9 @@ class Database(ReadView):
             row = table_obj.new_row(prepared)
             try:
                 self._index_row(table_obj, row)
-            except Exception:  # lint: broad-except-ok (row rollback must fire for any indexing failure before the error propagates)
+            # sa: ok(SA408: row rollback must fire for any indexing
+            # failure before the error propagates)
+            except Exception:
                 table_obj.remove_row(row)
                 raise
             for stored in stored_docs:
@@ -388,7 +390,9 @@ class Database(ReadView):
                         value = self._indexed_value(index, row)
                         index.insert_row(row.row_id, value)
                         indexed_values.append((index, value))
-            except Exception:  # lint: broad-except-ok (atomicity: unwind every entry added above whatever the failure, then re-raise)
+            # sa: ok(SA408: atomicity — unwind every entry added above
+            # whatever the failure, then re-raise)
+            except Exception:
                 for index, stored in indexed_docs:
                     index.remove_document(stored.doc_id, stored.document)
                 for index, value in indexed_values:
@@ -500,20 +504,6 @@ class Database(ReadView):
                 rewrite_views=rewrite_views, tracer=tracer,
                 variables=variables)
 
-    def xquery_parallel(self, query: str, max_workers: int = 4,
-                        use_indexes: bool = True, tracer=None):
-        """Run one XQuery fanned across document partitions.
-
-        Falls back to serial :meth:`xquery` when the query is not
-        provably partitionable (see :mod:`repro.planner.parallel`).
-        Results are merged in document order and are identical to the
-        serial answer."""
-        from ..planner.parallel import execute_xquery_parallel
-        return execute_xquery_parallel(self, query,
-                                       max_workers=max_workers,
-                                       use_indexes=use_indexes,
-                                       tracer=tracer)
-
     def process_pool(self, processes: int = 2, **options):
         """A :class:`repro.parallel.pool.ProcessPool` of read replicas.
 
@@ -544,29 +534,17 @@ class Database(ReadView):
             return super().sql(statement, use_indexes=use_indexes,
                                tracer=tracer)
 
-    def execute_many(self, statements, max_workers: int | None = None
-                     ) -> list:
-        """Execute a batch of statements, fanning across a thread pool.
+    def execute_many(self, statements) -> list:
+        """Execute a batch of statements serially, in input order.
 
-        ``statements`` is an iterable of XQuery or SQL/DDL texts; the
-        result list is in input order, each entry whatever the matching
-        single-statement entry point returns.  Read statements share
-        the lock and run concurrently; write statements serialize
-        through the exclusive side whenever the pool schedules them —
-        each statement is one atomic critical section, so a batch mixed
-        with writes is linearizable but its internal order is whatever
-        the pool produces.  ``max_workers=None`` picks
-        ``min(8, len(statements))``; ``1`` degrades to a serial loop.
+        ``statements`` is an iterable of XQuery or SQL/DDL texts; each
+        result is whatever the matching single-statement entry point
+        returns, and each statement is its own critical section.  For
+        parallelism across a batch use
+        :meth:`repro.parallel.pool.ProcessPool.execute_many`, which
+        falls back to this loop.
         """
-        statements = list(statements)
-        if max_workers is None:
-            max_workers = min(8, len(statements)) or 1
-        if max_workers <= 1 or len(statements) <= 1:
-            return [self.execute_any(statement)
-                    for statement in statements]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(self.execute_any, statements))
+        return [self.execute_any(statement) for statement in statements]
 
     def execute_any(self, statement: str):
         """Dispatch one statement text: SQL/DDL heads go through

@@ -1,24 +1,32 @@
 """Concurrent serving layer: GIL-stress correctness tests.
 
-Three independent guarantees are pinned here, all under
-``sys.setswitchinterval(1e-6)`` so CPython preempts threads roughly
-every bytecode:
+The engine itself runs no threads, but the server runs every session
+on one, so concurrent readers are load-bearing.  Three independent
+guarantees are pinned here, the threaded ones under
+``sys.setswitchinterval(1e-6)`` so CPython preempts roughly every
+bytecode:
 
-1. ``execute_many`` with 8 workers returns results byte-identical to a
-   serial loop over the paper's 30 numbered queries;
+1. 8 racing readers calling ``Database.execute_any`` get results
+   byte-identical to a serial loop over the paper's 30 numbered
+   queries;
 2. readers racing a DDL/ingest writer never observe a torn snapshot —
    every query sees a document set that was the committed state at
    *some* instant, never a mix;
-3. the partition-parallel executor's answers equal serial answers, and
-   its soundness gate refuses non-distributive queries.
+3. the process pool's answers equal serial answers, also while a
+   writer ingests, and its soundness gate refuses non-distributive
+   queries.
 """
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import Database
+from repro.core.querycache import compile_query
+from repro.durability import DurableDatabase
+from repro.parallel.gate import partition_reference
 from repro.planner.plan import QueryResult
 
 XMLCOL = "db2-fn:xmlcolumn('ORDERS.ORDDOC')"
@@ -151,14 +159,21 @@ def fast_switching():
     sys.setswitchinterval(previous)
 
 
-class TestExecuteManyMatchesSerial:
+def racing_readers(database, statements, readers: int = 8) -> list:
+    """``statements`` answered by ``readers`` threads sharing the
+    database, in input order — what the server's sessions do."""
+    with ThreadPoolExecutor(max_workers=readers) as pool:
+        return list(pool.map(database.execute_any, statements))
+
+
+class TestRacingReadersMatchSerial:
     def test_thirty_paper_queries_byte_identical(self, indexed_db,
                                                  fast_switching):
         assert len(PAPER_QUERIES) == 30
         serial = [rendered(indexed_db.execute_any(query))
                   for query in PAPER_QUERIES]
-        batched = indexed_db.execute_many(PAPER_QUERIES, max_workers=8)
-        assert [rendered(result) for result in batched] == serial
+        raced = racing_readers(indexed_db, PAPER_QUERIES)
+        assert [rendered(result) for result in raced] == serial
 
     def test_repeated_interleavings(self, indexed_db, fast_switching):
         # Shuffle-free repetition: thread scheduling differs run to
@@ -167,14 +182,14 @@ class TestExecuteManyMatchesSerial:
         serial = [rendered(indexed_db.execute_any(query))
                   for query in subset]
         for _ in range(3):
-            batched = indexed_db.execute_many(subset, max_workers=8)
-            assert [rendered(result) for result in batched] == serial
+            raced = racing_readers(indexed_db, subset)
+            assert [rendered(result) for result in raced] == serial
 
-    def test_single_worker_degrades_to_serial_loop(self, indexed_db):
-        queries = PAPER_QUERIES[:3]
+    def test_execute_many_is_the_serial_loop(self, indexed_db):
+        queries = iter(PAPER_QUERIES[:3])
         serial = [rendered(indexed_db.execute_any(query))
-                  for query in queries]
-        batched = indexed_db.execute_many(queries, max_workers=1)
+                  for query in PAPER_QUERIES[:3]]
+        batched = indexed_db.execute_many(queries)
         assert [rendered(result) for result in batched] == serial
 
 
@@ -214,8 +229,7 @@ class TestNoTornSnapshots:
         thread.start()
         try:
             for _ in range(15):
-                for result in db.execute_many([self.PAIRED] * 8,
-                                              max_workers=8):
+                for result in racing_readers(db, [self.PAIRED] * 8):
                     custids, lineitems = [
                         int(item.value) for item in result.items]
                     # Every committed state has custids == lineitems;
@@ -266,34 +280,18 @@ class TestPartitionParallel:
         f"{XMLCOL}/order/custid",
     ]
 
-    def test_parallel_matches_serial(self, indexed_db, fast_switching):
-        for query in self.PARTITIONABLE:
-            serial = indexed_db.xquery(query).serialized()
-            for workers in (2, 4, 8):
-                parallel = indexed_db.xquery_parallel(
-                    query, max_workers=workers)
-                assert parallel.serialized() == serial, query
+    def test_pool_matches_serial(self, indexed_db):
+        with indexed_db.process_pool(processes=2) as pool:
+            for query in self.PARTITIONABLE:
+                assert (pool.xquery(query).serialized()
+                        == indexed_db.xquery(query).serialized()), query
 
-    def test_parallel_preserves_prefilter_stats(self, indexed_db):
-        query = f"for $i in {XMLCOL}//order[lineitem/@price>100] return $i"
-        result = indexed_db.xquery_parallel(query, max_workers=4)
-        assert result.stats.indexes_used == ["li_price"]
-        assert result.stats.docs_scanned == 1  # prefiltered before fanout
-
-    def test_gate_refuses_order_by(self, indexed_db):
-        from repro.core.querycache import compile_query
-        from repro.planner.parallel import partition_reference
+    def test_gate_refuses_order_by(self):
         query = (f"for $o in {XMLCOL}/order "
                  "order by string($o/custid[1]) return $o")
         assert partition_reference(compile_query(query).module) is None
-        # ... and the entry point still answers correctly via serial.
-        assert (indexed_db.xquery_parallel(query, max_workers=4)
-                .serialized() ==
-                indexed_db.xquery(query).serialized())
 
-    def test_gate_refuses_sqlquery_and_multi_column(self, indexed_db):
-        from repro.core.querycache import compile_query
-        from repro.planner.parallel import partition_reference
+    def test_gate_refuses_sqlquery_and_multi_column(self):
         nested_sql = ("for $c in db2-fn:sqlquery("
                       "\"SELECT cdoc FROM customer\")/customer "
                       "return $c/name")
@@ -309,43 +307,53 @@ class TestPartitionParallel:
             compile_query(global_filter).module) is None
 
     def test_gate_accepts_canonical_shapes(self):
-        from repro.core.querycache import compile_query
-        from repro.planner.parallel import partition_reference
         for query in self.PARTITIONABLE:
             assert partition_reference(
                 compile_query(query).module) == "ORDERS.ORDDOC", query
 
-    def test_parallel_while_writer_ingests(self, fast_switching):
-        db = Database()
-        db.create_table("orders", [("ordid", "INTEGER"),
-                                   ("orddoc", "XML")])
-        for i in range(12):
-            db.insert("orders", {
-                "ordid": i,
-                "orddoc": TestNoTornSnapshots.ORDER.format(cid=i)})
-        query = ("for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order "
-                 "where $o/lineitem/@price > 100 return $o/custid")
-        stop = threading.Event()
-
-        def writer():
-            cid = 5000
-            while not stop.is_set():
+    def test_pool_while_writer_ingests(self, tmp_path):
+        """Log shipping keeps the replicas at the LSN each request
+        carries, so a racing writer never makes an answer stale or
+        torn."""
+        with DurableDatabase(tmp_path / "state") as db:
+            db.create_table("orders", [("ordid", "INTEGER"),
+                                       ("orddoc", "XML")])
+            for i in range(12):
                 db.insert("orders", {
-                    "ordid": cid,
-                    "orddoc": TestNoTornSnapshots.ORDER.format(cid=cid)})
-                cid += 1
+                    "ordid": i,
+                    "orddoc": TestNoTornSnapshots.ORDER.format(cid=i)})
+            query = ("for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order "
+                     "where $o/lineitem/@price > 100 return $o/custid")
+            stop = threading.Event()
 
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            for _ in range(10):
-                result = db.xquery_parallel(query, max_workers=4)
-                # Result counts grow monotonically with ingest but each
-                # answer must be internally consistent: every custid
-                # unique, sequence strictly ordered by insertion.
-                values = [item.string_value() for item in result.items]
-                assert values == sorted(set(values), key=values.index)
-                assert len(values) == len(set(values))
-        finally:
-            stop.set()
-            thread.join()
+            def writer():
+                # Paced: each insert fsyncs inside the write lock, and
+                # a loop that re-takes it at once starves every reader.
+                cid = 5000
+                while not stop.wait(0.001):
+                    db.insert("orders", {
+                        "ordid": cid,
+                        "orddoc":
+                            TestNoTornSnapshots.ORDER.format(cid=cid)})
+                    cid += 1
+
+            with db.process_pool(processes=2) as pool:
+                thread = threading.Thread(target=writer)
+                thread.start()
+                try:
+                    counts = []
+                    for _ in range(10):
+                        result = pool.xquery(query)
+                        assert result.partitions == 2
+                        # Each answer is one committed state: custids
+                        # unique and in insertion order.
+                        values = [text for text, _atomic
+                                  in result.segments]
+                        assert values == sorted(set(values),
+                                                key=values.index)
+                        counts.append(len(values))
+                finally:
+                    stop.set()
+                    thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert counts == sorted(counts) and counts[0] >= 12

@@ -103,6 +103,7 @@ class TestPartitionedReads:
                 pool.xquery(PATH_QUERY)
                 snapshot = METRICS.snapshot()
         assert snapshot["counters"]["process.fanouts"] == 1
+        assert "parallel.serial_fallbacks" not in snapshot["counters"]
         assert snapshot["counters"]["process.partitions"] == 2
         assert snapshot["histograms"]["process.seconds"]["count"] == 1
         assert snapshot["gauges"][
@@ -190,7 +191,7 @@ class TestExecuteMany:
 
     def test_round_robin_matches_serial(self, durable_pool_db):
         database = durable_pool_db
-        serial = database.execute_many(self.STATEMENTS, max_workers=1)
+        serial = database.execute_many(self.STATEMENTS)
         with database.process_pool(processes=2) as pool:
             shipped = pool.execute_many(self.STATEMENTS)
         assert [type(result).__name__ for result in shipped] == [

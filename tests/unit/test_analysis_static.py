@@ -444,7 +444,7 @@ def test_broad_except_fires_reraise_and_pragma_pass(tmp_path):
         def excused():
             try:
                 work()
-            except Exception:  # lint: broad-except-ok (boundary)
+            except Exception:  # sa: ok(SA408: boundary)
                 return None
     """})
     sa408 = [f for f in findings if f.code is SACode.BROAD_EXCEPT]
@@ -491,6 +491,37 @@ def test_fsync_discipline_fires_outside_fsio_only(tmp_path):
     sa410 = [f for f in findings if f.code is SACode.FSYNC_DISCIPLINE]
     assert sa410
     assert all(f.path.endswith("store.py") for f in sa410)
+
+
+def test_tracer_fork_fires_outside_obs_trace_only(tmp_path):
+    findings = _run(tmp_path, {
+        "planner/plan.py": """
+            def twins(tracer=None):
+                if tracer is not None:
+                    with tracer.span("plan"):
+                        work()
+                else:
+                    work()
+
+            class Executor:
+                def step(self):
+                    return None if self.tracer is None else 1
+
+            def single(tracer=None):
+                tracer = tracer or NULL_TRACER
+                with tracer.span("plan") as span:
+                    if span:
+                        span.set(cost=estimate())
+                    work()
+        """,
+        "obs/trace.py": """
+            def normalise(tracer):
+                return NULL_TRACER if tracer is None else tracer
+        """,
+    })
+    sa411 = [f for f in findings if f.code is SACode.TRACER_FORK]
+    assert [(f.path, f.line) for f in sa411] == [
+        ("planner/plan.py", 3), ("planner/plan.py", 11)]
 
 
 # -- suppression machinery ---------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from repro.obs.explain import OperatorNode
 from repro.obs.metrics import METRICS, MetricsRegistry, enabled_metrics
-from repro.obs.trace import TRACE_VERSION, Tracer, validate_trace
+from repro.obs.trace import (NULL_TRACER, TRACE_VERSION, Tracer,
+                             validate_trace)
 
 
 class TestMetricsRegistry:
@@ -112,6 +113,26 @@ class TestTracer:
         payload["language"] = "prolog"
         assert any("language" in problem
                    for problem in validate_trace(payload))
+
+
+class TestNullTracer:
+    def test_one_shared_falsy_span(self):
+        with NULL_TRACER.span("plan", candidates=3) as outer:
+            with NULL_TRACER.span("index-scan") as inner:
+                assert inner is outer
+        assert not outer and not NULL_TRACER
+        assert (None or NULL_TRACER) is NULL_TRACER
+        assert bool(Tracer()) is True
+
+    def test_set_records_nothing_and_chains(self):
+        with NULL_TRACER.span("plan") as span:
+            assert span.set(actual_rows=7) is span
+        assert not hasattr(span, "attrs")
+
+    def test_exceptions_propagate(self):
+        with pytest.raises(KeyError):
+            with NULL_TRACER.span("boom"):
+                raise KeyError("nope")
 
 
 class TestOperatorNode:
