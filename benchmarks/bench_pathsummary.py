@@ -1,19 +1,21 @@
 """Benchmarks for the structural acceleration layer itself.
 
-Covers the three costs the layer introduces or removes:
+Each stored document's structural summary is its column store's path
+table (``ColumnStore.paths`` + ``partitions``).  Covers the costs that
+layer introduces or removes:
 
-* building a per-document path summary at ingest (paid once per
-  document, amortized over every later query/index build);
-* answering a ``//``-style pattern from the summary (the evaluator's
-  fast path) and a whole-database cardinality probe (the planner's);
+* capturing a document's columns and path partitions at ingest (paid
+  once per document, amortized over every later query/index build);
+* answering a ``//``-style pattern from the path table (the
+  evaluator's fast path) and a whole-database cardinality probe (the
+  planner's);
 * compiling a query through the LRU cache (hit path — what repeated
   queries, the planner, and the SQL executor actually pay).
 """
 
 from repro.core.querycache import clear_cache, compile_query
 from repro.core.patterns import parse_xmlpattern
-from repro.storage.pathsummary import (PatternMatcher, build_summary,
-                                       get_summary)
+from repro.storage.columnar import ColumnStore, PatternMatcher
 from repro.workload import WorkloadGenerator
 from repro.xmlio import parse_document
 
@@ -26,19 +28,17 @@ def _order_document():
         1, 1, [f"P{i:05d}" for i in range(10)]))
 
 
-def test_summary_build(benchmark):
+def test_column_capture(benchmark):
     document = _order_document()
-    summary = benchmark(lambda: build_summary(document))
-    assert summary.node_count > 0
+    store = benchmark(lambda: ColumnStore.from_document(document))
+    assert store.paths
 
 
-def test_summary_pattern_lookup(benchmark):
-    document = _order_document()
-    build_summary(document)
-    summary = get_summary(document)
+def test_path_table_lookup(benchmark):
+    store = ColumnStore.from_document(_order_document())
     matcher = PatternMatcher(parse_xmlpattern("//lineitem/@price"))
 
-    nodes = benchmark(lambda: summary.nodes_for(matcher))
+    nodes = benchmark(lambda: store.nodes_for(matcher))
     assert nodes
 
 
@@ -59,7 +59,7 @@ def test_compiled_query_cache_hit(benchmark):
 
 
 def test_index_build_via_summary(benchmark):
-    """Index build over summarized documents (one NFA run per distinct
+    """Index build over captured documents (one NFA run per distinct
     path shape instead of one per node)."""
     database = build_db(orders=200)
     counter = iter(range(10_000))

@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "replay) and report what was done")
     _add_data_arguments(recover, required=True)
     recover.add_argument("--verify", action="store_true",
-                         help="check rebuilt path summaries against "
+                         help="check re-captured path tables against "
                               "the checkpoint (exit 1 on mismatch)")
 
     check = commands.add_parser(

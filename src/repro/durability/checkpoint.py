@@ -2,7 +2,7 @@
 
 A checkpoint is the full logical state of the database — tables with
 their typed columns and rows, registered (and per-document) schemas,
-index *definitions*, and per-document path-summary shapes — written to
+index *definitions*, and per-document path-table shapes — written to
 a temp file, fsynced, and atomically renamed to ``checkpoint.json``.
 Readers of the directory therefore always see either the previous
 complete checkpoint or the new complete checkpoint, never a partial
@@ -15,12 +15,12 @@ Two deliberate shape choices:
   XMLPATTERN text, SQL type) and recovery replays the ``CREATE
   INDEX``, rebuilding the tree from the recovered documents.  That
   keeps the checkpoint small and immune to index-format drift.
-* **Path summaries are persisted as shapes, not node lists.**  A
-  summary's node lists are pointers into the live tree and rebuild
-  during the recovery ingest walk anyway; the checkpoint stores each
-  document's distinct paths with counts, which ``recover --verify``
-  compares against the rebuilt summaries — an end-to-end integrity
-  oracle over serialize → parse → re-summarize.
+* **Path tables are persisted as shapes, not slot lists.**  A column
+  store's path partitions are re-captured by the recovery ingest walk
+  anyway; the checkpoint stores each document's distinct paths with
+  counts (``ColumnStore.path_counts``), which ``recover --verify``
+  compares against the re-captured path tables — an end-to-end
+  integrity oracle over serialize → parse → re-capture.
 
 XML column values are serialized with :func:`repro.xmlio.serializer.
 serialize`; the round-trip property test in
@@ -37,7 +37,6 @@ from ..errors import DurabilityError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..storage.columnar import ingest_document
-from ..storage.pathsummary import get_summary
 from ..storage.table import StoredDocument
 from ..xmlio.serializer import serialize
 from . import fsio
@@ -82,17 +81,17 @@ def encode_database(database, last_lsn: int, *,
             encoded_row = {}
             for column, value in row.values.items():
                 if isinstance(value, StoredDocument):
-                    summary = get_summary(value.document, build=True)
+                    document = value.document
+                    store = ingest_document(document)
                     encoded_row[column] = {
-                        "$xml": serialize(value.document),
+                        "$xml": serialize(document),
                         "$schema": value.schema_name,
                         "$paths": sorted(
                             [encode_path(path), count]
-                            for path, count in summary.counts().items()),
+                            for path, count in store.path_counts().items()),
                     }
                     if ship_columns:
-                        encoded_row[column]["$columns"] = \
-                            ingest_document(value.document).to_payload()
+                        encoded_row[column]["$columns"] = store.to_payload()
                 else:
                     encoded_row[column] = encode_value(value)
             rows.append(encoded_row)

@@ -87,6 +87,6 @@ def decode_schema(obj: dict) -> Schema:
 
 
 def encode_path(path) -> list:
-    """A path-summary key (tuple of PathComponent) → nested JSON lists."""
+    """A path-table key (tuple of PathComponent) → nested JSON lists."""
     return [[component.kind, component.uri, component.local]
             for component in path]

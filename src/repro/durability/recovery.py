@@ -17,7 +17,7 @@ same LSNs, nothing rewritten.
 
 Emits ``recovery`` trace spans (via :mod:`repro.obs.trace`) and
 ``recovery.*`` metrics; ``verify=True`` additionally checks every
-checkpointed document's rebuilt path summary against the shape the
+checkpointed document's re-captured path table against the shape the
 checkpoint recorded.
 """
 
@@ -31,7 +31,6 @@ from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..schema.schema import Schema
 from ..storage.columnar import ColumnStore
-from ..storage.pathsummary import get_summary
 from ..storage.table import StoredDocument
 from . import fsio
 from .checkpoint import load_checkpoint
@@ -97,8 +96,8 @@ def recover(database, directory, *, verify: bool = False,
 
     The caller (``DurableDatabase.__init__``) sets ``_replaying`` so
     the writer overrides it routes through do not re-log; this function
-    only drives the database's own public write path, which rebuilds
-    summaries, validates against schemas, and maintains indexes exactly
+    only drives the database's own public write path, which captures
+    columns, validates against schemas, and maintains indexes exactly
     as live ingest does."""
     start = time.perf_counter()
     tracer = tracer or NULL_TRACER
@@ -213,13 +212,12 @@ def _apply_checkpoint_row(database, table_name: str, position: int,
         if not isinstance(stored, StoredDocument) or expected is None:
             continue
         report.documents_checked += 1
-        summary = get_summary(stored.document, build=True)
-        rebuilt = sorted([encode_path(path), count]
-                         for path, count in summary.counts().items())
+        rebuilt = sorted([encode_path(path), count] for path, count
+                         in stored.columns.path_counts().items())
         if rebuilt != expected:
             report.mismatches.append(
                 f"{table_name} row {position} column {column}: "
-                f"rebuilt path summary has {len(rebuilt)} path(s), "
+                f"re-captured path table has {len(rebuilt)} path(s), "
                 f"checkpoint recorded {len(expected)}"
                 + ("" if len(rebuilt) != len(expected)
                    else " with differing shapes"))

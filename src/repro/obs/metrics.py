@@ -17,8 +17,8 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``index.probes``                  XML index range probes executed
 ``index.entries_scanned``         index entries touched across all probes
 ``relindex.lookups``              relational index lookups
-``pathsummary.builds``            per-document summaries (re)built
-``pathsummary.hits``              step chains answered from a summary
+``pathsummary.hits``              step chains answered from a column
+                                  store's path table
 ``docs.scanned``                  XML documents materialized from columns
 ``rows.scanned``                  relational rows examined
 ``bufferpool.hits``               accesses that found the tree resident

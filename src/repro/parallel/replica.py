@@ -7,7 +7,7 @@ for disk checkpoints — recovery *is* the replication substrate) and
 then advanced one logical WAL record at a time by
 :meth:`apply_wal_record`, exactly the replay path crash recovery uses.
 Because replay drives the ordinary public write path, the replica
-rebuilds path summaries, re-validates schemas, and maintains its own
+captures column stores, re-validates schemas, and maintains its own
 B+Tree indexes from DDL — indexes are derived state on the follower
 just as they are in a checkpoint.
 

@@ -11,7 +11,8 @@ sources sharpen the verdicts beyond pure syntax:
   matches a type declaration atomizes to that ``xs:*`` type instead of
   ``xdt:untypedAtomic``, so schema-typed comparisons get concrete
   §3.1 categories;
-* **per-document path summaries** (:mod:`repro.storage.pathsummary`)
+* **per-document path tables** (the path partitions of
+  :mod:`repro.storage.columnar`, read without materializing trees)
   — a path rooted at ``db2-fn:xmlcolumn`` gets *exact* node-count
   bounds from the data, and a path matching no document at all is
   statically empty (``SE005``), which the planner turns into a pruned
@@ -588,24 +589,19 @@ class _Inferencer:
             return self._stats_cache[key]
         stats: PathStats | None = None
         try:
-            from ..storage.pathsummary import PatternMatcher, get_summary
+            from ..storage.columnar import PatternMatcher
             table, _sep, column = shape.column.partition(".")
             stored_docs = self.database.documents(table, column)
             matcher = PatternMatcher(shape.pattern())
             docs_with = total = per_doc_max = 0
             for stored in stored_docs:
-                summary = get_summary(stored.document, build=True)
-                if summary is None:
-                    stats = None
-                    break
-                count = summary.count_matching(matcher)
+                count = stored.columns.count_matching(matcher)
                 if count:
                     docs_with += 1
                     total += count
                     per_doc_max = max(per_doc_max, count)
-            else:
-                stats = PathStats(len(stored_docs), docs_with, total,
-                                  per_doc_max)
+            stats = PathStats(len(stored_docs), docs_with, total,
+                              per_doc_max)
         except ReproError:
             stats = None  # unknown table/column: no data to consult
         self._stats_cache[key] = stats

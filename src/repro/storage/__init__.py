@@ -1,16 +1,15 @@
-"""Storage: B+Trees, tables, columnar node stores, the buffer pool,
-path summaries, XML and relational indexes."""
+"""Storage: B+Trees, tables, columnar node stores (whose path
+partitions are each document's structural summary), the buffer pool,
+XML and relational indexes."""
 
 from .btree import BPlusTree
 from .bufferpool import BufferPool
 from .catalog import Database
 from .columnar import ColumnStore, get_store, ingest_document
-from .pathsummary import PathSummary, build_summary, get_summary
 from .relindex import RelationalIndex
 from .table import Row, StoredDocument, Table
 from .xmlindex import IndexEntry, XmlIndex
 
 __all__ = ["BPlusTree", "BufferPool", "ColumnStore", "Database",
-           "IndexEntry", "PathSummary", "RelationalIndex", "Row",
-           "StoredDocument", "Table", "XmlIndex", "build_summary",
-           "get_store", "get_summary", "ingest_document"]
+           "IndexEntry", "RelationalIndex", "Row", "StoredDocument",
+           "Table", "XmlIndex", "get_store", "ingest_document"]

@@ -18,6 +18,11 @@ used documents when the budget is exceeded:
   authoritative copy is the checkpoint + WAL — so they are written
   without fsync and never read unless this pool wrote them first.
 
+Structural reads (``StoredDocument.columns``: path tables for the
+planner and static analysis) never re-materialize: at tier 1 they read
+the resident columns, at tier 2 :meth:`BufferPool.load_columns` reads
+the spill back and charges only the columns.
+
 A document mutated since its columns were captured is re-captured
 before its tree is dropped, so eviction never loses updates.
 
@@ -161,16 +166,31 @@ class BufferPool:
                 return document
             if METRICS.enabled:
                 METRICS.inc("bufferpool.misses")
-            store = stored._store
-            if store is None:
-                store = self._read_spill(stored.doc_id)
-                stored._store = store
-            document = store.materialize(stored._schema)
+            document = self._columns_of(stored).materialize(stored._schema)
             stored._document = document
             self._charge(stored)
             self._evict_to_fit(keep=stored)
             self._publish_gauge()
             return document
+
+    def load_columns(self, stored) -> ColumnStore:
+        """The first half of :meth:`load`: bring a spilled document's
+        columns back and charge them, without materializing a tree
+        (structural reads — path tables — need no nodes)."""
+        with self._lock:
+            store = self._columns_of(stored)
+            self._charge(stored)
+            self._evict_to_fit(keep=stored)
+            self._publish_gauge()
+            return store
+
+    def _columns_of(self, stored) -> ColumnStore:
+        """The document's columns, read from its spill file when a
+        tier-2 eviction dropped them (lock held)."""
+        store = stored._store
+        if store is None:
+            store = stored._store = self._read_spill(stored.doc_id)
+        return store
 
     # ------------------------------------------------------------------
     # Eviction (lock held)

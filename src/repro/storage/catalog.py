@@ -319,10 +319,10 @@ class Database(ReadView):
                         next_doc_id(), document,
                         doc_schema.name if doc_schema else None)
                     # Capture the columnar accelerator table at ingest:
-                    # one walk builds the (pre, post, level, …) columns,
-                    # the path partitions, and the path summary that
-                    # back the evaluator's fast paths, index builds, and
-                    # the planner's cardinality estimates.
+                    # one walk builds the (pre, post, level, …) columns
+                    # and the path partitions that back the evaluator's
+                    # fast paths, index builds, and the planner's
+                    # cardinality estimates.
                     stored._store = ingest_document(document)
                     stored._schema = doc_schema
                     if self.buffer_pool.enabled:

@@ -22,8 +22,14 @@ Two further structures ride on the columns:
   slot carries a ``path_id`` into the document's distinct
   root-to-node paths, and ``partitions[path_id]`` lists the slots of
   that path in document order.  An XMLPATTERN is tested once per
-  *distinct path* and then the matching partitions are scanned — the
-  layout the XML index builds and path summaries read.
+  *distinct path* and then the matching partitions are scanned.  This
+  path table is the document's only structural summary: the
+  evaluator's ``//``-chain fast path and XML index builds read it
+  through the materialized views (:meth:`ColumnStore.nodes_for`,
+  :meth:`~ColumnStore.nodes_matching`); the planner's cardinalities,
+  static emptiness and the checkpoint's ``$paths`` read counts only
+  (:meth:`~ColumnStore.has_path`, :meth:`~ColumnStore.count_matching`,
+  :meth:`~ColumnStore.path_counts`), which need no tree at all.
 * **A text heap**: text, attribute, comment and PI content lives in
   one shared string addressed by ``(text_lo, text_hi)`` offsets, so
   an evicted document's values survive without any node objects.
@@ -47,9 +53,8 @@ from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
                          ElementNode, Node, ProcessingInstructionNode,
                          TextNode, reserve_node_ids)
 from ..xdm.qname import QName
-from .pathsummary import PathSummary, _intern_path
 
-__all__ = ["ColumnStore", "get_store", "ingest_document",
+__all__ = ["ColumnStore", "PatternMatcher", "get_store", "ingest_document",
            "store_for_node", "KIND_DOCUMENT", "KIND_ELEMENT",
            "KIND_ATTRIBUTE", "KIND_TEXT", "KIND_COMMENT", "KIND_PI"]
 
@@ -76,6 +81,40 @@ _HEAP_KINDS = (KIND_ATTRIBUTE, KIND_TEXT, KIND_COMMENT, KIND_PI)
 #: Rough per-node cost of a materialized XDM view (object headers,
 #: slot storage, child-list entries) used for buffer-pool accounting.
 MATERIALIZED_NODE_BYTES = 400
+
+#: Interning table for distinct path tuples.  Documents of one workload
+#: share a handful of path shapes; interning makes equal paths *the
+#: same object*, so match memos can key on ``id(path)`` instead of
+#: hashing nested dataclasses on every lookup.
+_PATH_INTERN: dict[tuple, tuple] = {}
+
+
+def _intern_path(path: tuple) -> tuple:
+    return _PATH_INTERN.setdefault(path, path)
+
+
+class PatternMatcher:
+    """Memoized pattern-vs-path matching keyed on interned path identity.
+
+    One NFA simulation per (matcher, distinct path shape); every later
+    ask is an id-keyed dict hit.  The memo stores the path tuple
+    alongside the verdict, keeping it alive so its ``id`` can never be
+    recycled for a different path.
+    """
+
+    __slots__ = ("pattern", "_verdicts")
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self._verdicts: dict[int, tuple[tuple, bool]] = {}
+
+    def matches(self, path: tuple) -> bool:
+        entry = self._verdicts.get(id(path))
+        if entry is None:
+            verdict = self.pattern.matches_path(list(path))
+            self._verdicts[id(path)] = (path, verdict)
+            return verdict
+        return entry[1]
 
 
 def _component_of(node: Node) -> PathComponent:
@@ -159,9 +198,8 @@ class ColumnStore:
         ensures it is current — so slot *i* is exactly the node with
         pre number *i*.  The walk visits a node, then its attributes,
         then its children, mirroring ``xdm.nodes._number_tree``.
-        The store is attached to the document (``document.column_store``)
-        and a :class:`PathSummary` derived from the partitions replaces
-        any stale summary.
+        The store is attached to the document (``document.column_store``),
+        replacing any store captured before a mutation.
         """
         document.structure()
         store = cls()
@@ -242,7 +280,6 @@ class ColumnStore:
         store.nodes = nodes
         store.stamp = document._stamp
         document.column_store = store
-        document.path_summary = store.build_summary()
         return store
 
     def _compute_subtree_ends(self) -> None:
@@ -256,25 +293,56 @@ class ColumnStore:
         self.subtree_end = array(
             "q", (slot + sizes[slot] for slot in range(count)))
 
-    # ------------------------------------------------------------------
-    # Validity & summaries
-    # ------------------------------------------------------------------
-
     def is_attached(self) -> bool:
         """True while a live, unmutated materialization backs us."""
         return (self.nodes is not None and self.stamp is not None
                 and self.stamp.valid)
 
-    def build_summary(self) -> PathSummary:
-        """A :class:`PathSummary` over the materialized views, derived
-        from the path partitions without another tree walk."""
+    # ------------------------------------------------------------------
+    # Path table (the document's structural summary)
+    # ------------------------------------------------------------------
+    # ``matcher`` is a PatternMatcher: callers that ask across many
+    # documents share one, so each distinct path shape is tested once.
+
+    def path_counts(self) -> dict[tuple, int]:
+        """Interned root-to-node path -> number of nodes along it."""
+        return {path: len(partition)
+                for path, partition in zip(self.paths, self.partitions)}
+
+    def has_path(self, matcher) -> bool:
+        """Does any node's path match?  Needs no materialized tree."""
+        return any(matcher.matches(path) for path in self.paths)
+
+    def count_matching(self, matcher) -> int:
+        """Number of nodes whose path matches.  Needs no tree."""
+        return sum(len(partition) for path, partition
+                   in zip(self.paths, self.partitions)
+                   if matcher.matches(path))
+
+    def nodes_for(self, matcher) -> list[Node]:
+        """All nodes whose path matches, in document order.
+
+        Slots are pre-order numbers, so merging several matching
+        partitions into document order is a sort of ints."""
+        assert self.nodes is not None
+        matched = [partition for path, partition
+                   in zip(self.paths, self.partitions)
+                   if matcher.matches(path)]
+        slots = (matched[0] if len(matched) == 1
+                 else sorted(slot for partition in matched
+                             for slot in partition))
+        nodes = self.nodes
+        return [nodes[slot] for slot in slots]
+
+    def nodes_matching(self, matcher) -> Iterator[tuple[Node, tuple]]:
+        """(node, path) pairs whose path matches — one pattern test per
+        distinct path, then a clustered partition scan per hit."""
         assert self.nodes is not None
         nodes = self.nodes
-        entries = {path: [nodes[slot] for slot in self.partitions[pid]]
-                   for pid, path in enumerate(self.paths)}
-        if METRICS.enabled:
-            METRICS.inc("pathsummary.builds")
-        return PathSummary(entries, self.stamp)
+        for path_id, path in enumerate(self.paths):
+            if matcher.matches(path):
+                for slot in self.partitions[path_id]:
+                    yield nodes[slot], path
 
     # ------------------------------------------------------------------
     # Axis range scans
@@ -317,16 +385,6 @@ class ColumnStore:
         post = self.post
         return [nodes[s] for s in range(slot)
                 if kind[s] != KIND_ATTRIBUTE and post[s] < post_bound]
-
-    def nodes_matching(self, matcher) -> Iterator[tuple[Node, tuple]]:
-        """(node, path) pairs whose path matches — one pattern test per
-        distinct path, then a clustered partition scan per hit."""
-        assert self.nodes is not None
-        nodes = self.nodes
-        for path_id, path in enumerate(self.paths):
-            if matcher.matches(path):
-                for slot in self.partitions[path_id]:
-                    yield nodes[slot], path
 
     def text_of(self, slot: int) -> str:
         """String value of a slot straight from the columns.
@@ -400,7 +458,6 @@ class ColumnStore:
         self.nodes = nodes
         self.stamp = document._stamp
         document.column_store = self
-        document.path_summary = self.build_summary()
         if schema is not None:
             from ..schema.validator import validate
             validate(document, schema)
@@ -544,15 +601,15 @@ def store_for_node(node: Node) -> ColumnStore | None:
 
 
 def ingest_document(document: DocumentNode) -> ColumnStore:
-    """Attach (or reuse) the column store for an ingested document.
+    """The current column store of ``document``, captured if needed.
 
     A document arriving with a current store — e.g. materialized from
-    replica-shipped columns — is reused as-is; otherwise one capture
-    walk builds columns, partitions, and the path summary together.
+    replica-shipped columns — is reused as-is; otherwise (never
+    captured, or mutated since capture) one walk captures the columns
+    and path partitions.  This is the only staleness rule the path
+    table has.
     """
     store = get_store(document)
     if store is not None:
-        if document.path_summary is None:
-            document.path_summary = store.build_summary()
         return store
     return ColumnStore.from_document(document)

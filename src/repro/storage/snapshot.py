@@ -1,7 +1,7 @@
 """Read views over the catalog: the shared read API and COW snapshots.
 
 :class:`ReadView` is the query-facing surface of a database — catalog
-lookups, document enumeration, ``db2-fn:xmlcolumn``, path-summary
+lookups, document enumeration, ``db2-fn:xmlcolumn``, path-table
 cardinalities.  :class:`repro.storage.catalog.Database` mixes it in and
 wraps the query entry points in its reader-writer lock;
 :class:`Snapshot` reuses the same methods over *pinned* state.
@@ -32,7 +32,7 @@ from ..analysis import sanitizer as _sanitizer
 from ..errors import CatalogError, SQLError
 from ..obs.metrics import METRICS
 from ..xdm.sequence import Item
-from .pathsummary import PatternMatcher, get_summary
+from .columnar import PatternMatcher
 from .table import StoredDocument
 
 __all__ = ["ReadView", "Snapshot"]
@@ -84,25 +84,18 @@ class ReadView:
     def docs_with_path(self, table: str, column: str, pattern) -> int:
         """How many of the column's documents contain ≥1 node matching
         ``pattern`` (an XMLPATTERN string or parsed PathPattern) — the
-        structural fraction the cost model folds into probe estimates."""
+        structural fraction the cost model folds into probe estimates.
+        Read from each document's path table; no tree is materialized."""
         matcher = PatternMatcher(self._as_pattern(pattern))
-        count = 0
-        for stored in self.documents(table, column):
-            summary = get_summary(stored.document, build=True)
-            if summary is not None and summary.has_matching(matcher):
-                count += 1
-        return count
+        return sum(1 for stored in self.documents(table, column)
+                   if stored.columns.has_path(matcher))
 
     def path_cardinality(self, table: str, column: str, pattern) -> int:
         """Total node count matching ``pattern`` across the column's
-        documents, answered from per-document path summaries."""
+        documents, answered from their path tables."""
         matcher = PatternMatcher(self._as_pattern(pattern))
-        total = 0
-        for stored in self.documents(table, column):
-            summary = get_summary(stored.document, build=True)
-            if summary is not None:
-                total += summary.count_matching(matcher)
-        return total
+        return sum(stored.columns.count_matching(matcher)
+                   for stored in self.documents(table, column))
 
     @staticmethod
     def _as_pattern(pattern):

@@ -25,6 +25,8 @@ class StoredDocument:
     (and, with a spill directory, its columns) may have been evicted;
     the property transparently re-materializes it — with identical
     node ids — so callers never observe the difference beyond latency.
+    Structural questions (which paths, how many nodes) go through
+    :attr:`columns` instead and never pay for a tree.
     """
 
     __slots__ = ("doc_id", "schema_name", "_document", "_store",
@@ -51,6 +53,16 @@ class StoredDocument:
                 pool.touch(self)
             return document
         return pool.load(self)
+
+    @property
+    def columns(self):
+        """The document's column store, never materializing a tree:
+        the resident columns as-is (tree evicted or not), or a
+        spilled document's columns read back from the spill file."""
+        store = self._store
+        if store is not None:
+            return store
+        return self._pool.load_columns(self)
 
     def __repr__(self) -> str:
         state = "resident" if self._document is not None else "evicted"

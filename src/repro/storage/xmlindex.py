@@ -40,9 +40,7 @@ from ..xdm.atomic import (AtomicValue, T_DATE, T_DATETIME, T_DOUBLE,
                           T_STRING, cast)
 from ..xdm.nodes import DocumentNode, Node
 from .btree import BPlusTree
-from .columnar import get_store
-from .pathsummary import (PatternMatcher, get_summary,
-                          indexable_nodes as _indexable_nodes)
+from .columnar import PatternMatcher, ingest_document
 
 #: SQL index type keyword -> xdm atomic type used for key casting.
 INDEX_TYPE_TO_XDM = {
@@ -124,20 +122,11 @@ class XmlIndex:
 
     def _matching_nodes(self, document: DocumentNode):
         """(node, path) pairs of the document matching this index's
-        pattern — preferably as a clustered range scan over the
-        document's columnar store (the pattern is tested once per
-        *distinct* path, then only the matching path partitions are
-        scanned), via the path summary when only that exists, falling
-        back to a full object walk otherwise."""
-        store = get_store(document)
-        if store is not None:
-            return store.nodes_matching(self._pattern_matcher)
-        summary = get_summary(document, build=True)
-        if summary is not None:
-            return summary.nodes_matching(self._pattern_matcher)
-        return ((node, components) for node, components
-                in _indexable_nodes(document)
-                if self.pattern.matches_path(components))
+        pattern, as a clustered scan over the document's path
+        partitions: the pattern is tested once per *distinct* path,
+        then only the matching partitions are scanned."""
+        return ingest_document(document).nodes_matching(
+            self._pattern_matcher)
 
     def distinct_doc_count(self) -> int:
         """Number of documents with at least one entry in this index."""

@@ -252,22 +252,17 @@ class DocumentNode(Node):
 
     kind = "document"
 
-    __slots__ = ("_children", "document_uri", "path_summary",
-                 "column_store")
+    __slots__ = ("_children", "document_uri", "column_store")
 
     def __init__(self, children: list[Node] | None = None,
                  document_uri: str = ""):
         super().__init__()
         self._children: list[Node] = []
         self.document_uri = document_uri
-        #: Set by the storage layer at ingest (see
-        #: :mod:`repro.storage.pathsummary`); stamp-validated, so a
-        #: stale summary is rebuilt lazily after mutations.
-        self.path_summary = None
         #: Columnar accelerator table attached at ingest (see
-        #: :mod:`repro.storage.columnar`); stamp-validated like the
-        #: path summary, so axis fast paths fall back to object walks
-        #: after mutations.
+        #: :mod:`repro.storage.columnar`), path table included;
+        #: stamp-validated, so the path and axis fast paths fall back
+        #: to object walks after mutations.
         self.column_store = None
         for child in children or []:
             self.append_child(child)

@@ -440,35 +440,32 @@ class Evaluator:
 
     def _try_summary_lookup(self, steps, items: list[Item], ctx
                             ) -> tuple[list, list[Item]]:
-        """Answer a leading predicate-free step chain from path summaries.
+        """Answer a leading predicate-free step chain from path tables.
 
-        When every context item is an ingested document (it carries a
-        valid path summary) and a prefix of the steps compiles to a
-        linear path pattern, the matching nodes come straight from the
-        summary's per-path node lists — no subtree materialization, no
-        re-sort.  Returns the (possibly shortened) remaining steps and
-        the new context items; on any doubt it returns the inputs
-        unchanged and the generic pipeline runs.
+        When every context item is an ingested, unmutated document (it
+        has a current column store) and a prefix of the steps compiles
+        to a linear path pattern, the matching nodes come straight from
+        the store's path partitions — no subtree walk.  Returns the
+        (possibly shortened) remaining steps and the new context items;
+        on any doubt it returns the inputs unchanged and the generic
+        pipeline runs.
         """
-        from ..storage.pathsummary import get_summary
-        summaries = []
-        # sa: ok(SA406: one summary lookup per document root; bails early)
+        from ..storage.columnar import PatternMatcher, get_store
+        stores = []
+        # sa: ok(SA406: one store lookup per document root; bails early)
         for item in items:
-            if not isinstance(item, DocumentNode):
+            store = get_store(item)
+            if store is None:
                 return steps, items
-            summary = get_summary(item)
-            if summary is None:
-                return steps, items
-            summaries.append(summary)
+            stores.append(store)
         pattern_steps, consumed, predicates = _compile_summary_prefix(steps)
         if not consumed:
             return steps, items
         from ..core.patterns import LinearPattern
-        from ..storage.pathsummary import PatternMatcher
         matcher = PatternMatcher(LinearPattern(tuple(pattern_steps)))
         nodes: list[Node] = []
-        for summary in summaries:
-            nodes.extend(summary.nodes_for(matcher))
+        for store in stores:
+            nodes.extend(store.nodes_for(matcher))
         if ctx.stats is not None:
             ctx.stats.summary_lookups += 1
         if METRICS.enabled:
@@ -903,12 +900,12 @@ def _axis_nodes(node: Node, axis: str) -> list[Node]:
         anchor = node.parent if node.kind == "attribute" else node
         if anchor is None:
             return []
-        _tree, pre, post, _level = anchor.structure()
         store = _column_store_for(anchor)
         if store is not None:
             if axis == "following":
                 return store.following(anchor)
             return list(reversed(store.preceding(anchor)))
+        _tree, pre, post, _level = anchor.structure()
         if axis == "following":
             return [candidate for candidate
                     in anchor.root.descendants_or_self()

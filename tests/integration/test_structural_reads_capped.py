@@ -1,0 +1,105 @@
+"""Structural reads never materialize a tree, even under a capped pool.
+
+``docs_with_path`` / ``path_cardinality``, the static-emptiness prune
+(``static_prefilter_facts``) and the ``repro lint`` drift check are
+questions about root-to-node paths, answered from each document's path
+table (``StoredDocument.columns``).  Under a buffer pool capped far
+below the collection's trees — tier 1, where eviction keeps the columns
+resident, and tier 2, where it spills them to disk — they must
+re-materialize no document (zero ``columnar.materializations`` and
+``bufferpool.misses``) and return exactly what an uncapped twin does.
+"""
+
+import pytest
+
+from repro.core.querycache import compile_query
+from repro.obs.metrics import METRICS, enabled_metrics
+from repro.static import lint_statement
+from repro.static.infer import static_prefilter_facts
+from repro.storage.catalog import Database
+from repro.workload import populate_paper_schema
+
+ORDERS = 60
+XMLCOL = "db2-fn:xmlcolumn('ORDERS.ORDDOC')"
+COLUMNS = (("orders", "orddoc"), ("customer", "cdoc"))
+PATTERNS = ("//lineitem/@price", "//order/custid", "//customer/id",
+            "//lineitem/product/id", "//order/custid/text()",
+            "//warehouse/code", "//lineitem/price", "//@*")
+#: A static-prune statement (SE005) and the three §3.7–§3.9 drift
+#: findings the lint derives from path counts alone.
+STATEMENTS = (
+    f"for $i in {XMLCOL}//order[warehouse/code = 'X'] return $i",
+    "declare namespace f = 'http://fruit.example'; "
+    f"for $i in {XMLCOL}//f:order[f:lineitem/@price > 100] return $i",
+    f"for $i in {XMLCOL}//order[custid/text() = '1001'] return $i",
+    f"for $i in {XMLCOL}//order[lineitem/price > 100] return $i",
+)
+EXPECTED_CODES = {"SE005", "SW307", "SW308", "SW309"}
+
+
+def build(budget=None, spill_dir=None) -> Database:
+    database = Database(buffer_pool_bytes=budget,
+                        buffer_pool_spill_dir=spill_dir)
+    populate_paper_schema(database, orders=ORDERS, customers=8,
+                          products=10, seed=7)
+    return database
+
+
+def structural_answers(database) -> dict:
+    answers = {}
+    for table, column in COLUMNS:
+        for pattern in PATTERNS:
+            answers[table, pattern] = (
+                database.docs_with_path(table, column, pattern),
+                database.path_cardinality(table, column, pattern))
+    for statement in STATEMENTS:
+        facts = static_prefilter_facts(
+            database, list(compile_query(statement).candidates))
+        answers["facts", statement] = (facts.empty_columns,
+                                       facts.docs_with_path)
+        answers["lint", statement] = sorted(
+            (finding.code.code, str(finding))
+            for finding in lint_statement(statement, database=database))
+    return answers
+
+
+@pytest.fixture(scope="module")
+def uncapped() -> dict:
+    with pytest.MonkeyPatch.context() as patch:
+        # The memory-capped CI job sets a default budget; the twin
+        # must run without any pool.
+        patch.delenv("REPRO_BUFFER_POOL_BYTES", raising=False)
+        database = build()
+    assert not database.buffer_pool.enabled
+    return structural_answers(database)
+
+
+@pytest.mark.parametrize("tier", [1, 2])
+def test_capped_structural_reads_materialize_nothing(tier, tmp_path,
+                                                     uncapped):
+    spill_dir = tmp_path / "spool" if tier == 2 else None
+    database = build(budget=1, spill_dir=spill_dir)
+    try:
+        # A one-byte budget: ingest left every tree but the newest
+        # evicted (and, at tier 2, every column store but its own).
+        evicted = [stored for stored
+                   in database.documents("orders", "orddoc")
+                   if stored._document is None]
+        assert len(evicted) >= ORDERS - 1
+        assert all((stored._store is None) is (tier == 2)
+                   for stored in evicted)
+        with enabled_metrics():
+            answers = structural_answers(database)
+            materializations = METRICS.counter("columnar.materializations")
+            misses = METRICS.counter("bufferpool.misses")
+            loads = METRICS.counter("bufferpool.loads")
+        assert materializations == 0
+        assert misses == 0
+        # Tier 2 read spilled columns back; tier 1 never had to.
+        assert (loads > 0) is (tier == 2)
+        assert answers == uncapped
+        codes = {code for statement in STATEMENTS
+                 for code, _text in answers["lint", statement]}
+        assert EXPECTED_CODES <= codes
+    finally:
+        database.buffer_pool.close()

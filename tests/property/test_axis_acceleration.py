@@ -6,43 +6,73 @@ sort.  These tests pit every accelerated axis against a dumb recursive
 walk on randomized trees — including after ``insert_child`` /
 ``remove_child`` / ``remove_attribute`` mutations, which must invalidate
 the cached numbering (the stamp) rather than serve stale intervals.
+
+The column store's path table (the per-document structural summary)
+is checked against a naive root-to-node path walk on the same trees,
+which carry namespaced names, attributes, comments and PIs: a mutated
+document has no current store, the evaluator falls back to the generic
+pipeline, and a re-captured store's ``path_counts()`` / ``nodes_for()``
+equal the walk.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.pathsummary import PathSummary, build_summary, get_summary
-from repro.xdm.nodes import (AttributeNode, DocumentNode, ElementNode,
+from repro.core.patterns import PathComponent, parse_xmlpattern
+from repro.planner.stats import ExecutionStats
+from repro.storage.columnar import PatternMatcher, get_store, ingest_document
+from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
+                             ElementNode, ProcessingInstructionNode,
                              TextNode)
 from repro.xdm.qname import QName
 from repro.xdm.sequence import document_order
-from repro.xquery.evaluator import _axis_nodes
+from repro.xquery.evaluator import _axis_nodes, evaluate
 
-TAGS = ("a", "b", "c")
+NS = "urn:n"
+#: (uri, local, prefix): plain names and the same locals in a namespace.
+TAGS = (("", "a", ""), ("", "b", ""), ("", "c", ""), (NS, "a", "n"),
+        (NS, "b", "n"))
+ATTRIBUTES = (("", "x0", ""), ("", "x1", ""), (NS, "x0", "n"))
+#: Leaf child kinds; anything else in a children tuple is a nested spec.
+LEAVES = ("text", "comment", "pi")
 
 
 @st.composite
 def tree_specs(draw, depth=0):
-    """(tag, attr-count, children) nested tuples; ``None`` = text node."""
+    """(tag, attribute names, children) nested tuples; a child is a
+    nested spec or one of ``LEAVES``."""
     tag = draw(st.sampled_from(TAGS))
-    attr_count = draw(st.integers(min_value=0, max_value=2))
+    attributes = draw(st.lists(st.sampled_from(ATTRIBUTES), max_size=2,
+                               unique=True))
     children = []
     if depth < 3:
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             if draw(st.booleans()):
                 children.append(draw(tree_specs(depth=depth + 1)))
             else:
-                children.append(None)
-    return (tag, attr_count, tuple(children))
+                children.append(draw(st.sampled_from(LEAVES)))
+    return (tag, tuple(attributes), tuple(children))
+
+
+def build_leaf(kind: str):
+    if kind == "text":
+        return TextNode("t")
+    if kind == "comment":
+        return CommentNode("c")
+    return ProcessingInstructionNode("p", "d")
 
 
 def build_element(spec) -> ElementNode:
-    tag, attr_count, children = spec
-    element = ElementNode(QName("", tag))
-    for i in range(attr_count):
-        element.add_attribute(AttributeNode(QName("", f"x{i}"), str(i)))
+    (uri, local, prefix), attributes, children = spec
+    element = ElementNode(QName(uri, local, prefix),
+                          in_scope_namespaces={"n": NS})
+    for index, (attr_uri, attr_local, attr_prefix) in enumerate(attributes):
+        element.add_attribute(AttributeNode(
+            QName(attr_uri, attr_local, attr_prefix), str(index)))
     for child in children:
-        element.append_child(TextNode("t") if child is None
+        element.append_child(build_leaf(child) if child in LEAVES
                              else build_element(child))
     return element
 
@@ -151,12 +181,60 @@ def assert_order_sort_matches(document: DocumentNode, shuffled) -> None:
     assert ids(document_order(shuffled)) == ids(expected)
 
 
-def assert_summary_fresh(document: DocumentNode) -> None:
-    """The registered summary equals one rebuilt from scratch."""
-    refreshed = get_summary(document, build=True)
-    fresh = PathSummary.build(document)
-    assert {path: ids(nodes) for path, nodes in refreshed.entries.items()} \
-        == {path: ids(nodes) for path, nodes in fresh.entries.items()}
+def component(node) -> PathComponent:
+    name = node.name
+    if name is None:
+        return PathComponent(node.kind)
+    return PathComponent(node.kind, name.uri, name.local)
+
+
+def oracle_paths(document: DocumentNode) -> list:
+    """(node, root-to-node path) for every node below the document, in
+    document order: the naive walk a path table must reproduce."""
+    out = []
+
+    def visit(node, path):
+        out.append((node, path))
+        for attribute in node.attributes:
+            out.append((attribute, path + (component(attribute),)))
+        for child in node.children:
+            visit(child, path + (component(child),))
+
+    for child in document.children:
+        visit(child, (component(child),))
+    return out
+
+
+PATTERNS = ("//a", "//*", "//@*", "//text()", "//comment()",
+            "//processing-instruction()", "/a/b", "//b/@x0", "//c//a",
+            "declare namespace n='urn:n'; //n:a",
+            "declare namespace n='urn:n'; //@n:x0")
+
+
+def assert_path_table_fresh(document: DocumentNode) -> None:
+    """A (re-)captured column store's path table equals the naive walk:
+    per-path counts, and the nodes each pattern selects in order."""
+    store = ingest_document(document)
+    assert get_store(document) is store
+    oracle = oracle_paths(document)
+    assert store.path_counts() == Counter(path for _node, path in oracle)
+    for text in PATTERNS:
+        pattern = parse_xmlpattern(text)
+        expected = [node for node, path in oracle
+                    if pattern.matches_path(list(path))]
+        assert ids(store.nodes_for(PatternMatcher(pattern))) == ids(expected)
+
+
+def assert_evaluator_path(document: DocumentNode) -> None:
+    """``$d//a`` equals the walk; it is answered from the path table iff
+    the document has a current store, by the generic pipeline else."""
+    stats = ExecutionStats()
+    got = evaluate("$d//a", variables={"d": [document]}, stats=stats)
+    expected = [node for node, _path in oracle_paths(document)
+                if node.kind == "element" and node.name == QName("", "a")]
+    assert ids(got) == ids(expected)
+    current = get_store(document) is not None
+    assert stats.summary_lookups == (1 if current else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +250,12 @@ def test_axes_match_naive_oracle(spec, data):
     shuffled = data.draw(st.permutations(everything))
     # Duplicates must collapse: document_order dedups by identity.
     assert_order_sort_matches(document, list(shuffled) + shuffled[:3])
+    assert_evaluator_path(document)
+    # Captured: the column-store range scans and the path table must
+    # answer exactly what the object walks did.
+    assert_path_table_fresh(document)
+    assert_axes_match_oracles(document)
+    assert_evaluator_path(document)
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,13 +266,14 @@ def test_axes_match_naive_oracle(spec, data):
        data=st.data())
 def test_axes_match_oracle_after_mutation(spec, ops, data):
     document = build_document(spec)
-    build_summary(document)
+    ingest_document(document)
     # Force the numbering so mutations must *invalidate*, not just
     # compute fresh.
     document.structure()
     assert_axes_match_oracles(document)
 
     fresh_tag = iter(range(10_000))
+    mutated = False
     for op, pick, position in ops:
         elements = [n for n in ordered_nodes(document)
                     if n.kind == "element"]
@@ -214,9 +299,18 @@ def test_axes_match_oracle_after_mutation(spec, ops, data):
             parent = candidates[pick % len(candidates)]
             parent.remove_attribute(
                 parent.attributes[position % len(parent.attributes)])
+        mutated = True
 
+    # A mutated tree has no current store: the axes and the evaluator
+    # fall back to object walks instead of serving stale slots.
+    assert (get_store(document) is None) is mutated
     assert_axes_match_oracles(document)
     everything = ordered_nodes(document)
     shuffled = data.draw(st.permutations(everything))
     assert_order_sort_matches(document, list(shuffled))
-    assert_summary_fresh(document)
+    assert_evaluator_path(document)
+    # Re-capture is the one staleness rule: afterwards the path table
+    # and the range scans describe the mutated tree.
+    assert_path_table_fresh(document)
+    assert_axes_match_oracles(document)
+    assert_evaluator_path(document)

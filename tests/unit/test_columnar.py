@@ -2,16 +2,21 @@
 
 The store is the accelerator-table representation of one parsed
 document: parallel (pre, post, level, kind, parent, text) columns in
-document order, path partitions for pattern matching, and a lazy
+document order, path partitions for pattern matching (the document's
+only structural summary), and a lazy
 ``materialize()`` that rebuilds a serialize-identical XDM tree with
 the original node identities.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.core.patterns import PathComponent, parse_xmlpattern
 from repro.storage.columnar import (ColumnStore, KIND_ATTRIBUTE,
-                                    KIND_DOCUMENT, get_store,
-                                    ingest_document, store_for_node)
+                                    KIND_DOCUMENT, PatternMatcher,
+                                    get_store, ingest_document,
+                                    store_for_node)
 from repro.xdm.nodes import DocumentNode
 from repro.xmlio import parse_document
 from repro.xmlio.serializer import serialize
@@ -150,7 +155,52 @@ class TestMaterialize:
         rebuilt = store.materialize()
         assert rebuilt.column_store is store
         assert get_store(rebuilt) is store
-        assert rebuilt.path_summary is not None
+
+
+def root_path(node):
+    """The node's root-to-node path, from its parent chain."""
+    steps = []
+    while node.kind != "document":
+        name = node.name
+        steps.append(PathComponent(node.kind) if name is None
+                     else PathComponent(node.kind, name.uri, name.local))
+        node = node.parent
+    return tuple(reversed(steps))
+
+
+class TestPathTable:
+    """The four readers over ``paths`` / ``partitions``, against a
+    parent-chain walk of every node."""
+
+    def test_path_counts_equal_parent_chain_walk(self):
+        document, store = build()
+        expected = Counter(root_path(node) for node in walk_all(document)
+                           if node is not document)
+        assert store.path_counts() == dict(expected)
+
+    @pytest.mark.parametrize("pattern", [
+        "//lineitem/@price", "//price", "/order/lineitem", "//*",
+        "//@*", "//text()", "//comment()", "//processing-instruction()",
+        "declare namespace m='urn:meta'; //m:note",
+        "declare namespace m='urn:meta'; /order/@m:origin", "//nothing"])
+    def test_readers_agree_with_walk(self, pattern):
+        document, store = build()
+        parsed = parse_xmlpattern(pattern)
+        matcher = PatternMatcher(parsed)
+        expected = [node for node in walk_all(document)
+                    if node is not document
+                    and parsed.matches_path(list(root_path(node)))]
+        assert store.nodes_for(matcher) == expected
+        assert store.count_matching(matcher) == len(expected)
+        assert store.has_path(matcher) is bool(expected)
+
+    def test_counts_need_no_tree(self):
+        _document, store = build()
+        matcher = PatternMatcher(parse_xmlpattern("//lineitem"))
+        store.detach()
+        assert store.has_path(matcher)
+        assert store.count_matching(matcher) == 2
+        assert sum(store.path_counts().values()) == len(store) - 1
 
 
 class TestPayloadRoundTrip:
