@@ -7,11 +7,14 @@ layer introduces or removes:
 * capturing a document's columns and path partitions at ingest (paid
   once per document, amortized over every later query/index build);
 * answering a ``//``-style pattern from the path table (the
-  evaluator's fast path) and a whole-database cardinality probe (the
-  planner's);
+  evaluator's fast path) and whole-column cardinality / document
+  counts from the column's path classes (the planner's and the static
+  pass's — independent of the collection size);
 * compiling a query through the LRU cache (hit path — what repeated
   queries, the planner, and the SQL executor actually pay).
 """
+
+import pytest
 
 from repro.core.querycache import clear_cache, compile_query
 from repro.core.patterns import parse_xmlpattern
@@ -46,6 +49,19 @@ def test_database_path_cardinality(benchmark, paper_bench_db):
     count = benchmark(lambda: paper_bench_db.path_cardinality(
         "orders", "orddoc", "//lineitem/@price"))
     assert count > 0
+
+
+@pytest.fixture(scope="module")
+def orders_2000():
+    return build_db(orders=2000)
+
+
+def test_docs_with_path_column(benchmark, orders_2000):
+    """The static pass's per-statement question over 2 000 orders:
+    one pattern test per distinct path of a few path classes."""
+    count = benchmark(lambda: orders_2000.docs_with_path(
+        "orders", "orddoc", "//lineitem/@price"))
+    assert 0 < count <= 2000
 
 
 def test_compiled_query_cache_hit(benchmark):

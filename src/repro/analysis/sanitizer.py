@@ -248,6 +248,10 @@ class SanitizerState:
         snapshot._sanitizer_rows = {
             name: (id(table.rows), len(table.rows))
             for name, table in snapshot.tables.items()}
+        snapshot._sanitizer_classes = {
+            (name, column): (id(classes), sum(classes.values()))
+            for name, table in snapshot.tables.items()
+            for column, classes in table.path_classes.items()}
 
     def verify_snapshot(self, snapshot) -> None:
         expected = getattr(snapshot, "_sanitizer_rows", None)
@@ -258,13 +262,32 @@ class SanitizerState:
             if table is None:
                 continue
             if id(table.rows) == rows_id and len(table.rows) != length:
-                self.note_violation(
-                    "snapshot_mutation",
-                    f"table {name!r}: the row list pinned by "
-                    f"{snapshot!r} changed length {length} -> "
-                    f"{len(table.rows)} in place; writers must "
-                    f"replace containers, never mutate them",
-                    stack=_stack())
+                self._snapshot_mutated(
+                    snapshot, f"table {name!r}: the row list",
+                    f"changed length {length} -> {len(table.rows)}")
+        for (name, column), (classes_id, docs) in \
+                snapshot._sanitizer_classes.items():
+            table = snapshot.tables.get(name)
+            if table is None:
+                continue
+            classes = table.path_classes.get(column, {})
+            if id(classes) != classes_id:
+                self._snapshot_mutated(
+                    snapshot, f"table {name!r}: the path classes of "
+                    f"column {column!r}", "were replaced")
+            elif sum(classes.values()) != docs:
+                self._snapshot_mutated(
+                    snapshot, f"table {name!r}: the path classes of "
+                    f"column {column!r}",
+                    f"changed document total {docs} -> "
+                    f"{sum(classes.values())}")
+
+    def _snapshot_mutated(self, snapshot, what: str, how: str) -> None:
+        self.note_violation(
+            "snapshot_mutation",
+            f"{what} pinned by {snapshot!r} {how} in place; writers "
+            f"must replace containers, never mutate them",
+            stack=_stack())
 
     # -- WAL order ------------------------------------------------------
 

@@ -78,7 +78,7 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``sanitizer.upgrade``             read→write upgrade attempts observed
 ``sanitizer.fork``                locks held across a Process fork
 ``sanitizer.snapshot_mutation``   in-place mutation of a pinned
-                                  snapshot's row list
+                                  snapshot's row list or path classes
 ``sanitizer.wal_order``           WAL appends outside the writer section
                                   or with non-contiguous LSNs
 ``autopilot.observations``        statements recorded by the workload

@@ -125,9 +125,9 @@ class CostModel:
         entries spread evenly over documents — the standard
         independence assumption.
 
-        ``docs_with_path`` — the number of documents whose path summary
-        contains the *query's* path (see
-        :meth:`repro.storage.catalog.Database.docs_with_path`) — caps
+        ``docs_with_path`` — the number of documents containing the
+        *query's* path, read from the column's path summary (see
+        :meth:`repro.storage.snapshot.ReadView.docs_with_path`) — caps
         the structural coverage: a document without the path cannot
         survive the probe, however wide the key range.
         """

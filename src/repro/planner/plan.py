@@ -208,7 +208,8 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
 
         if cost_model is not None:
             table_name, _sep2, column_name = candidate.column.partition(".")
-            total_docs = len(database.documents(table_name, column_name))
+            total_docs = sum(database.path_classes(
+                table_name, column_name).values())
             docs_with_path = None
             if path_facts is not None:
                 docs_with_path = path_facts.get(
@@ -409,7 +410,8 @@ def _make_probe_estimator(database):
     def estimate(column: str, probe: _Probe) -> dict:
         table, _sep, column_name = column.partition(".")
         try:
-            total_docs = len(database.documents(table, column_name))
+            total_docs = sum(database.path_classes(
+                table, column_name).values())
         except ReproError:
             return {}
         docs_with_path = None

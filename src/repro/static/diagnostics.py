@@ -10,7 +10,7 @@ Codes come in two families:
 
 * ``SE…`` — static *errors*: the statement is wrong or provably
   useless (unknown names, incomparable comparison types per §3.1,
-  paths that are statically empty given every document's path summary);
+  paths that are statically empty given the column's path summary);
 * ``SW…`` — pitfall *warnings*: the statement runs, but §3 says it
   will not run the way its author thinks (namespace drift, ``/text()``
   misalignment, attribute-axis mistakes, uncast joins, existential

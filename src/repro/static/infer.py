@@ -591,17 +591,17 @@ class _Inferencer:
         try:
             from ..storage.columnar import PatternMatcher
             table, _sep, column = shape.column.partition(".")
-            stored_docs = self.database.documents(table, column)
+            classes = self.database.path_classes(table, column)
             matcher = PatternMatcher(shape.pattern())
-            docs_with = total = per_doc_max = 0
-            for stored in stored_docs:
-                count = stored.columns.count_matching(matcher)
+            docs_total = docs_with = total = per_doc_max = 0
+            for path_class, docs in classes.items():
+                docs_total += docs
+                count = matcher.nodes_in(path_class)
                 if count:
-                    docs_with += 1
-                    total += count
+                    docs_with += docs
+                    total += docs * count
                     per_doc_max = max(per_doc_max, count)
-            stats = PathStats(len(stored_docs), docs_with, total,
-                              per_doc_max)
+            stats = PathStats(docs_total, docs_with, total, per_doc_max)
         except ReproError:
             stats = None  # unknown table/column: no data to consult
         self._stats_cache[key] = stats
@@ -980,13 +980,12 @@ def static_prefilter_facts(database, candidates) -> StaticFacts:
         else:
             table, _sep, column = candidate.column.partition(".")
             try:
+                if not database.path_classes(table, column):
+                    continue  # an empty table proves nothing yet
                 count = database.docs_with_path(table, column,
                                                 candidate.path)
-                total = len(database.documents(table, column))
             except ReproError:
                 continue
-            if total == 0:
-                continue  # an empty table proves nothing yet
             seen[key] = count
             facts.checked += 1
             facts.docs_with_path[key] = count

@@ -245,7 +245,7 @@ def _check_path_drift(candidates, database,
             if database.docs_with_path(table, column,
                                        candidate.path) > 0:
                 continue
-            if not database.documents(table, column):
+            if not database.path_classes(table, column):
                 continue  # empty table: nothing to compare against
         except ReproError:
             continue

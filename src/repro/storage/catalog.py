@@ -321,9 +321,11 @@ class Database(ReadView):
                     # Capture the columnar accelerator table at ingest:
                     # one walk builds the (pre, post, level, …) columns
                     # and the path partitions that back the evaluator's
-                    # fast paths, index builds, and the planner's
-                    # cardinality estimates.
+                    # fast paths and index builds; their signature joins
+                    # the column's path classes (``new_row``), which
+                    # back the planner's cardinality estimates.
                     stored._store = ingest_document(document)
+                    stored.path_class = stored._store.path_class()
                     stored._schema = doc_schema
                     if self.buffer_pool.enabled:
                         stored._pool = self.buffer_pool

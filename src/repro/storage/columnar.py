@@ -26,10 +26,12 @@ Two further structures ride on the columns:
   path table is the document's only structural summary: the
   evaluator's ``//``-chain fast path and XML index builds read it
   through the materialized views (:meth:`ColumnStore.nodes_for`,
-  :meth:`~ColumnStore.nodes_matching`); the planner's cardinalities,
-  static emptiness and the checkpoint's ``$paths`` read counts only
-  (:meth:`~ColumnStore.has_path`, :meth:`~ColumnStore.count_matching`,
-  :meth:`~ColumnStore.path_counts`), which need no tree at all.
+  :meth:`~ColumnStore.nodes_matching`); the checkpoint's ``$paths``
+  reads its counts (:meth:`~ColumnStore.path_counts`), and its
+  :meth:`~ColumnStore.path_class` signature is folded into the owning
+  table's per-column path classes, from which the planner's
+  cardinalities and static emptiness are answered
+  (:meth:`PatternMatcher.nodes_in`) without visiting any document.
 * **A text heap**: text, attribute, comment and PI content lives in
   one shared string addressed by ``(text_lo, text_hi)`` offsets, so
   an evicted document's values survive without any node objects.
@@ -115,6 +117,14 @@ class PatternMatcher:
             self._verdicts[id(path)] = (path, verdict)
             return verdict
         return entry[1]
+
+    def nodes_in(self, path_class: frozenset) -> int:
+        """Matching nodes in each document of ``path_class`` (a
+        :meth:`ColumnStore.path_class` signature).  Every path of a
+        signature has at least one node, so non-zero means "the
+        document contains the path"."""
+        return sum(count for path, count in path_class
+                   if self.matches(path))
 
 
 def _component_of(node: Node) -> PathComponent:
@@ -309,15 +319,11 @@ class ColumnStore:
         return {path: len(partition)
                 for path, partition in zip(self.paths, self.partitions)}
 
-    def has_path(self, matcher) -> bool:
-        """Does any node's path match?  Needs no materialized tree."""
-        return any(matcher.matches(path) for path in self.paths)
-
-    def count_matching(self, matcher) -> int:
-        """Number of nodes whose path matches.  Needs no tree."""
-        return sum(len(partition) for path, partition
-                   in zip(self.paths, self.partitions)
-                   if matcher.matches(path))
+    def path_class(self) -> frozenset:
+        """The document's path signature: (interned path, node count)
+        pairs.  Documents with equal signatures are one path class of
+        their column's summary (``Table.path_classes``)."""
+        return frozenset(zip(self.paths, map(len, self.partitions)))
 
     def nodes_for(self, matcher) -> list[Node]:
         """All nodes whose path matches, in document order.

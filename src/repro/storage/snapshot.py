@@ -1,9 +1,10 @@
 """Read views over the catalog: the shared read API and COW snapshots.
 
 :class:`ReadView` is the query-facing surface of a database — catalog
-lookups, document enumeration, ``db2-fn:xmlcolumn``, path-table
-cardinalities.  :class:`repro.storage.catalog.Database` mixes it in and
-wraps the query entry points in its reader-writer lock;
+lookups, document enumeration, ``db2-fn:xmlcolumn``, the per-column
+path summary and the cardinalities derived from it.
+:class:`repro.storage.catalog.Database` mixes it in and wraps the
+query entry points in its reader-writer lock;
 :class:`Snapshot` reuses the same methods over *pinned* state.
 
 Snapshot semantics
@@ -11,11 +12,12 @@ Snapshot semantics
 
 Writers copy-on-write every container they change: the ``Database``
 catalog dicts are replaced (never mutated) by DDL, and each
-``Table.rows`` list is replaced by ingest/delete.  A ``Snapshot``
-therefore pins a consistent catalog + row-set view by simply capturing
-those references under a read acquisition — O(catalog size), no data
-copying — and stays valid indefinitely: later writers swap in new
-containers and never touch the captured ones.
+``Table.rows`` list and ``Table.path_classes`` summary are replaced
+by ingest/delete.  A ``Snapshot`` therefore pins a consistent catalog +
+row-set + summary view by simply capturing those references under a
+read acquisition — O(catalog size), no data copying — and stays valid
+indefinitely: later writers swap in new containers and never touch the
+captured ones.
 
 What a snapshot does *not* pin is the interior of shared index
 structures (B+Trees are mutated in place by writers).  Queries issued
@@ -81,21 +83,34 @@ class ReadView:
                 f"{reference!r}")
         return parts[0], parts[1]
 
+    def path_classes(self, table: str, column: str) -> dict:
+        """The column's path summary: ``{path class: document count}``
+        (see :class:`repro.storage.table.Table`).  Its values sum to
+        the column's document count; no document is visited."""
+        table_obj = self.table(table)
+        key = column.lower()
+        if not table_obj.column_type(key).is_xml:
+            raise CatalogError(f"{table}.{column} is not an XML column")
+        return table_obj.path_classes[key]
+
     def docs_with_path(self, table: str, column: str, pattern) -> int:
         """How many of the column's documents contain ≥1 node matching
         ``pattern`` (an XMLPATTERN string or parsed PathPattern) — the
         structural fraction the cost model folds into probe estimates.
-        Read from each document's path table; no tree is materialized."""
+        One pattern test per distinct path of the column's path
+        classes; no document is read."""
         matcher = PatternMatcher(self._as_pattern(pattern))
-        return sum(1 for stored in self.documents(table, column)
-                   if stored.columns.has_path(matcher))
+        return sum(docs for path_class, docs
+                   in self.path_classes(table, column).items()
+                   if matcher.nodes_in(path_class))
 
     def path_cardinality(self, table: str, column: str, pattern) -> int:
         """Total node count matching ``pattern`` across the column's
-        documents, answered from their path tables."""
+        documents, answered from its path classes."""
         matcher = PatternMatcher(self._as_pattern(pattern))
-        return sum(stored.columns.count_matching(matcher)
-                   for stored in self.documents(table, column))
+        return sum(docs * matcher.nodes_in(path_class)
+                   for path_class, docs
+                   in self.path_classes(table, column).items())
 
     @staticmethod
     def _as_pattern(pattern):
@@ -174,19 +189,22 @@ class ReadView:
 
 
 class _TableSnapshot:
-    """A Table view with the row list pinned at snapshot time.
+    """A Table view with the row list and path classes pinned at
+    snapshot time.
 
-    ``Table.rows`` is copy-on-write (writers replace the list), so
-    holding the reference is enough to freeze the row set; column
-    metadata is delegated to the live table (DDL cannot alter columns
-    of an existing table, so that surface is immutable).
+    ``Table.rows`` and ``Table.path_classes`` are copy-on-write
+    (writers replace them), so holding the references is enough to
+    freeze the row set and its summary; column metadata is delegated
+    to the live table (DDL cannot alter columns of an existing table,
+    so that surface is immutable).
     """
 
-    __slots__ = ("_table", "rows")
+    __slots__ = ("_table", "rows", "path_classes")
 
     def __init__(self, table):
         self._table = table
         self.rows = table.rows
+        self.path_classes = table.path_classes
 
     def __getattr__(self, name):
         return getattr(self._table, name)

@@ -26,11 +26,13 @@ class StoredDocument:
     the property transparently re-materializes it — with identical
     node ids — so callers never observe the difference beyond latency.
     Structural questions (which paths, how many nodes) go through
-    :attr:`columns` instead and never pay for a tree.
+    :attr:`columns` instead and never pay for a tree; per-column
+    counts go through the owning table's path classes (see
+    :class:`Table`), which never touch the document at all.
     """
 
     __slots__ = ("doc_id", "schema_name", "_document", "_store",
-                 "_schema", "_pool")
+                 "_schema", "_pool", "path_class")
 
     def __init__(self, doc_id: int, document: DocumentNode,
                  schema_name: str | None = None):
@@ -43,6 +45,9 @@ class StoredDocument:
         self._schema = None
         #: Owning BufferPool, or None when the database is un-pooled.
         self._pool = None
+        #: The document's path signature (``ColumnStore.path_class``),
+        #: captured at ingest and interned by the owning table.
+        self.path_class: frozenset | None = None
 
     @property
     def document(self) -> DocumentNode:
@@ -81,7 +86,17 @@ class Table:
     ``rows`` is copy-on-write: mutators replace the list instead of
     mutating it in place, so a snapshot that captured the old reference
     keeps a frozen, fully consistent row set (see
-    :mod:`repro.storage.snapshot`)."""
+    :mod:`repro.storage.snapshot`).
+
+    ``path_classes`` is the column-level path summary: XML column ->
+    ``{path class: number of documents}``, where a document's path
+    class is the set of its (interned root-to-node path, node count)
+    pairs.  Documents of one workload share a handful of
+    classes, so the planner's structural questions are answered over
+    classes, never over documents.  It is maintained in the same
+    :meth:`new_row` / :meth:`remove_row` call that replaces ``rows``
+    and is copy-on-write in the same way: a changed column gets a new
+    map, and the outer dict is replaced too."""
 
     def __init__(self, name: str, columns: list[tuple[str, str]]):
         if not columns:
@@ -95,6 +110,12 @@ class Table:
                     f"duplicate column {column_name!r} in {name!r}")
             self.columns[key] = SQLType.parse(type_text)
         self.rows: list[Row] = []
+        self.path_classes: dict[str, dict[frozenset, int]] = {
+            name: {} for name in self.xml_columns()}
+        #: Per-column interning of class keys: documents of one class
+        #: share one frozenset.  Writer-private, so mutated in place.
+        self._class_keys: dict[str, dict[frozenset, frozenset]] = {
+            name: {} for name in self.path_classes}
 
     def column_type(self, column: str) -> SQLType:
         try:
@@ -123,12 +144,35 @@ class Table:
         for column_name in self.columns:
             row.values.setdefault(column_name, None)
         self.rows = self.rows + [row]
+        self._count_classes(row, +1)
         return row
 
     def remove_row(self, row: Row) -> None:
         if row not in self.rows:
             raise ValueError(f"row {row.row_id} not in table {self.name}")
         self.rows = [kept for kept in self.rows if kept is not row]
+        self._count_classes(row, -1)
+
+    def _count_classes(self, row: Row, delta: int) -> None:
+        """Add (``+1``) or remove (``-1``) the row's documents from
+        their columns' path classes, copy-on-write."""
+        path_classes = self.path_classes
+        for column, classes in path_classes.items():
+            stored = row.values.get(column)
+            if not isinstance(stored, StoredDocument):
+                continue
+            interned = self._class_keys[column]
+            key = stored.path_class = interned.setdefault(
+                stored.path_class, stored.path_class)
+            classes = dict(classes)
+            docs = classes.get(key, 0) + delta
+            if docs:
+                classes[key] = docs
+            else:
+                del classes[key]
+                del interned[key]
+            path_classes = {**path_classes, column: classes}
+        self.path_classes = path_classes
 
     def __len__(self) -> int:
         return len(self.rows)

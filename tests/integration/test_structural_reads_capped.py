@@ -1,13 +1,15 @@
-"""Structural reads never materialize a tree, even under a capped pool.
+"""Structural reads never touch a document, even under a capped pool.
 
 ``docs_with_path`` / ``path_cardinality``, the static-emptiness prune
 (``static_prefilter_facts``) and the ``repro lint`` drift check are
-questions about root-to-node paths, answered from each document's path
-table (``StoredDocument.columns``).  Under a buffer pool capped far
+questions about root-to-node paths, answered from the column's path
+summary (``Table.path_classes``).  Under a buffer pool capped far
 below the collection's trees — tier 1, where eviction keeps the columns
 resident, and tier 2, where it spills them to disk — they must
-re-materialize no document (zero ``columnar.materializations`` and
-``bufferpool.misses``) and return exactly what an uncapped twin does.
+re-materialize no document and read no spill file (zero
+``columnar.materializations``, ``bufferpool.misses`` and
+``bufferpool.loads``) and return exactly what an uncapped twin does.
+With ``StoredDocument.columns`` made to raise they still answer.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from repro.obs.metrics import METRICS, enabled_metrics
 from repro.static import lint_statement
 from repro.static.infer import static_prefilter_facts
 from repro.storage.catalog import Database
+from repro.storage.table import StoredDocument
 from repro.workload import populate_paper_schema
 
 ORDERS = 60
@@ -95,11 +98,20 @@ def test_capped_structural_reads_materialize_nothing(tier, tmp_path,
             loads = METRICS.counter("bufferpool.loads")
         assert materializations == 0
         assert misses == 0
-        # Tier 2 read spilled columns back; tier 1 never had to.
-        assert (loads > 0) is (tier == 2)
+        assert loads == 0
         assert answers == uncapped
         codes = {code for statement in STATEMENTS
                  for code, _text in answers["lint", statement]}
         assert EXPECTED_CODES <= codes
     finally:
         database.buffer_pool.close()
+
+
+def test_structural_reads_never_read_a_document(monkeypatch, uncapped):
+    database = build()
+
+    def refuse(stored):
+        raise AssertionError(f"structural read touched {stored!r}")
+
+    monkeypatch.setattr(StoredDocument, "columns", property(refuse))
+    assert structural_answers(database) == uncapped

@@ -78,17 +78,20 @@ def observable_state(database: Database) -> dict:
     return state
 
 
+#: The generated order documents: lineitem prices (castable to DOUBLE
+#: or not) and an optional customer id.
+PRICES = st.lists(
+    st.sampled_from(["99.50", "150", "20 USD", "0", "7.25"]), max_size=3)
+CUSTIDS = st.one_of(st.none(), st.integers(min_value=1001, max_value=1003))
+
+
 # An insert into orders touches three index sites in order:
 # li_price, o_custid (xml), then idx_ordid (rel).  fail_at == 3 is
 # past the last site: the insert succeeds.
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(fail_at=st.integers(min_value=0, max_value=3),
-       prices=st.lists(
-           st.sampled_from(["99.50", "150", "20 USD", "0", "7.25"]),
-           max_size=3),
-       custid=st.one_of(st.none(),
-                        st.integers(min_value=1001, max_value=1003)))
+       prices=PRICES, custid=CUSTIDS)
 def test_injected_failure_leaves_state_consistent(fail_at, prices, custid):
     subject = build_database()
     oracle = build_database()

@@ -169,8 +169,9 @@ def root_path(node):
 
 
 class TestPathTable:
-    """The four readers over ``paths`` / ``partitions``, against a
-    parent-chain walk of every node."""
+    """The readers over ``paths`` / ``partitions`` — node lists, path
+    counts, and the path-class signature the column summary folds —
+    against a parent-chain walk of every node."""
 
     def test_path_counts_equal_parent_chain_walk(self):
         document, store = build()
@@ -191,15 +192,14 @@ class TestPathTable:
                     if node is not document
                     and parsed.matches_path(list(root_path(node)))]
         assert store.nodes_for(matcher) == expected
-        assert store.count_matching(matcher) == len(expected)
-        assert store.has_path(matcher) is bool(expected)
+        assert matcher.nodes_in(store.path_class()) == len(expected)
 
     def test_counts_need_no_tree(self):
         _document, store = build()
         matcher = PatternMatcher(parse_xmlpattern("//lineitem"))
         store.detach()
-        assert store.has_path(matcher)
-        assert store.count_matching(matcher) == 2
+        assert matcher.nodes_in(store.path_class()) == 2
+        assert store.path_class() == frozenset(store.path_counts().items())
         assert sum(store.path_counts().values()) == len(store) - 1
 
 

@@ -171,6 +171,27 @@ def test_snapshot_mutation_is_caught():
     assert "snapshot_mutation" in _kinds(violations)
 
 
+def test_path_class_mutation_is_caught():
+    with sanitizer.installed() as state:
+        database = Database()
+        database.create_table("d", [("doc", "XML")])
+        database.insert("d", {"doc": "<a><b/></a>"})
+        snapshot = database.snapshot()
+        database.insert("d", {"doc": "<a><c/></a>"})  # COW: clean
+        snapshot.sql("SELECT doc FROM d")
+        assert state.drain() == []
+        # A writer bumping a class count in the very map the snapshot
+        # pinned, instead of replacing it.
+        classes = snapshot.tables["d"].path_classes["doc"]
+        key = next(iter(classes))
+        classes[key] += 1
+        snapshot.sql("SELECT doc FROM d")
+        violations = state.drain()
+    assert "snapshot_mutation" in _kinds(violations)
+    caught = next(v for v in violations if v.kind == "snapshot_mutation")
+    assert "path classes" in caught.message
+
+
 def test_copy_on_write_keeps_snapshots_clean():
     with sanitizer.installed() as state:
         database = _small_db()
