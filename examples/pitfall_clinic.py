@@ -2,14 +2,14 @@
 
 For each pitfall area this script runs the paper's *problem*
 formulation and the *recommended* formulation side by side, printing
-result cardinalities, index usage, and the advisor's diagnosis — a
+result cardinalities, index usage, and the lint's diagnosis — a
 runnable version of the paper's ten sections.
 
 Run:  python examples/pitfall_clinic.py
 """
 
 from repro import Database
-from repro.core import advise
+from repro.static import lint_statement
 from repro.workload import OrderProfile, populate_paper_schema
 
 
@@ -29,10 +29,11 @@ def show(db: Database, title: str, queries: dict[str, str]) -> None:
                   f"{stats.docs_scanned} indexes={stats.indexes_used}")
         except Exception as error:
             print(f"  [{label}] ERROR: {error}")
-        warnings = [item for item in advise(db, query)
+        warnings = [item for item in lint_statement(query, database=db)
                     if item.severity == "warning"]
         for item in warnings[:2]:
-            print(f"      advisor: {item}")
+            print(f"      lint: {item}")
+            print(f"        tip: {item.suggestion}")
 
 
 def main() -> None:

@@ -5,8 +5,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Database
-from repro.core import advise
 from repro.planner import explain_xquery
+from repro.static import lint_statement
 
 
 def main() -> None:
@@ -52,12 +52,13 @@ def main() -> None:
     print("\n== explain ==")
     print(explain_xquery(db, query))
 
-    # 6. The advisor flags pitfalls before you hit them.
-    print("\n== advisor on a pitfall query (string literal, §3.1) ==")
+    # 6. The lint flags pitfalls before you hit them.
+    print("\n== lint on a pitfall query (string literal, §3.1) ==")
     pitfall = ("for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')"
                '//order[lineitem/@price > "100"] return $i')
-    for advice in advise(db, pitfall):
-        print("  ", advice)
+    for finding in lint_statement(pitfall, database=db):
+        print("  ", finding)
+        print("     tip:", finding.suggestion)
 
 
 if __name__ == "__main__":

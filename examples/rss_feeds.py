@@ -9,7 +9,7 @@ Run:  python examples/rss_feeds.py
 """
 
 from repro import Database
-from repro.core import advise_index_pattern
+from repro.static import lint_index_pattern
 from repro.workload import WorkloadGenerator
 
 
@@ -43,8 +43,8 @@ def main() -> None:
     # Tip 10 in action: an index without namespace declarations would
     # never match the dc: elements.
     print("\nindex-pattern lint for a naive '//creator' definition:")
-    for advice in advise_index_pattern("//creator"):
-        print("  ", advice)
+    for finding in lint_index_pattern("//creator"):
+        print("  ", finding)
 
     # Dates in feeds: a DATE index on pubDate.
     db.execute("CREATE INDEX pub ON feeds(feed) "

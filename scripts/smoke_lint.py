@@ -11,10 +11,17 @@ reason code the paper's section predicts:
 * §3.8  ``/text()`` misalignment           → SW308
 * §3.9  attribute-axis confusion           → SW309
 * Tip 1 uncast join                        → SW301
+* Tip 2 select-list XMLQUERY predicate     → SW321
+* Tip 3 boolean-bodied XMLEXISTS           → SW322
+* Tip 4 XMLTABLE column predicate          → SW323
+* Tip 6 SQL comparison join                → SW303
+* Tip 7 predicate in constructor content   → SW342
+* Tip 8 absolute path, constructed root    → SW305
 * clean query                              → no findings, exit 0
 
 Also checks the CLI contract: error-severity findings exit 1, JSON
-output parses.  Run as::
+output parses and carries each finding's tip text as ``suggestion``.
+Run as::
 
     PYTHONPATH=src python scripts/smoke_lint.py
 """
@@ -47,6 +54,21 @@ CASES = [
     ("SW301", 'for $i in db2-fn:xmlcolumn("ORDERS.ORDDOC")/order '
               'for $j in db2-fn:xmlcolumn("CUSTOMER.CDOC")/customer '
               "where $i/custid = $j/id return $i"),
+    ("SW321", "SELECT XMLQuery('$o//lineitem[@price > 100]' "
+              'passing orddoc as "o") FROM orders'),
+    ("SW322", "SELECT ordid FROM orders WHERE XMLExists("
+              "'$o//lineitem/@price > 100' passing orddoc as \"o\")"),
+    ("SW323", "SELECT o.ordid, t.price FROM orders o, "
+              "XMLTable('$d//lineitem' passing o.orddoc as \"d\" "
+              "COLUMNS price DOUBLE PATH '@price[. > 100]') AS t"),
+    ("SW303", "SELECT c.cid FROM orders o, customer c "
+              "WHERE XMLCast(XMLQuery('$o/order/custid' passing "
+              "o.orddoc as \"o\") as DOUBLE) = XMLCast(XMLQuery("
+              "'$c/customer/id' passing c.cdoc as \"c\") as DOUBLE)"),
+    ("SW342", f"for $o in {XMLCOL}/order "
+              "return <r>{$o/lineitem[@price > 100]}</r>"),
+    ("SW305", f"let $o := <n>{{{XMLCOL}/order}}</n> "
+              "return $o[//custid]"),
 ]
 
 CLEAN = (f"for $i in {XMLCOL}//order[lineitem/@price > 100] "
@@ -83,8 +105,9 @@ def main() -> int:
     if status != 1:
         fail("run_lint should exit 1 on a static error")
     payload = json.loads(buffer.getvalue())
-    if not any(entry["code"] == "SE004" for entry in payload):
-        fail(f"JSON output missing SE004: {payload}")
+    if not any(entry["code"] == "SE004" and entry["suggestion"]
+               for entry in payload):
+        fail(f"JSON output missing SE004 with its tip text: {payload}")
     if run_lint(database, CLEAN, out=io.StringIO()) != 0:
         fail("run_lint should exit 0 on a clean statement")
 

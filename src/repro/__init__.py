@@ -10,8 +10,9 @@ The package implements a DB2-Viper-style XML database in pure Python:
 * an SQL/XML engine with XMLQUERY / XMLEXISTS / XMLTABLE / XMLCAST
   (:mod:`repro.sql`),
 * B+Tree-backed, path-typed XML value indexes (:mod:`repro.storage`),
-* the paper's core contribution — an index **eligibility analyzer** and
-  pitfall **advisor** (:mod:`repro.core`), and
+* the paper's core contribution — an index **eligibility analyzer**
+  (:mod:`repro.core`) and the Tips 1–12 pitfall lint built on it
+  (:mod:`repro.static`), and
 * a planner that turns eligibility verdicts into index-prefilter plans
   (:mod:`repro.planner`).
 
@@ -43,7 +44,7 @@ _install_sanitizer()
 
 __all__ = [
     "Database", "DurableDatabase", "ReproError", "SQLError",
-    "XMLParseError", "XQueryError", "advise", "analyze_eligibility",
+    "XMLParseError", "XQueryError", "analyze_eligibility",
     "parse_xml", "serialize", "serialize_sequence", "__version__",
 ]
 
@@ -60,7 +61,4 @@ def __getattr__(name: str):
     if name == "analyze_eligibility":
         from .core.eligibility import analyze_eligibility
         return analyze_eligibility
-    if name == "advise":
-        from .core.advisor import advise
-        return advise
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -3,7 +3,7 @@ online, calibrate the cost model.
 
 The package closes the loop the rest of the engine leaves open: the
 eligibility checker says whether an index *can* serve a query, the
-advisor says *why not* — the autopilot watches what actually runs
+lint (``repro lint``) says *why not* — the autopilot watches what actually runs
 (:mod:`.profiler`), proposes the indexes the workload deserves
 (:mod:`.candidates`), builds them without stopping writers
 (:meth:`repro.storage.catalog.Database.create_xml_index_online`), and

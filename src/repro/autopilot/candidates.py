@@ -1,15 +1,17 @@
 """Candidate index generation + benefit estimation.
 
-The advisor (:mod:`repro.core.advisor`) explains *why* a query's
-predicates cannot use the indexes that exist; this module takes the
-next step and proposes the indexes that *should* exist.  For every
-profiled statement it re-extracts the predicate candidates the
-eligibility checker works from, keeps the ones that are filtering and
-typed (i.e. an index could legally answer them — Definition 1's
-context and type legs), renders the predicate's root-to-node path back
-into CREATE INDEX XMLPATTERN DDL, and — crucially — closes the loop by
-running the rendered index through :func:`repro.core.eligibility.
-check_index` against the very predicate that motivated it.  A
+The lint (:func:`repro.static.lint_statement`) explains *why* a
+query's predicates cannot use the indexes that exist; this module
+takes the next step and proposes the indexes that *should* exist.  For
+every profiled statement it re-extracts the predicate candidates the
+eligibility checker works from, keeps the ones with no
+:func:`repro.core.eligibility.predicate_obstacles` reason (i.e. an
+index could legally answer them — Definition 1's context and type
+legs, the same reasons the lint reports), renders the predicate's
+root-to-node path back into CREATE INDEX XMLPATTERN DDL, and —
+crucially — closes the loop by running the rendered index through
+:func:`repro.core.eligibility.check_index` against the very predicate
+that motivated it.  A
 recommendation that fails its own eligibility check is discarded, so
 the autopilot can never advise DDL it would refuse to use.
 
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.eligibility import check_index
-from ..core.predicates import FILTERING_CONTEXTS
+from ..core.eligibility import (check_index, predicate_obstacles,
+                                statement_candidates)
 from ..errors import ReproError
-from ..storage.xmlindex import INDEX_TYPE_TO_XDM, XmlIndex
+from ..storage.xmlindex import XmlIndex
 
 __all__ = ["IndexCandidate", "generate_candidates", "render_xmlpattern"]
 
@@ -152,24 +154,6 @@ def _render_linear(alternative, namespaces: dict[str, str]) -> str | None:
 # Generation
 # ---------------------------------------------------------------------------
 
-def _statement_candidates(database, profile):
-    """The predicate candidates of one profiled statement."""
-    if profile.language == "sql":
-        from ..sql.analyzer import extract_sql_candidates
-        return extract_sql_candidates(database, profile.exemplar)
-    from ..core.querycache import compile_query
-    return list(compile_query(profile.exemplar).candidates)
-
-
-def _wanted_type(candidate) -> str | None:
-    """The index type that could serve this predicate, or None."""
-    if candidate.op == "exists":
-        return "VARCHAR"        # §2.1: every node appears in VARCHAR
-    if candidate.operand_type in INDEX_TYPE_TO_XDM:
-        return candidate.operand_type
-    return None                 # TYPE_UNKNOWN — Tip 1, nothing helps
-
-
 def _already_served(database, candidate) -> bool:
     table, _sep, column = candidate.column.partition(".")
     try:
@@ -205,17 +189,16 @@ def generate_candidates(database, profiler,
     pending_names: set = set()
     for profile in profiler.statements():
         try:
-            candidates = _statement_candidates(database, profile)
+            _language, _module, candidates = statement_candidates(
+                database, profile.exemplar, profile.language)
         except ReproError:
             continue  # e.g. statement references a dropped table
         for candidate in candidates:
-            wanted = _wanted_type(candidate)
-            if wanted is None:
-                continue
-            if candidate.negated or candidate.uses_sql_comparison:
-                continue
-            if candidate.context not in FILTERING_CONTEXTS:
-                continue
+            if predicate_obstacles(candidate):
+                continue  # no index could serve it (the lint says why)
+            # §2.1: every node appears in a VARCHAR index.
+            wanted = ("VARCHAR" if candidate.op == "exists"
+                      else candidate.operand_type)
             if _already_served(database, candidate):
                 continue
             pattern = render_xmlpattern(candidate.path)

@@ -4,11 +4,11 @@ Subcommands:
 
 * ``demo`` — build the paper's 3-table schema with generated data and
   run the Query 1 index-vs-scan comparison;
-* ``load DIR`` + ``query`` / ``sql`` / ``explain`` / ``advise`` /
-  ``lint`` / ``describe`` — load every ``*.xml`` file under a
-  directory into a
+* ``load DIR`` + ``query`` / ``sql`` / ``explain`` / ``lint`` /
+  ``describe`` — load every ``*.xml`` file under a directory into a
   single-column ``docs(doc XML)`` table (with optional indexes) and run
-  statements against it;
+  statements against it; ``lint`` reports reason-coded static errors
+  and the paper's Tips 1–12 pitfalls, each with the tip's advice;
 * durability: ``--data DIR`` on any query subcommand opens (and
   recovers) a durable database directory instead of an empty in-memory
   one; ``ingest`` populates such a directory with the paper schema,
@@ -41,7 +41,6 @@ import pathlib
 import sys
 
 from . import Database
-from .core.advisor import advise
 from .workload import OrderProfile, populate_paper_schema
 from .workload.paperqueries import load_paper_fixture, run_paper_query
 from .xmlio.serializer import serialize
@@ -61,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("query", "run an XQuery"),
             ("sql", "run an SQL/XML statement"),
             ("explain", "explain index eligibility and the plan"),
-            ("advise", "run the Tips 1-12 advisor"),
             ("lint", "static-check a statement (reason-coded "
-                     "errors and pitfall warnings)"),
+                     "errors and Tips 1-12 pitfall warnings)"),
             ("describe", "print the catalog")]:
         sub = commands.add_parser(name, help=help_text)
         _add_data_arguments(sub)
@@ -297,6 +295,8 @@ def run_lint(database: Database, statement: str,
     else:
         for finding in findings:
             print(str(finding), file=out)
+            if finding.suggestion:
+                print(f"  tip: {finding.suggestion}", file=out)
     return 1 if any(finding.severity == "error"
                     for finding in findings) else 0
 
@@ -505,14 +505,6 @@ def _run_statement_command(arguments, database, out) -> int:
         return 0
     if arguments.command == "explain":
         print(database.explain(arguments.statement), file=out)
-        return 0
-    if arguments.command == "advise":
-        items = advise(database, arguments.statement)
-        if not items:
-            print("no advice: the query avoids the catalogued "
-                  "pitfalls", file=out)
-        for item in items:
-            print(str(item), file=out)
         return 0
     if arguments.command == "lint":
         return run_lint(database, arguments.statement,

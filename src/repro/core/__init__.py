@@ -1,10 +1,11 @@
 """Core contribution: index eligibility analysis, between detection,
-pattern containment, and the pitfall advisor."""
+and pattern containment (the pitfall advice built on them is
+:func:`repro.static.lint_statement`)."""
 
-from .advisor import Advice, advise, advise_index_pattern
 from .between import BetweenGroup, detect_between
 from .eligibility import (analyze_candidates, analyze_eligibility,
-                          check_index)
+                          check_index, predicate_obstacles,
+                          statement_candidates)
 from .patterns import (LinearPattern, PathComponent, PathPattern,
                        PatternStep, StepTest, erase_namespaces,
                        parse_xmlpattern, pattern_contains)
@@ -16,7 +17,6 @@ from .report import EligibilityReport, IndexVerdict, PredicateReport, Reason
 from .rewriter import RewriteResult, rewrite_view_flattening
 
 __all__ = [
-    "Advice", "advise", "advise_index_pattern",
     "BetweenGroup", "CompiledQuery", "compile_query",
     "EligibilityReport", "FILTERING_CONTEXTS",
     "IndexVerdict", "LinearPattern", "Origin", "PathComponent",
@@ -24,5 +24,6 @@ __all__ = [
     "PredicateReport", "Reason", "SQLTypedValue", "StepTest",
     "analyze_candidates", "analyze_eligibility", "check_index",
     "detect_between", "erase_namespaces", "extract_candidates",
-    "parse_xmlpattern", "pattern_contains",
+    "parse_xmlpattern", "pattern_contains", "predicate_obstacles",
+    "statement_candidates",
 ]

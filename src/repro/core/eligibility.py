@@ -25,12 +25,14 @@ genuinely untyped operand is rejected as ``TYPE_UNKNOWN``.
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import ReproError
-from ..xquery import ast
-from ..xquery.parser import parse_xquery
-from .patterns import erase_namespaces, pattern_contains
+from .patterns import (LinearPattern, PathPattern, PatternStep, StepTest,
+                       append_text, erase_namespaces, flip_final_axis,
+                       pattern_contains, strip_trailing_text)
 from .predicates import (FILTERING_CONTEXTS, PredicateCandidate,
-                         PredicateContext, extract_candidates)
+                         PredicateContext)
 from .report import (EligibilityReport, IndexVerdict, PredicateReport,
                      Reason)
 
@@ -46,22 +48,38 @@ _CONTEXT_REASONS = {
 }
 
 
-def check_index(index, candidate: PredicateCandidate) -> IndexVerdict:
-    """Decide whether one XML index can answer one predicate."""
-    reasons: list[Reason] = []
-    detail_parts: list[str] = []
+def predicate_obstacles(candidate: PredicateCandidate) -> list[Reason]:
+    """Why *no* index could answer this predicate, whatever its pattern.
 
+    The index-independent half of Definition 1: negation, SQL
+    comparison semantics (§3.3), a context that preserves empty results
+    (§3.2, §3.4), and a comparison type that cannot be proven (§3.1).
+    """
+    reasons: list[Reason] = []
     if candidate.negated:
         reasons.append(Reason.NEGATION)
     if candidate.uses_sql_comparison:
         reasons.append(Reason.SQL_COMPARISON)
     if candidate.context not in FILTERING_CONTEXTS:
-        reasons.append(_CONTEXT_REASONS.get(candidate.context,
-                                            Reason.LET_BINDING))
+        reasons.append(_CONTEXT_REASONS[candidate.context])
+    if candidate.op != "exists" and candidate.operand_type is None:
+        reasons.append(Reason.TYPE_UNKNOWN)
+    return reasons
+
+
+def check_index(index, candidate: PredicateCandidate) -> IndexVerdict:
+    """Decide whether one XML index can answer one predicate."""
+    # An unknown comparison type is reported by the type leg below, and
+    # only once the pattern fits: a pattern failure explains more.
+    reasons = [reason for reason in predicate_obstacles(candidate)
+               if reason is not Reason.TYPE_UNKNOWN]
+    detail_parts: list[str] = []
+    if candidate.context not in FILTERING_CONTEXTS:
         detail_parts.append(f"context: {candidate.context.value}")
 
     if not pattern_contains(index.pattern, candidate.path):
-        reasons.append(_classify_pattern_failure(index, candidate))
+        reasons.append(_classify_pattern_failure(index.pattern,
+                                                 candidate.path))
         detail_parts.append(
             f"index pattern '{index.pattern}' does not contain "
             f"predicate path '{candidate.path}'")
@@ -81,43 +99,47 @@ def check_index(index, candidate: PredicateCandidate) -> IndexVerdict:
                         detail="; ".join(detail_parts))
 
 
-def _classify_pattern_failure(index, candidate) -> Reason:
-    query_final_kinds = {test.kind for test in candidate.path.final_tests()}
-    index_final_kinds = {test.kind for test in index.pattern.final_tests()}
-    if pattern_contains(erase_namespaces(index.pattern),
-                        erase_namespaces(candidate.path)):
+@functools.lru_cache(maxsize=1024)
+def _classify_pattern_failure(pattern: PathPattern,
+                              path: PathPattern) -> Reason:
+    """Name the pitfall whose repair makes the index contain the path.
+
+    A §3.7–§3.9 reason is given only when the repaired predicate path
+    (namespace-erased; ``/text()`` stripped or appended; final step
+    flipped between element and attribute, or the index's final
+    ``*``/``node()`` read as ``@*``) is contained by the pattern.
+    Memoized: the planner asks on every run of a statement, and both
+    patterns are frozen.
+    """
+    if pattern_contains(erase_namespaces(pattern), erase_namespaces(path)):
         return Reason.NAMESPACE_MISMATCH
-    if "text" in query_final_kinds and "text" not in index_final_kinds:
+    if _contains_variant(pattern, strip_trailing_text(path)) or \
+            _contains_variant(pattern, append_text(path)):
         return Reason.TEXT_MISALIGNMENT
-    if "text" in index_final_kinds and "text" not in query_final_kinds:
-        return Reason.TEXT_MISALIGNMENT
-    if "attribute" in query_final_kinds and \
-            "attribute" not in index_final_kinds:
+    if _contains_variant(pattern, flip_final_axis(path)) or \
+            _contains_variant(_wildcard_final_as_attribute(pattern), path):
         return Reason.ATTRIBUTE_AXIS
-    if "attribute" in index_final_kinds and \
-            "element" in query_final_kinds:
-        # The reverse §3.9 confusion: would the index contain the
-        # query if its final element step used the attribute axis?
-        flipped = _flip_final_to_attribute(candidate.path)
-        if flipped is not None and pattern_contains(index.pattern,
-                                                    flipped):
-            return Reason.ATTRIBUTE_AXIS
     return Reason.PATTERN_NOT_CONTAINED
 
 
-def _flip_final_to_attribute(path):
-    from .patterns import (LinearPattern, PathPattern, PatternStep,
-                           StepTest)
+def _contains_variant(pattern: PathPattern | None,
+                      path: PathPattern | None) -> bool:
+    return pattern is not None and path is not None and \
+        pattern_contains(pattern, path)
+
+
+def _wildcard_final_as_attribute(pattern: PathPattern
+                                 ) -> PathPattern | None:
+    """``//*`` or ``//node()`` read as the ``//@*`` its author meant."""
     alternatives = []
-    for alternative in path.alternatives:
-        steps = alternative.steps
-        final = steps[-1] if steps else None
-        if final is None or final.test.kind != "element":
+    for alternative in pattern.alternatives:
+        final = alternative.steps[-1]
+        if final.test.kind not in ("element", "node") or \
+                final.test.uri is not None or final.test.local is not None:
             return None
-        flipped = StepTest("attribute", final.test.uri,
-                           final.test.local)
         alternatives.append(LinearPattern(
-            steps[:-1] + (PatternStep(flipped, final.gap),)))
+            alternative.steps[:-1]
+            + (PatternStep(StepTest("attribute"), final.gap),)))
     return PathPattern(tuple(alternatives))
 
 
@@ -157,21 +179,39 @@ def analyze_candidates(database, candidates: list[PredicateCandidate],
     return report
 
 
+def statement_language(text: str, language: str = "auto") -> str:
+    """'xquery' or 'sql'; 'auto' means SQL when the text starts with
+    SELECT/VALUES."""
+    if language != "auto":
+        return language
+    head = text.lstrip().upper()
+    return "sql" if head.startswith(("SELECT", "VALUES")) else "xquery"
+
+
+def statement_candidates(database, text: str, language: str = "auto"
+                         ) -> tuple[str, object, list[PredicateCandidate]]:
+    """``(language, module, candidates)`` of one statement.
+
+    An XQuery goes through the compiled-query cache, so its candidates
+    carry inference-refined comparison types; ``module`` is its parsed
+    AST (None for SQL, whose embedded modules hang off the candidates).
+    """
+    language = statement_language(text, language)
+    if language == "sql":
+        from ..sql.analyzer import extract_sql_candidates
+        return language, None, extract_sql_candidates(database, text)
+    from .querycache import compile_query
+    compiled = compile_query(text)
+    return language, compiled.module, list(compiled.candidates)
+
+
 def analyze_eligibility(database, query: str,
                         language: str = "auto") -> EligibilityReport:
     """Public entry point: analyze a query's index eligibility.
 
-    ``language`` may be 'xquery', 'sql', or 'auto' (SQL when the text
-    starts with SELECT/VALUES).
+    ``language`` may be 'xquery', 'sql', or 'auto'
+    (:func:`statement_language`).
     """
-    if language == "auto":
-        head = query.lstrip().upper()
-        language = ("sql" if head.startswith(("SELECT", "VALUES"))
-                    else "xquery")
-    if language == "sql":
-        from ..sql.analyzer import extract_sql_candidates
-        candidates = extract_sql_candidates(database, query)
-        return analyze_candidates(database, candidates, query, "sql")
-    from .querycache import compile_query
-    candidates = list(compile_query(query).candidates)
-    return analyze_candidates(database, candidates, query, "xquery")
+    language, _module, candidates = statement_candidates(database, query,
+                                                         language)
+    return analyze_candidates(database, candidates, query, language)

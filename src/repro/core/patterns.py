@@ -315,6 +315,60 @@ def erase_namespaces(pattern: PathPattern) -> PathPattern:
     return PathPattern(tuple(alternatives))
 
 
+# The three variants below are the §3.8/§3.9 repairs of a predicate
+# path: eligibility asks whether the repaired path fits an index, the
+# lint whether it matches stored data.  Each returns None when the
+# repair does not apply to every alternative.
+
+
+def strip_trailing_text(path: PathPattern) -> PathPattern | None:
+    """``…/price/text()`` -> ``…/price``."""
+    alternatives = []
+    changed = False
+    for alternative in path.alternatives:
+        steps = alternative.steps
+        if steps and steps[-1].test.kind == "text":
+            steps = steps[:-1]
+            changed = True
+        if not steps:
+            return None
+        alternatives.append(LinearPattern(tuple(steps)))
+    return PathPattern(tuple(alternatives)) if changed else None
+
+
+def append_text(path: PathPattern) -> PathPattern | None:
+    """``…/price`` -> ``…/price/text()``."""
+    alternatives = []
+    for alternative in path.alternatives:
+        steps = alternative.steps
+        if not steps or steps[-1].test.kind != "element":
+            return None
+        text_step = PatternStep(StepTest("text"))
+        alternatives.append(LinearPattern(steps + (text_step,)))
+    return PathPattern(tuple(alternatives))
+
+
+def flip_final_axis(path: PathPattern) -> PathPattern | None:
+    """``…/price`` <-> ``…/@price`` — the §3.9 confusion, both ways."""
+    alternatives = []
+    for alternative in path.alternatives:
+        steps = alternative.steps
+        if not steps:
+            return None
+        final = steps[-1]
+        if final.test.kind == "element" and final.test.local:
+            flipped = StepTest("attribute", final.test.uri,
+                               final.test.local)
+        elif final.test.kind == "attribute" and final.test.local:
+            flipped = StepTest("element", final.test.uri,
+                               final.test.local)
+        else:
+            return None
+        steps = steps[:-1] + (PatternStep(flipped, final.gap),)
+        alternatives.append(LinearPattern(steps))
+    return PathPattern(tuple(alternatives))
+
+
 def pattern_contains(index_pattern: PathPattern,
                      query_pattern: PathPattern) -> bool:
     """True when every path matched by ``query_pattern`` is matched by

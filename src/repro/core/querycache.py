@@ -84,7 +84,7 @@ def compile_query(source: str) -> CompiledQuery:
     # Static refinement is pure (DB-independent): inference fills in
     # comparison types and probe constants that syntax-directed
     # extraction could not see (let-hoisted casts, folded constants),
-    # so every compile_query consumer — eligibility, planner, advisor —
+    # so every compile_query consumer — eligibility, planner, lint —
     # gets the sharpened candidates.
     refine_candidates(module, candidates)
     entry = CompiledQuery(source, module, tuple(candidates))

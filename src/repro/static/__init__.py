@@ -15,8 +15,9 @@ layer:
 * :mod:`repro.static.diagnostics` — reason-coded findings
   (``SE…`` static errors, ``SW…`` pitfall warnings);
 * :mod:`repro.static.rules` — the rules engine behind ``repro lint``,
-  unifying the §3.1 / §3.7 / §3.8 / §3.9 / Tip-1 pitfall checks over
-  both query languages.
+  the one advice pipeline: every Tips 1–12 pitfall check over both
+  query languages, each finding the eligibility reason of the same
+  predicate.
 
 Consumers: the planner prunes statically-empty branches and seeds its
 cardinality estimates from inferred bounds; the eligibility analyzer
@@ -26,8 +27,9 @@ syntax; the CLI exposes everything as ``repro lint``.
 
 from .diagnostics import Code, Diagnostic
 from .infer import Inference, infer_module, refine_candidates
-from .rules import lint_statement
+from .rules import lint_index_pattern, lint_statement
 from .types import ItemType, SeqType
 
 __all__ = ["Code", "Diagnostic", "Inference", "ItemType", "SeqType",
-           "infer_module", "lint_statement", "refine_candidates"]
+           "infer_module", "lint_index_pattern", "lint_statement",
+           "refine_candidates"]

@@ -1,20 +1,24 @@
-"""Reason-coded static diagnostics.
+"""Reason-coded static diagnostics: the one table of the paper's tips.
 
 Every finding the static analyzer emits carries a stable code, a
-severity, and the paper section (plus tip number, where one exists)
-that explains it — the same explanation-first philosophy as
-:mod:`repro.core.report`, extended from index eligibility to whole-
-statement linting.
+severity, the paper section (plus tip number, where one exists) that
+explains it, and the paper's advice as its suggestion — the same
+explanation-first philosophy as :mod:`repro.core.report`, extended
+from index eligibility to whole-statement linting.  Predicate-level
+codes are the eligibility :class:`~repro.core.report.Reason` of the
+same fact (:data:`repro.static.rules._REASON_TO_CODE`), so a tip, a
+lint finding and an autopilot skip cannot disagree.
 
-Codes come in two families:
+Codes come in three families:
 
 * ``SE…`` — static *errors*: the statement is wrong or provably
   useless (unknown names, incomparable comparison types per §3.1,
   paths that are statically empty given the column's path summary);
 * ``SW…`` — pitfall *warnings*: the statement runs, but §3 says it
-  will not run the way its author thinks (namespace drift, ``/text()``
-  misalignment, attribute-axis mistakes, uncast joins, existential
-  between pairs, non-filtering predicate contexts).
+  will not run the way its author thinks.  ``SW3NN`` names the section
+  (``SW307`` is §3.7); the §3.2 and §3.4 non-filtering contexts number
+  ``SW32x`` and ``SW34x``, the §3.1 index type mismatch ``SW311``;
+* ``SI…`` — notes on an index pattern before it is created.
 """
 
 from __future__ import annotations
@@ -22,64 +26,125 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+_TIP_1 = ("Use type-cast expressions in XQuery join predicates "
+          "($x/xs:double(.) is more general than xs:double($x)).")
+_TIP_10 = ("Keep namespace declarations consistent between data, queries "
+           "and indexes, or use namespace wildcards in index patterns.")
+
 
 class Code(enum.Enum):
     """Stable reason codes for static findings."""
 
-    # value = (code, severity, paper section, tip, title)
+    # value = (code, severity, paper section, tip, title, suggestion)
     SYNTAX_ERROR = (
         "SE001", "error", "2.1", None,
-        "the statement does not parse")
+        "the statement does not parse", None)
     UNKNOWN_FUNCTION = (
         "SE002", "error", "2.1", None,
-        "call to a function that is neither built in nor declared")
+        "call to a function that is neither built in nor declared", None)
     UNKNOWN_VARIABLE = (
         "SE003", "error", "2.1", None,
-        "reference to a variable that is not in scope")
+        "reference to a variable that is not in scope", None)
     INCOMPARABLE_TYPES = (
         "SE004", "error", "3.1", 1,
         "comparison between statically incomparable types; it can "
-        "never be true")
+        "never be true", _TIP_1)
     EMPTY_PATH = (
         "SE005", "error", "2.1", None,
         "path matches no node in any stored document (per the path "
-        "summaries); the expression is statically empty")
+        "summaries); the expression is statically empty", None)
     UNKNOWN_NAME = (
         "SE006", "error", "3.2", None,
-        "SQL reference to an unknown table or column")
+        "SQL reference to an unknown table or column", None)
     UNCAST_JOIN = (
         "SW301", "warning", "3.1", 1,
         "join predicate has no provable comparison type; no index can "
-        "serve it (Tip 1: add xs:double(.) / xs:string(.) casts)")
+        "serve it (Tip 1: add xs:double(.) / xs:string(.) casts)",
+        _TIP_1)
+    SQL_COMPARISON = (
+        "SW303", "warning", "3.3", 6,
+        "join over XML values uses SQL comparison semantics (XMLCAST = "
+        "XMLCAST); XML indexes implement XQuery comparisons only",
+        "Always express XML-to-XML joins on the XQuery side.")
+    ABSOLUTE_PATH_IN_CONSTRUCTED_TREE = (
+        "SW305", "warning", "3.5", 8,
+        "absolute path ('/' or '//') inside a tree rooted at a "
+        "constructed element raises err:XPDY0050",
+        "Mind the extra navigation level at document nodes, and avoid "
+        "absolute paths when the context is a constructed element.")
     NAMESPACE_DRIFT = (
         "SW307", "warning", "3.7", 10,
         "query and data/index disagree on namespaces; the same local "
-        "names exist in another namespace")
+        "names exist in another namespace",
+        _TIP_10)
     TEXT_MISALIGNMENT = (
         "SW308", "warning", "3.8", 11,
         "/text() steps are misaligned between query, data and index; "
         "an element's string value differs from its text child under "
-        "mixed content")
+        "mixed content",
+        "Align /text() steps between queries and index definitions.")
     ATTRIBUTE_AXIS = (
         "SW309", "warning", "3.9", 12,
         "attribute nodes are only reached through the attribute axis; "
-        "//* and //node() contain no attributes")
+        "//* and //node() contain no attributes",
+        "To index all attributes use //@* — //* and //node() contain "
+        "no attribute nodes.")
     EXISTENTIAL_BETWEEN = (
         "SW310", "warning", "3.10", None,
         "range pair uses existential general-comparison semantics; it "
-        "is not a between unless the operand is provably a singleton")
-    NON_FILTERING_CONTEXT = (
-        "SW320", "warning", "3.2", None,
-        "predicate sits in a context that preserves empty results "
-        "(let binding, constructor content, select list, XMLTABLE "
-        "column); it filters nothing and no index applies")
+        "is not a between unless the operand is provably a singleton",
+        "Use value comparisons, the self axis (x[. > 1 and . < 2]), or "
+        "attributes.")
+    INDEX_TYPE_MISMATCH = (
+        "SW311", "warning", "3.1", 1,
+        "the comparison's data type is incompatible with the index "
+        "type (e.g. a string predicate against a DOUBLE index)", _TIP_1)
+    SELECT_LIST = (
+        "SW321", "warning", "3.2", 2,
+        "predicate in a select-list XMLQUERY cannot eliminate rows; "
+        "empty sequences are returned (Query 5)",
+        "If only XML fragments are to be retrieved, use the stand-alone "
+        "XQuery interface to extract values.")
+    BOOLEAN_XMLEXISTS = (
+        "SW322", "warning", "3.2", 3,
+        "XMLEXISTS over a boolean-valued XQuery never filters: a "
+        "boolean is a one-item sequence, so every row qualifies "
+        "(Query 9)",
+        "Use XMLEXISTS to retrieve full documents by a condition, and "
+        "make sure its XQuery returns nodes, not a boolean value.")
+    XMLTABLE_COLUMN = (
+        "SW323", "warning", "3.2", 4,
+        "predicate in an XMLTABLE column path produces NULLs instead "
+        "of filtering rows (Query 12)",
+        "Use XMLTABLE to retrieve relational and XML values together; "
+        "express predicates in the row-producer expression.")
+    LET_BINDING = (
+        "SW341", "warning", "3.4", None,
+        "predicate in a let binding preserves empty sequences; no "
+        "index can filter (Query 18)",
+        "Bind with a for clause, or add a where clause that discards "
+        "the empty sequence (Query 21).")
+    CONSTRUCTOR_CONTENT = (
+        "SW342", "warning", "3.4", 7,
+        "predicate inside an element constructor: an empty element is "
+        "returned for every non-qualifying binding (Query 19)",
+        "Unless you want empty elements for non-qualifying nodes, do "
+        "not put predicates inside element constructors in return "
+        "clauses.")
+    PATTERN_EMPTY_NAMESPACE = (
+        "SI307", "info", "3.7", 10,
+        "index pattern restricts element steps to the empty namespace; "
+        "queries that declare a default element namespace will not "
+        "match it",
+        _TIP_10)
 
-    def __init__(self, code, severity, section, tip, title):
+    def __init__(self, code, severity, section, tip, title, suggestion):
         self.code = code
         self.severity = severity
         self.section = section
         self.tip = tip
         self.title = title
+        self.suggestion = suggestion
 
     def __str__(self) -> str:
         tip = f", Tip {self.tip}" if self.tip else ""
@@ -102,6 +167,11 @@ class Diagnostic:
     def severity(self) -> str:
         return self.code.severity
 
+    @property
+    def suggestion(self) -> str | None:
+        """The paper's advice for this finding (its tip text)."""
+        return self.code.suggestion
+
     def to_dict(self) -> dict:
         payload = {
             "code": self.code.code,
@@ -110,6 +180,7 @@ class Diagnostic:
             "tip": self.code.tip,
             "title": self.code.title,
             "message": self.message,
+            "suggestion": self.code.suggestion,
         }
         for key in ("subject", "column", "detail"):
             value = getattr(self, key)

@@ -1,41 +1,62 @@
-"""The rules engine behind ``repro lint``.
+"""The rules engine behind ``repro lint`` — the one advice pipeline.
 
 :func:`lint_statement` runs every static check the engine knows over
 one XQuery or SQL/XML statement and returns reason-coded
-:class:`~repro.static.diagnostics.Diagnostic` findings:
+:class:`~repro.static.diagnostics.Diagnostic` findings, each carrying
+the paper's tip text as its suggestion:
 
 * parse and inference errors (``SE001``–``SE005``) straight from the
   abstract interpreter in :mod:`repro.static.infer`;
-* predicate-level pitfall warnings from the extracted candidates —
-  non-filtering contexts (``SW320``, §3.2/§3.4), uncast joins
-  (``SW301``, Tip 1), existential between pairs (``SW310``, §3.10);
+* predicate-level pitfall warnings: every index-independent obstacle
+  :func:`repro.core.eligibility.predicate_obstacles` finds — SQL
+  comparison semantics (``SW303``, Tip 6) and the non-filtering
+  contexts (``SW321``–``SW323``, Tips 2–4; ``SW341``/``SW342``, §3.4
+  and Tip 7) — plus uncast joins (``SW301``, Tip 1) and existential
+  between pairs (``SW310``, §3.10);
+* the §3.5 hazard of an absolute path inside a tree rooted at a
+  constructed element (``SW305``, Tip 8);
 * index-aware warnings when a database is supplied: for a predicate no
-  index can serve, the dominant pattern failure is reported as
-  namespace drift (``SW307``), ``/text()`` misalignment (``SW308``) or
-  an attribute-axis mistake (``SW309``);
+  index can serve, each verdict's reason is reported as an index type
+  mismatch (``SW311``, Tip 1), namespace drift (``SW307``), ``/text()``
+  misalignment (``SW308``) or an attribute-axis mistake (``SW309``);
 * data-aware drift detection, also database-backed but needing no
   index: when a predicate path matches *no* stored document but a
   namespace-erased / text-stripped / attribute-flipped variant does,
   the lint names the variant that would have matched — turning the
   silent empty result of §3.7–§3.9 into an explanation.
+
+:func:`lint_index_pattern` checks an XMLPATTERN before the index is
+created (Tips 10 and 12).
 """
 
 from __future__ import annotations
 
 from ..core.between import detect_between
-from ..core.eligibility import analyze_candidates
-from ..core.patterns import (LinearPattern, PathPattern, PatternStep,
-                             StepTest, erase_namespaces)
-from ..core.predicates import FILTERING_CONTEXTS, extract_candidates
+from ..core.eligibility import (analyze_candidates, predicate_obstacles,
+                                statement_candidates, statement_language)
+from ..core.patterns import (PathPattern, append_text, erase_namespaces,
+                             flip_final_axis, parse_xmlpattern,
+                             strip_trailing_text)
+from ..core.predicates import FILTERING_CONTEXTS
 from ..core.report import Reason
 from ..errors import CatalogError, ReproError
+from ..xquery import ast as xast
 from .diagnostics import Code, Diagnostic, DiagnosticSink
-from .infer import infer_module, refine_candidates
+from .infer import infer_module
 
-__all__ = ["lint_statement"]
+__all__ = ["lint_index_pattern", "lint_statement"]
 
-#: Index-verdict reasons that map onto pitfall warning codes.
+#: Eligibility reason -> the code reporting the same fact.  An unknown
+#: comparison type (``TYPE_UNKNOWN``) is reported once per comparison
+#: by the uncast-join rule; negation is no pitfall.
 _REASON_TO_CODE = {
+    Reason.SQL_COMPARISON: Code.SQL_COMPARISON,
+    Reason.SQL_SELECT_LIST: Code.SELECT_LIST,
+    Reason.BOOLEAN_XMLEXISTS: Code.BOOLEAN_XMLEXISTS,
+    Reason.XMLTABLE_COLUMN: Code.XMLTABLE_COLUMN,
+    Reason.LET_BINDING: Code.LET_BINDING,
+    Reason.CONSTRUCTOR_CONTENT: Code.CONSTRUCTOR_CONTENT,
+    Reason.TYPE_MISMATCH: Code.INDEX_TYPE_MISMATCH,
     Reason.NAMESPACE_MISMATCH: Code.NAMESPACE_DRIFT,
     Reason.TEXT_MISALIGNMENT: Code.TEXT_MISALIGNMENT,
     Reason.ATTRIBUTE_AXIS: Code.ATTRIBUTE_AXIS,
@@ -47,21 +68,43 @@ def lint_statement(statement: str, database=None,
     """All static findings for one statement.
 
     ``language`` is ``'xquery'``, ``'sql'`` or ``'auto'`` (SQL when the
-    text starts with SELECT/VALUES, matching
-    :func:`repro.core.eligibility.analyze_eligibility`).  ``database``
+    text starts with SELECT/VALUES, as in
+    :func:`repro.core.eligibility.statement_candidates`).  ``database``
     unlocks the schema-, summary- and index-aware checks; without it
     the purely statement-local rules still run.
     """
-    if language == "auto":
-        head = statement.lstrip().upper()
-        language = ("sql" if head.startswith(("SELECT", "VALUES"))
-                    else "xquery")
     sink = DiagnosticSink()
-    if language == "sql":
+    if statement_language(statement, language) == "sql":
         _lint_sql(statement, database, sink)
     else:
         _lint_xquery(statement, database, sink)
     return sink.findings
+
+
+def lint_index_pattern(pattern_text: str) -> list[Diagnostic]:
+    """Lint an XMLPATTERN before creating the index (Tips 10 and 12)."""
+    pattern = parse_xmlpattern(pattern_text)
+    findings: list[Diagnostic] = []
+    final_tests = pattern.final_tests()
+    if all(test.kind != "attribute" for test in final_tests) and any(
+            test.kind in ("element", "node") and test.local is None
+            for test in final_tests):
+        findings.append(Diagnostic(
+            Code.ATTRIBUTE_AXIS,
+            f"pattern '{pattern_text}' does not index attribute nodes — "
+            "//* and //node() never match attributes",
+            subject=pattern_text))
+    tests = [test for alternative in pattern.alternatives
+             for step in alternative.steps
+             for test in (step.test,) + step.extra_tests]
+    if all(test.uri in ("", None) for test in tests) and any(
+            test.uri == "" and test.kind == "element" for test in tests):
+        findings.append(Diagnostic(
+            Code.PATTERN_EMPTY_NAMESPACE,
+            f"pattern '{pattern_text}' restricts element steps to the "
+            "empty namespace; queries that declare a default element "
+            "namespace will not match it", subject=pattern_text))
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +113,17 @@ def lint_statement(statement: str, database=None,
 
 
 def _lint_xquery(statement: str, database, sink: DiagnosticSink) -> None:
-    from ..xquery.parser import parse_xquery
     try:
-        module = parse_xquery(statement)
+        _language, module, candidates = statement_candidates(
+            database, statement, "xquery")
     except ReproError as error:
         sink.emit(Code.SYNTAX_ERROR, str(error))
         return
     inference = infer_module(module, database=database)
     for finding in inference.diagnostics:
         sink.add(finding)
-    candidates = extract_candidates(module)
-    refine_candidates(module, candidates)
     _lint_candidates(candidates, database, sink)
+    _check_constructed_roots(module, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +138,12 @@ def _lint_sql(statement: str, database, sink: DiagnosticSink) -> None:
     except ReproError as error:
         sink.emit(Code.SYNTAX_ERROR, str(error))
         return
-    _check_sql_names(statement_ast, database, sink)
     if database is None:
         return
-    from ..sql.analyzer import extract_sql_candidates
+    _check_sql_names(statement_ast, database, sink)
     try:
-        candidates = extract_sql_candidates(database, statement)
+        _language, _module, candidates = statement_candidates(
+            database, statement, "sql")
     except CatalogError as error:
         sink.emit(Code.UNKNOWN_NAME, str(error))
         return
@@ -115,8 +157,6 @@ def _lint_sql(statement: str, database, sink: DiagnosticSink) -> None:
 
 def _check_sql_names(statement_ast, database, sink: DiagnosticSink
                      ) -> None:
-    if database is None:
-        return
     from ..sql import ast as sql_ast
     tables = [entry for entry in
               getattr(statement_ast, "from_refs", None) or []
@@ -152,7 +192,7 @@ def _lint_embedded_xquery(candidate, database,
 
 
 def _lint_candidates(candidates, database, sink: DiagnosticSink) -> None:
-    _check_contexts(candidates, sink)
+    _check_obstacles(candidates, sink)
     _check_uncast_joins(candidates, sink)
     _check_between(candidates, sink)
     if database is not None:
@@ -160,29 +200,33 @@ def _lint_candidates(candidates, database, sink: DiagnosticSink) -> None:
         _check_path_drift(candidates, database, sink)
 
 
-def _check_contexts(candidates, sink: DiagnosticSink) -> None:
+def _check_obstacles(candidates, sink: DiagnosticSink) -> None:
+    """Report what keeps every index away from a predicate, whatever
+    indexes exist."""
     for candidate in candidates:
-        if candidate.context in FILTERING_CONTEXTS:
-            continue
-        sink.emit(
-            Code.NON_FILTERING_CONTEXT,
-            f"predicate sits in a {candidate.context.value} context; "
-            f"its empty result eliminates nothing, so no index can "
-            f"serve it",
-            subject=candidate.description, column=candidate.column)
+        for reason in predicate_obstacles(candidate):
+            code = _REASON_TO_CODE.get(reason)
+            if code is None:
+                continue
+            sink.emit(
+                code,
+                f"no index can serve {candidate.description}: "
+                f"{reason.description}",
+                subject=candidate.description, column=candidate.column)
 
 
 def _check_uncast_joins(candidates, sink: DiagnosticSink) -> None:
-    """Tip 1: a comparison between two paths with no provable type."""
+    """Tip 1: a comparison between paths none of which has a provable
+    type (``TYPE_UNKNOWN`` on every side)."""
     by_comparison: dict[int, list] = {}
     for candidate in candidates:
-        if candidate.comparison_id is not None:
-            by_comparison.setdefault(candidate.comparison_id,
-                                     []).append(candidate)
+        by_comparison.setdefault(candidate.comparison_id,
+                                 []).append(candidate)
     for members in by_comparison.values():
         if len(members) < 2:
             continue
-        if any(member.operand_type is not None for member in members):
+        if not all(Reason.TYPE_UNKNOWN in predicate_obstacles(member)
+                   for member in members):
             continue  # inference proved a side's type: a real probe
         first = members[0]
         sink.emit(
@@ -207,7 +251,8 @@ def _check_between(candidates, sink: DiagnosticSink) -> None:
 
 def _check_index_verdicts(candidates, database,
                           sink: DiagnosticSink) -> None:
-    """For predicates no index serves, surface the pattern pitfalls."""
+    """For predicates no index serves, report each index's reason
+    beyond the obstacles :func:`_check_obstacles` already named."""
     filtering = [candidate for candidate in candidates
                  if candidate.context in FILTERING_CONTEXTS
                  and not candidate.negated]
@@ -216,10 +261,11 @@ def _check_index_verdicts(candidates, database,
         verdicts = predicate_report.verdicts
         if not verdicts or any(verdict.eligible for verdict in verdicts):
             continue
+        obstacles = predicate_obstacles(candidate)
         for verdict in verdicts:
             for reason in verdict.reasons:
                 code = _REASON_TO_CODE.get(reason)
-                if code is None:
+                if code is None or reason in obstacles:
                     continue
                 sink.emit(
                     code,
@@ -271,63 +317,58 @@ def _drift_variants(path: PathPattern):
     if erased.alternatives != path.alternatives:
         yield (Code.NAMESPACE_DRIFT, erased,
                "the namespace-erased variant")
-    stripped = _strip_trailing_text(path)
+    stripped = strip_trailing_text(path)
     if stripped is not None:
         yield (Code.TEXT_MISALIGNMENT, stripped,
                "the element (without /text()) variant")
-    appended = _append_text(path)
+    appended = append_text(path)
     if appended is not None:
         yield (Code.TEXT_MISALIGNMENT, appended,
                "the /text() variant")
-    flipped = _flip_final_axis(path)
+    flipped = flip_final_axis(path)
     if flipped is not None:
         yield (Code.ATTRIBUTE_AXIS, flipped,
                "the attribute-axis variant")
 
 
-def _strip_trailing_text(path: PathPattern) -> PathPattern | None:
-    alternatives = []
-    changed = False
-    for alternative in path.alternatives:
-        steps = alternative.steps
-        if steps and steps[-1].test.kind == "text":
-            steps = steps[:-1]
-            changed = True
-        if not steps:
-            return None
-        alternatives.append(LinearPattern(tuple(steps)))
-    return PathPattern(tuple(alternatives)) if changed else None
+# ---------------------------------------------------------------------------
+# §3.5: document vs element navigation
+# ---------------------------------------------------------------------------
 
 
-def _append_text(path: PathPattern) -> PathPattern | None:
-    alternatives = []
-    for alternative in path.alternatives:
-        steps = alternative.steps
-        if not steps or steps[-1].test.kind != "element":
-            return None
-        text_step = PatternStep(StepTest("text"))
-        alternatives.append(LinearPattern(steps + (text_step,)))
-    return PathPattern(tuple(alternatives))
+def _check_constructed_roots(module, sink: DiagnosticSink) -> None:
+    """An absolute path inside a tree rooted at a constructed element
+    raises err:XPDY0050 — there is no document node above it."""
+    constructed_vars = {
+        node.var for node in xast.walk(module.body)
+        if isinstance(node, (xast.LetClause, xast.ForClause))
+        and _is_constructor(node.expr)}
+
+    def rooted_at_constructor(expr) -> bool:
+        return _is_constructor(expr) or (
+            isinstance(expr, xast.VarRef)
+            and expr.name in constructed_vars)
+
+    for node in xast.walk(module.body):
+        predicates: list = []
+        if isinstance(node, xast.FilterExpr) and \
+                rooted_at_constructor(node.primary):
+            predicates = node.predicates
+        elif isinstance(node, xast.PathExpr) and node.steps and \
+                isinstance(node.steps[0], xast.ExprStep) and \
+                rooted_at_constructor(node.steps[0].expr):
+            for step in node.steps:
+                predicates.extend(getattr(step, "predicates", []))
+        for predicate in predicates:
+            if isinstance(predicate, xast.PathExpr) and predicate.absolute:
+                sink.emit(
+                    Code.ABSOLUTE_PATH_IN_CONSTRUCTED_TREE,
+                    "absolute path ('/' or '//') applied inside a tree "
+                    "rooted at a constructed element raises "
+                    "err:XPDY0050 (Query 25)")
 
 
-def _flip_final_axis(path: PathPattern) -> PathPattern | None:
-    """``…/price`` <-> ``…/@price`` — the §3.9 confusion, both ways."""
-    alternatives = []
-    changed = False
-    for alternative in path.alternatives:
-        steps = alternative.steps
-        if not steps:
-            return None
-        final = steps[-1]
-        if final.test.kind == "element" and final.test.local:
-            flipped = StepTest("attribute", final.test.uri,
-                               final.test.local)
-        elif final.test.kind == "attribute" and final.test.local:
-            flipped = StepTest("element", final.test.uri,
-                               final.test.local)
-        else:
-            return None
-        changed = True
-        steps = steps[:-1] + (PatternStep(flipped, final.gap),)
-        alternatives.append(LinearPattern(steps))
-    return PathPattern(tuple(alternatives)) if changed else None
+def _is_constructor(expr) -> bool:
+    return isinstance(expr, (xast.DirectElementConstructor,
+                             xast.ComputedElementConstructor,
+                             xast.ComputedDocumentConstructor))

@@ -1,9 +1,10 @@
-"""Integration tests: schema-flexible RSS workloads and the advisor."""
+"""Integration tests: schema-flexible RSS workloads and the Tips 1–12
+lint."""
 
 import pytest
 
 from repro import Database
-from repro.core import advise, advise_index_pattern
+from repro.static import lint_index_pattern, lint_statement
 from repro.workload import WorkloadGenerator
 
 
@@ -58,6 +59,8 @@ class TestRSSWorkload:
 
 
 class TestAdvisorIntegration:
+    """The lint is the advisor: every tip scenario yields its code."""
+
     def test_tips_cover_the_pitfall_catalogue(self, indexed_db):
         scenarios = {
             1: 'for $i in db2-fn:xmlcolumn("ORDERS.ORDDOC")'
@@ -75,36 +78,38 @@ class TestAdvisorIntegration:
                "</n> return $o[//custid]",
         }
         for tip, query in scenarios.items():
-            tips = {item.tip for item in advise(indexed_db, query)}
-            assert tip in tips, f"expected Tip {tip} for {query!r}"
+            findings = lint_statement(query, database=indexed_db)
+            assert tip in {item.code.tip for item in findings}, \
+                f"expected Tip {tip} for {query!r}"
+            assert all(item.suggestion for item in findings
+                       if item.code.tip == tip)
 
     def test_between_advice(self, indexed_db):
-        advice = advise(
-            indexed_db,
+        findings = lint_statement(
             "db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-            "//lineitem[price > 100 and price < 200]")
-        assert any(item.section == "3.10" for item in advice)
+            "//lineitem[price > 100 and price < 200]",
+            database=indexed_db)
+        assert any(item.code.section == "3.10" for item in findings)
 
     def test_clean_query_no_warnings(self, indexed_db):
-        advice = advise(
-            indexed_db,
+        findings = lint_statement(
             "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-            "//order[lineitem/@price>100] return $i")
-        assert [item for item in advice if item.severity == "warning"] \
+            "//order[lineitem/@price>100] return $i",
+            database=indexed_db)
+        assert [item for item in findings if item.severity == "warning"] \
             == []
 
     def test_index_pattern_lints(self):
-        assert any(item.tip == 12
-                   for item in advise_index_pattern("//node()"))
-        assert any(item.tip == 10
-                   for item in advise_index_pattern("//nation"))
-        assert advise_index_pattern("//@*") == []
+        assert any(item.code.tip == 12
+                   for item in lint_index_pattern("//node()"))
+        assert any(item.code.tip == 10
+                   for item in lint_index_pattern("//nation"))
+        assert lint_index_pattern("//@*") == []
 
     def test_sql_join_advice(self, indexed_db):
-        advice = advise(
-            indexed_db,
+        findings = lint_statement(
             "SELECT c.cid FROM orders o, customer c, "
             "WHERE XMLCast(XMLQuery('$o/order/custid' passing o.orddoc "
             "as \"o\") as DOUBLE) = XMLCast(XMLQuery('$c/customer/id' "
-            "passing c.cdoc as \"c\") as DOUBLE)")
-        assert any(item.tip == 6 for item in advice)
+            "passing c.cdoc as \"c\") as DOUBLE)", database=indexed_db)
+        assert any(item.code.tip == 6 for item in findings)

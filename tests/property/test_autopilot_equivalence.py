@@ -7,16 +7,19 @@ that saw the same DML but never built an index — indexes are an access
 path, not a semantics change (Definition 1), and the autopilot must
 preserve that under any schedule.
 
-Second property: every index the advisor recommends passes
+Second property: every index the autopilot recommends passes
 :func:`repro.core.eligibility.check_index` against at least one
-predicate of the statement that motivated it — the advisor never
-recommends DDL the planner would refuse to use.
+predicate of the statement that motivated it — it never recommends DDL
+the planner would refuse to use — and no such motivating predicate
+carries a :func:`repro.core.eligibility.predicate_obstacles` reason, the
+same reasons ``repro lint`` reports: the autopilot and the lint cannot
+disagree about a predicate.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.autopilot.candidates import _statement_candidates
-from repro.core.eligibility import check_index
+from repro.core.eligibility import (check_index, predicate_obstacles,
+                                    statement_candidates)
 from repro.storage.catalog import Database
 from repro.storage.xmlindex import XmlIndex
 from repro.workload.paperqueries import (PAPER_ORDERS, PAPER_QUERIES,
@@ -100,8 +103,13 @@ def test_advisor_never_recommends_an_ineligible_index(numbers):
         for profile in pilot.profiler.statements():
             if profile.fingerprint not in candidate.statements:
                 continue
-            for predicate in _statement_candidates(database, profile):
+            _language, _module, predicates = statement_candidates(
+                database, profile.exemplar, profile.language)
+            for predicate in predicates:
                 if check_index(index, predicate).eligible:
                     eligible_somewhere = True
+                    assert predicate_obstacles(predicate) == [], \
+                        f"{candidate.ddl} serves an obstructed " \
+                        f"predicate {predicate.description}"
         assert eligible_somewhere, \
-            f"advisor recommended unusable DDL: {candidate.ddl}"
+            f"autopilot recommended unusable DDL: {candidate.ddl}"

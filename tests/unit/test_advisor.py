@@ -1,46 +1,52 @@
-"""Unit tests for advisor internals and catalog introspection."""
+"""Unit tests for the tip table, index-pattern lints and catalog
+introspection."""
 
 import pytest
 
-from repro.core.advisor import TIPS, Advice, advise, advise_index_pattern
+from repro.static import Code, Diagnostic, lint_index_pattern, lint_statement
 
 
 class TestAdviceStructure:
-    def test_all_twelve_tips_present(self):
-        assert set(TIPS) == set(range(1, 13))
+    def test_code_table_carries_every_emitted_tip(self):
+        # Tips 5 and 9 have no rule that could emit them.
+        tips = {code.tip for code in Code if code.tip is not None}
+        assert tips == set(range(1, 13)) - {5, 9}
+        for code in Code:
+            if code.tip is not None:
+                assert code.suggestion, code
 
     def test_str_rendering(self):
-        advice = Advice(3, "3.2", "warning", "msg", "fix")
-        assert "Tip 3" in str(advice)
-        advice = Advice(None, "3.10", "info", "msg", "fix")
-        assert "§3.10" in str(advice)
+        finding = Diagnostic(Code.BOOLEAN_XMLEXISTS, "msg")
+        assert "Tip 3" in str(finding)
+        finding = Diagnostic(Code.EXISTENTIAL_BETWEEN, "msg")
+        assert "§3.10" in str(finding)
 
 
 class TestIndexPatternAdvice:
     def test_star_pattern_warns(self):
-        assert any(item.tip == 12
-                   for item in advise_index_pattern("//*"))
+        assert any(item.code.tip == 12
+                   for item in lint_index_pattern("//*"))
 
     def test_node_pattern_warns(self):
-        assert any(item.tip == 12
-                   for item in advise_index_pattern("//node()"))
+        assert any(item.code.tip == 12
+                   for item in lint_index_pattern("//node()"))
 
     def test_named_element_pattern_ns_info(self):
-        advice = advise_index_pattern("//lineitem/@price")
-        assert any(item.tip == 10 for item in advice)
+        advice = lint_index_pattern("//lineitem/@price")
+        assert any(item.code.tip == 10 for item in advice)
         assert all(item.severity == "info" for item in advice)
 
     def test_attribute_pattern_clean(self):
-        assert advise_index_pattern("//@*") == []
+        assert lint_index_pattern("//@*") == []
 
     def test_wildcard_namespace_pattern_clean(self):
-        advice = advise_index_pattern("//*:nation")
-        assert all(item.tip != 10 for item in advice)
+        advice = lint_index_pattern("//*:nation")
+        assert all(item.code.tip != 10 for item in advice)
 
     def test_declared_namespace_pattern_clean(self):
-        advice = advise_index_pattern(
+        advice = lint_index_pattern(
             'declare default element namespace "http://x"; //nation')
-        assert all(item.tip != 10 for item in advice)
+        assert all(item.code.tip != 10 for item in advice)
 
 
 class TestAdviseDeduplication:
@@ -49,10 +55,10 @@ class TestAdviseDeduplication:
                  "let $a := $d//lineitem[@price > 100] "
                  "let $b := $d//lineitem[@price > 200] "
                  "return <r>{$a, $b}</r>")
-        advice = advise(indexed_db, query)
-        let_warnings = [item for item in advice
-                        if item.section == "3.4" and item.tip is None]
-        assert let_warnings  # both let predicates are flagged
+        findings = lint_statement(query, database=indexed_db)
+        let_warnings = [item for item in findings
+                        if item.code is Code.LET_BINDING]
+        assert len(let_warnings) == 2  # both let predicates are flagged
         # Exact duplicates (same message) are deduplicated.
         messages = [item.message for item in let_warnings]
         assert len(messages) == len(set(messages))

@@ -189,7 +189,7 @@ class TestCandidateGeneration:
 
     def test_every_recommendation_is_eligible(self, paper_db):
         """The advisor must never advise DDL it would refuse to use."""
-        from repro.autopilot.candidates import _statement_candidates
+        from repro.core.eligibility import statement_candidates
         from repro.storage.xmlindex import XmlIndex
         pilot = self._profiled(paper_db, sorted(PAPER_QUERIES))
         for candidate in pilot.advise():
@@ -200,8 +200,9 @@ class TestCandidateGeneration:
             for profile in pilot.profiler.statements():
                 if profile.fingerprint not in candidate.statements:
                     continue
-                for predicate in _statement_candidates(paper_db,
-                                                       profile):
+                _language, _module, predicates = statement_candidates(
+                    paper_db, profile.exemplar, profile.language)
+                for predicate in predicates:
                     if check_index(index, predicate).eligible:
                         served_any = True
             assert served_any, candidate.ddl

@@ -69,18 +69,34 @@ class TestCLI:
             "db2-fn:xmlcolumn('DOCS.DOC')//lineitem[@price > 100]")
         assert "ELIGIBLE" in output
 
-    def test_advise(self, xml_dir):
+    def test_lint_prints_tip(self, xml_dir):
         output = run_cli(
-            "advise", "--load", str(xml_dir),
+            "lint", "--load", str(xml_dir),
+            "for $d in db2-fn:xmlcolumn('DOCS.DOC')/order "
+            "return <r>{$d/lineitem[@price > 100]}</r>")
+        assert "SW342 (§3.4, Tip 7)" in output
+        assert "tip: Unless you want empty elements" in output
+
+    def test_lint_json_suggestion(self, xml_dir):
+        import json
+        output = run_cli(
+            "lint", "--json", "--load", str(xml_dir),
             "for $d in db2-fn:xmlcolumn('DOCS.DOC') "
             "let $i := $d//lineitem[@price > 100] return <r>{$i}</r>")
-        assert "3.4" in output
+        findings = json.loads(output[output.index("["):])
+        assert [item["section"] for item in findings] == ["3.4"]
+        assert findings[0]["suggestion"].startswith("Bind with a for")
 
-    def test_advise_clean(self, xml_dir):
+    def test_lint_clean(self, xml_dir):
         output = run_cli(
-            "advise", "--load", str(xml_dir),
+            "lint", "--load", str(xml_dir),
             "db2-fn:xmlcolumn('DOCS.DOC')//lineitem[@price > 100]")
-        assert "no advice" in output
+        assert "clean: no static errors" in output
+
+    def test_removed_subcommand_is_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["advise", "db2-fn:xmlcolumn('DOCS.DOC')"],
+                 out=io.StringIO())
 
     def test_describe(self, xml_dir):
         output = run_cli("describe", "--load", str(xml_dir),

@@ -112,6 +112,24 @@ class TestVerdicts:
         assert not verdict.eligible
         assert Reason.NAMESPACE_MISMATCH in verdict.reasons
 
+    def test_unrelated_index_is_not_an_attribute_axis_mistake(
+            self, indexed_db):
+        # Flipping @price to price does not make '//custid' contain
+        # the path: the index is simply about something else.
+        verdict = verdict_for(
+            indexed_db, "o_custid",
+            f"for $i in {XMLCOL}//order[lineitem/@price > 100] "
+            f"return $i")
+        assert verdict.reasons == [Reason.PATTERN_NOT_CONTAINED]
+
+    def test_unrelated_index_is_not_a_text_misalignment(self,
+                                                         indexed_db):
+        verdict = verdict_for(
+            indexed_db, "li_price",
+            f'for $o in {XMLCOL}/order[lineitem/price/text() = "99.50"] '
+            f"return $o")
+        assert verdict.reasons == [Reason.PATTERN_NOT_CONTAINED]
+
     def test_attribute_axis_reason(self, indexed_db):
         indexed_db.execute(
             "CREATE INDEX all_elems ON orders(orddoc) "

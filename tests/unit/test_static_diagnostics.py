@@ -7,7 +7,7 @@ regression in any single rule fails its own named test.
 
 import pytest
 
-from repro.static import Code, lint_statement
+from repro.static import Code, lint_index_pattern, lint_statement
 from repro.static.diagnostics import Diagnostic, DiagnosticSink
 
 XMLCOL = "db2-fn:xmlcolumn('ORDERS.ORDDOC')"
@@ -109,12 +109,65 @@ class TestPitfallWarnings:
             database=indexed_db)
         assert Code.EXISTENTIAL_BETWEEN not in codes_of(findings)
 
-    def test_sw320_non_filtering_context(self, indexed_db):
+    def test_sw303_sql_comparison(self, indexed_db):
+        findings = lint_statement(
+            "SELECT p.name FROM products p, orders o WHERE "
+            "p.id = XMLCast(XMLQuery('$o//lineitem/product/id' "
+            "passing o.orddoc as \"o\") as VARCHAR(13))",
+            database=indexed_db)
+        assert Code.SQL_COMPARISON in codes_of(findings)
+
+    def test_sw305_absolute_path_in_constructed_tree(self, indexed_db):
+        findings = lint_statement(
+            f"let $o := <n>{{{XMLCOL}/order}}</n> "
+            "return $o[//custid]", database=indexed_db)
+        assert Code.ABSOLUTE_PATH_IN_CONSTRUCTED_TREE in codes_of(findings)
+
+    def test_sw311_index_type_mismatch(self, indexed_db):
+        findings = lint_statement(
+            f'for $i in {XMLCOL}//order[lineitem/@price > "100"] '
+            "return $i", database=indexed_db)
+        assert codes_of(findings) == {Code.INDEX_TYPE_MISMATCH}
+
+    def test_sw321_select_list(self, indexed_db):
+        findings = lint_statement(
+            "SELECT XMLQuery('$o//lineitem[@price > 100]' "
+            'passing orddoc as "o") FROM orders', database=indexed_db)
+        assert codes_of(findings) == {Code.SELECT_LIST}
+
+    def test_sw322_boolean_xmlexists(self, indexed_db):
+        findings = lint_statement(
+            "SELECT ordid FROM orders WHERE XMLExists("
+            "'$o//lineitem/@price > 100' passing orddoc as \"o\")",
+            database=indexed_db)
+        assert codes_of(findings) == {Code.BOOLEAN_XMLEXISTS}
+
+    def test_sw323_xmltable_column(self, indexed_db):
+        findings = lint_statement(
+            "SELECT o.ordid, t.price FROM orders o, "
+            "XMLTable('$d//lineitem' passing o.orddoc as \"d\" "
+            "COLUMNS price DOUBLE PATH '@price[. > 100]') AS t",
+            database=indexed_db)
+        assert codes_of(findings) == {Code.XMLTABLE_COLUMN}
+
+    def test_sw341_let_binding(self, indexed_db):
         findings = lint_statement(
             f"for $d in {XMLCOL} "
             "let $x := $d//lineitem[@price > 100] "
             "return <r>{$x}</r>", database=indexed_db)
-        assert Code.NON_FILTERING_CONTEXT in codes_of(findings)
+        assert codes_of(findings) == {Code.LET_BINDING}
+
+    def test_sw342_constructor_content(self, indexed_db):
+        findings = lint_statement(
+            f"for $o in {XMLCOL}/order "
+            "return <r>{$o/lineitem[@price > 100]}</r>",
+            database=indexed_db)
+        assert codes_of(findings) == {Code.CONSTRUCTOR_CONTENT}
+
+    def test_si307_pattern_empty_namespace(self):
+        findings = lint_index_pattern("//lineitem/@price")
+        assert codes_of(findings) == {Code.PATTERN_EMPTY_NAMESPACE}
+        assert findings[0].severity == "info"
 
     def test_clean_query_is_clean(self, indexed_db):
         findings = lint_statement(
@@ -132,7 +185,11 @@ class TestEveryCodeIsExercised:
             Code.EMPTY_PATH, Code.UNKNOWN_NAME, Code.UNCAST_JOIN,
             Code.NAMESPACE_DRIFT, Code.TEXT_MISALIGNMENT,
             Code.ATTRIBUTE_AXIS, Code.EXISTENTIAL_BETWEEN,
-            Code.NON_FILTERING_CONTEXT,
+            Code.SQL_COMPARISON, Code.ABSOLUTE_PATH_IN_CONSTRUCTED_TREE,
+            Code.INDEX_TYPE_MISMATCH, Code.SELECT_LIST,
+            Code.BOOLEAN_XMLEXISTS, Code.XMLTABLE_COLUMN,
+            Code.LET_BINDING, Code.CONSTRUCTOR_CONTENT,
+            Code.PATTERN_EMPTY_NAMESPACE,
         }
         assert tested == set(Code)
 
@@ -147,6 +204,12 @@ class TestDiagnosticMachinery:
         assert payload["severity"] == "error"
         assert payload["section"] is not None
         assert payload["message"] == "no such path"
+        assert payload["suggestion"] is None
+
+    def test_to_dict_carries_the_tip_text(self):
+        payload = Diagnostic(Code.UNCAST_JOIN, "uncast join").to_dict()
+        assert payload["tip"] == 1
+        assert payload["suggestion"].startswith("Use type-cast")
 
     def test_str_carries_code_and_severity(self):
         finding = Diagnostic(Code.UNCAST_JOIN, "uncast join")
