@@ -33,6 +33,7 @@ from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..xdm.sequence import Item
 from ..xquery.evaluator import evaluate_module
+from ..xquery.joins import flwor_join_report
 from .stats import ExecutionStats
 
 
@@ -565,7 +566,8 @@ def execute_xquery(database, query: str,
     docs_before = stats.docs_scanned
     with tracer.span("residual-eval") as span:
         items = evaluate_module(module, database=runtime_db,
-                                variables=variables, stats=stats)
+                                variables=variables, stats=stats,
+                                plan_joins=use_indexes)
         span.set(actual_rows=len(items), unit="items",
                  docs_scanned=stats.docs_scanned - docs_before,
                  summary_lookups=stats.summary_lookups)
@@ -601,4 +603,5 @@ def explain_xquery(database, query: str) -> str:
                 lines.append(f"    {note}")
     elif not facts.empty_columns:
         lines.append("  full collection scan")
+    lines.extend(f"  {line}" for line in flwor_join_report(compiled.module))
     return "\n".join(lines)

@@ -33,7 +33,7 @@ from decimal import Decimal
 
 from ..core.eligibility import check_index
 from ..core.predicates import Origin, PredicateCandidate
-from ..errors import ReproError, SQLCastError, SQLError
+from ..errors import ReproError, SQLCastError, SQLError, XQueryError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..planner.plan import (PrefilteredDatabase, _make_probe_estimator,
@@ -47,11 +47,12 @@ from ..xdm.qname import QName
 from ..xdm.sequence import Item, atomize
 from ..xquery.context import DynamicContext
 from ..xquery.evaluator import Evaluator, evaluate_module
+from ..xquery.joins import JoinTable
 from ..xquery.parser import parse_xquery
 from . import ast
 from .analyzer import (EmbeddedQuery, alias_table_map, collect_embedded,
                        resolve_column, split_conjuncts)
-from .values import SQLType, XMLValue, sql_compare
+from .values import SQLType, XMLValue, sql_compare, sql_equality_key
 
 
 @dataclass
@@ -93,11 +94,35 @@ class _JoinProbe:
 
 
 @dataclass
+class _HashJoin:
+    """The WHERE clause's leading ``=``, hashed on one table's side.
+
+    Rows of ``alias`` are keyed once (built on first use); every binding
+    of the tables before it probes with ``outer``.  A row is skipped
+    only when both keys are of one class and differ — the equality is
+    then FALSE without raising and, as the leading conjunct, decides the
+    WHERE clause before anything else in it runs — or, when it is the
+    whole WHERE clause, when a key is NULL.  Rows, order, NULLs and
+    errors are the nested loop's.
+    """
+
+    alias: str
+    inner: object
+    outer: object
+    #: The WHERE clause is this equality alone: equal keys decide it.
+    key_only: bool
+    rows: list | None = None
+    table: JoinTable | None = None
+
+
+@dataclass
 class _Plan:
     row_filters: dict[str, set[int]] = field(default_factory=dict)
     #: alias -> allowed doc ids (for XML prefilters)
     doc_filters: dict[str, set[int]] = field(default_factory=dict)
     join_probes: list[_JoinProbe] = field(default_factory=list)
+    #: the hash join, or why the join stays a nested loop (None: no join)
+    hash_join: _HashJoin | str | None = None
 
 
 def execute_sql(database, statement_text: str,
@@ -140,6 +165,13 @@ def explain_sql(database, statement_text: str) -> str:
         ordered = executor._order_joins(statement.from_refs, plan)
         lines.append("  join order: " +
                      " -> ".join(ref.alias for ref in ordered))
+        join = executor._plan_hash_join(statement, aliases, ordered, plan)
+        if isinstance(join, _HashJoin):
+            lines.append(f"  hash join into {join.alias}: its side of the "
+                         f"WHERE clause's leading '=' keyed once per row, "
+                         f"probed per row of the tables before it")
+        elif join is not None:
+            lines.append(f"  nested-loop join: {join}")
         for alias, docs in plan.doc_filters.items():
             lines.append(f"  doc prefilter on {alias}: "
                          f"{len(docs)} documents")
@@ -166,6 +198,8 @@ class _SQLExecutor:
         self.stats = ExecutionStats()
         self.tracer = tracer
         self._body_cache: dict[str, tuple[object, object]] = {}
+        #: table name -> {doc id: row ids}, for index join probes
+        self._rows_by_doc: dict[str, dict[int, set[int]]] = {}
 
     # ------------------------------------------------------------------
     # Statements
@@ -243,6 +277,12 @@ class _SQLExecutor:
                      join_probes=len(plan.join_probes))
 
         from_refs = self._order_joins(statement.from_refs, plan)
+        if self.use_indexes:
+            plan.hash_join = self._plan_hash_join(statement, aliases,
+                                                  from_refs, plan)
+            if isinstance(plan.hash_join, _HashJoin):
+                self.stats.note(f"hash join into {plan.hash_join.alias} "
+                                f"on the WHERE clause's leading '='")
         envs: list[dict] = []
         rows_before = self.stats.rows_scanned
         with self.tracer.span("join-scan") as span:
@@ -463,6 +503,59 @@ class _SQLExecutor:
             remaining.remove(chosen)
         return ordered
 
+    def _plan_hash_join(self, statement: ast.SelectStmt,
+                        aliases: dict[str, str], from_refs: list,
+                        plan: _Plan) -> _HashJoin | str | None:
+        """A hash join for the WHERE clause's leading equality (see
+        :class:`_HashJoin`), the reason there is none, or None for a
+        statement that joins nothing."""
+        if len(from_refs) < 2 or statement.where is None:
+            return None
+        leading = statement.where
+        while isinstance(leading, ast.AndCond):
+            leading = leading.left
+        if not (isinstance(leading, ast.Comparison) and leading.op == "="):
+            return "the WHERE clause does not lead with an '=' comparison"
+        lateral = any(isinstance(ref, ast.XMLTableRef) for ref in from_refs)
+        sides = [(side, self._expr_aliases(side, aliases, lateral))
+                 for side in (leading.left, leading.right)]
+        if any(deps is None for _side, deps in sides):
+            return "a column of the leading '=' names no single table"
+        order = {ref.alias: position for position, ref in enumerate(from_refs)}
+        probed = {probe.target_alias for probe in plan.join_probes}
+        reason = ("the leading '=' does not compare one table with the "
+                  "tables joined before it")
+        for (inner, inner_deps), (outer, outer_deps) in (sides, sides[::-1]):
+            if len(inner_deps) != 1 or not outer_deps:
+                continue
+            alias = next(iter(inner_deps))
+            if not (isinstance(from_refs[order[alias]], ast.TableRef)
+                    and all(order[dep] < order[alias]
+                            for dep in outer_deps)):
+                continue
+            if alias in probed:
+                reason = f"an index nested-loop join probes {alias}"
+                continue
+            return _HashJoin(alias, inner, outer,
+                             key_only=leading is statement.where)
+        return reason
+
+    def _expr_aliases(self, expr, aliases: dict[str, str],
+                      lateral: bool) -> set[str] | None:
+        """The FROM aliases ``expr`` reads, or None when a column cannot
+        be pinned to one (an unqualified name beside an XMLTABLE)."""
+        deps: set[str] = set()
+        for ref in _column_refs(expr):
+            if ref.qualifier is not None:
+                alias = ref.qualifier if ref.qualifier in aliases else None
+            else:
+                alias = (None if lateral
+                         else self._alias_of_column(ref, aliases))
+            if alias is None:
+                return None
+            deps.add(alias)
+        return deps
+
     def _passing_aliases(self, ref: ast.XMLTableRef) -> set[str]:
         deps: set[str] = set()
         for argument in ref.passing:
@@ -577,7 +670,7 @@ class _SQLExecutor:
                     f"relational index lookup on {alias}.{column} via "
                     f"{index.name}")
             elif comparison.op == "=":
-                deps = self._aliases_in(other, aliases)
+                deps = self._expr_aliases(other, aliases, lateral=False)
                 if deps and alias not in deps:
                     plan.join_probes.append(_JoinProbe(
                         target_alias=alias, kind="rel", index=index,
@@ -596,29 +689,6 @@ class _SQLExecutor:
                 found = alias
         return found
 
-    def _aliases_in(self, expr, aliases: dict[str, str]) -> set[str]:
-        deps: set[str] = set()
-
-        def visit(node) -> None:
-            if isinstance(node, ast.ColumnRef):
-                if node.qualifier is not None:
-                    deps.add(node.qualifier)
-                else:
-                    alias = self._alias_of_column(node, aliases)
-                    if alias is not None:
-                        deps.add(alias)
-            elif isinstance(node, (ast.XMLQueryExpr, ast.XMLExistsExpr)):
-                for argument in node.passing:
-                    visit(argument.expr)
-            elif isinstance(node, ast.XMLCastExpr):
-                visit(node.operand)
-            elif isinstance(node, ast.Comparison):
-                visit(node.left)
-                visit(node.right)
-
-        visit(expr)
-        return deps
-
     def _alias_of_column(self, ref: ast.ColumnRef,
                          aliases: dict[str, str]) -> str | None:
         found = None
@@ -636,9 +706,12 @@ class _SQLExecutor:
     # ------------------------------------------------------------------
 
     def _join(self, bound: list[str], remaining: list, statement,
-              plan: _Plan, env: dict, out: list[dict]) -> None:
+              plan: _Plan, env: dict, out: list[dict],
+              decided: bool = False) -> None:
+        """Enumerate bindings; ``decided`` means a hash-join key match
+        already made the WHERE clause TRUE."""
         if not remaining:
-            if statement.where is None or \
+            if decided or statement.where is None or \
                     self._condition(statement.where, env) is True:
                 out.append(dict(env))
             return
@@ -646,7 +719,14 @@ class _SQLExecutor:
         rest = remaining[1:]
         guard = active_guard()
         if isinstance(ref, ast.TableRef):
-            for row in self._rows_for(ref, plan, bound, env):
+            join = plan.hash_join
+            if isinstance(join, _HashJoin) and join.alias == ref.alias:
+                candidates = self._hash_candidates(join, ref, plan, bound,
+                                                   env)
+            else:
+                candidates = [(row, False) for row
+                              in self._rows_for(ref, plan, bound, env)]
+            for row, matched in candidates:
                 if guard is not None:
                     # The join scan is where a runaway cross product
                     # burns time; the deadline must interrupt it here.
@@ -654,7 +734,7 @@ class _SQLExecutor:
                 self.stats.rows_scanned += 1
                 env[ref.alias] = ("table", ref.name, row)
                 self._join(bound + [ref.alias], rest, statement, plan,
-                           env, out)
+                           env, out, decided or matched)
                 del env[ref.alias]
         else:
             for values in self._xmltable_rows(ref, env):
@@ -664,6 +744,46 @@ class _SQLExecutor:
                 self._join(bound + [ref.alias], rest, statement, plan,
                            env, out)
                 del env[ref.alias]
+
+    def _hash_candidates(self, join: _HashJoin, ref: ast.TableRef,
+                         plan: _Plan, bound: list[str], env: dict
+                         ) -> list[tuple[object, bool]]:
+        """(row, WHERE decided by the keys) for the rows of
+        ``join.alias`` the WHERE clause may accept, in table order."""
+        if join.rows is None:
+            self._hash_build(join, ref, plan, bound)
+        if not join.rows:
+            return []
+        slots, decided = join.table.probe(*self._equality_key(join.outer,
+                                                              env))
+        return [(join.rows[slot], join.key_only and slot in decided)
+                for slot in slots]
+
+    def _hash_build(self, join: _HashJoin, ref: ast.TableRef, plan: _Plan,
+                    bound: list[str]) -> None:
+        # No index probe targets this alias, so its rows do not depend
+        # on the outer binding.
+        rows = self._rows_for(ref, plan, bound, {})
+        guard = active_guard()
+        if guard is not None:
+            guard.tick(len(rows) + 1)
+        self.stats.rows_scanned += len(rows)
+        join.table = JoinTable(lambda probe, row:
+                               _keys_undecided(probe, row, join.key_only))
+        for slot, row in enumerate(rows):
+            join.table.add(slot, *self._equality_key(
+                join.inner, {ref.alias: ("table", ref.name, row)}))
+        join.rows = rows
+
+    def _equality_key(self, expr, env: dict) -> tuple[str, list]:
+        """(key class, [key]) of one ``=`` operand for :class:`JoinTable`
+        (see :func:`sql_equality_key`); class "error" when evaluating
+        the operand raises."""
+        try:
+            key_class, key = sql_equality_key(self.eval_expr(expr, env))
+        except (SQLError, XQueryError):
+            return "error", []
+        return key_class, ([] if key is None else [(key_class, key)])
 
     def _rows_for(self, ref: ast.TableRef, plan: _Plan,
                   bound: list[str], env: dict):
@@ -724,7 +844,8 @@ class _SQLExecutor:
         ctx = DynamicContext(module.prolog, variables=variables,
                              database=self.database, stats=self.stats)
         try:
-            values = atomize(Evaluator(module.prolog).evaluate(
+            values = atomize(Evaluator(module.prolog,
+                                       plans=module.plans).evaluate(
                 candidate.operand_expr, ctx))
         except ReproError:
             return None  # fall back to full scan of the inner table
@@ -736,15 +857,20 @@ class _SQLExecutor:
                 continue
             docs |= probe.index.matching_documents(
                 key, key, path_filter=candidate.path, stats=self.stats)
-        guard = active_guard()
-        if guard is not None:
-            # Mapping matched documents back to rows scans the table.
-            guard.tick(len(table.rows) + 1)
-        doc_to_rows: set[int] = set()
-        for row in table.rows:
-            if _row_docs(row) & docs:
-                doc_to_rows.add(row.row_id)
-        return doc_to_rows
+        rows_of = self._rows_by_doc.get(table.name)
+        if rows_of is None:
+            guard = active_guard()
+            if guard is not None:
+                # Mapping documents back to rows scans the table once.
+                guard.tick(len(table.rows) + 1)
+            rows_of = self._rows_by_doc[table.name] = {}
+            for row in table.rows:
+                for doc_id in _row_docs(row):
+                    rows_of.setdefault(doc_id, set()).add(row.row_id)
+        matched_rows: set[int] = set()
+        for doc_id in docs:
+            matched_rows |= rows_of.get(doc_id, set())
+        return matched_rows
 
     # ------------------------------------------------------------------
     # XMLTABLE
@@ -773,7 +899,8 @@ class _SQLExecutor:
         path = column.path if column.path is not None else column.name
         module, runtime_db = self._parse_body(path)
         items = evaluate_module(module, database=runtime_db,
-                                context_item=item, stats=self.stats)
+                                context_item=item, stats=self.stats,
+                                plan_joins=self.use_indexes)
         assert column.sql_type is not None
         if column.sql_type.is_xml:
             if column.by_ref:
@@ -962,12 +1089,35 @@ class _SQLExecutor:
             variables[argument.variable] = _to_xdm_items(
                 self.eval_expr(argument.expr, env))
         return evaluate_module(module, database=runtime_db,
-                               variables=variables, stats=self.stats)
+                               variables=variables, stats=self.stats,
+                               plan_joins=self.use_indexes)
 
 
 # ---------------------------------------------------------------------------
 # Value conversions
 # ---------------------------------------------------------------------------
+
+def _keys_undecided(probe: str, row: str, key_only: bool) -> bool:
+    """Must the WHERE clause judge a pair whose ``=`` operands have key
+    classes ``probe`` and ``row`` (see :func:`sql_equality_key`)?"""
+    if "error" in (probe, row):
+        return True   # re-evaluating raises where the loop raised
+    if "null" in (probe, row):
+        return not key_only   # UNKNOWN: the other conjuncts still run
+    return probe == "x" or probe != row
+
+
+def _column_refs(value):
+    """Every column reference inside an SQL expression tree."""
+    if isinstance(value, ast.ColumnRef):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for element in value:
+            yield from _column_refs(element)
+    elif hasattr(value, "__dataclass_fields__"):
+        for name in value.__dataclass_fields__:
+            yield from _column_refs(getattr(value, name))
+
 
 def _group_key(value):
     """Grouping key normalization (padded strings, hashable)."""

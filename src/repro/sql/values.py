@@ -118,6 +118,30 @@ def coerce_to_type(value, sql_type: SQLType):
     raise SQLError(f"cannot coerce into {sql_type}", "42846")
 
 
+def sql_equality_key(value) -> tuple[str, object]:
+    """(class, key) of one operand of an SQL ``=``, for hash joins.
+
+    Two operands of one class ``"s"`` (strings, trailing blanks
+    dropped), ``"b"`` (booleans) or ``"v"`` (numbers, dates,
+    timestamps) compare equal under :func:`sql_compare` exactly when
+    their keys are equal; a key of None (NaN) equals nothing.  Operands
+    of different classes make :func:`sql_compare` raise, and so may
+    class ``"x"`` (XML values, anything else); class ``"null"`` compares
+    UNKNOWN.
+    """
+    if value is None:
+        return "null", None
+    if isinstance(value, str):
+        return "s", value.rstrip(" ")
+    if isinstance(value, bool):
+        return "b", value
+    if isinstance(value, Decimal) and value.is_nan():
+        return "x", None
+    if isinstance(value, (int, float, Decimal, _dt.date)):
+        return "v", (value if value == value else None)
+    return "x", None
+
+
 def sql_compare(op: str, left, right) -> bool | None:
     """SQL scalar comparison with three-valued logic (None = UNKNOWN).
 

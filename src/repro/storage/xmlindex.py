@@ -143,9 +143,13 @@ class XmlIndex:
         if not values:
             return None
         try:
-            return atomic_to_key(cast(values[0], self.xdm_type))
+            key = atomic_to_key(cast(values[0], self.xdm_type))
         except CastError:
             return None
+        # NaN compares false with everything: no eligible predicate
+        # selects it, and as a B+Tree key it breaks the total order every
+        # range scan relies on (documents beside it went missing).
+        return None if key != key else key
 
     # ------------------------------------------------------------------
     # Probing

@@ -178,6 +178,81 @@ def general_compare(symbol: str, left: list[Item], right: list[Item]) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# Hash-join keys for ``=`` / ``eq``
+# ---------------------------------------------------------------------------
+
+#: Atom classes an operand's join key records (bit flags).  Operands
+#: whose classes clash may *raise* instead of comparing false, so a hash
+#: join must hand such pairs to the comparison itself.
+KEY_STRING = 1        # typed xs:string
+KEY_NUMBER = 2        # any numeric type
+KEY_UNCASTABLE = 4    # untypedAtomic with no xs:double lexical form
+KEY_OTHER = 8         # any other type; for ``eq`` also a non-singleton
+
+
+def equality_keys(items: list[Item], general: bool, build: bool
+                  ) -> tuple[set, int]:
+    """Hash keys and atom classes of one operand of ``=`` (``general``)
+    or ``eq``.
+
+    The keys mirror the alignment rules above: an untyped atom compares
+    as a string against strings and untyped atoms, and as a double
+    against numbers; numbers compare by exact value (Python hashes int,
+    Decimal and float consistently with ``==``, which is the comparison
+    ``_compare_aligned`` makes).  Keys are tagged asymmetrically so that
+    a ``build`` key of one operand equals a probe key (``build=False``)
+    of the other exactly when some atom pair compares equal — two
+    untyped atoms meet only as strings.  NaN has no key: it equals
+    nothing.  Whenever :func:`keys_may_raise` is false for the two
+    operands' classes, the comparison cannot raise and is true iff the
+    key sets intersect.
+    """
+    atoms = atomize(items)
+    keys: set = set()
+    if not general and len(atoms) > 1:
+        return keys, KEY_OTHER
+    flags = 0
+    for atom in atoms:
+        name = atom.type_name
+        if name == T_STRING:
+            flags |= KEY_STRING
+            keys.add(("s", atom.value))
+        elif name == T_UNTYPED:
+            keys.add(("s", atom.value))
+            try:
+                number = cast(atom, T_DOUBLE).value
+            except XQueryTypeError:
+                flags |= KEY_UNCASTABLE
+                continue
+            if number == number:
+                keys.add(("u" if build else "n", number))
+        elif atom.is_numeric:
+            flags |= KEY_NUMBER
+            number = atom.value
+            if number == number:
+                keys.add(("n", number))
+                if not build:
+                    keys.add(("u", number))
+        else:
+            flags |= KEY_OTHER
+    return keys, flags
+
+
+def keys_may_raise(left: int, right: int, general: bool) -> bool:
+    """Can an ``=`` / ``eq`` comparison of operands with these
+    :func:`equality_keys` classes raise rather than return?"""
+    if (left | right) & KEY_OTHER:
+        return True
+    if (left & KEY_STRING and right & KEY_NUMBER
+            or left & KEY_NUMBER and right & KEY_STRING):
+        return True   # XPTY0004: typed string vs number
+    # eq casts an untyped operand strictly (FORG0001); = skips the pair.
+    return not general and bool(left & KEY_UNCASTABLE and right & KEY_NUMBER
+                                or left & KEY_NUMBER
+                                and right & KEY_UNCASTABLE)
+
+
 def node_compare(op: str, left: list[Item], right: list[Item]
                  ) -> list[AtomicValue]:
     """``is``, ``<<``, ``>>`` — identity and document order."""

@@ -406,6 +406,11 @@ class Prolog:
 class Module:
     prolog: Prolog
     body: Expr
+    #: Evaluation plans of this module's nodes (FLWOR join plans, path
+    #: summary plans), memoised by the evaluator under ``id(node)``: they
+    #: live exactly as long as the compiled module.  Not part of its value.
+    plans: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
 
 def walk(expr) -> "list[object]":

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import functools
 
-from ..errors import XQueryDynamicError, XQueryStaticError, XQueryTypeError
+from ..errors import (XQueryDynamicError, XQueryError, XQueryStaticError,
+                      XQueryTypeError)
 from ..obs.metrics import METRICS
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
-from ..xdm.compare import general_compare, node_compare, value_compare
+from ..xdm.compare import (KEY_OTHER, equality_keys, general_compare,
+                           keys_may_raise, node_compare, value_compare)
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
 from ..xdm.qname import QName
@@ -30,6 +32,7 @@ from . import ast
 from .context import DynamicContext
 from .functions import lookup_function
 from .guard import active_guard
+from .joins import FlworPlan, HashJoin, JoinTable, plan_flwor
 
 __all__ = ["evaluate", "evaluate_module", "Evaluator"]
 
@@ -59,19 +62,35 @@ def evaluate(source: str, database=None,
 def evaluate_module(module: ast.Module, database=None,
                     variables: dict[str, list[Item]] | None = None,
                     context_item: Item | None = None,
-                    stats=None) -> list[Item]:
+                    stats=None, plan_joins: bool = True) -> list[Item]:
     ctx = DynamicContext(module.prolog, variables=dict(variables or {}),
                          database=database, stats=stats)
     if context_item is not None:
         ctx = ctx.with_focus(context_item, 1, 1)
-    return Evaluator(module.prolog).evaluate(module.body, ctx)
+    return Evaluator(module.prolog, plan_joins, module.plans).evaluate(
+        module.body, ctx)
 
 
 class Evaluator:
     """Evaluates AST expressions against a dynamic context."""
 
-    def __init__(self, prolog: ast.Prolog):
+    def __init__(self, prolog: ast.Prolog, plan_joins: bool = True,
+                 plans: dict | None = None):
         self.prolog = prolog
+        #: False runs every for clause as a plain nested loop that
+        #: re-evaluates its sequence per outer tuple — the reference
+        #: plan ``use_indexes=False`` runs (:mod:`repro.xquery.joins`).
+        self.plan_joins = plan_joins
+        #: Per-node plan memo: the module's (:attr:`ast.Module.plans`),
+        #: so a body evaluated once per SQL row plans once.
+        self.plans = {} if plans is None else plans
+
+    def _planned(self, node, build):
+        """``build(node)``, memoised per AST node in :attr:`plans`."""
+        entry = self.plans.get(id(node))
+        if entry is None or entry[0] is not node:
+            entry = self.plans[id(node)] = (node, build(node))
+        return entry[1]
 
     # ------------------------------------------------------------------
 
@@ -330,13 +349,31 @@ class Evaluator:
         # binding ticks the deadline, and the materialized return
         # sequence is checked against the row limit as it grows.
         guard = active_guard()
+        plan = (self._planned(expr, lambda node: plan_flwor(node,
+                                                             self.prolog))
+                if self.plan_joins else _LOOPS_ONLY)
         contexts = [ctx]
         order_by: ast.OrderByClause | None = None
-        for clause in expr.clauses:
+        clauses = expr.clauses
+        index = 0
+        while index < len(clauses):
+            clause = clauses[index]
+            index += 1
             if isinstance(clause, ast.ForClause):
+                join = plan.joins.get(index - 1)
+                if join is not None:
+                    # The where clause right after is applied by the join.
+                    contexts = self._hash_join(join, clause.expr,
+                                               clauses[index].expr,
+                                               contexts, guard)
+                    index += 1
+                    continue
+                invariant = index - 1 in plan.invariant
                 next_contexts = []
+                items = None
                 for tuple_ctx in contexts:
-                    items = self.evaluate(clause.expr, tuple_ctx)
+                    if items is None or not invariant:
+                        items = self.evaluate(clause.expr, tuple_ctx)
                     if guard is not None:
                         guard.tick(len(items) + 1)
                     for position, item in enumerate(items, start=1):
@@ -365,6 +402,64 @@ class Evaluator:
                 guard.tick()
                 guard.check_items(len(result))
         return result
+
+    def _hash_join(self, join: HashJoin, inner: ast.Expr, where: ast.Expr,
+                   contexts: list[DynamicContext], guard
+                   ) -> list[DynamicContext]:
+        """``for $var in inner where …`` over ``contexts`` by hashing
+        (:mod:`repro.xquery.joins`): the tuples, in the order, the
+        nested loop followed by the where clause produces."""
+        if not contexts:
+            return []
+        stats = contexts[0].stats
+        if stats is not None:
+            note = (f"hash join for ${join.var} on the where clause's "
+                    f"leading {'=' if join.general else 'eq'}")
+            if note not in stats.plan_notes:
+                stats.note(note)
+        # Loop-invariant: any outer tuple evaluates it the same way.
+        items = self.evaluate(inner, contexts[0])
+        if not items:
+            return []
+        general = join.general
+
+        def bind(tuple_ctx, slot):
+            bound = tuple_ctx.bind(join.var, [items[slot]])
+            if join.position_var:
+                bound = bound.bind(join.position_var,
+                                   [atomic.integer(slot + 1)])
+            return bound
+
+        if guard is not None:
+            guard.tick(len(items) + 1)
+        table = JoinTable(lambda probe, build:
+                          keys_may_raise(probe, build, general))
+        for slot in range(len(items)):
+            try:
+                keys, flags = equality_keys(
+                    self.evaluate(join.build_key, bind(contexts[0], slot)),
+                    general, build=True)
+            except XQueryError:
+                keys, flags = (), KEY_OTHER
+            table.add(slot, flags, keys)
+
+        joined: list[DynamicContext] = []
+        for tuple_ctx in contexts:
+            try:
+                keys, flags = equality_keys(
+                    self.evaluate(join.probe_key, tuple_ctx), general,
+                    build=False)
+            except XQueryError:
+                keys, flags = (), KEY_OTHER
+            slots, decided = table.probe(flags, keys)
+            if guard is not None:
+                guard.tick(len(slots) + 1)
+            for slot in slots:
+                bound = bind(tuple_ctx, slot)
+                if (join.key_only and slot in decided) \
+                        or self.boolean_value(where, bound):
+                    joined.append(bound)
+        return joined
 
     def _order_tuples(self, clause: ast.OrderByClause,
                       contexts: list[DynamicContext]
@@ -396,21 +491,27 @@ class Evaluator:
 
     def _eval_PathExpr(self, expr: ast.PathExpr, ctx) -> list[Item]:
         if expr.absolute:
-            root = self._context_root(ctx)
-            steps: list[ast.Step] = list(expr.steps)
-            if expr.absolute == "//":
-                # Keep the expansion symbolic so the path-summary fast
-                # path can fold it into a gap step instead of eagerly
-                # materializing every subtree node.
-                steps.insert(0, ast.AxisStep("descendant-or-self",
-                                             ast.KindTest("node")))
-            return self._apply_remaining(steps, [root], ctx)
-        first = expr.steps[0]
-        if isinstance(first, ast.ExprStep):
-            items = self._apply_expr_step(first, None, ctx)
-            return self._apply_remaining(expr.steps[1:], items, ctx)
-        items = [ctx.require_context_item()]
-        return self._apply_remaining(expr.steps, items, ctx)
+            items = [self._context_root(ctx)]
+        elif isinstance(expr.steps[0], ast.ExprStep):
+            items = self._apply_expr_step(expr.steps[0], None, ctx)
+        else:
+            items = [ctx.require_context_item()]
+        steps, matcher, consumed, predicates = self._planned(expr,
+                                                             _path_plan)
+        # Cheap pre-check: the summary fast path only applies when the
+        # context is document nodes (relative paths inside predicates hit
+        # this with element contexts thousands of times per query).
+        if matcher is not None and items and \
+                isinstance(items[0], DocumentNode):
+            nodes = self._summary_lookup(matcher, predicates, items, ctx)
+            if nodes is not None:
+                steps, items = steps[consumed:], nodes
+        for step in steps:
+            if isinstance(step, ast.AxisStep):
+                items = self._apply_axis_step(step, items, ctx)
+            else:
+                items = self._apply_expr_step(step, items, ctx)
+        return items
 
     def _context_root(self, ctx: DynamicContext) -> Node:
         item = ctx.require_context_item()
@@ -425,44 +526,24 @@ class Evaluator:
                 code="XPDY0050")
         return root
 
-    def _apply_remaining(self, steps, items: list[Item], ctx) -> list[Item]:
-        # Cheap pre-check: the summary fast path only applies when the
-        # context is document nodes (relative paths inside predicates hit
-        # this with element contexts thousands of times per query).
-        if steps and items and isinstance(items[0], DocumentNode):
-            steps, items = self._try_summary_lookup(steps, items, ctx)
-        for step in steps:
-            if isinstance(step, ast.AxisStep):
-                items = self._apply_axis_step(step, items, ctx)
-            else:
-                items = self._apply_expr_step(step, items, ctx)
-        return items
-
-    def _try_summary_lookup(self, steps, items: list[Item], ctx
-                            ) -> tuple[list, list[Item]]:
-        """Answer a leading predicate-free step chain from path tables.
+    def _summary_lookup(self, matcher, predicates, items: list[Item], ctx
+                        ) -> list[Node] | None:
+        """Answer a path's leading step chain from path tables.
 
         When every context item is an ingested, unmutated document (it
-        has a current column store) and a prefix of the steps compiles
-        to a linear path pattern, the matching nodes come straight from
-        the store's path partitions — no subtree walk.  Returns the
-        (possibly shortened) remaining steps and the new context items;
-        on any doubt it returns the inputs unchanged and the generic
-        pipeline runs.
+        has a current column store), the nodes matching the path's
+        compiled prefix (:func:`_path_plan`) come straight from the
+        stores' path partitions — no subtree walk.  None on any doubt:
+        the generic pipeline runs.
         """
-        from ..storage.columnar import PatternMatcher, get_store
+        from ..storage.columnar import get_store
         stores = []
         # sa: ok(SA406: one store lookup per document root; bails early)
         for item in items:
             store = get_store(item)
             if store is None:
-                return steps, items
+                return None
             stores.append(store)
-        pattern_steps, consumed, predicates = _compile_summary_prefix(steps)
-        if not consumed:
-            return steps, items
-        from ..core.patterns import LinearPattern
-        matcher = PatternMatcher(LinearPattern(tuple(pattern_steps)))
         nodes: list[Node] = []
         for store in stores:
             nodes.extend(store.nodes_for(matcher))
@@ -473,7 +554,7 @@ class Evaluator:
         nodes = document_order(nodes)
         if predicates:
             nodes = self._filter_predicates(nodes, predicates, ctx)
-        return steps[consumed:], nodes
+        return nodes
 
     def _apply_axis_step(self, step: ast.AxisStep, items: list[Item],
                          ctx) -> list[Item]:
@@ -744,6 +825,10 @@ class Evaluator:
 # Helpers
 # ---------------------------------------------------------------------------
 
+#: The plan of ``plan_joins=False``: no hash join, nothing hoisted.
+_LOOPS_ONLY = FlworPlan({}, frozenset(), [])
+
+
 def _resolve_constructor_name(lexical: str, scope: dict[str, str],
                               default_ns: str) -> QName:
     if ":" in lexical:
@@ -801,6 +886,28 @@ def _summary_step_test(step: ast.AxisStep):
     if test.kind == "processing-instruction":
         return StepTest("processing-instruction", pi_target=test.target)
     return None  # element()/attribute()/document-node(): generic path
+
+
+def _path_plan(expr: ast.PathExpr) -> tuple:
+    """(steps after the initial context, summary matcher or None, steps
+    it consumes, predicates of its last step) for ``expr``; the
+    evaluator memoises it per expression (:meth:`Evaluator._planned`)."""
+    steps: list = list(expr.steps)
+    if expr.absolute == "//":
+        # Keep the expansion symbolic so the path-summary fast path can
+        # fold it into a gap step instead of eagerly materializing every
+        # subtree node.
+        steps.insert(0, ast.AxisStep("descendant-or-self",
+                                     ast.KindTest("node")))
+    elif not expr.absolute and isinstance(steps[0], ast.ExprStep):
+        steps = steps[1:]
+    pattern_steps, consumed, predicates = _compile_summary_prefix(steps)
+    matcher = None
+    if consumed:
+        from ..core.patterns import LinearPattern
+        from ..storage.columnar import PatternMatcher
+        matcher = PatternMatcher(LinearPattern(tuple(pattern_steps)))
+    return steps, matcher, consumed, predicates
 
 
 def _compile_summary_prefix(steps) -> tuple[list, int, list]:

@@ -30,6 +30,28 @@ class TestIndexing:
         assert len(index) == 0
         assert index.skipped_nodes == 1
 
+    def test_nan_is_not_a_key(self):
+        # NaN equals and orders against nothing; as a key it broke the
+        # tree's order, and `//x[k = 2]` lost the document holding 2.
+        index = make_index("//k", "DOUBLE")
+        index.index_document(1, parse_document("<x><k>NaN</k></x>"))
+        index.index_document(2, parse_document("<x><k>1</k><k>2</k></x>"))
+        assert index.skipped_nodes == 1
+        assert index.matching_documents(2.0, 2.0) == {2}
+
+    def test_nan_neighbours_survive_the_prefilter(self):
+        from repro import Database
+        database = Database(index_order=4)
+        database.create_table("l", [("d", "XML")])
+        for values in (["1", "NaN"], ["NaN"], ["1", "2"]):
+            children = "".join(f"<k>{value}</k>" for value in values)
+            database.insert("l", {"d": f"<x>{children}</x>"})
+        database.create_xml_index("lk", "l", "d", "//k", "DOUBLE")
+        query = "db2-fn:xmlcolumn('L.D')/x[k = 2]"
+        assert database.xquery(query).serialize() == \
+            database.xquery(query, use_indexes=False).serialize() == \
+            ["<x><k>1</k><k>2</k></x>"]
+
     def test_varchar_contains_all_nodes(self):
         # §2.1: "all nodes appear in a string index".
         index = make_index("//lineitem/@price", "VARCHAR")
