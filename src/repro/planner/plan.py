@@ -368,7 +368,10 @@ class PrefilteredDatabase:
     """A database view whose xmlcolumn() yields only surviving docs.
 
     This is exactly I(P, D) of Definition 1: the query runs unchanged
-    over the pre-filtered collection.
+    over the pre-filtered collection.  The surviving documents come
+    from the table's row locator, in table order, at a cost in the
+    number of survivors; ids the index holds for rows outside the
+    database's (possibly pinned) row list are dropped.
     """
 
     def __init__(self, database, doc_filters: dict[str, set[int]]):
@@ -380,11 +383,10 @@ class PrefilteredDatabase:
         key = reference.lower()
         if key not in self._doc_filters:
             return self._database.xmlcolumn(reference, stats=stats)
-        allowed = self._doc_filters[key]
-        table, column = self._database._split_reference(reference)
-        stored_docs = [stored for stored in
-                       self._database.documents(table, column)
-                       if stored.doc_id in allowed]
+        table, column = self._database.xml_table(
+            *self._database._split_reference(reference))
+        stored_docs = table.locator().documents(self._doc_filters[key],
+                                                column)
         if stats is not None:
             stats.docs_scanned += len(stored_docs)
         if METRICS.enabled:

@@ -39,6 +39,7 @@ from ..obs.trace import NULL_TRACER
 from ..planner.plan import (PrefilteredDatabase, _make_probe_estimator,
                             plan_prefilters)
 from ..planner.stats import ExecutionStats
+from ..storage.table import StoredDocument
 from ..xquery.guard import active_guard
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
@@ -118,8 +119,9 @@ class _HashJoin:
 @dataclass
 class _Plan:
     row_filters: dict[str, set[int]] = field(default_factory=dict)
-    #: alias -> allowed doc ids (for XML prefilters)
-    doc_filters: dict[str, set[int]] = field(default_factory=dict)
+    #: alias -> {XML column: allowed doc ids} (for XML prefilters)
+    doc_filters: dict[str, dict[str, set[int]]] = field(
+        default_factory=dict)
     join_probes: list[_JoinProbe] = field(default_factory=list)
     #: the hash join, or why the join stays a nested loop (None: no join)
     hash_join: _HashJoin | str | None = None
@@ -172,9 +174,10 @@ def explain_sql(database, statement_text: str) -> str:
                          f"probed per row of the tables before it")
         elif join is not None:
             lines.append(f"  nested-loop join: {join}")
-        for alias, docs in plan.doc_filters.items():
-            lines.append(f"  doc prefilter on {alias}: "
-                         f"{len(docs)} documents")
+        for alias, by_column in plan.doc_filters.items():
+            for docs in by_column.values():
+                lines.append(f"  doc prefilter on {alias}: "
+                             f"{len(docs)} documents")
         for alias, rows in plan.row_filters.items():
             lines.append(f"  row prefilter on {alias}: {len(rows)} rows")
         for probe in plan.join_probes:
@@ -198,8 +201,6 @@ class _SQLExecutor:
         self.stats = ExecutionStats()
         self.tracer = tracer
         self._body_cache: dict[str, tuple[object, object]] = {}
-        #: table name -> {doc id: row ids}, for index join probes
-        self._rows_by_doc: dict[str, dict[int, set[int]]] = {}
 
     # ------------------------------------------------------------------
     # Statements
@@ -605,9 +606,12 @@ class _SQLExecutor:
                 docs = self._probe_docs(chosen, candidate)
                 if docs is None:
                     continue
-                existing = plan.doc_filters.get(alias)
-                plan.doc_filters[alias] = (docs if existing is None
-                                           else existing & docs)
+                # Doc ids of different XML columns never meet, so only
+                # verdicts on one column intersect as doc ids.
+                by_column = plan.doc_filters.setdefault(alias, {})
+                existing = by_column.get(candidate.column)
+                by_column[candidate.column] = (docs if existing is None
+                                               else existing & docs)
                 self.stats.note(
                     f"row prefilter on {alias} via {chosen.name}: "
                     f"{candidate.description} "
@@ -787,38 +791,40 @@ class _SQLExecutor:
 
     def _rows_for(self, ref: ast.TableRef, plan: _Plan,
                   bound: list[str], env: dict):
+        """The rows of ``ref`` the plan's index verdicts leave, in table
+        order: every row without a verdict, else the intersection of
+        the verdicts' rows, located in O(matches)."""
         table = self.database.table(ref.name)
-        rows = table.rows
-
         probes = [probe for probe in plan.join_probes
                   if probe.target_alias == ref.alias and
                   probe.outer_deps <= set(bound)]
-        if probes:
-            allowed_rows = None
-            for probe in probes:
-                matched = self._run_join_probe(probe, env, table)
-                if matched is None:
-                    continue
-                allowed_rows = (matched if allowed_rows is None
-                                else allowed_rows & matched)
-            if allowed_rows is not None:
-                rows = [row for row in rows if row.row_id in allowed_rows]
-
-        if ref.alias in plan.row_filters:
-            allowed = plan.row_filters[ref.alias]
-            rows = [row for row in rows if row.row_id in allowed]
-        if ref.alias in plan.doc_filters:
+        row_ids = plan.row_filters.get(ref.alias)
+        doc_filters = plan.doc_filters.get(ref.alias, {})
+        if not probes and row_ids is None and not doc_filters:
+            return table.rows
+        locator = table.locator()
+        verdicts = []
+        for probe in probes:
+            matched = self._run_join_probe(probe, env, locator)
+            if matched is not None:
+                verdicts.append(matched)
+        if row_ids is not None:
+            verdicts.append(locator.positions_of_rows(row_ids))
+        for allowed_docs in doc_filters.values():
             # A doc filter is an index verdict about the row's XML
             # documents; a row referencing *no* documents (NULL or
             # relational-only columns) is outside the index's scope and
             # must survive to be judged by the residual WHERE clause.
-            allowed_docs = plan.doc_filters[ref.alias]
-            rows = [row for row in rows
-                    if not (docs := _row_docs(row)) or docs & allowed_docs]
-        return rows
+            verdicts.append(locator.positions_of_docs(allowed_docs)
+                            .union(locator.docless))
+        if not verdicts:
+            return locator.rows
+        return locator.rows_at(set.intersection(*verdicts))
 
     def _run_join_probe(self, probe: _JoinProbe, env: dict,
-                        table) -> set[int] | None:
+                        locator) -> set[int] | None:
+        """Row positions an index nested-loop probe admits for the outer
+        binding ``env``; None when the probe cannot run (scan instead)."""
         if probe.kind == "rel":
             try:
                 value = self.eval_expr(probe.sql_expr, env)
@@ -830,7 +836,8 @@ class _SQLExecutor:
                 return None
             if value is None:
                 return set()
-            return set(probe.index.lookup(value, stats=self.stats))
+            return locator.positions_of_rows(
+                probe.index.lookup(value, stats=self.stats))
         # XML probe: evaluate the operand per outer row.
         candidate = probe.candidate
         embedded = probe.embedded
@@ -857,20 +864,7 @@ class _SQLExecutor:
                 continue
             docs |= probe.index.matching_documents(
                 key, key, path_filter=candidate.path, stats=self.stats)
-        rows_of = self._rows_by_doc.get(table.name)
-        if rows_of is None:
-            guard = active_guard()
-            if guard is not None:
-                # Mapping documents back to rows scans the table once.
-                guard.tick(len(table.rows) + 1)
-            rows_of = self._rows_by_doc[table.name] = {}
-            for row in table.rows:
-                for doc_id in _row_docs(row):
-                    rows_of.setdefault(doc_id, set()).add(row.row_id)
-        matched_rows: set[int] = set()
-        for doc_id in docs:
-            matched_rows |= rows_of.get(doc_id, set())
-        return matched_rows
+        return locator.positions_of_docs(docs)
 
     # ------------------------------------------------------------------
     # XMLTABLE
@@ -1128,14 +1122,7 @@ def _group_key(value):
     return value
 
 
-def _row_docs(row) -> set[int]:
-    from ..storage.table import StoredDocument
-    return {value.doc_id for value in row.values.values()
-            if isinstance(value, StoredDocument)}
-
-
 def _sql_value(stored):
-    from ..storage.table import StoredDocument
     if isinstance(stored, StoredDocument):
         return XMLValue([stored.document])
     return stored

@@ -736,7 +736,8 @@ class _Inferencer:
         if self.database is not None:
             table, _sep, column_name = column.partition(".")
             try:
-                count = len(self.database.documents(table, column_name))
+                count = sum(self.database.path_classes(
+                    table, column_name).values())
             except ReproError:
                 return star({document}), shape
             return SeqType(frozenset({document}), count, count), shape

@@ -575,12 +575,7 @@ def get_store(document) -> ColumnStore | None:
     """
     if not isinstance(document, DocumentNode):
         return None
-    store = document.column_store
-    if (store is not None and store.nodes is not None
-            and store.stamp is not None
-            and store.stamp is document._stamp and store.stamp.valid):
-        return store
-    return None
+    return document.current_store()
 
 
 def store_for_node(node: Node) -> ColumnStore | None:

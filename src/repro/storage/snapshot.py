@@ -35,7 +35,7 @@ from ..errors import CatalogError, SQLError
 from ..obs.metrics import METRICS
 from ..xdm.sequence import Item
 from .columnar import PatternMatcher
-from .table import StoredDocument
+from .table import StoredDocument, Table
 
 __all__ = ["ReadView", "Snapshot"]
 
@@ -57,11 +57,16 @@ class ReadView:
     # Lookup helpers
     # ------------------------------------------------------------------
 
-    def documents(self, table: str, column: str) -> list[StoredDocument]:
+    def xml_table(self, table: str, column: str):
+        """(table, lower-cased column name) of an XML column."""
         table_obj = self.table(table)
         key = column.lower()
         if not table_obj.column_type(key).is_xml:
             raise CatalogError(f"{table}.{column} is not an XML column")
+        return table_obj, key
+
+    def documents(self, table: str, column: str) -> list[StoredDocument]:
+        table_obj, key = self.xml_table(table, column)
         return [row.values[key] for row in table_obj.rows
                 if isinstance(row.values.get(key), StoredDocument)]
 
@@ -87,10 +92,7 @@ class ReadView:
         """The column's path summary: ``{path class: document count}``
         (see :class:`repro.storage.table.Table`).  Its values sum to
         the column's document count; no document is visited."""
-        table_obj = self.table(table)
-        key = column.lower()
-        if not table_obj.column_type(key).is_xml:
-            raise CatalogError(f"{table}.{column} is not an XML column")
+        table_obj, key = self.xml_table(table, column)
         return table_obj.path_classes[key]
 
     def docs_with_path(self, table: str, column: str, pattern) -> int:
@@ -196,15 +198,21 @@ class _TableSnapshot:
     (writers replace them), so holding the references is enough to
     freeze the row set and its summary; column metadata is delegated
     to the live table (DDL cannot alter columns of an existing table,
-    so that surface is immutable).
+    so that surface is immutable).  The row locator is the snapshot's
+    own, built from the pinned list: the live table's would locate
+    rows the snapshot must not see.
     """
 
-    __slots__ = ("_table", "rows", "path_classes")
+    __slots__ = ("_table", "rows", "path_classes", "_locator")
 
     def __init__(self, table):
         self._table = table
         self.rows = table.rows
         self.path_classes = table.path_classes
+        # Set, so that lookups never fall through to the live table's.
+        self._locator = None
+
+    locator = Table.locator
 
     def __getattr__(self, name):
         return getattr(self._table, name)

@@ -80,13 +80,86 @@ class Row:
     values: dict[str, object] = field(default_factory=dict)
 
 
+class RowLocator:
+    """Where the rows of one row list are: an index verdict (doc ids or
+    row ids) becomes rows in O(matches), not by a scan of the table.
+
+    ``by_doc`` maps a doc id of any XML column to its (row position,
+    row), ``by_row_id`` a row id to its position, and ``docless`` lists
+    the positions of rows that hold no document.  A locator is derived
+    from the one ``rows`` list it was built from and is cached against
+    that list (see :meth:`Table.locator`): writers never maintain it,
+    the first reader after a write rebuilds it.  Row ids strictly
+    increase along a table's rows (rows are appended with fresh ids and
+    only ever removed), so position order — the order a table scan
+    yields — is also row-id order.
+    """
+
+    __slots__ = ("rows", "by_doc", "by_row_id", "docless")
+
+    def __init__(self, rows: list[Row], xml_columns: list[str]):
+        self.rows = rows
+        by_doc: dict[int, tuple[int, Row]] = {}
+        by_row_id: dict[int, int] = {}
+        docless: list[int] = []
+        for position, row in enumerate(rows):
+            by_row_id[row.row_id] = position
+            values = row.values
+            held = False
+            for column in xml_columns:
+                stored = values.get(column)
+                if isinstance(stored, StoredDocument):
+                    by_doc[stored.doc_id] = (position, row)
+                    held = True
+            if not held:
+                docless.append(position)
+        self.by_doc = by_doc
+        self.by_row_id = by_row_id
+        self.docless = docless
+
+    def positions_of_rows(self, row_ids) -> set[int]:
+        """Positions of the listed rows; ids of other rows are dropped."""
+        by_row_id = self.by_row_id
+        return {by_row_id[row_id] for row_id in row_ids
+                if row_id in by_row_id}
+
+    def positions_of_docs(self, doc_ids) -> set[int]:
+        """Positions of the rows holding any listed document; ids of
+        documents in no row of this list are dropped."""
+        by_doc = self.by_doc
+        return {by_doc[doc_id][0] for doc_id in doc_ids
+                if doc_id in by_doc}
+
+    def rows_at(self, positions) -> list[Row]:
+        """The rows at ``positions``, in table order."""
+        rows = self.rows
+        return [rows[position] for position in sorted(positions)]
+
+    def documents(self, doc_ids, column: str) -> list[StoredDocument]:
+        """``column``'s documents among ``doc_ids``, in table order."""
+        by_doc = self.by_doc
+        found = []
+        for doc_id in doc_ids:
+            hit = by_doc.get(doc_id)
+            if hit is None:
+                continue
+            stored = hit[1].values.get(column)
+            # The id may name the row's document in another XML column.
+            if isinstance(stored, StoredDocument) and \
+                    stored.doc_id == doc_id:
+                found.append((hit[0], stored))
+        found.sort(key=lambda hit: hit[0])
+        return [stored for _position, stored in found]
+
+
 class Table:
     """A heap table: ordered rows, typed columns, XML columns allowed.
 
     ``rows`` is copy-on-write: mutators replace the list instead of
     mutating it in place, so a snapshot that captured the old reference
     keeps a frozen, fully consistent row set (see
-    :mod:`repro.storage.snapshot`).
+    :mod:`repro.storage.snapshot`).  :meth:`locator` derives a
+    :class:`RowLocator` from the current list on first use.
 
     ``path_classes`` is the column-level path summary: XML column ->
     ``{path class: number of documents}``, where a document's path
@@ -116,6 +189,17 @@ class Table:
         #: share one frozenset.  Writer-private, so mutated in place.
         self._class_keys: dict[str, dict[frozenset, frozenset]] = {
             name: {} for name in self.path_classes}
+        self._locator: RowLocator | None = None
+
+    def locator(self) -> RowLocator:
+        """The :class:`RowLocator` of the current ``rows`` list, built
+        on first use after a write.  Two readers racing here may both
+        build one; each describes the same list, so either may stay."""
+        rows = self.rows
+        locator = self._locator
+        if locator is None or locator.rows is not rows:
+            locator = self._locator = RowLocator(rows, self.xml_columns())
+        return locator
 
     def column_type(self, column: str) -> SQLType:
         try:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..errors import XQueryTypeError
+from ..errors import CastError, XQueryTypeError
 from .atomic import (AtomicValue, T_BOOLEAN, T_DATE, T_DATETIME, T_DOUBLE,
-                     T_STRING, T_UNTYPED, cast, promote_numeric_pair)
+                     T_STRING, T_UNTYPED, boolean, cast,
+                     promote_numeric_pair)
 from .nodes import Node
 from .sequence import Item, atomize
 
@@ -125,7 +126,6 @@ def value_compare(op: str, left: list[Item], right: list[Item]
             code="XPTY0004")
     aligned_left, aligned_right = _align_for_value_comparison(
         left_atoms[0], right_atoms[0])
-    from .atomic import boolean
     return [boolean(_compare_aligned(op, aligned_left, aligned_right))]
 
 
@@ -158,8 +158,6 @@ def general_compare(symbol: str, left: list[Item], right: list[Item]) -> bool:
     absent from a DOUBLE index.  Pairs of *typed* incompatible values
     (string vs number) still raise XPTY0004.
     """
-    from ..errors import CastError
-
     op = GENERAL_TO_VALUE[symbol]
     left_atoms = atomize(left)
     right_atoms = atomize(right)
@@ -256,7 +254,6 @@ def keys_may_raise(left: int, right: int, general: bool) -> bool:
 def node_compare(op: str, left: list[Item], right: list[Item]
                  ) -> list[AtomicValue]:
     """``is``, ``<<``, ``>>`` — identity and document order."""
-    from .atomic import boolean
     if not left or not right:
         return []
     if len(left) != 1 or len(right) != 1:

@@ -271,6 +271,17 @@ class DocumentNode(Node):
     def children(self) -> list[Node]:
         return self._children
 
+    def current_store(self):
+        """The attached column store if it is still current: None for
+        a never-ingested document and after a mutation (the structure
+        stamp no longer matches)."""
+        store = self.column_store
+        if (store is not None and store.nodes is not None
+                and store.stamp is not None
+                and store.stamp is self._stamp and store.stamp.valid):
+            return store
+        return None
+
     def append_child(self, child: Node) -> None:
         child.parent = self
         self._children.append(child)

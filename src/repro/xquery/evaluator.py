@@ -536,11 +536,11 @@ class Evaluator:
         stores' path partitions — no subtree walk.  None on any doubt:
         the generic pipeline runs.
         """
-        from ..storage.columnar import get_store
         stores = []
         # sa: ok(SA406: one store lookup per document root; bails early)
         for item in items:
-            store = get_store(item)
+            store = (item.current_store()
+                     if isinstance(item, DocumentNode) else None)
             if store is None:
                 return None
             stores.append(store)

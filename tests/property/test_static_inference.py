@@ -240,6 +240,32 @@ def test_bounds_are_exact_for_column_paths(indexed_db):
     assert inference.body_type.high == 7   # one root order per document
 
 
+def test_xmlcolumn_count_is_the_summary_count_after_deletes(indexed_db):
+    """``xmlcolumn('T.C')`` is typed with exactly the column's document
+    count, read from the path summary — which must equal the stored
+    documents, also after deletes and on a snapshot pinned before them."""
+    def inferred(database):
+        body = infer_module(parse_xquery(XMLCOL),
+                            database=database).body_type
+        assert body.low == body.high
+        return body.high
+
+    def stored(database):
+        return len(database.documents("orders", "orddoc"))
+
+    pinned = indexed_db.snapshot()
+    before = stored(indexed_db)
+    assert inferred(indexed_db) == before
+    indexed_db.delete_rows("orders",
+                           lambda values: values["ordid"] % 2 == 0)
+    indexed_db.insert("orders", {"ordid": 90, "orddoc": None})
+    assert stored(indexed_db) < before
+    assert inferred(indexed_db) == stored(indexed_db)
+    assert inferred(pinned) == stored(pinned) == before
+    indexed_db.delete_rows("orders")
+    assert inferred(indexed_db) == stored(indexed_db) == 0
+
+
 def test_statically_empty_path_is_se005(indexed_db):
     inference = infer_module(
         parse_xquery(f"{XMLCOL}//order/warehouse"), database=indexed_db)

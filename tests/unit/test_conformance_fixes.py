@@ -125,6 +125,28 @@ class TestDocFilterKeepsDoclessRows:
         assert result.rows == unindexed.rows
 
 
+def test_doc_filters_on_two_xml_columns_of_one_table():
+    # Each XMLEXISTS verdict names documents of its own column; doc ids
+    # of different columns never meet, so intersecting the two id sets
+    # (instead of the rows they select) dropped every row.
+    db = Database()
+    db.create_table("pairs", [("pid", "INTEGER"), ("a", "XML"),
+                              ("b", "XML")])
+    db.create_xml_index("pa_k", "pairs", "a", "//k", "DOUBLE")
+    db.create_xml_index("pb_k", "pairs", "b", "//k", "DOUBLE")
+    db.insert("pairs", {"pid": 1, "a": "<x><k>1</k></x>",
+                        "b": "<x><k>2</k></x>"})
+    db.insert("pairs", {"pid": 2, "a": "<x><k>1</k></x>",
+                        "b": "<x><k>0</k></x>"})
+    query = ("SELECT pid FROM pairs WHERE "
+             "XMLExists('$a/x[k = 1]' passing a as \"a\") AND "
+             "XMLExists('$b/x[k > 1]' passing b as \"b\")")
+    indexed = db.sql(query)
+    assert indexed.rows == [(1,)]
+    assert indexed.stats.indexes_used
+    assert db.sql(query, use_indexes=False).rows == [(1,)]
+
+
 class TestNarrowedExceptionHandling:
     def test_fn_number_uncastable_is_nan(self):
         assert run("number('not a number')") == "NaN"
