@@ -252,6 +252,11 @@ class SanitizerState:
             (name, column): (id(classes), sum(classes.values()))
             for name, table in snapshot.tables.items()
             for column, classes in table.path_classes.items()}
+        snapshot._sanitizer_trees = [
+            (f"{kind} {name!r}", index, len(index.tree))
+            for kind, indexes in (("xml index", snapshot.xml_indexes),
+                                  ("rel index", snapshot.rel_indexes))
+            for name, index in indexes.items()]
 
     def verify_snapshot(self, snapshot) -> None:
         expected = getattr(snapshot, "_sanitizer_rows", None)
@@ -281,6 +286,13 @@ class SanitizerState:
                     f"column {column!r}",
                     f"changed document total {docs} -> "
                     f"{sum(classes.values())}")
+        # A pinned index object only grows: a compaction replaces it.
+        for what, index, entries in snapshot._sanitizer_trees:
+            if len(index.tree) < entries:
+                self._snapshot_mutated(
+                    snapshot, f"{what}: the tree",
+                    f"shrank from {entries} to {len(index.tree)} "
+                    f"entries")
 
     def _snapshot_mutated(self, snapshot, what: str, how: str) -> None:
         self.note_violation(

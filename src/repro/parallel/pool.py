@@ -53,12 +53,11 @@ from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..planner.plan import plan_prefilters
 from ..planner.stats import ExecutionStats
+from ..storage.catalog import _WRITE_HEADS
 from .gate import _partition, partition_reference, record_fallback
 from .worker import worker_main
 
 __all__ = ["ProcessPool", "ShippedQueryResult", "ShippedSQLResult"]
-
-_WRITE_HEADS = ("INSERT", "DELETE", "CREATE", "DROP", "REGISTER")
 
 
 class ShippedQueryResult:

@@ -30,9 +30,8 @@ the WAL, when the database is durable).
 
 from __future__ import annotations
 
-import re
-
 from ..errors import ProtocolError, ReproError, SQLError
+from ..storage.catalog import _WRITE_HEADS
 from ..xdm import atomic
 from ..xmlio.serializer import serialize
 from ..xquery.guard import QueryGuard, guarded
@@ -40,12 +39,6 @@ from ..xquery.guard import QueryGuard, guarded
 __all__ = ["Session", "classify_statement"]
 
 _SQL_READ_HEADS = ("SELECT", "VALUES")
-_WRITE_HEADS = ("INSERT", "DELETE", "CREATE", "DROP")
-
-_DROP_TABLE_RE = re.compile(r"^\s*DROP\s+TABLE\s+(?P<name>\w+)\s*;?\s*$",
-                            re.IGNORECASE)
-_DROP_INDEX_RE = re.compile(r"^\s*DROP\s+INDEX\s+(?P<name>\w+)\s*;?\s*$",
-                            re.IGNORECASE)
 
 
 def classify_statement(text: str) -> str:
@@ -166,17 +159,7 @@ class Session:
 
     def _run_write(self, statement: str) -> dict:
         database = self.database
-        match = _DROP_TABLE_RE.match(statement)
-        if match:
-            database.drop_table(match.group("name"))
-            result = None
-        else:
-            match = _DROP_INDEX_RE.match(statement)
-            if match:
-                database.drop_index(match.group("name"))
-                result = None
-            else:
-                result = database.execute(statement)
+        result = database.execute(statement)
         # Read-your-writes: the session's next read must see this.
         self.refresh()
         affected = len(result) if hasattr(result, "__len__") else 1

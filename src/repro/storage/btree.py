@@ -7,8 +7,10 @@ supported by storing a bucket of entries per key.
 
 The implementation is a textbook order-``m`` B+Tree: interior nodes
 hold separator keys and children, leaves hold (key, bucket) pairs and a
-``next`` pointer for range scans.  Deletion rebalances by borrowing
-from siblings and merging underflowed nodes.
+``next`` pointer for range scans.  There is no delete: an index never
+removes an entry from its tree, it compacts by building a new tree of
+the entries it still wants (:meth:`BPlusTree.filtered`), so a tree
+only ever grows.
 """
 
 from __future__ import annotations
@@ -189,101 +191,14 @@ class BPlusTree:
         node.children = node.children[:middle + 1]
         return separator, right
 
-    # ------------------------------------------------------------------
-    # Delete
-    # ------------------------------------------------------------------
-
-    def delete(self, key, entry=None) -> bool:
-        """Remove one matching entry under ``key``.
-
-        With ``entry=None`` the whole bucket for ``key`` is removed.
-        Returns True if something was deleted.
-        """
-        removed = self._delete(self._root, key, entry)
-        if removed and not self._root.is_leaf and \
-                len(self._root.children) == 1:
-            self._root = self._root.children[0]
-        return removed
-
-    def _delete(self, node, key, entry) -> bool:
-        if node.is_leaf:
-            index = bisect.bisect_left(node.keys, key)
-            if index >= len(node.keys) or node.keys[index] != key:
-                return False
-            bucket = node.buckets[index]
-            if entry is None:
-                self._size -= len(bucket)
-                bucket.clear()
-            else:
-                try:
-                    bucket.remove(entry)
-                except ValueError:
-                    return False
-                self._size -= 1
-            if not bucket:
-                node.keys.pop(index)
-                node.buckets.pop(index)
-                self._key_count -= 1
-            return True
-        index = bisect.bisect_right(node.keys, key)
-        child = node.children[index]
-        removed = self._delete(child, key, entry)
-        if removed:
-            self._rebalance(node, index)
-        return removed
-
-    def _min_fill(self) -> int:
-        return self.order // 2
-
-    def _rebalance(self, parent: _Interior, index: int) -> None:
-        child = parent.children[index]
-        fill = len(child.keys)
-        if fill >= self._min_fill():
-            return
-        left = parent.children[index - 1] if index > 0 else None
-        right = (parent.children[index + 1]
-                 if index + 1 < len(parent.children) else None)
-
-        if left is not None and len(left.keys) > self._min_fill():
-            self._borrow_from_left(parent, index, left, child)
-        elif right is not None and len(right.keys) > self._min_fill():
-            self._borrow_from_right(parent, index, child, right)
-        elif left is not None:
-            self._merge(parent, index - 1, left, child)
-        elif right is not None:
-            self._merge(parent, index, child, right)
-
-    def _borrow_from_left(self, parent, index, left, child) -> None:
-        if child.is_leaf:
-            child.keys.insert(0, left.keys.pop())
-            child.buckets.insert(0, left.buckets.pop())
-            parent.keys[index - 1] = child.keys[0]
-        else:
-            child.keys.insert(0, parent.keys[index - 1])
-            parent.keys[index - 1] = left.keys.pop()
-            child.children.insert(0, left.children.pop())
-
-    def _borrow_from_right(self, parent, index, child, right) -> None:
-        if child.is_leaf:
-            child.keys.append(right.keys.pop(0))
-            child.buckets.append(right.buckets.pop(0))
-            parent.keys[index] = right.keys[0]
-        else:
-            child.keys.append(parent.keys[index])
-            parent.keys[index] = right.keys.pop(0)
-            child.children.append(right.children.pop(0))
-
-    def _merge(self, parent, left_index, left, right) -> None:
-        if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.buckets.extend(right.buckets)
-            left.next = right.next
-        else:
-            left.keys.append(parent.keys[left_index])
-            left.keys.extend(right.keys)
-            left.children.extend(right.children)
-        parent.keys.pop(left_index)
-        parent.children.pop(left_index + 1)
+    def filtered(self, keep) -> "BPlusTree":
+        """A new tree of the entries ``keep(entry)`` accepts, inserted
+        in key order (entries under one key keep their order)."""
+        tree = BPlusTree(order=self.order)
+        for key, entry in self.scan():
+            if keep(entry):
+                tree.insert(key, entry)
+        return tree
 
     # ------------------------------------------------------------------
     # Introspection / validation (used by property tests)
@@ -295,7 +210,7 @@ class BPlusTree:
         # The leaf chain must visit exactly the leaves reachable by
         # tree descent, left to right.  Checking node identity (not
         # just key order) catches a mis-spliced ``next`` pointer after
-        # a merge — a stale pointer into a detached leaf can still
+        # a split — a stale pointer into a detached leaf can still
         # yield sorted keys while dropping or duplicating entries.
         leaves = self._leaves_by_descent()
         chain: list[_Leaf] = []

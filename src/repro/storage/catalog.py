@@ -11,9 +11,10 @@ explains) or a *writer* (DDL, ingest, delete) and takes the matching
 side of one :class:`repro.core.rwlock.RWLock`.  Readers share; writers
 exclude everything and bump :attr:`Database.version`.  Writers apply
 copy-on-write to each container they change — catalog dicts here,
-per-table row lists in :mod:`repro.storage.table` — so a
-:class:`~repro.storage.snapshot.Snapshot` captured by a reader stays
-internally consistent forever.
+per-table row lists in :mod:`repro.storage.table` — and index trees
+only grow (a delete forgets rows, a compaction swaps in a new index
+object), so a :class:`~repro.storage.snapshot.Snapshot` captured by a
+reader stays internally consistent forever.
 """
 
 from __future__ import annotations
@@ -51,8 +52,15 @@ _CREATE_TABLE_RE = re.compile(
     r"^\s*CREATE\s+TABLE\s+(?P<name>\w+)\s*\((?P<columns>.*)\)\s*;?\s*$",
     re.IGNORECASE | re.DOTALL)
 
-#: Statement heads the text dispatchers treat as writes (exclusive lock).
-_WRITE_HEADS = ("INSERT", "DELETE", "CREATE")
+_DROP_TABLE_RE = re.compile(r"^\s*DROP\s+TABLE\s+(?P<name>\w+)\s*;?\s*$",
+                            re.IGNORECASE)
+
+_DROP_INDEX_RE = re.compile(r"^\s*DROP\s+INDEX\s+(?P<name>\w+)\s*;?\s*$",
+                            re.IGNORECASE)
+
+#: Statement heads every text dispatcher (``execute_any``, server
+#: sessions, the process pool) treats as writes (exclusive lock).
+_WRITE_HEADS = ("INSERT", "DELETE", "CREATE", "DROP")
 
 
 class Database(ReadView):
@@ -171,8 +179,8 @@ class Database(ReadView):
            released back to the buffer pool once indexed, so the build
            charges — and stays within — the pool budget.
         2. **Catch-up (short write lock):** diff the snapshot's doc-id
-           set against the live table and index/unindex the delta —
-           the rows the WAL recorded while the scan ran.  Writers are
+           set against the live table, index the documents inserted
+           and forget the ones deleted while the scan ran.  Writers are
            excluded only for this window, which is proportional to the
            write rate during the scan, not to the collection.
         3. **Publish:** install the index in the catalog (COW swap).
@@ -197,10 +205,10 @@ class Database(ReadView):
             snapshot = Snapshot(self)
         index = XmlIndex(key, table_obj.name, column.lower(), pattern,
                          index_type, order=self.index_order)
-        built: dict[int, StoredDocument] = {}
+        built: set[int] = set()
         for stored in snapshot.documents(table, column):
             index.index_document(stored.doc_id, stored.document)
-            built[stored.doc_id] = stored
+            built.add(stored.doc_id)
             self.buffer_pool.release(stored)
         if faults is not None:
             faults.crash_point("index.build.after_scan")
@@ -216,11 +224,8 @@ class Database(ReadView):
                 if doc_id not in built:
                     index.index_document(doc_id, stored.document)
                     self.buffer_pool.release(stored)
-            for doc_id, stored in built.items():
-                if doc_id not in live:
-                    # The snapshot pins the deleted row's document, so
-                    # its postings can be removed exactly.
-                    index.remove_document(doc_id, stored.document)
+            for doc_id in built - live.keys():
+                index.forget(doc_id)
             if faults is not None:
                 faults.crash_point("index.build.before_publish")
             self._publish_xml_index(index)
@@ -367,17 +372,13 @@ class Database(ReadView):
 
         Both index families sit inside one rollback scope: a failure at
         *any* insert site — an xml-index cast/list-type error or a
-        rel-index insert — unwinds every entry this call already added
-        (xml postings and earlier rel entries alike) before re-raising,
-        so the caller's row rollback leaves no orphaned postings
-        behind.  Historically the rel-index loop ran outside the scope,
-        leaving xml postings and earlier rel entries dangling; the
-        fault-injection tests in ``tests/unit/test_index_atomicity.py``
-        pin the fixed behaviour.
+        rel-index insert — makes every index forget the row before the
+        error propagates, so once the caller rolls the row back no
+        index counts an entry of it (the entries already added are
+        dead, like a deleted row's).  The fault-injection tests in
+        ``tests/unit/test_index_atomicity.py`` pin this.
         """
         with self._rwlock.write():  # reentrant: insert() already holds it
-            indexed_docs: list[tuple[XmlIndex, StoredDocument]] = []
-            indexed_values: list[tuple[RelationalIndex, object]] = []
             try:
                 for index in self.xml_indexes.values():
                     if index.table != table.name:
@@ -386,20 +387,29 @@ class Database(ReadView):
                     if isinstance(stored, StoredDocument):
                         index.index_document(stored.doc_id,
                                              stored.document)
-                        indexed_docs.append((index, stored))
                 for index in self.rel_indexes.values():
                     if index.table == table.name:
-                        value = self._indexed_value(index, row)
-                        index.insert_row(row.row_id, value)
-                        indexed_values.append((index, value))
-            # sa: ok(SA408: atomicity — unwind every entry added above
+                        index.insert_row(row.row_id,
+                                         self._indexed_value(index, row))
+            # sa: ok(SA408: atomicity — forget the row in every index
             # whatever the failure, then re-raise)
             except Exception:
-                for index, stored in indexed_docs:
-                    index.remove_document(stored.doc_id, stored.document)
-                for index, value in indexed_values:
-                    index.remove_row(row.row_id, value)
+                self._forget_row(table, row)
                 raise
+
+    def _forget_row(self, table: Table, row: Row) -> None:
+        """Stop every index on the table counting the row's entries as
+        live.  No document is read and no tree is touched: index
+        verdicts reach rows through a row locator, which drops the ids
+        of rows its row list does not hold."""
+        for index in self.xml_indexes.values():
+            if index.table == table.name:
+                stored = row.values.get(index.column)
+                if isinstance(stored, StoredDocument):
+                    index.forget(stored.doc_id)
+        for index in self.rel_indexes.values():
+            if index.table == table.name:
+                index.forget(row.row_id)
 
     @staticmethod
     def _indexed_value(index: RelationalIndex, row: Row):
@@ -445,34 +455,45 @@ class Database(ReadView):
             return self._remove_rows(table_obj, victims)
 
     def _remove_rows(self, table_obj: Table, victims: list[Row]) -> int:
-        """Remove already-selected rows with index maintenance.
+        """Remove already-selected rows; every index forgets them.
 
         Split out of :meth:`delete_rows` so the durability layer can
         delete by logged row position on replay (a Python predicate is
         not representable in a WAL record)."""
         with self._rwlock.write():
             for row in victims:
-                for index in self.xml_indexes.values():
-                    if index.table != table_obj.name:
-                        continue
-                    stored = row.values.get(index.column)
-                    if isinstance(stored, StoredDocument):
-                        index.remove_document(stored.doc_id,
-                                              stored.document)
-                for index in self.rel_indexes.values():
-                    if index.table == table_obj.name:
-                        index.remove_row(row.row_id,
-                                         self._indexed_value(index, row))
+                self._forget_row(table_obj, row)
                 table_obj.remove_row(row)
                 for value in row.values.values():
                     if isinstance(value, StoredDocument):
                         self.buffer_pool.discard(value)
             if victims:
+                self._compact_indexes(table_obj)
                 self.version += 1
                 if self.workload_profiler is not None:
                     self.workload_profiler.observe_write(
                         table_obj.name, count=len(victims))
             return len(victims)
+
+    def _compact_indexes(self, table_obj: Table) -> None:
+        """Replace every index on the table whose dead entries have
+        reached its live ones by its compacted copy (COW swap of the
+        catalog dict).
+
+        A snapshot pinned earlier keeps the old object, which no writer
+        touches again, so it still answers for the rows it pinned.  No
+        WAL record is written: recovery, replicas and the process pool
+        rebuild indexes from their DDL."""
+        for attribute in ("xml_indexes", "rel_indexes"):
+            indexes = getattr(self, attribute)
+            stale = [name for name, index in indexes.items()
+                     if index.table == table_obj.name
+                     and len(index.tree) - len(index) >= max(1, len(index))]
+            if stale:
+                indexes = dict(indexes)
+                for name in stale:
+                    indexes[name] = indexes[name].compacted()
+                setattr(self, attribute, indexes)
 
     # ------------------------------------------------------------------
     # Query entry points (readers: shared lock)
@@ -591,6 +612,12 @@ class Database(ReadView):
         if match:
             columns = _parse_column_list(match.group("columns"))
             return self.create_table(match.group("name"), columns)
+        match = _DROP_TABLE_RE.match(statement)
+        if match:
+            return self.drop_table(match.group("name"))
+        match = _DROP_INDEX_RE.match(statement)
+        if match:
+            return self.drop_index(match.group("name"))
         stripped = statement.lstrip().upper()
         if stripped.startswith(("SELECT", "VALUES", "INSERT", "DELETE")):
             return self.sql(statement)

@@ -5,6 +5,12 @@ a join expressed with SQL comparisons can use a relational index on the
 relational column (Query 14), while a join expressed in XQuery can only
 use XML indexes (Query 13).  Keys follow SQL comparison semantics —
 trailing blanks stripped.
+
+Like XML indexes (see :mod:`repro.storage.xmlindex`), a relational
+index never deletes: :meth:`RelationalIndex.forget` stops counting a
+row as live, the row locator drops the ids of rows a view does not
+hold, and :meth:`RelationalIndex.compacted` builds the replacement once
+dead entries reach live ones.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ class RelationalIndex:
         self.table = table
         self.column = column
         self.tree = BPlusTree(order=order)
+        #: Row ids with a live entry (NULLs have none).
+        self._live_rows: set[int] = set()
 
     def __repr__(self) -> str:
         return f"<RelationalIndex {self.name} ON {self.table}({self.column})>"
@@ -32,11 +40,19 @@ class RelationalIndex:
         if value is None:
             return  # NULLs are not indexed
         self.tree.insert(normalize_key(value), row_id)
+        self._live_rows.add(row_id)
 
-    def remove_row(self, row_id: int, value) -> None:
-        if value is None:
-            return
-        self.tree.delete(normalize_key(value), row_id)
+    def forget(self, row_id: int) -> None:
+        """Stop counting the row's entry as live; the tree keeps it."""
+        self._live_rows.discard(row_id)
+
+    def compacted(self) -> "RelationalIndex":
+        """A new index holding only the live entries, in key order."""
+        fresh = RelationalIndex(self.name, self.table, self.column,
+                                order=self.tree.order)
+        live = fresh._live_rows = set(self._live_rows)
+        fresh.tree = self.tree.filtered(live.__contains__)
+        return fresh
 
     def lookup(self, value, stats=None) -> list[int]:
         rows = self.tree.get(normalize_key(value))
@@ -63,4 +79,5 @@ class RelationalIndex:
             METRICS.inc("relindex.lookups")
 
     def __len__(self) -> int:
-        return len(self.tree)
+        """Live entries (the tree may also hold forgotten ones)."""
+        return len(self._live_rows)

@@ -19,13 +19,18 @@ read acquisition — O(catalog size), no data copying — and stays valid
 indefinitely: later writers swap in new containers and never touch the
 captured ones.
 
-What a snapshot does *not* pin is the interior of shared index
-structures (B+Trees are mutated in place by writers).  Queries issued
-through ``Database.xquery`` / ``Database.sql`` hold the read lock for
-their whole execution, so they never observe a half-updated index;
-queries issued through ``Snapshot.xquery`` / ``Snapshot.sql`` are
-lock-free and intended for use while the caller (for example a
-server session) holds the read side itself.
+The same capture pins index contents.  Index trees are insert-only: a
+delete only makes the index forget the row (see
+:mod:`repro.storage.xmlindex`), and a compaction builds a *new* index
+object that the catalog dict swaps in, leaving the pinned one as it
+was.  So a pinned index still holds every entry of the pinned rows,
+and entries added later name ids the pinned rows lack, which each
+table's own row locator drops.  Queries issued through
+``Database.xquery`` / ``Database.sql`` hold the read lock for their
+whole execution; queries issued through ``Snapshot.xquery`` /
+``Snapshot.sql`` are lock-free, and a caller that may race a writer
+growing a live index in place (a server session) holds the read side
+itself.
 """
 
 from __future__ import annotations
@@ -247,9 +252,9 @@ class Snapshot(ReadView):
         # would be blind to exactly the workload it should serve.
         self.workload_profiler = database.workload_profiler
         if _sanitizer.ACTIVE is not None:
-            # Record (id, len) of every pinned row list: an in-place
-            # mutation — same list object, different length — is the
-            # COW violation snapshots exist to rule out.
+            # Record (id, len) of every pinned row list and index tree:
+            # a row list changing length in place, or a pinned tree
+            # shrinking, is the violation snapshots exist to rule out.
             _sanitizer.ACTIVE.fingerprint_snapshot(self)
 
     def xquery(self, query: str, use_indexes: bool = True,

@@ -18,13 +18,22 @@ USING XMLPATTERN 'pattern' AS type`` where type is one of ``VARCHAR``,
   filter (§2.2: the index on ``//lineitem/@price`` answering a
   ``//order/lineitem/@price`` predicate).
 
-Concurrency contract: the underlying B+Trees are mutated in place (no
-copy-on-write), so index maintenance runs only on the write side of the
-database's reader-writer lock, and scans are safe exactly because every
-query entry point holds the read side for its full duration — a
-:class:`~repro.storage.snapshot.Snapshot` pins rows and catalog but
-*not* index interiors, and must only be queried while its creator keeps
-writers excluded (see the partition-parallel executor).
+Entries are never deleted.  Deleting a row calls :meth:`XmlIndex.forget`,
+which only stops counting the document as live; its entries stay in the
+tree, and every index verdict reaches rows through the row locator of a
+pinned row list (:class:`~repro.storage.table.RowLocator`), which drops
+ids it does not hold.  Definition 1 allows exactly this: the index may
+name extra documents as long as the final answer is exact.  Once dead
+entries reach live ones the database swaps in :meth:`compacted`, a new
+index object, copy-on-write.
+
+Concurrency contract: an index object is mutated only on the write side
+of the database's reader-writer lock and its tree only ever grows, so a
+scan under the read side sees a consistent tree.  A
+:class:`~repro.storage.snapshot.Snapshot` pins the index objects with
+the catalog: ids inserted after the pin are ids its rows lack, and a
+compaction replaces the object rather than shrinking it, so the pinned
+tree still holds every entry of the pinned rows.
 """
 
 from __future__ import annotations
@@ -85,8 +94,11 @@ class XmlIndex:
         self.tree = BPlusTree(order=order)
         #: Entries skipped by tolerant casting (observability for tests).
         self.skipped_nodes = 0
-        #: doc_id -> number of entries, for cost estimation.
+        #: Live doc_id -> number of entries, for cost estimation; the
+        #: tree also holds the entries of forgotten documents.
         self._doc_entry_counts: dict[int, int] = {}
+        #: The sum of ``_doc_entry_counts``: ``len(index)``.
+        self._live_entries = 0
 
     def __repr__(self) -> str:
         return (f"<XmlIndex {self.name} ON {self.table}({self.column}) "
@@ -97,6 +109,7 @@ class XmlIndex:
     # ------------------------------------------------------------------
 
     def index_document(self, doc_id: int, document: DocumentNode) -> None:
+        counts = self._doc_entry_counts
         for node, components in self._matching_nodes(document):
             key = self._key_for(node)
             if key is None:
@@ -104,21 +117,29 @@ class XmlIndex:
                 continue
             self.tree.insert(key, IndexEntry(doc_id, node.node_id,
                                              tuple(components)))
-            self._doc_entry_counts[doc_id] = \
-                self._doc_entry_counts.get(doc_id, 0) + 1
+            counts[doc_id] = counts.get(doc_id, 0) + 1
+            self._live_entries += 1
 
-    def remove_document(self, doc_id: int, document: DocumentNode) -> None:
-        for node, components in self._matching_nodes(document):
-            key = self._key_for(node)
-            if key is None:
-                continue
-            if self.tree.delete(key, IndexEntry(doc_id, node.node_id,
-                                                tuple(components))):
-                remaining = self._doc_entry_counts.get(doc_id, 0) - 1
-                if remaining > 0:
-                    self._doc_entry_counts[doc_id] = remaining
-                else:
-                    self._doc_entry_counts.pop(doc_id, None)
+    def forget(self, doc_id: int) -> None:
+        """Stop counting the document's entries as live.  No document is
+        read and the tree is not touched: the entries stay until
+        :meth:`compacted` leaves them out."""
+        self._live_entries -= self._doc_entry_counts.pop(doc_id, 0)
+
+    #: The name ``benchmarks/ledger/tracing.py`` wraps for its
+    #: ``storage.index_remove`` span.
+    remove_document = forget
+
+    def compacted(self) -> "XmlIndex":
+        """A new index holding only the live entries, in key order."""
+        fresh = XmlIndex(self.name, self.table, self.column,
+                         self.pattern_text, self.index_type,
+                         order=self.tree.order)
+        live = fresh._doc_entry_counts = dict(self._doc_entry_counts)
+        fresh.tree = self.tree.filtered(lambda entry: entry.doc_id in live)
+        fresh._live_entries = self._live_entries
+        fresh.skipped_nodes = self.skipped_nodes
+        return fresh
 
     def _matching_nodes(self, document: DocumentNode):
         """(node, path) pairs of the document matching this index's
@@ -195,7 +216,8 @@ class XmlIndex:
         return atomic_to_key(cast(value, self.xdm_type))
 
     def __len__(self) -> int:
-        return len(self.tree)
+        """Live entries (the tree may also hold forgotten ones)."""
+        return self._live_entries
 
 
 def atomic_to_key(value: AtomicValue):

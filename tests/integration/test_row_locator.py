@@ -10,7 +10,10 @@ after one insert the next statement rebuilds it exactly once; a
 statement on a pinned snapshot builds the snapshot's own locator, never
 the live table's.  Under a capped buffer pool building the locator
 reads only ``Row.values`` — no spill load, no materialization — and a
-statement materializes at most the documents it returns.
+statement materializes at most the documents it returns.  A snapshot
+pinned before a delete answers on the XMLEXISTS, ``xmlcolumn`` and
+relational-index routes exactly as without indexes: the deleted rows'
+entries are still in the index objects it pinned.
 """
 
 from __future__ import annotations
@@ -144,6 +147,43 @@ def test_snapshot_never_builds_the_live_locator(built, monkeypatch):
     assert [rows is fresh.tables["orders"].rows
             for rows in builds.rows] == [True]
     assert orders._locator is live_locator
+
+
+# A snapshot pinned before a delete: six rows <r><k>i</k></r> with a
+# DOUBLE index on //k and a relational index on c, ids 2 and 3 deleted.
+# Each route's indexed answer must equal its index-free one, which still
+# holds the deleted rows.
+PINNED_ROUTES = (
+    ("sql", "SELECT id FROM t WHERE XMLEXISTS('$d/r[k > 1]' "
+            'PASSING d AS "d")', [(2,), (3,), (4,), (5,)]),
+    ("xquery", "db2-fn:xmlcolumn('T.D')/r[k > 1]", 4),
+    ("sql", "SELECT id FROM t WHERE c = 'a'", [(1,), (3,), (5,)]),
+)
+
+
+@pytest.mark.parametrize("language, statement, expected", PINNED_ROUTES)
+def test_snapshot_pinned_before_a_delete_keeps_its_rows(language, statement,
+                                                        expected):
+    database = Database()
+    database.execute("CREATE TABLE t (id INTEGER, c VARCHAR(5), d XML)")
+    database.execute("CREATE INDEX ik ON t(d) USING XMLPATTERN '//k' "
+                     "AS DOUBLE")
+    database.execute("CREATE INDEX ic ON t(c)")
+    for number in range(6):
+        database.insert("t", {"id": number, "c": "ab"[number % 2 == 0],
+                              "d": f"<r><k>{number}</k></r>"})
+    snapshot = database.snapshot()
+    assert database.delete_rows(
+        "t", lambda values: values["id"] in (2, 3)) == 2
+    answers = []
+    for use_indexes in (True, False):
+        if language == "sql":
+            answers.append(snapshot.sql(
+                statement, use_indexes=use_indexes).rows)
+        else:
+            answers.append(len(snapshot.xquery(
+                statement, use_indexes=use_indexes)))
+    assert answers == [expected, expected]
 
 
 def test_capped_locator_reads_only_row_values(monkeypatch):

@@ -43,35 +43,37 @@ def test_range_scan_matches_model(pairs, low, high, low_inc, high_inc):
     assert got == expected
 
 
-#: (key, value, is_delete) — one interleaved operation.
+#: (key, value, is_compaction) — one interleaved operation; a
+#: compaction keeps the entries whose value is not ``value``.
 operations = st.lists(st.tuples(keys, values, st.booleans()), max_size=120)
 
 
 @given(operations, keys, keys, st.booleans(), st.booleans())
-def test_delete_then_range_scan_matches_model(ops, low, high, low_inc,
-                                              high_inc):
-    """Random insert/delete interleavings, then scans vs the model.
+def test_filtered_then_range_scan_matches_model(ops, low, high, low_inc,
+                                                high_inc):
+    """Random insert/compaction interleavings, then scans vs the model.
 
-    This is the property that pins leaf-chain maintenance under
-    deletion: after merges/borrows, a full scan and an arbitrary range
-    scan must both agree with a dictionary model — a mis-spliced
-    ``next`` pointer duplicates or drops entries even when ``keys()``
-    still looks sorted.
+    A compacted tree is built by inserts in key order, the one shape a
+    random insert order rarely produces: every split happens at the
+    right edge.  Full and range scans, and each bucket's entry order,
+    must agree with a dictionary model — a mis-spliced ``next``
+    pointer duplicates or drops entries even when ``keys()`` still
+    looks sorted.
     """
     tree = BPlusTree(order=4)
     model: dict[int, list[int]] = defaultdict(list)
-    for key, value, is_delete in ops:
-        if is_delete:
-            assert tree.delete(key, value) == \
-                (value in model.get(key, []))
-            if value in model.get(key, []):
-                model[key].remove(value)
-                if not model[key]:
-                    del model[key]
+    for key, value, is_compaction in ops:
+        if is_compaction:
+            tree = tree.filtered(lambda entry, value=value: entry != value)
+            model = defaultdict(list, {
+                kept_key: kept for kept_key, bucket in model.items()
+                if (kept := [entry for entry in bucket if entry != value])})
         else:
             tree.insert(key, value)
             model[key].append(value)
     tree.check_invariants()
+    for key, bucket in model.items():
+        assert tree.get(key) == bucket
     expected_full = sorted((key, value) for key, bucket in model.items()
                            for value in bucket)
     assert sorted(tree.scan()) == expected_full
@@ -84,55 +86,45 @@ def test_delete_then_range_scan_matches_model(ops, low, high, low_inc,
 
 
 class _UnsplicedTree(BPlusTree):
-    """BPlusTree with the leaf-merge ``next`` splice removed — the
+    """BPlusTree with the leaf-split ``next`` splice removed — the
     regression the invariant checker and scan property must catch."""
 
-    def _merge(self, parent, left_index, left, right):
-        if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.buckets.extend(right.buckets)
-            # BUG under test: ``left.next = right.next`` omitted, so the
-            # chain still runs through the detached ``right`` leaf.
-        else:
-            left.keys.append(parent.keys[left_index])
-            left.keys.extend(right.keys)
-            left.children.extend(right.children)
-        parent.keys.pop(left_index)
-        parent.children.pop(left_index + 1)
+    def _split_leaf(self, leaf):
+        middle = len(leaf.keys) // 2
+        right = type(leaf)()
+        right.keys = leaf.keys[middle:]
+        right.buckets = leaf.buckets[middle:]
+        # BUG under test: ``right.next = leaf.next`` omitted, so the
+        # chain skips every leaf after the new one.
+        leaf.keys = leaf.keys[:middle]
+        leaf.buckets = leaf.buckets[:middle]
+        leaf.next = right
+        return right.keys[0], right
 
 
-def _mass_delete(tree):
-    for key in range(12):
+def _splits_in_the_middle(tree):
+    for key in range(0, 24, 2):
         tree.insert(key, key)
-    for key in range(12):
-        tree.delete(key)
-        tree.check_invariants()
+    # Filling the left-hand leaves splits leaves that have successors.
+    for key in range(1, 24, 2):
+        for filler in (key, key + 0.5):
+            tree.insert(filler, key)
+            tree.check_invariants()
 
 
-def test_merge_splices_leaf_next_pointer():
-    """Deleting down through leaf merges keeps the chain exactly the
-    leaves reachable by descent; the unspliced mutant must be caught."""
-    _mass_delete(BPlusTree(order=4))  # the real tree survives
+def test_split_splices_leaf_next_pointer():
+    """Splitting a leaf that has a successor keeps the chain exactly
+    the leaves reachable by descent; the unspliced mutant must be
+    caught."""
+    _splits_in_the_middle(BPlusTree(order=4))  # the real tree survives
 
     with pytest.raises(AssertionError):
-        _mass_delete(_UnsplicedTree(order=4))
-
-
-def test_delete_then_full_scan_after_merges():
-    """Deterministic merge cascade: scans stay duplicate-free."""
-    tree = BPlusTree(order=4)
-    for key in range(20):
-        tree.insert(key, key * 10)
-    for key in list(range(0, 20, 2)):
-        assert tree.delete(key)
-        tree.check_invariants()
-        remaining = sorted(k for k in range(20)
-                           if k > key and k % 2 == 0 or k % 2 == 1)
-        assert [k for k, _v in tree.scan()] == remaining
+        _splits_in_the_middle(_UnsplicedTree(order=4))
 
 
 class BTreeMachine(RuleBasedStateMachine):
-    """Stateful test: interleaved inserts/deletes keep invariants."""
+    """Stateful test: interleaved inserts and compactions keep
+    invariants."""
 
     def __init__(self):
         super().__init__()
@@ -144,22 +136,17 @@ class BTreeMachine(RuleBasedStateMachine):
         self.tree.insert(key, value)
         self.model[key].append(value)
 
-    @rule(key=keys, value=values)
-    def delete_entry(self, key, value):
-        expected = value in self.model.get(key, [])
-        got = self.tree.delete(key, value)
-        assert got == expected
-        if expected:
-            self.model[key].remove(value)
+    @rule(value=values)
+    def compact(self, value):
+        before = len(self.tree)
+        self.tree = self.tree.filtered(lambda entry: entry != value)
+        assert before - len(self.tree) == sum(
+            bucket.count(value) for bucket in self.model.values())
+        for key in list(self.model):
+            self.model[key] = [entry for entry in self.model[key]
+                               if entry != value]
             if not self.model[key]:
                 del self.model[key]
-
-    @rule(key=keys)
-    def delete_key(self, key):
-        expected = key in self.model
-        got = self.tree.delete(key)
-        assert got == expected
-        self.model.pop(key, None)
 
     @invariant()
     def matches_model(self):
@@ -167,6 +154,8 @@ class BTreeMachine(RuleBasedStateMachine):
         assert list(self.tree.keys()) == sorted(self.model)
         assert len(self.tree) == sum(len(bucket)
                                      for bucket in self.model.values())
+        for key, bucket in self.model.items():
+            assert self.tree.get(key) == bucket
 
     @invariant()
     def full_scan_matches_model(self):

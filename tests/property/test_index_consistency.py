@@ -17,7 +17,9 @@ two XML columns too), deletes and rolled-back inserts, the XQuery
 ``xmlcolumn`` prefilter, the SQL ``XMLExists`` doc filter, the
 relational-index row filter and the Q13/Q16-style index join probes
 answer byte-identically with and without indexes — on the live
-database and on a snapshot pinned before further DML — every locator
+database and on snapshots pinned before further DML, deletes and index
+creates and drops included, so the index objects a snapshot pinned
+still hold every entry of its rows — every locator
 equals a fresh fold of its pinned rows, and row ids strictly increase
 along every table's rows, also after crash recovery and on a replica.
 """
@@ -179,8 +181,17 @@ _ORDER = st.tuples(st.just("orders"), st.one_of(st.none(), PRICES), CUSTIDS,
 _PAIR = st.tuples(st.just("pairs"), _KEYS, _KEYS,
                   st.integers(min_value=0, max_value=4))
 _DELETE = st.tuples(st.just("delete"), st.sampled_from(["orders", "pairs"]),
-                    st.integers(min_value=2, max_value=3))
-ROUTE_OPS = st.lists(st.one_of(_ORDER, _PAIR, _DELETE), max_size=6)
+                    st.integers(min_value=1, max_value=3))
+#: Index DDL the routes can toggle: created when absent, else dropped.
+ROUTE_INDEXES = {
+    "li_price": ("orders", "orddoc", "//lineitem/@price", "DOUBLE"),
+    "li_prod": ("orders", "orddoc", "//lineitem/product/id", "VARCHAR"),
+    "pb_k": ("pairs", "b", "//k", "DOUBLE"),
+    "idx_ordid": ("orders", "ordid"),
+    "idx_pid": ("pairs", "pid"),
+}
+_INDEX = st.tuples(st.just("index"), st.sampled_from(sorted(ROUTE_INDEXES)))
+ROUTE_OPS = st.lists(st.one_of(_ORDER, _PAIR, _DELETE, _INDEX), max_size=6)
 
 
 def apply_route_op(database, op, key: int) -> None:
@@ -190,6 +201,15 @@ def apply_route_op(database, op, key: int) -> None:
         column = "ordid" if table == "orders" else "pid"
         database.delete_rows(
             table, lambda values: values[column] % divisor == 0)
+        return
+    if kind == "index":
+        name = op[1]
+        if name in database.xml_indexes or name in database.rel_indexes:
+            database.drop_index(name)
+        elif len(ROUTE_INDEXES[name]) == 4:
+            database.create_xml_index(name, *ROUTE_INDEXES[name])
+        else:
+            database.create_relational_index(name, *ROUTE_INDEXES[name])
         return
     if kind == "orders":
         _kind, prices, custid, fail_at = op
@@ -318,19 +338,21 @@ def test_prefiltered_routes_agree_after_any_dml(ops):
     database = Database()
     build_routes_database(database)
     route_answers(database)
+    pinned = []
     for key, op in enumerate(ops, start=100):
         snapshot = database.snapshot()
-        pinned = route_answers(snapshot)
+        pinned.append((snapshot, route_answers(snapshot)))
         apply_route_op(database, op, key)
-        if op[0] != "delete":
-            # Snapshots pin row lists, not B+Tree interiors: a delete
-            # takes postings of rows the snapshot still holds out of
-            # the live indexes.  Inserts only add ids the pinned rows
-            # lack, and those must be dropped.
-            assert route_answers(snapshot) == pinned
+        # Index entries of rows deleted since the pin stay in the
+        # snapshot's index objects (a compaction swaps in a new one);
+        # ids inserted since are ids the pinned rows lack.
+        assert route_answers(snapshot) == pinned[-1][1]
         assert_locators_exact(snapshot)
         route_answers(database)
         assert_locators_exact(database)
+    # Every snapshot still answers as pinned after all later DML.
+    for snapshot, answers in pinned:
+        assert route_answers(snapshot) == answers
 
 
 @settings(max_examples=5, deadline=None,

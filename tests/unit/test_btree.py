@@ -89,55 +89,42 @@ class TestRangeScan:
         assert keys == ["cherry", "date"]
 
 
-class TestDelete:
-    def test_delete_entry(self):
+class TestFiltered:
+    def test_filtered_keeps_accepted_entries(self):
         tree = BPlusTree(order=4)
         tree.insert(1, "a")
         tree.insert(1, "b")
-        assert tree.delete(1, "a")
-        assert tree.get(1) == ["b"]
-        assert not tree.delete(1, "a")
+        tree.insert(2, "c")
+        kept = tree.filtered(lambda entry: entry != "a")
+        assert kept.get(1) == ["b"]
+        assert kept.get(2) == ["c"]
+        assert len(kept) == 2 and kept.key_count == 2
+        assert len(tree) == 3   # the source tree is untouched
 
-    def test_delete_whole_key(self):
+    def test_filtered_drops_emptied_keys(self):
         tree = BPlusTree(order=4)
         tree.insert(1, "a")
-        tree.insert(1, "b")
-        assert tree.delete(1)
-        assert tree.get(1) == []
-        assert len(tree) == 0
+        tree.insert(2, "b")
+        kept = tree.filtered(lambda entry: entry == "b")
+        assert list(kept.keys()) == [2]
+        assert kept.get(1) == []
 
-    def test_delete_missing(self):
+    def test_filtered_keeps_order_within_a_key(self):
         tree = BPlusTree(order=4)
-        tree.insert(1, "a")
-        assert not tree.delete(2)
+        for value in range(30):
+            tree.insert(value % 3, value)
+        kept = tree.filtered(lambda entry: entry % 2 == 0)
+        assert kept.get(1) == [4, 10, 16, 22, 28]
+        assert kept.order == tree.order
 
-    def test_delete_rebalances(self):
+    def test_filtered_large_tree_keeps_invariants(self):
         tree = BPlusTree(order=4)
         values = list(range(200))
+        random.Random(7).shuffle(values)
         for value in values:
             tree.insert(value, value)
-        random.Random(7).shuffle(values)
-        for count, value in enumerate(values):
-            assert tree.delete(value, value)
-            if count % 25 == 0:
-                tree.check_invariants()
-        assert len(tree) == 0
-        tree.check_invariants()
-
-    def test_interleaved_insert_delete(self):
-        tree = BPlusTree(order=4)
-        rng = random.Random(13)
-        model: dict[int, int] = {}
-        for _ in range(2000):
-            key = rng.randint(0, 80)
-            if rng.random() < 0.6:
-                tree.insert(key, key)
-                model[key] = model.get(key, 0) + 1
-            elif model.get(key):
-                tree.delete(key, key)
-                model[key] -= 1
-                if not model[key]:
-                    del model[key]
-        tree.check_invariants()
-        assert sorted(model) == list(tree.keys())
-        assert len(tree) == sum(model.values())
+        kept = tree.filtered(lambda entry: entry % 5 == 0)
+        kept.check_invariants()
+        assert [key for key, _entry in kept.scan()] == \
+            list(range(0, 200, 5))
+        assert len(kept) == 40

@@ -71,6 +71,33 @@ class TestDDL:
         with pytest.raises(SQLError):
             db.execute("GRANT ALL TO nobody")
 
+    @pytest.mark.parametrize("entry", ["execute", "execute_any"])
+    def test_drop_statements(self, db, entry):
+        run = getattr(db, entry)
+        run("CREATE TABLE t (a INTEGER, d XML)")
+        run("CREATE INDEX xi ON t(d) USING XMLPATTERN '//x' AS DOUBLE")
+        run("CREATE INDEX ri ON t(a)")
+        assert run("DROP INDEX xi") is None
+        assert run("  drop index RI;") is None
+        assert not db.xml_indexes and not db.rel_indexes
+        with pytest.raises(CatalogError):
+            run("DROP INDEX xi")
+        run("DROP TABLE t")
+        assert not db.tables
+
+    def test_drop_statements_are_logged(self, tmp_path):
+        from repro import DurableDatabase
+        with DurableDatabase(tmp_path) as durable:
+            durable.execute("CREATE TABLE t (a INTEGER, d XML)")
+            durable.execute("CREATE TABLE u (a INTEGER)")
+            durable.execute("CREATE INDEX xi ON t(d) USING XMLPATTERN "
+                            "'//x' AS DOUBLE")
+            durable.execute_any("DROP INDEX xi")
+            durable.execute_any("DROP TABLE u")
+        with DurableDatabase(tmp_path) as recovered:
+            assert list(recovered.tables) == ["t"]
+            assert not recovered.xml_indexes
+
 
 class TestDML:
     def test_insert_parses_xml(self, db):
@@ -133,3 +160,75 @@ class TestDML:
         db.insert("t", {"n": 1})
         assert db.documents("t", "d") == []
         assert db.xmlcolumn("t.d") == []
+
+
+class TestIndexCompaction:
+    """A delete only makes indexes forget rows; once an index's dead
+    entries reach its live ones the catalog swaps in a compacted copy,
+    and snapshots keep the object they pinned."""
+
+    XQUERY = "db2-fn:xmlcolumn('T.D')/r[k > 2]"
+    SQL = "SELECT n FROM t WHERE n = 3"
+
+    def answers(self, view, use_indexes):
+        return (view.xquery(self.XQUERY,
+                            use_indexes=use_indexes).serialize(),
+                view.sql(self.SQL, use_indexes=use_indexes).rows)
+
+    def test_compaction_swaps_in_a_new_index(self, db):
+        db.create_table("t", [("n", "INTEGER"), ("d", "XML")])
+        db.create_xml_index("xi", "t", "d", "//k", "DOUBLE")
+        db.create_relational_index("ri", "t", "n")
+        for number in range(10):
+            db.insert("t", {"n": number,
+                            "d": f"<r><k>{number}</k><k>{number}</k></r>"})
+        xi, ri = db.xml_indexes["xi"], db.rel_indexes["ri"]
+        snapshot = db.snapshot()
+        expected = self.answers(snapshot, use_indexes=False)
+
+        db.delete_rows("t", lambda values: values["n"] < 4)
+        # 8 dead entries < 12 live ones: forgotten, still in the tree.
+        assert db.xml_indexes["xi"] is xi and db.rel_indexes["ri"] is ri
+        assert (len(xi), len(xi.tree), xi.distinct_doc_count()) == \
+            (12, 20, 6)
+        assert (len(ri), len(ri.tree)) == (6, 10)
+
+        db.delete_rows("t", lambda values: values["n"] < 6)
+        compacted, compacted_ri = db.xml_indexes["xi"], db.rel_indexes["ri"]
+        assert compacted is not xi and compacted_ri is not ri
+        assert (len(compacted), len(compacted.tree),
+                compacted.distinct_doc_count()) == (8, 8, 4)
+        assert (len(compacted_ri), len(compacted_ri.tree)) == (4, 4)
+        assert "[8 entries, 0 skipped]" in db.describe()
+        assert "rel index ri ON n [4 entries]" in db.describe()
+        # The pinned objects are left as they were.
+        assert (len(xi.tree), len(ri.tree)) == (20, 10)
+        assert snapshot.xml_indexes["xi"] is xi
+        assert self.answers(snapshot, use_indexes=True) == expected
+
+        db.insert("t", {"n": 20, "d": "<r><k>20</k></r>"})
+        assert db.xml_indexes["xi"] is compacted
+        assert (len(compacted), len(compacted.tree)) == (9, 9)
+        assert (len(compacted_ri), len(xi.tree), len(ri.tree)) == \
+            (5, 20, 10)
+        assert self.answers(db, use_indexes=True) == \
+            self.answers(db, use_indexes=False)
+        assert self.answers(snapshot, use_indexes=True) == expected
+
+    def test_delete_reads_no_document(self, tmp_path):
+        from repro.obs.metrics import METRICS, enabled_metrics
+        db = Database(buffer_pool_bytes=1, buffer_pool_spill_dir=tmp_path)
+        try:
+            db.create_table("t", [("n", "INTEGER"), ("d", "XML")])
+            db.create_xml_index("xi", "t", "d", "//k", "DOUBLE")
+            for number in range(6):
+                db.insert("t", {"n": number,
+                                "d": f"<r><k>{number}</k></r>"})
+            with enabled_metrics():
+                assert db.delete_rows(
+                    "t", lambda values: values["n"] % 2 == 0) == 3
+                assert METRICS.counter("bufferpool.loads") == 0
+                assert METRICS.counter("columnar.materializations") == 0
+            assert len(db.xml_indexes["xi"]) == 3
+        finally:
+            db.buffer_pool.close()

@@ -192,6 +192,33 @@ def test_path_class_mutation_is_caught():
     assert "path classes" in caught.message
 
 
+def test_pinned_index_tree_shrink_is_caught():
+    with sanitizer.installed() as state:
+        database = Database()
+        database.create_table("d", [("n", "INTEGER"), ("doc", "XML")])
+        database.create_xml_index("xi", "d", "doc", "//k", "DOUBLE")
+        database.create_relational_index("ri", "d", "n")
+        for number in range(4):
+            database.insert("d", {"n": number,
+                                  "doc": f"<a><k>{number}</k></a>"})
+        snapshot = database.snapshot()
+        # Deletes forget, inserts grow, compaction swaps objects: clean.
+        database.delete_rows("d", lambda values: values["n"] < 3)
+        database.insert("d", {"n": 9, "doc": "<a><k>9</k></a>"})
+        assert database.xml_indexes["xi"] is not snapshot.xml_indexes["xi"]
+        snapshot.sql("SELECT n FROM d WHERE n = 1")
+        assert state.drain() == []
+        # A compaction that shrank the pinned tree in place instead.
+        pinned = snapshot.xml_indexes["xi"]
+        pinned.tree = pinned.compacted().tree
+        snapshot.xquery("db2-fn:xmlcolumn('D.DOC')/a[k > 0]")
+        violations = state.drain()
+    assert "snapshot_mutation" in _kinds(violations)
+    caught = next(v for v in violations if v.kind == "snapshot_mutation")
+    assert "xml index 'xi': the tree" in caught.message
+    assert "shrank from 4 to 1 entries" in caught.message
+
+
 def test_copy_on_write_keeps_snapshots_clean():
     with sanitizer.installed() as state:
         database = _small_db()

@@ -161,13 +161,33 @@ class TestProbing:
         assert index.matching_documents(
             low=100, path_filter=narrowed) == {1}
 
-    def test_remove_document(self):
+    def test_forget_document(self):
         index = self.make_populated()
-        doc = parse_document("<order><lineitem price='150'/></order>")
-        index.index_document(9, doc)
+        index.index_document(9, parse_document(
+            "<order><lineitem price='150'/><lineitem price='1'/></order>"))
+        assert (len(index), index.distinct_doc_count()) == (6, 5)
+        tree = index.tree
+        index.forget(9)
+        # Only the live count drops: the entries stay for views whose
+        # rows still hold document 9.
+        assert (len(index), index.distinct_doc_count()) == (4, 4)
+        assert index.tree is tree and len(tree) == 6
         assert 9 in index.matching_documents(low=100)
-        index.remove_document(9, doc)
-        assert 9 not in index.matching_documents(low=100)
+        index.forget(9)
+        assert len(index) == 4
+
+        compacted = index.compacted()
+        assert compacted is not index and compacted.tree is not tree
+        assert 9 not in compacted.matching_documents(low=100)
+        assert list(compacted.tree.items()) == [
+            (key, entry) for key, entry in tree.items()
+            if entry.doc_id != 9]
+        assert (len(compacted), compacted.distinct_doc_count()) == (4, 4)
+        assert len(tree) == 6   # the old object is left as it was
+        compacted.index_document(10, parse_document(
+            "<order><lineitem price='300'/></order>"))
+        assert compacted.matching_documents(low=260) == {10}
+        assert index.matching_documents(low=260) == set()
 
     def test_key_for_value(self):
         from repro.xdm import atomic
