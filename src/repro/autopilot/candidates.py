@@ -22,8 +22,8 @@ Benefit is estimated from *observed* workload numbers, not guesses::
 
 where the probe estimate is the path-summary document count
 (``docs_with_path``) scaled by a default key selectivity — the same
-structural statistic the cost model uses, so advisor and planner agree
-about what an index is worth.
+structural statistic that caps EXPLAIN ANALYZE probe estimates, so
+advisor and estimates agree about what an index is worth.
 """
 
 from __future__ import annotations

@@ -1,20 +1,16 @@
-"""The autopilot facade: observe → advise → apply → calibrate.
+"""The autopilot facade: observe → advise → apply.
 
 :class:`Autopilot` ties the self-driving loop together on top of one
 database:
 
 * attaching it installs a :class:`~repro.autopilot.profiler.
   WorkloadProfiler` on the database (``database.workload_profiler``),
-  which the executors feed on every statement, and guarantees a
-  :class:`~repro.autopilot.calibrate.CostCalibration` exists
-  (durable databases load theirs from the data directory);
+  which the executors feed on every statement;
 * :meth:`advise` turns the accumulated profile into ranked CREATE
   INDEX candidates (:mod:`repro.autopilot.candidates`);
 * :meth:`apply` executes the top candidates through the **online**
   build path (:meth:`Database.create_xml_index_online`), so running
-  queries and writers proceed while the index backfills;
-* :meth:`calibrate` replays hot statements under EXPLAIN ANALYZE,
-  feeding index-scan q-errors back into the cost model.
+  queries and writers proceed while the index backfills.
 
 :class:`AutoIndexPolicy` runs the advise→apply half on a background
 daemon thread — the opt-in ``--auto-index`` mode of the CLI and
@@ -30,7 +26,6 @@ import threading
 
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from .calibrate import CostCalibration
 from .candidates import generate_candidates
 from .profiler import WorkloadProfiler
 
@@ -51,9 +46,6 @@ class Autopilot:
             profiler = WorkloadProfiler(**kwargs)
             database.workload_profiler = profiler
         self.profiler = profiler
-        if getattr(database, "cost_calibration", None) is None:
-            database.cost_calibration = CostCalibration()
-        self.calibration = database.cost_calibration
         self.applied: list[str] = []    # DDL texts, in apply order
         self.last_advice: list = []
 
@@ -104,18 +96,6 @@ class Autopilot:
                 METRICS.inc("autopilot.builds")
         return built
 
-    def calibrate(self, statements=None, limit: int = 8) -> dict:
-        """EXPLAIN ANALYZE hot statements; q-errors feed the model."""
-        if statements is None:
-            statements = [profile.exemplar for profile
-                          in self.profiler.statements()[:limit]]
-        for statement in statements:
-            self.database.explain_analyze(statement)
-        if METRICS.enabled:
-            METRICS.set_gauge("autopilot.calibration_factor",
-                              self.calibration.factor)
-        return self.calibration.to_dict()
-
     # -- reporting ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -124,7 +104,6 @@ class Autopilot:
             "advice": [candidate.to_dict()
                        for candidate in self.last_advice],
             "applied": list(self.applied),
-            "calibration": self.calibration.to_dict(),
         }
 
     def report(self) -> str:
@@ -148,11 +127,6 @@ class Autopilot:
             lines.append("  advice: (none)")
         for ddl in self.applied:
             lines.append(f"  applied: {ddl}")
-        calibration = self.calibration.to_dict()
-        lines.append(
-            f"  calibration: factor={calibration['factor']} "
-            f"median_q_error={calibration['median_q_error']} "
-            f"samples={calibration['samples']}")
         return "\n".join(lines)
 
 

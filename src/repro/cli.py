@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     autopilot = commands.add_parser(
         "autopilot", help="self-driving indexing: profile a workload, "
                           "advise CREATE INDEX DDL, optionally build "
-                          "it online and calibrate the cost model")
+                          "it online")
     _add_data_arguments(autopilot)
     autopilot.add_argument("--fixture", action="store_true",
                            help="without --data: use an in-memory "
@@ -208,10 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     autopilot.add_argument("--limit", type=int, default=None,
                            metavar="N",
                            help="build at most N advised indexes")
-    autopilot.add_argument("--calibrate", action="store_true",
-                           help="EXPLAIN ANALYZE the hottest profiled "
-                                "statements and feed q-errors back "
-                                "into the cost model")
     autopilot.add_argument("--json", action="store_true",
                            help="emit the full autopilot report as "
                                 "JSON")
@@ -410,7 +406,7 @@ def run_serve(arguments, out) -> int:
 
 
 def run_autopilot(arguments, out) -> int:
-    """``repro autopilot``: observe → advise → apply → calibrate."""
+    """``repro autopilot``: observe → advise → apply."""
     import json
 
     with contextlib.ExitStack() as lifecycle:
@@ -438,14 +434,11 @@ def run_autopilot(arguments, out) -> int:
                           and not line.lstrip().startswith("#")]
             pilot.observe(statements)
         advising = arguments.advise or arguments.apply or \
-            not (arguments.paper or arguments.observe
-                 or arguments.calibrate)
+            not (arguments.paper or arguments.observe)
         if advising:
             advice = pilot.advise()
         if arguments.apply:
             pilot.apply(limit=arguments.limit)
-        if arguments.calibrate:
-            pilot.calibrate()
         if arguments.json:
             print(json.dumps(pilot.to_dict(), indent=2), file=out)
             return 0

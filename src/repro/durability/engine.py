@@ -87,13 +87,6 @@ class DurableDatabase(Database):
             self.directory / WAL_NAME, fsync_policy=fsync_policy,
             group_size=group_size, faults=faults,
             start_lsn=self.last_recovery.last_lsn)
-        # Cost-model calibration survives restarts: EXPLAIN ANALYZE
-        # q-error samples (and the damped correction factor they drive)
-        # are loaded from the data directory on open and persisted on
-        # close — see repro.autopilot.calibrate.
-        from ..autopilot.calibrate import CostCalibration
-        self.cost_calibration = CostCalibration.load(
-            self.directory / CostCalibration.FILENAME)
 
     # ------------------------------------------------------------------
     # Logged writers (apply under the write lock, then log)
@@ -241,8 +234,6 @@ class DurableDatabase(Database):
         with self._rwlock.write():
             self._wal.close()
         self.buffer_pool.close()
-        if self.cost_calibration is not None:
-            self.cost_calibration.save()
 
     def _purge_spool(self) -> None:
         spool = self.directory / "spool"

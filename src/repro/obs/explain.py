@@ -150,30 +150,11 @@ def explain_analyze(database, statement: str,
 
     Estimation (cost-model histograms, path-summary coverage caps) is
     computed *only* on this path — plain executions never pay for it.
-
-    When the database carries a ``cost_calibration`` (see
-    :mod:`repro.autopilot.calibrate`), every index-scan operator's
-    (estimated, actual) pair is fed back into it, closing the
-    cost-model feedback loop instead of discarding the q-errors.
     """
     head = statement.lstrip().upper()
     if head.startswith(("SELECT", "VALUES", "INSERT", "DELETE")):
-        analyzed = _analyze_sql(database, statement, use_indexes)
-    else:
-        analyzed = _analyze_xquery(database, statement, use_indexes)
-    _feed_calibration(database, analyzed)
-    return analyzed
-
-
-def _feed_calibration(database, analyzed: AnalyzedStatement) -> None:
-    calibration = getattr(database, "cost_calibration", None)
-    if calibration is None:
-        return
-    for node in analyzed.operators("index-scan"):
-        if node.estimated_rows is not None and \
-                node.actual_rows is not None:
-            calibration.observe(float(node.estimated_rows),
-                                float(node.actual_rows))
+        return _analyze_sql(database, statement, use_indexes)
+    return _analyze_xquery(database, statement, use_indexes)
 
 
 def _analyze_xquery(database, statement: str,

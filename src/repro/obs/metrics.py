@@ -86,8 +86,6 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``autopilot.candidates``          (gauge) index candidates at the last
                                   advise cycle
 ``autopilot.builds``              indexes built online by ``apply``
-``autopilot.calibration_factor``  (gauge) cost-model correction factor
-                                  after the last calibration pass
 ``autopilot.policy_cycles``       background auto-index policy cycles
 ``autopilot.policy_errors``       policy cycles that swallowed an error
                                   (always 0 in a healthy run)

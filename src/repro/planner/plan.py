@@ -162,19 +162,11 @@ class ColumnPrefilter:
 
 
 def plan_prefilters(database, candidates: list[PredicateCandidate],
-                    stats: ExecutionStats,
-                    cost_model=None,
-                    path_facts=None) -> dict[str, ColumnPrefilter]:
+                    stats: ExecutionStats) -> dict[str, ColumnPrefilter]:
     """Choose index probes per XML column from eligible candidates.
 
-    With ``cost_model`` set (see :mod:`repro.planner.cost`), probes
-    whose estimated surviving-document fraction exceeds the model's
-    threshold are skipped — an almost-unselective prefilter costs an
-    index scan but saves nothing.  ``path_facts`` (the
-    ``docs_with_path`` map of a
-    :class:`repro.static.infer.StaticFacts`) seeds the cost model's
-    document-coverage cap from counts the static pass already
-    computed, instead of re-querying the summaries.
+    Eligibility alone decides: every candidate with an eligible index
+    and statically-known bounds is probed, however unselective.
     """
     betweens = detect_between(candidates)
     between_members: dict[int, object] = {}
@@ -206,30 +198,6 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
                 break
         if probe is None:
             continue
-
-        if cost_model is not None:
-            table_name, _sep2, column_name = candidate.column.partition(".")
-            total_docs = sum(database.path_classes(
-                table_name, column_name).values())
-            docs_with_path = None
-            if path_facts is not None:
-                docs_with_path = path_facts.get(
-                    (candidate.column, str(candidate.path)))
-            if docs_with_path is None and candidate.path is not None:
-                try:
-                    docs_with_path = database.docs_with_path(
-                        table_name, column_name, candidate.path)
-                except ReproError:
-                    docs_with_path = None  # no summaries: histogram only
-            estimate = cost_model.estimate_probe(
-                chosen_index, probe.low, probe.high, total_docs,
-                docs_with_path=docs_with_path)
-            if not estimate.worthwhile:
-                stats.note(f"cost model skips {chosen_index.name} for "
-                           f"{candidate.description}: {estimate.note}")
-                continue
-            stats.note(f"cost model keeps {chosen_index.name}: "
-                       f"{estimate.note}")
 
         prefilter = prefilters.setdefault(
             candidate.column, ColumnPrefilter(candidate.column))
@@ -407,8 +375,7 @@ def _make_probe_estimator(database):
     never pay for histograms.
     """
     from .cost import CostModel
-    model = CostModel(calibration=getattr(database, "cost_calibration",
-                                          None))
+    model = CostModel()
 
     def estimate(column: str, probe: _Probe) -> dict:
         table, _sep, column_name = column.partition(".")
@@ -458,17 +425,13 @@ def _annotate_static_bounds(module, database, span) -> None:
 
 def execute_xquery(database, query: str,
                    use_indexes: bool = True,
-                   cost_based: bool = False,
-                   prefilter_threshold: float = 0.9,
                    rewrite_views: bool = False,
                    tracer=None,
                    variables: dict | None = None) -> QueryResult:
     """Plan and run a standalone XQuery.
 
-    ``cost_based=True`` enables the selectivity cost model (see
-    :mod:`repro.planner.cost`): eligible but barely-selective probes
-    are skipped.  The default is the rule-based mode the paper's
-    eligibility discussion assumes — every eligible index is used.
+    Every eligible index is used (Definition 1 decides; estimates only
+    annotate traced runs, see :mod:`repro.planner.cost`).
 
     ``rewrite_views=True`` attempts the §3.6 view-flattening rewrite
     before planning (see :mod:`repro.core.rewriter`); when the rewrite
@@ -512,12 +475,6 @@ def execute_xquery(database, query: str,
     runtime_db = database
     if use_indexes:
         from ..static.infer import static_prefilter_facts
-        cost_model = None
-        if cost_based:
-            from .cost import CostModel
-            cost_model = CostModel(
-                prefilter_threshold=prefilter_threshold,
-                calibration=getattr(database, "cost_calibration", None))
         with tracer.span("static-analysis") as span:
             facts = static_prefilter_facts(database, candidates)
             span.set(checks=facts.checked,
@@ -527,11 +484,8 @@ def execute_xquery(database, query: str,
         if METRICS.enabled and facts.checked:
             METRICS.inc("static.checks", facts.checked)
         with tracer.span("plan") as span:
-            prefilters = plan_prefilters(
-                database, candidates, stats, cost_model=cost_model,
-                path_facts=facts.docs_with_path)
-            span.set(prefilter_columns=len(prefilters),
-                     cost_based=cost_based)
+            prefilters = plan_prefilters(database, candidates, stats)
+            span.set(prefilter_columns=len(prefilters))
         pruned: dict[str, set[int]] = {}
         for column, path_text in facts.empty_columns.items():
             # A statically-empty filtering path behaves exactly like an
@@ -590,8 +544,7 @@ def explain_xquery(database, query: str) -> str:
     stats = ExecutionStats()
     from ..static.infer import static_prefilter_facts
     facts = static_prefilter_facts(database, candidates)
-    prefilters = plan_prefilters(database, candidates, stats,
-                                 path_facts=facts.docs_with_path)
+    prefilters = plan_prefilters(database, candidates, stats)
     lines = [report.explain(), "plan:"]
     for column, path_text in facts.empty_columns.items():
         prefilters.pop(column, None)

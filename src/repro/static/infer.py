@@ -949,8 +949,6 @@ class StaticFacts:
     #: column -> the statically-empty path pattern (as text) that
     #: eliminates every binding on that column.
     empty_columns: dict = field(default_factory=dict)
-    #: (column, path text) -> docs_with_path (cardinality seeds).
-    docs_with_path: dict = field(default_factory=dict)
     #: How many distinct (column, path) facts were checked.
     checked: int = 0
 
@@ -989,7 +987,6 @@ def static_prefilter_facts(database, candidates) -> StaticFacts:
                 continue
             seen[key] = count
             facts.checked += 1
-            facts.docs_with_path[key] = count
         if candidate.in_disjunction:
             by_disjunction.setdefault(
                 candidate.disjunction_group, []).append(

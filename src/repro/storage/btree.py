@@ -124,12 +124,19 @@ class BPlusTree:
     def items(self) -> Iterator[tuple[Any, Any]]:
         return self.scan()
 
-    def keys(self) -> Iterator[Any]:
+    def keys(self, keep=None) -> Iterator[Any]:
+        """Distinct keys in order; with ``keep``, only the keys holding
+        at least one entry ``keep(entry)`` accepts."""
         node = self._root
         while not node.is_leaf:
             node = node.children[0]
         while node is not None:
-            yield from node.keys
+            if keep is None:
+                yield from node.keys
+            else:
+                for key, bucket in zip(node.keys, node.buckets):
+                    if any(keep(entry) for entry in bucket):
+                        yield key
             node = node.next
 
     # ------------------------------------------------------------------

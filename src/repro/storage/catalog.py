@@ -89,9 +89,6 @@ class Database(ReadView):
         #: Workload profiler installed by :meth:`autopilot` (None keeps
         #: the query path's observation hook a no-op attribute read).
         self.workload_profiler = None
-        #: Cost-model calibration (see :mod:`repro.autopilot.calibrate`);
-        #: DurableDatabase loads/persists it under the data directory.
-        self.cost_calibration = None
         self._autopilot = None
 
     # ------------------------------------------------------------------
@@ -505,15 +502,11 @@ class Database(ReadView):
             return Snapshot(self)
 
     def xquery(self, query: str, use_indexes: bool = True,
-               cost_based: bool = False,
-               prefilter_threshold: float = 0.9,
                rewrite_views: bool = False,
                tracer=None, variables: dict | None = None):
         """Run a standalone XQuery; returns a planner QueryResult.
 
-        ``cost_based=True`` turns on selectivity-based probe pruning
-        (DB2-style cost-based optimization); the default rule-based
-        mode uses every eligible index.  ``rewrite_views=True`` enables
+        Every eligible index is used.  ``rewrite_views=True`` enables
         the §3.6 view-flattening rewrite.  ``tracer`` (a
         :class:`repro.obs.trace.Tracer`) records per-stage spans.
 
@@ -522,8 +515,7 @@ class Database(ReadView):
         """
         with self._rwlock.read():
             return super().xquery(
-                query, use_indexes=use_indexes, cost_based=cost_based,
-                prefilter_threshold=prefilter_threshold,
+                query, use_indexes=use_indexes,
                 rewrite_views=rewrite_views, tracer=tracer,
                 variables=variables)
 

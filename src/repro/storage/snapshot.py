@@ -141,14 +141,10 @@ class ReadView:
     # ------------------------------------------------------------------
 
     def xquery(self, query: str, use_indexes: bool = True,
-               cost_based: bool = False,
-               prefilter_threshold: float = 0.9,
                rewrite_views: bool = False,
                tracer=None, variables: dict | None = None):
         from ..planner.plan import execute_xquery
         return execute_xquery(self, query, use_indexes=use_indexes,
-                              cost_based=cost_based,
-                              prefilter_threshold=prefilter_threshold,
                               rewrite_views=rewrite_views,
                               tracer=tracer, variables=variables)
 
@@ -258,15 +254,12 @@ class Snapshot(ReadView):
             _sanitizer.ACTIVE.fingerprint_snapshot(self)
 
     def xquery(self, query: str, use_indexes: bool = True,
-               cost_based: bool = False,
-               prefilter_threshold: float = 0.9,
                rewrite_views: bool = False,
                tracer=None, variables: dict | None = None):
         if _sanitizer.ACTIVE is not None:
             _sanitizer.ACTIVE.verify_snapshot(self)
         return super().xquery(
-            query, use_indexes=use_indexes, cost_based=cost_based,
-            prefilter_threshold=prefilter_threshold,
+            query, use_indexes=use_indexes,
             rewrite_views=rewrite_views, tracer=tracer,
             variables=variables)
 

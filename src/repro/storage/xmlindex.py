@@ -149,6 +149,13 @@ class XmlIndex:
         return ingest_document(document).nodes_matching(
             self._pattern_matcher)
 
+    def keys(self):
+        """Distinct keys in order, skipping those whose entries all
+        belong to forgotten documents: the keys a freshly built index
+        over the same rows would hold."""
+        live = self._doc_entry_counts
+        return self.tree.keys(lambda entry: entry.doc_id in live)
+
     def distinct_doc_count(self) -> int:
         """Number of documents with at least one entry in this index."""
         return len(self._doc_entry_counts)

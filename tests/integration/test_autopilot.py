@@ -3,9 +3,8 @@
 Covers the ISSUE's acceptance criteria end to end: a cold database
 converges to the manually-indexed oracle within two passes of the
 paper workload; the online builder never blocks writers for the scan
-phase and catches up with writes that land mid-build; EXPLAIN ANALYZE
-calibration survives a durable restart; a crash before publish leaves
-no index; and the CLI/server surfaces work.
+phase and catches up with writes that land mid-build; an online build
+survives a durable restart; a crash before publish leaves no index; and the CLI/server surfaces work.
 """
 
 import io
@@ -200,21 +199,6 @@ class TestDurability:
             assert "li_price" not in recovered.xml_indexes
             assert run_all(recovered) == run_all(oracle)
 
-    def test_calibration_persists_across_restart(self, tmp_path):
-        with DurableDatabase(str(tmp_path)) as database:
-            load_paper_fixture(database, with_indexes=True)
-            database.explain_analyze(
-                "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-                "//order[lineitem/@price>100] return $i")
-            samples = len(database.cost_calibration.samples)
-            factor = database.cost_calibration.factor
-            assert samples > 0, "no index-scan q-error was observed"
-        assert (tmp_path / "calibration.json").is_file()
-        with DurableDatabase(str(tmp_path)) as database:
-            assert len(database.cost_calibration.samples) == samples
-            assert database.cost_calibration.factor == \
-                pytest.approx(factor)
-
 
 class TestPolicyAndSurfaces:
     def test_auto_index_policy_builds_in_background(self):
@@ -246,12 +230,20 @@ class TestPolicyAndSurfaces:
     def test_cli_autopilot_paper_apply_json(self):
         out = io.StringIO()
         code = main(["autopilot", "--fixture", "--paper", "--apply",
-                     "--calibrate", "--json"], out=out)
+                     "--json"], out=out)
         assert code == 0
         report = json.loads(out.getvalue())
-        assert report["profile"]["queries_observed"] >= 30
+        # Every paper query but Q25, which raises XPDY0050 by design.
+        assert report["profile"]["queries_observed"] == \
+            len(PAPER_QUERIES) - 1
         assert report["applied"], "CLI applied no DDL"
-        assert report["calibration"]["samples"] >= 0
+
+    def test_cli_autopilot_has_no_calibrate_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["autopilot", "--fixture", "--calibrate"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --calibrate" in \
+            capsys.readouterr().err
 
     def test_cli_autopilot_advise_only_builds_nothing(self):
         out = io.StringIO()

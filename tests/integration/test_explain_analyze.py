@@ -11,7 +11,9 @@ at least one node on the probed path).
 
 import pytest
 
+from repro.durability import DurableDatabase
 from repro.obs.trace import validate_trace
+from repro.workload.generator import populate_paper_schema
 
 XMLCOL = "db2-fn:xmlcolumn('ORDERS.ORDDOC')"
 
@@ -168,3 +170,26 @@ class TestToDict:
         assert decoded["plan"]["operator"] == "xquery"
         assert decoded["plan"]["actual_rows"] == 1
         assert validate_trace(decoded["trace"]) == []
+
+
+class TestEstimatesAreAFunctionOfTheData:
+    def test_repeated_runs_and_reopen_report_the_same_estimate(
+            self, tmp_path):
+        """Running EXPLAIN ANALYZE must not change what the next run
+        estimates, and neither may closing and reopening the database."""
+        query = f"for $i in {XMLCOL}//order[lineitem/@price > 150] " \
+                "return $i"
+
+        def estimates(database):
+            return [(scan.estimated_rows, scan.actual_rows)
+                    for scan in database.explain_analyze(query)
+                    .operators("index-scan")]
+
+        with DurableDatabase(str(tmp_path)) as database:
+            populate_paper_schema(database, orders=40, customers=5,
+                                  products=5, seed=3)
+            runs = [estimates(database) for _ in range(3)]
+        with DurableDatabase(str(tmp_path)) as database:
+            runs.append(estimates(database))
+        assert runs[0], "the query probed no index"
+        assert runs == [runs[0]] * 4

@@ -39,7 +39,6 @@ STATEMENTS: dict[str, tuple[str, str, dict]] = {
     for number, (kind, text) in sorted(PAPER_QUERIES.items())}
 STATEMENTS.update({
     "q1-noindex": (*PAPER_QUERIES[1], {"use_indexes": False}),
-    "q1-cost": (*PAPER_QUERIES[1], {"cost_based": True}),
     "q26-flatten": (*PAPER_QUERIES[26], {"rewrite_views": True}),
     "q8-noindex": (*PAPER_QUERIES[8], {"use_indexes": False}),
     "static-prune": ("xquery", f"for $i in {XMLCOL}"

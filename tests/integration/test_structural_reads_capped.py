@@ -59,7 +59,7 @@ def structural_answers(database) -> dict:
         facts = static_prefilter_facts(
             database, list(compile_query(statement).candidates))
         answers["facts", statement] = (facts.empty_columns,
-                                       facts.docs_with_path)
+                                       facts.checked)
         answers["lint", statement] = sorted(
             (finding.code.code, str(finding))
             for finding in lint_statement(statement, database=database))

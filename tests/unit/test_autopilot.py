@@ -1,20 +1,16 @@
 """Unit tests for the autopilot layers: fingerprinting and workload
-profiling, cost calibration (damped update, clamping, persistence),
-XMLPATTERN rendering, candidate generation/validation, and the
+profiling, XMLPATTERN rendering, candidate generation/validation, and the
 buffer-pool scan-resistance fix for bulk index builds."""
 
 import json
 
 import pytest
 
-from repro.autopilot.calibrate import (FACTOR_MAX, FACTOR_MIN,
-                                       CostCalibration)
 from repro.autopilot.candidates import (generate_candidates,
                                         render_xmlpattern)
 from repro.autopilot.profiler import WorkloadProfiler, fingerprint
 from repro.core.eligibility import check_index
 from repro.core.patterns import parse_xmlpattern, pattern_contains
-from repro.planner.cost import CostModel
 from repro.planner.stats import ExecutionStats
 from repro.storage.catalog import Database
 from repro.workload.paperqueries import (PAPER_QUERIES,
@@ -78,66 +74,6 @@ class TestWorkloadProfiler:
         profiler.observe_write("orders", count=3)
         assert profiler.write_rate("orders") == 4
         assert profiler.write_rate("customer") == 0
-
-
-class TestCostCalibration:
-    def test_underestimate_raises_factor(self):
-        calibration = CostCalibration()
-        q_error = calibration.observe(estimated=10, actual=100)
-        assert q_error == pytest.approx(10.0)
-        assert calibration.factor > 1.0
-
-    def test_overestimate_lowers_factor(self):
-        calibration = CostCalibration()
-        calibration.observe(estimated=100, actual=10)
-        assert calibration.factor < 1.0
-
-    def test_damping_and_clamp(self):
-        calibration = CostCalibration()
-        for _ in range(100):
-            calibration.observe(estimated=1, actual=10_000)
-        assert calibration.factor == FACTOR_MAX
-        for _ in range(200):
-            calibration.observe(estimated=10_000, actual=1)
-        assert calibration.factor == FACTOR_MIN
-
-    def test_roundtrip_through_file(self, tmp_path):
-        path = tmp_path / CostCalibration.FILENAME
-        calibration = CostCalibration(path=path)
-        calibration.observe(10, 40)
-        calibration.save()
-        loaded = CostCalibration.load(path)
-        assert loaded.factor == pytest.approx(calibration.factor)
-        assert len(loaded.samples) == 1
-
-    def test_corrupt_file_starts_fresh(self, tmp_path):
-        path = tmp_path / CostCalibration.FILENAME
-        path.write_bytes(b"{not json")
-        loaded = CostCalibration.load(path)
-        assert loaded.factor == 1.0
-        assert not loaded.samples
-
-    def test_missing_file_starts_fresh(self, tmp_path):
-        loaded = CostCalibration.load(tmp_path / "absent.json")
-        assert loaded.factor == 1.0
-
-    def test_cost_model_folds_factor_in(self, paper_db):
-        load = paper_db
-        index = load.create_xml_index(
-            "li_price", "orders", "orddoc", "//lineitem/@price",
-            "DOUBLE")
-        total = len(load.documents("orders", "orddoc"))
-        plain = CostModel().estimate_probe(index, 10.0, 60.0, total)
-        boosted = CostModel(
-            calibration=CostCalibration(factor=4.0)).estimate_probe(
-            index, 10.0, 60.0, total)
-        assert boosted.docs_fraction >= plain.docs_fraction
-        assert "calibration x4.00" in boosted.note
-
-    def test_cost_model_clamps_corrupt_factor(self):
-        class Corrupt:
-            factor = 1e9
-        assert CostModel(calibration=Corrupt()).calibration_factor == 10.0
 
 
 class TestRenderXmlpattern:

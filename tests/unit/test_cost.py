@@ -1,4 +1,5 @@
-"""Unit tests for the cost model (selectivity-based probe pruning)."""
+"""Unit tests for the probe estimates EXPLAIN ANALYZE reports, and for
+the planner using every eligible index whatever its selectivity."""
 
 import pytest
 
@@ -32,19 +33,6 @@ class TestHistogram:
         histogram = KeyHistogram(BPlusTree(order=16))
         assert histogram.range_fraction(None, None) == 0.0
 
-    def test_refresh_after_growth(self):
-        tree = BPlusTree(order=16)
-        for value in range(100):
-            tree.insert(float(value), value)
-        histogram = KeyHistogram(tree)
-        assert histogram.range_fraction(50.0, None) == pytest.approx(
-            0.5, abs=0.15)
-        # Grow the high end substantially; estimate must adapt.
-        for value in range(100, 400):
-            tree.insert(float(value), value)
-        assert histogram.range_fraction(200.0, None) == pytest.approx(
-            0.5, abs=0.15)
-
     def test_incomparable_bounds_conservative(self):
         histogram = KeyHistogram(self.make_tree())
         assert histogram.range_fraction("a-string", None) == 1.0
@@ -63,47 +51,19 @@ def priced_db() -> Database:
 
 
 class TestCostBasedPlanning:
-    def test_selective_probe_kept(self, priced_db):
-        query = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-                 "//lineitem[@price > 95]")
-        result = priced_db.xquery(query, cost_based=True)
-        assert result.stats.indexes_used == ["li_price"]
-        assert result.stats.docs_scanned < 10
-
-    def test_unselective_probe_skipped(self, priced_db):
-        query = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-                 "//lineitem[@price >= 0]")
-        result = priced_db.xquery(query, cost_based=True)
-        assert result.stats.indexes_used == []
-        assert any("cost model skips" in note
-                   for note in result.stats.plan_notes)
-        baseline = priced_db.xquery(query, use_indexes=False)
-        assert result.serialize() == baseline.serialize()
-
     def test_rule_based_default_always_probes(self, priced_db):
         query = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
                  "//lineitem[@price >= 0]")
         result = priced_db.xquery(query)   # rule-based default
         assert result.stats.indexes_used == ["li_price"]
 
-    def test_threshold_configurable(self, priced_db):
-        query = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-                 "//lineitem[@price > 40]")
-        strict = priced_db.xquery(query, cost_based=True,
-                                  prefilter_threshold=0.1)
-        assert strict.stats.indexes_used == []
-        lax = priced_db.xquery(query, cost_based=True,
-                               prefilter_threshold=0.99)
-        assert lax.stats.indexes_used == ["li_price"]
-
     def test_estimate_probe_accounting(self, priced_db):
-        model = CostModel(prefilter_threshold=0.5)
+        model = CostModel()
         index = priced_db.xml_indexes["li_price"]
         estimate = model.estimate_probe(index, 90.0, None, 100)
-        assert estimate.worthwhile
         assert estimate.docs_fraction < 0.3
         estimate = model.estimate_probe(index, None, None, 100)
-        assert not estimate.worthwhile
+        assert estimate.docs_fraction == pytest.approx(1.0)
 
     def test_distinct_doc_count_maintained(self, priced_db):
         index = priced_db.xml_indexes["li_price"]
@@ -115,6 +75,34 @@ class TestCostBasedPlanning:
         assert index.distinct_doc_count() == 99
         priced_db.delete_rows("orders")
         assert index.distinct_doc_count() == 0
+
+
+class TestEstimatesFollowLiveData:
+    def build(self, rows: int, keep: int) -> Database:
+        database = Database()
+        database.create_table("t", [("id", "INTEGER"), ("d", "XML")])
+        for value in range(1, rows + 1):
+            database.insert("t", {"id": value,
+                                  "d": f"<r><k>{value}</k></r>"})
+        database.create_xml_index("k_idx", "t", "d", "//k", "DOUBLE")
+        database.delete_rows("t", lambda values: values["id"] > keep)
+        return database
+
+    def estimates(self, database) -> list:
+        analyzed = database.explain_analyze(
+            "db2-fn:xmlcolumn('T.D')/r[k <= 51]")
+        return [(scan.estimated_rows, scan.actual_rows)
+                for scan in analyzed.operators("index-scan")]
+
+    def test_forgotten_entries_are_not_counted(self):
+        """49 dead entries stay in the tree (fewer than the 51 live
+        ones, so no compaction); the estimate must equal a fresh
+        database's over the same 51 rows."""
+        deleted = self.build(100, keep=51)
+        assert len(deleted.xml_indexes["k_idx"].tree) == 100
+        fresh = self.build(51, keep=51)
+        assert self.estimates(deleted) == self.estimates(fresh) == \
+            [(51.0, 51)]
 
 
 def _doc_text(stored) -> str:
@@ -151,7 +139,7 @@ class TestPathSummarySelectivity:
 
     def test_summary_counts_change_probe_selectivity(self):
         database = self.make_db(10, 30)
-        model = CostModel(prefilter_threshold=0.5)
+        model = CostModel()
         index = database.xml_indexes["ord_idx"]
 
         plain = model.estimate_probe(index, None, None, 40)
@@ -159,10 +147,10 @@ class TestPathSummarySelectivity:
             index, None, None, 40,
             docs_with_path=database.docs_with_path(
                 "orders", "orddoc", "//order/lineitem"))
-        assert not plain.worthwhile
-        assert sparse.worthwhile
-        assert sparse.docs_fraction < plain.docs_fraction
-        assert "path summary caps coverage" in sparse.note
+        assert plain.docs_fraction == pytest.approx(1.0)
+        # The path summary caps coverage at the 10 of 40 documents
+        # that hold the query's path.
+        assert sparse.docs_fraction == pytest.approx(0.25)
 
         # Change the summary counts (more documents carry the path):
         # the estimated selectivity must follow.
@@ -175,26 +163,3 @@ class TestPathSummarySelectivity:
             docs_with_path=database.docs_with_path(
                 "orders", "orddoc", "//order/lineitem"))
         assert denser.docs_fraction > sparse.docs_fraction
-
-    def test_planner_consumes_summary_cardinalities(self):
-        """End to end: a probe kept only because the path summary shows
-        the query's (more restrictive) path is rare (§2.2 residual)."""
-        database = Database()
-        database.create_table("orders", [("orddoc", "XML")])
-        for value in range(35):
-            database.insert("orders", {
-                "orddoc": f"<order><lineitem price='{value}'/></order>"})
-        for value in range(5):
-            database.insert("orders", {
-                "orddoc": f"<order><special><lineitem price='{value}'/>"
-                          f"</special></order>"})
-        database.create_xml_index("li_price", "orders", "orddoc",
-                                  "//lineitem/@price", "DOUBLE")
-        query = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-                 "//order/special/lineitem[@price >= 0]")
-        result = database.xquery(query, cost_based=True,
-                                 prefilter_threshold=0.5)
-        assert result.stats.indexes_used == ["li_price"]
-        assert any("path summary caps coverage" in note
-                   for note in result.stats.plan_notes)
-        assert len(result.items) == 5
