@@ -6,7 +6,11 @@ scales with data volume consults the :class:`~repro.xquery.guard.
 QueryGuard`.  This pass walks the two executors' row/item loops and
 demands each is *dominated* by a ``.tick(`` call: a tick earlier in
 the same function (the evaluator's pre-loop ``guard.tick(len(items)
-+ 1)`` pattern), or a tick inside the loop body.
++ 1)`` pattern), or a tick inside the loop body.  "The same function"
+is the loop's innermost enclosing ``def`` or ``lambda``: the evaluator
+is a tree of closures built by lowering methods, and a tick in a
+sibling closure, or in the method that builds them (which runs at
+compile time), guards nothing at run time.
 
 Qualifying loops (``for`` statements only; comprehensions are bounded
 by an already-guarded producer):
@@ -68,12 +72,27 @@ def _qualifies(module: str, name: str | None, is_call: bool) -> bool:
     return False
 
 
-def _tick_lines(function) -> list:
-    return sorted(
-        node.lineno for node in ast.walk(function.node)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "tick")
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scoped(function) -> tuple[list, dict]:
+    """(every ``for`` loop with its innermost enclosing def, tick
+    lines by def) under ``function``, nested defs included."""
+    loops: list = []
+    ticks: dict = {}
+
+    def visit(node, scope) -> None:
+        if isinstance(node, ast.For):
+            loops.append((node, scope))
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "tick"):
+            ticks.setdefault(scope, []).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child if isinstance(child, _SCOPES) else scope)
+
+    visit(function.node, function.node)
+    return loops, ticks
 
 
 def check_guard_ticks(graph: CallGraph) -> list:
@@ -81,17 +100,13 @@ def check_guard_ticks(graph: CallGraph) -> list:
     for function in graph.functions.values():
         if function.module not in ("sql.executor", "xquery.evaluator"):
             continue
-        ticks = _tick_lines(function)
-        if not ticks:
-            ticks = []
-        for node in ast.walk(function.node):
-            if not isinstance(node, ast.For):
-                continue
+        loops, ticks = _scoped(function)
+        for node, scope in loops:
             name, is_call = _loop_iter_name(node)
             if not _qualifies(function.module, name, is_call):
                 continue
             end = node.end_lineno or node.lineno
-            dominated = any(tick <= end for tick in ticks)
+            dominated = any(tick <= end for tick in ticks.get(scope, ()))
             if dominated:
                 continue
             findings.append(SAFinding(

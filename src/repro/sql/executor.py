@@ -46,8 +46,7 @@ from ..xdm.atomic import AtomicValue
 from ..xdm.nodes import AttributeNode, ElementNode, Node, TextNode, copy_node
 from ..xdm.qname import QName
 from ..xdm.sequence import Item, atomize
-from ..xquery.context import DynamicContext
-from ..xquery.evaluator import Evaluator, evaluate_module
+from ..xquery.evaluator import evaluate_module, lower_expression
 from ..xquery.joins import JoinTable
 from ..xquery.parser import parse_xquery
 from . import ast
@@ -90,6 +89,8 @@ class _JoinProbe:
     # xml probes:
     candidate: PredicateCandidate | None = None
     embedded: EmbeddedQuery | None = None
+    #: the candidate's operand, lowered once per statement
+    operand: object | None = None
     # rel probes:
     sql_expr: object | None = None
 
@@ -625,7 +626,9 @@ class _SQLExecutor:
                 plan.join_probes.append(_JoinProbe(
                     target_alias=alias, kind="xml", index=chosen,
                     outer_deps=frozenset(deps), candidate=candidate,
-                    embedded=embedded))
+                    embedded=embedded,
+                    operand=lower_expression(embedded.module,
+                                             candidate.operand_expr)))
                 self.stats.note(
                     f"index nested-loop join into {alias} via "
                     f"{chosen.name}: {candidate.description}")
@@ -847,13 +850,9 @@ class _SQLExecutor:
             if argument.variable in candidate.operand_vars:
                 variables[argument.variable] = _to_xdm_items(
                     self.eval_expr(argument.expr, env))
-        module = embedded.module
-        ctx = DynamicContext(module.prolog, variables=variables,
-                             database=self.database, stats=self.stats)
         try:
-            values = atomize(Evaluator(module.prolog,
-                                       plans=module.plans).evaluate(
-                candidate.operand_expr, ctx))
+            values = atomize(probe.operand(variables, self.database,
+                                           self.stats))
         except ReproError:
             return None  # fall back to full scan of the inner table
         docs: set[int] = set()

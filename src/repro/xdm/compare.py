@@ -158,9 +158,14 @@ def general_compare(symbol: str, left: list[Item], right: list[Item]) -> bool:
     absent from a DOUBLE index.  Pairs of *typed* incompatible values
     (string vs number) still raise XPTY0004.
     """
-    op = GENERAL_TO_VALUE[symbol]
-    left_atoms = atomize(left)
-    right_atoms = atomize(right)
+    return compare_atoms(GENERAL_TO_VALUE[symbol], atomize(left),
+                         atomize(right))
+
+
+def compare_atoms(op: str, left_atoms: list[AtomicValue],
+                  right_atoms: list[AtomicValue]) -> bool:
+    """:func:`general_compare` over atomized operands; ``op`` is the
+    value-comparison name (``GENERAL_TO_VALUE[symbol]``)."""
     for left_atom in left_atoms:
         for right_atom in right_atoms:
             try:

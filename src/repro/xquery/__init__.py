@@ -1,7 +1,7 @@
-"""XQuery engine: lexer, parser, and evaluator."""
+"""XQuery engine: lexer, parser, and the lowering evaluator."""
 
-from .evaluator import Evaluator, evaluate, evaluate_module
+from .evaluator import evaluate, evaluate_module
 from .parser import parse_expression, parse_xquery
 
-__all__ = ["Evaluator", "evaluate", "evaluate_module", "parse_expression",
+__all__ = ["evaluate", "evaluate_module", "parse_expression",
            "parse_xquery"]

@@ -1,4 +1,12 @@
-"""Static and dynamic evaluation contexts."""
+"""The dynamic context the lowered evaluator's closures run against.
+
+A compiled module is lowered once (:mod:`repro.xquery.evaluator`); what
+changes between runs — variable bindings, the focus, the database view
+and the statistics sink — lives here: one :class:`DynamicContext` per
+``evaluate_module`` call (and per user-function call), plus the
+children ``bind`` and ``with_focus`` derive from it.  The closures
+themselves hold none of it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +14,6 @@ from typing import Any
 
 from ..errors import XQueryDynamicError
 from ..xdm.sequence import Item
-from .ast import Prolog
 
 
 class DynamicContext:
@@ -17,17 +24,15 @@ class DynamicContext:
     access to the catalog, mirroring DB2's standalone XQuery interface.
     """
 
-    __slots__ = ("variables", "item", "position", "size", "prolog",
-                 "database", "stats")
+    __slots__ = ("variables", "item", "position", "size", "database",
+                 "stats")
 
-    def __init__(self, prolog: Prolog,
-                 variables: dict[str, list[Item]] | None = None,
+    def __init__(self, variables: dict[str, list[Item]] | None = None,
                  item: Item | None = None,
                  position: int = 0,
                  size: int = 0,
                  database: Any = None,
                  stats: Any = None):
-        self.prolog = prolog
         self.variables = variables or {}
         self.item = item
         self.position = position
@@ -38,13 +43,13 @@ class DynamicContext:
     def bind(self, name: str, value: list[Item]) -> "DynamicContext":
         variables = dict(self.variables)
         variables[name] = value
-        return DynamicContext(self.prolog, variables, self.item,
+        return DynamicContext(variables, self.item,
                               self.position, self.size, self.database,
                               self.stats)
 
     def with_focus(self, item: Item, position: int,
                    size: int) -> "DynamicContext":
-        return DynamicContext(self.prolog, self.variables, item,
+        return DynamicContext(self.variables, item,
                               position, size, self.database, self.stats)
 
     def lookup(self, name: str) -> list[Item]:

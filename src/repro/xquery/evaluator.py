@@ -1,6 +1,15 @@
-"""Tree-walking XQuery evaluator.
+"""XQuery evaluation: each module body is lowered once to closures.
 
-Implements the dynamic semantics the paper's pitfalls hinge on:
+:func:`evaluate_module` lowers a compiled module on first use into a
+tree of Python closures (one per ``plan_joins`` value, cached in
+:attr:`ast.Module.lowered`) and then only builds a context and calls
+the root.  Node dispatch, path summary and FLWOR join plans,
+constructor names, constant comparison operands and non-positional
+predicates are decided while lowering.  Closures hold no per-execution
+state (cached modules are shared across threads), and a static error
+found while lowering is raised by its closure, so only when reached.
+
+The dynamic semantics the paper's pitfalls hinge on:
 
 * path steps over the XDM axes with document-order dedup;
 * the leading-``/`` ``fn:root(.) treat as document-node()`` expansion
@@ -10,19 +19,24 @@ Implements the dynamic semantics the paper's pitfalls hinge on:
   where discards them (Section 3.4);
 * element construction with fresh node identities, untyped annotations,
   space-joined atomics and duplicate-attribute errors (Section 3.6).
+
+Every loop that scales with data volume ticks the active
+:class:`~repro.xquery.guard.QueryGuard`.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 from ..errors import (XQueryDynamicError, XQueryError, XQueryStaticError,
                       XQueryTypeError)
 from ..obs.metrics import METRICS
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
-from ..xdm.compare import (KEY_OTHER, equality_keys, general_compare,
-                           keys_may_raise, node_compare, value_compare)
+from ..xdm.compare import (GENERAL_TO_VALUE, KEY_OTHER, compare_atoms,
+                           equality_keys, general_compare, keys_may_raise,
+                           node_compare, value_compare)
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
 from ..xdm.qname import QName
@@ -31,10 +45,13 @@ from ..xdm.sequence import (Item, atomize, document_order,
 from . import ast
 from .context import DynamicContext
 from .functions import lookup_function
-from .guard import active_guard
+from .guard import QueryGuard, active_guard
 from .joins import FlworPlan, HashJoin, JoinTable, plan_flwor
 
-__all__ = ["evaluate", "evaluate_module", "Evaluator"]
+__all__ = ["evaluate", "evaluate_module", "lower_expression"]
+
+#: A lowered expression: the dynamic context in, the result sequence out.
+Lowered = Callable[[DynamicContext], list]
 
 #: Axes whose output from a *single* context node is already in
 #: document order with no duplicates — the final dedup/re-sort pass is
@@ -44,6 +61,15 @@ _SORTED_SINGLE_AXES = frozenset({
     "following-sibling", "following",
 })
 
+#: The plan of ``plan_joins=False``: no hash join, nothing hoisted.
+_LOOPS_ONLY = FlworPlan({}, frozenset(), [])
+
+#: Predicate expression types that always produce a boolean (or empty)
+#: result — they can never be mistaken for a positional predicate.
+_BOOLEAN_PREDICATE_TYPES = (ast.GeneralComparison, ast.ValueComparison,
+                            ast.NodeComparison, ast.AndExpr, ast.OrExpr,
+                            ast.QuantifiedExpr)
+
 
 def evaluate(source: str, database=None,
              variables: dict[str, list[Item]] | None = None,
@@ -51,7 +77,8 @@ def evaluate(source: str, database=None,
     """Parse and evaluate an XQuery string; returns the result sequence.
 
     Compilation goes through the shared LRU compiled-query cache, so
-    repeated evaluations of the same text skip the parser entirely.
+    repeated evaluations of the same text skip the parser and the
+    lowering entirely.
     """
     from ..core.querycache import compile_query
     module = compile_query(source).module
@@ -63,297 +90,385 @@ def evaluate_module(module: ast.Module, database=None,
                     variables: dict[str, list[Item]] | None = None,
                     context_item: Item | None = None,
                     stats=None, plan_joins: bool = True) -> list[Item]:
-    ctx = DynamicContext(module.prolog, variables=dict(variables or {}),
-                         database=database, stats=stats)
-    if context_item is not None:
-        ctx = ctx.with_focus(context_item, 1, 1)
-    return Evaluator(module.prolog, plan_joins, module.plans).evaluate(
-        module.body, ctx)
+    """Evaluate ``module``'s body.  ``plan_joins=False`` runs every for
+    clause as a plain nested loop that re-evaluates its sequence per
+    outer tuple — the reference plan ``use_indexes=False`` runs
+    (:mod:`repro.xquery.joins`)."""
+    body = module.lowered.get(plan_joins)
+    if body is None:
+        body = module.lowered[plan_joins] = _Lowering(
+            module.prolog, plan_joins).lower(module.body)
+    focus = 0 if context_item is None else 1
+    return body(DynamicContext(variables, context_item, focus, focus,
+                               database, stats))
 
 
-class Evaluator:
-    """Evaluates AST expressions against a dynamic context."""
+def lower_expression(module: ast.Module, expr: ast.Expr):
+    """``run(variables, database, stats)`` evaluating ``expr``, a
+    sub-expression of ``module`` (the SQL executor's index join probe
+    operand), without a focus."""
+    body = _Lowering(module.prolog, True).lower(expr)
+    return lambda variables, database=None, stats=None: body(
+        DynamicContext(variables, database=database, stats=stats))
 
-    def __init__(self, prolog: ast.Prolog, plan_joins: bool = True,
-                 plans: dict | None = None):
+
+def _fail(error_type, message: str, code: str | None = None) -> Lowered:
+    """A closure raising a fresh ``error_type`` each time it runs."""
+    def fail(ctx):
+        raise error_type(message, code=code)
+    return fail
+
+
+class _Lowering:
+    """Turns the AST expressions of one module into closures."""
+
+    def __init__(self, prolog: ast.Prolog, plan_joins: bool):
         self.prolog = prolog
-        #: False runs every for clause as a plain nested loop that
-        #: re-evaluates its sequence per outer tuple — the reference
-        #: plan ``use_indexes=False`` runs (:mod:`repro.xquery.joins`).
         self.plan_joins = plan_joins
-        #: Per-node plan memo: the module's (:attr:`ast.Module.plans`),
-        #: so a body evaluated once per SQL row plans once.
-        self.plans = {} if plans is None else plans
+        self.preserve = prolog.construction_mode == "preserve"
+        #: User function bodies, looked up by call closures when they
+        #: run, so recursive functions need no forward declaration.
+        self.bodies: dict[tuple, Lowered] = {}
+        for key, function in prolog.functions.items():
+            self.bodies[key] = self.lower(function.body)
 
-    def _planned(self, node, build):
-        """``build(node)``, memoised per AST node in :attr:`plans`."""
-        entry = self.plans.get(id(node))
-        if entry is None or entry[0] is not node:
-            entry = self.plans[id(node)] = (node, build(node))
-        return entry[1]
-
-    # ------------------------------------------------------------------
-
-    def evaluate(self, expr: ast.Expr, ctx: DynamicContext) -> list[Item]:
-        method = getattr(self, f"_eval_{type(expr).__name__}", None)
+    def lower(self, expr: ast.Expr) -> Lowered:
+        method = _LOWER.get(type(expr))
         if method is None:
-            raise XQueryDynamicError(
-                f"no evaluator for {type(expr).__name__}")
-        return method(expr, ctx)
+            return _fail(XQueryDynamicError,
+                         f"no evaluator for {type(expr).__name__}")
+        return method(self, expr)
 
-    def boolean_value(self, expr: ast.Expr, ctx: DynamicContext) -> bool:
-        return effective_boolean_value(self.evaluate(expr, ctx))
+    def test(self, expr: ast.Expr) -> Callable[[DynamicContext], bool]:
+        """``expr``'s effective boolean value; the boolean operators,
+        general comparisons and quantifiers build no xs:boolean."""
+        kind = type(expr)
+        if kind is ast.OrExpr:
+            left, right = self.test(expr.left), self.test(expr.right)
+            return lambda ctx: left(ctx) or right(ctx)
+        if kind is ast.AndExpr:
+            left, right = self.test(expr.left), self.test(expr.right)
+            return lambda ctx: left(ctx) and right(ctx)
+        if kind is ast.GeneralComparison:
+            return self._general_comparison(expr)
+        if kind is ast.QuantifiedExpr:
+            return self._quantifier(expr)
+        evaluate = self.lower(expr)
+        return lambda ctx: effective_boolean_value(evaluate(ctx))
 
     # -- primaries -----------------------------------------------------
 
-    def _eval_Literal(self, expr: ast.Literal, ctx) -> list[Item]:
-        return [expr.value]
+    def _literal(self, expr: ast.Literal) -> Lowered:
+        value = expr.value
+        return lambda ctx: [value]
 
-    def _eval_VarRef(self, expr: ast.VarRef, ctx: DynamicContext):
-        return list(ctx.lookup(expr.name))
+    def _var_ref(self, expr: ast.VarRef) -> Lowered:
+        name = expr.name
+        return lambda ctx: list(ctx.lookup(name))
 
-    def _eval_ContextItem(self, expr, ctx: DynamicContext) -> list[Item]:
-        return [ctx.require_context_item()]
+    def _context_item(self, expr: ast.ContextItem) -> Lowered:
+        return _focus
 
-    def _eval_SequenceExpr(self, expr: ast.SequenceExpr, ctx) -> list[Item]:
-        result: list[Item] = []
-        for item_expr in expr.items:
-            result.extend(self.evaluate(item_expr, ctx))
-        return result
+    def _sequence(self, expr: ast.SequenceExpr) -> Lowered:
+        parts = [self.lower(item) for item in expr.items]
 
-    def _eval_RangeExpr(self, expr: ast.RangeExpr, ctx) -> list[Item]:
-        start = self._integer_operand(expr.start, ctx, "range start")
-        end = self._integer_operand(expr.end, ctx, "range end")
-        if start is None or end is None:
-            return []
-        return [atomic.integer(value) for value in range(start, end + 1)]
+        def sequence(ctx):
+            result: list[Item] = []
+            for part in parts:
+                result.extend(part(ctx))
+            return result
+        return sequence
 
-    def _integer_operand(self, expr, ctx, what: str) -> int | None:
-        values = atomize(self.evaluate(expr, ctx))
-        if not values:
-            return None
-        value = singleton(values, what)
-        if value.is_untyped:
-            value = atomic.cast(value, atomic.T_DOUBLE)
-        if not value.is_numeric:
-            raise XQueryTypeError(f"{what} must be numeric")
-        return int(value.value)
+    def _range(self, expr: ast.RangeExpr) -> Lowered:
+        start = self._integer_operand(expr.start, "range start")
+        end = self._integer_operand(expr.end, "range end")
+        chunk = QueryGuard.CHECK_EVERY
+
+        def integer_range(ctx):
+            low, high = start(ctx), end(ctx)
+            if low is None or high is None:
+                return []
+            guard = active_guard()
+            if guard is None:
+                return [atomic.integer(value)
+                        for value in range(low, high + 1)]
+            # One item per integer: tick as the range grows, so a
+            # deadline interrupts ``1 to 2000000``.
+            result: list[Item] = []
+            for first in range(low, high + 1, chunk):
+                guard.tick(chunk)
+                result.extend(atomic.integer(value) for value
+                              in range(first, min(first + chunk, high + 1)))
+            return result
+        return integer_range
+
+    def _integer_operand(self, expr: ast.Expr, what: str):
+        evaluate = self.lower(expr)
+
+        def integer_operand(ctx) -> int | None:
+            values = atomize(evaluate(ctx))
+            if not values:
+                return None
+            value = singleton(values, what)
+            if value.is_untyped:
+                value = atomic.cast(value, atomic.T_DOUBLE)
+            if not value.is_numeric:
+                raise XQueryTypeError(f"{what} must be numeric")
+            return int(value.value)
+        return integer_operand
 
     # -- logic -----------------------------------------------------------
 
-    def _eval_OrExpr(self, expr: ast.OrExpr, ctx) -> list[Item]:
-        result = (self.boolean_value(expr.left, ctx) or
-                  self.boolean_value(expr.right, ctx))
-        return [atomic.boolean(result)]
+    def _boolean(self, expr) -> Lowered:
+        test = self.test(expr)
+        return lambda ctx: [atomic.boolean(test(ctx))]
 
-    def _eval_AndExpr(self, expr: ast.AndExpr, ctx) -> list[Item]:
-        result = (self.boolean_value(expr.left, ctx) and
-                  self.boolean_value(expr.right, ctx))
-        return [atomic.boolean(result)]
+    def _if(self, expr: ast.IfExpr) -> Lowered:
+        condition = self.test(expr.condition)
+        then_branch = self.lower(expr.then_branch)
+        else_branch = self.lower(expr.else_branch)
+        return lambda ctx: (then_branch(ctx) if condition(ctx)
+                            else else_branch(ctx))
 
-    def _eval_IfExpr(self, expr: ast.IfExpr, ctx) -> list[Item]:
-        if self.boolean_value(expr.condition, ctx):
-            return self.evaluate(expr.then_branch, ctx)
-        return self.evaluate(expr.else_branch, ctx)
+    def _typeswitch(self, expr: ast.TypeswitchExpr) -> Lowered:
+        operand = self.lower(expr.operand)
+        cases = [(case.sequence_type, case.variable, self.lower(case.body))
+                 for case in expr.cases]
+        default_variable = expr.default_variable
+        default_body = self.lower(expr.default_body)
 
-    def _eval_TypeswitchExpr(self, expr: ast.TypeswitchExpr, ctx):
-        operand = self.evaluate(expr.operand, ctx)
-        for case in expr.cases:
-            if _matches_sequence_type(operand, case.sequence_type):
-                case_ctx = (ctx.bind(case.variable, operand)
-                            if case.variable else ctx)
-                return self.evaluate(case.body, case_ctx)
-        default_ctx = (ctx.bind(expr.default_variable, operand)
-                       if expr.default_variable else ctx)
-        return self.evaluate(expr.default_body, default_ctx)
+        def typeswitch(ctx):
+            value = operand(ctx)
+            for sequence_type, variable, body in cases:
+                if _matches_sequence_type(value, sequence_type):
+                    return body(ctx.bind(variable, value) if variable
+                                else ctx)
+            return default_body(ctx.bind(default_variable, value)
+                                if default_variable else ctx)
+        return typeswitch
 
-    def _eval_QuantifiedExpr(self, expr: ast.QuantifiedExpr, ctx):
-        result = self._quantify(expr, 0, ctx)
-        return [atomic.boolean(result)]
-
-    def _quantify(self, expr: ast.QuantifiedExpr, index: int,
-                  ctx: DynamicContext) -> bool:
-        if index == len(expr.bindings):
-            return self.boolean_value(expr.satisfies, ctx)
-        var, binding_expr = expr.bindings[index]
-        items = self.evaluate(binding_expr, ctx)
-        if expr.quantifier == "some":
-            return any(self._quantify(expr, index + 1, ctx.bind(var, [item]))
-                       for item in items)
-        return all(self._quantify(expr, index + 1, ctx.bind(var, [item]))
-                   for item in items)
+    def _quantifier(self, expr: ast.QuantifiedExpr):
+        some = expr.quantifier == "some"
+        quantified = self.test(expr.satisfies)
+        for var, binding_expr in reversed(expr.bindings):
+            quantified = _quantify(var, self.lower(binding_expr),
+                                   quantified, some)
+        return quantified
 
     # -- comparisons -------------------------------------------------------
 
-    def _eval_GeneralComparison(self, expr: ast.GeneralComparison, ctx):
-        left = self.evaluate(expr.left, ctx)
-        right = self.evaluate(expr.right, ctx)
-        return [atomic.boolean(general_compare(expr.op, left, right))]
+    def _general_comparison(self, expr: ast.GeneralComparison):
+        # A literal side is atomized once, here.
+        op = GENERAL_TO_VALUE[expr.op]
+        if isinstance(expr.right, ast.Literal):
+            left, constant = self.lower(expr.left), [expr.right.value]
+            return lambda ctx: compare_atoms(op, atomize(left(ctx)),
+                                             constant)
+        if isinstance(expr.left, ast.Literal):
+            constant, right = [expr.left.value], self.lower(expr.right)
+            return lambda ctx: compare_atoms(op, constant,
+                                             atomize(right(ctx)))
+        symbol = expr.op
+        left, right = self.lower(expr.left), self.lower(expr.right)
+        return lambda ctx: general_compare(symbol, left(ctx), right(ctx))
 
-    def _eval_ValueComparison(self, expr: ast.ValueComparison, ctx):
-        left = self.evaluate(expr.left, ctx)
-        right = self.evaluate(expr.right, ctx)
-        return value_compare(expr.op, left, right)
+    def _value_comparison(self, expr: ast.ValueComparison) -> Lowered:
+        op, left, right = expr.op, self.lower(expr.left), self.lower(
+            expr.right)
+        return lambda ctx: value_compare(op, left(ctx), right(ctx))
 
-    def _eval_NodeComparison(self, expr: ast.NodeComparison, ctx):
-        left = self.evaluate(expr.left, ctx)
-        right = self.evaluate(expr.right, ctx)
-        return node_compare(expr.op, left, right)
+    def _node_comparison(self, expr: ast.NodeComparison) -> Lowered:
+        op, left, right = expr.op, self.lower(expr.left), self.lower(
+            expr.right)
+        return lambda ctx: node_compare(op, left(ctx), right(ctx))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _eval_Arithmetic(self, expr: ast.Arithmetic, ctx) -> list[Item]:
-        left = self._numeric_operand(expr.left, ctx)
-        right = self._numeric_operand(expr.right, ctx)
-        if left is None or right is None:
-            return []
-        return [_arithmetic(expr.op, left, right)]
+    def _arithmetic(self, expr: ast.Arithmetic) -> Lowered:
+        op = expr.op
+        left = self._numeric_operand(expr.left)
+        right = self._numeric_operand(expr.right)
 
-    def _numeric_operand(self, expr, ctx) -> AtomicValue | None:
-        values = atomize(self.evaluate(expr, ctx))
-        if not values:
-            return None
-        value = singleton(values, "arithmetic operand")
-        if value.is_untyped:
-            value = atomic.cast(value, atomic.T_DOUBLE)
-        if not value.is_numeric:
-            raise XQueryTypeError(
-                f"arithmetic on {value.type_name}", code="XPTY0004")
-        return value
+        def arithmetic(ctx):
+            left_value, right_value = left(ctx), right(ctx)
+            if left_value is None or right_value is None:
+                return []
+            return [_arithmetic(op, left_value, right_value)]
+        return arithmetic
 
-    def _eval_UnaryMinus(self, expr: ast.UnaryMinus, ctx) -> list[Item]:
-        value = self._numeric_operand(expr.operand, ctx)
-        if value is None:
-            return []
-        if expr.negate:
-            return [AtomicValue(value.type_name, -value.value)]
-        return [value]
+    def _numeric_operand(self, expr: ast.Expr):
+        if isinstance(expr, ast.Literal) and expr.value.is_numeric:
+            value = expr.value
+            return lambda ctx: value
+        evaluate = self.lower(expr)
+
+        def numeric_operand(ctx) -> AtomicValue | None:
+            values = atomize(evaluate(ctx))
+            if not values:
+                return None
+            value = singleton(values, "arithmetic operand")
+            if value.is_untyped:
+                value = atomic.cast(value, atomic.T_DOUBLE)
+            if not value.is_numeric:
+                raise XQueryTypeError(
+                    f"arithmetic on {value.type_name}", code="XPTY0004")
+            return value
+        return numeric_operand
+
+    def _unary_minus(self, expr: ast.UnaryMinus) -> Lowered:
+        operand = self._numeric_operand(expr.operand)
+        negate = expr.negate
+
+        def unary(ctx):
+            value = operand(ctx)
+            if value is None:
+                return []
+            if negate:
+                return [AtomicValue(value.type_name, -value.value)]
+            return [value]
+        return unary
 
     # -- set operations -------------------------------------------------
 
-    def _eval_SetExpr(self, expr: ast.SetExpr, ctx) -> list[Item]:
-        left = self._node_sequence(expr.left, ctx, expr.op)
-        right = self._node_sequence(expr.right, ctx, expr.op)
-        right_ids = {node.node_id for node in right}
-        if expr.op == "union":
-            return document_order(left + right)
-        if expr.op == "intersect":
-            return document_order(
-                [node for node in left if node.node_id in right_ids])
-        if expr.op == "except":
-            return document_order(
-                [node for node in left if node.node_id not in right_ids])
-        raise XQueryDynamicError(f"unknown set operation {expr.op}")
+    def _set(self, expr: ast.SetExpr) -> Lowered:
+        op, left, right = expr.op, self.lower(expr.left), self.lower(
+            expr.right)
 
-    def _node_sequence(self, expr, ctx, operation: str) -> list[Node]:
-        items = self.evaluate(expr, ctx)
-        # sa: ok(SA406: isinstance check only; self.evaluate ticked)
-        for item in items:
-            if not isinstance(item, Node):
-                raise XQueryTypeError(
-                    f"{operation} operand must be nodes", code="XPTY0004")
-        return items  # type: ignore[return-value]
+        def set_operation(ctx):
+            left_nodes = _node_sequence(left(ctx), op)
+            right_nodes = _node_sequence(right(ctx), op)
+            right_ids = {node.node_id for node in right_nodes}
+            if op == "union":
+                return document_order(left_nodes + right_nodes)
+            if op == "intersect":
+                return document_order([node for node in left_nodes
+                                       if node.node_id in right_ids])
+            if op == "except":
+                return document_order([node for node in left_nodes
+                                       if node.node_id not in right_ids])
+            raise XQueryDynamicError(f"unknown set operation {op}")
+        return set_operation
 
     # -- casts & types -----------------------------------------------------
 
-    def _eval_CastExpr(self, expr: ast.CastExpr, ctx) -> list[Item]:
-        values = atomize(self.evaluate(expr.operand, ctx))
-        if not values:
-            if expr.allow_empty:
-                return []
-            raise XQueryTypeError("cast of empty sequence", code="XPTY0004")
-        value = singleton(values, "cast")
-        return [atomic.cast(value, expr.type_name)]
+    def _cast(self, expr: ast.CastExpr) -> Lowered:
+        operand = self.lower(expr.operand)
+        type_name, allow_empty = expr.type_name, expr.allow_empty
 
-    def _eval_CastableExpr(self, expr: ast.CastableExpr, ctx) -> list[Item]:
-        values = atomize(self.evaluate(expr.operand, ctx))
-        if not values:
-            return [atomic.boolean(expr.allow_empty)]
-        if len(values) > 1:
-            return [atomic.boolean(False)]
-        return [atomic.boolean(atomic.castable(values[0], expr.type_name))]
+        def cast(ctx):
+            values = atomize(operand(ctx))
+            if not values:
+                if allow_empty:
+                    return []
+                raise XQueryTypeError("cast of empty sequence",
+                                      code="XPTY0004")
+            return [atomic.cast(singleton(values, "cast"), type_name)]
+        return cast
 
-    def _eval_InstanceOfExpr(self, expr: ast.InstanceOfExpr, ctx):
-        items = self.evaluate(expr.operand, ctx)
-        return [atomic.boolean(
-            _matches_sequence_type(items, expr.sequence_type))]
+    def _castable(self, expr: ast.CastableExpr) -> Lowered:
+        operand = self.lower(expr.operand)
+        type_name, allow_empty = expr.type_name, expr.allow_empty
 
-    def _eval_TreatExpr(self, expr: ast.TreatExpr, ctx) -> list[Item]:
-        items = self.evaluate(expr.operand, ctx)
-        if not _matches_sequence_type(items, expr.sequence_type):
-            raise XQueryDynamicError(
-                f"treat as {expr.sequence_type.item_type}"
-                f"{expr.sequence_type.occurrence} failed", code="XPDY0050")
-        return items
+        def castable(ctx):
+            values = atomize(operand(ctx))
+            if not values:
+                return [atomic.boolean(allow_empty)]
+            if len(values) > 1:
+                return [atomic.boolean(False)]
+            return [atomic.boolean(atomic.castable(values[0], type_name))]
+        return castable
+
+    def _instance_of(self, expr: ast.InstanceOfExpr) -> Lowered:
+        operand, sequence_type = self.lower(expr.operand), expr.sequence_type
+        return lambda ctx: [atomic.boolean(
+            _matches_sequence_type(operand(ctx), sequence_type))]
+
+    def _treat(self, expr: ast.TreatExpr) -> Lowered:
+        operand, sequence_type = self.lower(expr.operand), expr.sequence_type
+
+        def treat(ctx):
+            items = operand(ctx)
+            if not _matches_sequence_type(items, sequence_type):
+                raise XQueryDynamicError(
+                    f"treat as {sequence_type.item_type}"
+                    f"{sequence_type.occurrence} failed", code="XPDY0050")
+            return items
+        return treat
 
     # -- function calls ------------------------------------------------------
 
-    def _eval_FunctionCall(self, expr: ast.FunctionCall, ctx) -> list[Item]:
-        user_function = self.prolog.functions.get(
-            (expr.name.uri, expr.name.local, len(expr.args)))
+    def _function_call(self, expr: ast.FunctionCall) -> Lowered:
+        key = (expr.name.uri, expr.name.local, len(expr.args))
+        user_function = self.prolog.functions.get(key)
         if user_function is not None:
-            return self._call_user_function(user_function, expr, ctx)
+            return self._user_call(key, user_function, expr)
         definition = lookup_function(expr.name.uri, expr.name.local)
         if definition is None:
-            raise XQueryStaticError(
-                f"unknown function {expr.name}", code="XPST0017")
+            return _fail(XQueryStaticError,
+                         f"unknown function {expr.name}", "XPST0017")
         if not definition.min_args <= len(expr.args) <= definition.max_args:
-            raise XQueryStaticError(
-                f"wrong number of arguments for {expr.name}: "
-                f"{len(expr.args)}", code="XPST0017")
-        args = [self.evaluate(argument, ctx) for argument in expr.args]
-        return definition.impl(ctx, args)
+            return _fail(XQueryStaticError,
+                         f"wrong number of arguments for {expr.name}: "
+                         f"{len(expr.args)}", "XPST0017")
+        impl = definition.impl
+        args = [self.lower(argument) for argument in expr.args]
+        if len(args) == 1:
+            only = args[0]
+            return lambda ctx: impl(ctx, [only(ctx)])
+        return lambda ctx: impl(ctx, [argument(ctx) for argument in args])
 
-    def _call_user_function(self, function: ast.UserFunction,
-                            expr: ast.FunctionCall,
-                            ctx: DynamicContext) -> list[Item]:
+    def _user_call(self, key: tuple, function: ast.UserFunction,
+                   expr: ast.FunctionCall) -> Lowered:
         """Invoke a prolog-declared function.
 
         The body sees only the parameter bindings (no outer variables,
         no focus), per the XQuery scoping rules.
         """
-        from .context import DynamicContext as _Context
+        params = [(name, param_type, self.lower(argument))
+                  for (name, param_type), argument
+                  in zip(function.params, expr.args)]
+        bodies = self.bodies
+        name, return_type = function.name, function.return_type
 
-        variables: dict[str, list[Item]] = {}
-        for (param_name, param_type), argument in zip(function.params,
-                                                      expr.args):
-            value = self.evaluate(argument, ctx)
-            if param_type is not None and \
-                    not _matches_sequence_type(value, param_type):
+        def call(ctx):
+            variables: dict[str, list[Item]] = {}
+            for param_name, param_type, argument in params:
+                value = argument(ctx)
+                if param_type is not None and \
+                        not _matches_sequence_type(value, param_type):
+                    raise XQueryTypeError(
+                        f"argument ${param_name} of {name} does "
+                        f"not match {param_type.item_type}"
+                        f"{param_type.occurrence}", code="XPTY0004")
+                variables[param_name] = value
+            try:
+                result = bodies[key](DynamicContext(
+                    variables, database=ctx.database, stats=ctx.stats))
+            except RecursionError:
+                raise XQueryDynamicError(
+                    f"recursion limit exceeded in {name}",
+                    code="XQDY0002") from None
+            if return_type is not None and \
+                    not _matches_sequence_type(result, return_type):
                 raise XQueryTypeError(
-                    f"argument ${param_name} of {function.name} does "
-                    f"not match {param_type.item_type}"
-                    f"{param_type.occurrence}", code="XPTY0004")
-            variables[param_name] = value
-        body_ctx = _Context(ctx.prolog, variables=variables,
-                            database=ctx.database, stats=ctx.stats)
-        try:
-            result = self.evaluate(function.body, body_ctx)
-        except RecursionError:
-            raise XQueryDynamicError(
-                f"recursion limit exceeded in {function.name}",
-                code="XQDY0002") from None
-        if function.return_type is not None and \
-                not _matches_sequence_type(result, function.return_type):
-            raise XQueryTypeError(
-                f"result of {function.name} does not match declared "
-                f"return type", code="XPTY0004")
-        return result
+                    f"result of {name} does not match declared "
+                    f"return type", code="XPTY0004")
+            return result
+        return call
 
     # -- FLWOR ---------------------------------------------------------------
 
-    def _eval_FLWORExpr(self, expr: ast.FLWORExpr, ctx) -> list[Item]:
+    def _flwor(self, expr: ast.FLWORExpr) -> Lowered:
         # The tuple stream is where runaway queries burn their time, so
         # the per-query guard (deadlines, row budgets — see
         # :mod:`repro.xquery.guard`) is consulted here: every for-clause
         # binding ticks the deadline, and the materialized return
-        # sequence is checked against the row limit as it grows.
-        guard = active_guard()
-        plan = (self._planned(expr, lambda node: plan_flwor(node,
-                                                             self.prolog))
-                if self.plan_joins else _LOOPS_ONLY)
-        contexts = [ctx]
-        order_by: ast.OrderByClause | None = None
+        # sequence is checked against the row limit as it grows.  Each
+        # clause becomes a stage: the tuple contexts in, the next out.
+        plan = (plan_flwor(expr, self.prolog) if self.plan_joins
+                else _LOOPS_ONLY)
+        stages = []
+        order_by = None
         clauses = expr.clauses
         index = 0
         while index < len(clauses):
@@ -363,292 +478,303 @@ class Evaluator:
                 join = plan.joins.get(index - 1)
                 if join is not None:
                     # The where clause right after is applied by the join.
-                    contexts = self._hash_join(join, clause.expr,
-                                               clauses[index].expr,
-                                               contexts, guard)
+                    stages.append(self._hash_join(join, clause.expr,
+                                                  clauses[index].expr))
                     index += 1
-                    continue
-                invariant = index - 1 in plan.invariant
-                next_contexts = []
-                items = None
-                for tuple_ctx in contexts:
-                    if items is None or not invariant:
-                        items = self.evaluate(clause.expr, tuple_ctx)
-                    if guard is not None:
-                        guard.tick(len(items) + 1)
-                    for position, item in enumerate(items, start=1):
-                        bound = tuple_ctx.bind(clause.var, [item])
-                        if clause.position_var:
-                            bound = bound.bind(clause.position_var,
-                                               [atomic.integer(position)])
-                        next_contexts.append(bound)
-                contexts = next_contexts
+                else:
+                    stages.append(self._for(clause,
+                                            index - 1 in plan.invariant))
             elif isinstance(clause, ast.LetClause):
-                contexts = [tuple_ctx.bind(clause.var,
-                                           self.evaluate(clause.expr,
-                                                         tuple_ctx))
-                            for tuple_ctx in contexts]
+                stages.append(self._let(clause))
             elif isinstance(clause, ast.WhereClause):
-                contexts = [tuple_ctx for tuple_ctx in contexts
-                            if self.boolean_value(clause.expr, tuple_ctx)]
+                stages.append(self._where(clause))
             elif isinstance(clause, ast.OrderByClause):
-                order_by = clause
+                order_by = self._order_by(clause)
         if order_by is not None:
-            contexts = self._order_tuples(order_by, contexts)
-        result: list[Item] = []
-        for tuple_ctx in contexts:
-            result.extend(self.evaluate(expr.return_expr, tuple_ctx))
-            if guard is not None:
-                guard.tick()
-                guard.check_items(len(result))
-        return result
+            stages.append(order_by)
+        return_expr = self.lower(expr.return_expr)
 
-    def _hash_join(self, join: HashJoin, inner: ast.Expr, where: ast.Expr,
-                   contexts: list[DynamicContext], guard
-                   ) -> list[DynamicContext]:
-        """``for $var in inner where …`` over ``contexts`` by hashing
+        def flwor(ctx):
+            guard = active_guard()
+            contexts = [ctx]
+            for stage in stages:
+                contexts = stage(contexts, guard)
+            result: list[Item] = []
+            for tuple_ctx in contexts:
+                result.extend(return_expr(tuple_ctx))
+                if guard is not None:
+                    guard.tick()
+                    guard.check_items(len(result))
+            return result
+        return flwor
+
+    def _for(self, clause: ast.ForClause, invariant: bool):
+        sequence = self.lower(clause.expr)
+        var, position_var = clause.var, clause.position_var
+
+        def for_clause(contexts, guard):
+            next_contexts = []
+            items = None
+            for tuple_ctx in contexts:
+                if items is None or not invariant:
+                    items = sequence(tuple_ctx)
+                if guard is not None:
+                    guard.tick(len(items) + 1)
+                for position, item in enumerate(items, start=1):
+                    bound = tuple_ctx.bind(var, [item])
+                    if position_var:
+                        bound = bound.bind(position_var,
+                                           [atomic.integer(position)])
+                    next_contexts.append(bound)
+            return next_contexts
+        return for_clause
+
+    def _let(self, clause: ast.LetClause):
+        value, var = self.lower(clause.expr), clause.var
+        return lambda contexts, guard: [
+            tuple_ctx.bind(var, value(tuple_ctx)) for tuple_ctx in contexts]
+
+    def _where(self, clause: ast.WhereClause):
+        test = self.test(clause.expr)
+        return lambda contexts, guard: [
+            tuple_ctx for tuple_ctx in contexts if test(tuple_ctx)]
+
+    def _hash_join(self, join: HashJoin, inner_expr: ast.Expr,
+                   where_expr: ast.Expr):
+        """``for $var in inner where …`` by hashing
         (:mod:`repro.xquery.joins`): the tuples, in the order, the
         nested loop followed by the where clause produces."""
-        if not contexts:
-            return []
-        stats = contexts[0].stats
-        if stats is not None:
-            note = (f"hash join for ${join.var} on the where clause's "
-                    f"leading {'=' if join.general else 'eq'}")
-            if note not in stats.plan_notes:
+        inner, where = self.lower(inner_expr), self.test(where_expr)
+        build_key = self.lower(join.build_key)
+        probe_key = self.lower(join.probe_key)
+        var, position_var = join.var, join.position_var
+        general, key_only = join.general, join.key_only
+        note = (f"hash join for ${var} on the where clause's "
+                f"leading {'=' if general else 'eq'}")
+
+        def undecided(probe, build):
+            return keys_may_raise(probe, build, general)
+
+        def hash_join(contexts, guard):
+            if not contexts:
+                return []
+            stats = contexts[0].stats
+            if stats is not None and note not in stats.plan_notes:
                 stats.note(note)
-        # Loop-invariant: any outer tuple evaluates it the same way.
-        items = self.evaluate(inner, contexts[0])
-        if not items:
-            return []
-        general = join.general
+            # Loop-invariant: any outer tuple evaluates it the same way.
+            items = inner(contexts[0])
+            if not items:
+                return []
 
-        def bind(tuple_ctx, slot):
-            bound = tuple_ctx.bind(join.var, [items[slot]])
-            if join.position_var:
-                bound = bound.bind(join.position_var,
-                                   [atomic.integer(slot + 1)])
-            return bound
+            def bind(tuple_ctx, slot):
+                bound = tuple_ctx.bind(var, [items[slot]])
+                if position_var:
+                    bound = bound.bind(position_var,
+                                       [atomic.integer(slot + 1)])
+                return bound
 
-        if guard is not None:
-            guard.tick(len(items) + 1)
-        table = JoinTable(lambda probe, build:
-                          keys_may_raise(probe, build, general))
-        for slot in range(len(items)):
-            try:
-                keys, flags = equality_keys(
-                    self.evaluate(join.build_key, bind(contexts[0], slot)),
-                    general, build=True)
-            except XQueryError:
-                keys, flags = (), KEY_OTHER
-            table.add(slot, flags, keys)
-
-        joined: list[DynamicContext] = []
-        for tuple_ctx in contexts:
-            try:
-                keys, flags = equality_keys(
-                    self.evaluate(join.probe_key, tuple_ctx), general,
-                    build=False)
-            except XQueryError:
-                keys, flags = (), KEY_OTHER
-            slots, decided = table.probe(flags, keys)
             if guard is not None:
-                guard.tick(len(slots) + 1)
-            for slot in slots:
-                bound = bind(tuple_ctx, slot)
-                if (join.key_only and slot in decided) \
-                        or self.boolean_value(where, bound):
-                    joined.append(bound)
-        return joined
+                guard.tick(len(items) + 1)
+            table = JoinTable(undecided)
+            for slot in range(len(items)):
+                try:
+                    keys, flags = equality_keys(
+                        build_key(bind(contexts[0], slot)), general,
+                        build=True)
+                except XQueryError:
+                    keys, flags = (), KEY_OTHER
+                table.add(slot, flags, keys)
 
-    def _order_tuples(self, clause: ast.OrderByClause,
-                      contexts: list[DynamicContext]
-                      ) -> list[DynamicContext]:
-        keyed: list[tuple[list[AtomicValue | None], DynamicContext]] = []
-        for tuple_ctx in contexts:
-            keys: list[AtomicValue | None] = []
-            for spec in clause.specs:
-                values = atomize(self.evaluate(spec.expr, tuple_ctx))
-                if len(values) > 1:
-                    raise XQueryTypeError("order by key must be a "
-                                          "singleton", code="XPTY0004")
-                keys.append(values[0] if values else None)
-            keyed.append((keys, tuple_ctx))
+            joined: list[DynamicContext] = []
+            for tuple_ctx in contexts:
+                try:
+                    keys, flags = equality_keys(probe_key(tuple_ctx),
+                                                general, build=False)
+                except XQueryError:
+                    keys, flags = (), KEY_OTHER
+                slots, decided = table.probe(flags, keys)
+                if guard is not None:
+                    guard.tick(len(slots) + 1)
+                for slot in slots:
+                    bound = bind(tuple_ctx, slot)
+                    if (key_only and slot in decided) or where(bound):
+                        joined.append(bound)
+            return joined
+        return hash_join
+
+    def _order_by(self, clause: ast.OrderByClause):
+        keys = [self.lower(spec.expr) for spec in clause.specs]
+        specs = clause.specs
 
         def compare(left, right) -> int:
-            for index, spec in enumerate(clause.specs):
-                left_key, right_key = left[0][index], right[0][index]
-                result = _compare_order_keys(left_key, right_key,
+            for index, spec in enumerate(specs):
+                result = _compare_order_keys(left[0][index],
+                                             right[0][index],
                                              spec.empty_greatest)
                 if result:
                     return -result if spec.descending else result
             return 0
+        sort_key = functools.cmp_to_key(compare)
 
-        keyed.sort(key=functools.cmp_to_key(compare))
-        return [tuple_ctx for _keys, tuple_ctx in keyed]
+        def order_by(contexts, guard):
+            keyed: list[tuple[list, DynamicContext]] = []
+            for tuple_ctx in contexts:
+                if guard is not None:
+                    guard.tick()
+                row: list[AtomicValue | None] = []
+                for key in keys:
+                    values = atomize(key(tuple_ctx))
+                    if len(values) > 1:
+                        raise XQueryTypeError("order by key must be a "
+                                              "singleton", code="XPTY0004")
+                    row.append(values[0] if values else None)
+                keyed.append((row, tuple_ctx))
+            keyed.sort(key=sort_key)
+            return [tuple_ctx for _row, tuple_ctx in keyed]
+        return order_by
 
     # -- paths ------------------------------------------------------------
 
-    def _eval_PathExpr(self, expr: ast.PathExpr, ctx) -> list[Item]:
+    def _path(self, expr: ast.PathExpr) -> Lowered:
+        steps, matcher, consumed, predicates = _path_plan(expr)
         if expr.absolute:
-            items = [self._context_root(ctx)]
+            start = _context_root
         elif isinstance(expr.steps[0], ast.ExprStep):
-            items = self._apply_expr_step(expr.steps[0], None, ctx)
+            start = self._first_expr_step(expr.steps[0])
         else:
-            items = [ctx.require_context_item()]
-        steps, matcher, consumed, predicates = self._planned(expr,
-                                                             _path_plan)
-        # Cheap pre-check: the summary fast path only applies when the
-        # context is document nodes (relative paths inside predicates hit
-        # this with element contexts thousands of times per query).
-        if matcher is not None and items and \
-                isinstance(items[0], DocumentNode):
-            nodes = self._summary_lookup(matcher, predicates, items, ctx)
-            if nodes is not None:
-                steps, items = steps[consumed:], nodes
-        for step in steps:
-            if isinstance(step, ast.AxisStep):
-                items = self._apply_axis_step(step, items, ctx)
+            start = _focus
+        applied = [self._axis_step(step) if isinstance(step, ast.AxisStep)
+                   else self._expr_step(step) for step in steps]
+        summary_filter = self._predicates(predicates)
+        after_summary = applied[consumed:]
+
+        def path(ctx):
+            items = start(ctx)
+            # Cheap pre-check: the summary fast path only applies when
+            # the context is document nodes (relative paths inside
+            # predicates see element contexts thousands of times).
+            if matcher is not None and items and \
+                    isinstance(items[0], DocumentNode):
+                nodes = _summary_lookup(matcher, summary_filter, items,
+                                        ctx)
+                if nodes is not None:
+                    items, steps_left = nodes, after_summary
+                else:
+                    steps_left = applied
             else:
-                items = self._apply_expr_step(step, items, ctx)
-        return items
+                steps_left = applied
+            for apply in steps_left:
+                items = apply(items, ctx)
+            return items
+        return path
 
-    def _context_root(self, ctx: DynamicContext) -> Node:
-        item = ctx.require_context_item()
-        if not isinstance(item, Node):
-            raise XQueryTypeError(
-                "leading '/' requires a node context item", code="XPTY0020")
-        root = item.root
-        if root.kind != "document":
-            # fn:root(.) treat as document-node() — the Query 25 error.
-            raise XQueryDynamicError(
-                "leading '/' in a tree whose root is not a document node",
-                code="XPDY0050")
-        return root
+    def _axis_step(self, step: ast.AxisStep):
+        select = _node_selector(step.axis, step.test)
+        filters = self._predicates(step.predicates)
+        keeps_order = step.axis in _SORTED_SINGLE_AXES
 
-    def _summary_lookup(self, matcher, predicates, items: list[Item], ctx
-                        ) -> list[Node] | None:
-        """Answer a path's leading step chain from path tables.
+        def axis_step(items, ctx):
+            guard = active_guard()
+            if guard is not None:
+                # Axis scans over wide context sequences are the other
+                # place a deadline must be able to interrupt.
+                guard.tick(len(items) + 1)
+            collected: list[Node] = []
+            for item in items:
+                if not isinstance(item, Node):
+                    raise XQueryTypeError(
+                        "axis step applied to an atomic value",
+                        code="XPTY0020")
+                matched = select(item)
+                if filters is not None:
+                    matched = filters(matched, ctx)
+                collected.extend(matched)
+            if keeps_order and len(items) == 1:
+                # One context node + an order-preserving axis: the
+                # result is already sorted and duplicate-free.
+                return collected
+            return document_order(collected)
+        return axis_step
 
-        When every context item is an ingested, unmutated document (it
-        has a current column store), the nodes matching the path's
-        compiled prefix (:func:`_path_plan`) come straight from the
-        stores' path partitions — no subtree walk.  None on any doubt:
-        the generic pipeline runs.
-        """
-        stores = []
-        # sa: ok(SA406: one store lookup per document root; bails early)
-        for item in items:
-            store = (item.current_store()
-                     if isinstance(item, DocumentNode) else None)
-            if store is None:
-                return None
-            stores.append(store)
-        nodes: list[Node] = []
-        for store in stores:
-            nodes.extend(store.nodes_for(matcher))
-        if ctx.stats is not None:
-            ctx.stats.summary_lookups += 1
-        if METRICS.enabled:
-            METRICS.inc("pathsummary.hits")
-        nodes = document_order(nodes)
-        if predicates:
-            nodes = self._filter_predicates(nodes, predicates, ctx)
-        return nodes
+    def _first_expr_step(self, step: ast.ExprStep) -> Lowered:
+        """A relative path's leading primary (``$ord``, a call, ...)."""
+        evaluate = self.lower(step.expr)
+        filters = self._predicates(step.predicates)
+        if filters is None:
+            return lambda ctx: _step_result(evaluate(ctx))
+        return lambda ctx: _step_result(filters(evaluate(ctx), ctx))
 
-    def _apply_axis_step(self, step: ast.AxisStep, items: list[Item],
-                         ctx) -> list[Item]:
-        guard = active_guard()
-        if guard is not None:
-            # Axis scans over wide context sequences are the other
-            # place a deadline must be able to interrupt.
-            guard.tick(len(items) + 1)
-        single = len(items) == 1
-        axis = step.axis
-        test = step.test
-        # The two hottest shapes, inlined: a name test on the child or
-        # attribute axis needs no per-candidate dispatch through
-        # _test_matches.
-        name_test = (test if isinstance(test, ast.NameTest) else None)
-        collected: list[Node] = []
-        for item in items:
-            if not isinstance(item, Node):
-                raise XQueryTypeError(
-                    "axis step applied to an atomic value", code="XPTY0020")
-            if name_test is not None and axis == "child":
-                matched = [node for node in item.children
-                           if node.kind == "element"
-                           and name_test.matches(node.name)]
-            elif name_test is not None and axis == "attribute":
-                matched = [node for node in item.attributes
-                           if name_test.matches(node.name)]
-            else:
-                matched = [node for node in _axis_nodes(item, axis)
-                           if _test_matches(test, node, axis)]
-            if step.predicates:
-                matched = self._filter_predicates(matched, step.predicates,
-                                                  ctx)
-            collected.extend(matched)
-        if single and axis in _SORTED_SINGLE_AXES:
-            # One context node + an order-preserving axis: the result is
-            # already sorted and duplicate-free.
-            return collected
-        return document_order(collected)
+    def _expr_step(self, step: ast.ExprStep):
+        evaluate = self.lower(step.expr)
+        filters = self._predicates(step.predicates)
 
-    def _apply_expr_step(self, step: ast.ExprStep,
-                         items: list[Item] | None, ctx) -> list[Item]:
-        results: list[Item] = []
-        if items is None:
-            evaluated = self.evaluate(step.expr, ctx)
-            evaluated = self._filter_predicates(evaluated, step.predicates,
-                                                ctx)
-            results.extend(evaluated)
-        else:
+        def expr_step(items, ctx):
             size = len(items)
             guard = active_guard()
             if guard is not None:
                 # Expression steps re-evaluate per context item; a
                 # deadline must be able to interrupt wide sequences.
                 guard.tick(size + 1)
+            results: list[Item] = []
             for position, item in enumerate(items, start=1):
                 focused = ctx.with_focus(item, position, size)
-                evaluated = self.evaluate(step.expr, focused)
-                evaluated = self._filter_predicates(
-                    evaluated, step.predicates, focused)
+                evaluated = evaluate(focused)
+                if filters is not None:
+                    evaluated = filters(evaluated, focused)
                 results.extend(evaluated)
-        node_count = sum(1 for item in results if isinstance(item, Node))
-        if node_count == len(results):
-            return document_order(results)  # type: ignore[arg-type]
-        if node_count:
-            raise XQueryTypeError(
-                "path step mixes nodes and atomic values", code="XPTY0018")
-        return results
+            return _step_result(results)
+        return expr_step
 
-    def _filter_predicates(self, items, predicates: list[ast.Expr],
-                           ctx) -> list:
-        guard = active_guard()
-        for predicate in predicates:
-            kept = []
+    def _predicates(self, predicates: list[ast.Expr]):
+        """``filter(items, ctx)`` applying ``predicates`` in turn, or
+        None when there are none."""
+        passes = [self._predicate(predicate) for predicate in predicates]
+        if len(passes) < 2:
+            return passes[0] if passes else None
+
+        def filter_all(items, ctx):
+            for apply in passes:
+                items = apply(items, ctx)
+            return items
+        return filter_all
+
+    def _predicate(self, predicate: ast.Expr):
+        if isinstance(predicate, _BOOLEAN_PREDICATE_TYPES):
+            # Never a numeric position: the test is the predicate.
+            test = self.test(predicate)
+
+            def boolean_filter(items, ctx):
+                size = len(items)
+                guard = active_guard()
+                if guard is not None:
+                    # Each predicate pass evaluates an expression per item.
+                    guard.tick(size + 1)
+                return [item for position, item in enumerate(items, start=1)
+                        if test(ctx.with_focus(item, position, size))]
+            return boolean_filter
+        evaluate = self.lower(predicate)
+
+        def predicate_filter(items, ctx):
             size = len(items)
+            guard = active_guard()
             if guard is not None:
-                # Each predicate pass evaluates an expression per item.
                 guard.tick(size + 1)
-            for position, item in enumerate(items, start=1):
-                focused = ctx.with_focus(item, position, size)
-                values = self.evaluate(predicate, focused)
-                if _predicate_truth(values, position):
-                    kept.append(item)
-            items = kept
-        return items
+            return [item for position, item in enumerate(items, start=1)
+                    if _predicate_truth(evaluate(ctx.with_focus(
+                        item, position, size)), position)]
+        return predicate_filter
 
-    def _eval_FilterExpr(self, expr: ast.FilterExpr, ctx) -> list[Item]:
-        items = self.evaluate(expr.primary, ctx)
-        return self._filter_predicates(items, expr.predicates, ctx)
+    def _filter(self, expr: ast.FilterExpr) -> Lowered:
+        primary = self.lower(expr.primary)
+        filters = self._predicates(expr.predicates)
+        if filters is None:
+            return primary
+        return lambda ctx: filters(primary(ctx), ctx)
 
     # -- constructors -------------------------------------------------------
 
-    def _eval_DirectElementConstructor(
-            self, expr: ast.DirectElementConstructor, ctx) -> list[Item]:
+    def _direct_element(self, expr: ast.DirectElementConstructor
+                        ) -> Lowered:
         scope = dict(self.prolog.namespaces)
         default_ns = self.prolog.default_element_namespace
         for prefix, uri in expr.namespace_declarations.items():
@@ -656,177 +782,330 @@ class Evaluator:
                 default_ns = uri
             else:
                 scope[prefix] = uri
-
-        name = _resolve_constructor_name(expr.name, scope, default_ns)
-
-        attributes: list[AttributeNode] = []
-        seen: set[QName] = set()
+        try:
+            name = _resolve_constructor_name(expr.name, scope, default_ns)
+        except XQueryStaticError:
+            return _unresolved(expr.name, scope, default_ns)
+        # (name, value) per attribute up to the first whose name fails;
+        # its error is raised after the earlier values are built.
+        attributes: list[tuple[QName, Callable]] = []
+        failure = None
         for attribute_name, template in expr.attributes:
-            qname = _resolve_constructor_name(attribute_name, scope,
-                                              default_ns="")
-            if qname in seen:
-                raise XQueryDynamicError(
-                    f"duplicate attribute {attribute_name!r}",
-                    code="XQDY0025")
-            seen.add(qname)
-            value = self._template_value(template, ctx)
-            attributes.append(AttributeNode(qname, value))
+            try:
+                qname = _resolve_constructor_name(attribute_name, scope,
+                                                  default_ns="")
+            except XQueryStaticError:
+                failure = _unresolved(attribute_name, scope, "")
+                break
+            if qname in (seen for seen, _value in attributes):
+                failure = _fail(XQueryDynamicError,
+                                f"duplicate attribute {attribute_name!r}",
+                                "XQDY0025")
+                break
+            attributes.append((qname, self._template(template)))
+        content = [_text_piece(piece) if isinstance(piece, str)
+                   else self.lower(piece) for piece in expr.content]
+        preserve = self.preserve
 
-        content_items: list[Item] = []
-        for piece in expr.content:
-            if isinstance(piece, str):
-                content_items.append(TextNode(piece))
-            elif isinstance(piece, ast.DirectElementConstructor):
-                content_items.extend(
-                    self._eval_DirectElementConstructor(piece, ctx))
-            else:
-                content_items.extend(self.evaluate(piece, ctx))
-
-        element = self._build_element(name, attributes, content_items,
-                                      scope)
-        return [element]
-
-    def _template_value(self, template: ast.AttributeValueTemplate,
-                        ctx) -> str:
-        parts: list[str] = []
-        for part in template.parts:
-            if isinstance(part, str):
-                parts.append(part)
-            else:
-                values = atomize(self.evaluate(part, ctx))
-                parts.append(" ".join(value.string_value()
-                                      for value in values))
-        return "".join(parts)
-
-    def _build_element(self, name: QName,
-                       attributes: list[AttributeNode],
-                       content_items: list[Item],
-                       scope: dict[str, str]) -> ElementNode:
-        """Assemble a new element per the §3.6 construction rules."""
-        preserve = self.prolog.construction_mode == "preserve"
-        element = ElementNode(name, in_scope_namespaces=scope)
-        seen = {attribute.name for attribute in attributes}
-        for attribute in attributes:
-            element.add_attribute(attribute)
-
-        children: list[Node] = []
-        pending_atomics: list[AtomicValue] = []
-        saw_non_attribute_content = False
-
-        def flush_atomics() -> None:
-            if pending_atomics:
-                text = " ".join(value.string_value()
-                                for value in pending_atomics)
-                children.append(TextNode(text))
-                pending_atomics.clear()
-
-        for item in content_items:
-            if isinstance(item, AtomicValue):
-                saw_non_attribute_content = True
-                pending_atomics.append(item)
-                continue
-            if item.kind == "attribute":
-                if saw_non_attribute_content or children or pending_atomics:
-                    raise XQueryTypeError(
-                        "attribute node after non-attribute content",
-                        code="XQTY0024")
-                copied_attribute = copy_node(item, preserve)
-                assert isinstance(copied_attribute, AttributeNode)
-                if copied_attribute.name in seen:
-                    raise XQueryDynamicError(
-                        f"duplicate attribute {copied_attribute.name}",
-                        code="XQDY0025")
-                seen.add(copied_attribute.name)
-                element.add_attribute(copied_attribute)
-                continue
-            flush_atomics()
-            saw_non_attribute_content = True
-            if item.kind == "document":
-                for child in item.children:
-                    children.append(copy_node(child, preserve))
-            elif item.kind == "text":
-                if item.string_value():
-                    children.append(TextNode(item.string_value()))
-            else:
-                children.append(copy_node(item, preserve))
-        flush_atomics()
-
-        merged: list[Node] = []
-        for child in children:
-            if (merged and child.kind == "text" and
-                    merged[-1].kind == "text"):
-                merged[-1] = TextNode(merged[-1].string_value() +
-                                      child.string_value())
-            else:
-                merged.append(child)
-        for child in merged:
-            if child.kind == "text" and not child.string_value():
-                continue
-            element.append_child(child)
+        def element(ctx):
+            built = [AttributeNode(qname, value(ctx))
+                     for qname, value in attributes]
+            if failure is not None:
+                failure(ctx)
+            content_items: list[Item] = []
+            for piece in content:
+                content_items.extend(piece(ctx))
+            return [_build_element(name, built, content_items, scope,
+                                   preserve)]
         return element
 
-    def _eval_ComputedElementConstructor(
-            self, expr: ast.ComputedElementConstructor, ctx) -> list[Item]:
+    def _template(self, template: ast.AttributeValueTemplate):
+        parts = [part if isinstance(part, str) else self.lower(part)
+                 for part in template.parts]
+        return lambda ctx: "".join(
+            part if isinstance(part, str)
+            else " ".join(value.string_value() for value in atomize(part(ctx)))
+            for part in parts)
+
+    def _computed_name(self, name, default_ns: str, what: str):
+        """A constructor's name: resolved now when lexical (an error
+        deferred to run time), per run when computed."""
         scope = dict(self.prolog.namespaces)
-        if isinstance(expr.name, str):
-            name = _resolve_constructor_name(
-                expr.name, scope, self.prolog.default_element_namespace)
-        else:
-            lexical = singleton(atomize(self.evaluate(expr.name, ctx)),
-                                "element name").string_value()
-            name = _resolve_constructor_name(
-                lexical, scope, self.prolog.default_element_namespace)
-        content = (self.evaluate(expr.content, ctx)
-                   if expr.content is not None else [])
-        return [self._build_element(name, [], content, scope)]
+        if isinstance(name, str):
+            try:
+                resolved = _resolve_constructor_name(name, scope,
+                                                     default_ns)
+            except XQueryStaticError:
+                return _unresolved(name, scope, default_ns)
+            return lambda ctx: resolved
+        evaluate = self.lower(name)
+        return lambda ctx: _resolve_constructor_name(
+            singleton(atomize(evaluate(ctx)), what).string_value(), scope,
+            default_ns)
 
-    def _eval_ComputedAttributeConstructor(
-            self, expr: ast.ComputedAttributeConstructor, ctx) -> list[Item]:
-        scope = dict(self.prolog.namespaces)
-        if isinstance(expr.name, str):
-            name = _resolve_constructor_name(expr.name, scope, "")
-        else:
-            lexical = singleton(atomize(self.evaluate(expr.name, ctx)),
-                                "attribute name").string_value()
-            name = _resolve_constructor_name(lexical, scope, "")
-        values = (atomize(self.evaluate(expr.content, ctx))
-                  if expr.content is not None else [])
-        text = " ".join(value.string_value() for value in values)
-        return [AttributeNode(name, text)]
+    def _content(self, expr: ast.Expr | None) -> Lowered:
+        return self.lower(expr) if expr is not None else (lambda ctx: [])
 
-    def _eval_ComputedTextConstructor(
-            self, expr: ast.ComputedTextConstructor, ctx) -> list[Item]:
-        values = atomize(self.evaluate(expr.content, ctx))
-        if not values:
-            return []
-        return [TextNode(" ".join(value.string_value()
-                                  for value in values))]
+    def _computed_element(self, expr: ast.ComputedElementConstructor
+                          ) -> Lowered:
+        name = self._computed_name(
+            expr.name, self.prolog.default_element_namespace,
+            "element name")
+        content = self._content(expr.content)
+        scope, preserve = dict(self.prolog.namespaces), self.preserve
+        return lambda ctx: [_build_element(name(ctx), [], content(ctx),
+                                           scope, preserve)]
 
-    def _eval_ComputedDocumentConstructor(
-            self, expr: ast.ComputedDocumentConstructor, ctx) -> list[Item]:
-        preserve = self.prolog.construction_mode == "preserve"
-        document = DocumentNode()
-        for item in self.evaluate(expr.content, ctx):
-            if isinstance(item, AtomicValue):
-                document.append_child(TextNode(item.string_value()))
-            elif item.kind == "document":
-                for child in item.children:
-                    document.append_child(copy_node(child, preserve))
-            elif item.kind == "attribute":
-                raise XQueryTypeError(
-                    "attribute node in document constructor",
-                    code="XPTY0004")
-            else:
-                document.append_child(copy_node(item, preserve))
-        return [document]
+    def _computed_attribute(self, expr: ast.ComputedAttributeConstructor
+                            ) -> Lowered:
+        name = self._computed_name(expr.name, "", "attribute name")
+        content = self._content(expr.content)
+        return lambda ctx: [AttributeNode(name(ctx), " ".join(
+            value.string_value() for value in atomize(content(ctx))))]
+
+    def _computed_text(self, expr: ast.ComputedTextConstructor) -> Lowered:
+        content = self.lower(expr.content)
+
+        def text(ctx):
+            values = atomize(content(ctx))
+            if not values:
+                return []
+            return [TextNode(" ".join(value.string_value()
+                                      for value in values))]
+        return text
+
+    def _computed_document(self, expr: ast.ComputedDocumentConstructor
+                           ) -> Lowered:
+        content, preserve = self.lower(expr.content), self.preserve
+
+        def document(ctx):
+            node = DocumentNode()
+            for item in content(ctx):
+                if isinstance(item, AtomicValue):
+                    node.append_child(TextNode(item.string_value()))
+                elif item.kind == "document":
+                    for child in item.children:
+                        node.append_child(copy_node(child, preserve))
+                elif item.kind == "attribute":
+                    raise XQueryTypeError(
+                        "attribute node in document constructor",
+                        code="XPTY0004")
+                else:
+                    node.append_child(copy_node(item, preserve))
+            return [node]
+        return document
+
+
+_LOWER = {
+    ast.Literal: _Lowering._literal, ast.VarRef: _Lowering._var_ref,
+    ast.ContextItem: _Lowering._context_item,
+    ast.SequenceExpr: _Lowering._sequence, ast.RangeExpr: _Lowering._range,
+    ast.OrExpr: _Lowering._boolean, ast.AndExpr: _Lowering._boolean,
+    ast.QuantifiedExpr: _Lowering._boolean,
+    ast.GeneralComparison: _Lowering._boolean,
+    ast.ValueComparison: _Lowering._value_comparison,
+    ast.NodeComparison: _Lowering._node_comparison,
+    ast.IfExpr: _Lowering._if, ast.TypeswitchExpr: _Lowering._typeswitch,
+    ast.Arithmetic: _Lowering._arithmetic,
+    ast.UnaryMinus: _Lowering._unary_minus, ast.SetExpr: _Lowering._set,
+    ast.CastExpr: _Lowering._cast, ast.CastableExpr: _Lowering._castable,
+    ast.InstanceOfExpr: _Lowering._instance_of,
+    ast.TreatExpr: _Lowering._treat,
+    ast.FunctionCall: _Lowering._function_call,
+    ast.FLWORExpr: _Lowering._flwor, ast.PathExpr: _Lowering._path,
+    ast.FilterExpr: _Lowering._filter,
+    ast.DirectElementConstructor: _Lowering._direct_element,
+    ast.ComputedElementConstructor: _Lowering._computed_element,
+    ast.ComputedAttributeConstructor: _Lowering._computed_attribute,
+    ast.ComputedTextConstructor: _Lowering._computed_text,
+    ast.ComputedDocumentConstructor: _Lowering._computed_document,
+}
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
-#: The plan of ``plan_joins=False``: no hash join, nothing hoisted.
-_LOOPS_ONLY = FlworPlan({}, frozenset(), [])
+def _quantify(var: str, sequence: Lowered, satisfies, some: bool):
+    """One ``some``/``every`` binding over ``sequence``; ``satisfies``
+    is the next binding's closure, or the satisfies test."""
+    def quantify(ctx) -> bool:
+        items = sequence(ctx)
+        guard = active_guard()
+        for item in items:
+            if guard is not None:
+                guard.tick()
+            if satisfies(ctx.bind(var, [item])) == some:
+                return some
+        return not some
+    return quantify
+
+
+def _focus(ctx: DynamicContext) -> list[Item]:
+    return [ctx.require_context_item()]
+
+
+def _context_root(ctx: DynamicContext) -> list[Node]:
+    item = ctx.require_context_item()
+    if not isinstance(item, Node):
+        raise XQueryTypeError(
+            "leading '/' requires a node context item", code="XPTY0020")
+    root = item.root
+    if root.kind != "document":
+        # fn:root(.) treat as document-node() — the Query 25 error.
+        raise XQueryDynamicError(
+            "leading '/' in a tree whose root is not a document node",
+            code="XPDY0050")
+    return [root]
+
+
+def _text_piece(text: str) -> Lowered:
+    return lambda ctx: [TextNode(text)]
+
+
+def _node_sequence(items: list[Item], operation: str) -> list[Node]:
+    # sa: ok(SA406: isinstance check only; the operand's closure ticked)
+    for item in items:
+        if not isinstance(item, Node):
+            raise XQueryTypeError(
+                f"{operation} operand must be nodes", code="XPTY0004")
+    return items  # type: ignore[return-value]
+
+
+def _step_result(results: list[Item]) -> list[Item]:
+    """A step's output: nodes in document order, or atomics as they
+    came; a mix is an error."""
+    node_count = sum(1 for item in results if isinstance(item, Node))
+    if node_count == len(results):
+        return document_order(results)  # type: ignore[arg-type]
+    if node_count:
+        raise XQueryTypeError(
+            "path step mixes nodes and atomic values", code="XPTY0018")
+    return results
+
+
+def _summary_lookup(matcher, summary_filter, items: list[Item], ctx
+                    ) -> list[Node] | None:
+    """Answer a path's leading step chain from path tables.
+
+    When every context item is an ingested, unmutated document (it
+    has a current column store), the nodes matching the path's
+    compiled prefix (:func:`_path_plan`) come straight from the
+    stores' path partitions — no subtree walk.  None on any doubt:
+    the generic pipeline runs.
+    """
+    stores = []
+    # sa: ok(SA406: one store lookup per document root; bails early)
+    for item in items:
+        store = (item.current_store()
+                 if isinstance(item, DocumentNode) else None)
+        if store is None:
+            return None
+        stores.append(store)
+    nodes: list[Node] = []
+    for store in stores:
+        nodes.extend(store.nodes_for(matcher))
+    if ctx.stats is not None:
+        ctx.stats.summary_lookups += 1
+    if METRICS.enabled:
+        METRICS.inc("pathsummary.hits")
+    nodes = document_order(nodes)
+    if summary_filter is not None:
+        nodes = summary_filter(nodes, ctx)
+    return nodes
+
+
+def _node_selector(axis: str, test: ast.NodeTest):
+    """``select(node)``: the nodes ``axis::test`` reaches from ``node``;
+    a name test on the child or attribute axis (the two hottest
+    shapes) is inlined."""
+    if isinstance(test, ast.NameTest) and axis == "child":
+        return lambda node: [child for child in node.children
+                             if child.kind == "element"
+                             and test.matches(child.name)]
+    if isinstance(test, ast.NameTest) and axis == "attribute":
+        return lambda node: [attribute for attribute in node.attributes
+                             if test.matches(attribute.name)]
+    return lambda node: [candidate for candidate in _axis_nodes(node, axis)
+                         if _test_matches(test, candidate, axis)]
+
+
+def _test_matches(test: ast.NodeTest, node: Node, axis: str) -> bool:
+    if isinstance(test, ast.KindTest):
+        return test.matches_node(node)
+    # NameTest: principal node kind is attribute on the attribute axis,
+    # element everywhere else (the §3.9 rule that //node() skips
+    # attributes).
+    principal = "attribute" if axis == "attribute" else "element"
+    if node.kind != principal:
+        return False
+    return test.matches(node.name)
+
+
+def _build_element(name: QName, attributes: list[AttributeNode],
+                   content_items: list[Item], scope: dict[str, str],
+                   preserve: bool) -> ElementNode:
+    """Assemble a new element per the §3.6 construction rules."""
+    element = ElementNode(name, in_scope_namespaces=scope)
+    seen = {attribute.name for attribute in attributes}
+    for attribute in attributes:
+        element.add_attribute(attribute)
+
+    children: list[Node] = []
+    pending_atomics: list[AtomicValue] = []
+    saw_non_attribute_content = False
+
+    def flush_atomics() -> None:
+        if pending_atomics:
+            text = " ".join(value.string_value()
+                            for value in pending_atomics)
+            children.append(TextNode(text))
+            pending_atomics.clear()
+
+    for item in content_items:
+        if isinstance(item, AtomicValue):
+            saw_non_attribute_content = True
+            pending_atomics.append(item)
+            continue
+        if item.kind == "attribute":
+            if saw_non_attribute_content or children or pending_atomics:
+                raise XQueryTypeError(
+                    "attribute node after non-attribute content",
+                    code="XQTY0024")
+            copied_attribute = copy_node(item, preserve)
+            assert isinstance(copied_attribute, AttributeNode)
+            if copied_attribute.name in seen:
+                raise XQueryDynamicError(
+                    f"duplicate attribute {copied_attribute.name}",
+                    code="XQDY0025")
+            seen.add(copied_attribute.name)
+            element.add_attribute(copied_attribute)
+            continue
+        flush_atomics()
+        saw_non_attribute_content = True
+        if item.kind == "document":
+            for child in item.children:
+                children.append(copy_node(child, preserve))
+        elif item.kind == "text":
+            if item.string_value():
+                children.append(TextNode(item.string_value()))
+        else:
+            children.append(copy_node(item, preserve))
+    flush_atomics()
+
+    merged: list[Node] = []
+    for child in children:
+        if (merged and child.kind == "text" and
+                merged[-1].kind == "text"):
+            merged[-1] = TextNode(merged[-1].string_value() +
+                                  child.string_value())
+        else:
+            merged.append(child)
+    for child in merged:
+        if child.kind == "text" and not child.string_value():
+            continue
+        element.append_child(child)
+    return element
 
 
 def _resolve_constructor_name(lexical: str, scope: dict[str, str],
@@ -841,18 +1120,17 @@ def _resolve_constructor_name(lexical: str, scope: dict[str, str],
     return QName(default_ns, lexical)
 
 
+def _unresolved(lexical: str, scope: dict[str, str],
+                default_ns: str) -> Lowered:
+    """A closure raising the name's resolution error when it runs."""
+    return lambda ctx: _resolve_constructor_name(lexical, scope, default_ns)
+
+
 def _predicate_truth(values: list[Item], position: int) -> bool:
     if (len(values) == 1 and isinstance(values[0], AtomicValue)
             and values[0].is_numeric):
         return float(values[0].value) == position
     return effective_boolean_value(values)
-
-
-#: Predicate expression types that always produce a boolean (or empty)
-#: result — they can never be mistaken for a positional predicate.
-_BOOLEAN_PREDICATE_TYPES = (ast.GeneralComparison, ast.ValueComparison,
-                            ast.NodeComparison, ast.AndExpr, ast.OrExpr,
-                            ast.QuantifiedExpr)
 
 
 def _non_positional(predicate: ast.Expr) -> bool:
@@ -890,8 +1168,8 @@ def _summary_step_test(step: ast.AxisStep):
 
 def _path_plan(expr: ast.PathExpr) -> tuple:
     """(steps after the initial context, summary matcher or None, steps
-    it consumes, predicates of its last step) for ``expr``; the
-    evaluator memoises it per expression (:meth:`Evaluator._planned`)."""
+    it consumes, predicates of its last step) for ``expr``, computed
+    once when the path is lowered."""
     steps: list = list(expr.steps)
     if expr.absolute == "//":
         # Keep the expansion symbolic so the path-summary fast path can
@@ -1035,18 +1313,6 @@ def _column_store_for(node: Node):
 
 
 _store_for_node = None
-
-
-def _test_matches(test: ast.NodeTest, node: Node, axis: str) -> bool:
-    if isinstance(test, ast.KindTest):
-        return test.matches_node(node)
-    # NameTest: principal node kind is attribute on the attribute axis,
-    # element everywhere else (the §3.9 rule that //node() skips
-    # attributes).
-    principal = "attribute" if axis == "attribute" else "element"
-    if node.kind != principal:
-        return False
-    return test.matches(node.name)
 
 
 def _compare_order_keys(left: AtomicValue | None,

@@ -392,6 +392,30 @@ def test_evaluator_items_loop_fires_but_not_dict_items(tmp_path):
     assert [f.line for f in sa406] == [4]
 
 
+def test_sibling_closure_tick_does_not_excuse_a_loop(tmp_path):
+    # The lowering evaluator's shape: a method that runs at compile
+    # time and returns closures.  A tick in one closure, or in the
+    # lowering method itself, guards nothing inside another closure.
+    findings = _run(tmp_path, {"xquery/evaluator.py": """
+        class _Lowering:
+            def _step(self, guard):
+                guard.tick()
+
+                def ticked(items, guard):
+                    guard.tick(len(items) + 1)
+                    for item in items:
+                        pass
+
+                def unticked(items, guard):
+                    for item in items:
+                        pass
+                return ticked, unticked
+    """})
+    sa406 = [f for f in findings if f.code is SACode.GUARD_TICK]
+    # Only the loop of ``unticked``, on line 12.
+    assert [f.line for f in sa406] == [12]
+
+
 def test_pragma_silences_a_qualifying_loop(tmp_path):
     findings = _run(tmp_path, {"sql/executor.py": """
         def scan(rows):

@@ -83,6 +83,31 @@ class TestFraming:
             read_frame_sync(stream)
 
 
+_T = "db2-fn:xmlcolumn('T.D')"   # <r k="1"> with 600 <x>1</x>
+_S = "db2-fn:xmlcolumn('S.D')"   # <r k="1"> with 200 <x>1</x>
+
+#: (case, statement, the evaluator closure whose tick trips it).
+GUARDED_LOOPS = [
+    ("for", f"for $a in {_T}//x, $b in {_T}//x return $a + $b",
+     "for_clause"),
+    ("predicate", f"{_T}/r/x[. = 1]", "boolean_filter"),
+    ("positional-predicate", f"{_T}/r/x[1]", "predicate_filter"),
+    ("axis-step", f"{_T}/r/x/parent::r", "axis_step"),
+    ("expression-step", f"{_T}//x/xs:double(.)", "expr_step"),
+    # 600 inner items, one outer tuple
+    ("hash-join-build",
+     f"for $a in {_S}/r for $b in {_T}//x where $b = $a/@k return $b",
+     "hash_join"),
+    # 200 outer tuples, each matching the one inner item
+    ("hash-join-probe",
+     f"for $a in {_S}//x for $b in {_S}/r where $b/@k = $a return $a",
+     "hash_join"),
+    ("order-by", f"for $x in {_S}//x order by $x return 1", "order_by"),
+    ("range", "count(1 to 2000000)", "integer_range"),
+    ("quantifier", f"some $x in {_T}/r/x satisfies $x < 0", "quantify"),
+]
+
+
 class TestQueryGuard:
     def test_inactive_by_default(self):
         assert active_guard() is None
@@ -131,6 +156,41 @@ class TestQueryGuard:
                     "for $a in db2-fn:xmlcolumn('T.D')//x, "
                     "    $b in db2-fn:xmlcolumn('T.D')//x "
                     "return $a + $b")
+
+    @pytest.mark.parametrize("statement, loop",
+                             [case[1:] for case in GUARDED_LOOPS],
+                             ids=[case[0] for case in GUARDED_LOOPS])
+    def test_every_guarded_loop_trips_mid_flight(self, statement, loop):
+        """One statement per ticked evaluator loop: under an expired
+        deadline each aborts with 57014, and the tick that trips is the
+        named loop's own (the statement keeps every other loop below
+        the guard's CHECK_EVERY)."""
+        database = Database()
+        database.create_table("t", [("d", "XML")])
+        database.insert("t", {"d": '<r k="1">' + "<x>1</x>" * 600 + "</r>"})
+        database.create_table("s", [("d", "XML")])
+        database.insert("s", {"d": '<r k="1">' + "<x>1</x>" * 200 + "</r>"})
+        guard = QueryGuard(timeout_seconds=-1.0)
+        with guarded(guard):
+            with pytest.raises(QueryTimeoutError) as info:
+                database.xquery(statement)
+        assert info.value.sqlstate == "57014"
+        frames = [entry.name for entry in info.traceback]
+        assert frames[frames.index("tick") - 1] == loop
+
+    @pytest.mark.parametrize("statement", [
+        "count(1 to 2000000)",
+        "some $x in (1 to 300000) satisfies $x < 0",
+    ])
+    def test_range_and_quantifier_honor_the_deadline(self, statement):
+        """A range materializes one item per integer and a quantifier
+        binds one variable per item: both tick, so neither runs to
+        completion past an expired deadline."""
+        guard = QueryGuard(timeout_seconds=0.0)
+        with guarded(guard):
+            with pytest.raises(QueryTimeoutError) as info:
+                Database().xquery(statement)
+        assert info.value.sqlstate == "57014"
 
     def test_evaluator_honors_row_budget_mid_flight(self):
         database = Database()

@@ -76,6 +76,13 @@ class TestPaths:
         with pytest.raises(XQueryTypeError):
             ev("$d/order/(custid, 1)", variables={"d": [DOC]})
 
+    def test_mixed_leading_step_rejected_before_the_axis(self):
+        # The path's first primary is a step too: XPTY0018, not the
+        # next step's XPTY0020 for an atomic context item.
+        with pytest.raises(XQueryTypeError) as error:
+            ev("(1, $d)/order", variables={"d": [DOC]})
+        assert error.value.code == "XPTY0018"
+
     def test_axis_on_atomic_rejected(self):
         with pytest.raises(XQueryTypeError):
             ev("(1)/a")
@@ -185,6 +192,18 @@ class TestOperatorsAndTypes:
     def test_division_by_zero(self):
         with pytest.raises(XQueryDynamicError):
             ev("1 div 0")
+
+    @pytest.mark.parametrize("op, flipped", [
+        ("<", ">"), ("<=", ">="), (">", "<"), (">=", "<="), ("=", "="),
+        ("!=", "!=")])
+    @pytest.mark.parametrize("literal", ["90", "100", "120", "150", '"100"'])
+    def test_literal_on_either_side_of_a_comparison(self, op, flipped,
+                                                    literal):
+        # Prices 120 and 90: every operator and bound is decided by one
+        # side, so an operand swapped while lowering shows.
+        prices = "$d//lineitem/@price"
+        assert run(f"{literal} {op} {prices}", d=DOC) == \
+            run(f"{prices} {flipped} {literal}", d=DOC)
 
     def test_arithmetic_empty_propagates(self):
         assert run("count(() + 1)") == "0"
@@ -310,3 +329,34 @@ class TestFunctions:
     def test_xmlcolumn_requires_database(self):
         with pytest.raises(XQueryDynamicError):
             evaluate("db2-fn:xmlcolumn('T.C')")
+
+
+class TestStaticErrorsRaiseWhenReached:
+    """A module is lowered once, as a whole; an error found while
+    lowering a branch belongs to that branch and raises only if it
+    runs, after everything evaluated before it."""
+
+    @pytest.mark.parametrize("query", [
+        "if (1 = 2) then no-such-function(1) else 7",
+        "if (1 = 2) then count(1, 2) else 7",
+        "if (1 = 2) then <p:a/> else 7",
+        "if (1 = 2) then element p:a {()} else 7",
+        "if (1 = 2) then <a b='1' b='2'/> else 7",
+    ])
+    def test_untaken_branch_does_not_raise(self, query):
+        assert run(query) == "7"
+
+    @pytest.mark.parametrize("query, code", [
+        ("if (1 = 1) then no-such-function(1) else 7", "XPST0017"),
+        ("if (1 = 1) then count(1, 2) else 7", "XPST0017"),
+        ("<p:a/>", "XPST0081"),
+        ("<a b='1' b='2'/>", "XQDY0025"),
+        # attribute values before the failing name are built first
+        ("<a b='{1 div 0}' p:c='x'/>", "FOAR0001"),
+        ("<a b='{1 div 0}' b='x'/>", "FOAR0001"),
+        ("<a p:c='x' b='{1 div 0}'/>", "XPST0081"),
+    ])
+    def test_taken_branch_raises_in_order(self, query, code):
+        with pytest.raises(XQueryError) as error:
+            ev(query)
+        assert error.value.code == code
