@@ -89,7 +89,7 @@ class _JoinProbe:
     # xml probes:
     candidate: PredicateCandidate | None = None
     embedded: EmbeddedQuery | None = None
-    #: the candidate's operand, lowered once per statement
+    #: the candidate's operand, lowered once per module
     operand: object | None = None
     # rel probes:
     sql_expr: object | None = None

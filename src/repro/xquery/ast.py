@@ -406,10 +406,10 @@ class Prolog:
 class Module:
     prolog: Prolog
     body: Expr
-    #: The body lowered to closures, one per ``plan_joins`` value
-    #: (:func:`repro.xquery.evaluator.evaluate_module` fills it on first
-    #: use): it lives exactly as long as the compiled module.  Not part
-    #: of its value.
+    #: The module lowered to closures, one lowering per ``plan_joins``
+    #: value (:mod:`repro.xquery.evaluator` fills it on first use): it
+    #: lives exactly as long as the compiled module.  Not part of its
+    #: value.
     lowered: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 

@@ -35,8 +35,8 @@ from ..obs.metrics import METRICS
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
 from ..xdm.compare import (GENERAL_TO_VALUE, KEY_OTHER, compare_atoms,
-                           equality_keys, general_compare, keys_may_raise,
-                           node_compare, value_compare)
+                           equality_keys, keys_may_raise, node_compare,
+                           value_compare)
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
 from ..xdm.qname import QName
@@ -94,22 +94,30 @@ def evaluate_module(module: ast.Module, database=None,
     clause as a plain nested loop that re-evaluates its sequence per
     outer tuple — the reference plan ``use_indexes=False`` runs
     (:mod:`repro.xquery.joins`)."""
-    body = module.lowered.get(plan_joins)
-    if body is None:
-        body = module.lowered[plan_joins] = _Lowering(
-            module.prolog, plan_joins).lower(module.body)
     focus = 0 if context_item is None else 1
-    return body(DynamicContext(variables, context_item, focus, focus,
-                               database, stats))
+    return _lowering(module, plan_joins).body(DynamicContext(
+        variables, context_item, focus, focus, database, stats))
 
 
 def lower_expression(module: ast.Module, expr: ast.Expr):
     """``run(variables, database, stats)`` evaluating ``expr``, a
     sub-expression of ``module`` (the SQL executor's index join probe
-    operand), without a focus."""
-    body = _Lowering(module.prolog, True).lower(expr)
+    operand), without a focus.  Lowered once per module."""
+    lowering = _lowering(module, True)
+    body = lowering.parts.get(id(expr))
+    if body is None:
+        body = lowering.parts[id(expr)] = lowering.lower(expr)
     return lambda variables, database=None, stats=None: body(
         DynamicContext(variables, database=database, stats=stats))
+
+
+def _lowering(module: ast.Module, plan_joins: bool) -> "_Lowering":
+    """``module`` lowered for ``plan_joins``, on first use."""
+    lowering = module.lowered.get(plan_joins)
+    if lowering is None:
+        lowering = module.lowered[plan_joins] = _Lowering(module,
+                                                          plan_joins)
+    return lowering
 
 
 def _fail(error_type, message: str, code: str | None = None) -> Lowered:
@@ -122,8 +130,8 @@ def _fail(error_type, message: str, code: str | None = None) -> Lowered:
 class _Lowering:
     """Turns the AST expressions of one module into closures."""
 
-    def __init__(self, prolog: ast.Prolog, plan_joins: bool):
-        self.prolog = prolog
+    def __init__(self, module: ast.Module, plan_joins: bool):
+        self.prolog = prolog = module.prolog
         self.plan_joins = plan_joins
         self.preserve = prolog.construction_mode == "preserve"
         #: User function bodies, looked up by call closures when they
@@ -131,6 +139,10 @@ class _Lowering:
         self.bodies: dict[tuple, Lowered] = {}
         for key, function in prolog.functions.items():
             self.bodies[key] = self.lower(function.body)
+        self.body = self.lower(module.body)
+        #: Sub-expressions lowered on their own, by ``id`` (the module
+        #: holds them, so an id is never reused while this lives).
+        self.parts: dict[int, Lowered] = {}
 
     def lower(self, expr: ast.Expr) -> Lowered:
         method = _LOWER.get(type(expr))
@@ -189,16 +201,14 @@ class _Lowering:
             if low is None or high is None:
                 return []
             guard = active_guard()
-            if guard is None:
-                return [atomic.integer(value)
-                        for value in range(low, high + 1)]
             # One item per integer: tick as the range grows, so a
             # deadline interrupts ``1 to 2000000``.
             result: list[Item] = []
             for first in range(low, high + 1, chunk):
-                guard.tick(chunk)
-                result.extend(atomic.integer(value) for value
-                              in range(first, min(first + chunk, high + 1)))
+                last = min(first + chunk, high + 1)
+                if guard is not None:
+                    guard.tick(last - first)
+                result.extend(map(atomic.integer, range(first, last)))
             return result
         return integer_range
 
@@ -258,29 +268,24 @@ class _Lowering:
     # -- comparisons -------------------------------------------------------
 
     def _general_comparison(self, expr: ast.GeneralComparison):
-        # A literal side is atomized once, here.
         op = GENERAL_TO_VALUE[expr.op]
-        if isinstance(expr.right, ast.Literal):
-            left, constant = self.lower(expr.left), [expr.right.value]
-            return lambda ctx: compare_atoms(op, atomize(left(ctx)),
-                                             constant)
-        if isinstance(expr.left, ast.Literal):
-            constant, right = [expr.left.value], self.lower(expr.right)
-            return lambda ctx: compare_atoms(op, constant,
-                                             atomize(right(ctx)))
-        symbol = expr.op
-        left, right = self.lower(expr.left), self.lower(expr.right)
-        return lambda ctx: general_compare(symbol, left(ctx), right(ctx))
+        left, right = self._atoms(expr.left), self._atoms(expr.right)
+        return lambda ctx: compare_atoms(op, left(ctx), right(ctx))
 
-    def _value_comparison(self, expr: ast.ValueComparison) -> Lowered:
+    def _atoms(self, expr: ast.Expr):
+        """``expr``'s atomized value; a literal's is computed once, here."""
+        if isinstance(expr, ast.Literal):
+            constant = [expr.value]
+            return lambda ctx: constant
+        evaluate = self.lower(expr)
+        return lambda ctx: atomize(evaluate(ctx))
+
+    def _comparison(self, expr) -> Lowered:
+        compare = (value_compare if type(expr) is ast.ValueComparison
+                   else node_compare)
         op, left, right = expr.op, self.lower(expr.left), self.lower(
             expr.right)
-        return lambda ctx: value_compare(op, left(ctx), right(ctx))
-
-    def _node_comparison(self, expr: ast.NodeComparison) -> Lowered:
-        op, left, right = expr.op, self.lower(expr.left), self.lower(
-            expr.right)
-        return lambda ctx: node_compare(op, left(ctx), right(ctx))
+        return lambda ctx: compare(op, left(ctx), right(ctx))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -640,7 +645,12 @@ class _Lowering:
         if expr.absolute:
             start = _context_root
         elif isinstance(expr.steps[0], ast.ExprStep):
-            start = self._first_expr_step(expr.steps[0])
+            # A relative path's leading primary (``$ord``, a call, ...).
+            first = expr.steps[0]
+            leading = self._filtered(first.expr, first.predicates)
+
+            def start(ctx):
+                return _step_result(leading(ctx))
         else:
             start = _focus
         applied = [self._axis_step(step) if isinstance(step, ast.AxisStep)
@@ -696,17 +706,8 @@ class _Lowering:
             return document_order(collected)
         return axis_step
 
-    def _first_expr_step(self, step: ast.ExprStep) -> Lowered:
-        """A relative path's leading primary (``$ord``, a call, ...)."""
-        evaluate = self.lower(step.expr)
-        filters = self._predicates(step.predicates)
-        if filters is None:
-            return lambda ctx: _step_result(evaluate(ctx))
-        return lambda ctx: _step_result(filters(evaluate(ctx), ctx))
-
     def _expr_step(self, step: ast.ExprStep):
-        evaluate = self.lower(step.expr)
-        filters = self._predicates(step.predicates)
+        evaluate = self._filtered(step.expr, step.predicates)
 
         def expr_step(items, ctx):
             size = len(items)
@@ -717,11 +718,8 @@ class _Lowering:
                 guard.tick(size + 1)
             results: list[Item] = []
             for position, item in enumerate(items, start=1):
-                focused = ctx.with_focus(item, position, size)
-                evaluated = evaluate(focused)
-                if filters is not None:
-                    evaluated = filters(evaluated, focused)
-                results.extend(evaluated)
+                results.extend(evaluate(ctx.with_focus(item, position,
+                                                       size)))
             return _step_result(results)
         return expr_step
 
@@ -742,34 +740,33 @@ class _Lowering:
         if isinstance(predicate, _BOOLEAN_PREDICATE_TYPES):
             # Never a numeric position: the test is the predicate.
             test = self.test(predicate)
+        else:
+            evaluate = self.lower(predicate)
 
-            def boolean_filter(items, ctx):
-                size = len(items)
-                guard = active_guard()
-                if guard is not None:
-                    # Each predicate pass evaluates an expression per item.
-                    guard.tick(size + 1)
-                return [item for position, item in enumerate(items, start=1)
-                        if test(ctx.with_focus(item, position, size))]
-            return boolean_filter
-        evaluate = self.lower(predicate)
+            def test(focused):
+                return _predicate_truth(evaluate(focused), focused.position)
 
         def predicate_filter(items, ctx):
             size = len(items)
             guard = active_guard()
             if guard is not None:
+                # Each predicate pass evaluates an expression per item.
                 guard.tick(size + 1)
             return [item for position, item in enumerate(items, start=1)
-                    if _predicate_truth(evaluate(ctx.with_focus(
-                        item, position, size)), position)]
+                    if test(ctx.with_focus(item, position, size))]
         return predicate_filter
 
     def _filter(self, expr: ast.FilterExpr) -> Lowered:
-        primary = self.lower(expr.primary)
-        filters = self._predicates(expr.predicates)
+        return self._filtered(expr.primary, expr.predicates)
+
+    def _filtered(self, expr: ast.Expr, predicates: list[ast.Expr]
+                  ) -> Lowered:
+        """``expr`` with ``predicates`` applied to its result."""
+        evaluate = self.lower(expr)
+        filters = self._predicates(predicates)
         if filters is None:
-            return primary
-        return lambda ctx: filters(primary(ctx), ctx)
+            return evaluate
+        return lambda ctx: filters(evaluate(ctx), ctx)
 
     # -- constructors -------------------------------------------------------
 
@@ -903,8 +900,8 @@ _LOWER = {
     ast.OrExpr: _Lowering._boolean, ast.AndExpr: _Lowering._boolean,
     ast.QuantifiedExpr: _Lowering._boolean,
     ast.GeneralComparison: _Lowering._boolean,
-    ast.ValueComparison: _Lowering._value_comparison,
-    ast.NodeComparison: _Lowering._node_comparison,
+    ast.ValueComparison: _Lowering._comparison,
+    ast.NodeComparison: _Lowering._comparison,
     ast.IfExpr: _Lowering._if, ast.TypeswitchExpr: _Lowering._typeswitch,
     ast.Arithmetic: _Lowering._arithmetic,
     ast.UnaryMinus: _Lowering._unary_minus, ast.SetExpr: _Lowering._set,

@@ -90,7 +90,7 @@ _S = "db2-fn:xmlcolumn('S.D')"   # <r k="1"> with 200 <x>1</x>
 GUARDED_LOOPS = [
     ("for", f"for $a in {_T}//x, $b in {_T}//x return $a + $b",
      "for_clause"),
-    ("predicate", f"{_T}/r/x[. = 1]", "boolean_filter"),
+    ("predicate", f"{_T}/r/x[. = 1]", "predicate_filter"),
     ("positional-predicate", f"{_T}/r/x[1]", "predicate_filter"),
     ("axis-step", f"{_T}/r/x/parent::r", "axis_step"),
     ("expression-step", f"{_T}//x/xs:double(.)", "expr_step"),
@@ -191,6 +191,14 @@ class TestQueryGuard:
             with pytest.raises(QueryTimeoutError) as info:
                 Database().xquery(statement)
         assert info.value.sqlstate == "57014"
+
+    def test_range_ticks_one_per_integer(self):
+        """``1 to 3`` accounts three ticks, far below CHECK_EVERY, so
+        it never reads the clock even under an expired deadline."""
+        guard = QueryGuard(timeout_seconds=-1.0)
+        with guarded(guard):
+            assert Database().xquery("count(1 to 3)").serialize() == ["3"]
+        assert guard._ops == 3
 
     def test_evaluator_honors_row_budget_mid_flight(self):
         database = Database()

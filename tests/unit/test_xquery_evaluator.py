@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import XQueryDynamicError, XQueryError, XQueryTypeError
+from repro.xdm import atomic
 from repro.xmlio import parse_document, serialize_sequence
 from repro.xquery import evaluate
 from repro.xquery.evaluator import evaluate as ev
@@ -360,3 +361,28 @@ class TestStaticErrorsRaiseWhenReached:
         with pytest.raises(XQueryError) as error:
             ev(query)
         assert error.value.code == code
+
+
+class TestLowerOnce:
+    def test_sub_expression_is_lowered_once_per_module(self, monkeypatch):
+        """The SQL join probe's operand shares its module's lowering: a
+        second request lowers nothing, not even the prolog functions."""
+        from repro.xquery import evaluator
+        from repro.xquery.parser import parse_xquery
+        module = parse_xquery(
+            "declare function local:twice($x) { $x * 2 }; "
+            "$d//lineitem[@price = local:twice($p)]")
+        operand = module.body.steps[-1].predicates[0].right
+        lowered = []
+        lower = evaluator._Lowering.lower
+        monkeypatch.setattr(evaluator._Lowering, "lower",
+                            lambda self, expr: lowered.append(expr)
+                            or lower(self, expr))
+        first = evaluator.lower_expression(module, operand)
+        assert lowered
+        lowered.clear()
+        second = evaluator.lower_expression(module, operand)
+        assert lowered == []
+        for run_probe in (first, second):
+            assert run_probe({"p": [atomic.integer(60)]}) == [
+                atomic.integer(120)]
