@@ -211,7 +211,7 @@ class _Extractor:
             inner = self.origin_of(expr.operand, scope)
             if inner is not None:
                 return replace(inner,
-                               cast_type=_xdm_to_index_type(expr.type_name))
+                               cast_type=atomic.index_type(expr.type_name))
             return None
         if isinstance(expr, ast.TreatExpr):
             return self.origin_of(expr.operand, scope)
@@ -648,48 +648,19 @@ def _node_test_to_step_test(test: ast.NodeTest, axis: str
 def _literal_value(expr) -> AtomicValue | None:
     if isinstance(expr, ast.Literal):
         return expr.value
-    if isinstance(expr, ast.CastExpr) and isinstance(expr.operand,
-                                                     ast.Literal):
-        try:
-            return atomic.cast(expr.operand.value, expr.type_name)
-        except ReproError:
-            return None
-    if isinstance(expr, ast.FunctionCall) and len(expr.args) == 1 and \
-            isinstance(expr.args[0], ast.Literal):
-        cast_type = _cast_function_type(expr)
-        if cast_type is not None:
-            try:
-                return atomic.cast(expr.args[0].value,
-                                   _index_to_xdm_type(cast_type))
-            except ReproError:
-                return None
-    return None
-
-
-_XDM_TO_INDEX = {
-    atomic.T_DOUBLE: "DOUBLE",
-    atomic.T_DECIMAL: "DOUBLE",
-    atomic.T_INTEGER: "DOUBLE",
-    atomic.T_LONG: "DOUBLE",
-    atomic.T_STRING: "VARCHAR",
-    atomic.T_DATE: "DATE",
-    atomic.T_DATETIME: "TIMESTAMP",
-}
-
-_INDEX_TO_XDM = {
-    "DOUBLE": atomic.T_DOUBLE,
-    "VARCHAR": atomic.T_STRING,
-    "DATE": atomic.T_DATE,
-    "TIMESTAMP": atomic.T_DATETIME,
-}
-
-
-def _xdm_to_index_type(type_name: str) -> str | None:
-    return _XDM_TO_INDEX.get(type_name)
-
-
-def _index_to_xdm_type(index_type: str) -> str:
-    return _INDEX_TO_XDM[index_type]
+    if isinstance(expr, ast.CastExpr):
+        operand, target = expr.operand, expr.type_name
+    elif (isinstance(expr, ast.FunctionCall) and len(expr.args) == 1
+          and _cast_function_type(expr) is not None):
+        operand, target = expr.args[0], atomic.XS_TYPES[expr.name.local]
+    else:
+        return None
+    if not isinstance(operand, ast.Literal):
+        return None
+    try:
+        return atomic.cast(operand.value, target)
+    except ReproError:
+        return None
 
 
 def _cast_function_type(expr: ast.FunctionCall) -> str | None:
@@ -697,12 +668,7 @@ def _cast_function_type(expr: ast.FunctionCall) -> str | None:
     from ..xdm.qname import XDT_NS, XS_NS
     if expr.name.uri not in (XS_NS, XDT_NS):
         return None
-    mapping = {
-        "double": "DOUBLE", "float": "DOUBLE", "decimal": "DOUBLE",
-        "integer": "DOUBLE", "int": "DOUBLE", "long": "DOUBLE",
-        "string": "VARCHAR", "date": "DATE", "dateTime": "TIMESTAMP",
-    }
-    return mapping.get(expr.name.local)
+    return atomic.index_type(atomic.XS_TYPES.get(expr.name.local))
 
 
 def _cast_step_type(expr: ast.Expr) -> str | None:
@@ -726,14 +692,6 @@ def _cast_step_type(expr: ast.Expr) -> str | None:
     return None
 
 
-_SQL_TO_INDEX = {
-    "VARCHAR": "VARCHAR", "CHAR": "VARCHAR",
-    "INTEGER": "DOUBLE", "BIGINT": "DOUBLE", "DOUBLE": "DOUBLE",
-    "DECIMAL": "DOUBLE", "NUMERIC": "DOUBLE",
-    "DATE": "DATE", "TIMESTAMP": "TIMESTAMP",
-}
-
-
 def _implied_type(other: dict, is_value_comparison: bool) -> str | None:
     """Infer the comparison type from the *other* operand (§3.1)."""
     origin: Origin | None = other["origin"]
@@ -741,9 +699,9 @@ def _implied_type(other: dict, is_value_comparison: bool) -> str | None:
         return None if origin.cast_type == "ANY" else origin.cast_type
     literal: AtomicValue | None = other["literal"]
     if literal is not None:
-        return _xdm_to_index_type(literal.type_name)
+        return atomic.index_type(literal.type_name)
     if other["sql_type"] is not None:
-        return _SQL_TO_INDEX.get(other["sql_type"])
+        return atomic.index_type(atomic.SQL_TYPES.get(other["sql_type"]))
     return None
 
 

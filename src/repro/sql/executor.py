@@ -1190,30 +1190,17 @@ def _cast_items_to_sql(items: list[Item], target: SQLType):
 
 
 def _atom_to_sql(atom: AtomicValue, target: SQLType):
-    name = target.name
-    if name in ("VARCHAR", "CHAR"):
-        text = atom.string_value()
-        if target.length is not None and len(text) > target.length:
-            raise SQLCastError(
-                f"value {text!r} exceeds {target} length "
-                f"{target.length}")
-        return text
-    if name in ("INTEGER", "BIGINT"):
-        return int(atomic.cast(atom, atomic.T_INTEGER).value)
-    if name == "DOUBLE":
-        return float(atomic.cast(atom, atomic.T_DOUBLE).value)
-    if name == "DECIMAL":
-        result = Decimal(atomic.cast(atom, atomic.T_DECIMAL).value)
-        if target.scale is not None:
-            result = result.quantize(Decimal(1).scaleb(-target.scale))
-        return result
-    if name == "DATE":
-        return atomic.cast(atom, atomic.T_DATE).value
-    if name == "TIMESTAMP":
-        return atomic.cast(atom, atomic.T_DATETIME).value
-    if name == "BOOLEAN":
-        return bool(atomic.cast(atom, atomic.T_BOOLEAN).value)
-    raise SQLCastError(f"unsupported XMLCAST target {target}")
+    xdm_type = atomic.SQL_TYPES.get(target.name)
+    if xdm_type is None:
+        raise SQLCastError(f"unsupported XMLCAST target {target}")
+    result = atomic.cast(atom, xdm_type).value
+    if target.is_string and target.length is not None and \
+            len(result) > target.length:
+        raise SQLCastError(
+            f"value {result!r} exceeds {target} length {target.length}")
+    if target.name == "DECIMAL" and target.scale is not None:
+        result = result.quantize(Decimal(1).scaleb(-target.scale))
+    return result
 
 
 class _OrderKey:

@@ -41,9 +41,10 @@ from ..xdm.qname import DB2FN_NS, FN_NS, XDT_NS, XS_NS
 from ..xquery import ast
 from ..xquery.functions import lookup_function
 from .diagnostics import Code, DiagnosticSink
-from .types import (ANY, EMPTY, ItemType, SeqType, atomized, concat_type,
-                    index_type_for, item, iterate, one, opt, star,
-                    statically_incomparable, union_type)
+from .types import (ANY, EMPTY, ItemType, SeqType, atomized,
+                    comparison_categories, concat_type, index_type_for,
+                    item, iterate, one, opt, star, statically_incomparable,
+                    union_type)
 
 __all__ = ["Inference", "StaticFacts", "infer_module", "refine_candidates",
            "static_prefilter_facts"]
@@ -154,18 +155,6 @@ _STRING_FNS = frozenset({
     "concat", "string-join", "substring", "substring-before",
     "substring-after", "replace", "name", "local-name", "namespace-uri"})
 _DOUBLE_FNS = frozenset({"number"})
-
-#: xs:/xdt: constructor locals the engine's cast table understands.
-_XS_CONSTRUCTORS = {
-    "double": atomic.T_DOUBLE, "float": atomic.T_DOUBLE,
-    "decimal": atomic.T_DECIMAL, "integer": atomic.T_INTEGER,
-    "int": atomic.T_INTEGER, "long": atomic.T_LONG,
-    "string": atomic.T_STRING, "boolean": atomic.T_BOOLEAN,
-    "date": atomic.T_DATE, "dateTime": atomic.T_DATETIME,
-    "untypedAtomic": atomic.T_UNTYPED,
-    "anyAtomicType": atomic.T_ANY_ATOMIC,
-}
-
 
 # ---------------------------------------------------------------------------
 # The walker
@@ -493,7 +482,8 @@ class _Inferencer:
         positional = False
         for predicate in expr.predicates:
             predicate_type = self.infer(predicate, inner_env)
-            positional = positional or _is_numeric_type(predicate_type)
+            positional = (positional or comparison_categories(
+                predicate_type) == {"numeric"})
         high = 1 if positional else primary.high
         return self.inference.record(
             expr, SeqType(primary.items, 0, high), shape=shape)
@@ -662,7 +652,7 @@ class _Inferencer:
                       arg_types: list[SeqType], env) -> SeqType:
         record = self.inference.record
         if uri in (XS_NS, XDT_NS):
-            target = _XS_CONSTRUCTORS.get(local)
+            target = atomic.XS_TYPES.get(local)
             if target is None:
                 return record(expr, ANY)
             const = None
@@ -820,7 +810,7 @@ def _cast_step_target(expr) -> str | None:
     if expr.name.local == "data":
         return atomic.T_UNTYPED
     if expr.name.uri in (XS_NS, XDT_NS):
-        return _XS_CONSTRUCTORS.get(expr.name.local)
+        return atomic.XS_TYPES.get(expr.name.local)
     return None
 
 
@@ -845,12 +835,6 @@ def _sequence_type(declared: ast.SequenceType) -> SeqType:
         return EMPTY
     low, high = _OCCURRENCE_BOUNDS.get(declared.occurrence, (0, None))
     return SeqType(frozenset({entry}), low, high)
-
-
-def _is_numeric_type(seq: SeqType) -> bool:
-    kinds = {entry.kind for entry in seq.items}
-    return bool(kinds) and kinds <= {atomic.T_INTEGER, atomic.T_LONG,
-                                     atomic.T_DOUBLE, atomic.T_DECIMAL}
 
 
 def _locals_tail(steps: tuple) -> tuple[str, ...]:

@@ -32,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..errors import XQueryTypeError
 from ..xdm import atomic
+from ..xdm.compare import comparison_type
 
 __all__ = ["ItemType", "SeqType", "EMPTY", "ANY", "atomized",
            "category_of", "comparison_categories", "concat_type",
@@ -190,27 +192,12 @@ def iterate(binding: SeqType) -> SeqType:
     return SeqType(binding.items or frozenset({ITEM}), 1, 1)
 
 
-_NUMERIC_TYPES = frozenset({
-    atomic.T_DOUBLE, atomic.T_DECIMAL, atomic.T_INTEGER, atomic.T_LONG,
-    "xs:float", "xs:int"})
-
-#: atomic type -> §3.1 comparison category.
-_CATEGORY = {
-    **{name: "numeric" for name in _NUMERIC_TYPES},
-    atomic.T_STRING: "string",
-    atomic.T_BOOLEAN: "boolean",
-    atomic.T_DATE: "date",
-    atomic.T_DATETIME: "dateTime",
-    atomic.T_QNAME: "QName",
-}
-
-
 def category_of(item_type: ItemType) -> str:
     """Comparison category: a concrete category, ``any`` for untyped
     atomics / nodes / ⊤ (they cast to the other side at run time)."""
     if item_type.is_node or item_type.kind == "item":
         return "any"
-    return _CATEGORY.get(item_type.kind, "any")
+    return atomic.category(item_type.kind)
 
 
 def atomized(seq: SeqType) -> SeqType:
@@ -237,34 +224,30 @@ def comparison_categories(seq: SeqType) -> frozenset:
 
 def statically_incomparable(left: SeqType, right: SeqType) -> bool:
     """True when a comparison between the two types can *never*
-    succeed: both sides carry only concrete categories and the sets are
-    disjoint (e.g. ``xs:double`` vs ``xs:string`` — §3.1).  Untyped
-    data (category ``any``) casts to the other side, so it is
-    comparable with everything.
+    succeed: every pair of their atomized item types makes the run-time
+    promotion rule (:func:`repro.xdm.compare.comparison_type`) raise,
+    e.g. ``xs:double`` vs ``xs:string`` (§3.1).  Untyped data (category
+    ``any``) casts to the other side, so it is comparable with
+    everything.
     """
-    left_categories = comparison_categories(left)
-    right_categories = comparison_categories(right)
-    if not left_categories or not right_categories:
-        return False  # an empty operand makes the comparison empty/false
-    if "any" in left_categories or "any" in right_categories:
-        return False
-    return not (left_categories & right_categories)
-
-
-#: category -> XML index type (the Section 2.1 index type taxonomy).
-_CATEGORY_TO_INDEX = {
-    "numeric": "DOUBLE",
-    "string": "VARCHAR",
-    "date": "DATE",
-    "dateTime": "TIMESTAMP",
-}
+    left_items, right_items = atomized(left).items, atomized(right).items
+    for left_item in left_items:
+        for right_item in right_items:
+            if "any" in (category_of(left_item), category_of(right_item)):
+                return False
+            try:
+                comparison_type(left_item.kind, right_item.kind)
+            except XQueryTypeError:
+                continue
+            return False
+    # An empty operand makes the comparison empty/false, not an error.
+    return bool(left_items and right_items)
 
 
 def index_type_for(seq: SeqType) -> str | None:
     """The index type a comparison against ``seq`` would need, or None
     when the static type is untyped / mixed — exactly the Tip-1
     distinction: only a provably-typed operand yields an index type."""
-    categories = comparison_categories(seq)
-    if len(categories) != 1:
-        return None
-    return _CATEGORY_TO_INDEX.get(next(iter(categories)))
+    index_types = {atomic.index_type(entry.kind)
+                   for entry in atomized(seq).items}
+    return index_types.pop() if len(index_types) == 1 else None

@@ -45,20 +45,11 @@ from typing import Iterator
 from ..core.patterns import PathComponent, PathPattern, parse_xmlpattern
 from ..errors import CastError, SchemaValidationError
 from ..obs.metrics import METRICS
-from ..xdm.atomic import (AtomicValue, T_DATE, T_DATETIME, T_DOUBLE,
-                          T_STRING, cast)
+from ..xdm.atomic import INDEX_KEY_TYPES, AtomicValue, T_DATETIME
+from ..xdm.compare import promote
 from ..xdm.nodes import DocumentNode, Node
 from .btree import BPlusTree
 from .columnar import PatternMatcher, ingest_document
-
-#: SQL index type keyword -> xdm atomic type used for key casting.
-INDEX_TYPE_TO_XDM = {
-    "VARCHAR": T_STRING,
-    "DOUBLE": T_DOUBLE,
-    "DATE": T_DATE,
-    "TIMESTAMP": T_DATETIME,
-}
-
 
 @dataclass(frozen=True)
 class IndexEntry:
@@ -75,7 +66,7 @@ class XmlIndex:
     def __init__(self, name: str, table: str, column: str,
                  pattern_text: str, index_type: str, order: int = 64):
         index_type = index_type.upper()
-        if index_type not in INDEX_TYPE_TO_XDM:
+        if index_type not in INDEX_KEY_TYPES:
             raise SchemaValidationError(
                 f"unsupported XML index type {index_type!r}")
         self.name = name
@@ -90,7 +81,8 @@ class XmlIndex:
         #: the whole life of the index, id-keyed hits afterwards.
         self._pattern_matcher = PatternMatcher(self.pattern)
         self.index_type = index_type
-        self.xdm_type = INDEX_TYPE_TO_XDM[index_type]
+        #: The atomic type of the keys (xs:double for DOUBLE).
+        self.key_type = INDEX_KEY_TYPES[index_type]
         self.tree = BPlusTree(order=order)
         #: Entries skipped by tolerant casting (observability for tests).
         self.skipped_nodes = 0
@@ -171,7 +163,7 @@ class XmlIndex:
         if not values:
             return None
         try:
-            key = atomic_to_key(cast(values[0], self.xdm_type))
+            key = self.key_for_value(values[0])
         except CastError:
             return None
         # NaN compares false with everything: no eligible predicate
@@ -218,24 +210,16 @@ class XmlIndex:
         return docs
 
     def key_for_value(self, value: AtomicValue):
-        """Cast a query-side comparison value into this index's key
-        space (raises CastError if incompatible)."""
-        return atomic_to_key(cast(value, self.xdm_type))
+        """A value's key: the value it takes in this index's key type,
+        by the promotion every comparison uses
+        (:func:`repro.xdm.compare.promote`); raises CastError if it has
+        none.  Timestamps are normalized to naive UTC so that aware and
+        naive values never raise on comparison inside the tree."""
+        key = promote(value, self.key_type)
+        if self.key_type == T_DATETIME and key.tzinfo is not None:
+            key = key.astimezone(_dt.timezone.utc).replace(tzinfo=None)
+        return key
 
     def __len__(self) -> int:
         """Live entries (the tree may also hold forgotten ones)."""
         return self._live_entries
-
-
-def atomic_to_key(value: AtomicValue):
-    """Map an atomic value onto a B+Tree key.
-
-    Timestamps are normalized to naive UTC so that aware and naive
-    values never raise on comparison inside the tree.
-    """
-    if value.type_name == T_DATETIME:
-        stamp: _dt.datetime = value.value
-        if stamp.tzinfo is not None:
-            stamp = stamp.astimezone(_dt.timezone.utc).replace(tzinfo=None)
-        return stamp
-    return value.value

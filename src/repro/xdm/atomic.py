@@ -5,12 +5,15 @@ The repertoire covers every type the paper exercises:
 * ``xs:string`` and ``xdt:untypedAtomic`` — the §3.1 distinction between
   string predicates (``"100"``) and numeric ones (``100``);
 * ``xs:double``, ``xs:decimal``, ``xs:integer``, ``xs:long`` — the §3.6
-  long-integer pitfall relies on xs:long comparing exactly while
-  untypedAtomic operands are converted to double and lose precision;
+  long-integer pitfall: an integer meeting a double (or an untyped
+  operand, which becomes a double) is converted to double and loses
+  precision above 2**53, in comparisons as in arithmetic;
 * ``xs:boolean`` — the XMLEXISTS pitfall of Query 9;
 * ``xs:date`` / ``xs:dateTime`` — the two temporal index types of §2.1.
 
 Casting follows the XPath 2.0 casting table restricted to these types.
+:data:`TYPES` is the one table of what each type means elsewhere: its
+comparison category and the XML index type whose keys it meets.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ T_DATETIME = "xs:dateTime"
 T_QNAME = "xs:QName"
 T_ANY_ATOMIC = "xdt:anyAtomicType"
 
-#: Numeric types ordered by promotion priority (integer < decimal < double).
-NUMERIC_TYPES = (T_INTEGER, T_LONG, T_DECIMAL, T_DOUBLE)
-
 #: type -> base type, for subtype checks (integer ⊆ decimal, etc.).
 _BASE_TYPE = {
     T_LONG: T_INTEGER,
@@ -51,6 +51,68 @@ _BASE_TYPE = {
     T_DATETIME: T_ANY_ATOMIC,
     T_QNAME: T_ANY_ATOMIC,
 }
+
+
+# ---------------------------------------------------------------------------
+# The type table
+# ---------------------------------------------------------------------------
+
+#: xs:/xdt: local name -> canonical type: the constructor functions
+#: (``xs:double(...)``) and the ``cast as`` / ``castable as`` targets.
+XS_TYPES = {
+    "string": T_STRING, "double": T_DOUBLE, "float": T_DOUBLE,
+    "decimal": T_DECIMAL, "integer": T_INTEGER, "int": T_INTEGER,
+    "long": T_LONG, "boolean": T_BOOLEAN, "date": T_DATE,
+    "dateTime": T_DATETIME, "untypedAtomic": T_UNTYPED,
+    "anyAtomicType": T_ANY_ATOMIC,
+}
+
+#: canonical type -> (§3.1 comparison category, the §2.1 XML index type
+#: whose keys a comparison against the type meets, or None).  Types of
+#: one category (and xs:date with xs:dateTime) compare with each other
+#: after :func:`repro.xdm.compare.comparison_type` promotes them; types
+#: not listed (untyped, ⊤) have category ``any``: they take the other
+#: operand's type.
+TYPES = {
+    T_DOUBLE: ("numeric", "DOUBLE"),
+    T_DECIMAL: ("numeric", "DOUBLE"),
+    T_INTEGER: ("numeric", "DOUBLE"),
+    T_LONG: ("numeric", "DOUBLE"),
+    T_STRING: ("string", "VARCHAR"),
+    T_BOOLEAN: ("boolean", None),
+    T_DATE: ("date", "DATE"),
+    T_DATETIME: ("dateTime", "TIMESTAMP"),
+    T_QNAME: ("QName", None),
+}
+
+NUMERIC_TYPES = frozenset(type_name for type_name, (kind, _index)
+                          in TYPES.items() if kind == "numeric")
+
+#: XML index type -> the type of its keys: the first type listed for it
+#: in :data:`TYPES`, the one every other type listed for it promotes to.
+INDEX_KEY_TYPES = {index: type_name for type_name, (_category, index)
+                   in reversed(TYPES.items()) if index is not None}
+
+#: SQL scalar type -> the atomic type its values take in XQuery: the
+#: cast behind ``XMLCAST(... AS type)`` and the comparison type of a
+#: SQL-typed ``PASSING`` operand.
+SQL_TYPES = {
+    "VARCHAR": T_STRING, "CHAR": T_STRING, "INTEGER": T_INTEGER,
+    "BIGINT": T_INTEGER, "DOUBLE": T_DOUBLE, "DECIMAL": T_DECIMAL,
+    "DATE": T_DATE, "TIMESTAMP": T_DATETIME, "BOOLEAN": T_BOOLEAN,
+}
+
+
+def category(type_name: str) -> str:
+    """The §3.1 comparison category of a type (``any`` if unlisted)."""
+    entry = TYPES.get(type_name)
+    return "any" if entry is None else entry[0]
+
+
+def index_type(type_name: str | None) -> str | None:
+    """The XML index type a comparison against ``type_name`` needs."""
+    entry = TYPES.get(type_name)
+    return None if entry is None else entry[1]
 
 
 def is_subtype(type_name: str, of: str) -> bool:
@@ -306,7 +368,10 @@ def cast(value: AtomicValue, target: str) -> AtomicValue:
 
     if target == T_DOUBLE:
         if value.is_numeric:
-            return double(float(value.value))
+            try:
+                return double(float(value.value))
+            except OverflowError:  # an integer beyond the double range
+                return double(math.inf if value.value > 0 else -math.inf)
         if source == T_BOOLEAN:
             return double(1.0 if value.value else 0.0)
         raise CastError(f"cannot cast {source} to xs:double")
@@ -382,19 +447,23 @@ def castable(value: AtomicValue, target: str) -> bool:
     return True
 
 
+def numeric_type(left: str, right: str) -> str:
+    """The type two numeric types promote to (XQuery 1.0 B.2): double
+    if either is, else decimal if either is, else integer."""
+    if T_DOUBLE in (left, right):
+        return T_DOUBLE
+    if T_DECIMAL in (left, right):
+        return T_DECIMAL
+    return left if left == right else T_INTEGER
+
+
 def promote_numeric_pair(left: AtomicValue, right: AtomicValue
                          ) -> tuple[AtomicValue, AtomicValue]:
-    """Promote two numeric values to their least common numeric type.
-
-    xs:long pairs compare exactly as integers; mixing with xs:double
-    converts both to double — the precision-loss behaviour Section 3.6
-    (item 2) warns about.
-    """
+    """Promote two numeric operands of an arithmetic operation to
+    :func:`numeric_type`.  Mixing with xs:double converts both to
+    double — the precision loss Section 3.6 (item 2) warns about."""
     if not (left.is_numeric and right.is_numeric):
         raise XQueryTypeError(
             f"numeric operation on {left.type_name} and {right.type_name}")
-    if T_DOUBLE in (left.type_name, right.type_name):
-        return cast(left, T_DOUBLE), cast(right, T_DOUBLE)
-    if T_DECIMAL in (left.type_name, right.type_name):
-        return cast(left, T_DECIMAL), cast(right, T_DECIMAL)
-    return left, right
+    target = numeric_type(left.type_name, right.type_name)
+    return cast(left, target), cast(right, target)

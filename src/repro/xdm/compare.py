@@ -1,16 +1,32 @@
 """XQuery comparison semantics: value, general, and node comparisons.
 
+**The promotion rule.**  Two atomic operands compare in the one type
+:func:`comparison_type` gives them (XQuery 1.0 B.2):
+
+* an untyped operand takes the other operand's type — xs:double
+  against a number, and two untyped operands compare as strings;
+* an integer or decimal meeting a double compares as a double; integers
+  and decimals among themselves compare exactly;
+* an xs:date meeting an xs:dateTime compares as a dateTime;
+* any other pair of distinct types raises XPTY0004.
+
+:func:`promote` converts a value into that type.  Value and general
+comparisons, the hash-join keys (:func:`equality_keys`) and both XML
+index key paths (``XmlIndex.key_for_value`` and the keys it stores) all
+call it, so a DOUBLE index holds exactly the doubles a scan compares:
+``@price > 149.87`` compares the attribute and the literal as doubles
+on every route (Definition 1).  Integers above 2**53 therefore collide
+with their nearest double, the hazard the paper's §3.6 item 2 names.
+
 Two rule sets matter enormously for index eligibility (Section 3.1):
 
 * **Value comparisons** (``eq ne lt le gt ge``) require singleton
-  operands and treat ``xdt:untypedAtomic`` as ``xs:string``.  Their
-  singleton requirement is what makes them safe "between" building
-  blocks (Section 3.10).
+  operands, and a failed cast of an untyped operand raises FORG0001.
+  Their singleton requirement is what makes them safe "between"
+  building blocks (Section 3.10).
 * **General comparisons** (``= != < <= > >=``) are *existential* over
-  the two atomized sequences, and convert untyped operands to the type
-  of the other side (``double`` for numerics) — so ``@price > 100``
-  is a numeric comparison, while ``@price > "100"`` is a string one
-  (Query 3).
+  the two atomized sequences — so ``@price > 100`` is a numeric
+  comparison, while ``@price > "100"`` is a string one (Query 3).
 
 Unlike SQL (Section 3.3), trailing blanks are significant in string
 comparisons, and there is no NULL: empty sequences make value
@@ -22,9 +38,9 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import CastError, XQueryTypeError
-from .atomic import (AtomicValue, T_BOOLEAN, T_DATE, T_DATETIME, T_DOUBLE,
-                     T_STRING, T_UNTYPED, boolean, cast,
-                     promote_numeric_pair)
+from .atomic import (NUMERIC_TYPES, AtomicValue, T_DATE, T_DATETIME,
+                     T_DOUBLE, T_STRING, T_UNTYPED, boolean, cast,
+                     numeric_type, parse_double)
 from .nodes import Node
 from .sequence import Item, atomize
 
@@ -42,79 +58,63 @@ GENERAL_TO_VALUE = {
     "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
 }
 
-
-def _align_for_value_comparison(left: AtomicValue, right: AtomicValue
-                                ) -> tuple[AtomicValue, AtomicValue]:
-    """Value-comparison typing for untyped operands.
-
-    We follow DB2's documented behaviour (which the paper's examples
-    assume): an untypedAtomic operand is cast to the *other* operand's
-    type — ``price gt 100`` is numeric on untyped data, and
-    ``id eq $pid`` with a VARCHAR-passed $pid is a string comparison
-    (Query 13).  When both operands are untyped they compare as
-    strings.  A failed cast raises err:FORG0001 — unlike general
-    comparisons, value comparisons stay strict.
-    """
-    if left.type_name == T_UNTYPED and right.type_name == T_UNTYPED:
-        return cast(left, T_STRING), cast(right, T_STRING)
-    if left.type_name == T_UNTYPED:
-        target = T_DOUBLE if right.is_numeric else right.type_name
-        return cast(left, target), right
-    if right.type_name == T_UNTYPED:
-        target = T_DOUBLE if left.is_numeric else left.type_name
-        return left, cast(right, target)
-    return _align_typed_pair(left, right)
+#: operator -> the operator with its operands swapped (``a < b`` is
+#: ``b > a``).
+MIRRORED = {"eq": "eq", "ne": "ne", "lt": "gt", "le": "ge", "gt": "lt",
+            "ge": "le"}
 
 
-def _align_typed_pair(left: AtomicValue, right: AtomicValue
-                      ) -> tuple[AtomicValue, AtomicValue]:
-    if left.is_numeric and right.is_numeric:
-        if T_DOUBLE in (left.type_name, right.type_name):
-            # Do NOT promote the other operand to double for a
-            # *comparison*: float(2**53 + 1) == float(2**53), so the
-            # cast collapses distinct integers above 2**53.  Python
-            # compares int/Decimal against float exactly, so keeping
-            # the non-double side in its own type is both correct and
-            # cheaper.  (Arithmetic still promotes — §3.6's documented
-            # precision loss applies to computation, not comparison.)
-            return left, right
-        return promote_numeric_pair(left, right)
-    if left.type_name == right.type_name:
-        return left, right
-    # xs:date vs xs:dateTime: promote the date.
-    pair = {left.type_name, right.type_name}
-    if pair == {T_DATE, T_DATETIME}:
-        return cast(left, T_DATETIME), cast(right, T_DATETIME)
-    raise XQueryTypeError(
-        f"cannot compare {left.type_name} with {right.type_name}",
-        code="XPTY0004")
+def comparison_type(left: str, right: str) -> str:
+    """The type operands of types ``left`` and ``right`` compare as —
+    the promotion rule of the module docstring."""
+    if left == right:
+        return left
+    if left == T_UNTYPED:
+        return T_DOUBLE if right in NUMERIC_TYPES else right
+    if right == T_UNTYPED:
+        return T_DOUBLE if left in NUMERIC_TYPES else left
+    if left in NUMERIC_TYPES and right in NUMERIC_TYPES:
+        return numeric_type(left, right)
+    if {left, right} == {T_DATE, T_DATETIME}:
+        return T_DATETIME
+    raise XQueryTypeError(f"cannot compare {left} with {right}",
+                          code="XPTY0004")
 
 
-def _compare_aligned(op: str, left: AtomicValue, right: AtomicValue) -> bool:
-    compare = _OPS[op]
-    left_value, right_value = left.value, right.value
-    if left.type_name == T_DOUBLE or right.type_name == T_DOUBLE:
-        # ``x != x`` is the NaN test that works for float and Decimal
-        # alike — no ``float()`` coercion, so an exact integer operand
-        # stays exact (values straddling 2**53 compare correctly).
-        if left_value != left_value or right_value != right_value:
-            return op == "ne"
-        return compare(left_value, right_value)
-    if left.type_name == T_BOOLEAN:
-        return compare(bool(left_value), bool(right_value))
-    if left.type_name in (T_DATE, T_DATETIME):
-        try:
-            return compare(left_value, right_value)
-        except TypeError as exc:  # naive vs aware datetimes
-            raise XQueryTypeError(
-                f"cannot compare {left_value} with {right_value}: {exc}"
-            ) from exc
-    return compare(left_value, right_value)
+def promote(value: AtomicValue, target: str):
+    """``value``'s Python value as type ``target`` (raises CastError);
+    with ``target`` a :func:`comparison_type`, the value the comparison
+    sees."""
+    source = value.type_name
+    if source == target or source == T_UNTYPED and target == T_STRING:
+        return value.value
+    if source == T_UNTYPED and target == T_DOUBLE:
+        return parse_double(value.value)
+    return cast(value, target).value
+
+
+def _promote_pair(left: AtomicValue, right: AtomicValue) -> tuple:
+    target = comparison_type(left.type_name, right.type_name)
+    return promote(left, target), promote(right, target)
+
+
+def _holds(compare, left, right) -> bool:
+    try:
+        return compare(left, right)
+    except TypeError as exc:  # naive vs aware dateTimes
+        raise XQueryTypeError(
+            f"cannot compare {left} with {right}: {exc}") from exc
 
 
 def value_compare(op: str, left: list[Item], right: list[Item]
                   ) -> list[AtomicValue]:
-    """``eq ne lt le gt ge`` — empty-propagating, singleton-requiring."""
+    """``eq ne lt le gt ge`` — empty-propagating, singleton-requiring.
+
+    We follow DB2's documented behaviour (which the paper's examples
+    assume): an untyped operand takes the other operand's type, so
+    ``price gt 100`` is numeric on untyped data and ``id eq $pid`` with
+    a VARCHAR-passed $pid is a string comparison (Query 13).
+    """
     left_atoms = atomize(left)
     right_atoms = atomize(right)
     if not left_atoms or not right_atoms:
@@ -124,25 +124,8 @@ def value_compare(op: str, left: list[Item], right: list[Item]
             f"value comparison '{op}' requires singleton operands "
             f"({len(left_atoms)} vs {len(right_atoms)} items)",
             code="XPTY0004")
-    aligned_left, aligned_right = _align_for_value_comparison(
-        left_atoms[0], right_atoms[0])
-    return [boolean(_compare_aligned(op, aligned_left, aligned_right))]
-
-
-def _align_for_general_comparison(left: AtomicValue, right: AtomicValue
-                                  ) -> tuple[AtomicValue, AtomicValue]:
-    """General-comparison typing for untyped operands (XPath 2.0 3.5.2)."""
-    if left.type_name == T_UNTYPED and right.type_name == T_UNTYPED:
-        return cast(left, T_STRING), cast(right, T_STRING)
-    if left.type_name == T_UNTYPED:
-        target = T_DOUBLE if right.is_numeric else (
-            T_STRING if right.type_name == T_STRING else right.type_name)
-        return cast(left, target), right
-    if right.type_name == T_UNTYPED:
-        target = T_DOUBLE if left.is_numeric else (
-            T_STRING if left.type_name == T_STRING else left.type_name)
-        return left, cast(right, target)
-    return _align_typed_pair(left, right)
+    return [boolean(_holds(_OPS[op], *_promote_pair(left_atoms[0],
+                                                     right_atoms[0])))]
 
 
 def general_compare(symbol: str, left: list[Item], right: list[Item]) -> bool:
@@ -166,19 +149,45 @@ def compare_atoms(op: str, left_atoms: list[AtomicValue],
                   right_atoms: list[AtomicValue]) -> bool:
     """:func:`general_compare` over atomized operands; ``op`` is the
     value-comparison name (``GENERAL_TO_VALUE[symbol]``)."""
+    compare = _OPS[op]
     for left_atom in left_atoms:
         for right_atom in right_atoms:
             try:
-                aligned = _align_for_general_comparison(left_atom,
+                left_value, right_value = _promote_pair(left_atom,
                                                         right_atom)
             except CastError:
                 if (left_atom.type_name == T_UNTYPED or
                         right_atom.type_name == T_UNTYPED):
                     continue
                 raise
-            if _compare_aligned(op, *aligned):
+            if _holds(compare, left_value, right_value):
                 return True
     return False
+
+
+def compare_with(op: str, constant: AtomicValue
+                 ) -> Callable[[list[AtomicValue]], bool]:
+    """``compare_atoms(op, atoms, [constant])`` as a function of
+    ``atoms``.  ``constant`` is promoted once, here, for the untyped
+    atoms (node values) that make up almost every operand; other atoms
+    take the general path."""
+    compare = _OPS[op]
+    target = comparison_type(T_UNTYPED, constant.type_name)
+    fixed = promote(constant, target)
+
+    def test(atoms: list[AtomicValue]) -> bool:
+        for atom in atoms:
+            if atom.type_name == T_UNTYPED:
+                try:
+                    value = promote(atom, target)
+                except CastError:
+                    continue
+                if _holds(compare, value, fixed):
+                    return True
+            elif compare_atoms(op, [atom], [constant]):
+                return True
+        return False
+    return test
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +202,28 @@ KEY_NUMBER = 2        # any numeric type
 KEY_UNCASTABLE = 4    # untypedAtomic with no xs:double lexical form
 KEY_OTHER = 8         # any other type; for ``eq`` also a non-singleton
 
+#: Class of a build atom's double key ("d" double, "n" integer or
+#: decimal, "u" untyped) -> the build classes a probe atom of that class
+#: meets as doubles: every pair but two integers/decimals (compared
+#: exactly) and two untyped atoms (compared as strings).
+_MEETS_AS_DOUBLE = {"d": ("d", "n", "u"), "n": ("d", "u"), "u": ("d", "n")}
+
 
 def equality_keys(items: list[Item], general: bool, build: bool
                   ) -> tuple[set, int]:
     """Hash keys and atom classes of one operand of ``=`` (``general``)
     or ``eq``.
 
-    The keys mirror the alignment rules above: an untyped atom compares
-    as a string against strings and untyped atoms, and as a double
-    against numbers; numbers compare by exact value (Python hashes int,
-    Decimal and float consistently with ``==``, which is the comparison
-    ``_compare_aligned`` makes).  Keys are tagged asymmetrically so that
-    a ``build`` key of one operand equals a probe key (``build=False``)
-    of the other exactly when some atom pair compares equal — two
-    untyped atoms meet only as strings.  NaN has no key: it equals
-    nothing.  Whenever :func:`keys_may_raise` is false for the two
-    operands' classes, the comparison cannot raise and is true iff the
-    key sets intersect.
+    The keys follow the promotion rule: each atom's key is its
+    :func:`promote`-d value in the type a pair compares as — a string
+    for strings and untyped atoms, the exact value between integers and
+    decimals, a double in every other numeric or untyped pair (Python
+    hashes int, Decimal and float consistently with ``==``).  Keys are
+    tagged asymmetrically so that a ``build`` key of one operand equals
+    a probe key (``build=False``) of the other exactly when some atom
+    pair compares equal.  NaN has no key: it equals nothing.  Whenever
+    :func:`keys_may_raise` is false for the two operands' classes, the
+    comparison cannot raise and is true iff the key sets intersect.
     """
     atoms = atomize(items)
     keys: set = set()
@@ -221,24 +235,32 @@ def equality_keys(items: list[Item], general: bool, build: bool
         if name == T_STRING:
             flags |= KEY_STRING
             keys.add(("s", atom.value))
-        elif name == T_UNTYPED:
+            continue
+        if name == T_UNTYPED:
             keys.add(("s", atom.value))
             try:
-                number = cast(atom, T_DOUBLE).value
-            except XQueryTypeError:
+                number = promote(atom, T_DOUBLE)
+            except CastError:
                 flags |= KEY_UNCASTABLE
                 continue
-            if number == number:
-                keys.add(("u" if build else "n", number))
-        elif atom.is_numeric:
+            kind = "u"
+        elif name == T_DOUBLE:
             flags |= KEY_NUMBER
-            number = atom.value
-            if number == number:
-                keys.add(("n", number))
-                if not build:
-                    keys.add(("u", number))
+            number, kind = atom.value, "d"
+        elif name in NUMERIC_TYPES:
+            flags |= KEY_NUMBER
+            keys.add(("e", atom.value))  # exact against integer/decimal
+            number, kind = promote(atom, T_DOUBLE), "n"
         else:
             flags |= KEY_OTHER
+            continue
+        if number != number:  # NaN equals nothing
+            continue
+        if build:
+            keys.add((kind, number))
+        else:
+            keys.update((partner, number)
+                        for partner in _MEETS_AS_DOUBLE[kind])
     return keys, flags
 
 

@@ -34,9 +34,9 @@ from ..errors import (XQueryDynamicError, XQueryError, XQueryStaticError,
 from ..obs.metrics import METRICS
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
-from ..xdm.compare import (GENERAL_TO_VALUE, KEY_OTHER, compare_atoms,
-                           equality_keys, keys_may_raise, node_compare,
-                           value_compare)
+from ..xdm.compare import (GENERAL_TO_VALUE, KEY_OTHER, MIRRORED,
+                           compare_atoms, compare_with, equality_keys,
+                           keys_may_raise, node_compare, value_compare)
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
 from ..xdm.qname import QName
@@ -269,16 +269,18 @@ class _Lowering:
 
     def _general_comparison(self, expr: ast.GeneralComparison):
         op = GENERAL_TO_VALUE[expr.op]
-        left, right = self._atoms(expr.left), self._atoms(expr.right)
-        return lambda ctx: compare_atoms(op, left(ctx), right(ctx))
-
-    def _atoms(self, expr: ast.Expr):
-        """``expr``'s atomized value; a literal's is computed once, here."""
-        if isinstance(expr, ast.Literal):
-            constant = [expr.value]
-            return lambda ctx: constant
-        evaluate = self.lower(expr)
-        return lambda ctx: atomize(evaluate(ctx))
+        # A literal operand is promoted once, here.
+        if isinstance(expr.right, ast.Literal):
+            test, operand = compare_with(op, expr.right.value), expr.left
+        elif isinstance(expr.left, ast.Literal):
+            test = compare_with(MIRRORED[op], expr.left.value)
+            operand = expr.right
+        else:
+            left, right = self.lower(expr.left), self.lower(expr.right)
+            return lambda ctx: compare_atoms(op, atomize(left(ctx)),
+                                             atomize(right(ctx)))
+        evaluate = self.lower(operand)
+        return lambda ctx: test(atomize(evaluate(ctx)))
 
     def _comparison(self, expr) -> Lowered:
         compare = (value_compare if type(expr) is ast.ValueComparison
@@ -737,7 +739,12 @@ class _Lowering:
         return filter_all
 
     def _predicate(self, predicate: ast.Expr):
-        if isinstance(predicate, _BOOLEAN_PREDICATE_TYPES):
+        if isinstance(predicate, ast.Literal) and predicate.value.is_numeric:
+            wanted = _literal_position(predicate.value)
+
+            def test(focused):
+                return focused.position == wanted
+        elif isinstance(predicate, _BOOLEAN_PREDICATE_TYPES):
             # Never a numeric position: the test is the predicate.
             test = self.test(predicate)
         else:
@@ -1126,8 +1133,19 @@ def _unresolved(lexical: str, scope: dict[str, str],
 def _predicate_truth(values: list[Item], position: int) -> bool:
     if (len(values) == 1 and isinstance(values[0], AtomicValue)
             and values[0].is_numeric):
-        return float(values[0].value) == position
+        return compare_atoms("eq", [atomic.integer(position)], values)
     return effective_boolean_value(values)
+
+
+def _literal_position(value: AtomicValue) -> int:
+    """The one position a numeric literal predicate selects, or 0."""
+    try:
+        position = int(value.value)
+    except (ValueError, OverflowError):  # NaN, INF
+        return 0
+    if position < 1 or not _predicate_truth([value], position):
+        return 0
+    return position
 
 
 def _non_positional(predicate: ast.Expr) -> bool:

@@ -606,21 +606,10 @@ def _make_constructor(type_name: str):
     return impl
 
 
-for _local, _type in [
-    ("string", atomic.T_STRING),
-    ("double", atomic.T_DOUBLE),
-    ("float", atomic.T_DOUBLE),
-    ("decimal", atomic.T_DECIMAL),
-    ("integer", atomic.T_INTEGER),
-    ("int", atomic.T_INTEGER),
-    ("long", atomic.T_LONG),
-    ("boolean", atomic.T_BOOLEAN),
-    ("date", atomic.T_DATE),
-    ("dateTime", atomic.T_DATETIME),
-    ("untypedAtomic", atomic.T_UNTYPED),
-]:
-    REGISTRY[(XS_NS, _local)] = FunctionDef(
-        _local, 1, 1, _make_constructor(_type))
+for _local, _type in atomic.XS_TYPES.items():
+    if _type != atomic.T_ANY_ATOMIC:  # abstract: no constructor
+        REGISTRY[(XS_NS, _local)] = FunctionDef(
+            _local, 1, 1, _make_constructor(_type))
 
 REGISTRY[(XDT_NS, "untypedAtomic")] = FunctionDef(
     "untypedAtomic", 1, 1, _make_constructor(atomic.T_UNTYPED))

@@ -40,25 +40,6 @@ _VALUE_COMPARISONS = {"eq", "ne", "lt", "le", "gt", "ge"}
 _GENERAL_COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 _NODE_COMPARISONS = {"is", "<<", ">>"}
 
-#: Canonical atomic type spellings accepted in cast/castable/index DDL.
-ATOMIC_TYPE_ALIASES = {
-    "xs:string": atomic.T_STRING,
-    "xs:double": atomic.T_DOUBLE,
-    "xs:float": atomic.T_DOUBLE,
-    "xs:decimal": atomic.T_DECIMAL,
-    "xs:integer": atomic.T_INTEGER,
-    "xs:int": atomic.T_INTEGER,
-    "xs:long": atomic.T_LONG,
-    "xs:boolean": atomic.T_BOOLEAN,
-    "xs:date": atomic.T_DATE,
-    "xs:dateTime": atomic.T_DATETIME,
-    "xs:anyAtomicType": atomic.T_ANY_ATOMIC,
-    "xdt:anyAtomicType": atomic.T_ANY_ATOMIC,
-    "xs:untypedAtomic": atomic.T_UNTYPED,
-    "xdt:untypedAtomic": atomic.T_UNTYPED,
-}
-
-
 @functools.lru_cache(maxsize=256)
 def parse_xquery(source: str) -> ast.Module:
     """Parse an XQuery main module (prolog + body expression).
@@ -166,8 +147,9 @@ class _Parser:
         return QName(default_ns, lexical)
 
     def _resolve_type_name(self, lexical: str) -> str:
-        if lexical in ATOMIC_TYPE_ALIASES:
-            return ATOMIC_TYPE_ALIASES[lexical]
+        prefix, _colon, local = lexical.partition(":")
+        if prefix in ("xs", "xdt") and local in atomic.XS_TYPES:
+            return atomic.XS_TYPES[local]
         raise XQueryStaticError(f"unknown atomic type {lexical!r}",
                                 code="XPST0051")
 

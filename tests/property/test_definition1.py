@@ -13,7 +13,9 @@ because rejected queries simply run unfiltered, but this guards the
 plumbing.
 """
 
+import operator
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,3 +113,77 @@ def test_index_maintenance_under_deletes(collection, rng):
     with_index = database.xquery(query, use_indexes=True)
     without = database.xquery(query, use_indexes=False)
     assert with_index.serialize() == without.serialize()
+
+
+# ---------------------------------------------------------------------------
+# Boundary matrix: stored values that are no exact doubles, literals in
+# three lexical forms, six operators, three index setups
+# ---------------------------------------------------------------------------
+
+BOUNDARY_STORED = ["149.87", "10.1", "0.1"]
+BOUNDARY_LITERALS = ["149.87", "149.87e0", '"149.87"', "10.1", "0.1e0",
+                     '"0.1"']
+OPERATORS = ["=", "!=", "<", "<=", ">", ">="]
+_PYTHON_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _price_db(stored: list[str], index_type) -> Database:
+    database = Database(index_order=4)
+    database.create_table("t", [("d", "XML")])
+    for text in stored:
+        database.insert("t", {"d": f'<order><li price="{text}"/></order>'})
+    if index_type is not None:
+        database.create_xml_index("idx", "t", "d", "//li/@price",
+                                  index_type)
+    return database
+
+
+def _expected(stored: list[str], symbol: str, literal: str) -> list[str]:
+    """The spec's answer: a numeric literal meets the untyped price as
+    a double, a string literal as a string."""
+    compare = _PYTHON_OPS[symbol]
+    if literal.startswith('"'):
+        return [text for text in stored if compare(text, literal[1:-1])]
+    return [text for text in stored if compare(float(text), float(literal))]
+
+
+@pytest.fixture(scope="module")
+def boundary_dbs():
+    return {index_type: _price_db(BOUNDARY_STORED, index_type)
+            for index_type in (None, "DOUBLE", "VARCHAR")}
+
+
+@pytest.mark.parametrize("symbol", OPERATORS)
+@pytest.mark.parametrize("literal", BOUNDARY_LITERALS)
+def test_every_route_answers_the_boundary_matrix_alike(boundary_dbs,
+                                                       literal, symbol):
+    query = (f"for $l in db2-fn:xmlcolumn('T.D')//li[@price {symbol} "
+             f"{literal}] return string($l/@price)")
+    expected = _expected(BOUNDARY_STORED, symbol, literal)
+    eligible = "VARCHAR" if literal.startswith('"') else "DOUBLE"
+    for index_type, database in boundary_dbs.items():
+        for use_indexes in (True, False):
+            answer = database.xquery(query, use_indexes=use_indexes)
+            assert answer.serialize() == expected, (index_type,
+                                                    use_indexes)
+            probed = (use_indexes and index_type == eligible
+                      and symbol != "!=")
+            assert answer.stats.indexes_used == (["idx"] if probed
+                                                 else [])
+
+
+@pytest.mark.parametrize("symbol", OPERATORS)
+def test_integers_beyond_2_53_answer_alike_on_every_route(symbol):
+    """§3.6 hazard 2: the literal 2**53 + 1 and the stored 2**53 are one
+    double, for the scan and for the DOUBLE index."""
+    stored = [str(2 ** 53)]
+    query = (f"for $l in db2-fn:xmlcolumn('T.D')//li[@price {symbol} "
+             f"{2 ** 53 + 1}] return string($l/@price)")
+    expected = _expected(stored, symbol, str(2 ** 53 + 1))
+    for index_type in (None, "DOUBLE", "VARCHAR"):
+        database = _price_db(stored, index_type)
+        for use_indexes in (True, False):
+            answer = database.xquery(query, use_indexes=use_indexes)
+            assert answer.serialize() == expected, (index_type,
+                                                    use_indexes)

@@ -32,15 +32,18 @@ from repro.xmlio.serializer import serialize
 from repro.xquery.evaluator import evaluate_module
 
 LEXICAL = ["17", " 17 ", "17.0", "1.7e1", "0", "-0", "NaN", "INF", "abc",
-           "", "17 ", "2"]
+           "", "17 ", "2", "0.1", "149.87"]
 
 atoms = st.one_of(
     st.sampled_from(LEXICAL).map(atomic.untyped),
     st.sampled_from(LEXICAL).map(atomic.string),
     st.integers(min_value=-3, max_value=20).map(atomic.integer),
-    st.sampled_from(["17", "17.00", "0.5", "-0"]).map(atomic.decimal),
-    st.sampled_from([17.0, 0.5, -0.0, float("nan"), float("inf")]).map(
-        atomic.double),
+    # 0.1 and 149.87 are no exact doubles: a decimal meets a double as
+    # a double, and another decimal exactly.
+    st.sampled_from(["17", "17.00", "0.5", "-0", "0.1", "149.87",
+                     "0.1000000000000000000001"]).map(atomic.decimal),
+    st.sampled_from([17.0, 0.5, -0.0, 0.1, 149.87, float("nan"),
+                     float("inf")]).map(atomic.double),
     st.booleans().map(atomic.boolean),
     st.just(atomic.date(dt.date(2006, 9, 12))),
 )
@@ -67,10 +70,14 @@ def _eq(left, right):
 UNIVERSE = ([atomic.untyped(text) for text in LEXICAL]
             + [atomic.string(text) for text in LEXICAL]
             + [atomic.integer(value) for value in (0, 2, 17)]
-            + [atomic.decimal(text) for text in ("17", "17.00", "-0")]
-            + [atomic.double(value) for value in (17.0, -0.0, 2.0,
-                                                   float("nan"),
+            + [atomic.decimal(text) for text in (
+                "17", "17.00", "-0", "0.1", "149.87",
+                "0.1000000000000000000001")]
+            + [atomic.double(value) for value in (17.0, -0.0, 2.0, 0.1,
+                                                   149.87, float("nan"),
                                                    float("inf"))]
+            + [atomic.integer(2 ** 53), atomic.integer(2 ** 53 + 1),
+               atomic.double(2.0 ** 53)]
             + [atomic.boolean(True),
                atomic.date(dt.date(2006, 9, 12))])
 
@@ -157,7 +164,8 @@ def test_sql_keys_match_sql_compare(left, right):
 # Whole statements: hash join vs nested loop
 # ---------------------------------------------------------------------------
 
-keys = st.lists(st.sampled_from(["1", "2", " 2", "2.0", "x", "NaN"]),
+keys = st.lists(st.sampled_from(["1", "2", " 2", "2.0", "x", "NaN", "0.1",
+                                 "149.87"]),
                 max_size=2)
 documents = st.lists(keys, min_size=0, max_size=5)
 
@@ -189,6 +197,8 @@ FLWOR_JOINS = [
     f"for $a in {_L} for $b in {_R} where $a/k eq $b/k {_RETURN}",
     f"for $a in {_L} for $b in {_R} "
     f"where $a/k/xs:double(.) = $b/k/xs:double(.) {_RETURN}",
+    f"for $a in {_L} for $b in {_R} "
+    f"where $a/k/xs:decimal(.) = $b/k/xs:double(.) {_RETURN}",
     f"for $a in {_L} for $b in {_R} where $a/k = $b/k/string(.) "
     f"and $b/@id != '1' {_RETURN}",
     f"for $a in {_L} for $b in {_R} where $a/k = 2 and $a/k = $b/k "

@@ -115,26 +115,28 @@ class TestValueComparison:
 
 
 class TestDoubleMixedPrecision:
-    """Regression: mixed double/exact comparisons must not coerce the
-    exact operand through float().  float(2**53 + 1) == float(2**53),
-    so the old coercion collapsed distinct integers above 2**53."""
+    """An integer or decimal meeting a double compares as a double
+    (XQuery 1.0 B.2).  A DOUBLE index keys on doubles, so only this rule
+    lets the index and the scan agree (Definition 1); the price is the
+    §3.6 hazard 2: integers above 2**53 collide with their nearest
+    double, in comparisons as in arithmetic."""
 
     BIG = 2 ** 53
 
-    def test_integer_above_2_53_not_equal_to_nearest_double(self):
+    def test_integer_above_2_53_equals_its_nearest_double(self):
         big_int = atomic.integer(self.BIG + 1)
         near_double = atomic.double(float(self.BIG))
-        assert not value_compare("eq", [big_int], [near_double])[0].value
-        assert value_compare("ne", [big_int], [near_double])[0].value
-        assert not general_compare("=", [big_int], [near_double])
+        assert value_compare("eq", [big_int], [near_double])[0].value
+        assert not value_compare("ne", [big_int], [near_double])[0].value
+        assert general_compare("=", [big_int], [near_double])
 
-    def test_ordering_straddles_2_53(self):
+    def test_ordering_above_2_53_is_the_doubles_ordering(self):
         big_int = atomic.integer(self.BIG + 1)
         near_double = atomic.double(float(self.BIG))
-        assert value_compare("gt", [big_int], [near_double])[0].value
-        assert general_compare(">", [big_int], [near_double])
-        assert general_compare("<", [near_double], [big_int])
-        assert not general_compare(">=", [near_double], [big_int])
+        assert not value_compare("gt", [big_int], [near_double])[0].value
+        assert not general_compare(">", [big_int], [near_double])
+        assert not general_compare("<", [near_double], [big_int])
+        assert general_compare(">=", [near_double], [big_int])
 
     def test_exactly_representable_still_equal(self):
         big_int = atomic.integer(self.BIG)
@@ -142,12 +144,38 @@ class TestDoubleMixedPrecision:
         assert value_compare("eq", [big_int], [same_double])[0].value
         assert general_compare("=", [big_int], [same_double])
 
-    def test_decimal_vs_double_stays_exact(self):
+    def test_decimal_vs_double_compares_as_double(self):
         from decimal import Decimal
         fine = atomic.decimal(Decimal(self.BIG) + Decimal("0.5"))
         coarse = atomic.double(float(self.BIG))
-        assert value_compare("gt", [fine], [coarse])[0].value
-        assert not value_compare("eq", [fine], [coarse])[0].value
+        assert not value_compare("gt", [fine], [coarse])[0].value
+        assert value_compare("eq", [fine], [coarse])[0].value
+        tenth = atomic.decimal("0.1")
+        assert value_compare("eq", [tenth], [atomic.double(0.1)])[0].value
+        assert general_compare("=", [atomic.double(0.1)], [tenth])
+
+    def test_untyped_vs_decimal_compares_as_double(self):
+        price = atomic.untyped("149.87")
+        assert general_compare("=", [price], [atomic.decimal("149.87")])
+        assert not general_compare(">", [price],
+                                   [atomic.decimal("149.87")])
+        assert value_compare("eq", [price],
+                             [atomic.decimal("149.87")])[0].value
+
+    def test_integers_and_decimals_stay_exact(self):
+        big_int = atomic.integer(self.BIG + 1)
+        assert not value_compare("eq", [big_int],
+                                 [atomic.integer(self.BIG)])[0].value
+        assert not general_compare(
+            "=", [atomic.decimal("0.1000000000000000000001")],
+            [atomic.decimal("0.1")])
+        assert value_compare("lt", [atomic.integer(self.BIG)],
+                             [atomic.decimal(self.BIG + 1)])[0].value
+
+    def test_integer_beyond_the_double_range_meets_infinity(self):
+        huge = atomic.integer(10 ** 400)
+        assert general_compare(">", [huge], [atomic.double(1e308)])
+        assert general_compare("=", [huge], [atomic.double(float("inf"))])
 
     def test_nan_vs_exact_integer(self):
         nan = atomic.double(float("nan"))

@@ -103,6 +103,20 @@ class TestFlworExecution:
         assert errors == ["XPTY0004", "XPTY0004"]
 
 
+    def test_a_decimal_meets_a_double_as_a_double(self):
+        # 0.1 is no exact double: the loops promote the decimal to
+        # xs:double before comparing, so the join keys must as well.
+        query = ("for $x in (xs:decimal('0.1'), 0.5) "
+                 "for $y in (xs:double('0.1'), 0.5e0) "
+                 "where $x = $y return $x")
+        database = Database()
+        hashed = database.xquery(query)
+        looped = database.xquery(query, use_indexes=False)
+        assert any(note.startswith("hash join for $y")
+                   for note in hashed.stats.plan_notes)
+        assert hashed.serialize() == looped.serialize() == ["0.1", "0.5"]
+
+
 class TestSqlHashJoin:
     def test_query15_rows_and_order_are_the_loops(self, fixture_db):
         statement = PAPER_QUERIES[15][1]

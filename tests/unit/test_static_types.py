@@ -91,6 +91,13 @@ class TestComparability:
         assert not statically_incomparable(one(DOUBLE),
                                            one(item("xs:integer")))
 
+    def test_comparable_types_follow_the_run_time_rule(self):
+        # A date meets a dateTime as a dateTime at run time.
+        assert not statically_incomparable(one(DATE),
+                                           one(item("xs:dateTime")))
+        assert not statically_incomparable(one(item("xs:decimal")),
+                                           one(DOUBLE))
+
     def test_untyped_is_comparable_with_everything(self):
         assert not statically_incomparable(one(UNTYPED), one(DOUBLE))
         assert not statically_incomparable(one(ELEM), one(STRING))

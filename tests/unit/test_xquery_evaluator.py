@@ -47,6 +47,18 @@ class TestPaths:
         assert run("$d//lineitem[position() < 2]/@price/data(.)",
                    d=DOC) == "120"
 
+    @pytest.mark.parametrize("predicate, expected", [
+        ("2", "20"), ("2.0", "20"), ("2e0", "20"),
+        ("2.0000000000000000001", ""), ("2.5", ""), ("0", ""), ("-1", ""), ("4", ""),
+        ("xs:double('NaN')", ""), ("xs:double('INF')", ""),
+        ("3 - 1", "20"), ("xs:decimal('2.0000000000000000001')", ""),
+        ("1 + 1.0000000000000000001", "")])
+    def test_a_numeric_predicate_is_position_eq_value(self, predicate,
+                                                       expected):
+        # position() eq $value under the one promotion rule: a decimal
+        # meets the integer position exactly, a double as a double.
+        assert run(f"(10, 20, 30)[{predicate}]") == expected
+
     def test_doc_order_dedup(self):
         # Both branches find the same nodes; union keeps one copy.
         assert run("count(($d//product, $d//product))", d=DOC) == "4"
