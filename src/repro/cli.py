@@ -122,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "replay) and report what was done")
     _add_data_arguments(recover, required=True)
     recover.add_argument("--verify", action="store_true",
-                         help="check re-captured path tables against "
-                              "the checkpoint (exit 1 on mismatch)")
+                         help="check the path tables parsed from the "
+                              "checkpoint against its recorded shapes "
+                              "(exit 1 on mismatch)")
 
     check = commands.add_parser(
         "check", help="run the concurrency sanitizer's static passes "

@@ -15,12 +15,12 @@ Two deliberate shape choices:
   XMLPATTERN text, SQL type) and recovery replays the ``CREATE
   INDEX``, rebuilding the tree from the recovered documents.  That
   keeps the checkpoint small and immune to index-format drift.
-* **Path tables are persisted as shapes, not slot lists.**  A column
-  store's path partitions are re-captured by the recovery ingest walk
-  anyway; the checkpoint stores each document's distinct paths with
+* **Path tables are persisted as shapes, not slot lists.**  Recovery
+  parses each document's text straight into columns, path partitions
+  included; the checkpoint stores each document's distinct paths with
   counts (``ColumnStore.path_counts``), which ``recover --verify``
-  compares against the re-captured path tables — an end-to-end
-  integrity oracle over serialize → parse → re-capture.
+  compares against the path tables the parse built — an end-to-end
+  integrity oracle over serialize → parse into columns.
 
 XML column values are serialized with :func:`repro.xmlio.serializer.
 serialize`; the round-trip property test in

@@ -13,7 +13,9 @@ Holding the one exclusive lock across apply **and** log is what makes
 WAL order equal apply order (concurrent writers cannot interleave the
 two halves), and logging *after* a successful apply means failed
 operations — validation errors, duplicate DDL — never pollute the log:
-this is redo logging of committed operations only.
+this is redo logging of committed operations only.  Conversely, an
+insert whose record cannot be encoded or appended is rolled back
+before the error propagates, so no unlogged row stays visible.
 
 ``delete_rows`` has the one non-obvious record shape: an arbitrary
 Python predicate cannot be replayed, so the record stores the victim
@@ -34,7 +36,7 @@ from ..xmlio.serializer import serialize
 from . import fsio
 from .checkpoint import CheckpointInfo, write_checkpoint
 from .codec import encode_schema, encode_value
-from .faults import NO_FAULTS
+from .faults import NO_FAULTS, CrashError
 from .recovery import RecoveryResult, recover
 from .wal import WAL_NAME, WriteAheadLog
 
@@ -162,23 +164,34 @@ class DurableDatabase(Database):
             if self._replaying:
                 self._note_row_schemas(row, schema)
                 return row
-            record_values: dict[str, object] = {}
-            record_schemas: dict[str, dict] = {}
-            for key, value in row.values.items():
-                if isinstance(value, StoredDocument):
-                    record_values[key] = {
-                        "$xml": serialize(value.document)}
-                    if value.schema_name is not None:
-                        record_schemas[key] = self._note_schema(
-                            self._schema_for(schema, key))
-                else:
-                    record_values[key] = encode_value(value)
-            record = {"op": "insert", "table": self.table(table).name,
-                      "values": record_values}
-            if record_schemas:
-                record["schemas"] = record_schemas
-            self._log(record)
+            table_obj = self.table(table)
+            try:
+                self._log(self._insert_record(table_obj, row, schema))
+            except CrashError:
+                raise
+            # sa: ok(SA408: an insert whose record is not logged must not
+            # stay applied, whatever failed; the error propagates as is)
+            except Exception:
+                self._remove_rows(table_obj, [row])
+                raise
             return row
+
+    def _insert_record(self, table: Table, row: Row, schema) -> dict:
+        record_values: dict[str, object] = {}
+        record_schemas: dict[str, dict] = {}
+        for key, value in row.values.items():
+            if isinstance(value, StoredDocument):
+                record_values[key] = {"$xml": serialize(value.document)}
+                if value.schema_name is not None:
+                    record_schemas[key] = self._note_schema(
+                        self._schema_for(schema, key))
+            else:
+                record_values[key] = encode_value(value)
+        record = {"op": "insert", "table": table.name,
+                  "values": record_values}
+        if record_schemas:
+            record["schemas"] = record_schemas
+        return record
 
     def delete_rows(self, table: str, predicate=None) -> int:
         with self._rwlock.write():

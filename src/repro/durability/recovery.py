@@ -16,9 +16,9 @@ Recovering the same directory twice is therefore a no-op: same state,
 same LSNs, nothing rewritten.
 
 Emits ``recovery`` trace spans (via :mod:`repro.obs.trace`) and
-``recovery.*`` metrics; ``verify=True`` additionally checks every
-checkpointed document's re-captured path table against the shape the
-checkpoint recorded.
+``recovery.*`` metrics; ``verify=True`` additionally checks the path
+table the parser built for every checkpointed document against the
+shape the checkpoint recorded.
 """
 
 from __future__ import annotations

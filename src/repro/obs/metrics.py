@@ -28,7 +28,8 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``bufferpool.loads``              column payloads read back from spool
 ``bufferpool.resident_bytes``     (gauge) bytes charged against the
                                   buffer-pool budget
-``columnar.materializations``     XDM trees rebuilt from column stores
+``columnar.materializations``     XDM trees built from column stores
+                                  (every parse, every reload)
 ``queries.xquery`` / ``.sql``     statements executed
 ``query.seconds`` (histogram)     end-to-end statement wall time
 ``rwlock.read_acquires``          database read-lock acquisitions

@@ -320,12 +320,13 @@ class Database(ReadView):
                     stored = StoredDocument(
                         next_doc_id(), document,
                         doc_schema.name if doc_schema else None)
-                    # Capture the columnar accelerator table at ingest:
-                    # one walk builds the (pre, post, level, …) columns
-                    # and the path partitions that back the evaluator's
-                    # fast paths and index builds; their signature joins
-                    # the column's path classes (``new_row``), which
-                    # back the planner's cardinality estimates.
+                    # The columnar accelerator table: a parsed document
+                    # brings the (pre, post, level, …) columns and path
+                    # partitions its parse filled (a tree is captured
+                    # here); they back the evaluator's fast paths and
+                    # index builds, and their signature joins the
+                    # column's path classes (``new_row``), which back
+                    # the planner's cardinality estimates.
                     stored._store = ingest_document(document)
                     stored.path_class = stored._store.path_class()
                     stored._schema = doc_schema

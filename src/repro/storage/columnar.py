@@ -4,7 +4,8 @@ The paper's premise is that XPath performance lives or dies by the
 physical layout of the accelerator table.  A :class:`ColumnStore` is
 that table for one document: parallel ``array`` columns holding the
 ``(pre, post, level, parent, kind, tag-id, text-offset)`` encoding of
-every node, built with a single walk at ingest time.  ``pre`` is the
+every node, filled by the XML parser in the one pass that reads the
+document's text (:class:`ColumnBuilder`).  ``pre`` is the
 implicit column — slot *i* of every array describes the node with
 pre-order number *i* — so structural queries become range arithmetic:
 
@@ -36,11 +37,14 @@ Two further structures ride on the columns:
   one shared string addressed by ``(text_lo, text_hi)`` offsets, so
   an evicted document's values survive without any node objects.
 
-Node objects are *views*: :meth:`ColumnStore.materialize` rebuilds the
-XDM tree from the columns on demand (after buffer-pool eviction, or on
-a replica bootstrapped from shipped columns), restoring the original
-``node_id`` of every node from the ``node_ids`` column so node
-identity and document-order keys are stable across eviction cycles.
+Node objects are *views*: :meth:`ColumnStore.materialize` builds the
+XDM tree from the columns — after a parse, after buffer-pool eviction,
+and on a replica bootstrapped from shipped columns — taking every
+node's ``node_id`` from the ``node_ids`` column so node identity and
+document-order keys are stable across eviction cycles.  A tree that
+was not parsed (a document inserted as a tree, or a stored tree
+mutated in place) is captured by :meth:`ColumnStore.from_document`,
+which drives the same builder.
 """
 
 from __future__ import annotations
@@ -51,14 +55,18 @@ from typing import Iterator
 
 from ..core.patterns import PathComponent
 from ..obs.metrics import METRICS
-from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
-                         ElementNode, Node, ProcessingInstructionNode,
-                         TextNode, reserve_node_ids)
+from ..xdm.atomic import T_UNTYPED
+from ..xdm.nodes import (UNTYPED_ELEMENT, AttributeNode, CommentNode,
+                         DocumentNode, ElementNode, Node,
+                         ProcessingInstructionNode, TextNode, TreeStamp,
+                         allocate_node_ids, number_from_columns,
+                         reserve_node_ids)
 from ..xdm.qname import QName
 
-__all__ = ["ColumnStore", "PatternMatcher", "get_store", "ingest_document",
-           "store_for_node", "KIND_DOCUMENT", "KIND_ELEMENT",
-           "KIND_ATTRIBUTE", "KIND_TEXT", "KIND_COMMENT", "KIND_PI"]
+__all__ = ["ColumnBuilder", "ColumnStore", "PatternMatcher", "get_store",
+           "ingest_document", "store_for_node", "KIND_DOCUMENT",
+           "KIND_ELEMENT", "KIND_ATTRIBUTE", "KIND_TEXT", "KIND_COMMENT",
+           "KIND_PI"]
 
 #: Node-kind codes stored in the ``kind`` column (one signed byte).
 KIND_DOCUMENT = 0
@@ -77,8 +85,7 @@ _KIND_CODES = {
     "processing-instruction": KIND_PI,
 }
 
-#: Kinds whose content lives in the text heap.
-_HEAP_KINDS = (KIND_ATTRIBUTE, KIND_TEXT, KIND_COMMENT, KIND_PI)
+_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 
 #: Rough per-node cost of a materialized XDM view (object headers,
 #: slot storage, child-list entries) used for buffer-pool accounting.
@@ -93,6 +100,22 @@ _PATH_INTERN: dict[tuple, tuple] = {}
 
 def _intern_path(path: tuple) -> tuple:
     return _PATH_INTERN.setdefault(path, path)
+
+
+#: (id(interned parent path), kind, uri, local) -> interned child path.
+#: Interned paths live as long as ``_PATH_INTERN``, so their ids are
+#: stable keys, and a parse extends a path without hashing it.
+_PATH_STEPS: dict[tuple[int, int, str, str], tuple] = {}
+
+
+def _child_path(parent_path: tuple, kind: int, name: QName | None) -> tuple:
+    uri, local = ("", "") if name is None else (name.uri, name.local)
+    key = (id(parent_path), kind, uri, local)
+    path = _PATH_STEPS.get(key)
+    if path is None:
+        component = PathComponent(_KIND_NAMES[kind], uri, local)
+        path = _PATH_STEPS[key] = _intern_path(parent_path + (component,))
+    return path
 
 
 class PatternMatcher:
@@ -125,13 +148,6 @@ class PatternMatcher:
         document contains the path"."""
         return sum(count for path, count in path_class
                    if self.matches(path))
-
-
-def _component_of(node: Node) -> PathComponent:
-    name = node.name
-    if name is None:
-        return PathComponent(node.kind)
-    return PathComponent(node.kind, name.uri, name.local)
 
 
 def _b64(column: array) -> str:
@@ -201,107 +217,47 @@ class ColumnStore:
 
     @classmethod
     def from_document(cls, document: DocumentNode) -> "ColumnStore":
-        """Capture ``document``'s columns with one pre-order walk.
+        """Capture a tree's columns (a document inserted as a tree, or
+        a stored tree mutated in place) through :class:`ColumnBuilder`.
 
-        Numbering (``(pre, post, level)``) is taken from the tree's
-        existing interval encoding — ``document.structure()`` first
-        ensures it is current — so slot *i* is exactly the node with
-        pre number *i*.  The walk visits a node, then its attributes,
-        then its children, mirroring ``xdm.nodes._number_tree``.
-        The store is attached to the document (``document.column_store``),
-        replacing any store captured before a mutation.
+        One walk, attributes before children as ``xdm.nodes`` numbers
+        them, keeps each node's ``node_id``; the tree is then numbered
+        from the columns, so slot *i* is the node with pre number *i*.
+        The store replaces any attached to the document before.
         """
-        document.structure()
-        store = cls()
-        store.document_uri = document.document_uri
-        name_ids: dict[tuple[str, str, str], int] = {}
-        ns_ids: dict[tuple, int] = {}
-        path_ids: dict[tuple, int] = {}
-        heap: list[str] = []
-        heap_length = 0
-        nodes: list[Node] = []
-        # (node, parent_slot, path-so-far)
-        stack: list[tuple[Node, int, tuple]] = [(document, -1, ())]
+        builder = ColumnBuilder(document.document_uri)
+        nodes: list[Node] = [document]
+        node_ids = array("q", [document.node_id])
+        # (node, parent slot); a None node closes the parent slot.
+        stack: list[tuple[Node | None, int]] = [
+            (child, 0) for child in reversed(document.children)]
         while stack:
-            node, parent_slot, path = stack.pop()
-            slot = len(nodes)
-            nodes.append(node)
-            kind_code = _KIND_CODES[node.kind]
-            store.kind.append(kind_code)
-            store.post.append(node._post)
-            store.level.append(node._level)
-            store.parent.append(parent_slot)
-            store.node_ids.append(node.node_id)
-
+            node, parent = stack.pop()
+            if node is None:
+                builder.close(parent)
+                continue
+            kind = _KIND_CODES[node.kind]
             name = node.name
-            if name is None:
-                store.name_id.append(-1)
+            name_id = (-1 if name is None else
+                       builder.name_id(name.uri, name.local, name.prefix))
+            if kind == KIND_ELEMENT:
+                slot = builder.open(
+                    kind, parent, name_id,
+                    builder.scope_id(node.in_scope_namespaces))
+                stack.append((None, slot))
+                stack.extend((child, slot)
+                             for child in reversed(node.children))
+                stack.extend((attribute, slot)
+                             for attribute in reversed(node.attributes))
             else:
-                key = (name.uri, name.local, name.prefix)
-                name_id = name_ids.get(key)
-                if name_id is None:
-                    name_id = name_ids[key] = len(store.names)
-                    store.names.append(name)
-                store.name_id.append(name_id)
-
-            if kind_code == KIND_ELEMENT:
-                scope = node.in_scope_namespaces
-                ns_key = tuple(sorted(scope.items()))
-                ns_id = ns_ids.get(ns_key)
-                if ns_id is None:
-                    ns_id = ns_ids[ns_key] = len(store.nsscopes)
-                    store.nsscopes.append(dict(scope))
-                store.ns_id.append(ns_id)
-            else:
-                store.ns_id.append(-1)
-
-            if kind_code in _HEAP_KINDS:
-                content = (node.content if kind_code in (
-                    KIND_TEXT, KIND_COMMENT, KIND_PI)
-                    else node.string_value())
-                store.text_lo.append(heap_length)
-                heap.append(content)
-                heap_length += len(content)
-                store.text_hi.append(heap_length)
-            else:
-                store.text_lo.append(-1)
-                store.text_hi.append(-1)
-
-            if kind_code == KIND_DOCUMENT:
-                store.path_id.append(-1)
-            else:
-                interned = _intern_path(path)
-                path_id = path_ids.get(interned)
-                if path_id is None:
-                    path_id = path_ids[interned] = len(store.paths)
-                    store.paths.append(interned)
-                    store.partitions.append(array("q"))
-                store.path_id.append(path_id)
-                store.partitions[path_id].append(slot)
-
-            for child in reversed(node.children):
-                stack.append(
-                    (child, slot, path + (_component_of(child),)))
-            for attribute in reversed(node.attributes):
-                stack.append(
-                    (attribute, slot, path + (_component_of(attribute),)))
-        store.text = "".join(heap)
-        store._compute_subtree_ends()
+                builder.leaf(kind, parent, name_id, node.string_value())
+            nodes.append(node)
+            node_ids.append(node.node_id)
+        store = builder.finish(node_ids)
+        store.stamp = number_from_columns(nodes, store.post, store.level)
         store.nodes = nodes
-        store.stamp = document._stamp
         document.column_store = store
         return store
-
-    def _compute_subtree_ends(self) -> None:
-        """``subtree_end[s]`` = one past the last slot of ``s``'s
-        subtree — the upper bound of every descendant range scan."""
-        count = len(self.kind)
-        sizes = [1] * count
-        parent = self.parent
-        for slot in range(count - 1, 0, -1):
-            sizes[parent[slot]] += sizes[slot]
-        self.subtree_end = array(
-            "q", (slot + sizes[slot] for slot in range(count)))
 
     def is_attached(self) -> bool:
         """True while a live, unmutated materialization backs us."""
@@ -415,44 +371,74 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     def materialize(self, schema=None) -> DocumentNode:
-        """Rebuild the XDM tree from the columns.
+        """Build the XDM tree the columns describe (after a parse, a
+        buffer-pool reload, or a replica bootstrap).
 
-        Node views are created in pre order and linked through the
-        ``parent`` column; every view's ``node_id`` is restored from
-        the ``node_ids`` column so identity and document-order keys
-        survive eviction/rematerialization cycles.  ``schema`` (a
-        registered validation schema) is re-applied afterwards so
-        schema-typed values are identical to the original ingest.
+        Node views are created in pre order, linked through the
+        ``parent`` column and numbered as they are created (``pre`` is
+        the slot, ``post`` and ``level`` are columns, one fresh stamp),
+        so no numbering walk follows.  Every view's ``node_id`` comes
+        from the ``node_ids`` column, so identity and document-order
+        keys survive eviction cycles.  ``schema`` (a registered
+        validation schema) is re-applied afterwards so schema-typed
+        values are identical to the original ingest.  Views skip the
+        node constructors: the columns hold every field they derive.
         """
-        count = len(self.kind)
-        nodes: list[Node] = []
+        names = self.names
+        scopes = self.nsscopes
         text = self.text
-        for slot in range(count):
-            kind_code = self.kind[slot]
-            if kind_code == KIND_DOCUMENT:
-                node: Node = DocumentNode(document_uri=self.document_uri)
-            elif kind_code == KIND_ELEMENT:
-                node = ElementNode(
-                    self.names[self.name_id[slot]],
-                    in_scope_namespaces=self.nsscopes[self.ns_id[slot]])
-            elif kind_code == KIND_ATTRIBUTE:
-                node = AttributeNode(
-                    self.names[self.name_id[slot]],
-                    text[self.text_lo[slot]:self.text_hi[slot]])
+        text_lo = self.text_lo
+        text_hi = self.text_hi
+        name_id = self.name_id
+        ns_id = self.ns_id
+        post = self.post
+        level = self.level
+        parents = self.parent
+        node_ids = self.node_ids
+        tree_id = node_ids[0]
+        stamp = TreeStamp()
+        nodes: list[Node] = []
+        for slot, kind_code in enumerate(self.kind):
+            if kind_code == KIND_ELEMENT:
+                node = ElementNode.__new__(ElementNode)
+                node._name = names[name_id[slot]]
+                node._attributes = []
+                node._children = []
+                node.type_annotation = UNTYPED_ELEMENT
+                node._typed_values = None
+                node.in_scope_namespaces = scopes[ns_id[slot]]
             elif kind_code == KIND_TEXT:
-                node = TextNode(text[self.text_lo[slot]:self.text_hi[slot]])
+                node = TextNode.__new__(TextNode)
+                node.content = text[text_lo[slot]:text_hi[slot]]
+            elif kind_code == KIND_ATTRIBUTE:
+                node = AttributeNode.__new__(AttributeNode)
+                node._name = names[name_id[slot]]
+                node._value = text[text_lo[slot]:text_hi[slot]]
+                node.type_annotation = T_UNTYPED
+                node._typed_values = None
+            elif kind_code == KIND_DOCUMENT:
+                node = DocumentNode.__new__(DocumentNode)
+                node._children = []
+                node.document_uri = self.document_uri
+                node.column_store = self
             elif kind_code == KIND_COMMENT:
-                node = CommentNode(
-                    text[self.text_lo[slot]:self.text_hi[slot]])
+                node = CommentNode.__new__(CommentNode)
+                node.content = text[text_lo[slot]:text_hi[slot]]
             else:
-                node = ProcessingInstructionNode(
-                    self.names[self.name_id[slot]].local,
-                    text[self.text_lo[slot]:self.text_hi[slot]])
-            node.node_id = self.node_ids[slot]
-            parent_slot = self.parent[slot]
-            if parent_slot >= 0:
-                parent = nodes[parent_slot]
-                node.parent = parent
+                node = ProcessingInstructionNode.__new__(
+                    ProcessingInstructionNode)
+                node.target = names[name_id[slot]].local
+                node.content = text[text_lo[slot]:text_hi[slot]]
+            node.node_id = node_ids[slot]
+            node._order = (tree_id, slot)
+            node._post = post[slot]
+            node._level = level[slot]
+            node._stamp = stamp
+            parent_slot = parents[slot]
+            if parent_slot < 0:
+                node.parent = None
+            else:
+                parent = node.parent = nodes[parent_slot]
                 if kind_code == KIND_ATTRIBUTE:
                     parent._attributes.append(node)
                 else:
@@ -460,10 +446,8 @@ class ColumnStore:
             nodes.append(node)
         document = nodes[0]
         assert isinstance(document, DocumentNode)
-        document.structure()
         self.nodes = nodes
-        self.stamp = document._stamp
-        document.column_store = self
+        self.stamp = stamp
         if schema is not None:
             from ..schema.validator import validate
             validate(document, schema)
@@ -553,12 +537,131 @@ class ColumnStore:
         for slot, path_id in enumerate(store.path_id):
             if path_id >= 0:
                 store.partitions[path_id].append(slot)
-        store._compute_subtree_ends()
+        store.subtree_end = _subtree_ends(store.post, store.level)
         if len(store.node_ids):
             # Payloads may come from another process (replica shipping):
             # keep locally minted ids disjoint from the restored ones.
             reserve_node_ids(max(store.node_ids))
         return store
+
+
+class ColumnBuilder:
+    """Appends one document's nodes to a new :class:`ColumnStore` in
+    pre order: the one place columns are built.
+
+    The XML parser drives it from text
+    (:func:`repro.xmlio.parser.parse_columns`) and
+    :meth:`ColumnStore.from_document` from a tree.  A node with children
+    is opened before them and closed after them, which numbers its
+    ``post``; attributes, text, comments and PIs are closed leaf slots
+    whose content goes to the text heap.  Names and namespace scopes
+    are interned once per document, and path ids come from a trie keyed
+    ``(parent path id, kind, name id)`` whose new entries look up their
+    interned root-to-node path once.  Slots accumulate as row tuples
+    ``(kind, parent, name id, ns id, text_lo, text_hi, level, path id)``
+    that :meth:`finish` turns into the store's arrays.
+    """
+
+    __slots__ = ("store", "_rows", "_posts", "_post", "_heap",
+                 "_heap_length", "_names", "_scopes", "_steps",
+                 "_path_ids")
+
+    def __init__(self, document_uri: str = ""):
+        store = self.store = ColumnStore()
+        store.document_uri = document_uri
+        self._rows = [(KIND_DOCUMENT, -1, -1, -1, -1, -1, 0, -1)]
+        self._posts = [-1]
+        self._post = 0
+        self._heap: list[str] = []
+        self._heap_length = 0
+        self._names: dict[tuple[str, str, str], int] = {}
+        self._scopes: dict[tuple, int] = {}
+        self._steps: dict[tuple[int, int, int], int] = {}
+        #: id(interned path) -> path id: names differing only in
+        #: prefix share a path
+        self._path_ids: dict[int, int] = {}
+
+    def name_id(self, uri: str, local: str, prefix: str = "") -> int:
+        key = (uri, local, prefix)
+        name_id = self._names.get(key)
+        if name_id is None:
+            name_id = self._names[key] = len(self.store.names)
+            self.store.names.append(QName(uri, local, prefix))
+        return name_id
+
+    def scope_id(self, scope: dict[str, str]) -> int:
+        key = tuple(sorted(scope.items()))
+        scope_id = self._scopes.get(key)
+        if scope_id is None:
+            scope_id = self._scopes[key] = len(self.store.nsscopes)
+            self.store.nsscopes.append(dict(scope))
+        return scope_id
+
+    def open(self, kind: int, parent: int, name_id: int, ns_id: int,
+             low: int = -1, high: int = -1) -> int:
+        """Append a slot; its subtree follows until :meth:`close`."""
+        rows = self._rows
+        slot = len(rows)
+        parent_row = rows[parent]
+        key = (parent_row[7], kind, name_id)
+        path_id = self._steps.get(key)
+        if path_id is None:
+            path_id = self._steps[key] = self._path_id(*key)
+        self.store.partitions[path_id].append(slot)
+        rows.append((kind, parent, name_id, ns_id, low, high,
+                     parent_row[6] + 1, path_id))
+        self._posts.append(-1)
+        return slot
+
+    def leaf(self, kind: int, parent: int, name_id: int,
+             content: str) -> None:
+        low = self._heap_length
+        self._heap.append(content)
+        self._heap_length = low + len(content)
+        self.close(self.open(kind, parent, name_id, -1, low,
+                             self._heap_length))
+
+    def close(self, slot: int) -> None:
+        self._posts[slot] = self._post
+        self._post += 1
+
+    def finish(self, node_ids: array | None = None) -> ColumnStore:
+        """Close the document slot and return the store.  ``node_ids``
+        (one per slot) defaults to a fresh contiguous block."""
+        self.close(0)
+        store = self.store
+        (kinds, store.parent, store.name_id, store.ns_id, store.text_lo,
+         store.text_hi, store.level, store.path_id) = (
+            array("q", column) for column in zip(*self._rows))
+        store.kind = array("b", kinds)
+        store.post = array("q", self._posts)
+        store.subtree_end = _subtree_ends(store.post, store.level)
+        store.text = "".join(self._heap)
+        store.node_ids = (allocate_node_ids(len(kinds))
+                          if node_ids is None else node_ids)
+        return store
+
+    def _path_id(self, parent_path_id: int, kind: int,
+                 name_id: int) -> int:
+        store = self.store
+        parent_path = (store.paths[parent_path_id]
+                       if parent_path_id >= 0 else ())
+        name = store.names[name_id] if name_id >= 0 else None
+        path = _child_path(parent_path, kind, name)
+        path_id = self._path_ids.get(id(path))
+        if path_id is None:
+            path_id = self._path_ids[id(path)] = len(store.paths)
+            store.paths.append(path)
+            store.partitions.append(array("q"))
+        return path_id
+
+
+def _subtree_ends(post: array, level: array) -> array:
+    """``subtree_end[s]``, one past the last slot of ``s``'s subtree —
+    the upper bound of every descendant range scan.  A subtree holds
+    ``post - pre + level`` descendants, so its end is
+    ``post + level + 1``."""
+    return array("q", (p + d + 1 for p, d in zip(post, level)))
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +707,11 @@ def store_for_node(node: Node) -> ColumnStore | None:
 def ingest_document(document: DocumentNode) -> ColumnStore:
     """The current column store of ``document``, captured if needed.
 
-    A document arriving with a current store — e.g. materialized from
-    replica-shipped columns — is reused as-is; otherwise (never
-    captured, or mutated since capture) one walk captures the columns
-    and path partitions.  This is the only staleness rule the path
-    table has.
+    A parsed document arrives with the store it was materialized from
+    (so do documents materialized from replica-shipped columns) and it
+    is reused as-is; a document built or mutated as a tree is captured
+    by :meth:`ColumnStore.from_document`.  This is the only staleness
+    rule the path table has.
     """
     store = get_store(document)
     if store is not None:

@@ -10,7 +10,8 @@ modelled exactly:
 * **Document order**: a stable total order, per tree, used for path
   expression deduplication and the ``<<``/``>>`` comparisons.  Every
   node additionally carries a ``(pre, post, level)`` *interval
-  encoding* (assigned lazily per tree, eagerly at parse time) so
+  encoding* (copied from the columns when a stored tree is built,
+  assigned lazily to constructed and mutated trees) so
   descendant/ancestor/following tests are plain integer comparisons
   and document-order sorting is a key sort with no tree walks.
 * **Type annotations** (Sections 3.1, 3.6, 3.8): unvalidated elements
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from array import array
 from typing import Iterator
 
 from ..errors import XQueryTypeError
@@ -49,9 +51,18 @@ def reserve_node_ids(minimum: int) -> None:
         current = next(_NODE_IDS)
         _NODE_IDS = itertools.count(max(current, minimum + 1))
 
+
+def allocate_node_ids(count: int) -> array:
+    """``count`` consecutive node ids (a parsed document's, in pre
+    order), drawn under the numbering lock by one C-level call, so no
+    concurrent single-id draw lands inside the block."""
+    with _NUMBER_LOCK:
+        return array("q", itertools.islice(_NODE_IDS, count))
+
+
 #: Serializes lazy renumbering.  Two concurrent readers triggering
 #: ``_number_tree`` on the same tree would each mint their own
-#: ``_TreeStamp``, leaving the tree with *mixed* stamps — a later
+#: ``TreeStamp``, leaving the tree with *mixed* stamps — a later
 #: mutation's O(1) invalidation would then miss the nodes holding the
 #: other stamp.  The lock sits on the slow path only: already-numbered
 #: trees never touch it.
@@ -61,7 +72,7 @@ _NUMBER_LOCK = threading.Lock()
 UNTYPED_ELEMENT = "xdt:untyped"
 
 
-class _TreeStamp:
+class TreeStamp:
     """Shared validity token for one numbering pass over one tree.
 
     Every node numbered in the same pass holds a reference to the same
@@ -90,7 +101,7 @@ class Node:
         self._order: tuple[int, int] | None = None
         self._post: int = -1
         self._level: int = -1
-        self._stamp: _TreeStamp | None = None
+        self._stamp: TreeStamp | None = None
 
     # -- identity & order --------------------------------------------
 
@@ -222,11 +233,11 @@ def _number_tree(root: Node) -> None:
     Iterative two-phase DFS: a node receives its ``pre`` number (and
     level) when first visited and its ``post`` number after its whole
     subtree — attributes included — has been numbered.  All nodes get
-    the same fresh :class:`_TreeStamp`, making later whole-tree
+    the same fresh :class:`TreeStamp`, making later whole-tree
     invalidation O(1).
     """
     tree_id = root.node_id
-    stamp = _TreeStamp()
+    stamp = TreeStamp()
     pre = 0
     post = 0
     stack: list[tuple[Node, int, bool]] = [(root, 0, False)]
@@ -245,6 +256,21 @@ def _number_tree(root: Node) -> None:
             stack.append((child, level + 1, False))
         for attribute in reversed(node.attributes):
             stack.append((attribute, level + 1, False))
+
+
+def number_from_columns(nodes: list[Node], post, level) -> TreeStamp:
+    """Give ``nodes`` (a tree in pre order, attributes before
+    children) the encoding :func:`_number_tree` would, read from its
+    column-store ``post`` / ``level`` arrays, under one fresh stamp."""
+    stamp = TreeStamp()
+    tree_id = nodes[0].node_id
+    with _NUMBER_LOCK:
+        for pre, node in enumerate(nodes):
+            node._order = (tree_id, pre)
+            node._post = post[pre]
+            node._level = level[pre]
+            node._stamp = stamp
+    return stamp
 
 
 class DocumentNode(Node):

@@ -1,16 +1,24 @@
-"""A from-scratch, namespace-aware XML parser producing XDM trees.
+"""A from-scratch, namespace-aware XML parser that fills column stores.
 
-The parser preserves everything the XQuery data model needs and the
-paper's pitfalls depend on: text nodes distinct from their parent
-elements (Section 3.8's ``99.50USD`` mixed-content example), comments,
-processing instructions, attribute vs element nodes (Section 3.9), and
-per-element in-scope namespace bindings (Section 3.7).
+One pass over the text appends every node to the document's columns
+and path partitions (:class:`~repro.storage.columnar.ColumnBuilder`)
+and creates no node objects; the tree :func:`parse_document` returns
+is the columns' materialization, already numbered and with its store
+attached.  The tree keeps what the XQuery data model and the paper's
+pitfalls need: text nodes distinct from their parent elements (Section
+3.8's ``99.50USD`` mixed content), comments, processing instructions,
+attribute vs element nodes (Section 3.9), and per-element in-scope
+namespace bindings (Section 3.7).
 
 Supported syntax: the XML 1.0 core — prolog, elements, attributes,
 namespace declarations (``xmlns`` / ``xmlns:p``), character data with
 the five predefined entities plus numeric character references, CDATA
 sections, comments, and processing instructions.  DTDs are tolerated
-and skipped.
+and skipped.  Every raw character, and every character a reference
+names, must be an XML 1.0 ``Char`` (#x9, #xA, #xD, #x20-#xD7FF,
+#xE000-#xFFFD, #x10000-#x10FFFF).  Nesting depth is unbounded: open
+elements live on an explicit stack.  Every error is an
+:class:`~repro.errors.XMLParseError` with a line and column.
 """
 
 from __future__ import annotations
@@ -18,80 +26,57 @@ from __future__ import annotations
 import re
 
 from ..errors import XMLParseError
-from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
-                         ElementNode, Node, ProcessingInstructionNode,
-                         TextNode)
-from ..xdm.qname import QName, XML_NS
+from ..xdm.nodes import DocumentNode, Node
+from ..xdm.qname import XML_NS
 
-_NAME_START = re.compile(r"[A-Za-z_:À-￿]")
-_NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:À-￿]*")
+_NAME = r"[A-Za-z_:][\w.\-:À-￿]*+"
+_NAME_RE = re.compile(_NAME)
+_SPACE_RE = re.compile(r"[ \t\r\n]*+")
+#: One attribute: name, '=', and a quoted value free of '<'
+#: (references are expanded afterwards).
+_ATTRIBUTE_RE = re.compile(
+    rf"[ \t\r\n]*+({_NAME})[ \t\r\n]*+=[ \t\r\n]*+"
+    r"""(?:"([^"<]*+)"|'([^'<]*+)')""")
+#: One token of content, named by its last group (``lastgroup``): a
+#: character run, an end tag, a start tag (name, attributes, the '/'
+#: of an empty element), a comment, a CDATA section, or a PI.
+_CONTENT_RE = re.compile(
+    r"(?P<text>[^<]++)"
+    rf"|</(?P<end>{_NAME})[ \t\r\n]*+>"
+    rf"|<(?P<start>{_NAME})(?P<attributes>(?:{_ATTRIBUTE_RE.pattern})*+)"
+    r"[ \t\r\n]*+(?P<empty>/?)>"
+    r"|<!--(?P<comment>.*?)-->"
+    r"|<!\[CDATA\[(?P<cdata>.*?)\]\]>"
+    rf"|<\?(?P<target>{_NAME})(?P<pi>.*?)\?>",
+    re.DOTALL)
+_NOT_CHAR_RE = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
-
-class _Cursor:
-    """Character cursor with line/column tracking for error messages."""
-
-    __slots__ = ("text", "pos", "length")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < self.length else ""
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def location(self) -> tuple[int, int]:
-        consumed = self.text[:self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message: str) -> XMLParseError:
-        line, column = self.location()
-        return XMLParseError(message, line, column)
+# Column-store kind codes (``repro.storage.columnar``, which this
+# module cannot import at load time: the storage package imports it).
+_ELEMENT, _ATTRIBUTE, _TEXT, _COMMENT, _PI = 1, 2, 3, 4, 5
 
 
 def parse_document(text: str, document_uri: str = "") -> DocumentNode:
-    """Parse an XML document string into a :class:`DocumentNode`."""
-    cursor = _Cursor(text)
-    document = DocumentNode(document_uri=document_uri)
-    _skip_prolog(cursor)
-    saw_root = False
-    while cursor.pos < cursor.length:
-        _skip_whitespace(cursor)
-        if cursor.pos >= cursor.length:
-            break
-        if cursor.startswith("<!--"):
-            document.append_child(_parse_comment(cursor))
-        elif cursor.startswith("<?"):
-            document.append_child(_parse_pi(cursor))
-        elif cursor.peek() == "<":
-            if saw_root:
-                raise cursor.error("multiple root elements")
-            namespaces = {"xml": XML_NS}
-            document.append_child(_parse_element(cursor, namespaces))
-            saw_root = True
-        else:
-            raise cursor.error(
-                f"unexpected content outside root element: "
-                f"{cursor.peek()!r}")
-    if not saw_root:
-        raise cursor.error("document has no root element")
-    # Assign the (pre, post, level) interval encoding eagerly: freshly
-    # parsed documents are immediately usable for accelerated axis
-    # tests and O(1) document-order keys without a lazy numbering walk
-    # on the first query.
-    document.structure()
-    return document
+    """Parse an XML document string into a :class:`DocumentNode`: the
+    materialization of :func:`parse_columns`."""
+    return parse_columns(text, document_uri).materialize()
+
+
+def parse_columns(text: str, document_uri: str = ""):
+    """Parse an XML document string straight into a
+    :class:`~repro.storage.columnar.ColumnStore`."""
+    from ..storage.columnar import ColumnBuilder
+
+    illegal = _NOT_CHAR_RE.search(text)
+    if illegal is not None:
+        raise _error(text, illegal.start(),
+                     f"illegal character U+{ord(illegal.group()):04X}")
+    builder = ColumnBuilder(document_uri)
+    _Parser(text, builder).document()
+    return builder.finish()
 
 
 def parse_fragment(text: str) -> list[Node]:
@@ -106,230 +91,246 @@ def parse_fragment(text: str) -> list[Node]:
     return children
 
 
-def _skip_whitespace(cursor: _Cursor) -> None:
-    while cursor.peek() in (" ", "\t", "\r", "\n"):
-        cursor.advance()
+def _error(text: str, pos: int, message: str) -> XMLParseError:
+    consumed = text[:pos]
+    line = consumed.count("\n") + 1
+    column = pos - (consumed.rfind("\n") + 1) + 1
+    return XMLParseError(message, line, column)
 
 
-def _skip_prolog(cursor: _Cursor) -> None:
-    _skip_whitespace(cursor)
-    if cursor.startswith("<?xml"):
-        end = cursor.text.find("?>", cursor.pos)
-        if end < 0:
-            raise cursor.error("unterminated XML declaration")
-        cursor.pos = end + 2
-    _skip_whitespace(cursor)
-    if cursor.startswith("<!DOCTYPE"):
-        depth = 0
-        while cursor.pos < cursor.length:
-            char = cursor.peek()
-            if char == "<":
-                depth += 1
-            elif char == ">":
-                depth -= 1
+class _Parser:
+    """One document's parse: its text and the builder it feeds."""
+
+    __slots__ = ("text", "builder")
+
+    def __init__(self, text: str, builder):
+        self.text = text
+        self.builder = builder
+
+    def error(self, pos: int, message: str) -> XMLParseError:
+        return _error(self.text, pos, message)
+
+    def document(self) -> None:
+        text = self.text
+        pos = _SPACE_RE.match(text).end()
+        if text.startswith("<?xml", pos):
+            end = text.find("?>", pos)
+            if end < 0:
+                raise self.error(pos, "unterminated XML declaration")
+            pos = _SPACE_RE.match(text, end + 2).end()
+        if text.startswith("<!DOCTYPE", pos):
+            depth = 0
+            for bracket in re.finditer("[<>]", text[pos:]):
+                depth += 1 if bracket.group() == "<" else -1
                 if depth == 0:
-                    cursor.advance()
-                    return
-            cursor.advance()
-        raise cursor.error("unterminated DOCTYPE")
-
-
-def _parse_name(cursor: _Cursor) -> str:
-    match = _NAME_RE.match(cursor.text, cursor.pos)
-    if not match:
-        raise cursor.error(f"expected a name, got {cursor.peek()!r}")
-    cursor.pos = match.end()
-    return match.group()
-
-
-def _resolve_entity(cursor: _Cursor, reference: str) -> str:
-    if reference.startswith("#x") or reference.startswith("#X"):
-        return chr(int(reference[2:], 16))
-    if reference.startswith("#"):
-        return chr(int(reference[1:]))
-    if reference in _ENTITIES:
-        return _ENTITIES[reference]
-    raise cursor.error(f"unknown entity &{reference};")
-
-
-def _parse_reference(cursor: _Cursor) -> str:
-    end = cursor.text.find(";", cursor.pos)
-    if end < 0 or end - cursor.pos > 12:
-        raise cursor.error("malformed entity reference")
-    reference = cursor.text[cursor.pos + 1:end]
-    cursor.pos = end + 1
-    return _resolve_entity(cursor, reference)
-
-
-def _parse_attribute_value(cursor: _Cursor) -> str:
-    quote = cursor.peek()
-    if quote not in ("'", '"'):
-        raise cursor.error("attribute value must be quoted")
-    cursor.advance()
-    parts: list[str] = []
-    while True:
-        char = cursor.peek()
-        if char == "":
-            raise cursor.error("unterminated attribute value")
-        if char == quote:
-            cursor.advance()
-            break
-        if char == "&":
-            parts.append(_parse_reference(cursor))
-        elif char == "<":
-            raise cursor.error("'<' not allowed in attribute value")
-        else:
-            parts.append(char)
-            cursor.advance()
-    return "".join(parts)
-
-
-def _split_qname(cursor: _Cursor, name: str) -> tuple[str, str]:
-    if ":" in name:
-        prefix, local = name.split(":", 1)
-        if not prefix or not local or ":" in local:
-            raise cursor.error(f"malformed QName {name!r}")
-        return prefix, local
-    return "", name
-
-
-def _parse_element(cursor: _Cursor, namespaces: dict[str, str]) -> ElementNode:
-    assert cursor.peek() == "<"
-    cursor.advance()
-    name = _parse_name(cursor)
-
-    raw_attributes: list[tuple[str, str]] = []
-    scope = dict(namespaces)
-    default_ns = scope.get("", "")
-
-    while True:
-        _skip_whitespace(cursor)
-        char = cursor.peek()
-        if char in (">", "/"):
-            break
-        attribute_name = _parse_name(cursor)
-        _skip_whitespace(cursor)
-        if cursor.peek() != "=":
-            raise cursor.error(f"expected '=' after attribute "
-                               f"{attribute_name!r}")
-        cursor.advance()
-        _skip_whitespace(cursor)
-        value = _parse_attribute_value(cursor)
-        if attribute_name == "xmlns":
-            scope[""] = value
-            default_ns = value
-        elif attribute_name.startswith("xmlns:"):
-            scope[attribute_name[6:]] = value
-        else:
-            raw_attributes.append((attribute_name, value))
-
-    prefix, local = _split_qname(cursor, name)
-    if prefix:
-        if prefix not in scope:
-            raise cursor.error(f"undeclared namespace prefix {prefix!r}")
-        element_qname = QName(scope[prefix], local, prefix)
-    else:
-        element_qname = QName(default_ns, local)
-
-    attributes: list[AttributeNode] = []
-    seen_names: set[QName] = set()
-    for attribute_name, value in raw_attributes:
-        attr_prefix, attr_local = _split_qname(cursor, attribute_name)
-        if attr_prefix:
-            if attr_prefix not in scope:
-                raise cursor.error(
-                    f"undeclared namespace prefix {attr_prefix!r}")
-            attr_qname = QName(scope[attr_prefix], attr_local, attr_prefix)
-        else:
-            # Default namespaces never apply to attributes (Section 3.7).
-            attr_qname = QName("", attr_local)
-        if attr_qname in seen_names:
-            raise cursor.error(f"duplicate attribute {attribute_name!r}")
-        seen_names.add(attr_qname)
-        attributes.append(AttributeNode(attr_qname, value))
-
-    element = ElementNode(element_qname, attributes=attributes,
-                          in_scope_namespaces=scope)
-
-    if cursor.peek() == "/":
-        cursor.advance()
-        if cursor.peek() != ">":
-            raise cursor.error("expected '>' after '/'")
-        cursor.advance()
-        return element
-    cursor.advance()  # consume '>'
-
-    _parse_content(cursor, element, scope)
-
-    # Closing tag.
-    closing = _parse_name(cursor)
-    if closing != name:
-        raise cursor.error(
-            f"mismatched closing tag </{closing}> for <{name}>")
-    _skip_whitespace(cursor)
-    if cursor.peek() != ">":
-        raise cursor.error("expected '>' in closing tag")
-    cursor.advance()
-    return element
-
-
-def _parse_content(cursor: _Cursor, element: ElementNode,
-                   namespaces: dict[str, str]) -> None:
-    text_parts: list[str] = []
-
-    def flush_text() -> None:
-        if text_parts:
-            element.append_child(TextNode("".join(text_parts)))
-            text_parts.clear()
-
-    while True:
-        char = cursor.peek()
-        if char == "":
-            raise cursor.error(f"unterminated element <{element.name}>")
-        if char == "<":
-            if cursor.startswith("</"):
-                flush_text()
-                cursor.advance(2)
-                return
-            if cursor.startswith("<!--"):
-                flush_text()
-                element.append_child(_parse_comment(cursor))
-            elif cursor.startswith("<![CDATA["):
-                end = cursor.text.find("]]>", cursor.pos)
-                if end < 0:
-                    raise cursor.error("unterminated CDATA section")
-                text_parts.append(cursor.text[cursor.pos + 9:end])
-                cursor.pos = end + 3
-            elif cursor.startswith("<?"):
-                flush_text()
-                element.append_child(_parse_pi(cursor))
+                    pos += bracket.end()
+                    break
             else:
-                flush_text()
-                element.append_child(_parse_element(cursor, namespaces))
-        elif char == "&":
-            text_parts.append(_parse_reference(cursor))
+                raise self.error(len(text), "unterminated DOCTYPE")
+        saw_root = False
+        while True:
+            pos = _SPACE_RE.match(text, pos).end()
+            if pos >= len(text):
+                break
+            if text[pos] != "<":
+                raise self.error(pos, f"unexpected content outside root "
+                                      f"element: {text[pos]!r}")
+            token = _CONTENT_RE.match(text, pos)
+            kind = None if token is None else token.lastgroup
+            if kind in ("comment", "pi"):
+                self._leaf(token, 0)
+                pos = token.end()
+            elif text.startswith("<!--", pos) or text.startswith("<?", pos):
+                raise self._malformed(pos, None)
+            elif saw_root:
+                raise self.error(pos, "multiple root elements")
+            else:
+                pos = self._element(pos)
+                saw_root = True
+        if not saw_root:
+            raise self.error(pos, "document has no root element")
+
+    def _element(self, pos: int) -> int:
+        """Parse the root element at ``pos`` and everything inside it;
+        returns the position after its end tag."""
+        text = self.text
+        builder = self.builder
+        token_at = _CONTENT_RE.match
+        # Open elements: (raw name, slot, scope, scope id).
+        stack: list[tuple[str, int, dict[str, str], int]] = []
+        tag = token_at(text, pos)
+        if tag is None or tag.lastgroup != "empty":
+            raise self._bad_start_tag(pos)
+        self._start_tag(tag, 0, {"xml": XML_NS}, -1, stack)
+        pos = tag.end()
+        parts: list[str] = []  # character data not yet flushed
+        while stack:
+            token = token_at(text, pos)
+            if token is None:
+                raise self._malformed(pos, stack[-1][0])
+            kind = token.lastgroup
+            if kind == "text" or kind == "cdata":
+                run = token.group(kind)
+                if kind == "text" and "&" in run:
+                    run = self._expand(run, pos)
+                parts.append(run)
+                pos = token.end()
+                continue
+            name, parent, scope, scope_id = stack[-1]
+            if parts:
+                builder.leaf(_TEXT, parent, -1, "".join(parts))
+                parts.clear()
+            if kind == "empty":
+                self._start_tag(token, parent, scope, scope_id, stack)
+            elif kind == "end":
+                if token.group(kind) != name:
+                    raise self.error(token.end(kind), f"mismatched closing "
+                                     f"tag </{token.group(kind)}> for "
+                                     f"<{name}>")
+                builder.close(parent)
+                stack.pop()
+            else:
+                self._leaf(token, parent)
+            pos = token.end()
+        return pos
+
+    def _start_tag(self, tag: re.Match, parent: int, scope: dict[str, str],
+                   scope_id: int, stack: list) -> None:
+        """Append the element ``tag`` matched and its attributes; push
+        it on ``stack`` unless it is empty.  A scope id of -1 means
+        ``scope`` is not interned yet."""
+        builder = self.builder
+        default = scope.get("", "")
+        attributes: list[tuple[str, str, int]] = []
+        if tag.group("attributes"):
+            declared = dict(scope)
+            for match in _ATTRIBUTE_RE.finditer(
+                    self.text, tag.start("attributes"), tag.end("attributes")):
+                name = match.group(1)
+                group = 2 if match.group(2) is not None else 3
+                value = match.group(group)
+                if "&" in value:
+                    value = self._expand(value, match.start(group))
+                if name == "xmlns":
+                    declared[""] = default = value
+                elif name.startswith("xmlns:"):
+                    declared[name[6:]] = value
+                else:
+                    attributes.append((name, value, match.start(1)))
+            if declared != scope:
+                scope, scope_id = declared, -1
+        if scope_id < 0:
+            scope_id = builder.scope_id(scope)
+        name = tag.group("start")
+        slot = builder.open(
+            _ELEMENT, parent,
+            self._name_id(name, scope, default, tag.end("start")), scope_id)
+        if attributes:
+            # Default namespaces never apply to attributes (§3.7).
+            ids = [self._name_id(attribute, scope, "", at)
+                   for attribute, _value, at in attributes]
+            names = builder.store.names
+            if len({names[name_id] for name_id in ids}) < len(ids):
+                raise self.error(tag.end("start"),
+                                 f"duplicate attribute in <{name}>")
+            for name_id, (_attribute, value, _at) in zip(ids, attributes):
+                builder.leaf(_ATTRIBUTE, slot, name_id, value)
+        if tag.group("empty"):
+            builder.close(slot)
         else:
-            text_parts.append(char)
-            cursor.advance()
+            stack.append((name, slot, scope, scope_id))
 
+    def _name_id(self, name: str, scope: dict[str, str], default: str,
+                 pos: int) -> int:
+        prefix, colon, local = name.partition(":")
+        if not colon:
+            return self.builder.name_id(default, name)
+        if not prefix or not local or ":" in local:
+            raise self.error(pos, f"malformed QName {name!r}")
+        if prefix not in scope:
+            raise self.error(pos, f"undeclared namespace prefix {prefix!r}")
+        return self.builder.name_id(scope[prefix], local, prefix)
 
-def _parse_comment(cursor: _Cursor) -> CommentNode:
-    end = cursor.text.find("-->", cursor.pos + 4)
-    if end < 0:
-        raise cursor.error("unterminated comment")
-    content = cursor.text[cursor.pos + 4:end]
-    cursor.pos = end + 3
-    return CommentNode(content)
+    def _leaf(self, token: re.Match, parent: int) -> None:
+        """Append the comment or processing instruction ``token``."""
+        if token.lastgroup == "comment":
+            self.builder.leaf(_COMMENT, parent, -1, token.group("comment"))
+            return
+        target = token.group("target")
+        if target.lower() == "xml":
+            raise self.error(token.end("target"),
+                             "'xml' is a reserved PI target")
+        self.builder.leaf(_PI, parent, self.builder.name_id("", target),
+                          token.group("pi").lstrip())
 
+    def _expand(self, run: str, pos: int) -> str:
+        """``run`` (found at ``pos``) with its references replaced."""
+        pieces = run.split("&")
+        out = [pieces[0]]
+        pos += len(pieces[0])  # at the '&'
+        for piece in pieces[1:]:
+            semicolon = piece.find(";")
+            if semicolon < 0 or semicolon > 11:
+                raise self.error(pos, "malformed entity reference")
+            reference = piece[:semicolon]
+            if reference.startswith("#"):
+                try:
+                    code = (int(reference[2:], 16)
+                            if reference[1:2] in ("x", "X")
+                            else int(reference[1:]))
+                except ValueError:
+                    code = -1
+                if (not 0 <= code <= 0x10FFFF
+                        or _NOT_CHAR_RE.match(chr(code))):
+                    raise self.error(pos, f"&{reference}; does not name "
+                                          f"an XML Char")
+                out.append(chr(code))
+            elif reference in _ENTITIES:
+                out.append(_ENTITIES[reference])
+            else:
+                raise self.error(pos, f"unknown entity &{reference};")
+            out.append(piece[semicolon + 1:])
+            pos += len(piece) + 1
+        return "".join(out)
 
-def _parse_pi(cursor: _Cursor) -> ProcessingInstructionNode:
-    cursor.advance(2)
-    target = _parse_name(cursor)
-    if target.lower() == "xml":
-        raise cursor.error("'xml' is a reserved PI target")
-    end = cursor.text.find("?>", cursor.pos)
-    if end < 0:
-        raise cursor.error("unterminated processing instruction")
-    content = cursor.text[cursor.pos:end].lstrip()
-    cursor.pos = end + 2
-    return ProcessingInstructionNode(target, content)
+    def _malformed(self, pos: int, name: str | None) -> XMLParseError:
+        """The error at ``pos``, where no content token matches, inside
+        element ``name`` (None: outside the root element)."""
+        text = self.text
+        if pos >= len(text):
+            return self.error(pos, f"unterminated element <{name}>")
+        for opener, what in (("</", "end tag"), ("<!--", "comment"),
+                             ("<![CDATA[", "CDATA section"),
+                             ("<?", "processing instruction")):
+            if text.startswith(opener, pos):
+                return self.error(pos, f"malformed or unterminated {what}")
+        return self._bad_start_tag(pos)
+
+    def _bad_start_tag(self, pos: int) -> XMLParseError:
+        """The error in the start tag at ``pos``, which does not match."""
+        text = self.text
+        name = _NAME_RE.match(text, pos + 1)
+        if name is None:
+            return self.error(pos + 1, f"expected a name, got "
+                                       f"{text[pos + 1:pos + 2]!r}")
+        pos = name.end()
+        while (attribute := _ATTRIBUTE_RE.match(text, pos)) is not None:
+            pos = attribute.end()
+        pos = _SPACE_RE.match(text, pos).end()
+        name = _NAME_RE.match(text, pos)
+        if text.startswith("/", pos) or name is None:
+            found = text[pos:pos + 1] or "end of input"
+            return self.error(pos, f"malformed start tag at {found!r}")
+        pos = _SPACE_RE.match(text, name.end()).end()
+        if not text.startswith("=", pos):
+            return self.error(pos, f"expected '=' after attribute "
+                                   f"{name.group()!r}")
+        pos = _SPACE_RE.match(text, pos + 1).end()
+        quote = text[pos:pos + 1]
+        if quote not in ("'", '"'):
+            return self.error(pos, "attribute value must be quoted")
+        end = text.find(quote, pos + 1)
+        less = text.find("<", pos + 1)
+        if less >= 0 and (end < 0 or less < end):
+            return self.error(less, "'<' not allowed in attribute value")
+        return self.error(len(text), "unterminated attribute value")

@@ -27,38 +27,43 @@ def serialize(item: Item, indent: bool = False) -> str:
 
     With ``indent=True``, element-only content is pretty-printed with
     two-space indentation; mixed content (any text child) is left
-    untouched so whitespace-significant values never change.
+    untouched so whitespace-significant values never change.  Both
+    forms walk the tree with an explicit stack, so nesting depth is
+    unbounded.
     """
     if isinstance(item, AtomicValue):
         return item.string_value()
     if indent:
-        return _pretty_node(item, inherited={}, depth=0)
+        return _pretty_node(item, inherited={})
     return _serialize_node(item, inherited={})
 
 
-def _pretty_node(node: Node, inherited: dict[str, str],
-                 depth: int) -> str:
-    pad = "  " * depth
-    if isinstance(node, DocumentNode):
-        return "\n".join(_pretty_node(child, inherited, depth)
-                         for child in node.children)
-    if not isinstance(node, ElementNode):
-        return pad + _serialize_node(node, inherited)
-    has_text = any(child.kind == "text" for child in node.children)
-    if has_text or not node.children:
-        return pad + _serialize_node(node, inherited)
-    flat = _serialize_node(node, dict(inherited))
-    open_tag = flat[:flat.index(">") + 1]
-    lines = [pad + open_tag]
-    scope = dict(inherited)
-    name = node.name
-    if name.prefix:
-        scope[name.prefix] = name.uri
-    else:
-        scope[""] = name.uri
-    for child in node.children:
-        lines.append(_pretty_node(child, scope, depth + 1))
-    lines.append(f"{pad}</{_tag_name(node)}>")
+def _pretty_node(node: Node, inherited: dict[str, str]) -> str:
+    # Work items: (node, in-scope bindings, depth), or a finished line.
+    lines: list[str] = []
+    stack: list = [(node, inherited, 0)]
+    while stack:
+        item, scope, depth = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        if isinstance(item, DocumentNode):
+            stack.extend((child, scope, depth)
+                         for child in reversed(item.children))
+            continue
+        pad = "  " * depth
+        if (not isinstance(item, ElementNode) or not item.children
+                or any(child.kind == "text" for child in item.children)):
+            lines.append(pad + _serialize_node(item, scope))
+            continue
+        lines.append(pad + _start_tag(item, scope)[0] + ">")
+        # Children see only the element's own name binding added.
+        child_scope = dict(scope)
+        name = item.name
+        child_scope[name.prefix] = name.uri
+        stack.append((f"{pad}</{_tag_name(item)}>", None, None))
+        stack.extend((child, child_scope, depth + 1)
+                     for child in reversed(item.children))
     return "\n".join(lines)
 
 
@@ -76,18 +81,59 @@ def serialize_sequence(items: list[Item]) -> str:
 
 
 def _serialize_node(node: Node, inherited: dict[str, str]) -> str:
-    if isinstance(node, DocumentNode):
-        return "".join(_serialize_node(child, inherited)
-                       for child in node.children)
-    if isinstance(node, ElementNode):
-        return _serialize_element(node, inherited)
-    if isinstance(node, AttributeNode):
-        return f'{node.name.lexical}="{_escape_attribute(node.string_value())}"'
-    if node.kind == "text":
+    parts: list[str] = []
+    # One frame per open element: its children not yet written, the
+    # bindings in scope for them, and its end tag.
+    stack = [(iter((node,)), inherited, "")]
+    while stack:
+        children, scope, end = stack[-1]
+        for child in children:
+            if isinstance(child, ElementNode):
+                start, child_scope = _start_tag(child, scope)
+                grandchildren = child.children
+                if _serializes_empty(grandchildren):
+                    parts.append(start + "/>")
+                elif (len(grandchildren) == 1
+                      and grandchildren[0].kind == "text"):
+                    text = _escape_text(grandchildren[0].string_value())
+                    parts.append(f"{start}>{text}</{_tag_name(child)}>")
+                else:
+                    parts.append(start + ">")
+                    stack.append((iter(grandchildren), child_scope,
+                                  f"</{_tag_name(child)}>"))
+                    break
+            elif isinstance(child, DocumentNode):
+                stack.append((iter(child.children), scope, ""))
+                break
+            else:
+                parts.append(_serialize_leaf(child))
+        else:
+            stack.pop()
+            parts.append(end)
+    return "".join(parts)
+
+
+def _serializes_empty(children: list[Node]) -> bool:
+    """No children, or only empty text nodes.  `<a></a>` reparses as
+    childless and would re-serialize as `<a/>`, so only the
+    self-closing form round-trips byte-identically — a requirement for
+    checkpoint fidelity (durability layer)."""
+    for child in children:
+        if child.kind != "text" or child.string_value():
+            return False
+    return True
+
+
+def _serialize_leaf(node: Node) -> str:
+    kind = node.kind
+    if kind == "text":
         return _escape_text(node.string_value())
-    if node.kind == "comment":
+    if kind == "attribute":
+        return (f'{node.name.lexical}='  # type: ignore[union-attr]
+                f'"{_escape_attribute(node.string_value())}"')
+    if kind == "comment":
         return f"<!--{node.string_value()}-->"
-    if node.kind == "processing-instruction":
+    if kind == "processing-instruction":
         content = node.string_value()
         body = f" {content}" if content else ""
         return f"<?{node.name.local}{body}?>"  # type: ignore[union-attr]
@@ -101,8 +147,10 @@ def _tag_name(element: ElementNode) -> str:
     return name.local
 
 
-def _serialize_element(element: ElementNode,
-                       inherited: dict[str, str]) -> str:
+def _start_tag(element: ElementNode, inherited: dict[str, str]
+               ) -> tuple[str, dict[str, str]]:
+    """The element's start tag up to (not including) its closing
+    ``>`` or ``/>``, and the bindings in scope for its children."""
     parts = [f"<{_tag_name(element)}"]
 
     scope = dict(inherited)
@@ -126,23 +174,5 @@ def _serialize_element(element: ElementNode,
     for declaration, uri in declarations:
         parts.append(f' {declaration}="{_escape_attribute(uri)}"')
     for attribute in element.attributes:
-        parts.append(f" {_serialize_node(attribute, scope)}")
-
-    if not element.children:
-        parts.append("/>")
-        return "".join(parts)
-
-    body = "".join(_serialize_node(child, scope)
-                   for child in element.children)
-    if not body:
-        # Children that serialize to nothing (empty text nodes) must
-        # collapse to the self-closing form: `<a></a>` reparses as
-        # childless and would re-serialize as `<a/>`, so only the
-        # canonical form round-trips byte-identically — a requirement
-        # for checkpoint fidelity (durability layer).
-        parts.append("/>")
-        return "".join(parts)
-    parts.append(">")
-    parts.append(body)
-    parts.append(f"</{_tag_name(element)}>")
-    return "".join(parts)
+        parts.append(f" {_serialize_leaf(attribute)}")
+    return "".join(parts), scope

@@ -16,10 +16,12 @@ from repro import cli
 from repro.durability import (CHECKPOINT_NAME, WAL_NAME, CrashError,
                               DurableDatabase, FaultInjector)
 from repro.durability.wal import scan_wal
+from repro.errors import XMLParseError
 from repro.schema.schema import Schema
 from repro.workload.paperqueries import (PAPER_QUERIES,
                                          load_paper_fixture,
                                          run_paper_query)
+from repro.xmlio import serialize
 
 
 def reopen(directory, **kwargs) -> DurableDatabase:
@@ -233,3 +235,97 @@ def test_cli_answers_query1_with_zero_reingest(tmp_path):
     assert cli.main(["recover", "--data", directory, "--verify"],
                     out=out) == 0
     assert "verify: 10 document summaries match" in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Inserts are all-or-nothing: nothing unlogged stays visible
+# ---------------------------------------------------------------------------
+
+def _documents(database) -> list[str]:
+    return database.xquery("db2-fn:xmlcolumn('T.D')").serialize()
+
+
+def _table_with_index(database) -> None:
+    database.create_table("t", [("k", "INTEGER"), ("d", "XML")])
+    database.create_xml_index("t_v", "t", "d", "//v", "DOUBLE")
+    database.insert("t", {"k": 1, "d": "<r><v>1</v></r>"})
+
+
+@pytest.mark.parametrize("text", [
+    "<r><v>&#xD800;</v></r>", "<r><v>\ud800</v></r>", "<r>&#0;</r>",
+    "<r>&#x110000;</r>", "<r x='&#99999999;'/>", "<r>&#xZZ;</r>"])
+def test_illegal_characters_are_rejected_before_the_row(tmp_path, text):
+    with reopen(tmp_path, fsync_policy="batch") as database:
+        _table_with_index(database)
+        with pytest.raises(XMLParseError):
+            database.insert("t", {"k": 2, "d": text})
+        assert [row.values["k"] for row in database.table("t").rows] == [1]
+        assert len(database.xml_indexes["t_v"]) == 1
+        database.checkpoint()
+        expected = _documents(database)
+    with reopen(tmp_path) as database:
+        assert _documents(database) == expected
+        assert len(database.table("t").rows) == 1
+
+
+def test_deep_document_survives_insert_checkpoint_and_reopen(tmp_path):
+    # Deeper than the interpreter's default recursion limit, where
+    # parsing (~600 levels) and serializing (300) used to fail.  The
+    # checkpoint's ``$paths`` spell out every root-to-node path, so a
+    # chain costs O(depth²) bytes: 5 000 levels make a 238 MB
+    # checkpoint.
+    depth = 1200
+    text = "<e>" * depth + "<v>7</v>" + "</e>" * depth
+    with reopen(tmp_path, fsync_policy="batch") as database:
+        _table_with_index(database)
+        database.insert("t", {"k": 2, "d": text})
+        assert database.xquery(
+            "count(db2-fn:xmlcolumn('T.D'))").serialize() == ["2"]
+    with reopen(tmp_path) as database:  # the WAL replays the insert
+        assert database.last_recovery.replayed > 0
+        stored = database.table("t").rows[1].values["d"]
+        assert serialize(stored.document) == text
+        database.checkpoint()
+    with reopen(tmp_path, verify=True) as database:
+        assert database.last_recovery.replayed == 0
+        assert database.last_recovery.verify.ok
+        stored = database.table("t").rows[1].values["d"]
+        assert serialize(stored.document) == text
+        result = database.xquery(
+            "db2-fn:xmlcolumn('T.D')//v[. = 7]")
+        assert result.serialize() == ["<v>7</v>"]
+        assert "t_v" in result.stats.indexes_used
+
+
+def test_failed_wal_append_rolls_the_insert_back(tmp_path, monkeypatch):
+    with reopen(tmp_path, fsync_policy="batch") as database:
+        _table_with_index(database)
+        failure = OSError("disk full")
+        append = database._wal.append
+        calls = []
+
+        def fail_once(record):
+            calls.append(record)
+            if len(calls) == 1:
+                raise failure
+            return append(record)
+
+        monkeypatch.setattr(database._wal, "append", fail_once)
+        with pytest.raises(OSError) as caught:
+            database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        assert caught.value is failure
+        assert [row.values["k"] for row in database.table("t").rows] == [1]
+        assert len(database.xml_indexes["t_v"]) == 1
+        assert database.xquery(
+            "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize() == ["<v>1</v>"]
+        database.insert("t", {"k": 3, "d": "<r><v>3</v></r>"})
+        database.checkpoint()
+        expected = _documents(database)
+        indexed = database.xquery(
+            "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize()
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 3]
+        assert _documents(database) == expected
+        assert database.xquery(
+            "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize() == indexed

@@ -7,10 +7,17 @@ across comments, processing instructions, namespaces, mixed content,
 and attribute edge characters.
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.patterns import PathComponent
+from repro.errors import XMLParseError
+from repro.storage.columnar import ColumnStore
+from repro.workload import WorkloadGenerator
+from repro.workload.generator import OrderProfile
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
                              ElementNode, ProcessingInstructionNode,
                              TextNode)
@@ -32,12 +39,18 @@ def processing_instructions(draw):
     return ProcessingInstructionNode(draw(pi_targets), content)
 
 
+unqualified = names.map(lambda local: QName("", local))
+
+
 @st.composite
-def elements(draw, depth: int = 0):
-    name = draw(names)
-    attribute_names = draw(st.lists(names, unique=True, max_size=3))
-    attributes = [AttributeNode(QName("", attribute_name), draw(texts))
-                  for attribute_name in attribute_names]
+def elements(draw, depth: int = 0, element_names=unqualified,
+             attribute_names=unqualified):
+    name = draw(element_names)
+    attributes = [
+        AttributeNode(attribute_name, draw(texts))
+        for attribute_name in draw(st.lists(
+            attribute_names, max_size=3,
+            unique_by=lambda qname: (qname.uri, qname.local)))]
     children = []
     if depth < 3:
         for kind in draw(st.lists(
@@ -51,15 +64,15 @@ def elements(draw, depth: int = 0):
             elif kind == "pi":
                 children.append(draw(processing_instructions()))
             else:
-                children.append(draw(elements(depth=depth + 1)))
+                children.append(draw(elements(depth + 1, element_names,
+                                              attribute_names)))
     merged = []
     for child in children:  # adjacent text merges on reparse: pre-merge
         if merged and child.kind == "text" and merged[-1].kind == "text":
             merged[-1] = TextNode(merged[-1].content + child.content)
         else:
             merged.append(child)
-    return ElementNode(QName("", name), attributes=attributes,
-                       children=merged)
+    return ElementNode(name, attributes=attributes, children=merged)
 
 
 @given(elements())
@@ -131,3 +144,133 @@ def test_double_roundtrip_byte_identical(root):
     """serialize∘parse is idempotent: the second pass changes nothing."""
     once = serialize(parse_document(serialize(DocumentNode([root]))))
     assert serialize(parse_document(once)) == once
+
+
+# ---------------------------------------------------------------------------
+# The parser and ColumnStore.from_document drive one column builder
+# ---------------------------------------------------------------------------
+
+#: Element and attribute names: no namespace, a default namespace, and
+#: prefixes (two of them bound to one URI).
+namespaced = st.sampled_from([
+    QName("", "a"), QName("", "order"), QName("urn:d", "b"),
+    QName("urn:p", "c", "p"), QName("urn:q", "d", "q"),
+    QName("urn:p", "a", "p"), QName("urn:p", "c", "r")])
+namespaced_attributes = st.sampled_from([
+    QName("", "x"), QName("", "price"), QName("urn:p", "y", "p"),
+    QName("urn:q", "y", "q")])
+
+
+COLUMNS = ("post", "level", "parent", "kind", "name_id", "ns_id",
+           "path_id", "text_lo", "text_hi", "subtree_end", "node_ids")
+
+
+def assert_paths_partition_the_nodes(store: ColumnStore):
+    """Each distinct root-to-node path has one path id, and its
+    partition holds exactly the nodes along it."""
+    assert len(set(store.paths)) == len(store.paths)
+    expected = Counter(
+        tuple(PathComponent.from_node_step(step)
+              for step in node.path_steps())
+        for node in store.nodes if node.kind != "document")
+    assert store.path_counts() == dict(expected)
+
+
+def assert_same_columns(parsed: ColumnStore, captured: ColumnStore):
+    for column in COLUMNS:
+        assert getattr(parsed, column) == getattr(captured, column), column
+    assert parsed.paths == captured.paths
+    assert all(mine is theirs
+               for mine, theirs in zip(parsed.paths, captured.paths))
+    assert parsed.partitions == captured.partitions
+    assert parsed.text == captured.text
+    assert parsed.names == captured.names
+    assert [name.prefix for name in parsed.names] == \
+        [name.prefix for name in captured.names]
+    assert parsed.nsscopes == captured.nsscopes
+
+
+@given(st.one_of(elements(), elements(0, namespaced,
+                                      namespaced_attributes)))
+def test_parser_and_tree_capture_build_the_same_columns(root):
+    text = serialize(DocumentNode([root]))
+    document = parse_document(text)
+    parsed = document.column_store
+    assert document.current_store() is parsed
+    numbering = [node.structure() for node in parsed.nodes]
+    assert_paths_partition_the_nodes(parsed)
+    captured = ColumnStore.from_document(document)
+    assert_same_columns(parsed, captured)
+    # Capturing renumbers the tree with the values it already had.
+    assert [node.structure() for node in captured.nodes] == numbering
+    assert captured.nodes == parsed.nodes
+
+
+@pytest.mark.parametrize("text", FIXED_POINT_DOCUMENTS + [
+    "<?xml version='1.0'?><!DOCTYPE a><!--c--><a>&amp;<![CDATA[<&>]]>"
+    "&#x1F600;</a><?pi tail?>",
+    "<a><![CDATA[]]></a>",
+    '<a xmlns:p="urn:p"><b xmlns:p="urn:p" p:x="1"/></a>',
+    # Two prefixes, one URI: one path.
+    '<a xmlns:p="urn:p" xmlns:q="urn:p"><p:b/><q:b p:x="1" q:y="2"/></a>',
+])
+def test_fixed_documents_build_the_same_columns(text):
+    document = parse_document(text)
+    parsed = document.column_store
+    assert_paths_partition_the_nodes(parsed)
+    assert_same_columns(parsed, ColumnStore.from_document(document))
+
+
+# ---------------------------------------------------------------------------
+# Hostile text: only XMLParseError escapes; what parses round-trips
+# ---------------------------------------------------------------------------
+
+SPLICES = ["<", "&", '"', "'", "</", ">", "<!--", "]]>", "<![CDATA[",
+           "&amp", "&#;", "<?", "<?xml?>", "=", "xmlns:p='urn:p'", "p:"]
+
+
+@st.composite
+def ledger_orders(draw):
+    generator = WorkloadGenerator(draw(st.integers(0, 10_000)))
+    profile = draw(st.sampled_from([
+        OrderProfile(),
+        OrderProfile(element_prices=True, mixed_text_fraction=0.5),
+        OrderProfile(namespace="http://example.com/o",
+                     string_price_fraction=0.5)]))
+    return generator.order_document(draw(st.integers(1, 999)),
+                                    draw(st.integers(1, 99)),
+                                    ["P00001", "P00002"], profile)
+
+
+@st.composite
+def hostile_text(draw):
+    text = draw(ledger_orders())
+    for _ in range(draw(st.integers(0, 4))):
+        position = draw(st.integers(0, len(text)))
+        splice = draw(st.one_of(
+            st.sampled_from(SPLICES),
+            st.integers(0, 0x11FFFF).map(lambda code: f"&#x{code:X};"),
+            st.integers(0, 0x11FFFF).map(lambda code: f"&#{code};"),
+            st.characters(max_codepoint=0x10FFFF).map(str)))
+        text = text[:position] + splice + text[position:]
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    # Past the interpreter's recursion limit.  Every root-to-node path
+    # is interned process-wide as a full tuple, so a chain's paths cost
+    # O(depth²) memory for the rest of the process.
+    depth = draw(st.sampled_from([0, 1, 50, 2_000]))
+    return "<e>" * depth + text + "</e>" * depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_text())
+def test_hostile_text_yields_only_typed_errors(text):
+    try:
+        document = parse_document(text)
+    except XMLParseError:
+        return
+    once = serialize(document)
+    reparsed = parse_document(once)
+    assert serialize(reparsed) == once
+    assert_same_columns(reparsed.column_store,
+                        ColumnStore.from_document(reparsed))

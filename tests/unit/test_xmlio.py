@@ -106,6 +106,57 @@ class TestErrors:
         else:
             pytest.fail("expected XMLParseError")
 
+    @pytest.mark.parametrize("bad", [
+        "<a>&#x110000;</a>",         # beyond Unicode
+        "<a x='&#99999999;'/>",      # beyond Unicode, in an attribute
+        "<a>&#xZZ;</a>",             # not a hexadecimal number
+        "<a>&#;</a>",                # no number at all
+        "<a>&#0;</a>",               # NUL is not an XML Char
+        "<a>&#xD800;</a>",           # a surrogate
+        "<a>&#xFFFE;</a>",           # a noncharacter outside Char
+        "<a>&#x1F;</a>",             # C0 control other than tab/LF/CR
+        "<a>&#-65;</a>",             # negative
+    ])
+    def test_character_references_must_name_a_char(self, bad):
+        with pytest.raises(XMLParseError):
+            parse_document(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "<a>\x00</a>", "<a>\x01</a>", "<a x='\x0b'/>", "<a>\ud800</a>",
+        "<a>\udfff</a>", "<a>\ufffe</a>", "<a>\uffff</a>",
+        "<a/><!--\x0c-->", "\x00<a/>", "<a\x01/>",
+    ])
+    def test_raw_characters_must_be_chars(self, bad):
+        with pytest.raises(XMLParseError):
+            parse_document(bad)
+
+    def test_illegal_character_error_carries_location(self):
+        with pytest.raises(XMLParseError) as caught:
+            parse_document("<a>\n  <b>\x07</b></a>")
+        assert (caught.value.line, caught.value.column) == (2, 6)
+        assert "U+0007" in str(caught.value)
+
+    @pytest.mark.parametrize("code", [
+        0x9, 0xA, 0xD, 0x20, 0xD7FF, 0xE000, 0xFFFD, 0x10000, 0x10FFFF])
+    def test_every_char_boundary_is_accepted(self, code):
+        referenced = parse_document(f"<a x='&#x{code:X};'>&#{code};</a>")
+        assert referenced.root_element.string_value() == chr(code)
+        assert referenced.root_element.attribute("x").string_value() == \
+            chr(code)
+        raw = parse_document(f"<a>{chr(code)}</a>")
+        assert raw.root_element.string_value() == chr(code)
+
+    def test_depth_is_unbounded(self):
+        depth = 5000
+        text = "<e>" * depth + "x" + "</e>" * depth
+        document = parse_document(text)
+        assert serialize(document) == text
+        node = document.root_element
+        for _ in range(depth - 1):
+            node = node.children[0]
+        assert node.children[0].string_value() == "x"
+        assert node.level == depth
+
 
 class TestSerializer:
     @pytest.mark.parametrize("text", [
@@ -125,6 +176,35 @@ class TestSerializer:
         rendered = serialize(doc)
         assert "&lt;" in rendered and "&amp;" in rendered
         assert serialize(parse_document(rendered)) == rendered
+
+    def test_deep_document_serializes_with_and_without_indent(self):
+        depth = 5000
+        text = "<e>" * depth + "</e>" * depth
+        document = parse_document(text)
+        inner = "<e/>"
+        assert serialize(document) == "<e>" * (depth - 1) + inner + \
+            "</e>" * (depth - 1)
+        pretty = serialize(document, indent=True).split("\n")
+        assert len(pretty) == 2 * depth - 1
+        assert pretty[depth - 1] == "  " * (depth - 1) + "<e/>"
+        assert pretty[-1] == "</e>"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("<a><b><c/></b><!--c--><?p x?></a>",
+         "<a>\n  <b>\n    <c/>\n  </b>\n  <!--c-->\n  <?p x?>\n</a>"),
+        # Children see only the parent's own name binding, so the
+        # attribute prefix is declared again.
+        ('<a xmlns:p="urn:p" p:x="1"><b p:y="2"/><c>t</c></a>',
+         '<a xmlns:p="urn:p" p:x="1">\n  <b xmlns:p="urn:p" p:y="2"/>'
+         "\n  <c>t</c>\n</a>"),
+        ('<p:a xmlns:p="urn:p"><p:b><q:c xmlns:q="urn:q"/></p:b></p:a>',
+         '<p:a xmlns:p="urn:p">\n  <p:b>\n    <q:c xmlns:q="urn:q"/>'
+         "\n  </p:b>\n</p:a>"),
+        ('<a xmlns="urn:d"><b/><c>mixed<d/></c></a>',
+         '<a xmlns="urn:d">\n  <b/>\n  <c>mixed<d/></c>\n</a>'),
+    ])
+    def test_indent_output(self, text, expected):
+        assert serialize(parse_document(text), indent=True) == expected
 
     def test_fragment_parsing(self):
         nodes = parse_fragment("<a/>text<b/>")
