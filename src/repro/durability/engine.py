@@ -14,8 +14,10 @@ WAL order equal apply order (concurrent writers cannot interleave the
 two halves), and logging *after* a successful apply means failed
 operations — validation errors, duplicate DDL — never pollute the log:
 this is redo logging of committed operations only.  Conversely, an
-insert whose record cannot be encoded or appended is rolled back
-before the error propagates, so no unlogged row stays visible.
+insert whose record never reaches the log (it cannot be encoded, or
+its write fails) is rolled back before the error propagates, so no
+unlogged row stays visible; a failure after the record reached the
+log (its fsync, a subscriber) keeps the row, which replay restores.
 
 ``delete_rows`` has the one non-obvious record shape: an arbitrary
 Python predicate cannot be replayed, so the record stores the victim
@@ -165,6 +167,7 @@ class DurableDatabase(Database):
                 self._note_row_schemas(row, schema)
                 return row
             table_obj = self.table(table)
+            last_lsn = self._wal.last_lsn
             try:
                 self._log(self._insert_record(table_obj, row, schema))
             except CrashError:
@@ -172,7 +175,8 @@ class DurableDatabase(Database):
             # sa: ok(SA408: an insert whose record is not logged must not
             # stay applied, whatever failed; the error propagates as is)
             except Exception:
-                self._remove_rows(table_obj, [row])
+                if self._wal.last_lsn == last_lsn:  # nothing was logged
+                    self._remove_rows(table_obj, [row])
                 raise
             return row
 

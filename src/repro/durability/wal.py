@@ -216,21 +216,31 @@ class WriteAheadLog:
 
         Durability on return depends on the fsync policy; callers that
         need a hard guarantee regardless of policy follow with
-        :meth:`sync`.
+        :meth:`sync`.  If it raises before the record is written or
+        buffered, :attr:`last_lsn` is unchanged: the record is not in
+        the log and its LSN goes to the next append.
         """
         lsn = self._next_lsn
-        self._next_lsn += 1
         data = encode_record(lsn, record)
+        self._next_lsn += 1
+        written = self._written_size
+        try:
+            if self.fsync_policy == "always":
+                self._write_group(data, sync=True)
+            elif self.fsync_policy == "off":
+                self._write_group(data, sync=False)
+            else:
+                self._pending.append(data)
+                if len(self._pending) >= self.group_size:
+                    self.flush()
+        # sa: ok(SA408: any failure before the bytes reached the log
+        # frees the LSN again; the error propagates as is)
+        except BaseException:
+            if self._written_size == written and data not in self._pending:
+                self._next_lsn = lsn
+            raise
         if METRICS.enabled:
             METRICS.inc("wal.appends")
-        if self.fsync_policy == "always":
-            self._write_group(data, sync=True)
-        elif self.fsync_policy == "off":
-            self._write_group(data, sync=False)
-        else:
-            self._pending.append(data)
-            if len(self._pending) >= self.group_size:
-                self.flush()
         for listener in self._subscribers:
             listener(lsn, record)
         return lsn

@@ -289,6 +289,14 @@ class _SQLExecutor:
         rows_before = self.stats.rows_scanned
         with self.tracer.span("join-scan") as span:
             self._join([], from_refs, statement, plan, {}, envs)
+            if from_refs != statement.from_refs:
+                # Probe targets ran behind their outer tables: restore
+                # the FROM clause's nested-loop order, which a plan
+                # without indexes returns.
+                envs.sort(key=lambda env: [
+                    env[ref.alias][2] if isinstance(ref, ast.XMLTableRef)
+                    else env[ref.alias][2].row_id
+                    for ref in statement.from_refs])
             span.set(actual_rows=len(envs), unit="rows",
                      rows_scanned=self.stats.rows_scanned - rows_before)
 
@@ -744,10 +752,10 @@ class _SQLExecutor:
                            env, out, decided or matched)
                 del env[ref.alias]
         else:
-            for values in self._xmltable_rows(ref, env):
+            for ordinal, values in enumerate(self._xmltable_rows(ref, env)):
                 if guard is not None:
                     guard.tick()
-                env[ref.alias] = ("xmltable", values)
+                env[ref.alias] = ("xmltable", values, ordinal)
                 self._join(bound + [ref.alias], rest, statement, plan,
                            env, out)
                 del env[ref.alias]
@@ -1004,7 +1012,7 @@ class _SQLExecutor:
                 if ref.name in row.values:
                     return _sql_value(row.values[ref.name])
             else:
-                _kind, values = binding
+                values = binding[1]
                 if ref.name in values:
                     return values[ref.name]
         raise SQLError(f"unknown column {ref}", "42703")

@@ -55,13 +55,13 @@ from typing import Iterator
 
 from ..core.patterns import PathComponent
 from ..obs.metrics import METRICS
-from ..xdm.atomic import T_UNTYPED
-from ..xdm.nodes import (UNTYPED_ELEMENT, AttributeNode, CommentNode,
-                         DocumentNode, ElementNode, Node,
-                         ProcessingInstructionNode, TextNode, TreeStamp,
-                         allocate_node_ids, number_from_columns,
-                         reserve_node_ids)
+from ..errors import XMLParseError
+from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
+                         ElementNode, Node, ProcessingInstructionNode,
+                         TextNode, TreeStamp, allocate_node_ids,
+                         number_from_columns, reserve_node_ids)
 from ..xdm.qname import QName
+from ..xmlio.parser import MAX_DEPTH
 
 __all__ = ["ColumnBuilder", "ColumnStore", "PatternMatcher", "get_store",
            "ingest_document", "store_for_node", "KIND_DOCUMENT",
@@ -381,8 +381,7 @@ class ColumnStore:
         from the ``node_ids`` column, so identity and document-order
         keys survive eviction cycles.  ``schema`` (a registered
         validation schema) is re-applied afterwards so schema-typed
-        values are identical to the original ingest.  Views skip the
-        node constructors: the columns hold every field they derive.
+        values are identical to the original ingest.
         """
         names = self.names
         scopes = self.nsscopes
@@ -400,44 +399,29 @@ class ColumnStore:
         nodes: list[Node] = []
         for slot, kind_code in enumerate(self.kind):
             if kind_code == KIND_ELEMENT:
-                node = ElementNode.__new__(ElementNode)
-                node._name = names[name_id[slot]]
-                node._attributes = []
-                node._children = []
-                node.type_annotation = UNTYPED_ELEMENT
-                node._typed_values = None
-                node.in_scope_namespaces = scopes[ns_id[slot]]
+                node = ElementNode(names[name_id[slot]],
+                                   in_scope_namespaces=scopes[ns_id[slot]])
             elif kind_code == KIND_TEXT:
-                node = TextNode.__new__(TextNode)
-                node.content = text[text_lo[slot]:text_hi[slot]]
+                node = TextNode(text[text_lo[slot]:text_hi[slot]])
             elif kind_code == KIND_ATTRIBUTE:
-                node = AttributeNode.__new__(AttributeNode)
-                node._name = names[name_id[slot]]
-                node._value = text[text_lo[slot]:text_hi[slot]]
-                node.type_annotation = T_UNTYPED
-                node._typed_values = None
+                node = AttributeNode(names[name_id[slot]],
+                                     text[text_lo[slot]:text_hi[slot]])
             elif kind_code == KIND_DOCUMENT:
-                node = DocumentNode.__new__(DocumentNode)
-                node._children = []
-                node.document_uri = self.document_uri
+                node = DocumentNode(document_uri=self.document_uri)
                 node.column_store = self
             elif kind_code == KIND_COMMENT:
-                node = CommentNode.__new__(CommentNode)
-                node.content = text[text_lo[slot]:text_hi[slot]]
+                node = CommentNode(text[text_lo[slot]:text_hi[slot]])
             else:
-                node = ProcessingInstructionNode.__new__(
-                    ProcessingInstructionNode)
-                node.target = names[name_id[slot]].local
-                node.content = text[text_lo[slot]:text_hi[slot]]
+                node = ProcessingInstructionNode(
+                    names[name_id[slot]].local,
+                    text[text_lo[slot]:text_hi[slot]])
             node.node_id = node_ids[slot]
             node._order = (tree_id, slot)
             node._post = post[slot]
             node._level = level[slot]
             node._stamp = stamp
             parent_slot = parents[slot]
-            if parent_slot < 0:
-                node.parent = None
-            else:
+            if parent_slot >= 0:
                 parent = node.parent = nodes[parent_slot]
                 if kind_code == KIND_ATTRIBUTE:
                     parent._attributes.append(node)
@@ -599,17 +583,23 @@ class ColumnBuilder:
 
     def open(self, kind: int, parent: int, name_id: int, ns_id: int,
              low: int = -1, high: int = -1) -> int:
-        """Append a slot; its subtree follows until :meth:`close`."""
+        """Append a slot; its subtree follows until :meth:`close`.  An
+        element nested deeper than the parser's ``MAX_DEPTH`` is an
+        :class:`~repro.errors.XMLParseError`, whichever driver adds it."""
         rows = self._rows
         slot = len(rows)
         parent_row = rows[parent]
+        level = parent_row[6] + 1
+        if level > MAX_DEPTH and kind == KIND_ELEMENT:
+            raise XMLParseError(f"elements nest deeper than {MAX_DEPTH} "
+                                f"levels")
         key = (parent_row[7], kind, name_id)
         path_id = self._steps.get(key)
         if path_id is None:
             path_id = self._steps[key] = self._path_id(*key)
         self.store.partitions[path_id].append(slot)
-        rows.append((kind, parent, name_id, ns_id, low, high,
-                     parent_row[6] + 1, path_id))
+        rows.append((kind, parent, name_id, ns_id, low, high, level,
+                     path_id))
         self._posts.append(-1)
         return slot
 

@@ -16,8 +16,10 @@ the five predefined entities plus numeric character references, CDATA
 sections, comments, and processing instructions.  DTDs are tolerated
 and skipped.  Every raw character, and every character a reference
 names, must be an XML 1.0 ``Char`` (#x9, #xA, #xD, #x20-#xD7FF,
-#xE000-#xFFFD, #x10000-#x10FFFF).  Nesting depth is unbounded: open
-elements live on an explicit stack.  Every error is an
+#xE000-#xFFFD, #x10000-#x10FFFF).  Open elements live on an explicit
+stack, so depth costs no recursion, but elements nest at most
+:data:`MAX_DEPTH` deep: the checkpoint spells out every root-to-node
+path, so a chain of *d* elements costs O(d²) there.  Every error is an
 :class:`~repro.errors.XMLParseError` with a line and column.
 """
 
@@ -29,28 +31,33 @@ from ..errors import XMLParseError
 from ..xdm.nodes import DocumentNode, Node
 from ..xdm.qname import XML_NS
 
-_NAME = r"[A-Za-z_:][\w.\-:À-￿]*+"
-_NAME_RE = re.compile(_NAME)
-_SPACE_RE = re.compile(r"[ \t\r\n]*+")
+#: A name; the lookahead keeps a failed match from backtracking into
+#: it (``<ab="1">`` must not read as ``<a b="1">``).
+_NAME = r"[A-Za-z_:][\w.\-:\u00c0-\uffff]*(?![\w.\-:\u00c0-\uffff])"
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
 #: One attribute: name, '=', and a quoted value free of '<'
 #: (references are expanded afterwards).
 _ATTRIBUTE_RE = re.compile(
-    rf"[ \t\r\n]*+({_NAME})[ \t\r\n]*+=[ \t\r\n]*+"
-    r"""(?:"([^"<]*+)"|'([^'<]*+)')""")
+    rf"[ \t\r\n]*({_NAME})[ \t\r\n]*=[ \t\r\n]*"
+    r"""(?:"([^"<]*)"|'([^'<]*)')""")
 #: One token of content, named by its last group (``lastgroup``): a
 #: character run, an end tag, a start tag (name, attributes, the '/'
 #: of an empty element), a comment, a CDATA section, or a PI.
 _CONTENT_RE = re.compile(
-    r"(?P<text>[^<]++)"
-    rf"|</(?P<end>{_NAME})[ \t\r\n]*+>"
-    rf"|<(?P<start>{_NAME})(?P<attributes>(?:{_ATTRIBUTE_RE.pattern})*+)"
-    r"[ \t\r\n]*+(?P<empty>/?)>"
+    r"(?P<text>[^<]+)"
+    rf"|</(?P<end>{_NAME})[ \t\r\n]*>"
+    rf"|<(?P<start>{_NAME})(?P<attributes>(?:{_ATTRIBUTE_RE.pattern})*)"
+    r"[ \t\r\n]*(?P<empty>/?)>"
     r"|<!--(?P<comment>.*?)-->"
     r"|<!\[CDATA\[(?P<cdata>.*?)\]\]>"
     rf"|<\?(?P<target>{_NAME})(?P<pi>.*?)\?>",
     re.DOTALL)
 _NOT_CHAR_RE = re.compile(
     "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+#: The deepest element nesting a document may have (the root element
+#: is at depth 1).  A 1 000-deep chain checkpoints to about 10 MB.
+MAX_DEPTH = 1000
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
@@ -141,7 +148,7 @@ class _Parser:
                 self._leaf(token, 0)
                 pos = token.end()
             elif text.startswith("<!--", pos) or text.startswith("<?", pos):
-                raise self._malformed(pos, None)
+                raise self.error(pos, "malformed markup")
             elif saw_root:
                 raise self.error(pos, "multiple root elements")
             else:
@@ -160,14 +167,17 @@ class _Parser:
         stack: list[tuple[str, int, dict[str, str], int]] = []
         tag = token_at(text, pos)
         if tag is None or tag.lastgroup != "empty":
-            raise self._bad_start_tag(pos)
+            raise self.error(pos, "malformed markup")
         self._start_tag(tag, 0, {"xml": XML_NS}, -1, stack)
         pos = tag.end()
         parts: list[str] = []  # character data not yet flushed
         while stack:
             token = token_at(text, pos)
             if token is None:
-                raise self._malformed(pos, stack[-1][0])
+                if pos >= len(text):
+                    raise self.error(pos, f"unterminated element "
+                                          f"<{stack[-1][0]}>")
+                raise self.error(pos, "malformed markup")
             kind = token.lastgroup
             if kind == "text" or kind == "cdata":
                 run = token.group(kind)
@@ -199,6 +209,9 @@ class _Parser:
         """Append the element ``tag`` matched and its attributes; push
         it on ``stack`` unless it is empty.  A scope id of -1 means
         ``scope`` is not interned yet."""
+        if len(stack) >= MAX_DEPTH:
+            raise self.error(tag.start(), f"elements nest deeper than "
+                                          f"{MAX_DEPTH} levels")
         builder = self.builder
         default = scope.get("", "")
         attributes: list[tuple[str, str, int]] = []
@@ -292,45 +305,3 @@ class _Parser:
             out.append(piece[semicolon + 1:])
             pos += len(piece) + 1
         return "".join(out)
-
-    def _malformed(self, pos: int, name: str | None) -> XMLParseError:
-        """The error at ``pos``, where no content token matches, inside
-        element ``name`` (None: outside the root element)."""
-        text = self.text
-        if pos >= len(text):
-            return self.error(pos, f"unterminated element <{name}>")
-        for opener, what in (("</", "end tag"), ("<!--", "comment"),
-                             ("<![CDATA[", "CDATA section"),
-                             ("<?", "processing instruction")):
-            if text.startswith(opener, pos):
-                return self.error(pos, f"malformed or unterminated {what}")
-        return self._bad_start_tag(pos)
-
-    def _bad_start_tag(self, pos: int) -> XMLParseError:
-        """The error in the start tag at ``pos``, which does not match."""
-        text = self.text
-        name = _NAME_RE.match(text, pos + 1)
-        if name is None:
-            return self.error(pos + 1, f"expected a name, got "
-                                       f"{text[pos + 1:pos + 2]!r}")
-        pos = name.end()
-        while (attribute := _ATTRIBUTE_RE.match(text, pos)) is not None:
-            pos = attribute.end()
-        pos = _SPACE_RE.match(text, pos).end()
-        name = _NAME_RE.match(text, pos)
-        if text.startswith("/", pos) or name is None:
-            found = text[pos:pos + 1] or "end of input"
-            return self.error(pos, f"malformed start tag at {found!r}")
-        pos = _SPACE_RE.match(text, name.end()).end()
-        if not text.startswith("=", pos):
-            return self.error(pos, f"expected '=' after attribute "
-                                   f"{name.group()!r}")
-        pos = _SPACE_RE.match(text, pos + 1).end()
-        quote = text[pos:pos + 1]
-        if quote not in ("'", '"'):
-            return self.error(pos, "attribute value must be quoted")
-        end = text.find(quote, pos + 1)
-        less = text.find("<", pos + 1)
-        if less >= 0 and (end < 0 or less < end):
-            return self.error(less, "'<' not allowed in attribute value")
-        return self.error(len(text), "unterminated attribute value")

@@ -22,6 +22,7 @@ from repro.workload.paperqueries import (PAPER_QUERIES,
                                          load_paper_fixture,
                                          run_paper_query)
 from repro.xmlio import serialize
+from repro.xmlio.parser import MAX_DEPTH
 
 
 def reopen(directory, **kwargs) -> DurableDatabase:
@@ -253,8 +254,9 @@ def _table_with_index(database) -> None:
 
 @pytest.mark.parametrize("text", [
     "<r><v>&#xD800;</v></r>", "<r><v>\ud800</v></r>", "<r>&#0;</r>",
-    "<r>&#x110000;</r>", "<r x='&#99999999;'/>", "<r>&#xZZ;</r>"])
-def test_illegal_characters_are_rejected_before_the_row(tmp_path, text):
+    "<r>&#x110000;</r>", "<r x='&#99999999;'/>", "<r>&#xZZ;</r>",
+    "<e>" * (MAX_DEPTH + 1) + "</e>" * (MAX_DEPTH + 1)])
+def test_malformed_documents_are_rejected_before_the_row(tmp_path, text):
     with reopen(tmp_path, fsync_policy="batch") as database:
         _table_with_index(database)
         with pytest.raises(XMLParseError):
@@ -269,12 +271,10 @@ def test_illegal_characters_are_rejected_before_the_row(tmp_path, text):
 
 
 def test_deep_document_survives_insert_checkpoint_and_reopen(tmp_path):
-    # Deeper than the interpreter's default recursion limit, where
-    # parsing (~600 levels) and serializing (300) used to fail.  The
-    # checkpoint's ``$paths`` spell out every root-to-node path, so a
-    # chain costs O(depth²) bytes: 5 000 levels make a 238 MB
-    # checkpoint.
-    depth = 1200
+    # As deep as the parser accepts: past the interpreter's recursion
+    # limit, where parsing (~600 levels) and serializing (300) used to
+    # fail.
+    depth = MAX_DEPTH - 1
     text = "<e>" * depth + "<v>7</v>" + "</e>" * depth
     with reopen(tmp_path, fsync_policy="batch") as database:
         _table_with_index(database)
@@ -329,3 +329,77 @@ def test_failed_wal_append_rolls_the_insert_back(tmp_path, monkeypatch):
         assert _documents(database) == expected
         assert database.xquery(
             "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize() == indexed
+
+
+def _fail_once(failure):
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise failure
+    return fail
+
+
+@pytest.mark.parametrize("policy, where", [
+    ("always", "fsync"), ("batch", "group write"), ("batch", "subscriber")])
+def test_failure_after_the_record_is_logged_keeps_the_row(
+        tmp_path, monkeypatch, policy, where):
+    # The record is in wal.log when these fail, so reopening replays
+    # it: the row must stay in memory too, or the two would disagree.
+    with reopen(tmp_path, fsync_policy=policy) as database:
+        _table_with_index(database)
+        wal = database._wal
+        failure = OSError(f"{where} failed")
+        if where == "subscriber":
+            wal.subscribe(_fail_once(failure))
+        else:
+            fsync = wal._fsync
+            fail = _fail_once(failure)
+
+            def fsync_failing_once():
+                fail()
+                fsync()
+            monkeypatch.setattr(wal, "_fsync", fsync_failing_once)
+            if where == "group write":
+                monkeypatch.setattr(wal, "group_size", 1)
+        with pytest.raises(OSError) as caught:
+            database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        assert caught.value is failure
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 2]
+        expected = database.xquery(
+            "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize()
+        assert expected == ["<v>1</v>", "<v>2</v>"]
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 2]
+        assert database.xquery(
+            "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize() == expected
+
+
+def test_failed_group_write_rolls_the_insert_back(tmp_path, monkeypatch):
+    with reopen(tmp_path, fsync_policy="always") as database:
+        _table_with_index(database)
+        wal = database._wal
+        handle = wal._handle
+        failure = OSError("disk full")
+        fail = _fail_once(failure)
+
+        class FailingHandle:
+            def write(self, data):
+                fail()
+                return handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(handle, name)
+        monkeypatch.setattr(wal, "_handle", FailingHandle())
+        with pytest.raises(OSError) as caught:
+            database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        assert caught.value is failure
+        assert [row.values["k"] for row in database.table("t").rows] == [1]
+        assert len(database.xml_indexes["t_v"]) == 1
+        database.insert("t", {"k": 3, "d": "<r><v>3</v></r>"})
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 3]

@@ -23,6 +23,7 @@ from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
                              TextNode)
 from repro.xdm.qname import QName
 from repro.xmlio import parse_document, serialize
+from repro.xmlio.parser import MAX_DEPTH
 
 names = st.sampled_from(["a", "b", "order", "lineitem", "price", "x1"])
 # Text without '\r' (XML line-end normalization folds CR) — content is
@@ -255,10 +256,9 @@ def hostile_text(draw):
         text = text[:position] + splice + text[position:]
     if draw(st.booleans()):
         text = text[:draw(st.integers(0, len(text)))]
-    # Past the interpreter's recursion limit.  Every root-to-node path
-    # is interned process-wide as a full tuple, so a chain's paths cost
-    # O(depth²) memory for the rest of the process.
-    depth = draw(st.sampled_from([0, 1, 50, 2_000]))
+    # Up to the parser's depth limit (past the interpreter's recursion
+    # limit) and far beyond it.
+    depth = draw(st.sampled_from([0, 1, 50, MAX_DEPTH - 10, 10_000]))
     return "<e>" * depth + text + "</e>" * depth
 
 

@@ -150,6 +150,32 @@ class TestSqlHashJoin:
             database.explain(statement)
         assert database.sql(statement).rows == [(1, 1)]
 
+    @pytest.mark.parametrize("statement", [
+        "SELECT p.pid, o.ordid FROM p, o WHERE o.ordid = p.pid",
+        "SELECT p.pid, o.ordid, t.k FROM p, o, XMLTABLE('$d/r/k' "
+        "PASSING o.d AS \"d\" COLUMNS k INTEGER PATH '.') AS t "
+        "WHERE o.ordid = p.pid",
+    ])
+    def test_a_probe_run_behind_its_outer_table_keeps_the_from_order(
+            self, statement):
+        # The probe into p needs o bound, so o's loop runs outside p's;
+        # the rows still come back in the FROM clause's loop order.
+        database = Database()
+        database.create_table("p", [("pid", "INTEGER")])
+        database.create_table("o", [("ordid", "INTEGER"), ("d", "XML")])
+        for pid in (5, 1):
+            database.insert("p", {"pid": pid})
+        for ordid in (1, 3, 5):
+            database.insert("o", {"ordid": ordid,
+                                  "d": f"<r><k>{ordid}</k><k>0</k></r>"})
+        database.create_relational_index("p_pid", "p", "pid")
+        assert "an index nested-loop join probes p" in \
+            database.explain(statement)
+        looped = database.sql(statement, use_indexes=False).rows
+        assert [row[0] for row in looped] == sorted(
+            (row[0] for row in looped), reverse=True)
+        assert database.sql(statement).rows == looped
+
     def test_leading_non_equality_stays_a_loop(self, fixture_db):
         text = fixture_db.explain(
             "SELECT c.cid, o.ordid FROM customer c, orders o "

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import XMLParseError
+from repro.storage.columnar import ColumnStore
+from repro.xdm.nodes import DocumentNode, ElementNode
+from repro.xdm.qname import QName
 from repro.xmlio import parse_document, parse_fragment, serialize
+from repro.xmlio.parser import MAX_DEPTH
 
 
 class TestParserBasics:
@@ -146,8 +150,10 @@ class TestErrors:
         raw = parse_document(f"<a>{chr(code)}</a>")
         assert raw.root_element.string_value() == chr(code)
 
-    def test_depth_is_unbounded(self):
-        depth = 5000
+    def test_depth_up_to_the_limit_needs_no_recursion(self):
+        # Past the interpreter's recursion limit (1 000 frames), where
+        # parsing (~600 levels) and serializing (300) used to fail.
+        depth = MAX_DEPTH
         text = "<e>" * depth + "x" + "</e>" * depth
         document = parse_document(text)
         assert serialize(document) == text
@@ -156,6 +162,33 @@ class TestErrors:
             node = node.children[0]
         assert node.children[0].string_value() == "x"
         assert node.level == depth
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 50_000])
+    def test_deeper_nesting_is_rejected_where_it_starts(self, depth):
+        text = "<e>" * depth + "</e>" * depth
+        with pytest.raises(XMLParseError) as caught:
+            parse_document(text)
+        assert (caught.value.line, caught.value.column) == \
+            (1, 3 * MAX_DEPTH + 1)
+        assert f"deeper than {MAX_DEPTH}" in str(caught.value)
+
+    def test_deeper_trees_are_rejected_by_the_column_builder(self):
+        document = DocumentNode()
+        parent = document
+        for _ in range(MAX_DEPTH + 1):
+            child = ElementNode(QName("", "e"))
+            parent.append_child(child)
+            parent = child
+        with pytest.raises(XMLParseError, match=f"deeper than {MAX_DEPTH}"):
+            ColumnStore.from_document(document)
+        parent.parent.remove_child(parent)
+        assert len(ColumnStore.from_document(document)) == MAX_DEPTH + 1
+
+    def test_names_do_not_backtrack_into_attributes(self):
+        with pytest.raises(XMLParseError):
+            parse_document('<ab="1"/>')
+        with pytest.raises(XMLParseError):
+            parse_document('<a><bc="1"/></a>')
 
 
 class TestSerializer:
@@ -177,10 +210,15 @@ class TestSerializer:
         assert "&lt;" in rendered and "&amp;" in rendered
         assert serialize(parse_document(rendered)) == rendered
 
-    def test_deep_document_serializes_with_and_without_indent(self):
+    def test_deep_tree_serializes_with_and_without_indent(self):
+        # Deeper than the parser accepts: serialize keeps its own stack.
         depth = 5000
-        text = "<e>" * depth + "</e>" * depth
-        document = parse_document(text)
+        document = DocumentNode()
+        parent = document
+        for _ in range(depth):
+            child = ElementNode(QName("", "e"))
+            parent.append_child(child)
+            parent = child
         inner = "<e/>"
         assert serialize(document) == "<e>" * (depth - 1) + inner + \
             "</e>" * (depth - 1)
