@@ -30,6 +30,11 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
                                   buffer-pool budget
 ``columnar.materializations``     XDM trees built from column stores
                                   (every parse, every reload)
+``serialize.slices``              stored nodes serialized as a slice of
+                                  their store's canonical text
+``serialize.walks``               serializations that walked a tree
+                                  (constructed or unspanned nodes,
+                                  filling a canonical text)
 ``queries.xquery`` / ``.sql``     statements executed
 ``query.seconds`` (histogram)     end-to-end statement wall time
 ``rwlock.read_acquires``          database read-lock acquisitions

@@ -17,7 +17,7 @@ pre-order number *i* — so structural queries become range arithmetic:
 * axis steps therefore run as C-level range scans over ``array``
   slices instead of recursive Python object-graph walks.
 
-Two further structures ride on the columns:
+Three further structures ride on the columns:
 
 * **Path-partitioned clustering** (Arion et al., PAPERS.md): every
   slot carries a ``path_id`` into the document's distinct
@@ -36,6 +36,17 @@ Two further structures ride on the columns:
 * **A text heap**: text, attribute, comment and PI content lives in
   one shared string addressed by ``(text_lo, text_hi)`` offsets, so
   an evicted document's values survive without any node objects.
+* **A canonical text** (derived, filled lazily by
+  :func:`repro.xmlio.serializer.serialize`): the document's
+  serialization from one whole-document walk, and ``spans``, each
+  element slot's ``(start, end)`` in it.  Only an element whose
+  inherited namespace scope in that walk is empty gets a span — its
+  standalone serialization is then exactly the slice — so a stored
+  answer serializes as ``canonical[start:end]``.  A store describes an
+  unmutated tree (a structural mutation invalidates the stamp and the
+  next capture builds a new store), so the cache is never invalidated;
+  it survives :meth:`ColumnStore.detach` and is never written to a
+  payload.
 
 Node objects are *views*: :meth:`ColumnStore.materialize` builds the
 XDM tree from the columns — after a parse, after buffer-pool eviction,
@@ -173,7 +184,8 @@ class ColumnStore:
     __slots__ = ("post", "level", "parent", "kind", "name_id", "ns_id",
                  "path_id", "text_lo", "text_hi", "subtree_end",
                  "node_ids", "text", "names", "nsscopes", "paths",
-                 "partitions", "document_uri", "stamp", "nodes")
+                 "partitions", "document_uri", "stamp", "nodes",
+                 "canonical", "spans")
 
     def __init__(self):
         self.post = array("q")
@@ -202,6 +214,12 @@ class ColumnStore:
         self.document_uri = ""
         self.stamp = None
         self.nodes: list[Node] | None = None
+        #: The document's serialization, once one was asked for.
+        self.canonical: str | None = None
+        #: ``spans[2*s]``, ``spans[2*s + 1]``: slot ``s``'s start and
+        #: end in ``canonical`` (-1 without a span); None until an
+        #: element of the document is serialized.
+        self.spans: array | None = None
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -441,7 +459,8 @@ class ColumnStore:
 
     def detach(self) -> None:
         """Drop the materialized views (buffer-pool eviction): only the
-        compact columns remain resident."""
+        compact columns remain resident, with the canonical text and
+        spans if filled (slots are stable across materializations)."""
         self.nodes = None
         self.stamp = None
 
@@ -450,7 +469,8 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Approximate resident size of the columns + text heap."""
+        """Approximate resident size of the columns + text heap, and of
+        the canonical text and its spans once they are filled."""
         columns = (self.post, self.level, self.parent, self.kind,
                    self.name_id, self.ns_id, self.path_id, self.text_lo,
                    self.text_hi, self.subtree_end, self.node_ids)
@@ -458,6 +478,10 @@ class ColumnStore:
         total += sum(partition.itemsize * len(partition)
                      for partition in self.partitions)
         total += len(self.text)
+        if self.canonical is not None:
+            total += len(self.canonical)
+        if self.spans is not None:
+            total += self.spans.itemsize * len(self.spans)
         return total
 
     def materialized_nbytes(self) -> int:
@@ -472,7 +496,8 @@ class ColumnStore:
         """A JSON-safe encoding of the columns.
 
         ``subtree_end`` and the partitions are derived columns and are
-        recomputed on load instead of shipped."""
+        recomputed on load instead of shipped; the canonical text and
+        its spans are neither shipped nor rebuilt until asked for."""
         return {
             "uri": self.document_uri,
             "post": _b64(self.post),

@@ -473,57 +473,78 @@ class AttributeNode(Node):
         self._typed_values = list(values)
 
 
+# Leaf content is read-only, like element and attribute names: a
+# stored tree changes only through the structural methods above, which
+# invalidate its stamp, so nothing derived from it (string values, XML
+# index keys, the column store's canonical text) can go stale.
+
 class TextNode(Node):
     kind = "text"
 
-    __slots__ = ("content",)
+    __slots__ = ("_content",)
 
     def __init__(self, content: str):
         super().__init__()
-        self.content = content
+        self._content = content
+
+    @property
+    def content(self) -> str:
+        return self._content
 
     def string_value(self) -> str:
-        return self.content
+        return self._content
 
     def typed_value(self) -> list[AtomicValue]:
-        return [untyped(self.content)]
+        return [untyped(self._content)]
 
 
 class CommentNode(Node):
     kind = "comment"
 
-    __slots__ = ("content",)
+    __slots__ = ("_content",)
 
     def __init__(self, content: str):
         super().__init__()
-        self.content = content
+        self._content = content
+
+    @property
+    def content(self) -> str:
+        return self._content
 
     def string_value(self) -> str:
-        return self.content
+        return self._content
 
     def typed_value(self) -> list[AtomicValue]:
-        return [AtomicValue("xs:string", self.content)]
+        return [AtomicValue("xs:string", self._content)]
 
 
 class ProcessingInstructionNode(Node):
     kind = "processing-instruction"
 
-    __slots__ = ("target", "content")
+    __slots__ = ("_target", "_content")
 
     def __init__(self, target: str, content: str):
         super().__init__()
-        self.target = target
-        self.content = content
+        self._target = target
+        self._content = content
+
+    @property
+    def target(self) -> str:
+        return self._target
+
+    @property
+    def content(self) -> str:
+        return self._content
 
     @property
     def name(self) -> QName:
-        return QName("", self.target)
+        return QName("", self._target)
 
     def string_value(self) -> str:
-        return self.content
+        return self._content
 
     def typed_value(self) -> list[AtomicValue]:
-        return [AtomicValue("xs:string", self.content)]
+        return [AtomicValue("xs:string", self._content)]
 
 
 # ---------------------------------------------------------------------------

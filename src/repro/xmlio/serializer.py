@@ -4,10 +4,22 @@ Serialization is namespace-faithful: an element emits ``xmlns``
 declarations for every binding in its in-scope namespaces that its
 parent did not already declare, so round-tripping a parsed document
 reproduces an equivalent (prefix-preserving) serialization.
+
+A stored document serializes once.  The first :func:`serialize` of a
+stored element or document node whose column store is current keeps
+the walk's output on the store as its *canonical text*, with the
+``(start, end)`` span of every element that inherits an empty
+namespace scope in that walk; later calls slice it.  Constructed
+nodes, attributes, leaves, elements without a span and ``indent=True``
+walk the tree.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate
+
+from ..obs.metrics import METRICS
 from ..xdm.atomic import AtomicValue
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node)
 from ..xdm.sequence import Item
@@ -29,13 +41,65 @@ def serialize(item: Item, indent: bool = False) -> str:
     two-space indentation; mixed content (any text child) is left
     untouched so whitespace-significant values never change.  Both
     forms walk the tree with an explicit stack, so nesting depth is
-    unbounded.
+    unbounded; without ``indent``, a stored element or document node
+    with a span is sliced from its store's canonical text instead.
     """
     if isinstance(item, AtomicValue):
         return item.string_value()
     if indent:
         return _pretty_node(item, inherited={})
+    if isinstance(item, (ElementNode, DocumentNode)):
+        text = _stored_text(item)
+        if text is not None:
+            return text
+    if METRICS.enabled:
+        METRICS.inc("serialize.walks")
     return _serialize_node(item, inherited={})
+
+
+def _stored_text(node: Node) -> str | None:
+    """``node``'s serialization from its column store's canonical
+    text, or None without a current store or a span.  The document,
+    and its element when that is its only child, serialize as the
+    whole text: without one yet, they walk and keep the result,
+    recording no spans (a WAL record or a checkpoint costs what it
+    did).  The first other element asked for records the spans in one
+    whole-document walk.  Racing readers may both fill: each publishes
+    the same complete text before its spans, so either result is right
+    and no lock is needed."""
+    document = node.root
+    if not isinstance(document, DocumentNode) or \
+            node._stamp is not document._stamp:
+        return None
+    store = document.current_store()
+    if store is None:
+        return None
+    parent = node.parent
+    if parent is None or (parent is document
+                          and len(document.children) == 1):
+        text = store.canonical
+        if text is None:
+            if METRICS.enabled:
+                METRICS.inc("serialize.walks")
+            text = store.canonical = _serialize_node(node, inherited={})
+            return text
+    else:
+        slot = node._order[1]  # type: ignore[index]
+        spans = store.spans
+        if spans is None:
+            if METRICS.enabled:
+                METRICS.inc("serialize.walks")
+            spans = array("q", [-1]) * (2 * len(store))
+            text = _serialize_node(document, inherited={}, spans=spans)
+            store.canonical = text
+            store.spans = spans
+        start = spans[2 * slot]
+        if start < 0:
+            return None
+        text = store.canonical[start:spans[2 * slot + 1]]
+    if METRICS.enabled:
+        METRICS.inc("serialize.slices")
+    return text
 
 
 def _pretty_node(node: Node, inherited: dict[str, str]) -> str:
@@ -80,15 +144,26 @@ def serialize_sequence(items: list[Item]) -> str:
     return "".join(parts)
 
 
-def _serialize_node(node: Node, inherited: dict[str, str]) -> str:
+def _serialize_node(node: Node, inherited: dict[str, str],
+                    spans: array | None = None) -> str:
+    """Walk ``node`` with an explicit stack.  Given ``spans`` (two
+    entries per slot of ``node``'s column store, all -1), also record
+    the ``(start, end)`` offset in the result of every element whose
+    inherited scope is empty."""
     parts: list[str] = []
     # One frame per open element: its children not yet written, the
-    # bindings in scope for them, and its end tag.
-    stack = [(iter((node,)), inherited, "")]
+    # bindings in scope for them, its end tag and, when its span is
+    # recorded, its slot (else -1).  While recording, ``spans`` holds
+    # part indices; they become character offsets at the end.
+    stack = [(iter((node,)), inherited, "", -1)]
     while stack:
-        children, scope, end = stack[-1]
+        children, scope, end, closing = stack[-1]
         for child in children:
             if isinstance(child, ElementNode):
+                slot = -1
+                if spans is not None and not scope:
+                    slot = child._order[1]  # type: ignore[index]
+                    spans[2 * slot] = len(parts)
                 start, child_scope = _start_tag(child, scope)
                 grandchildren = child.children
                 if _serializes_empty(grandchildren):
@@ -100,16 +175,25 @@ def _serialize_node(node: Node, inherited: dict[str, str]) -> str:
                 else:
                     parts.append(start + ">")
                     stack.append((iter(grandchildren), child_scope,
-                                  f"</{_tag_name(child)}>"))
+                                  f"</{_tag_name(child)}>", slot))
                     break
+                if slot >= 0:
+                    spans[2 * slot + 1] = len(parts)  # type: ignore[index]
             elif isinstance(child, DocumentNode):
-                stack.append((iter(child.children), scope, ""))
+                stack.append((iter(child.children), scope, "", -1))
                 break
             else:
                 parts.append(_serialize_leaf(child))
         else:
             stack.pop()
             parts.append(end)
+            if closing >= 0:
+                spans[2 * closing + 1] = len(parts)  # type: ignore[index]
+    if spans is not None:
+        # Part index -> offset; the trailing -1 keeps "no span" at -1.
+        offsets = array("q", accumulate(map(len, parts), initial=0))
+        offsets.append(-1)
+        spans[:] = array("q", map(offsets.__getitem__, spans))
     return "".join(parts)
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.patterns import PathComponent
 from repro.errors import XMLParseError
-from repro.storage.columnar import ColumnStore
+from repro.obs.metrics import METRICS, enabled_metrics
+from repro.storage.columnar import ColumnStore, ingest_document
 from repro.workload import WorkloadGenerator
 from repro.workload.generator import OrderProfile
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
@@ -24,6 +25,7 @@ from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
 from repro.xdm.qname import QName
 from repro.xmlio import parse_document, serialize
 from repro.xmlio.parser import MAX_DEPTH
+from repro.xmlio.serializer import _serialize_node
 
 names = st.sampled_from(["a", "b", "order", "lineitem", "price", "x1"])
 # Text without '\r' (XML line-end normalization folds CR) — content is
@@ -220,6 +222,116 @@ def test_fixed_documents_build_the_same_columns(text):
     parsed = document.column_store
     assert_paths_partition_the_nodes(parsed)
     assert_same_columns(parsed, ColumnStore.from_document(document))
+
+
+# ---------------------------------------------------------------------------
+# Stored nodes slice the store's canonical text; the walk is the oracle
+# ---------------------------------------------------------------------------
+
+
+def walk(node) -> str:
+    """The uncached serialization: the tree walk, no column store."""
+    return _serialize_node(node, inherited={})
+
+
+def stored_nodes(document):
+    return [node for node in document.descendants_or_self()
+            if node.kind in ("document", "element")]
+
+
+def assert_serializes_like_the_walk(document):
+    for node in stored_nodes(document):
+        assert serialize(node) == walk(node)
+
+
+documents = st.one_of(elements(), elements(0, namespaced,
+                                           namespaced_attributes))
+
+
+@given(documents)
+def test_stored_nodes_serialize_like_the_walk(root):
+    document = parse_document(serialize(DocumentNode([root])))
+    store = document.column_store
+    assert_serializes_like_the_walk(document)  # fills the cache
+    assert store.canonical == walk(document)
+    # The document and its only element are the whole text; below
+    # them, a span where the inherited scope is empty: every element
+    # of a namespace-free document.
+    plain = all(name.uri == "" for name in store.names)
+    unspanned = 0
+    for node in stored_nodes(document)[2:]:
+        if store.spans[2 * node._order[1]] < 0:
+            assert not plain
+            unspanned += 1
+    with enabled_metrics():
+        assert_serializes_like_the_walk(document)  # repeated: slices
+        assert METRICS.counter("serialize.walks") == unspanned
+        assert METRICS.counter("serialize.slices") == \
+            len(stored_nodes(document)) - unspanned
+
+
+@pytest.mark.parametrize("text", FIXED_POINT_DOCUMENTS + [
+    # Default-namespace undeclaration below a default namespace.
+    '<b xmlns="urn:d"><a xmlns=""><c xmlns:p="urn:p" p:y="1"/></a>'
+    '<d/></b>',
+    # The root element beside other document children has a span.
+    '<!--c--><a><b/></a><?pi x?>',
+])
+def test_fixed_documents_serialize_like_the_walk(text):
+    document = parse_document(text)
+    assert_serializes_like_the_walk(document)
+    assert_serializes_like_the_walk(document)
+    assert serialize(document) == text
+
+
+@given(documents, st.data())
+def test_mutation_shows_through_the_serializer(root, data):
+    document = parse_document(serialize(DocumentNode([root])))
+    assert_serializes_like_the_walk(document)
+    store = document.column_store
+    target = data.draw(st.sampled_from(stored_nodes(document)[1:]))
+    if target.children and data.draw(st.booleans()):
+        target.remove_child(target.children[0])
+    else:
+        target.append_child(ElementNode(QName("", "added")))
+    assert document.current_store() is None
+    assert_serializes_like_the_walk(document)
+    assert serialize(document) != store.canonical
+    # A re-capture is a new store with an empty cache.
+    assert ingest_document(document).canonical is None
+    assert_serializes_like_the_walk(document)
+
+
+@given(documents)
+def test_cache_survives_eviction_and_rematerialization(root):
+    document = parse_document(serialize(DocumentNode([root])))
+    expected = [walk(node) for node in stored_nodes(document)]
+    store = document.column_store
+    assert [serialize(node) for node in stored_nodes(document)] == expected
+    canonical, spans = store.canonical, store.spans
+    store.detach()  # tier 1: the cache stays with the columns
+    again = store.materialize()
+    assert store.canonical is canonical and store.spans is spans
+    assert [serialize(node) for node in stored_nodes(again)] == expected
+    # Tier 2: columns read back from a payload start without a cache.
+    reloaded = ColumnStore.from_payload(store.to_payload())
+    assert reloaded.canonical is None and reloaded.spans is None
+    fresh = reloaded.materialize()
+    assert [serialize(node) for node in stored_nodes(fresh)] == expected
+
+
+@given(documents)
+def test_attributes_and_leaves_take_the_leaf_path(root):
+    document = parse_document(serialize(DocumentNode([root])))
+    serialize(document.root_element)  # the cache exists
+    leaves = [node for node in document.descendants_or_self()
+              if node.kind not in ("document", "element")]
+    leaves += [attribute for node in stored_nodes(document)
+               for attribute in node.attributes]
+    with enabled_metrics():
+        for leaf in leaves:
+            assert serialize(leaf) == walk(leaf)
+        assert METRICS.counter("serialize.slices") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,61 @@ class TestMetrics:
             assert METRICS.counter("bufferpool.loads") >= 1
 
 
+class TestCanonicalText:
+    """The serializer's canonical text and spans live on the column
+    store: charged by ``nbytes``, never in a payload, kept by a tier-1
+    eviction and gone with a tier-2 spill."""
+
+    def _serialized(self, stored):
+        lineitem = stored.document.root_element.children[3]
+        return serialize(stored.document), serialize(lineitem)
+
+    def test_nbytes_counts_the_canonical_text_and_spans(self):
+        stored = make_stored(1)
+        store = stored._store
+        columns_only = store.nbytes()
+        document_text, _ = self._serialized(stored)
+        assert store.nbytes() == (columns_only + len(document_text)
+                                  + store.spans.itemsize * len(store.spans))
+        assert len(store.spans) == 2 * len(store)
+
+    def test_payload_never_carries_the_cache(self):
+        stored = make_stored(1)
+        before = stored._store.to_payload()
+        self._serialized(stored)
+        assert stored._store.to_payload() == before
+
+    def test_tier1_eviction_keeps_the_cache(self):
+        pool = BufferPool(1)
+        first, second = make_stored(1), make_stored(2)
+        expected = self._serialized(first)
+        store = first._store
+        canonical, spans = store.canonical, store.spans
+        for stored in (first, second):
+            stored._pool = pool
+            pool.admit(stored)
+        assert first._document is None and first._store is store
+        assert store.canonical is canonical and store.spans is spans
+        with enabled_metrics():
+            assert self._serialized(first) == expected
+            assert METRICS.counter("serialize.slices") == 2
+            assert METRICS.counter("serialize.walks") == 0
+
+    def test_tier2_spill_drops_the_cache(self, tmp_path):
+        pool = BufferPool(1, spill_dir=str(tmp_path / "spool"))
+        first, second = make_stored(1), make_stored(2)
+        expected = self._serialized(first)
+        for stored in (first, second):
+            stored._pool = pool
+            pool.admit(stored)
+        assert first._store is None
+        assert first.document is not None  # reads the spill back
+        assert first._store.canonical is None
+        assert first._store.spans is None
+        assert self._serialized(first) == expected
+        assert first._store.canonical == expected[0]
+
+
 class TestDatabaseIntegration:
     def test_database_without_budget_has_inactive_pool(self, monkeypatch):
         monkeypatch.delenv("REPRO_BUFFER_POOL_BYTES", raising=False)

@@ -70,6 +70,19 @@ class TestStructure:
         assert pi.string_value() == "data"
         assert pi.name.local == "target"
 
+    @pytest.mark.parametrize("node, slot", [
+        (TextNode("x"), "content"), (CommentNode("c"), "content"),
+        (ProcessingInstructionNode("t", "d"), "target"),
+        (ProcessingInstructionNode("t", "d"), "content")])
+    def test_leaf_content_is_read_only(self, node, slot):
+        """Leaf content changes no structure stamp, so it cannot be
+        assignable: string values, index keys and a store's canonical
+        text would go stale."""
+        before = getattr(node, slot)
+        with pytest.raises(AttributeError):
+            setattr(node, slot, "changed")
+        assert getattr(node, slot) == before
+
 
 class TestIdentityAndOrder:
     def test_unique_identity(self):

@@ -1,13 +1,18 @@
 """Unit tests for the XML parser and serializer."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import XMLParseError
+from repro.obs.metrics import METRICS, enabled_metrics
 from repro.storage.columnar import ColumnStore
 from repro.xdm.nodes import DocumentNode, ElementNode
 from repro.xdm.qname import QName
 from repro.xmlio import parse_document, parse_fragment, serialize
 from repro.xmlio.parser import MAX_DEPTH
+from repro.xmlio.serializer import _serialize_node
 
 
 class TestParserBasics:
@@ -243,6 +248,48 @@ class TestSerializer:
     ])
     def test_indent_output(self, text, expected):
         assert serialize(parse_document(text), indent=True) == expected
+
+    def test_whole_document_serializes_once_without_spans(self):
+        """A WAL record or checkpoint serializes whole documents: that
+        walk records no spans, and the document and its only element
+        slice its result from then on."""
+        document = parse_document("<order><custid>7</custid></order>")
+        store = document.column_store
+        with enabled_metrics():
+            text = serialize(document)
+            assert serialize(document.root_element) == text
+            assert serialize(document) == text
+            assert METRICS.counter("serialize.walks") == 1
+            assert METRICS.counter("serialize.slices") == 2
+        assert store.canonical == text and store.spans is None
+        custid = document.root_element.children[0]
+        assert serialize(custid) == "<custid>7</custid>"
+        assert store.spans is not None
+
+    def test_racing_readers_fill_one_canonical_text(self):
+        """Readers share a document's lazily filled canonical text: each
+        fill publishes a complete text before its spans, so a racing
+        reader slices the same bytes the walk writes."""
+        text = ("<order>" + "".join(
+            f'<lineitem price="{i}"><id>p{i}</id></lineitem>'
+            for i in range(30)) + "</order>")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                document = parse_document(text)
+                nodes = [document, *document.root_element.children]
+                expected = [_serialize_node(node, {}) for node in nodes]
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(
+                        lambda shift: [serialize(nodes[(i + shift) % 31])
+                                       for i in range(31)], range(8),
+                        timeout=60))
+                for shift, result in enumerate(results):
+                    assert result == [expected[(i + shift) % 31]
+                                      for i in range(31)]
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_fragment_parsing(self):
         nodes = parse_fragment("<a/>text<b/>")
