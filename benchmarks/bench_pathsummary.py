@@ -17,8 +17,8 @@ layer introduces or removes:
 import pytest
 
 from repro.core.querycache import clear_cache, compile_query
-from repro.core.patterns import parse_xmlpattern
-from repro.storage.columnar import ColumnStore, PatternMatcher
+from repro.core.patterns import PatternMatcher, parse_xmlpattern
+from repro.storage.columnar import ColumnStore
 from repro.workload import WorkloadGenerator
 from repro.xmlio import parse_document
 

@@ -34,7 +34,7 @@ def test_broad_attribute_index_serves_any_attribute(benchmark, attr_db):
 
 def test_star_index_contains_no_attributes(attr_db):
     star = attr_db.xml_indexes["star"]
-    kinds = {entry.path[-1].kind for _key, entry in star.tree.items()}
+    kinds = {entry.path.kind for _key, entry in star.tree.items()}
     assert "attribute" not in kinds
 
 

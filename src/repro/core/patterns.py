@@ -8,9 +8,11 @@ query-side predicate paths:
   ``@``/``child::``/``attribute::``/``self::``/``descendant::``/
   ``descendant-or-self::`` axes, name tests with namespace wildcards,
   and kind tests; predicates are not allowed).
-* :meth:`LinearPattern.matches_path` decides whether a concrete
-  root-to-node path matches a pattern (used at indexing time and to
-  apply path restrictions during index scans).
+* :class:`PathNode` is the one identity of a stored root-to-node path,
+  and :class:`PatternMatcher` answers whether it matches a pattern,
+  one NFA step (:meth:`PathPattern.advance`) per path;
+  :meth:`PathPattern.matches_path` runs the NFA over a spelled-out
+  path (the containment models below).
 * :func:`pattern_contains` decides *containment*: every path matched by
   the query pattern is matched by the index pattern.  That is the
   structural half of Definition 1 — "an index cannot be used ... if the
@@ -34,7 +36,6 @@ import re
 from dataclasses import dataclass
 
 from ..errors import PatternSyntaxError
-from ..xdm.qname import QName
 
 #: Node kinds a ``node()`` kind test can produce via the child axis.
 #: Attributes are deliberately absent: ``//node()`` expands to
@@ -51,13 +52,38 @@ class PathComponent:
     uri: str = ""
     local: str = ""
 
-    @classmethod
-    def from_node_step(cls, step: tuple[str, QName | None]
-                       ) -> "PathComponent":
-        kind, name = step
-        if name is None:
-            return cls(kind)
-        return cls(kind, name.uri, name.local)
+
+class PathNode:
+    """One interned root-to-node path: its ``parent`` path plus a last
+    step laid out like a :class:`PathComponent`, so
+    :meth:`StepTest.matches` takes either.  Paths form one process-wide
+    trie under :data:`ROOT_PATH` (the empty path) and are never freed:
+    equal paths are one object, compared and hashed by identity, and
+    extending a path costs O(1) at any depth."""
+
+    __slots__ = ("parent", "kind", "uri", "local", "_children")
+
+    def __init__(self, parent: "PathNode | None", kind: str,
+                 uri: str = "", local: str = ""):
+        self.parent = parent
+        self.kind = kind
+        self.uri = uri
+        self.local = local
+        self._children: dict[tuple[str, str, str], PathNode] = {}
+
+    def child(self, kind: str, uri: str = "", local: str = "") -> "PathNode":
+        """The interned path one step below this one."""
+        key = (kind, uri, local)
+        node = self._children.get(key)
+        if node is None:
+            # setdefault: two threads extending at once intern one node.
+            node = self._children.setdefault(
+                key, PathNode(self, kind, uri, local))
+        return node
+
+
+#: The empty path, parent of every document's top-level paths.
+ROOT_PATH = PathNode(None, "document")
 
 
 @dataclass(frozen=True)
@@ -73,7 +99,7 @@ class StepTest:
     local: str | None = None
     pi_target: str | None = None
 
-    def matches(self, component: PathComponent) -> bool:
+    def matches(self, component: PathComponent | PathNode) -> bool:
         if self.kind == "node":
             if component.kind not in _CHILD_NODE_KINDS:
                 return False
@@ -109,7 +135,7 @@ class PatternStep:
     gap: bool = False
     extra_tests: tuple[StepTest, ...] = ()
 
-    def matches(self, component: PathComponent) -> bool:
+    def matches(self, component: PathComponent | PathNode) -> bool:
         return (self.test.matches(component) and
                 all(test.matches(component) for test in self.extra_tests))
 
@@ -131,25 +157,6 @@ class LinearPattern:
     @property
     def final_test(self) -> StepTest:
         return self.steps[-1].test
-
-    def matches_path(self, components: list[PathComponent]) -> bool:
-        """NFA simulation: does the full path match this pattern?"""
-        steps = self.steps
-        step_count = len(steps)
-        states = {0}
-        for component in components:
-            next_states = set()
-            for state in states:
-                if state < step_count:
-                    step = steps[state]
-                    if step.matches(component):
-                        next_states.add(state + 1)
-                    if step.gap:
-                        next_states.add(state)  # consume inside the gap
-            states = next_states
-            if not states:
-                return False
-        return step_count in states
 
     # -- canonical models ------------------------------------------------
 
@@ -273,14 +280,39 @@ class PathPattern:
         return self.source or " | ".join(str(alternative)
                                          for alternative in self.alternatives)
 
-    def matches_path(self, components: list[PathComponent]) -> bool:
-        return any(alternative.matches_path(components)
-                   for alternative in self.alternatives)
+    @property
+    def start(self) -> frozenset[tuple[int, int]]:
+        """The NFA's start state: position 0 of every alternative."""
+        return frozenset((alternative, 0)
+                         for alternative in range(len(self.alternatives)))
 
-    def matches_node(self, node) -> bool:
-        components = [PathComponent.from_node_step(step)
-                      for step in node.path_steps()]
-        return self.matches_path(components)
+    def advance(self, states, component: PathComponent | PathNode
+                ) -> frozenset[tuple[int, int]]:
+        """One NFA step: the ``(alternative, position)`` pairs reached
+        from ``states`` by consuming ``component``."""
+        reached = set()
+        for alternative, position in states:
+            steps = self.alternatives[alternative].steps
+            if position < len(steps):
+                step = steps[position]
+                if step.matches(component):
+                    reached.add((alternative, position + 1))
+                if step.gap:
+                    reached.add((alternative, position))  # inside the gap
+        return frozenset(reached)
+
+    def accepts(self, states) -> bool:
+        return any(position == len(self.alternatives[alternative].steps)
+                   for alternative, position in states)
+
+    def matches_path(self, components: list[PathComponent]) -> bool:
+        """NFA simulation: does the full path match this pattern?"""
+        states = self.start
+        for component in components:
+            states = self.advance(states, component)
+            if not states:
+                return False
+        return self.accepts(states)
 
     @property
     def max_steps(self) -> int:
@@ -289,6 +321,54 @@ class PathPattern:
 
     def final_tests(self) -> list[StepTest]:
         return [alternative.final_test for alternative in self.alternatives]
+
+
+class PatternMatcher:
+    """One pattern's verdicts, memoized per interned :class:`PathNode`.
+
+    A path's NFA state (and whether it accepts) is its parent's
+    advanced by the path's last step.  Steps are memoized per (state,
+    kind, uri, local), which determinizes the NFA lazily: a path costs
+    one lookup the first time it is asked about, at any depth, and a
+    dict hit afterwards.  Unknown ancestors are filled in iteratively,
+    never by recursion.
+    """
+
+    __slots__ = ("pattern", "_memo", "_steps")
+
+    def __init__(self, pattern: PathPattern):
+        self.pattern = pattern
+        #: path -> (NFA state, verdict)
+        self._memo: dict[PathNode, tuple[frozenset, bool]] = {
+            ROOT_PATH: (pattern.start, False)}
+        #: (state, kind, uri, local) -> the state after that step
+        self._steps: dict[tuple, tuple[frozenset, bool]] = {}
+
+    def matches(self, path: PathNode) -> bool:
+        state = self._memo.get(path)
+        if state is None:
+            chain = []
+            while state is None:
+                chain.append(path)
+                path = path.parent
+                state = self._memo.get(path)
+            for node in reversed(chain):
+                key = (state[0], node.kind, node.uri, node.local)
+                following = self._steps.get(key)
+                if following is None:
+                    reached = self.pattern.advance(state[0], node)
+                    following = self._steps[key] = (
+                        reached, self.pattern.accepts(reached))
+                state = self._memo[node] = following
+        return state[1]
+
+    def nodes_in(self, path_class: frozenset) -> int:
+        """Matching nodes in each document of ``path_class`` (a
+        :meth:`repro.storage.columnar.ColumnStore.path_class`
+        signature).  Every path of a signature has at least one node, so
+        non-zero means "the document contains the path"."""
+        return sum(count for path, count in path_class
+                   if self.matches(path))
 
 
 def erase_namespaces(pattern: PathPattern) -> PathPattern:
@@ -369,11 +449,14 @@ def flip_final_axis(path: PathPattern) -> PathPattern | None:
     return PathPattern(tuple(alternatives))
 
 
+@functools.lru_cache(maxsize=4096)
 def pattern_contains(index_pattern: PathPattern,
                      query_pattern: PathPattern) -> bool:
     """True when every path matched by ``query_pattern`` is matched by
     ``index_pattern`` — i.e. the index is no more restrictive than the
     query (§2.2).  Sound; complete for linear patterns within the cap.
+    Memoized: the planner asks on every run of a statement, and both
+    patterns are frozen.
     """
     max_gap = index_pattern.max_steps + 1
     for alternative in query_pattern.alternatives:

@@ -15,12 +15,14 @@ Two deliberate shape choices:
   XMLPATTERN text, SQL type) and recovery replays the ``CREATE
   INDEX``, rebuilding the tree from the recovered documents.  That
   keeps the checkpoint small and immune to index-format drift.
-* **Path tables are persisted as shapes, not slot lists.**  Recovery
+* **Path tables are persisted as counts, not slot lists.**  Recovery
   parses each document's text straight into columns, path partitions
-  included; the checkpoint stores each document's distinct paths with
-  counts (``ColumnStore.path_counts``), which ``recover --verify``
-  compares against the path tables the parse built — an end-to-end
-  integrity oracle over serialize → parse into columns.
+  included.  The top-level ``paths`` is one
+  :class:`~repro.storage.columnar.PathTable` of every document's
+  paths; each document's ``$paths`` is its path counts as sorted
+  ``[path row, count]`` pairs, which ``recover --verify`` compares
+  against the path tables the parse built — an end-to-end integrity
+  oracle over serialize → parse into columns.
 
 XML column values are serialized with :func:`repro.xmlio.serializer.
 serialize`; the round-trip property test in
@@ -36,18 +38,18 @@ from dataclasses import dataclass
 from ..errors import DurabilityError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..storage.columnar import ingest_document
+from ..storage.columnar import PathTable, ingest_document
 from ..storage.table import StoredDocument
 from ..xmlio.serializer import serialize
 from . import fsio
-from .codec import encode_path, encode_schema, encode_value
+from .codec import encode_schema, encode_value
 from .faults import NO_FAULTS
 
 __all__ = ["CHECKPOINT_NAME", "CheckpointInfo", "write_checkpoint",
            "load_checkpoint"]
 
 CHECKPOINT_NAME = "checkpoint.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ def encode_database(database, last_lsn: int, *,
     followers rebuild trees directly from the columns — one
     materialization pass, no re-parse, no summary walk — with the
     primary's node ids preserved.  Disk checkpoints never set it, so
-    the on-disk format-v1 bytes are unchanged."""
+    the on-disk format bytes are unchanged."""
+    paths = PathTable()
     tables = []
     for table in database.tables.values():
         rows = []
@@ -83,11 +86,12 @@ def encode_database(database, last_lsn: int, *,
                 if isinstance(value, StoredDocument):
                     document = value.document
                     store = ingest_document(document)
+                    paths.add(store.paths)
                     encoded_row[column] = {
                         "$xml": serialize(document),
                         "$schema": value.schema_name,
                         "$paths": sorted(
-                            [encode_path(path), count]
+                            [paths.index[path], count]
                             for path, count in store.path_counts().items()),
                     }
                     if ship_columns:
@@ -111,6 +115,7 @@ def encode_database(database, last_lsn: int, *,
         "format": FORMAT_VERSION,
         "last_lsn": last_lsn,
         "index_order": database.index_order,
+        "paths": paths.rows,
         "tables": tables,
         "schemas": schemas,
         "xml_indexes": [

@@ -1,4 +1,4 @@
-"""JSON encoding of SQL values, schemas, and summary paths.
+"""JSON encoding of SQL values and schemas.
 
 WAL records and checkpoints share one value codec.  The SQL value
 domain (:mod:`repro.sql.values`) is JSON-native except for four cases,
@@ -28,7 +28,7 @@ from ..errors import DurabilityError
 from ..schema.schema import Schema, TypeDeclaration
 
 __all__ = ["encode_value", "decode_value", "encode_schema",
-           "decode_schema", "encode_path"]
+           "decode_schema"]
 
 
 def encode_value(value):
@@ -84,9 +84,3 @@ def decode_schema(obj: dict) -> Schema:
         [TypeDeclaration(path, type_name, is_list)
          for path, type_name, is_list in obj["declarations"]],
         strict=obj["strict"])
-
-
-def encode_path(path) -> list:
-    """A path-table key (tuple of PathComponent) → nested JSON lists."""
-    return [[component.kind, component.uri, component.local]
-            for component in path]

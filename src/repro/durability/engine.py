@@ -23,7 +23,8 @@ log (its fsync, a subscriber) keeps the row, which replay restores.
 Python predicate cannot be replayed, so the record stores the victim
 **row positions** within the table's row list.  Replay reconstructs
 rows in their original order (inserts are replayed in LSN order), so
-positions are deterministic.
+positions are deterministic.  It logs first, then removes the rows iff
+the record reached the log, even if a later step (fsync) raises.
 """
 
 from __future__ import annotations
@@ -203,14 +204,19 @@ class DurableDatabase(Database):
             positions = [position for position, row
                          in enumerate(table_obj.rows)
                          if predicate is None or predicate(row.values)]
+            if not positions:
+                return 0
             victims = [table_obj.rows[position]
                        for position in positions]
-            count = self._remove_rows(table_obj, victims)
-            if count:
+            last_lsn = self._wal.last_lsn
+            try:
                 self._log({"op": "delete_rows",
                            "table": table_obj.name,
                            "positions": positions})
-            return count
+            finally:
+                if self._wal.last_lsn != last_lsn:  # the record is logged
+                    self._remove_rows(table_obj, victims)
+            return len(victims)
 
     # ``_delete_positions`` (the replay arm of ``delete_rows``) lives on
     # the base Database so read replicas can replay shipped records too.

@@ -30,11 +30,11 @@ from ..errors import DurabilityError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..schema.schema import Schema
-from ..storage.columnar import ColumnStore
+from ..storage.columnar import ColumnStore, decode_path_table
 from ..storage.table import StoredDocument
 from . import fsio
 from .checkpoint import load_checkpoint
-from .codec import decode_schema, decode_value, encode_path
+from .codec import decode_schema, decode_value
 from .wal import WAL_NAME, scan_wal
 
 __all__ = ["RecoveryResult", "VerifyReport", "recover",
@@ -151,6 +151,7 @@ def recover(database, directory, *, verify: bool = False,
 def _apply_checkpoint(database, state: dict,
                       report: VerifyReport | None) -> None:
     database.index_order = state["index_order"]
+    paths = decode_path_table(state["paths"], "checkpoint path table")
     for table in state["tables"]:
         database.create_table(
             table["name"],
@@ -165,7 +166,7 @@ def _apply_checkpoint(database, state: dict,
     for table in state["tables"]:
         for position, row in enumerate(table["rows"]):
             _apply_checkpoint_row(database, table["name"], position,
-                                  row, report)
+                                  row, report, paths)
     # Indexes last: one bulk build over the recovered documents beats
     # per-row incremental maintenance during the load above.
     for index in state["xml_indexes"]:
@@ -180,7 +181,8 @@ def _apply_checkpoint(database, state: dict,
 
 
 def _apply_checkpoint_row(database, table_name: str, position: int,
-                          row: dict, report: VerifyReport | None) -> None:
+                          row: dict, report: VerifyReport | None,
+                          paths: list) -> None:
     values: dict[str, object] = {}
     schema_map: dict[str, Schema] = {}
     stored_paths: dict[str, list] = {}
@@ -211,14 +213,19 @@ def _apply_checkpoint_row(database, table_name: str, position: int,
         stored = inserted.values.get(column)
         if not isinstance(stored, StoredDocument) or expected is None:
             continue
+        where = f"{table_name} row {position} column {column}"
+        for path_row, _count in expected:
+            if type(path_row) is not int or not 0 <= path_row < len(paths):
+                raise DurabilityError(
+                    f"checkpoint {where}: $paths row {path_row!r} outside "
+                    f"the path table's {len(paths)} rows")
         report.documents_checked += 1
-        rebuilt = sorted([encode_path(path), count] for path, count
-                         in stored.columns.path_counts().items())
-        if rebuilt != expected:
+        recorded = {paths[path_row]: count for path_row, count in expected}
+        rebuilt = stored.columns.path_counts()
+        if rebuilt != recorded or len(recorded) != len(expected):
             report.mismatches.append(
-                f"{table_name} row {position} column {column}: "
-                f"re-captured path table has {len(rebuilt)} path(s), "
-                f"checkpoint recorded {len(expected)}"
+                f"{where}: re-captured path table has {len(rebuilt)} "
+                f"path(s), checkpoint recorded {len(expected)}"
                 + ("" if len(rebuilt) != len(expected)
                    else " with differing shapes"))
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from ..core.between import detect_between
 from ..core.eligibility import analyze_candidates, check_index
+from ..core.patterns import PatternMatcher
 from ..core.predicates import PredicateCandidate, extract_candidates
 from ..core.querycache import cache_info, compile_query
 from ..errors import ReproError
@@ -318,12 +319,12 @@ def _keyed_docs(index, path_filter, stats: ExecutionStats
     """One pass over an index: key -> doc ids (path-filtered)."""
     result: dict[object, set[int]] = {}
     scanned = 0
+    matches = (None if path_filter is None
+               else PatternMatcher(path_filter).matches)
     for key, entry in index.tree.items():
         scanned += 1
-        if path_filter is not None and \
-                not path_filter.matches_path(list(entry.path)):
-            continue
-        result.setdefault(key, set()).add(entry.doc_id)
+        if matches is None or matches(entry.path):
+            result.setdefault(key, set()).add(entry.doc_id)
     stats.index_entries_scanned += scanned
     stats.record_index_use(index.name)
     if METRICS.enabled:

@@ -579,7 +579,7 @@ class _Inferencer:
             return self._stats_cache[key]
         stats: PathStats | None = None
         try:
-            from ..storage.columnar import PatternMatcher
+            from ..core.patterns import PatternMatcher
             table, _sep, column = shape.column.partition(".")
             classes = self.database.path_classes(table, column)
             matcher = PatternMatcher(shape.pattern())

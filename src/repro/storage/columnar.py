@@ -22,8 +22,10 @@ Three further structures ride on the columns:
 * **Path-partitioned clustering** (Arion et al., PAPERS.md): every
   slot carries a ``path_id`` into the document's distinct
   root-to-node paths, and ``partitions[path_id]`` lists the slots of
-  that path in document order.  An XMLPATTERN is tested once per
-  *distinct path* and then the matching partitions are scanned.  This
+  that path in document order.  Paths are interned
+  :class:`~repro.core.patterns.PathNode` trie nodes shared by all
+  documents, and an XMLPATTERN is tested once per *distinct path*
+  before the matching partitions are scanned.  This
   path table is the document's only structural summary: the
   evaluator's ``//``-chain fast path and XML index builds read it
   through the materialized views (:meth:`ColumnStore.nodes_for`,
@@ -64,9 +66,9 @@ import base64
 from array import array
 from typing import Iterator
 
-from ..core.patterns import PathComponent
+from ..core.patterns import ROOT_PATH, PathNode
 from ..obs.metrics import METRICS
-from ..errors import XMLParseError
+from ..errors import DurabilityError, XMLParseError
 from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
                          ElementNode, Node, ProcessingInstructionNode,
                          TextNode, TreeStamp, allocate_node_ids,
@@ -74,8 +76,8 @@ from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
 from ..xdm.qname import QName
 from ..xmlio.parser import MAX_DEPTH
 
-__all__ = ["ColumnBuilder", "ColumnStore", "PatternMatcher", "get_store",
-           "ingest_document", "store_for_node", "KIND_DOCUMENT",
+__all__ = ["ColumnBuilder", "ColumnStore", "PathTable", "decode_path_table",
+           "get_store", "ingest_document", "store_for_node", "KIND_DOCUMENT",
            "KIND_ELEMENT", "KIND_ATTRIBUTE", "KIND_TEXT", "KIND_COMMENT",
            "KIND_PI"]
 
@@ -102,63 +104,43 @@ _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 #: slot storage, child-list entries) used for buffer-pool accounting.
 MATERIALIZED_NODE_BYTES = 400
 
-#: Interning table for distinct path tuples.  Documents of one workload
-#: share a handful of path shapes; interning makes equal paths *the
-#: same object*, so match memos can key on ``id(path)`` instead of
-#: hashing nested dataclasses on every lookup.
-_PATH_INTERN: dict[tuple, tuple] = {}
+
+class PathTable:
+    """Paths as payloads and checkpoints write them: parent-pointer rows
+    ``[parent index, kind, uri, local]`` (``-1``: the empty path), each
+    path once, in the order :meth:`add` first sees them.  A path's
+    parent must be added first, as in every store's ``paths``."""
+
+    __slots__ = ("rows", "index")
+
+    def __init__(self):
+        self.rows: list[list] = []
+        #: path -> row
+        self.index: dict[PathNode, int] = {ROOT_PATH: -1}
+
+    def add(self, paths) -> None:
+        index = self.index
+        for path in paths:
+            if path not in index:
+                index[path] = len(self.rows)
+                self.rows.append([index[path.parent], path.kind, path.uri,
+                                  path.local])
 
 
-def _intern_path(path: tuple) -> tuple:
-    return _PATH_INTERN.setdefault(path, path)
-
-
-#: (id(interned parent path), kind, uri, local) -> interned child path.
-#: Interned paths live as long as ``_PATH_INTERN``, so their ids are
-#: stable keys, and a parse extends a path without hashing it.
-_PATH_STEPS: dict[tuple[int, int, str, str], tuple] = {}
-
-
-def _child_path(parent_path: tuple, kind: int, name: QName | None) -> tuple:
-    uri, local = ("", "") if name is None else (name.uri, name.local)
-    key = (id(parent_path), kind, uri, local)
-    path = _PATH_STEPS.get(key)
-    if path is None:
-        component = PathComponent(_KIND_NAMES[kind], uri, local)
-        path = _PATH_STEPS[key] = _intern_path(parent_path + (component,))
-    return path
-
-
-class PatternMatcher:
-    """Memoized pattern-vs-path matching keyed on interned path identity.
-
-    One NFA simulation per (matcher, distinct path shape); every later
-    ask is an id-keyed dict hit.  The memo stores the path tuple
-    alongside the verdict, keeping it alive so its ``id`` can never be
-    recycled for a different path.
-    """
-
-    __slots__ = ("pattern", "_verdicts")
-
-    def __init__(self, pattern):
-        self.pattern = pattern
-        self._verdicts: dict[int, tuple[tuple, bool]] = {}
-
-    def matches(self, path: tuple) -> bool:
-        entry = self._verdicts.get(id(path))
-        if entry is None:
-            verdict = self.pattern.matches_path(list(path))
-            self._verdicts[id(path)] = (path, verdict)
-            return verdict
-        return entry[1]
-
-    def nodes_in(self, path_class: frozenset) -> int:
-        """Matching nodes in each document of ``path_class`` (a
-        :meth:`ColumnStore.path_class` signature).  Every path of a
-        signature has at least one node, so non-zero means "the
-        document contains the path"."""
-        return sum(count for path, count in path_class
-                   if self.matches(path))
+def decode_path_table(rows, where: str) -> list[PathNode]:
+    """The interned paths a :class:`PathTable`'s rows encode; a row
+    whose parent is not an earlier row (or -1) is a
+    :class:`~repro.errors.DurabilityError` naming ``where`` and the row."""
+    paths: list[PathNode] = []
+    for position, row in enumerate(rows):
+        parent = row[0] if isinstance(row, list) and len(row) == 4 else None
+        if type(parent) is not int or not -1 <= parent < position:
+            raise DurabilityError(
+                f"{where} row {position}: {row!r} is not [parent index in "
+                f"[-1, {position}), kind, uri, local]")
+        paths.append((paths[parent] if parent >= 0 else ROOT_PATH)
+                     .child(*row[1:]))
+    return paths
 
 
 def _b64(column: array) -> str:
@@ -206,8 +188,8 @@ class ColumnStore:
         self.names: list[QName] = []
         #: ns_id -> in-scope namespace bindings of an element.
         self.nsscopes: list[dict[str, str]] = []
-        #: path_id -> interned root-to-node path tuple.
-        self.paths: list[tuple] = []
+        #: path_id -> interned root-to-node path (parents first).
+        self.paths: list[PathNode] = []
         #: path_id -> slots along that path, in document order — the
         #: path-partitioned clustering axis scans and index builds use.
         self.partitions: list[array] = []
@@ -288,7 +270,7 @@ class ColumnStore:
     # ``matcher`` is a PatternMatcher: callers that ask across many
     # documents share one, so each distinct path shape is tested once.
 
-    def path_counts(self) -> dict[tuple, int]:
+    def path_counts(self) -> dict[PathNode, int]:
         """Interned root-to-node path -> number of nodes along it."""
         return {path: len(partition)
                 for path, partition in zip(self.paths, self.partitions)}
@@ -314,7 +296,7 @@ class ColumnStore:
         nodes = self.nodes
         return [nodes[slot] for slot in slots]
 
-    def nodes_matching(self, matcher) -> Iterator[tuple[Node, tuple]]:
+    def nodes_matching(self, matcher) -> Iterator[tuple[Node, PathNode]]:
         """(node, path) pairs whose path matches — one pattern test per
         distinct path, then a clustered partition scan per hit."""
         assert self.nodes is not None
@@ -498,6 +480,8 @@ class ColumnStore:
         ``subtree_end`` and the partitions are derived columns and are
         recomputed on load instead of shipped; the canonical text and
         its spans are neither shipped nor rebuilt until asked for."""
+        paths = PathTable()
+        paths.add(self.paths)
         return {
             "uri": self.document_uri,
             "post": _b64(self.post),
@@ -515,8 +499,7 @@ class ColumnStore:
                       for name in self.names],
             "nsscopes": [sorted(scope.items())
                          for scope in self.nsscopes],
-            "paths": [[[component.kind, component.uri, component.local]
-                       for component in path] for path in self.paths],
+            "paths": paths.rows,
         }
 
     @classmethod
@@ -538,10 +521,8 @@ class ColumnStore:
                        for uri, local, prefix in payload["names"]]
         store.nsscopes = [dict((prefix, uri) for prefix, uri in scope)
                           for scope in payload["nsscopes"]]
-        store.paths = [
-            _intern_path(tuple(PathComponent(kind, uri, local)
-                               for kind, uri, local in path))
-            for path in payload["paths"]]
+        store.paths = decode_path_table(payload["paths"],
+                                        "column payload path table")
         store.partitions = [array("q") for _ in store.paths]
         for slot, path_id in enumerate(store.path_id):
             if path_id >= 0:
@@ -565,8 +546,8 @@ class ColumnBuilder:
     ``post``; attributes, text, comments and PIs are closed leaf slots
     whose content goes to the text heap.  Names and namespace scopes
     are interned once per document, and path ids come from a trie keyed
-    ``(parent path id, kind, name id)`` whose new entries look up their
-    interned root-to-node path once.  Slots accumulate as row tuples
+    ``(parent path id, kind, name id)`` whose new entries extend their
+    parent's :class:`PathNode` once.  Slots accumulate as row tuples
     ``(kind, parent, name id, ns id, text_lo, text_hi, level, path id)``
     that :meth:`finish` turns into the store's arrays.
     """
@@ -586,9 +567,9 @@ class ColumnBuilder:
         self._names: dict[tuple[str, str, str], int] = {}
         self._scopes: dict[tuple, int] = {}
         self._steps: dict[tuple[int, int, int], int] = {}
-        #: id(interned path) -> path id: names differing only in
-        #: prefix share a path
-        self._path_ids: dict[int, int] = {}
+        #: interned path -> path id: names differing only in prefix
+        #: share a path
+        self._path_ids: dict[PathNode, int] = {}
 
     def name_id(self, uri: str, local: str, prefix: str = "") -> int:
         key = (uri, local, prefix)
@@ -659,13 +640,16 @@ class ColumnBuilder:
     def _path_id(self, parent_path_id: int, kind: int,
                  name_id: int) -> int:
         store = self.store
-        parent_path = (store.paths[parent_path_id]
-                       if parent_path_id >= 0 else ())
-        name = store.names[name_id] if name_id >= 0 else None
-        path = _child_path(parent_path, kind, name)
-        path_id = self._path_ids.get(id(path))
+        parent = (store.paths[parent_path_id] if parent_path_id >= 0
+                  else ROOT_PATH)
+        if name_id >= 0:
+            name = store.names[name_id]
+            path = parent.child(_KIND_NAMES[kind], name.uri, name.local)
+        else:
+            path = parent.child(_KIND_NAMES[kind])
+        path_id = self._path_ids.get(path)
         if path_id is None:
-            path_id = self._path_ids[id(path)] = len(store.paths)
+            path_id = self._path_ids[path] = len(store.paths)
             store.paths.append(path)
             store.partitions.append(array("q"))
         return path_id

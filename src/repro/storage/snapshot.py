@@ -36,10 +36,10 @@ itself.
 from __future__ import annotations
 
 from ..analysis import sanitizer as _sanitizer
+from ..core.patterns import PatternMatcher
 from ..errors import CatalogError, SQLError
 from ..obs.metrics import METRICS
 from ..xdm.sequence import Item
-from .columnar import PatternMatcher
 from .table import StoredDocument, Table
 
 __all__ = ["ReadView", "Snapshot"]

@@ -13,9 +13,10 @@ USING XMLPATTERN 'pattern' AS type`` where type is one of ``VARCHAR``,
 * list-typed values are rejected at insert time (footnote 5: "our
   index implementation prohibits the list types from occurring in the
   indexed documents");
-* each entry also records the node's concrete root-to-node path so a
-  scan can apply the query's *more restrictive* path as a residual
-  filter (§2.2: the index on ``//lineitem/@price`` answering a
+* each entry also records the node's interned root-to-node path (a
+  :class:`~repro.core.patterns.PathNode`) so a scan can apply the
+  query's *more restrictive* path as a residual filter (§2.2: the
+  index on ``//lineitem/@price`` answering a
   ``//order/lineitem/@price`` predicate).
 
 Entries are never deleted.  Deleting a row calls :meth:`XmlIndex.forget`,
@@ -42,14 +43,15 @@ import datetime as _dt
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..core.patterns import PathComponent, PathPattern, parse_xmlpattern
+from ..core.patterns import (PathNode, PathPattern, PatternMatcher,
+                             parse_xmlpattern)
 from ..errors import CastError, SchemaValidationError
 from ..obs.metrics import METRICS
 from ..xdm.atomic import INDEX_KEY_TYPES, AtomicValue, T_DATETIME
 from ..xdm.compare import promote
 from ..xdm.nodes import DocumentNode, Node
 from .btree import BPlusTree
-from .columnar import PatternMatcher, ingest_document
+from .columnar import ingest_document
 
 @dataclass(frozen=True)
 class IndexEntry:
@@ -57,7 +59,7 @@ class IndexEntry:
 
     doc_id: int
     node_id: int
-    path: tuple[PathComponent, ...]
+    path: PathNode
 
 
 class XmlIndex:
@@ -77,8 +79,8 @@ class XmlIndex:
         #: B+Tree pages.
         self.pattern_text = pattern_text
         self.pattern: PathPattern = parse_xmlpattern(pattern_text)
-        #: Long-lived matcher: one NFA run per distinct path shape over
-        #: the whole life of the index, id-keyed hits afterwards.
+        #: Long-lived matcher: one NFA step per distinct path over the
+        #: whole life of the index, dict hits afterwards.
         self._pattern_matcher = PatternMatcher(self.pattern)
         self.index_type = index_type
         #: The atomic type of the keys (xs:double for DOUBLE).
@@ -101,14 +103,16 @@ class XmlIndex:
     # ------------------------------------------------------------------
 
     def index_document(self, doc_id: int, document: DocumentNode) -> None:
+        """Add the document's matching nodes: a clustered scan over its
+        path partitions, the pattern tested once per distinct path."""
         counts = self._doc_entry_counts
-        for node, components in self._matching_nodes(document):
+        for node, path in ingest_document(document).nodes_matching(
+                self._pattern_matcher):
             key = self._key_for(node)
             if key is None:
                 self.skipped_nodes += 1
                 continue
-            self.tree.insert(key, IndexEntry(doc_id, node.node_id,
-                                             tuple(components)))
+            self.tree.insert(key, IndexEntry(doc_id, node.node_id, path))
             counts[doc_id] = counts.get(doc_id, 0) + 1
             self._live_entries += 1
 
@@ -132,14 +136,6 @@ class XmlIndex:
         fresh._live_entries = self._live_entries
         fresh.skipped_nodes = self.skipped_nodes
         return fresh
-
-    def _matching_nodes(self, document: DocumentNode):
-        """(node, path) pairs of the document matching this index's
-        pattern, as a clustered scan over the document's path
-        partitions: the pattern is tested once per *distinct* path,
-        then only the matching partitions are scanned."""
-        return ingest_document(document).nodes_matching(
-            self._pattern_matcher)
 
     def keys(self):
         """Distinct keys in order, skipping those whose entries all
@@ -181,12 +177,12 @@ class XmlIndex:
              ) -> Iterator[IndexEntry]:
         """Range scan; optionally post-filter entries by a (more
         restrictive) query path pattern."""
+        matches = (None if path_filter is None
+                   else PatternMatcher(path_filter).matches)
         for _key, entry in self.tree.scan(low, high, low_inclusive,
                                           high_inclusive):
-            if path_filter is not None and \
-                    not path_filter.matches_path(list(entry.path)):
-                continue
-            yield entry
+            if matches is None or matches(entry.path):
+                yield entry
 
     def matching_documents(self, low=None, high=None,
                            low_inclusive: bool = True,

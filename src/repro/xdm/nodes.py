@@ -198,21 +198,6 @@ class Node:
             yield node
             node = node.parent
 
-    def path_steps(self) -> list[tuple[str, QName | None]]:
-        """(kind, name) pairs from the root down to this node.
-
-        The root document node is omitted; this is the representation the
-        XML indexes store alongside each entry so an index on a broad
-        pattern (e.g. ``//@*``) can still check path restrictions.
-        """
-        steps: list[tuple[str, QName | None]] = []
-        node: Node | None = self
-        while node is not None and node.kind != "document":
-            steps.append((node.kind, node.name))
-            node = node.parent
-        steps.reverse()
-        return steps
-
     def __repr__(self) -> str:
         name = self.name
         label = f" {name}" if name is not None else ""

@@ -17,9 +17,9 @@ sections, comments, and processing instructions.  DTDs are tolerated
 and skipped.  Every raw character, and every character a reference
 names, must be an XML 1.0 ``Char`` (#x9, #xA, #xD, #x20-#xD7FF,
 #xE000-#xFFFD, #x10000-#x10FFFF).  Open elements live on an explicit
-stack, so depth costs no recursion, but elements nest at most
-:data:`MAX_DEPTH` deep: the checkpoint spells out every root-to-node
-path, so a chain of *d* elements costs O(d²) there.  Every error is an
+stack, and a root-to-node path is one interned trie node, so depth
+costs neither recursion nor quadratic work; elements nest at most
+:data:`MAX_DEPTH` deep.  Every error is an
 :class:`~repro.errors.XMLParseError` with a line and column.
 """
 
@@ -56,8 +56,8 @@ _NOT_CHAR_RE = re.compile(
     "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 #: The deepest element nesting a document may have (the root element
-#: is at depth 1).  A 1 000-deep chain checkpoints to about 10 MB.
-MAX_DEPTH = 1000
+#: is at depth 1): a memory bound on hostile input, not a cost bound.
+MAX_DEPTH = 100_000
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 

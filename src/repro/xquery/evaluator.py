@@ -1197,9 +1197,9 @@ def _path_plan(expr: ast.PathExpr) -> tuple:
     pattern_steps, consumed, predicates = _compile_summary_prefix(steps)
     matcher = None
     if consumed:
-        from ..core.patterns import LinearPattern
-        from ..storage.columnar import PatternMatcher
-        matcher = PatternMatcher(LinearPattern(tuple(pattern_steps)))
+        from ..core.patterns import LinearPattern, PathPattern, PatternMatcher
+        matcher = PatternMatcher(
+            PathPattern((LinearPattern(tuple(pattern_steps)),)))
     return steps, matcher, consumed, predicates
 
 

@@ -9,6 +9,7 @@ the whole point of the subsystem.
 import datetime
 import decimal
 import io
+import tracemalloc
 
 import pytest
 
@@ -271,10 +272,10 @@ def test_malformed_documents_are_rejected_before_the_row(tmp_path, text):
 
 
 def test_deep_document_survives_insert_checkpoint_and_reopen(tmp_path):
-    # As deep as the parser accepts: past the interpreter's recursion
-    # limit, where parsing (~600 levels) and serializing (300) used to
-    # fail.
-    depth = MAX_DEPTH - 1
+    # Far past the interpreter's recursion limit: parse, serialize,
+    # checkpoint and recovery neither recurse nor pay per level for the
+    # levels above it.
+    depth = 50_000
     text = "<e>" * depth + "<v>7</v>" + "</e>" * depth
     with reopen(tmp_path, fsync_policy="batch") as database:
         _table_with_index(database)
@@ -295,6 +296,36 @@ def test_deep_document_survives_insert_checkpoint_and_reopen(tmp_path):
             "db2-fn:xmlcolumn('T.D')//v[. = 7]")
         assert result.serialize() == ["<v>7</v>"]
         assert "t_v" in result.stats.indexes_used
+
+
+def _deep_round_trip(directory, depth: int, name: str) -> tuple[int, int]:
+    """Insert a ``depth``-deep chain of ``name`` elements, checkpoint,
+    reopen with ``verify``: (checkpoint bytes, tracemalloc peak)."""
+    text = f"<{name}>" * depth + "<v>7</v>" + f"</{name}>" * depth
+    tracemalloc.start()
+    try:
+        with reopen(directory, fsync_policy="off") as database:
+            database.create_table("t", [("k", "INTEGER"), ("d", "XML")])
+            database.insert("t", {"k": 1, "d": "<r/>"})
+            database.insert("t", {"k": 2, "d": text})
+            written = database.checkpoint().bytes_written
+        with reopen(directory, verify=True) as database:
+            assert database.last_recovery.verify.ok
+            assert database.last_recovery.verify.documents_checked == 2
+        return written, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_round_trip_scales_linearly(tmp_path):
+    # Path identity is one trie node per level, so twice the depth
+    # costs about twice the checkpoint bytes and memory; spelled-out
+    # paths (O(depth²)) would give 4x.  Names differ per run so the
+    # second does not reuse the first's interned paths.
+    small = _deep_round_trip(tmp_path / "small", 20_000, "s")
+    large = _deep_round_trip(tmp_path / "large", 40_000, "l")
+    assert large[0] <= 2.5 * small[0]
+    assert large[1] <= 2.5 * small[1]
 
 
 def test_failed_wal_append_rolls_the_insert_back(tmp_path, monkeypatch):
@@ -378,22 +409,26 @@ def test_failure_after_the_record_is_logged_keeps_the_row(
             "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize() == expected
 
 
+def _fail_next_write(monkeypatch, wal, failure) -> None:
+    """Make the WAL's next file write raise ``failure``."""
+    handle = wal._handle
+    fail = _fail_once(failure)
+
+    class FailingHandle:
+        def write(self, data):
+            fail()
+            return handle.write(data)
+
+        def __getattr__(self, name):
+            return getattr(handle, name)
+    monkeypatch.setattr(wal, "_handle", FailingHandle())
+
+
 def test_failed_group_write_rolls_the_insert_back(tmp_path, monkeypatch):
     with reopen(tmp_path, fsync_policy="always") as database:
         _table_with_index(database)
-        wal = database._wal
-        handle = wal._handle
         failure = OSError("disk full")
-        fail = _fail_once(failure)
-
-        class FailingHandle:
-            def write(self, data):
-                fail()
-                return handle.write(data)
-
-            def __getattr__(self, name):
-                return getattr(handle, name)
-        monkeypatch.setattr(wal, "_handle", FailingHandle())
+        _fail_next_write(monkeypatch, database._wal, failure)
         with pytest.raises(OSError) as caught:
             database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
         assert caught.value is failure
@@ -403,3 +438,46 @@ def test_failed_group_write_rolls_the_insert_back(tmp_path, monkeypatch):
     with reopen(tmp_path) as database:
         assert [row.values["k"]
                 for row in database.table("t").rows] == [1, 3]
+
+
+# ---------------------------------------------------------------------------
+# Deletes log first: the rows go iff the record reached the log
+# ---------------------------------------------------------------------------
+
+def _delete_view(database) -> tuple:
+    """What a caller sees: row keys, documents, and an indexed read."""
+    return ([row.values["k"] for row in database.table("t").rows],
+            _documents(database),
+            database.xquery("db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize())
+
+
+@pytest.mark.parametrize("where, kept", [
+    ("file write", [1, 2]), ("fsync", [1])])
+def test_failed_delete_agrees_with_a_reopen(tmp_path, monkeypatch, where,
+                                            kept):
+    # A failed write never logged the record: both rows stay.  A failed
+    # fsync comes after the record is in wal.log, which a reopen
+    # replays: the row goes in memory too.
+    with reopen(tmp_path, fsync_policy="always") as database:
+        _table_with_index(database)
+        database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        wal = database._wal
+        failure = OSError(f"{where} failed")
+        if where == "file write":
+            _fail_next_write(monkeypatch, wal, failure)
+        else:
+            fsync = wal._fsync
+            fail = _fail_once(failure)
+
+            def fsync_failing_once():
+                fail()
+                fsync()
+            monkeypatch.setattr(wal, "_fsync", fsync_failing_once)
+        with pytest.raises(OSError) as caught:
+            database.delete_rows("t", lambda values: values["k"] == 2)
+        assert caught.value is failure
+        view = _delete_view(database)
+        assert view[0] == kept
+        assert len(database.xml_indexes["t_v"]) == len(kept)
+    with reopen(tmp_path) as database:
+        assert _delete_view(database) == view

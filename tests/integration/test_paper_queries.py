@@ -579,10 +579,8 @@ class TestSection39Attributes:
         full = db.create_xml_index(
             "full_notation", "t", "d",
             "/descendant-or-self::node()/attribute::*", "VARCHAR")
-        star_kinds = {entry.path[-1].kind
-                      for _key, entry in star.tree.items()}
-        node_kinds = {entry.path[-1].kind
-                      for _key, entry in node.tree.items()}
+        star_kinds = {entry.path.kind for _key, entry in star.tree.items()}
+        node_kinds = {entry.path.kind for _key, entry in node.tree.items()}
         assert "attribute" not in star_kinds
         assert "attribute" not in node_kinds
         assert len(attrs) == 2

@@ -31,6 +31,8 @@ from repro.storage.columnar import ColumnStore
 from repro.workload.paperqueries import load_paper_fixture
 from repro.xmlio import parse_document, serialize
 
+from ..paths import spell
+
 from .test_index_consistency import CUSTIDS, PRICES, Boom, Injector, \
     order_xml
 
@@ -132,7 +134,7 @@ def oracle_answers(database) -> dict:
     for pattern in PATTERNS:
         parsed = parse_xmlpattern(pattern)
         per_doc = [sum(count for path, count in counts.items()
-                       if parsed.matches_path(list(path)))
+                       if parsed.matches_path(spell(path)))
                    for counts in tables]
         result[pattern] = (sum(1 for count in per_doc if count),
                            sum(per_doc))
@@ -159,7 +161,7 @@ def test_patterns_cover_two_paths():
     paths = {path for path_class in classes for path, _count in path_class}
     for pattern in ("//@*", "//comment()"):
         parsed = parse_xmlpattern(pattern)
-        assert sum(parsed.matches_path(list(path)) for path in paths) >= 2
+        assert sum(parsed.matches_path(spell(path)) for path in paths) >= 2
     assert_summary_exact(database)
 
 
@@ -221,7 +223,7 @@ def _serve_summary(replica, statement, required_lsn):
 
 
 def canonical(classes: Counter) -> list:
-    return sorted((sorted((tuple(map(str, path)), count)
+    return sorted((sorted((tuple(map(str, spell(path))), count)
                           for path, count in path_class), docs)
                   for path_class, docs in classes.items())
 

@@ -39,6 +39,8 @@ from repro.workload.paperqueries import (PAPER_QUERIES,
                                          load_paper_fixture,
                                          run_paper_query)
 
+from ..paths import spell
+
 
 class Boom(RuntimeError):
     pass
@@ -93,7 +95,7 @@ def observable_state(database: Database) -> dict:
         stored = row.values["orddoc"]
         assert isinstance(stored, StoredDocument)
         summaries.append(sorted(
-            (tuple(str(component) for component in path), count)
+            (tuple(map(str, spell(path))), count)
             for path, count in stored.columns.path_counts().items()))
     state["summaries"] = sorted(map(tuple, summaries))
     return state

@@ -12,14 +12,16 @@ from collections import Counter
 
 import pytest
 
-from repro.core.patterns import PathComponent, parse_xmlpattern
+from repro.core.patterns import ROOT_PATH, PatternMatcher, parse_xmlpattern
+from repro.errors import DurabilityError
 from repro.storage.columnar import (ColumnStore, KIND_ATTRIBUTE,
-                                    KIND_DOCUMENT, PatternMatcher,
-                                    get_store, ingest_document,
-                                    store_for_node)
+                                    KIND_DOCUMENT, get_store,
+                                    ingest_document, store_for_node)
 from repro.xdm.nodes import DocumentNode
 from repro.xmlio import parse_document
 from repro.xmlio.serializer import serialize
+
+from ..paths import spelled_counts, walk_path
 
 COMPLEX_XML = (
     "<?xml version=\"1.0\"?>"
@@ -157,17 +159,6 @@ class TestMaterialize:
         assert get_store(rebuilt) is store
 
 
-def root_path(node):
-    """The node's root-to-node path, from its parent chain."""
-    steps = []
-    while node.kind != "document":
-        name = node.name
-        steps.append(PathComponent(node.kind) if name is None
-                     else PathComponent(node.kind, name.uri, name.local))
-        node = node.parent
-    return tuple(reversed(steps))
-
-
 class TestPathTable:
     """The readers over ``paths`` / ``partitions`` — node lists, path
     counts, and the path-class signature the column summary folds —
@@ -175,9 +166,9 @@ class TestPathTable:
 
     def test_path_counts_equal_parent_chain_walk(self):
         document, store = build()
-        expected = Counter(root_path(node) for node in walk_all(document)
+        expected = Counter(walk_path(node) for node in walk_all(document)
                            if node is not document)
-        assert store.path_counts() == dict(expected)
+        assert spelled_counts(store.path_counts()) == dict(expected)
 
     @pytest.mark.parametrize("pattern", [
         "//lineitem/@price", "//price", "/order/lineitem", "//*",
@@ -190,7 +181,7 @@ class TestPathTable:
         matcher = PatternMatcher(parsed)
         expected = [node for node in walk_all(document)
                     if node is not document
-                    and parsed.matches_path(list(root_path(node)))]
+                    and parsed.matches_path(list(walk_path(node)))]
         assert store.nodes_for(matcher) == expected
         assert matcher.nodes_in(store.path_class()) == len(expected)
 
@@ -226,6 +217,31 @@ class TestPayloadRoundTrip:
         highest = max(restored.node_ids)
         fresh = parse_document("<a><b/></a>")
         assert min(n.node_id for n in walk_all(fresh)) > highest
+
+    def test_payload_paths_are_parent_pointer_rows(self):
+        _document, store = build()
+        rows = store.to_payload()["paths"]
+        assert len(rows) == len(store.paths)
+        for row, ((parent, kind, uri, local), path) in enumerate(
+                zip(rows, store.paths)):
+            assert -1 <= parent < row
+            assert (kind, uri, local) == (path.kind, path.uri, path.local)
+            assert path.parent is (store.paths[parent] if parent >= 0
+                                   else ROOT_PATH)
+        restored = ColumnStore.from_payload(store.to_payload())
+        assert all(mine is theirs
+                   for mine, theirs in zip(restored.paths, store.paths))
+
+    @pytest.mark.parametrize("row", [
+        [2, "element", "", "x"], [-2, "element", "", "x"],
+        ["0", "element", "", "x"], [0, "element", ""], "x", None])
+    def test_a_bad_payload_path_row_is_a_typed_error(self, row):
+        _document, store = build()
+        payload = store.to_payload()
+        payload["paths"][2] = row
+        with pytest.raises(DurabilityError,
+                           match="column payload path table row 2: "):
+            ColumnStore.from_payload(payload)
 
 
 class TestStoreLifecycle:

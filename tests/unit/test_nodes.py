@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.storage.columnar import ingest_document
 from repro.xdm import atomic
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
                              ElementNode, ProcessingInstructionNode,
@@ -9,6 +10,8 @@ from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
 from repro.xdm.qname import QName
 from repro.xdm.sequence import (atomize, document_order,
                                 effective_boolean_value)
+
+from ..paths import spell
 
 
 def build_order() -> DocumentNode:
@@ -45,12 +48,15 @@ class TestStructure:
         assert attribute.typed_value()[0].value == 99.5
 
     def test_path_steps(self):
+        # A node's root-to-node steps are its column store's interned
+        # path for the node's slot.
         doc = build_order()
+        store = ingest_document(doc)
         attribute = doc.root_element.children[0].attributes[0]
-        steps = attribute.path_steps()
-        assert [kind for kind, _name in steps] == \
+        path = store.paths[store.path_id[attribute._order[1]]]
+        assert [step.kind for step in spell(path)] == \
             ["element", "element", "attribute"]
-        assert steps[-1][1].local == "price"
+        assert path.local == "price"
 
     def test_attribute_cannot_be_child(self):
         element = ElementNode(QName("", "a"))

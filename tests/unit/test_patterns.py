@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.patterns import (PathComponent, erase_namespaces,
-                                 parse_xmlpattern, pattern_contains)
+from repro.core.patterns import (PathComponent, PatternMatcher,
+                                 erase_namespaces, parse_xmlpattern,
+                                 pattern_contains)
 from repro.errors import PatternSyntaxError
 
 
@@ -114,11 +115,16 @@ class TestMatching:
         assert not pattern.matches_path(path("e:a"))
 
     def test_matches_node(self):
+        # A stored node's path is its store's interned path for its slot.
         from repro.xmlio import parse_document
         doc = parse_document("<order><lineitem price='1'/></order>")
         price = doc.root_element.children[0].attributes[0]
-        assert parse_xmlpattern("//lineitem/@price").matches_node(price)
-        assert not parse_xmlpattern("//order/@price").matches_node(price)
+        store = doc.column_store
+        path = store.paths[store.path_id[price._order[1]]]
+        assert PatternMatcher(parse_xmlpattern("//lineitem/@price")) \
+            .matches(path)
+        assert not PatternMatcher(parse_xmlpattern("//order/@price")) \
+            .matches(path)
 
 
 # Containment ground truth from the paper's sections.

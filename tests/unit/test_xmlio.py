@@ -168,8 +168,11 @@ class TestErrors:
         assert node.children[0].string_value() == "x"
         assert node.level == depth
 
-    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 50_000])
-    def test_deeper_nesting_is_rejected_where_it_starts(self, depth):
+    @pytest.mark.parametrize("excess", [1, 1001, 50_000])
+    def test_deeper_nesting_is_rejected_where_it_starts(self, excess):
+        # However far past the limit the input goes, the error points at
+        # the first tag that crosses it.
+        depth = MAX_DEPTH + excess
         text = "<e>" * depth + "</e>" * depth
         with pytest.raises(XMLParseError) as caught:
             parse_document(text)
