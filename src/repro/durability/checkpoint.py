@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from ..errors import DurabilityError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..storage.columnar import PathTable, ingest_document
+from ..storage.columnar import PathTable
 from ..storage.table import StoredDocument
 from ..xmlio.serializer import serialize
 from . import fsio
@@ -85,7 +85,7 @@ def encode_database(database, last_lsn: int, *,
             for column, value in row.values.items():
                 if isinstance(value, StoredDocument):
                     document = value.document
-                    store = ingest_document(document)
+                    store = value.columns
                     paths.add(store.paths)
                     encoded_row[column] = {
                         "$xml": serialize(document),

@@ -32,6 +32,16 @@ Group commit (``fsync_policy``):
     is a consistent database).
 ``off``
     write + flush, never fsync: bounded only by the OS page cache.
+
+A failed group write or fsync *fails the log*: buffered records may be
+lost or a frame torn, and a record written behind that gap would
+replay out of order.  From then on :meth:`WriteAheadLog.append`,
+``flush`` and ``sync`` (so a checkpoint too) raise
+:class:`~repro.errors.DurabilityError` until the database is reopened,
+whose torn-tail repair and replay give the authoritative state;
+``close`` only releases the handle.  The one failure that does not
+fail the log is a write of the one record being appended that failed
+before any byte of it was written: that record is simply not logged.
 """
 
 from __future__ import annotations
@@ -182,6 +192,8 @@ class WriteAheadLog:
         self._next_lsn = start_lsn + 1
         self._pending: list[bytes] = []
         self._subscribers: list = []
+        #: The error that failed the log; None while it is usable.
+        self._failure: BaseException | None = None
 
     # -- subscriptions (log shipping) -----------------------------------
 
@@ -220,25 +232,14 @@ class WriteAheadLog:
         buffered, :attr:`last_lsn` is unchanged: the record is not in
         the log and its LSN goes to the next append.
         """
+        self._raise_if_failed()
         lsn = self._next_lsn
         data = encode_record(lsn, record)
         self._next_lsn += 1
-        written = self._written_size
-        try:
-            if self.fsync_policy == "always":
-                self._write_group(data, sync=True)
-            elif self.fsync_policy == "off":
-                self._write_group(data, sync=False)
-            else:
-                self._pending.append(data)
-                if len(self._pending) >= self.group_size:
-                    self.flush()
-        # sa: ok(SA408: any failure before the bytes reached the log
-        # frees the LSN again; the error propagates as is)
-        except BaseException:
-            if self._written_size == written and data not in self._pending:
-                self._next_lsn = lsn
-            raise
+        self._pending.append(data)
+        if (self.fsync_policy != "batch"
+                or len(self._pending) >= self.group_size):
+            self._write_pending(self.fsync_policy != "off", appending=lsn)
         if METRICS.enabled:
             METRICS.inc("wal.appends")
         for listener in self._subscribers:
@@ -247,22 +248,48 @@ class WriteAheadLog:
 
     def flush(self) -> None:
         """Write buffered records; fsync unless the policy is ``off``."""
-        if not self._pending:
-            return
-        data = b"".join(self._pending)
-        self._pending.clear()
-        self._write_group(data, sync=self.fsync_policy != "off")
+        self._raise_if_failed()
+        if self._pending:
+            self._write_pending(self.fsync_policy != "off")
 
     # sa: ok(SA403: callers fsync under the writer lock on purpose —
     # durability must be ordered with the mutation it covers)
     def sync(self) -> None:
         """Force full durability: drain the buffer and fsync."""
+        self._raise_if_failed()
         if self._pending:
-            data = b"".join(self._pending)
-            self._pending.clear()
-            self._write_group(data, sync=True)
+            self._write_pending(sync=True)
         elif self._synced_size < self._written_size:
-            self._fsync()
+            try:
+                self._fsync()
+            except BaseException as error:
+                self._failure = error
+                raise
+
+    def _raise_if_failed(self) -> None:
+        if self._failure is not None:
+            raise DurabilityError(
+                f"{self.path}: the log failed ({self._failure!r}); "
+                f"reopen the database to recover") from self._failure
+
+    def _write_pending(self, sync: bool, appending: int = 0) -> None:
+        """Write the buffered records as one group (fsync with
+        ``sync``); a failure fails the log, except one before any byte
+        was written when the only buffered record is the one an
+        :meth:`append` of LSN ``appending`` logs: its LSN is free
+        again."""
+        alone = appending > 0 and len(self._pending) == 1
+        data = b"".join(self._pending)
+        self._pending.clear()
+        written = self._written_size
+        try:
+            self._write_group(data, sync)
+        except BaseException as error:
+            if alone and self._written_size == written:
+                self._next_lsn = appending
+            else:
+                self._failure = error
+            raise
 
     def _write_group(self, data: bytes, sync: bool) -> None:
         self._faults.crash_point("wal.append.before_write",
@@ -321,10 +348,14 @@ class WriteAheadLog:
     # sa: ok(SA403: the final flush+fsync happens under the writer
     # lock so close cannot race a concurrent append)
     def close(self) -> None:
+        """Flush and release the handle; a failed log only releases it."""
         if self._handle.closed:
             return
-        self.flush()
-        self._handle.close()
+        try:
+            if self._failure is None:
+                self.flush()
+        finally:
+            self._handle.close()
 
     def abandon(self) -> None:
         """Drop the handle *without* draining buffered records.

@@ -23,8 +23,8 @@ planner and static analysis) never re-materialize: at tier 1 they read
 the resident columns, at tier 2 :meth:`BufferPool.load_columns` reads
 the spill back and charges only the columns.
 
-A document mutated since its columns were captured is re-captured
-before its tree is dropped, so eviction never loses updates.
+A stored tree is numbered and so never changes: dropping it loses
+nothing its columns do not hold.
 
 Budget ``None`` disables the pool entirely: documents are never
 registered and every access is a plain attribute read, preserving the
@@ -231,12 +231,6 @@ class BufferPool:
         store = stored._store
         document = stored._document
         if document is not None and store is not None:
-            if not (store.stamp is document._stamp
-                    and store.stamp is not None and store.stamp.valid):
-                # Mutated since capture: re-snapshot the columns so the
-                # updated content survives the tree drop.
-                store = ColumnStore.from_document(document)
-                stored._store = store
             store.detach()
             stored._document = None
         if self.spill_dir is not None and store is not None:

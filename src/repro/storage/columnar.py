@@ -44,20 +44,20 @@ Three further structures ride on the columns:
   element slot's ``(start, end)`` in it.  Only an element whose
   inherited namespace scope in that walk is empty gets a span — its
   standalone serialization is then exactly the slice — so a stored
-  answer serializes as ``canonical[start:end]``.  A store describes an
-  unmutated tree (a structural mutation invalidates the stamp and the
-  next capture builds a new store), so the cache is never invalidated;
-  it survives :meth:`ColumnStore.detach` and is never written to a
-  payload.
+  answer serializes as ``canonical[start:end]``.  A store's tree is
+  numbered, so it never changes and the cache is never invalidated:
+  it is the right slice for every materialization, survives
+  :meth:`ColumnStore.detach` and is never written to a payload.
 
 Node objects are *views*: :meth:`ColumnStore.materialize` builds the
 XDM tree from the columns — after a parse, after buffer-pool eviction,
 and on a replica bootstrapped from shipped columns — taking every
 node's ``node_id`` from the ``node_ids`` column so node identity and
-document-order keys are stable across eviction cycles.  A tree that
-was not parsed (a document inserted as a tree, or a stored tree
-mutated in place) is captured by :meth:`ColumnStore.from_document`,
-which drives the same builder.
+document-order keys are stable across eviction cycles.  A document
+inserted as a tree is captured by :meth:`ColumnStore.from_document`,
+which drives the same builder.  Either way the tree ends up numbered
+and so immutable (:mod:`repro.xdm.nodes`): a store and its trees can
+never disagree.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from ..obs.metrics import METRICS
 from ..errors import DurabilityError, XMLParseError
 from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
                          ElementNode, Node, ProcessingInstructionNode,
-                         TextNode, TreeStamp, allocate_node_ids,
+                         TextNode, allocate_node_ids,
                          number_from_columns, reserve_node_ids)
 from ..xdm.qname import QName
 from ..xmlio.parser import MAX_DEPTH
@@ -157,16 +157,15 @@ class ColumnStore:
     """The accelerator-table columns of one document.
 
     The arrays are parallel over pre-order slots.  ``nodes`` (slot →
-    materialized node view) and ``stamp`` (the backing tree's
-    structure stamp) are populated while a materialization is live and
-    dropped by :meth:`detach` at eviction; the columns themselves are
-    the durable, compact representation.
+    materialized node view) is populated while a materialization is
+    live and dropped by :meth:`detach` at eviction; the columns
+    themselves are the durable, compact representation.
     """
 
     __slots__ = ("post", "level", "parent", "kind", "name_id", "ns_id",
                  "path_id", "text_lo", "text_hi", "subtree_end",
                  "node_ids", "text", "names", "nsscopes", "paths",
-                 "partitions", "document_uri", "stamp", "nodes",
+                 "partitions", "document_uri", "nodes",
                  "canonical", "spans")
 
     def __init__(self):
@@ -194,7 +193,6 @@ class ColumnStore:
         #: path-partitioned clustering axis scans and index builds use.
         self.partitions: list[array] = []
         self.document_uri = ""
-        self.stamp = None
         self.nodes: list[Node] | None = None
         #: The document's serialization, once one was asked for.
         self.canonical: str | None = None
@@ -217,13 +215,14 @@ class ColumnStore:
 
     @classmethod
     def from_document(cls, document: DocumentNode) -> "ColumnStore":
-        """Capture a tree's columns (a document inserted as a tree, or
-        a stored tree mutated in place) through :class:`ColumnBuilder`.
+        """Capture the columns of a document inserted as a tree through
+        :class:`ColumnBuilder`.
 
         One walk, attributes before children as ``xdm.nodes`` numbers
         them, keeps each node's ``node_id``; the tree is then numbered
-        from the columns, so slot *i* is the node with pre number *i*.
-        The store replaces any attached to the document before.
+        from the columns, so slot *i* is the node with pre number *i*,
+        and can no longer change.  A capture that fails (a tree nested
+        deeper than ``MAX_DEPTH``) leaves the tree unnumbered.
         """
         builder = ColumnBuilder(document.document_uri)
         nodes: list[Node] = [document]
@@ -254,15 +253,10 @@ class ColumnStore:
             nodes.append(node)
             node_ids.append(node.node_id)
         store = builder.finish(node_ids)
-        store.stamp = number_from_columns(nodes, store.post, store.level)
+        number_from_columns(nodes, store.post, store.level)
         store.nodes = nodes
         document.column_store = store
         return store
-
-    def is_attached(self) -> bool:
-        """True while a live, unmutated materialization backs us."""
-        return (self.nodes is not None and self.stamp is not None
-                and self.stamp.valid)
 
     # ------------------------------------------------------------------
     # Path table (the document's structural summary)
@@ -376,8 +370,8 @@ class ColumnStore:
 
         Node views are created in pre order, linked through the
         ``parent`` column and numbered as they are created (``pre`` is
-        the slot, ``post`` and ``level`` are columns, one fresh stamp),
-        so no numbering walk follows.  Every view's ``node_id`` comes
+        the slot, ``post`` and ``level`` are columns), so no numbering
+        walk follows.  Every view's ``node_id`` comes
         from the ``node_ids`` column, so identity and document-order
         keys survive eviction cycles.  ``schema`` (a registered
         validation schema) is re-applied afterwards so schema-typed
@@ -395,7 +389,6 @@ class ColumnStore:
         parents = self.parent
         node_ids = self.node_ids
         tree_id = node_ids[0]
-        stamp = TreeStamp()
         nodes: list[Node] = []
         for slot, kind_code in enumerate(self.kind):
             if kind_code == KIND_ELEMENT:
@@ -419,7 +412,6 @@ class ColumnStore:
             node._order = (tree_id, slot)
             node._post = post[slot]
             node._level = level[slot]
-            node._stamp = stamp
             parent_slot = parents[slot]
             if parent_slot >= 0:
                 parent = node.parent = nodes[parent_slot]
@@ -431,7 +423,6 @@ class ColumnStore:
         document = nodes[0]
         assert isinstance(document, DocumentNode)
         self.nodes = nodes
-        self.stamp = stamp
         if schema is not None:
             from ..schema.validator import validate
             validate(document, schema)
@@ -444,7 +435,6 @@ class ColumnStore:
         compact columns remain resident, with the canonical text and
         spans if filled (slots are stable across materializations)."""
         self.nodes = None
-        self.stamp = None
 
     # ------------------------------------------------------------------
     # Size accounting
@@ -669,48 +659,43 @@ def _subtree_ends(post: array, level: array) -> array:
 
 
 def get_store(document) -> ColumnStore | None:
-    """The document's attached column store, if it is still current.
-
-    Returns None for non-document roots, never-ingested documents, and
-    documents mutated since the store was built (the structure stamp
-    no longer matches) — callers then fall back to object-graph paths.
-    """
+    """The column store whose live materialization is ``document``
+    (None for any other root)."""
     if not isinstance(document, DocumentNode):
         return None
-    return document.current_store()
+    return store_for_node(document)
 
 
 def store_for_node(node: Node) -> ColumnStore | None:
-    """The current column store covering ``node``, if any.
+    """The column store whose live materialization holds ``node``.
 
-    The axis fast paths use this from arbitrary tree positions: the
-    node must carry a valid structure stamp that is *the same object*
-    as its root document's attached store — guaranteeing the node's
-    cached ``pre`` number is a live slot index into the columns.
+    The path and axis fast paths return the store's node objects, so
+    the node must be the one in its slot: a tree that was evicted (its
+    store detached or materialized again) or never stored gets None
+    and the object walks.  Stored trees never change, so nothing else
+    can make a store disagree with its tree.
     """
-    stamp = node._stamp
-    if stamp is None or not stamp.valid:
-        return None
     root = node
     while root.parent is not None:
         root = root.parent
     if not isinstance(root, DocumentNode):
         return None
     store = root.column_store
-    if (store is not None and store.nodes is not None
-            and store.stamp is stamp):
-        return store
-    return None
+    if store is None:
+        return None
+    nodes = store.nodes
+    if nodes is None or nodes[node._order[1]] is not node:
+        return None
+    return store
 
 
 def ingest_document(document: DocumentNode) -> ColumnStore:
-    """The current column store of ``document``, captured if needed.
+    """The column store of ``document``, captured if needed.
 
     A parsed document arrives with the store it was materialized from
     (so do documents materialized from replica-shipped columns) and it
-    is reused as-is; a document built or mutated as a tree is captured
-    by :meth:`ColumnStore.from_document`.  This is the only staleness
-    rule the path table has.
+    is reused as-is; a document built as a tree is captured by
+    :meth:`ColumnStore.from_document`.
     """
     store = get_store(document)
     if store is not None:

@@ -51,7 +51,6 @@ from ..xdm.atomic import INDEX_KEY_TYPES, AtomicValue, T_DATETIME
 from ..xdm.compare import promote
 from ..xdm.nodes import DocumentNode, Node
 from .btree import BPlusTree
-from .columnar import ingest_document
 
 @dataclass(frozen=True)
 class IndexEntry:
@@ -106,7 +105,7 @@ class XmlIndex:
         """Add the document's matching nodes: a clustered scan over its
         path partitions, the pattern tested once per distinct path."""
         counts = self._doc_entry_counts
-        for node, path in ingest_document(document).nodes_matching(
+        for node, path in document.column_store.nodes_matching(
                 self._pattern_matcher):
             key = self._key_for(node)
             if key is None:

@@ -11,9 +11,12 @@ modelled exactly:
   expression deduplication and the ``<<``/``>>`` comparisons.  Every
   node additionally carries a ``(pre, post, level)`` *interval
   encoding* (copied from the columns when a stored tree is built,
-  assigned lazily to constructed and mutated trees) so
-  descendant/ancestor/following tests are plain integer comparisons
-  and document-order sorting is a key sort with no tree walks.
+  assigned lazily to a constructed tree) so descendant/ancestor/
+  following tests are plain integer comparisons and document-order
+  sorting is a key sort with no tree walks.  A tree can change only
+  until it is numbered: after that every structural edit raises, so a
+  numbering (and the column store, index entries and canonical text
+  derived from a stored tree) never goes stale.
 * **Type annotations** (Sections 3.1, 3.6, 3.8): unvalidated elements
   are ``xdt:untyped`` and attributes ``xdt:untypedAtomic``; validation
   may attach schema types, including *list* types whose typed value is a
@@ -60,31 +63,13 @@ def allocate_node_ids(count: int) -> array:
         return array("q", itertools.islice(_NODE_IDS, count))
 
 
-#: Serializes lazy renumbering.  Two concurrent readers triggering
-#: ``_number_tree`` on the same tree would each mint their own
-#: ``TreeStamp``, leaving the tree with *mixed* stamps — a later
-#: mutation's O(1) invalidation would then miss the nodes holding the
-#: other stamp.  The lock sits on the slow path only: already-numbered
-#: trees never touch it.
+#: Serializes numbering and node-id draws: a reader that finds a tree
+#: unnumbered waits for the one pass that numbers it.  The lock sits on
+#: the slow path only: numbered trees never touch it.
 _NUMBER_LOCK = threading.Lock()
 
 #: Element type annotation meaning "no schema validation applied".
 UNTYPED_ELEMENT = "xdt:untyped"
-
-
-class TreeStamp:
-    """Shared validity token for one numbering pass over one tree.
-
-    Every node numbered in the same pass holds a reference to the same
-    stamp, so invalidating the structure of an entire tree after a
-    mutation is a single O(1) write (``stamp.valid = False``) instead
-    of a full-tree walk.
-    """
-
-    __slots__ = ("valid",)
-
-    def __init__(self):
-        self.valid = True
 
 
 class Node:
@@ -92,8 +77,7 @@ class Node:
 
     kind = "node"
 
-    __slots__ = ("node_id", "parent", "_order", "_post", "_level",
-                 "_stamp")
+    __slots__ = ("node_id", "parent", "_order", "_post", "_level")
 
     def __init__(self):
         self.node_id = next(_NODE_IDS)
@@ -101,7 +85,6 @@ class Node:
         self._order: tuple[int, int] | None = None
         self._post: int = -1
         self._level: int = -1
-        self._stamp: TreeStamp | None = None
 
     # -- identity & order --------------------------------------------
 
@@ -116,11 +99,9 @@ class Node:
         return node
 
     def _ensure_structure(self) -> None:
-        stamp = self._stamp
-        if stamp is None or not stamp.valid:
+        if self._order is None:
             with _NUMBER_LOCK:
-                stamp = self._stamp  # double-check under the lock
-                if stamp is None or not stamp.valid:
+                if self._order is None:  # double-check under the lock
                     _number_tree(self.root)
 
     def document_order_key(self) -> tuple[int, int]:
@@ -157,12 +138,6 @@ class Node:
 
     def is_descendant_of(self, other: "Node") -> bool:
         return other.is_ancestor_of(self)
-
-    def _mark_structure_dirty(self) -> None:
-        """Invalidate the cached encoding of this node's whole tree."""
-        stamp = self._stamp
-        if stamp is not None:
-            stamp.valid = False
 
     # -- values --------------------------------------------------------
 
@@ -215,15 +190,15 @@ def _walk_all(node: Node) -> Iterator[Node]:
 def _number_tree(root: Node) -> None:
     """Assign ``(pre, post, level)`` to every node of ``root``'s tree.
 
-    Iterative two-phase DFS: a node receives its ``pre`` number (and
-    level) when first visited and its ``post`` number after its whole
-    subtree — attributes included — has been numbered.  All nodes get
-    the same fresh :class:`TreeStamp`, making later whole-tree
-    invalidation O(1).
+    Iterative two-phase DFS: a node receives its level when first
+    visited and its ``post`` number after its whole subtree —
+    attributes included — has been numbered.  The ``pre`` numbers
+    follow in a second pass, last node first: a node counts as numbered
+    once its ``_order`` is set, and by then its ``post`` and ``level``
+    are written, as is everything after it in document order (the root
+    comes last), so a reader never sees a half-numbered node.
     """
-    tree_id = root.node_id
-    stamp = TreeStamp()
-    pre = 0
+    nodes: list[Node] = []
     post = 0
     stack: list[tuple[Node, int, bool]] = [(root, 0, False)]
     while stack:
@@ -232,90 +207,101 @@ def _number_tree(root: Node) -> None:
             node._post = post
             post += 1
             continue
-        node._order = (tree_id, pre)
-        pre += 1
+        nodes.append(node)
         node._level = level
-        node._stamp = stamp
         stack.append((node, level, True))
         for child in reversed(node.children):
             stack.append((child, level + 1, False))
         for attribute in reversed(node.attributes):
             stack.append((attribute, level + 1, False))
+    _publish_order(nodes)
 
 
-def number_from_columns(nodes: list[Node], post, level) -> TreeStamp:
+def _publish_order(nodes: list[Node]) -> None:
+    """Set the ``(tree id, pre)`` keys of ``nodes`` (a whole tree in
+    pre order), last node first."""
+    tree_id = nodes[0].node_id
+    for pre in range(len(nodes) - 1, -1, -1):
+        nodes[pre]._order = (tree_id, pre)
+
+
+def number_from_columns(nodes: list[Node], post, level) -> None:
     """Give ``nodes`` (a tree in pre order, attributes before
     children) the encoding :func:`_number_tree` would, read from its
-    column-store ``post`` / ``level`` arrays, under one fresh stamp."""
-    stamp = TreeStamp()
-    tree_id = nodes[0].node_id
+    column-store ``post`` / ``level`` arrays."""
     with _NUMBER_LOCK:
         for pre, node in enumerate(nodes):
-            node._order = (tree_id, pre)
             node._post = post[pre]
             node._level = level[pre]
-            node._stamp = stamp
-    return stamp
+        _publish_order(nodes)
 
 
-class DocumentNode(Node):
+def _check_unnumbered(node: Node) -> None:
+    """Structural edits are allowed only until the tree is numbered."""
+    if node._order is not None:
+        raise XQueryTypeError(
+            f"{node!r} belongs to a numbered tree, which cannot change")
+
+
+def _attach(parent: Node, node: Node) -> None:
+    """Make ``parent`` (an unnumbered node) the parent of ``node``,
+    which must be neither attached nor numbered."""
+    _check_unnumbered(parent)
+    if node.parent is not None or node._order is not None:
+        raise XQueryTypeError(
+            f"{node!r} already belongs to a tree; attach a copy")
+    node.parent = parent
+
+
+class _ParentNode(Node):
+    """Documents and elements: the node kinds with children."""
+
+    __slots__ = ("_children",)
+
+    @property
+    def children(self) -> list[Node]:
+        return self._children
+
+    def append_child(self, child: Node) -> None:
+        if child.kind == "attribute":
+            raise XQueryTypeError("attribute node cannot be a child")
+        _attach(self, child)
+        self._children.append(child)
+
+    def insert_child(self, position: int, child: Node) -> None:
+        if child.kind == "attribute":
+            raise XQueryTypeError("attribute node cannot be a child")
+        _attach(self, child)
+        self._children.insert(position, child)
+
+    def remove_child(self, child: Node) -> None:
+        _check_unnumbered(self)
+        self._children.remove(child)
+        child.parent = None
+
+    def string_value(self) -> str:
+        return "".join(child.string_value() for child in self._children
+                       if child.kind in ("element", "text"))
+
+
+class DocumentNode(_ParentNode):
     """A document node; ``db2-fn:xmlcolumn`` returns these (Section 3.5)."""
 
     kind = "document"
 
-    __slots__ = ("_children", "document_uri", "column_store")
+    __slots__ = ("document_uri", "column_store")
 
     def __init__(self, children: list[Node] | None = None,
                  document_uri: str = ""):
         super().__init__()
         self._children: list[Node] = []
         self.document_uri = document_uri
-        #: Columnar accelerator table attached at ingest (see
-        #: :mod:`repro.storage.columnar`), path table included;
-        #: stamp-validated, so the path and axis fast paths fall back
-        #: to object walks after mutations.
+        #: Columnar accelerator table the tree was materialized from or
+        #: captured into (see :mod:`repro.storage.columnar`), path
+        #: table included; the tree is numbered, so it never changes.
         self.column_store = None
         for child in children or []:
             self.append_child(child)
-
-    @property
-    def children(self) -> list[Node]:
-        return self._children
-
-    def current_store(self):
-        """The attached column store if it is still current: None for
-        a never-ingested document and after a mutation (the structure
-        stamp no longer matches)."""
-        store = self.column_store
-        if (store is not None and store.nodes is not None
-                and store.stamp is not None
-                and store.stamp is self._stamp and store.stamp.valid):
-            return store
-        return None
-
-    def append_child(self, child: Node) -> None:
-        child.parent = self
-        self._children.append(child)
-        self._mark_structure_dirty()
-        child._mark_structure_dirty()
-
-    def insert_child(self, position: int, child: Node) -> None:
-        """Insert ``child`` at ``position``; invalidates ``(pre, post)``."""
-        child.parent = self
-        self._children.insert(position, child)
-        self._mark_structure_dirty()
-        child._mark_structure_dirty()
-
-    def remove_child(self, child: Node) -> None:
-        """Detach ``child``; invalidates ``(pre, post)`` of the tree."""
-        self._children.remove(child)
-        child.parent = None
-        self._mark_structure_dirty()
-        child._mark_structure_dirty()
-
-    def string_value(self) -> str:
-        return "".join(child.string_value() for child in self._children
-                       if child.kind in ("element", "text"))
 
     def typed_value(self) -> list[AtomicValue]:
         return [untyped(self.string_value())]
@@ -328,10 +314,10 @@ class DocumentNode(Node):
         return None
 
 
-class ElementNode(Node):
+class ElementNode(_ParentNode):
     kind = "element"
 
-    __slots__ = ("_name", "_children", "_attributes", "type_annotation",
+    __slots__ = ("_name", "_attributes", "type_annotation",
                  "_typed_values", "in_scope_namespaces")
 
     def __init__(self, name: QName,
@@ -357,58 +343,23 @@ class ElementNode(Node):
         return self._name
 
     @property
-    def children(self) -> list[Node]:
-        return self._children
-
-    @property
     def attributes(self) -> list["AttributeNode"]:
         return self._attributes
 
     def add_attribute(self, attribute: "AttributeNode") -> None:
-        attribute.parent = self
+        _attach(self, attribute)
         self._attributes.append(attribute)
-        self._mark_structure_dirty()
-        attribute._mark_structure_dirty()
-
-    def append_child(self, child: Node) -> None:
-        if child.kind == "attribute":
-            raise XQueryTypeError("attribute node cannot be a child")
-        child.parent = self
-        self._children.append(child)
-        self._mark_structure_dirty()
-        child._mark_structure_dirty()
-
-    def insert_child(self, position: int, child: Node) -> None:
-        """Insert ``child`` at ``position``; invalidates ``(pre, post)``."""
-        if child.kind == "attribute":
-            raise XQueryTypeError("attribute node cannot be a child")
-        child.parent = self
-        self._children.insert(position, child)
-        self._mark_structure_dirty()
-        child._mark_structure_dirty()
-
-    def remove_child(self, child: Node) -> None:
-        """Detach ``child``; invalidates ``(pre, post)`` of the tree."""
-        self._children.remove(child)
-        child.parent = None
-        self._mark_structure_dirty()
-        child._mark_structure_dirty()
 
     def remove_attribute(self, attribute: "AttributeNode") -> None:
+        _check_unnumbered(self)
         self._attributes.remove(attribute)
         attribute.parent = None
-        self._mark_structure_dirty()
-        attribute._mark_structure_dirty()
 
     def attribute(self, local: str, uri: str = "") -> "AttributeNode | None":
         for attribute in self._attributes:
             if attribute.name.local == local and attribute.name.uri == uri:
                 return attribute
         return None
-
-    def string_value(self) -> str:
-        return "".join(child.string_value() for child in self._children
-                       if child.kind in ("element", "text"))
 
     def typed_value(self) -> list[AtomicValue]:
         if self._typed_values is not None:
@@ -458,10 +409,10 @@ class AttributeNode(Node):
         self._typed_values = list(values)
 
 
-# Leaf content is read-only, like element and attribute names: a
-# stored tree changes only through the structural methods above, which
-# invalidate its stamp, so nothing derived from it (string values, XML
-# index keys, the column store's canonical text) can go stale.
+# Leaf content is read-only, like element and attribute names, and a
+# numbered tree rejects every structural edit above, so nothing derived
+# from a stored tree (string values, XML index keys, the column store's
+# canonical text) can go stale.
 
 class TextNode(Node):
     kind = "text"

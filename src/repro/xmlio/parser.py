@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 
 from ..errors import XMLParseError
-from ..xdm.nodes import DocumentNode, Node
+from ..xdm.nodes import DocumentNode, Node, copy_node
 from ..xdm.qname import XML_NS
 
 #: A name; the lookahead keeps a failed match from backtracking into
@@ -87,15 +87,13 @@ def parse_columns(text: str, document_uri: str = ""):
 
 
 def parse_fragment(text: str) -> list[Node]:
-    """Parse a sequence of elements/text (used by direct constructors)."""
+    """Parse a sequence of elements/text into unattached, unnumbered
+    copies (a parsed tree is numbered, so its nodes stay in it)."""
     wrapped = parse_document(f"<repro-fragment-wrapper>{text}"
                              f"</repro-fragment-wrapper>")
     root = wrapped.root_element
     assert root is not None
-    children = list(root.children)
-    for child in children:
-        root.remove_child(child)
-    return children
+    return [copy_node(child) for child in root.children]
 
 
 def _error(text: str, pos: int, message: str) -> XMLParseError:

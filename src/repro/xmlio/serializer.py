@@ -59,7 +59,8 @@ def serialize(item: Item, indent: bool = False) -> str:
 
 def _stored_text(node: Node) -> str | None:
     """``node``'s serialization from its column store's canonical
-    text, or None without a current store or a span.  The document,
+    text, or None without a store or a span.  A stored tree never
+    changes, so the text is right for every materialization.  The document,
     and its element when that is its only child, serialize as the
     whole text: without one yet, they walk and keep the result,
     recording no spans (a WAL record or a checkpoint costs what it
@@ -68,10 +69,9 @@ def _stored_text(node: Node) -> str | None:
     the same complete text before its spans, so either result is right
     and no lock is needed."""
     document = node.root
-    if not isinstance(document, DocumentNode) or \
-            node._stamp is not document._stamp:
+    if not isinstance(document, DocumentNode):
         return None
-    store = document.current_store()
+    store = document.column_store
     if store is None:
         return None
     parent = node.parent

@@ -992,8 +992,8 @@ def _summary_lookup(matcher, summary_filter, items: list[Item], ctx
                     ) -> list[Node] | None:
     """Answer a path's leading step chain from path tables.
 
-    When every context item is an ingested, unmutated document (it
-    has a current column store), the nodes matching the path's
+    When every context item is a live stored document (the current
+    materialization of a column store), the nodes matching the path's
     compiled prefix (:func:`_path_plan`) come straight from the
     stores' path partitions — no subtree walk.  None on any doubt:
     the generic pipeline runs.
@@ -1001,7 +1001,7 @@ def _summary_lookup(matcher, summary_filter, items: list[Item], ctx
     stores = []
     # sa: ok(SA406: one store lookup per document root; bails early)
     for item in items:
-        store = (item.current_store()
+        store = (_column_store_for(item)
                  if isinstance(item, DocumentNode) else None)
         if store is None:
             return None
@@ -1319,7 +1319,7 @@ def _axis_nodes(node: Node, axis: str) -> list[Node]:
 
 def _column_store_for(node: Node):
     """Resolve the columnar accelerator table behind ``node`` (None for
-    constructed/mutated trees, which keep the object-walk paths)."""
+    constructed and evicted trees, which keep the object-walk paths)."""
     global _store_for_node
     if _store_for_node is None:
         from ..storage.columnar import store_for_node

@@ -17,11 +17,13 @@ from repro import cli
 from repro.durability import (CHECKPOINT_NAME, WAL_NAME, CrashError,
                               DurableDatabase, FaultInjector)
 from repro.durability.wal import scan_wal
-from repro.errors import XMLParseError
+from repro.errors import DurabilityError, XMLParseError, XQueryTypeError
 from repro.schema.schema import Schema
 from repro.workload.paperqueries import (PAPER_QUERIES,
                                          load_paper_fixture,
                                          run_paper_query)
+from repro.xdm.nodes import ElementNode, TextNode
+from repro.xdm.qname import QName
 from repro.xmlio import serialize
 from repro.xmlio.parser import MAX_DEPTH
 
@@ -481,3 +483,85 @@ def test_failed_delete_agrees_with_a_reopen(tmp_path, monkeypatch, where,
         assert len(database.xml_indexes["t_v"]) == len(kept)
     with reopen(tmp_path) as database:
         assert _delete_view(database) == view
+
+
+# ---------------------------------------------------------------------------
+# A failed group write fails the log until reopen
+# ---------------------------------------------------------------------------
+
+def test_a_failed_group_write_fails_the_log(tmp_path, monkeypatch):
+    # Batch group commit: k=2 returns with its record buffered, and the
+    # group write for k=2 and k=3 fails.  Both records are lost, so no
+    # later record may land behind them: every write refuses until
+    # reopen, and the reopen keeps exactly what reached the file.
+    with reopen(tmp_path, fsync_policy="batch", group_size=2) as database:
+        _table_with_index(database)
+        database.sync()
+        database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        wal = database._wal
+        failure = OSError("disk full")
+        _fail_next_write(monkeypatch, wal, failure)
+        with pytest.raises(OSError) as caught:
+            database.insert("t", {"k": 3, "d": "<r><v>3</v></r>"})
+        assert caught.value is failure
+        last_lsn = wal.last_lsn
+        writes = [
+            lambda: database.insert("t", {"k": 4, "d": "<r><v>4</v></r>"}),
+            lambda: database.delete_rows("t", lambda values: values["k"] == 1),
+            database.sync, database.checkpoint, wal.flush, wal.sync,
+            lambda: wal.append({"op": "drop_table", "name": "t"})]
+        for write in writes:
+            with pytest.raises(DurabilityError, match="reopen") as refused:
+                write()
+            assert refused.value.__cause__ is failure
+        assert wal.last_lsn == last_lsn
+        # The refused insert is rolled back and the refused delete
+        # removed nothing.
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 2, 3]
+    assert wal._handle.closed
+    with reopen(tmp_path) as database:
+        assert _delete_view(database) == ([1], ["<r><v>1</v></r>"],
+                                          ["<v>1</v>"])
+        database.insert("t", {"k": 5, "d": "<r><v>5</v></r>"})
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 5]
+
+
+# ---------------------------------------------------------------------------
+# Definition 1: a stored tree cannot change behind its indexes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_a_stored_tree_cannot_be_edited_behind_its_index(tmp_path,
+                                                         checkpoint):
+    # An edit of a stored tree would change what a scan sees but not
+    # the index entries (nor the log): the index route would answer
+    # [] and the scan route the edited document, and a reopen would
+    # keep the edit only after a checkpoint.  The stored tree is
+    # numbered, so the edit raises and every route agrees.
+    query = "db2-fn:xmlcolumn('O.D')/o[price > 50]"
+
+    def routes(database):
+        return [database.xquery(query, use_indexes=indexes).serialize()
+                for indexes in (True, False)]
+
+    with reopen(tmp_path) as database:
+        database.create_table("o", [("k", "INTEGER"), ("d", "XML")])
+        database.create_xml_index("o_price", "o", "d", "//price",
+                                  "DOUBLE")
+        database.insert("o", {"k": 1, "d": "<o><price>0</price></o>"})
+        database.insert("o", {"k": 2, "d": "<o><price>75</price></o>"})
+        root = database.table("o").rows[0].values["d"].document.root_element
+        with pytest.raises(XQueryTypeError, match="numbered"):
+            root.append_child(ElementNode(QName("", "price"),
+                                          children=[TextNode("99")]))
+        assert serialize(root) == "<o><price>0</price></o>"
+        expected = ["<o><price>75</price></o>"]
+        assert routes(database) == [expected, expected]
+        assert database.xquery(query).stats.indexes_used
+        if checkpoint:
+            database.checkpoint()
+    with reopen(tmp_path) as database:
+        assert routes(database) == [expected, expected]

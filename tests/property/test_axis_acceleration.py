@@ -3,25 +3,27 @@
 The ``(pre, post, level)`` encoding turns descendant/ancestor/following/
 preceding into interval tests and document-order sorting into a key
 sort.  These tests pit every accelerated axis against a dumb recursive
-walk on randomized trees — including after ``insert_child`` /
-``remove_child`` / ``remove_attribute`` mutations, which must invalidate
-the cached numbering (the stamp) rather than serve stale intervals.
+walk on randomized trees — including trees edited by ``insert_child`` /
+``remove_child`` / ``remove_attribute`` before their first numbering,
+after which every edit must raise instead of leaving stale intervals.
 
 The column store's path table (the per-document structural summary)
 is checked against a naive root-to-node path walk on the same trees,
-which carry namespaced names, attributes, comments and PIs: a mutated
-document has no current store, the evaluator falls back to the generic
-pipeline, and a re-captured store's ``path_counts()`` / ``nodes_for()``
-equal the walk.
+which carry namespaced names, attributes, comments and PIs: a tree
+that was never captured has no store and the evaluator runs the
+generic pipeline; a captured store's ``path_counts()`` /
+``nodes_for()`` equal the walk.
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import (PathComponent, PatternMatcher,
                                  parse_xmlpattern)
+from repro.errors import XQueryTypeError
 from repro.planner.stats import ExecutionStats
 from repro.storage.columnar import get_store, ingest_document
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
@@ -269,15 +271,11 @@ def test_axes_match_naive_oracle(spec, data):
                     min_size=1, max_size=4),
        data=st.data())
 def test_axes_match_oracle_after_mutation(spec, ops, data):
+    # A tree can change only until it is numbered: the edits go to the
+    # fresh tree, then the numbering, the column store and the path
+    # table must all describe the edited tree.
     document = build_document(spec)
-    ingest_document(document)
-    # Force the numbering so mutations must *invalidate*, not just
-    # compute fresh.
-    document.structure()
-    assert_axes_match_oracles(document)
-
     fresh_tag = iter(range(10_000))
-    mutated = False
     for op, pick, position in ops:
         elements = [n for n in ordered_nodes(document)
                     if n.kind == "element"]
@@ -303,18 +301,23 @@ def test_axes_match_oracle_after_mutation(spec, ops, data):
             parent = candidates[pick % len(candidates)]
             parent.remove_attribute(
                 parent.attributes[position % len(parent.attributes)])
-        mutated = True
 
-    # A mutated tree has no current store: the axes and the evaluator
-    # fall back to object walks instead of serving stale slots.
-    assert (get_store(document) is None) is mutated
     assert_axes_match_oracles(document)
     everything = ordered_nodes(document)
     shuffled = data.draw(st.permutations(everything))
     assert_order_sort_matches(document, list(shuffled))
     assert_evaluator_path(document)
-    # Re-capture is the one staleness rule: afterwards the path table
-    # and the range scans describe the mutated tree.
+    # Numbered now: an edit raises and leaves the tree as it was.
+    target = data.draw(st.sampled_from(
+        [n for n in everything if n.kind == "element"]))
+    with pytest.raises(XQueryTypeError):
+        target.insert_child(0, ElementNode(QName("", "late")))
+    if target.children:
+        with pytest.raises(XQueryTypeError):
+            target.remove_child(target.children[0])
+    assert ids(ordered_nodes(document)) == ids(everything)
+    # Captured: the column-store range scans and the path table must
+    # answer exactly what the object walks did.
     assert_path_table_fresh(document)
     assert_axes_match_oracles(document)
     assert_evaluator_path(document)

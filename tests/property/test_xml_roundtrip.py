@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import XMLParseError
+from repro.errors import XMLParseError, XQueryTypeError
 from repro.obs.metrics import METRICS, enabled_metrics
-from repro.storage.columnar import ColumnStore, ingest_document
+from repro.storage.columnar import ColumnStore, get_store
 from repro.workload import WorkloadGenerator
 from repro.workload.generator import OrderProfile
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
@@ -197,7 +197,7 @@ def test_parser_and_tree_capture_build_the_same_columns(root):
     text = serialize(DocumentNode([root]))
     document = parse_document(text)
     parsed = document.column_store
-    assert document.current_store() is parsed
+    assert get_store(document) is parsed
     numbering = [node.structure() for node in parsed.nodes]
     assert_paths_partition_the_nodes(parsed)
     captured = ColumnStore.from_document(document)
@@ -284,19 +284,28 @@ def test_fixed_documents_serialize_like_the_walk(text):
 
 @given(documents, st.data())
 def test_mutation_shows_through_the_serializer(root, data):
+    # A stored tree is numbered, so it cannot change: every structural
+    # edit raises, and the order, the store and its canonical text stay
+    # as they were.
     document = parse_document(serialize(DocumentNode([root])))
     assert_serializes_like_the_walk(document)
     store = document.column_store
+    canonical = store.canonical
+    numbering = [node.structure() for node in store.nodes]
     target = data.draw(st.sampled_from(stored_nodes(document)[1:]))
-    if target.children and data.draw(st.booleans()):
-        target.remove_child(target.children[0])
-    else:
-        target.append_child(ElementNode(QName("", "added")))
-    assert document.current_store() is None
-    assert_serializes_like_the_walk(document)
-    assert serialize(document) != store.canonical
-    # A re-capture is a new store with an empty cache.
-    assert ingest_document(document).canonical is None
+    edits = [lambda: target.append_child(ElementNode(QName("", "added"))),
+             lambda: target.insert_child(0, TextNode("t")),
+             lambda: target.add_attribute(AttributeNode(QName("", "n"), "v"))]
+    if target.children:
+        edits.append(lambda: target.remove_child(target.children[0]))
+    if target.attributes:
+        edits.append(lambda: target.remove_attribute(target.attributes[0]))
+    for edit in edits:
+        with pytest.raises(XQueryTypeError):
+            edit()
+    assert get_store(document) is store
+    assert [node.structure() for node in store.nodes] == numbering
+    assert store.canonical == canonical == walk(document)
     assert_serializes_like_the_walk(document)
 
 

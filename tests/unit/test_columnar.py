@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.core.patterns import ROOT_PATH, PatternMatcher, parse_xmlpattern
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, XQueryTypeError
 from repro.storage.columnar import (ColumnStore, KIND_ATTRIBUTE,
                                     KIND_DOCUMENT, get_store,
                                     ingest_document, store_for_node)
@@ -248,11 +248,19 @@ class TestStoreLifecycle:
     def test_get_store_requires_valid_stamp(self):
         document, store = build("<a><b>x</b></a>")
         assert get_store(document) is store
-        # Mutating the tree invalidates the stamp: the store must no
-        # longer be offered for that document.
+        # A stored tree is numbered, so the edit raises and the store
+        # stays the document's.  Only a tree that is no longer the
+        # store's live materialization loses it.
         element = document.root_element
-        element.remove_child(element.children[0])
+        with pytest.raises(XQueryTypeError):
+            element.remove_child(element.children[0])
+        assert get_store(document) is store
+        rebuilt = store.materialize()
+        assert get_store(rebuilt) is store
         assert get_store(document) is None
+        assert store_for_node(element) is None
+        store.detach()
+        assert get_store(rebuilt) is None
 
     def test_store_for_node_walks_to_root(self):
         document, store = build("<a><b><c/></b></a>")

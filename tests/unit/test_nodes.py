@@ -1,7 +1,11 @@
 """Unit tests for the XDM node hierarchy."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.errors import XQueryTypeError
 from repro.storage.columnar import ingest_document
 from repro.xdm import atomic
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
@@ -10,6 +14,7 @@ from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
 from repro.xdm.qname import QName
 from repro.xdm.sequence import (atomize, document_order,
                                 effective_boolean_value)
+from repro.xmlio import parse_document
 
 from ..paths import spell
 
@@ -81,9 +86,9 @@ class TestStructure:
         (ProcessingInstructionNode("t", "d"), "target"),
         (ProcessingInstructionNode("t", "d"), "content")])
     def test_leaf_content_is_read_only(self, node, slot):
-        """Leaf content changes no structure stamp, so it cannot be
-        assignable: string values, index keys and a store's canonical
-        text would go stale."""
+        """Leaf content is read-only even before numbering: string
+        values, index keys and a store's canonical text would go
+        stale."""
         before = getattr(node, slot)
         with pytest.raises(AttributeError):
             setattr(node, slot, "changed")
@@ -113,13 +118,16 @@ class TestIdentityAndOrder:
             first_child.document_order_key()
 
     def test_order_invalidated_by_mutation(self):
+        # Numbering freezes the tree: the edit raises and no key moves.
         doc = build_order()
         root = doc.root_element
-        key_before = root.children[0].document_order_key()
-        root.append_child(ElementNode(QName("", "late")))
-        # Keys are recomputed and remain consistent.
-        assert root.children[0].document_order_key() == key_before
-        assert root.children[-1].document_order_key() > key_before
+        keys = [node.document_order_key() for node in
+                doc.descendants_or_self()]
+        with pytest.raises(XQueryTypeError):
+            root.append_child(ElementNode(QName("", "late")))
+        assert len(root.children) == 1
+        assert [node.document_order_key() for node in
+                doc.descendants_or_self()] == keys
 
     def test_document_order_helper_dedups(self):
         doc = build_order()
@@ -127,6 +135,138 @@ class TestIdentityAndOrder:
         result = document_order([item, doc.root_element, item])
         assert len(result) == 2
         assert result[0] is doc.root_element
+
+
+EDITS = ("append_child", "insert_child", "remove_child", "add_attribute",
+         "remove_attribute")
+
+
+def edits(element: ElementNode) -> dict:
+    """Every structural edit of the node API (``EDITS``), aimed at
+    ``element``."""
+    return {
+        "append_child": lambda: element.append_child(TextNode("t")),
+        "insert_child": lambda: element.insert_child(0, TextNode("t")),
+        "remove_child": lambda: element.remove_child(element.children[0]),
+        "add_attribute": lambda: element.add_attribute(
+            AttributeNode(QName("", "n"), "v")),
+        "remove_attribute": lambda: element.remove_attribute(
+            element.attributes[0]),
+    }
+
+
+class TestFreezeOnNumbering:
+    """A tree can change only until it is numbered."""
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_numbered_tree_rejects_every_edit(self, edit):
+        doc = build_order()
+        item = doc.root_element.children[0]
+        item.structure()
+        before = (list(item.children), list(item.attributes))
+        with pytest.raises(XQueryTypeError, match="numbered"):
+            edits(item)[edit]()
+        assert (item.children, item.attributes) == before
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_unnumbered_tree_takes_every_edit(self, edit):
+        doc = build_order()
+        item = doc.root_element.children[0]
+        edits(item)[edit]()
+        nodes = list(doc.descendants_or_self())
+        assert [node.document_order_key() for node in nodes] == \
+            sorted(node.document_order_key() for node in nodes)
+
+    @pytest.mark.parametrize("numbered", [
+        lambda: build_order(),
+        lambda: ingest_document(build_order()).nodes[0],
+        lambda: parse_document("<a/>"),
+        lambda: parse_document("<a/>").column_store.materialize()],
+        ids=["constructed", "captured", "parsed", "materialized"])
+    def test_numbered_node_cannot_be_attached(self, numbered):
+        node = numbered()
+        node.document_order_key()
+        with pytest.raises(XQueryTypeError):
+            ElementNode(QName("", "p")).append_child(node)
+
+    def test_a_stored_tree_arrives_numbered(self):
+        doc = parse_document("<a><b/></a>")
+        with pytest.raises(XQueryTypeError):
+            doc.root_element.append_child(ElementNode(QName("", "c")))
+        captured = build_order()
+        ingest_document(captured)
+        with pytest.raises(XQueryTypeError):
+            captured.root_element.remove_child(
+                captured.root_element.children[0])
+
+
+class TestAttachRules:
+    @pytest.mark.parametrize("attach", [
+        lambda parent, node: parent.append_child(node),
+        lambda parent, node: parent.insert_child(0, node)],
+        ids=["append_child", "insert_child"])
+    def test_a_child_has_one_parent(self, attach):
+        child = ElementNode(QName("", "c"))
+        first = ElementNode(QName("", "a"), children=[child])
+        second = ElementNode(QName("", "b"))
+        with pytest.raises(XQueryTypeError, match="already belongs"):
+            attach(second, child)
+        assert child.parent is first
+        assert second.children == []
+        with pytest.raises(XQueryTypeError):
+            attach(DocumentNode(), child)
+
+    def test_an_attribute_has_one_parent(self):
+        attribute = AttributeNode(QName("", "x"), "1")
+        first = ElementNode(QName("", "a"), attributes=[attribute])
+        second = ElementNode(QName("", "b"))
+        with pytest.raises(XQueryTypeError, match="already belongs"):
+            second.add_attribute(attribute)
+        assert attribute.parent is first
+        assert second.attributes == []
+
+    def test_a_removed_child_can_move(self):
+        child = ElementNode(QName("", "c"))
+        first = ElementNode(QName("", "a"), children=[child])
+        first.remove_child(child)
+        second = ElementNode(QName("", "b"), children=[child])
+        assert child.parent is second
+
+    @pytest.mark.parametrize("attach", [
+        lambda document, node: document.append_child(node),
+        lambda document, node: document.insert_child(0, node)],
+        ids=["append_child", "insert_child"])
+    def test_document_rejects_an_attribute_child(self, attach):
+        document = DocumentNode()
+        with pytest.raises(XQueryTypeError, match="cannot be a child"):
+            attach(document, AttributeNode(QName("", "x"), "1"))
+        assert document.children == []
+        with pytest.raises(XQueryTypeError):
+            DocumentNode([AttributeNode(QName("", "x"), "1")])
+
+
+class TestConcurrentNumbering:
+    def test_a_reader_never_sees_a_half_numbered_node(self):
+        # One thread numbers a wide fresh tree while another reads its
+        # root element's encoding: a node counts as numbered only once
+        # its pre, post and level are all written.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _trial in range(5):
+                root = ElementNode(QName("", "r"), children=[
+                    ElementNode(QName("", "c")) for _ in range(20_000)])
+                doc = DocumentNode([root])
+                numberer = threading.Thread(target=doc.structure)
+                reads = []
+                numberer.start()
+                while numberer.is_alive() or not reads:
+                    reads.append(root.structure())
+                numberer.join()
+                expected = (doc.node_id, 1, 20_000, 1)
+                assert set(reads) == {expected}
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestCopy:
