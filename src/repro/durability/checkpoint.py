@@ -2,32 +2,30 @@
 
 A checkpoint is the full logical state of the database — tables with
 their typed columns and rows, registered (and per-document) schemas,
-index *definitions*, and per-document path-table shapes — written to
-a temp file, fsynced, and atomically renamed to ``checkpoint.json``.
-Readers of the directory therefore always see either the previous
-complete checkpoint or the new complete checkpoint, never a partial
-one.
+index *definitions*, and every stored document as one column segment —
+written to a temp file, fsynced, and atomically renamed to
+``checkpoint.json``.  Readers of the directory therefore always see
+either the previous complete checkpoint or the new complete
+checkpoint, never a partial one.
 
 Two deliberate shape choices:
 
 * **Indexes are not serialized.**  B+Trees are derived state; the
   checkpoint records each index's defining DDL (table, column,
   XMLPATTERN text, SQL type) and recovery replays the ``CREATE
-  INDEX``, rebuilding the tree from the recovered documents.  That
-  keeps the checkpoint small and immune to index-format drift.
-* **Path tables are persisted as counts, not slot lists.**  Recovery
-  parses each document's text straight into columns, path partitions
-  included.  The top-level ``paths`` is one
-  :class:`~repro.storage.columnar.PathTable` of every document's
-  paths; each document's ``$paths`` is its path counts as sorted
-  ``[path row, count]`` pairs, which ``recover --verify`` compares
-  against the path tables the parse built — an end-to-end integrity
-  oracle over serialize → parse into columns.
+  INDEX``, rebuilding the tree from the recovered documents' columns.
+  That keeps the checkpoint small and immune to index-format drift.
+* **Documents are stored columns, not text.**  Each XML value is its
+  :class:`~repro.storage.segment.Segment` (``{"$seg", "$text"}``,
+  CRC'd), whose names and namespace scopes index the checkpoint's one
+  shared ``names`` / ``scopes`` tables; recovery *adopts* each segment
+  (re-deriving post, level, path partitions and text offsets) and
+  parses nothing.  ``recover --verify`` checks the adoption end to end
+  by a round trip: materialize, serialize, parse back, compare the
+  columns slot by slot.
 
-XML column values are serialized with :func:`repro.xmlio.serializer.
-serialize`; the round-trip property test in
-``tests/property/test_xml_roundtrip.py`` is what makes that a safe
-persistence format.
+Format 3 is the only one read; older checkpoints are a
+:class:`~repro.errors.DurabilityError`.
 """
 
 from __future__ import annotations
@@ -38,9 +36,8 @@ from dataclasses import dataclass
 from ..errors import DurabilityError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..storage.columnar import PathTable
+from ..storage.segment import SegmentTables, encode_document
 from ..storage.table import StoredDocument
-from ..xmlio.serializer import serialize
 from . import fsio
 from .codec import encode_schema, encode_value
 from .faults import NO_FAULTS
@@ -49,7 +46,7 @@ __all__ = ["CHECKPOINT_NAME", "CheckpointInfo", "write_checkpoint",
            "load_checkpoint"]
 
 CHECKPOINT_NAME = "checkpoint.json"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -62,21 +59,15 @@ class CheckpointInfo:
     bytes_written: int
 
 
-def encode_database(database, last_lsn: int, *,
-                    ship_columns: bool = False) -> dict:
-    """The checkpoint document for the database's current state.
+def encode_database(database, last_lsn: int) -> dict:
+    """The checkpoint document for the database's current state — also
+    what a process pool ships to bootstrap its replicas.
 
-    Caller holds the exclusive write lock, so the traversal sees one
-    consistent version.
-
-    ``ship_columns=True`` additionally embeds each document's columnar
-    payload (``$columns``) next to its canonical text.  This is the
-    *replica shipping* variant (see :mod:`repro.parallel.pool`):
-    followers rebuild trees directly from the columns — one
-    materialization pass, no re-parse, no summary walk — with the
-    primary's node ids preserved.  Disk checkpoints never set it, so
-    the on-disk format bytes are unchanged."""
-    paths = PathTable()
+    Caller holds the exclusive write lock (a pool: the shared one,
+    which excludes writers too), so the traversal sees one consistent
+    version.  No document is materialized: each is encoded from its
+    columns."""
+    segment_tables = SegmentTables()
     tables = []
     for table in database.tables.values():
         rows = []
@@ -84,18 +75,10 @@ def encode_database(database, last_lsn: int, *,
             encoded_row = {}
             for column, value in row.values.items():
                 if isinstance(value, StoredDocument):
-                    document = value.document
-                    store = value.columns
-                    paths.add(store.paths)
-                    encoded_row[column] = {
-                        "$xml": serialize(document),
-                        "$schema": value.schema_name,
-                        "$paths": sorted(
-                            [paths.index[path], count]
-                            for path, count in store.path_counts().items()),
-                    }
-                    if ship_columns:
-                        encoded_row[column]["$columns"] = store.to_payload()
+                    encoded = encode_document(value.columns, segment_tables)
+                    if value.schema_name is not None:
+                        encoded["$schema"] = value.schema_name
+                    encoded_row[column] = encoded
                 else:
                     encoded_row[column] = encode_value(value)
             rows.append(encoded_row)
@@ -105,6 +88,7 @@ def encode_database(database, last_lsn: int, *,
                         for column, sql_type in table.columns.items()],
             "rows": rows,
         })
+    names, scopes = segment_tables.to_json()
     schemas = [dict(encode_schema(schema), registered=True)
                for schema in database.schemas.values()]
     noted = getattr(database, "_doc_schemas", {})
@@ -115,7 +99,8 @@ def encode_database(database, last_lsn: int, *,
         "format": FORMAT_VERSION,
         "last_lsn": last_lsn,
         "index_order": database.index_order,
-        "paths": paths.rows,
+        "names": names,
+        "scopes": scopes,
         "tables": tables,
         "schemas": schemas,
         "xml_indexes": [

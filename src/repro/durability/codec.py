@@ -9,9 +9,10 @@ which are tagged with single-key objects so decoding is unambiguous:
 ``{"$date": "2006-09-12"}``    ``datetime.date`` (ISO)
 ``{"$ts": "…T…"}``             ``datetime.datetime`` (ISO)
 ``{"$f": "nan" | "inf" …}``    non-finite floats (invalid JSON)
-``{"$xml": "<order>…"}``       a stored document, serialized text
 =============================  =======================================
 
+A stored document is an object keyed ``$seg`` and ``$text``: its column
+segment (:func:`repro.storage.segment.encode_document`).
 Plain strings never collide with tags (tags are objects), and finite
 floats/ints/bools/None pass through as JSON scalars.  Decoded scalars
 re-enter the engine through ``Table.new_row``'s ``coerce_to_type``,

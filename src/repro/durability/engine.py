@@ -18,6 +18,16 @@ insert whose record never reaches the log (it cannot be encoded, or
 its write fails) is rolled back before the error propagates, so no
 unlogged row stays visible; a failure after the record reached the
 log (its fsync, a subscriber) keeps the row, which replay restores.
+An insert record holds each document as its column segment, encoded
+from the columns the insert parsed, so no tree is built to log it.
+
+Once a group write or fsync has failed the log
+(:class:`~repro.durability.wal.WriteAheadLog`), memory may hold rows
+whose records were lost: from then on every writer *and* every read
+entry point (``xquery``, ``sql``, ``snapshot``, ``explain``,
+``process_pool``) raises :class:`~repro.errors.DurabilityError` before
+touching state, until the database is reopened and recovery gives the
+authoritative state.
 
 ``delete_rows`` has the one non-obvious record shape: an arbitrary
 Python predicate cannot be replayed, so the record stores the victim
@@ -34,8 +44,8 @@ import pathlib
 from ..analysis import sanitizer as _sanitizer
 from ..schema.schema import Schema
 from ..storage.catalog import Database
+from ..storage.segment import encode_document
 from ..storage.table import Row, StoredDocument, Table
-from ..xmlio.serializer import serialize
 from . import fsio
 from .checkpoint import CheckpointInfo, write_checkpoint
 from .codec import encode_schema, encode_value
@@ -100,6 +110,7 @@ class DurableDatabase(Database):
     def create_table(self, name: str,
                      columns: list[tuple[str, str]]) -> Table:
         with self._rwlock.write():
+            self._refuse_if_failed()
             table = super().create_table(name, columns)
             self._log({
                 "op": "create_table", "name": table.name,
@@ -109,12 +120,14 @@ class DurableDatabase(Database):
 
     def drop_table(self, name: str) -> None:
         with self._rwlock.write():
+            self._refuse_if_failed()
             key = self.table(name).name
             super().drop_table(name)
             self._log({"op": "drop_table", "name": key})
 
     def register_schema(self, schema: Schema) -> None:
         with self._rwlock.write():
+            self._refuse_if_failed()
             super().register_schema(schema)
             self._log({"op": "register_schema",
                        "schema": encode_schema(schema)})
@@ -122,6 +135,7 @@ class DurableDatabase(Database):
     def create_xml_index(self, name: str, table: str, column: str,
                          pattern: str, index_type: str):
         with self._rwlock.write():
+            self._refuse_if_failed()
             index = super().create_xml_index(name, table, column,
                                              pattern, index_type)
             self._log({
@@ -139,6 +153,7 @@ class DurableDatabase(Database):
         a crash before this point leaves no WAL trace (no index after
         recovery), a crash after it replays a complete build."""
         with self._rwlock.write():
+            self._refuse_if_failed()
             super()._publish_xml_index(index)
             self._log({
                 "op": "create_xml_index", "name": index.name,
@@ -149,6 +164,7 @@ class DurableDatabase(Database):
     def create_relational_index(self, name: str, table: str,
                                 column: str):
         with self._rwlock.write():
+            self._refuse_if_failed()
             index = super().create_relational_index(name, table, column)
             self._log({
                 "op": "create_relational_index", "name": index.name,
@@ -157,12 +173,14 @@ class DurableDatabase(Database):
 
     def drop_index(self, name: str) -> None:
         with self._rwlock.write():
+            self._refuse_if_failed()
             super().drop_index(name)
             self._log({"op": "drop_index", "name": name.lower()})
 
     def insert(self, table: str, values: dict[str, object],
                schema=None) -> Row:
         with self._rwlock.write():
+            self._refuse_if_failed()
             row = super().insert(table, values, schema)
             if self._replaying:
                 self._note_row_schemas(row, schema)
@@ -186,7 +204,7 @@ class DurableDatabase(Database):
         record_schemas: dict[str, dict] = {}
         for key, value in row.values.items():
             if isinstance(value, StoredDocument):
-                record_values[key] = {"$xml": serialize(value.document)}
+                record_values[key] = encode_document(value.columns)
                 if value.schema_name is not None:
                     record_schemas[key] = self._note_schema(
                         self._schema_for(schema, key))
@@ -200,6 +218,7 @@ class DurableDatabase(Database):
 
     def delete_rows(self, table: str, predicate=None) -> int:
         with self._rwlock.write():
+            self._refuse_if_failed()
             table_obj = self.table(table)
             positions = [position for position, row
                          in enumerate(table_obj.rows)
@@ -220,6 +239,30 @@ class DurableDatabase(Database):
 
     # ``_delete_positions`` (the replay arm of ``delete_rows``) lives on
     # the base Database so read replicas can replay shipped records too.
+
+    # ------------------------------------------------------------------
+    # Reads (refused, like writes, once the log has failed)
+    # ------------------------------------------------------------------
+
+    def snapshot(self):
+        self._refuse_if_failed()
+        return super().snapshot()
+
+    def xquery(self, query: str, *args, **kwargs):
+        self._refuse_if_failed()
+        return super().xquery(query, *args, **kwargs)
+
+    def sql(self, statement: str, *args, **kwargs):
+        self._refuse_if_failed()
+        return super().sql(statement, *args, **kwargs)
+
+    def explain(self, query: str) -> str:
+        self._refuse_if_failed()
+        return super().explain(query)
+
+    def process_pool(self, processes: int = 2, **options):
+        self._refuse_if_failed()
+        return super().process_pool(processes, **options)
 
     # ------------------------------------------------------------------
     # Durability operations
@@ -278,6 +321,13 @@ class DurableDatabase(Database):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _refuse_if_failed(self) -> None:
+        """Once the log has failed, every operation raises until reopen:
+        records the log lost may hold rows that memory still shows, and
+        a DDL applied now could never be logged."""
+        if not self._replaying:
+            self._wal.raise_if_failed()
 
     # sa: ok(SA403: WAL append fsyncs inside the writer section BY
     # DESIGN — the write lock is what serializes the log with the

@@ -15,10 +15,17 @@ and each DDL apply tolerates already-present/already-absent targets.
 Recovering the same directory twice is therefore a no-op: same state,
 same LSNs, nothing rewritten.
 
+Documents are *adopted*, never parsed: every checkpoint row and every
+logged insert holds its document as a column segment
+(:mod:`repro.storage.segment`), which becomes the document's column
+store directly, and no tree is built until a read asks for one.
+Schema-validated documents are the exception: validation annotates a
+tree, so they materialize as they did at insert.
+
 Emits ``recovery`` trace spans (via :mod:`repro.obs.trace`) and
-``recovery.*`` metrics; ``verify=True`` additionally checks the path
-table the parser built for every checkpointed document against the
-shape the checkpoint recorded.
+``recovery.*`` metrics; ``verify=True`` additionally round-trips every
+recovered document — materialize, serialize, parse back — and compares
+the parsed columns with the adopted ones slot by slot.
 """
 
 from __future__ import annotations
@@ -26,12 +33,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..errors import DurabilityError
+from ..errors import DurabilityError, XMLParseError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..schema.schema import Schema
-from ..storage.columnar import ColumnStore, decode_path_table
+from ..storage.segment import SegmentTables, decode_document
 from ..storage.table import StoredDocument
+from ..xmlio.parser import parse_columns
+from ..xmlio.serializer import serialize
 from . import fsio
 from .checkpoint import load_checkpoint
 from .codec import decode_schema, decode_value
@@ -54,8 +63,8 @@ class VerifyReport:
 
     def render(self) -> str:
         if self.ok:
-            return (f"verify: {self.documents_checked} document "
-                    f"summaries match the checkpoint")
+            return (f"verify: {self.documents_checked} documents "
+                    f"round-trip slot for slot")
         lines = [f"verify: {len(self.mismatches)} mismatch(es) over "
                  f"{self.documents_checked} documents"]
         lines.extend(f"  {mismatch}" for mismatch in self.mismatches)
@@ -108,7 +117,7 @@ def recover(database, directory, *, verify: bool = False,
             state = load_checkpoint(directory)
             checkpoint_lsn = state["last_lsn"] if state else 0
             if state is not None:
-                _apply_checkpoint(database, state, report)
+                _apply_checkpoint(database, state)
         scan = scan_wal(wal_path)
         if scan.torn_bytes:
             # Torn-tail repair: drop the partial final frame so later
@@ -124,8 +133,10 @@ def recover(database, directory, *, verify: bool = False,
                 if lsn <= checkpoint_lsn:
                     skipped += 1
                     continue
-                _apply_record(database, record)
+                _apply_record(database, record, lsn)
                 replayed += 1
+        if report is not None:
+            _verify_round_trips(database, report)
     seconds = time.perf_counter() - start
     if METRICS.enabled:
         METRICS.inc("recovery.runs")
@@ -148,10 +159,10 @@ def recover(database, directory, *, verify: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _apply_checkpoint(database, state: dict,
-                      report: VerifyReport | None) -> None:
+def _apply_checkpoint(database, state: dict) -> None:
     database.index_order = state["index_order"]
-    paths = decode_path_table(state["paths"], "checkpoint path table")
+    tables = SegmentTables.from_json(state["names"], state["scopes"],
+                                     "checkpoint")
     for table in state["tables"]:
         database.create_table(
             table["name"],
@@ -165,8 +176,9 @@ def _apply_checkpoint(database, state: dict,
             database._doc_schemas[schema.name] = schema
     for table in state["tables"]:
         for position, row in enumerate(table["rows"]):
-            _apply_checkpoint_row(database, table["name"], position,
-                                  row, report, paths)
+            _insert_encoded(database, table["name"], row,
+                            f"checkpoint {table['name']} row {position}",
+                            tables)
     # Indexes last: one bulk build over the recovered documents beats
     # per-row incremental maintenance during the load above.
     for index in state["xml_indexes"]:
@@ -180,54 +192,77 @@ def _apply_checkpoint(database, state: dict,
                 index["name"], index["table"], index["column"])
 
 
-def _apply_checkpoint_row(database, table_name: str, position: int,
-                          row: dict, report: VerifyReport | None,
-                          paths: list) -> None:
-    values: dict[str, object] = {}
-    schema_map: dict[str, Schema] = {}
-    stored_paths: dict[str, list] = {}
-    for column, encoded in row.items():
-        if isinstance(encoded, dict) and "$xml" in encoded:
-            columns_payload = encoded.get("$columns")
-            if columns_payload is not None:
-                # Replica-shipped columnar payload: materialize the
-                # tree straight from the columns (primary node ids
-                # preserved) instead of re-parsing the canonical text;
-                # the ingest path reuses the attached store as-is.
-                values[column] = ColumnStore.from_payload(
-                    columns_payload).materialize()
-            else:
-                values[column] = encoded["$xml"]
+def _insert_encoded(database, table_name: str, values: dict, where: str,
+                    tables: SegmentTables | None = None,
+                    schemas: dict | None = None) -> None:
+    """Insert one encoded row: scalars decoded, documents adopted from
+    their segments (``tables``: the checkpoint's shared names and
+    scopes; a WAL record's documents carry their own).  A schema named
+    by the row (``$schema``) or in ``schemas`` re-validates its
+    document."""
+    decoded: dict[str, object] = {}
+    schema_map: dict[str, Schema] = dict(schemas or {})
+    for column, encoded in values.items():
+        if isinstance(encoded, dict) and "$seg" in encoded:
+            decoded[column] = decode_document(
+                encoded, f"{where} column {column}", tables)
             schema_name = encoded.get("$schema")
             if schema_name:
                 schema_map[column] = _resolve_schema(database,
                                                      schema_name)
-            stored_paths[column] = encoded.get("$paths")
         else:
-            values[column] = decode_value(encoded)
-    inserted = database.insert(table_name, values,
-                               schema_map or None)
-    if report is None:
-        return
-    for column, expected in stored_paths.items():
-        stored = inserted.values.get(column)
-        if not isinstance(stored, StoredDocument) or expected is None:
-            continue
-        where = f"{table_name} row {position} column {column}"
-        for path_row, _count in expected:
-            if type(path_row) is not int or not 0 <= path_row < len(paths):
-                raise DurabilityError(
-                    f"checkpoint {where}: $paths row {path_row!r} outside "
-                    f"the path table's {len(paths)} rows")
-        report.documents_checked += 1
-        recorded = {paths[path_row]: count for path_row, count in expected}
-        rebuilt = stored.columns.path_counts()
-        if rebuilt != recorded or len(recorded) != len(expected):
-            report.mismatches.append(
-                f"{where}: re-captured path table has {len(rebuilt)} "
-                f"path(s), checkpoint recorded {len(expected)}"
-                + ("" if len(rebuilt) != len(expected)
-                   else " with differing shapes"))
+            decoded[column] = decode_value(encoded)
+    database.insert(table_name, decoded, schema_map or None)
+
+
+def _verify_round_trips(database, report: VerifyReport) -> None:
+    """``recover --verify``: every recovered document, materialized and
+    serialized, must parse back into the columns it was adopted as."""
+    for table in database.tables.values():
+        columns = table.xml_columns()
+        for position, row in enumerate(table.rows):
+            for column in columns:
+                stored = row.values.get(column)
+                if not isinstance(stored, StoredDocument):
+                    continue
+                report.documents_checked += 1
+                try:
+                    mismatch = _first_mismatch(
+                        stored.columns,
+                        parse_columns(serialize(stored.document)))
+                except XMLParseError as error:
+                    mismatch = f"does not parse back: {error}"
+                if mismatch is not None:
+                    report.mismatches.append(
+                        f"{table.name} row {position} column {column}: "
+                        f"{mismatch}")
+
+
+def _first_mismatch(adopted, parsed) -> str | None:
+    """Where two column stores first differ, slot by slot, or None."""
+    mine, theirs = _slots(adopted), _slots(parsed)
+    if len(mine) != len(theirs):
+        return f"{len(mine)} adopted slots, {len(theirs)} parsed back"
+    for slot, (adopted_slot, parsed_slot) in enumerate(zip(mine, theirs)):
+        if adopted_slot != parsed_slot:
+            return (f"slot {slot}: {adopted_slot!r} adopted, "
+                    f"{parsed_slot!r} parsed back")
+    return None
+
+
+def _slots(store) -> list[tuple]:
+    """Each slot's kind, parent, post, name and scope (by value), path
+    (by identity) and heap text."""
+    names, scopes, paths, text = (store.names, store.nsscopes, store.paths,
+                                  store.text)
+    return [(kind, parent, post,
+             names[name] if name >= 0 else None,
+             scopes[scope] if scope >= 0 else None,
+             paths[path] if path >= 0 else None,
+             text[low:high] if low >= 0 else None)
+            for kind, parent, post, name, scope, path, low, high in zip(
+                store.kind, store.parent, store.post, store.name_id,
+                store.ns_id, store.path_id, store.text_lo, store.text_hi)]
 
 
 def _resolve_schema(database, name: str) -> Schema:
@@ -245,7 +280,7 @@ def _resolve_schema(database, name: str) -> Schema:
 # ---------------------------------------------------------------------------
 
 
-def _apply_record(database, record: dict) -> None:
+def _apply_record(database, record: dict, lsn: int = 0) -> None:
     op = record.get("op")
     if op == "create_table":
         if record["name"] not in database.tables:
@@ -272,20 +307,15 @@ def _apply_record(database, record: dict) -> None:
                 or record["name"] in database.rel_indexes):
             database.drop_index(record["name"])
     elif op == "insert":
-        values: dict[str, object] = {}
-        schema_map: dict[str, Schema] = {}
-        for column, encoded in record["values"].items():
-            if isinstance(encoded, dict) and "$xml" in encoded:
-                values[column] = encoded["$xml"]
-            else:
-                values[column] = decode_value(encoded)
+        schemas: dict[str, Schema] = {}
         for column, entry in record.get("schemas", {}).items():
             if "$ref" in entry:
-                schema_map[column] = _resolve_schema(database,
-                                                     entry["$ref"])
+                schemas[column] = _resolve_schema(database, entry["$ref"])
             else:
-                schema_map[column] = decode_schema(entry)
-        database.insert(record["table"], values, schema_map or None)
+                schemas[column] = decode_schema(entry)
+        _insert_encoded(database, record["table"], record["values"],
+                        f"WAL record {lsn}: insert into {record['table']}",
+                        schemas=schemas)
     elif op == "delete_rows":
         database._delete_positions(record["table"], record["positions"])
     else:

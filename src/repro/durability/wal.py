@@ -2,9 +2,15 @@
 
 File layout::
 
-    REPROWAL1\\n                      10-byte magic
+    REPROWAL2\\n                      10-byte magic
     <lsn:u32><length:u32><crc:u32>   per-record frame header (LE)
     <payload: length bytes>          UTF-8 JSON of one logical record
+
+An insert record holds each document as a column segment with its own
+name and scope tables (:func:`repro.storage.segment.encode_document`),
+so replay adopts it without parsing.  The older ``REPROWAL1`` log
+(documents as XML text) has no reader: opening one is a
+:class:`~repro.errors.DurabilityError`.
 
 The log is *logical* (operation-level), mirroring how the engine's
 writers are already atomic critical sections: one committed writer call
@@ -60,7 +66,7 @@ __all__ = ["WAL_NAME", "WriteAheadLog", "WalScan", "scan_wal",
            "encode_record", "tail_wal"]
 
 WAL_NAME = "wal.log"
-MAGIC = b"REPROWAL1\n"
+MAGIC = b"REPROWAL2\n"
 _FRAME = struct.Struct("<III")  # lsn, payload length, crc32
 _MAX_RECORD = 64 * 1024 * 1024
 
@@ -109,6 +115,10 @@ def scan_wal(path) -> WalScan:
     data = fsio.read_bytes(path)
     scan.file_size = len(data)
     if len(data) < len(MAGIC) or not data.startswith(MAGIC):
+        if data.startswith(MAGIC[:-2]):
+            raise DurabilityError(
+                f"{path}: unsupported WAL format "
+                f"{data[:len(MAGIC) - 1].decode('ascii', 'replace')!r}")
         raise DurabilityError(f"{path}: not a repro WAL (bad magic)")
     offset = len(MAGIC)
     scan.valid_size = offset
@@ -232,7 +242,7 @@ class WriteAheadLog:
         buffered, :attr:`last_lsn` is unchanged: the record is not in
         the log and its LSN goes to the next append.
         """
-        self._raise_if_failed()
+        self.raise_if_failed()
         lsn = self._next_lsn
         data = encode_record(lsn, record)
         self._next_lsn += 1
@@ -248,7 +258,7 @@ class WriteAheadLog:
 
     def flush(self) -> None:
         """Write buffered records; fsync unless the policy is ``off``."""
-        self._raise_if_failed()
+        self.raise_if_failed()
         if self._pending:
             self._write_pending(self.fsync_policy != "off")
 
@@ -256,7 +266,7 @@ class WriteAheadLog:
     # durability must be ordered with the mutation it covers)
     def sync(self) -> None:
         """Force full durability: drain the buffer and fsync."""
-        self._raise_if_failed()
+        self.raise_if_failed()
         if self._pending:
             self._write_pending(sync=True)
         elif self._synced_size < self._written_size:
@@ -266,7 +276,10 @@ class WriteAheadLog:
                 self._failure = error
                 raise
 
-    def _raise_if_failed(self) -> None:
+    def raise_if_failed(self) -> None:
+        """Raise :class:`~repro.errors.DurabilityError` if the log has
+        failed: nothing may be written, or read as committed, until the
+        database is reopened."""
         if self._failure is not None:
             raise DurabilityError(
                 f"{self.path}: the log failed ({self._failure!r}); "

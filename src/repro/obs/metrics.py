@@ -24,12 +24,13 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``bufferpool.hits``               accesses that found the tree resident
 ``bufferpool.misses``             accesses that had to re-materialize
 ``bufferpool.evictions``          documents evicted by the LRU budget
-``bufferpool.spills``             column payloads written to spool files
-``bufferpool.loads``              column payloads read back from spool
+``bufferpool.spills``             column segments written to spool files
+``bufferpool.loads``              column segments read back from spool
 ``bufferpool.resident_bytes``     (gauge) bytes charged against the
                                   buffer-pool budget
 ``columnar.materializations``     XDM trees built from column stores
-                                  (every parse, every reload)
+                                  (a read's first, every reload)
+``xmlio.parses``                  XML documents parsed into columns
 ``serialize.slices``              stored nodes serialized as a slice of
                                   their store's canonical text
 ``serialize.walks``               serializations that walked a tree

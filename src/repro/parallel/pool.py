@@ -188,10 +188,9 @@ class ProcessPool:
         with database._rwlock.read():
             self._base_lsn = self._wal.last_lsn if self._wal else 0
             self._base_version = database.version
-            # ship_columns: followers materialize trees straight from
-            # the columnar payloads instead of re-parsing XML text.
-            state = encode_database(database, self._base_lsn,
-                                    ship_columns=True)
+            # Documents ship as column segments: followers adopt them
+            # without parsing, as recovery does.
+            state = encode_database(database, self._base_lsn)
             if self._wal is not None:
                 self._wal.subscribe(self._on_wal_append)
         try:
@@ -330,8 +329,7 @@ class ProcessPool:
                 self._base_lsn = (self._wal.last_lsn
                                   if self._wal else 0)
                 self._base_version = self._database.version
-                state = encode_database(self._database, self._base_lsn,
-                                        ship_columns=True)
+                state = encode_database(self._database, self._base_lsn)
                 init = ("init", state, self._base_lsn,
                         self._database.index_order)
                 with self._ship_lock:

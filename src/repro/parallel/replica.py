@@ -7,7 +7,7 @@ for disk checkpoints — recovery *is* the replication substrate) and
 then advanced one logical WAL record at a time by
 :meth:`apply_wal_record`, exactly the replay path crash recovery uses.
 Because replay drives the ordinary public write path, the replica
-captures column stores, re-validates schemas, and maintains its own
+adopts column segments, re-validates schemas, and maintains its own
 B+Tree indexes from DDL — indexes are derived state on the follower
 just as they are in a checkpoint.
 
@@ -70,7 +70,7 @@ class ReplicaDatabase(Database):
                 return False
             self._applying = True
             try:
-                apply_wal_record(self, record)
+                apply_wal_record(self, record, lsn)
             finally:
                 self._applying = False
             self.last_applied_lsn = lsn
@@ -133,7 +133,7 @@ def build_replica(state: dict | None, records, *,
     """
     replica = ReplicaDatabase(index_order=index_order)
     if state is not None:
-        apply_checkpoint_state(replica, state, None)
+        apply_checkpoint_state(replica, state)
         replica.last_applied_lsn = state["last_lsn"]
     for lsn, record in records:
         replica.apply_wal_record(lsn, record)

@@ -1,20 +1,25 @@
 """Buffer pool: keep the working set, not the database, in memory.
 
-Every ingested document costs two kinds of memory: its compact
+Every stored document rests as its compact
 :class:`~repro.storage.columnar.ColumnStore` (a handful of ``array``
-columns plus one text heap) and — roughly an order of magnitude larger
-— the materialized XDM object tree queries navigate.  The pool tracks
-both against one configurable byte budget and evicts least-recently
-used documents when the budget is exceeded:
+columns plus one text heap); a read that navigates it adds — roughly
+an order of magnitude larger — the materialized XDM object tree.  The
+pool tracks both against one configurable byte budget and evicts
+least-recently used documents when the budget is exceeded.  A document
+is admitted as it was stored, usually as columns alone; its first
+navigating read materializes the tree through :meth:`BufferPool.load`
+(counted as a miss) under the pool's lock, so racing readers get one
+tree.
 
 * **Tier 1 (always):** eviction drops the materialized tree; the
   columns stay resident and the next access re-materializes from them
   (same ``node_id`` for every node, so index postings and
   document-order keys survive).
-* **Tier 2 (spill directory set):** eviction also writes the column
-  payload to ``<spill_dir>/doc-<id>.cols`` through the durability
-  layer's :mod:`~repro.durability.fsio` helpers and drops the columns;
-  the next access reads them back.  Spill files are pure cache — the
+* **Tier 2 (spill directory set):** eviction also writes the columns
+  as one segment with their node ids (:mod:`repro.storage.segment`) to
+  ``<spill_dir>/doc-<id>.cols`` through the durability layer's
+  :mod:`~repro.durability.fsio` helpers and drops them; the next access
+  adopts the segment again.  Spill files are pure cache — the
   authoritative copy is the checkpoint + WAL — so they are written
   without fsync and never read unless this pool wrote them first.
 
@@ -32,7 +37,7 @@ un-pooled engine's performance exactly.
 
 Observability (``bufferpool.*`` in :mod:`repro.obs.metrics`):
 ``hits`` (accesses finding a live tree), ``misses`` (accesses that had
-to re-materialize), ``evictions``, ``spills`` / ``loads`` /
+to materialize one), ``evictions``, ``spills`` / ``loads`` /
 ``spill_deletes`` (tier-2 writes / reads / removals), and the
 ``resident_bytes`` gauge.  Spill files are deleted when their document
 is discarded (row deleted, table dropped) and when the pool is closed
@@ -48,6 +53,7 @@ from collections import OrderedDict
 
 from ..obs.metrics import METRICS
 from .columnar import ColumnStore
+from .segment import decode_document, encode_document
 
 __all__ = ["BufferPool"]
 
@@ -92,7 +98,8 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def admit(self, stored) -> None:
-        """Register a freshly ingested document (tree + columns live)."""
+        """Register a freshly stored document (columns, and a tree if it
+        was stored with one)."""
         if not self.enabled:
             return
         with self._lock:
@@ -153,13 +160,13 @@ class BufferPool:
                     METRICS.inc("bufferpool.hits")
 
     def load(self, stored):
-        """Bring an evicted document back: re-materialize (reading the
-        spill file first when the columns themselves were dropped),
-        then evict colder documents to stay within budget."""
+        """Materialize a document's tree (reading the spill file first
+        when the columns themselves were dropped), then evict colder
+        documents to stay within budget."""
         with self._lock:
             document = stored._document
             if document is not None:
-                # Another thread re-materialized while we waited.
+                # Another thread materialized it while we waited.
                 self._lru.move_to_end(stored.doc_id)
                 if METRICS.enabled:
                     METRICS.inc("bufferpool.hits")
@@ -263,8 +270,9 @@ class BufferPool:
         if not self._spill_ready:
             fsio.ensure_dir(self.spill_dir)
             self._spill_ready = True
-        payload = json.dumps(store.to_payload(),
-                             separators=(",", ":")).encode("utf-8")
+        payload = json.dumps(encode_document(store, node_ids=True),
+                             separators=(",", ":"),
+                             ensure_ascii=False).encode("utf-8")
         fsio.write_bytes(self._spill_path(doc_id), payload)
         self._spilled.add(doc_id)
         if METRICS.enabled:
@@ -285,8 +293,8 @@ class BufferPool:
 
     def _read_spill(self, doc_id: int) -> ColumnStore:
         from ..durability import fsio
-        payload = json.loads(
-            fsio.read_bytes(self._spill_path(doc_id)).decode("utf-8"))
+        path = self._spill_path(doc_id)
+        payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
         if METRICS.enabled:
             METRICS.inc("bufferpool.loads")
-        return ColumnStore.from_payload(payload)
+        return decode_document(payload, f"spill file {path}")

@@ -27,9 +27,9 @@ from ..errors import CatalogError, SQLError
 from ..schema.schema import Schema
 from ..schema.validator import validate
 from ..xdm.nodes import DocumentNode
-from ..xmlio.parser import parse_document
+from ..xmlio.parser import parse_columns
 from .bufferpool import BufferPool
-from .columnar import ingest_document
+from .columnar import ColumnStore, ingest_document
 from .relindex import RelationalIndex
 from .snapshot import ReadView, Snapshot
 from .table import Row, StoredDocument, Table, next_doc_id
@@ -149,13 +149,14 @@ class Database(ReadView):
                     f"{table}.{column} is not an XML column")
             index = XmlIndex(key, table_obj.name, column.lower(), pattern,
                              index_type, order=self.index_order)
-            # Build: index existing documents.  Each document is
-            # released back to the buffer pool as soon as it has been
-            # indexed — a bulk build touches every document once, and
-            # without the release the materialized trees stack up past
-            # the pool budget and evict the real working set.
+            # Build: index existing documents, from their columns.  Each
+            # document is released back to the buffer pool as soon as it
+            # has been indexed — a bulk build touches every document
+            # once, and without the release the spilled columns (or
+            # schema-validated trees) it loads stack up past the pool
+            # budget and evict the real working set.
             for stored in self.documents(table, column):
-                index.index_document(stored.doc_id, stored.document)
+                index.index_document(stored.doc_id, stored.index_view())
                 self.buffer_pool.release(stored)
             xml_indexes = dict(self.xml_indexes)
             xml_indexes[key] = index
@@ -204,7 +205,7 @@ class Database(ReadView):
                          index_type, order=self.index_order)
         built: set[int] = set()
         for stored in snapshot.documents(table, column):
-            index.index_document(stored.doc_id, stored.document)
+            index.index_document(stored.doc_id, stored.index_view())
             built.add(stored.doc_id)
             self.buffer_pool.release(stored)
         if faults is not None:
@@ -219,7 +220,7 @@ class Database(ReadView):
                     for stored in self.documents(table, column)}
             for doc_id, stored in live.items():
                 if doc_id not in built:
-                    index.index_document(doc_id, stored.document)
+                    index.index_document(doc_id, stored.index_view())
                     self.buffer_pool.release(stored)
             for doc_id in built - live.keys():
                 index.forget(doc_id)
@@ -297,9 +298,11 @@ class Database(ReadView):
     def insert(self, table: str, values: dict[str, object],
                schema: str | Schema | dict[str, str | Schema] | None = None
                ) -> Row:
-        """Insert a row.  XML column values may be XML text or a
-        DocumentNode; ``schema`` optionally names a registered schema
-        (or maps column name -> schema) for per-document validation.
+        """Insert a row.  XML column values may be XML text, a
+        DocumentNode, or a ColumnStore (recovery and replicas adopt
+        stored segments this way); ``schema`` optionally names a
+        registered schema (or maps column name -> schema) for
+        per-document validation.
 
         The whole insert — parse, validate, row append, index
         maintenance — is one write-side critical section: concurrent
@@ -312,24 +315,8 @@ class Database(ReadView):
                 key = column_name.lower()
                 sql_type = table_obj.column_type(key)
                 if sql_type.is_xml and value is not None:
-                    document = (value if isinstance(value, DocumentNode)
-                                else parse_document(str(value)))
                     doc_schema = self._schema_for(schema, key)
-                    if doc_schema is not None:
-                        validate(document, doc_schema)
-                    stored = StoredDocument(
-                        next_doc_id(), document,
-                        doc_schema.name if doc_schema else None)
-                    # The columnar accelerator table: a parsed document
-                    # brings the (pre, post, level, …) columns and path
-                    # partitions its parse filled (a tree is captured
-                    # here); they back the evaluator's fast paths and
-                    # index builds, and their signature joins the
-                    # column's path classes (``new_row``), which back
-                    # the planner's cardinality estimates.
-                    stored._store = ingest_document(document)
-                    stored.path_class = stored._store.path_class()
-                    stored._schema = doc_schema
+                    stored = self._store_document(value, doc_schema)
                     if self.buffer_pool.enabled:
                         stored._pool = self.buffer_pool
                     stored_docs.append(stored)
@@ -350,6 +337,32 @@ class Database(ReadView):
             if self.workload_profiler is not None:
                 self.workload_profiler.observe_write(table_obj.name)
             return row
+
+    @staticmethod
+    def _store_document(value, schema: Schema | None) -> StoredDocument:
+        """A new stored document for an XML column value: XML text
+        (parsed into columns), a column store (adopted as-is, the
+        recovery and replica route) or a tree (captured).  It rests as
+        columns, without a tree, unless it arrived as a tree or is
+        validated: a schema's typed values live on the nodes.  Its path
+        signature joins the column's path classes in ``new_row``, which
+        back the planner's cardinality estimates."""
+        if isinstance(value, DocumentNode):
+            document, store = value, ingest_document(value)
+        else:
+            document = None
+            store = (value if isinstance(value, ColumnStore)
+                     else parse_columns(str(value)))
+        if schema is not None:
+            if document is None:
+                document = store.materialize()
+            validate(document, schema)
+        stored = StoredDocument(next_doc_id(), document,
+                                schema.name if schema else None)
+        stored._store = store
+        stored.path_class = store.path_class()
+        stored._schema = schema
+        return stored
 
     def _schema_for(self, schema, column: str) -> Schema | None:
         if schema is None:
@@ -384,7 +397,7 @@ class Database(ReadView):
                     stored = row.values.get(index.column)
                     if isinstance(stored, StoredDocument):
                         index.index_document(stored.doc_id,
-                                             stored.document)
+                                             stored.index_view())
                 for index in self.rel_indexes.values():
                     if index.table == table.name:
                         index.insert_row(row.row_id,

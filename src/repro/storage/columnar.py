@@ -27,10 +27,9 @@ Three further structures ride on the columns:
   documents, and an XMLPATTERN is tested once per *distinct path*
   before the matching partitions are scanned.  This
   path table is the document's only structural summary: the
-  evaluator's ``//``-chain fast path and XML index builds read it
-  through the materialized views (:meth:`ColumnStore.nodes_for`,
-  :meth:`~ColumnStore.nodes_matching`); the checkpoint's ``$paths``
-  reads its counts (:meth:`~ColumnStore.path_counts`), and its
+  evaluator's ``//``-chain fast path reads it through the materialized
+  view (:meth:`ColumnStore.nodes_for`), XML index builds read slots
+  (:meth:`~ColumnStore.slots_matching`), and its
   :meth:`~ColumnStore.path_class` signature is folded into the owning
   table's per-column path classes, from which the planner's
   cardinalities and static emptiness are answered
@@ -47,37 +46,39 @@ Three further structures ride on the columns:
   answer serializes as ``canonical[start:end]``.  A store's tree is
   numbered, so it never changes and the cache is never invalidated:
   it is the right slice for every materialization, survives
-  :meth:`ColumnStore.detach` and is never written to a payload.
+  :meth:`ColumnStore.detach` and is never written to a segment.
 
-Node objects are *views*: :meth:`ColumnStore.materialize` builds the
-XDM tree from the columns — after a parse, after buffer-pool eviction,
-and on a replica bootstrapped from shipped columns — taking every
-node's ``node_id`` from the ``node_ids`` column so node identity and
-document-order keys are stable across eviction cycles.  A document
-inserted as a tree is captured by :meth:`ColumnStore.from_document`,
-which drives the same builder.  Either way the tree ends up numbered
-and so immutable (:mod:`repro.xdm.nodes`): a store and its trees can
-never disagree.
+The columns are a stored document's resting state: an insert of XML
+text, a checkpoint load, a WAL replay and a replica bootstrap all end
+with columns and no tree (:mod:`repro.storage.segment` is their one
+on-disk form).  Node objects are *views*: :meth:`ColumnStore.materialize`
+builds the XDM tree from the columns when a read first asks for it
+(``StoredDocument.document``) and again after buffer-pool eviction,
+taking every node's ``node_id`` from the ``node_ids`` column so node
+identity and document-order keys are stable across eviction cycles.
+A document inserted as a tree is captured by
+:meth:`ColumnStore.from_document`, which drives the same builder.
+Either way the tree ends up numbered and so immutable
+(:mod:`repro.xdm.nodes`): a store and its trees can never disagree.
 """
 
 from __future__ import annotations
 
-import base64
 from array import array
 from typing import Iterator
 
 from ..core.patterns import ROOT_PATH, PathNode
 from ..obs.metrics import METRICS
-from ..errors import DurabilityError, XMLParseError
+from ..errors import XMLParseError
 from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
                          ElementNode, Node, ProcessingInstructionNode,
                          TextNode, allocate_node_ids,
-                         number_from_columns, reserve_node_ids)
+                         number_from_columns)
 from ..xdm.qname import QName
 from ..xmlio.parser import MAX_DEPTH
 
-__all__ = ["ColumnBuilder", "ColumnStore", "PathTable", "decode_path_table",
-           "get_store", "ingest_document", "store_for_node", "KIND_DOCUMENT",
+__all__ = ["ColumnBuilder", "ColumnStore", "get_store", "ingest_document",
+           "store_for_node", "KIND_DOCUMENT",
            "KIND_ELEMENT", "KIND_ATTRIBUTE", "KIND_TEXT", "KIND_COMMENT",
            "KIND_PI"]
 
@@ -103,54 +104,6 @@ _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 #: Rough per-node cost of a materialized XDM view (object headers,
 #: slot storage, child-list entries) used for buffer-pool accounting.
 MATERIALIZED_NODE_BYTES = 400
-
-
-class PathTable:
-    """Paths as payloads and checkpoints write them: parent-pointer rows
-    ``[parent index, kind, uri, local]`` (``-1``: the empty path), each
-    path once, in the order :meth:`add` first sees them.  A path's
-    parent must be added first, as in every store's ``paths``."""
-
-    __slots__ = ("rows", "index")
-
-    def __init__(self):
-        self.rows: list[list] = []
-        #: path -> row
-        self.index: dict[PathNode, int] = {ROOT_PATH: -1}
-
-    def add(self, paths) -> None:
-        index = self.index
-        for path in paths:
-            if path not in index:
-                index[path] = len(self.rows)
-                self.rows.append([index[path.parent], path.kind, path.uri,
-                                  path.local])
-
-
-def decode_path_table(rows, where: str) -> list[PathNode]:
-    """The interned paths a :class:`PathTable`'s rows encode; a row
-    whose parent is not an earlier row (or -1) is a
-    :class:`~repro.errors.DurabilityError` naming ``where`` and the row."""
-    paths: list[PathNode] = []
-    for position, row in enumerate(rows):
-        parent = row[0] if isinstance(row, list) and len(row) == 4 else None
-        if type(parent) is not int or not -1 <= parent < position:
-            raise DurabilityError(
-                f"{where} row {position}: {row!r} is not [parent index in "
-                f"[-1, {position}), kind, uri, local]")
-        paths.append((paths[parent] if parent >= 0 else ROOT_PATH)
-                     .child(*row[1:]))
-    return paths
-
-
-def _b64(column: array) -> str:
-    return base64.b64encode(column.tobytes()).decode("ascii")
-
-
-def _unb64(typecode: str, data: str) -> array:
-    column = array(typecode)
-    column.frombytes(base64.b64decode(data.encode("ascii")))
-    return column
 
 
 class ColumnStore:
@@ -290,15 +243,13 @@ class ColumnStore:
         nodes = self.nodes
         return [nodes[slot] for slot in slots]
 
-    def nodes_matching(self, matcher) -> Iterator[tuple[Node, PathNode]]:
-        """(node, path) pairs whose path matches — one pattern test per
-        distinct path, then a clustered partition scan per hit."""
-        assert self.nodes is not None
-        nodes = self.nodes
-        for path_id, path in enumerate(self.paths):
+    def slots_matching(self, matcher) -> Iterator[tuple[int, PathNode]]:
+        """(slot, path) pairs whose path matches, partition by
+        partition: no node views needed."""
+        for path, partition in zip(self.paths, self.partitions):
             if matcher.matches(path):
-                for slot in self.partitions[path_id]:
-                    yield nodes[slot], path
+                for slot in partition:
+                    yield slot, path
 
     # ------------------------------------------------------------------
     # Axis range scans
@@ -365,8 +316,8 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     def materialize(self, schema=None) -> DocumentNode:
-        """Build the XDM tree the columns describe (after a parse, a
-        buffer-pool reload, or a replica bootstrap).
+        """Build the XDM tree the columns describe (a stored document's
+        first read, a buffer-pool reload, ``parse_document``).
 
         Node views are created in pre order, linked through the
         ``parent`` column and numbered as they are created (``pre`` is
@@ -459,70 +410,6 @@ class ColumnStore:
     def materialized_nbytes(self) -> int:
         """Estimated extra bytes a live materialization costs."""
         return len(self.kind) * MATERIALIZED_NODE_BYTES + len(self.text)
-
-    # ------------------------------------------------------------------
-    # Payload (spill files and replica shipping)
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """A JSON-safe encoding of the columns.
-
-        ``subtree_end`` and the partitions are derived columns and are
-        recomputed on load instead of shipped; the canonical text and
-        its spans are neither shipped nor rebuilt until asked for."""
-        paths = PathTable()
-        paths.add(self.paths)
-        return {
-            "uri": self.document_uri,
-            "post": _b64(self.post),
-            "level": _b64(self.level),
-            "parent": _b64(self.parent),
-            "kind": _b64(self.kind),
-            "name_id": _b64(self.name_id),
-            "ns_id": _b64(self.ns_id),
-            "path_id": _b64(self.path_id),
-            "text_lo": _b64(self.text_lo),
-            "text_hi": _b64(self.text_hi),
-            "node_ids": _b64(self.node_ids),
-            "text": self.text,
-            "names": [[name.uri, name.local, name.prefix]
-                      for name in self.names],
-            "nsscopes": [sorted(scope.items())
-                         for scope in self.nsscopes],
-            "paths": paths.rows,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ColumnStore":
-        store = cls()
-        store.document_uri = payload["uri"]
-        store.post = _unb64("q", payload["post"])
-        store.level = _unb64("q", payload["level"])
-        store.parent = _unb64("q", payload["parent"])
-        store.kind = _unb64("b", payload["kind"])
-        store.name_id = _unb64("q", payload["name_id"])
-        store.ns_id = _unb64("q", payload["ns_id"])
-        store.path_id = _unb64("q", payload["path_id"])
-        store.text_lo = _unb64("q", payload["text_lo"])
-        store.text_hi = _unb64("q", payload["text_hi"])
-        store.node_ids = _unb64("q", payload["node_ids"])
-        store.text = payload["text"]
-        store.names = [QName(uri, local, prefix)
-                       for uri, local, prefix in payload["names"]]
-        store.nsscopes = [dict((prefix, uri) for prefix, uri in scope)
-                          for scope in payload["nsscopes"]]
-        store.paths = decode_path_table(payload["paths"],
-                                        "column payload path table")
-        store.partitions = [array("q") for _ in store.paths]
-        for slot, path_id in enumerate(store.path_id):
-            if path_id >= 0:
-                store.partitions[path_id].append(slot)
-        store.subtree_end = _subtree_ends(store.post, store.level)
-        if len(store.node_ids):
-            # Payloads may come from another process (replica shipping):
-            # keep locally minted ids disjoint from the restored ones.
-            reserve_node_ids(max(store.node_ids))
-        return store
 
 
 class ColumnBuilder:
@@ -693,8 +580,7 @@ def ingest_document(document: DocumentNode) -> ColumnStore:
     """The column store of ``document``, captured if needed.
 
     A parsed document arrives with the store it was materialized from
-    (so do documents materialized from replica-shipped columns) and it
-    is reused as-is; a document built as a tree is captured by
+    and it is reused as-is; a document built as a tree is captured by
     :meth:`ColumnStore.from_document`.
     """
     store = get_store(document)

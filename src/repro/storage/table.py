@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 
 from ..errors import CatalogError, SQLError
@@ -19,25 +20,29 @@ class StoredDocument:
     ``doc_id`` is the unit of index postings and of Definition 1's
     pre-filtering: probing an index yields a set of doc_ids.
 
-    The XDM tree behind :attr:`document` is a *view* over the
-    document's columnar store (see :mod:`repro.storage.columnar`).
-    When the database runs with a buffer pool, a cold document's tree
-    (and, with a spill directory, its columns) may have been evicted;
-    the property transparently re-materializes it — with identical
-    node ids — so callers never observe the difference beyond latency.
-    Structural questions (which paths, how many nodes) go through
-    :attr:`columns` instead and never pay for a tree; per-column
-    counts go through the owning table's path classes (see
-    :class:`Table`), which never touch the document at all.
+    A stored document rests as its columnar store (``_store``, see
+    :mod:`repro.storage.columnar`); the XDM tree behind
+    :attr:`document` is a *view* built from the columns the first time
+    a read asks for it, exactly once even when readers race.  When the
+    database runs with a buffer pool, the tree (and, with a spill
+    directory, the columns) may later be evicted; the property
+    transparently re-materializes it — with identical node ids — so
+    callers never observe the difference beyond latency.  Structural
+    questions (which paths, how many nodes) and index builds go through
+    :attr:`columns` instead and never pay for a tree; per-column counts
+    go through the owning table's path classes (see :class:`Table`),
+    which never touch the document at all.
     """
 
     __slots__ = ("doc_id", "schema_name", "_document", "_store",
                  "_schema", "_pool", "path_class")
 
-    def __init__(self, doc_id: int, document: DocumentNode,
+    def __init__(self, doc_id: int, document: DocumentNode | None,
                  schema_name: str | None = None):
         self.doc_id = doc_id
         self.schema_name = schema_name
+        #: The materialized tree, or None while the document rests as
+        #: columns (never asked for, or evicted).
         self._document: DocumentNode | None = document
         #: Columnar store backing the document (set at catalog ingest).
         self._store = None
@@ -57,21 +62,39 @@ class StoredDocument:
             if pool is not None:
                 pool.touch(self)
             return document
-        return pool.load(self)
+        if pool is not None:
+            return pool.load(self)
+        with _MATERIALIZE_LOCK:
+            document = self._document
+            if document is None:
+                document = self._document = self._store.materialize(
+                    self._schema)
+            return document
 
     @property
     def columns(self):
         """The document's column store, never materializing a tree:
-        the resident columns as-is (tree evicted or not), or a
-        spilled document's columns read back from the spill file."""
+        the resident columns as-is (tree built or not), or a spilled
+        document's columns read back from the spill file."""
         store = self._store
         if store is not None:
             return store
         return self._pool.load_columns(self)
 
+    def index_view(self):
+        """What an XML index keys (``XmlIndex.index_document``): the
+        tree of a schema-validated document, whose typed values live on
+        its nodes, and the columns of any other."""
+        return self.columns if self._schema is None else self.document
+
     def __repr__(self) -> str:
-        state = "resident" if self._document is not None else "evicted"
+        state = "tree" if self._document is not None else "columns"
         return f"<StoredDocument #{self.doc_id} {state}>"
+
+
+#: Serializes first materializations of un-pooled documents, so racing
+#: readers get one tree (a pooled document's go through the pool lock).
+_MATERIALIZE_LOCK = threading.Lock()
 
 
 @dataclass

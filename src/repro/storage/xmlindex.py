@@ -47,10 +47,16 @@ from ..core.patterns import (PathNode, PathPattern, PatternMatcher,
                              parse_xmlpattern)
 from ..errors import CastError, SchemaValidationError
 from ..obs.metrics import METRICS
-from ..xdm.atomic import INDEX_KEY_TYPES, AtomicValue, T_DATETIME
+from ..xdm.atomic import (INDEX_KEY_TYPES, T_DATETIME, T_STRING,
+                          T_UNTYPED, AtomicValue)
 from ..xdm.compare import promote
 from ..xdm.nodes import DocumentNode, Node
 from .btree import BPlusTree
+from .columnar import KIND_COMMENT, KIND_PI
+
+#: Slot kinds whose typed value is an ``xs:string`` (comments and PIs);
+#: every other unannotated kind is ``xs:untypedAtomic``.
+_STRING_KINDS = (KIND_COMMENT, KIND_PI)
 
 @dataclass(frozen=True)
 class IndexEntry:
@@ -101,17 +107,34 @@ class XmlIndex:
     # Maintenance
     # ------------------------------------------------------------------
 
-    def index_document(self, doc_id: int, document: DocumentNode) -> None:
+    def index_document(self, doc_id: int, document) -> None:
         """Add the document's matching nodes: a clustered scan over its
-        path partitions, the pattern tested once per distinct path."""
+        path partitions, the pattern tested once per distinct path.
+
+        ``document`` is a :class:`~repro.storage.columnar.ColumnStore`,
+        whose slots are keyed from their text exactly as
+        ``typed_value()`` keys an unannotated node (``xs:untypedAtomic``
+        for elements, attributes and text, ``xs:string`` for comments
+        and PIs), or a tree, whose nodes key by their typed values — the
+        route of schema-annotated documents."""
+        if isinstance(document, DocumentNode):
+            store = document.column_store
+            nodes = store.nodes
+            keyed = ((self._key_for(nodes[slot]), slot, path)
+                     for slot, path in store.slots_matching(
+                         self._pattern_matcher))
+        else:
+            store = document
+            keyed = ((self._key_for_slot(store, slot), slot, path)
+                     for slot, path in store.slots_matching(
+                         self._pattern_matcher))
+        node_ids = store.node_ids
         counts = self._doc_entry_counts
-        for node, path in document.column_store.nodes_matching(
-                self._pattern_matcher):
-            key = self._key_for(node)
+        for key, slot, path in keyed:
             if key is None:
                 self.skipped_nodes += 1
                 continue
-            self.tree.insert(key, IndexEntry(doc_id, node.node_id, path))
+            self.tree.insert(key, IndexEntry(doc_id, node_ids[slot], path))
             counts[doc_id] = counts.get(doc_id, 0) + 1
             self._live_entries += 1
 
@@ -155,10 +178,17 @@ class XmlIndex:
             raise SchemaValidationError(
                 f"list-typed node {node!r} cannot be indexed by "
                 f"{self.name}")
-        if not values:
-            return None
+        return self._key_of(values[0]) if values else None
+
+    def _key_for_slot(self, store, slot: int):
+        """:meth:`_key_for` of an unannotated node, read from columns."""
+        type_name = (T_STRING if store.kind[slot] in _STRING_KINDS
+                     else T_UNTYPED)
+        return self._key_of(AtomicValue(type_name, store.text_of(slot)))
+
+    def _key_of(self, value: AtomicValue):
         try:
-            key = self.key_for_value(values[0])
+            key = self.key_for_value(value)
         except CastError:
             return None
         # NaN compares false with everything: no eligible predicate

@@ -37,24 +37,6 @@ from .qname import QName
 _NODE_IDS = itertools.count(1)
 
 
-def reserve_node_ids(minimum: int) -> None:
-    """Ensure future node ids are all greater than ``minimum``.
-
-    Materializing a column store shipped from another process (replica
-    bootstrap) restores that process's node ids verbatim; bumping the
-    local counter past them keeps ids unique within this process so
-    identity-based set operations (``except``/``intersect``, document
-    -order keys) never conflate nodes of different trees.  Callers run
-    single-threaded (bootstrap/recovery); a concurrent construction
-    racing the swap could still draw a low id from the old counter,
-    which is why the shipping paths reserve before any local parsing.
-    """
-    global _NODE_IDS
-    with _NUMBER_LOCK:
-        current = next(_NODE_IDS)
-        _NODE_IDS = itertools.count(max(current, minimum + 1))
-
-
 def allocate_node_ids(count: int) -> array:
     """``count`` consecutive node ids (a parsed document's, in pre
     order), drawn under the numbering lock by one C-level call, so no

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 
 from ..errors import XMLParseError
+from ..obs.metrics import METRICS
 from ..xdm.nodes import DocumentNode, Node, copy_node
 from ..xdm.qname import XML_NS
 
@@ -83,6 +84,8 @@ def parse_columns(text: str, document_uri: str = ""):
                      f"illegal character U+{ord(illegal.group()):04X}")
     builder = ColumnBuilder(document_uri)
     _Parser(text, builder).document()
+    if METRICS.enabled:
+        METRICS.inc("xmlio.parses")
     return builder.finish()
 
 

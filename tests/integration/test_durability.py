@@ -238,7 +238,7 @@ def test_cli_answers_query1_with_zero_reingest(tmp_path):
     out = io.StringIO()
     assert cli.main(["recover", "--data", directory, "--verify"],
                     out=out) == 0
-    assert "verify: 10 document summaries match" in out.getvalue()
+    assert "verify: 10 documents round-trip slot for slot" in out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +401,14 @@ def test_failure_after_the_record_is_logged_keeps_the_row(
         assert caught.value is failure
         assert [row.values["k"]
                 for row in database.table("t").rows] == [1, 2]
-        expected = database.xquery(
-            "db2-fn:xmlcolumn('T.D')//v[. > 0]").serialize()
-        assert expected == ["<v>1</v>", "<v>2</v>"]
+        expected = ["<v>1</v>", "<v>2</v>"]
+        query = "db2-fn:xmlcolumn('T.D')//v[. > 0]"
+        if where == "subscriber":
+            assert database.xquery(query).serialize() == expected
+        else:
+            # A failed fsync fails the log: reads refuse until reopen.
+            with pytest.raises(DurabilityError, match="reopen"):
+                database.xquery(query)
     with reopen(tmp_path) as database:
         assert [row.values["k"]
                 for row in database.table("t").rows] == [1, 2]
@@ -478,9 +483,17 @@ def test_failed_delete_agrees_with_a_reopen(tmp_path, monkeypatch, where,
         with pytest.raises(OSError) as caught:
             database.delete_rows("t", lambda values: values["k"] == 2)
         assert caught.value is failure
-        view = _delete_view(database)
-        assert view[0] == kept
+        assert [row.values["k"]
+                for row in database.table("t").rows] == kept
         assert len(database.xml_indexes["t_v"]) == len(kept)
+        view = (kept, [f"<r><v>{k}</v></r>" for k in kept],
+                [f"<v>{k}</v>" for k in kept])
+        if where == "file write":
+            assert _delete_view(database) == view
+        else:
+            # A failed fsync fails the log: reads refuse until reopen.
+            with pytest.raises(DurabilityError, match="reopen"):
+                _delete_view(database)
     with reopen(tmp_path) as database:
         assert _delete_view(database) == view
 
@@ -527,6 +540,38 @@ def test_a_failed_group_write_fails_the_log(tmp_path, monkeypatch):
     with reopen(tmp_path) as database:
         assert [row.values["k"]
                 for row in database.table("t").rows] == [1, 5]
+
+
+def test_a_failed_log_refuses_ddl_and_reads(tmp_path, monkeypatch):
+    # Batch group commit of 2: k=1 returns buffered, and the group write
+    # for k=1 and k=2 fails, losing both.  Memory still holds the rows,
+    # so from here on a DDL must not apply and a read must not answer
+    # from them; the reopen has neither the refused table nor the rows.
+    with reopen(tmp_path, fsync_policy="batch", group_size=2) as database:
+        database.create_table("t", [("k", "INTEGER"), ("d", "XML")])
+        database.sync()
+        database.insert("t", {"k": 1, "d": "<r><v>1</v></r>"})
+        failure = OSError("disk full")
+        _fail_next_write(monkeypatch, database._wal, failure)
+        with pytest.raises(OSError) as caught:
+            database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        assert caught.value is failure
+        with pytest.raises(DurabilityError, match="reopen") as refused:
+            database.create_table("u", [("k", "INTEGER")])
+        assert refused.value.__cause__ is failure
+        assert "u" not in database.tables
+        reads = [lambda: database.sql("SELECT k FROM t"),
+                 lambda: database.execute_any("SELECT k FROM t"),
+                 lambda: database.xquery("db2-fn:xmlcolumn('T.D')"),
+                 lambda: database.explain("db2-fn:xmlcolumn('T.D')"),
+                 database.snapshot]
+        for read in reads:
+            with pytest.raises(DurabilityError, match="reopen") as refused:
+                read()
+            assert refused.value.__cause__ is failure
+    with reopen(tmp_path) as database:
+        assert "u" not in database.tables
+        assert database.sql("SELECT k FROM t").rows == []
 
 
 # ---------------------------------------------------------------------------

@@ -192,10 +192,10 @@ def test_summary_survives_recovery_and_replication(before, after):
         build_database(database)
         apply_all(database, before)
         # Bootstrap a replica exactly as the pool's workers are —
-        # shipped columns — then log-ship every later write to it.
+        # shipped column segments — then log-ship every later write to
+        # it.
         with database._rwlock.read():
-            state = encode_database(database, database.wal.last_lsn,
-                                    ship_columns=True)
+            state = encode_database(database, database.wal.last_lsn)
         replica = build_replica(state, [],
                                 index_order=database.index_order)
         database.wal.subscribe(replica.apply_wal_record)

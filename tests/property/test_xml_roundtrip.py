@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.errors import XMLParseError, XQueryTypeError
 from repro.obs.metrics import METRICS, enabled_metrics
 from repro.storage.columnar import ColumnStore, get_store
+from repro.storage.segment import decode_document, encode_document
 from repro.workload import WorkloadGenerator
 from repro.workload.generator import OrderProfile
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
@@ -320,8 +321,10 @@ def test_cache_survives_eviction_and_rematerialization(root):
     again = store.materialize()
     assert store.canonical is canonical and store.spans is spans
     assert [serialize(node) for node in stored_nodes(again)] == expected
-    # Tier 2: columns read back from a payload start without a cache.
-    reloaded = ColumnStore.from_payload(store.to_payload())
+    # Tier 2: columns read back from a spill segment start without a
+    # cache.
+    reloaded = decode_document(encode_document(store, node_ids=True),
+                               "spill")
     assert reloaded.canonical is None and reloaded.spans is None
     fresh = reloaded.materialize()
     assert [serialize(node) for node in stored_nodes(fresh)] == expected

@@ -12,6 +12,7 @@ from repro.obs.metrics import METRICS, enabled_metrics
 from repro.storage.bufferpool import BufferPool
 from repro.storage.catalog import Database
 from repro.storage.columnar import ingest_document
+from repro.storage.segment import encode_document
 from repro.storage.table import StoredDocument
 from repro.xmlio import parse_document
 from repro.xmlio.serializer import serialize
@@ -192,7 +193,7 @@ class TestMetrics:
 
 class TestCanonicalText:
     """The serializer's canonical text and spans live on the column
-    store: charged by ``nbytes``, never in a payload, kept by a tier-1
+    store: charged by ``nbytes``, never in a segment, kept by a tier-1
     eviction and gone with a tier-2 spill."""
 
     def _serialized(self, stored):
@@ -210,9 +211,9 @@ class TestCanonicalText:
 
     def test_payload_never_carries_the_cache(self):
         stored = make_stored(1)
-        before = stored._store.to_payload()
+        before = encode_document(stored._store, node_ids=True)
         self._serialized(stored)
-        assert stored._store.to_payload() == before
+        assert encode_document(stored._store, node_ids=True) == before
 
     def test_tier1_eviction_keeps_the_cache(self):
         pool = BufferPool(1)

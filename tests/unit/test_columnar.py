@@ -8,15 +8,18 @@ only structural summary), and a lazy
 the original node identities.
 """
 
+import base64
+import json
 from collections import Counter
 
 import pytest
 
-from repro.core.patterns import ROOT_PATH, PatternMatcher, parse_xmlpattern
+from repro.core.patterns import PatternMatcher, parse_xmlpattern
 from repro.errors import DurabilityError, XQueryTypeError
 from repro.storage.columnar import (ColumnStore, KIND_ATTRIBUTE,
                                     KIND_DOCUMENT, get_store,
                                     ingest_document, store_for_node)
+from repro.storage.segment import Segment, decode_document, encode_document
 from repro.xdm.nodes import DocumentNode
 from repro.xmlio import parse_document
 from repro.xmlio.serializer import serialize
@@ -194,54 +197,101 @@ class TestPathTable:
         assert sum(store.path_counts().values()) == len(store) - 1
 
 
+def segment_round_trip(store, node_ids: bool = False) -> ColumnStore:
+    """``store`` through its JSON segment form and adopted back."""
+    value = json.loads(json.dumps(encode_document(store,
+                                                  node_ids=node_ids)))
+    return decode_document(value, "test segment")
+
+
+def tampered_segment(store, change) -> dict:
+    """``store``'s JSON segment after ``change(segment)``, re-packed
+    with a fresh CRC."""
+    value = encode_document(store)
+    segment = Segment.from_bytes(base64.b64decode(value["$seg"]),
+                                 value["$text"], "test segment")
+    change(segment)
+    value["$seg"] = base64.b64encode(segment.to_bytes()).decode("ascii")
+    value["$text"] = segment.text
+    return value
+
+
 class TestPayloadRoundTrip:
+    """The column segment (``repro.storage.segment``): the one form WAL
+    records, checkpoints, replicas and spill files hold a document in."""
+
     def test_payload_round_trip_serialize_identical(self):
         document, store = build()
-        payload = store.to_payload()
-        restored = ColumnStore.from_payload(payload)
+        restored = segment_round_trip(store)
         assert serialize(restored.materialize()) == serialize(document)
 
     def test_payload_round_trip_preserves_node_ids(self):
+        # The spill segment carries node ids; the others do not.
         document, store = build()
-        restored = ColumnStore.from_payload(store.to_payload())
-        rebuilt = restored.materialize()
+        rebuilt = segment_round_trip(store, node_ids=True).materialize()
         original = [n.node_id for n in walk_all(document)]
         assert [n.node_id for n in walk_all(rebuilt)] == original
 
     def test_restored_ids_never_collide_with_new_nodes(self):
-        # from_payload reserves the restored id range, so a document
-        # parsed afterwards mints strictly larger node ids (replica
-        # bootstrap relies on this for cross-tree document order).
-        document, store = build()
-        restored = ColumnStore.from_payload(store.to_payload())
-        highest = max(restored.node_ids)
+        # A segment without node ids is adopted with fresh ones, drawn
+        # in adoption order (replicas and recovery rely on this for
+        # cross-tree document order).
+        _document, store = build()
+        restored = segment_round_trip(store)
+        assert min(restored.node_ids) > max(store.node_ids)
         fresh = parse_document("<a><b/></a>")
-        assert min(n.node_id for n in walk_all(fresh)) > highest
+        assert min(n.node_id for n in walk_all(fresh)) > \
+            max(restored.node_ids)
 
     def test_payload_paths_are_parent_pointer_rows(self):
+        # Paths, posts, levels and text offsets are not stored: the
+        # adoption re-derives them, the same interned paths included.
         _document, store = build()
-        rows = store.to_payload()["paths"]
-        assert len(rows) == len(store.paths)
-        for row, ((parent, kind, uri, local), path) in enumerate(
-                zip(rows, store.paths)):
-            assert -1 <= parent < row
-            assert (kind, uri, local) == (path.kind, path.uri, path.local)
-            assert path.parent is (store.paths[parent] if parent >= 0
-                                   else ROOT_PATH)
-        restored = ColumnStore.from_payload(store.to_payload())
+        restored = segment_round_trip(store)
+        for column in ("post", "level", "parent", "kind", "path_id",
+                       "text_lo", "text_hi", "subtree_end"):
+            assert getattr(restored, column) == getattr(store, column)
+        assert len(restored.paths) == len(store.paths)
         assert all(mine is theirs
                    for mine, theirs in zip(restored.paths, store.paths))
+        assert restored.partitions == store.partitions
+        assert restored.text == store.text
+        for slot in range(len(store)):
+            for ids, table in (("name_id", "names"), ("ns_id", "nsscopes")):
+                mine = getattr(restored, ids)[slot]
+                theirs = getattr(store, ids)[slot]
+                assert (mine < 0) == (theirs < 0)
+                if mine >= 0:
+                    assert getattr(restored, table)[mine] == \
+                        getattr(store, table)[theirs]
 
     @pytest.mark.parametrize("row", [
-        [2, "element", "", "x"], [-2, "element", "", "x"],
-        ["0", "element", "", "x"], [0, "element", ""], "x", None])
+        ["parent", 2, 2, r"slot 2: parent 2 outside \[-1, 2\)"],
+        ["name", 2, 99, r"slot 2: name 99 outside the \d+ names"],
+        ["scope", 1, 99, r"slot 1: scope 99 outside the 1 scopes"],
+        ["length", 0, 200, r"slot lengths add up to \d+ characters"],
+        "x", None])
     def test_a_bad_payload_path_row_is_a_typed_error(self, row):
+        # A segment row (slot) that cannot be adopted, with a fresh CRC;
+        # "x": the heap changed behind the CRC; None: bytes cut short.
         _document, store = build()
-        payload = store.to_payload()
-        payload["paths"][2] = row
+        if isinstance(row, list):
+            column, slot, bad, message = row
+
+            def change(segment):
+                getattr(segment, column)[slot] = bad
+            value = tampered_segment(store, change)
+        else:
+            value = encode_document(store)
+            if row == "x":
+                value["$text"] = "x" + value["$text"][1:]
+                message = "segment CRC mismatch"
+            else:
+                value["$seg"] = value["$seg"][:8]
+                message = "segment of 6 bytes is shorter than its header"
         with pytest.raises(DurabilityError,
-                           match="column payload path table row 2: "):
-            ColumnStore.from_payload(payload)
+                           match=f"^test segment: {message}"):
+            decode_document(value, "test segment")
 
 
 class TestStoreLifecycle:
@@ -297,5 +347,5 @@ class TestEdgeShapes:
     def test_small_shapes_round_trip(self, xml):
         document, store = build(xml)
         assert serialize(store.materialize()) == serialize(document)
-        restored = ColumnStore.from_payload(store.to_payload())
+        restored = segment_round_trip(store)
         assert serialize(restored.materialize()) == serialize(document)
