@@ -445,15 +445,6 @@ class CallGraph:
                 return [candidate.methods[method]]
         return []
 
-    def callers_of(self, key: str) -> list:
-        """``(caller FunctionInfo, CallSite)`` pairs that reach key."""
-        out = []
-        for function in self.functions.values():
-            for call in function.calls:
-                if key in call.targets:
-                    out.append((function, call))
-        return out
-
 
 def build_graph(project: Project) -> CallGraph:
     return CallGraph(project)

@@ -8,9 +8,11 @@ surface (``--data DIR``, ``repro checkpoint``, ``repro recover``).
 Module map:
 
 ``fsio``        the only module allowed raw ``os``/file primitives
+``codec``       the one record grammar: a builder per record shape
 ``wal``         append-only logical log with CRC framing + group commit
-``checkpoint``  atomic write-temp/fsync/rename state snapshots
-``recovery``    checkpoint load + WAL replay, idempotent
+``checkpoint``  a compacted log: the state as records in WAL frames,
+                written temp/fsync/rename
+``recovery``    checkpoint + WAL tail through one apply, idempotent
 ``faults``      named crash points and torn-write enumeration
 ``engine``      :class:`DurableDatabase` — the public entry point
 """

@@ -1,31 +1,26 @@
-"""Atomic checkpoints: the catalog and data as one JSON document.
+"""Atomic checkpoints: the database as a compacted log.
 
-A checkpoint is the full logical state of the database — tables with
-their typed columns and rows, registered (and per-document) schemas,
-index *definitions*, and every stored document as one column segment —
-written to a temp file, fsynced, and atomically renamed to
-``checkpoint.json``.  Readers of the directory therefore always see
-either the previous complete checkpoint or the new complete
-checkpoint, never a partial one.
+A checkpoint is the database's state as the records the engine logs,
+in the WAL's frames (same magic, header and CRC), written to a temp
+file, fsynced and renamed to ``checkpoint.log``: readers see the old
+checkpoint or the new one, never a mix.  The records, numbered 1, 2, …
+in file order::
 
-Two deliberate shape choices:
+    checkpoint               last LSN, index order, shared names/scopes
+    create_table …           every table with its typed columns
+    register_schema …        the registered schemas
+    insert …                 every row, in row order, batched
+    create_xml_index …       index definitions: recovery builds each
+    create_relational_index …  tree once, in bulk, over the rows
 
-* **Indexes are not serialized.**  B+Trees are derived state; the
-  checkpoint records each index's defining DDL (table, column,
-  XMLPATTERN text, SQL type) and recovery replays the ``CREATE
-  INDEX``, rebuilding the tree from the recovered documents' columns.
-  That keeps the checkpoint small and immune to index-format drift.
-* **Documents are stored columns, not text.**  Each XML value is its
-  :class:`~repro.storage.segment.Segment` (``{"$seg", "$text"}``,
-  CRC'd), whose names and namespace scopes index the checkpoint's one
-  shared ``names`` / ``scopes`` tables; recovery *adopts* each segment
-  (re-deriving post, level, path partitions and text offsets) and
-  parses nothing.  ``recover --verify`` checks the adoption end to end
-  by a round trip: materialize, serialize, parse back, compare the
-  columns slot by slot.
-
-Format 3 is the only one read; older checkpoints are a
-:class:`~repro.errors.DurabilityError`.
+A document is its column segment (:mod:`repro.storage.segment`), whose
+names and scopes index the header's shared tables; recovery adopts it
+without parsing.  Recovery reads the file with
+:func:`~repro.durability.wal.scan_wal` and replays it through the WAL's
+own apply.  Being renamed into place whole, a checkpoint has no torn
+tail: a bad frame is a :class:`~repro.errors.DurabilityError` naming
+the file, and so is a ``checkpoint.json`` (the older format, which has
+no reader).
 """
 
 from __future__ import annotations
@@ -36,17 +31,23 @@ from dataclasses import dataclass
 from ..errors import DurabilityError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..storage.segment import SegmentTables, encode_document
-from ..storage.table import StoredDocument
+from ..storage.segment import SegmentTables
 from . import fsio
-from .codec import encode_schema, encode_value
+from .codec import (create_table_record, encode_row, insert_record,
+                    relational_index_record, schema_record,
+                    xml_index_record)
 from .faults import NO_FAULTS
+from .wal import MAGIC, encode_record, scan_wal
 
-__all__ = ["CHECKPOINT_NAME", "CheckpointInfo", "write_checkpoint",
-           "load_checkpoint"]
+__all__ = ["CHECKPOINT_NAME", "CheckpointInfo", "encode_database",
+           "write_checkpoint", "load_checkpoint"]
 
-CHECKPOINT_NAME = "checkpoint.json"
-FORMAT_VERSION = 3
+CHECKPOINT_NAME = "checkpoint.log"
+_OLD_NAME = "checkpoint.json"
+#: Insert records hold at most this many bytes of rows each (a row
+#: larger than that alone), far below a frame's limit, so a row pays
+#: next to nothing for frame and keys.
+_BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,60 +60,58 @@ class CheckpointInfo:
     bytes_written: int
 
 
-def encode_database(database, last_lsn: int) -> dict:
-    """The checkpoint document for the database's current state — also
+def encode_database(database, last_lsn: int) -> list[dict]:
+    """The checkpoint records for the database's current state — also
     what a process pool ships to bootstrap its replicas.
 
     Caller holds the exclusive write lock (a pool: the shared one,
     which excludes writers too), so the traversal sees one consistent
     version.  No document is materialized: each is encoded from its
     columns."""
-    segment_tables = SegmentTables()
-    tables = []
+    tables = SegmentTables()
+    records = [create_table_record(table)
+               for table in database.tables.values()]
+    records.extend(schema_record(schema)
+                   for schema in database.schemas.values())
     for table in database.tables.values():
-        rows = []
-        for row in table.rows:
-            encoded_row = {}
-            for column, value in row.values.items():
-                if isinstance(value, StoredDocument):
-                    encoded = encode_document(value.columns, segment_tables)
-                    if value.schema_name is not None:
-                        encoded["$schema"] = value.schema_name
-                    encoded_row[column] = encoded
-                else:
-                    encoded_row[column] = encode_value(value)
-            rows.append(encoded_row)
-        tables.append({
-            "name": table.name,
-            "columns": [[column, str(sql_type)]
-                        for column, sql_type in table.columns.items()],
-            "rows": rows,
-        })
-    names, scopes = segment_tables.to_json()
-    schemas = [dict(encode_schema(schema), registered=True)
-               for schema in database.schemas.values()]
-    noted = getattr(database, "_doc_schemas", {})
-    schemas.extend(dict(encode_schema(schema), registered=False)
-                   for name, schema in noted.items()
-                   if name not in database.schemas)
-    return {
-        "format": FORMAT_VERSION,
-        "last_lsn": last_lsn,
-        "index_order": database.index_order,
-        "names": names,
-        "scopes": scopes,
-        "tables": tables,
-        "schemas": schemas,
-        "xml_indexes": [
-            {"name": index.name, "table": index.table,
-             "column": index.column, "pattern": index.pattern_text,
-             "type": index.index_type}
-            for index in database.xml_indexes.values()],
-        "rel_indexes": [
-            {"name": index.name, "table": index.table,
-             "column": index.column}
-            for index in database.rel_indexes.values()],
-    }
+        records.extend(insert_record(database.schemas, table.name, batch)
+                       for batch in _batches(table.rows, tables))
+    records.extend(xml_index_record(index)
+                   for index in database.xml_indexes.values())
+    records.extend(relational_index_record(index)
+                   for index in database.rel_indexes.values())
+    names, scopes = tables.to_json()
+    header = {"op": "checkpoint", "last_lsn": last_lsn,
+              "index_order": database.index_order,
+              "names": names, "scopes": scopes}
+    return [header, *records]
+
+
+def _batches(rows, tables: SegmentTables):
+    """``rows``, each encoded once (:func:`encode_row`), in consecutive
+    batches of at most ``_BATCH_BYTES`` of JSON.  A row's size is its
+    ASCII-escaped JSON, never less than the UTF-8 it is written as; a
+    record's inline schemas are left out of the count (each is written
+    once per record), and :func:`~repro.durability.wal.encode_record`
+    refuses a frame too large to read back."""
+    batch, size = [], 0
+    for row in rows:
+        encoded = encode_row(row, tables)
+        row_size = len(json.dumps(encoded[0], separators=(",", ":")))
+        if batch and size + row_size > _BATCH_BYTES:
+            yield batch
+            batch, size = [], 0
+        batch.append(encoded)
+        size += row_size
+    if batch:
+        yield batch
+
+
+def frame_records(records: list[dict]) -> bytes:
+    """``records`` as a checkpoint file: the WAL's magic and frames,
+    numbered from 1."""
+    return MAGIC + b"".join(encode_record(number, record)
+                            for number, record in enumerate(records, 1))
 
 
 # sa: ok(SA403: the checkpoint serializes state under the writer lock
@@ -121,12 +120,13 @@ def write_checkpoint(database, directory, last_lsn: int, *,
                      faults=NO_FAULTS, tracer=None) -> CheckpointInfo:
     """Serialize, write-temp, fsync, rename: the atomic protocol.
 
+    A state that cannot be framed (a record over the frame limit) is a
+    :class:`~repro.errors.DurabilityError` before any byte is written,
+    so the previous checkpoint and the WAL stay as they were.
     The WAL reset that completes a checkpoint is the caller's step
     (``DurableDatabase.checkpoint``) so its crash points wrap the
     actual truncation."""
-    state = encode_database(database, last_lsn)
-    data = json.dumps(state, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    data = frame_records(encode_database(database, last_lsn))
     destination = directory / CHECKPOINT_NAME
     temp = directory / (CHECKPOINT_NAME + ".tmp")
     tracer = tracer or NULL_TRACER
@@ -139,32 +139,39 @@ def write_checkpoint(database, directory, last_lsn: int, *,
         fsio.replace(temp, destination)
         fsio.fsync_dir(directory)
         faults.crash_point("checkpoint.after_rename")
-    rows = sum(len(table["rows"]) for table in state["tables"])
     if METRICS.enabled:
         METRICS.inc("checkpoint.writes")
         METRICS.inc("checkpoint.bytes_written", len(data))
-    return CheckpointInfo(last_lsn=last_lsn, tables=len(state["tables"]),
-                          rows=rows, bytes_written=len(data))
+    return CheckpointInfo(
+        last_lsn=last_lsn, tables=len(database.tables),
+        rows=sum(len(table.rows) for table in database.tables.values()),
+        bytes_written=len(data))
 
 
-def load_checkpoint(directory) -> dict | None:
-    """The checkpoint document, or None for a fresh directory.
+def load_checkpoint(directory) -> list[dict] | None:
+    """The checkpoint's records, header first, or None for a fresh
+    directory.
 
-    A leftover ``checkpoint.json.tmp`` (crash between write and
+    A leftover ``checkpoint.log.tmp`` (crash between write and
     rename) is ignorable garbage: the rename never happened, so the
     previous checkpoint — or none — is still the truth."""
+    old = directory / _OLD_NAME
+    if fsio.exists(old):
+        raise DurabilityError(
+            f"{old}: a checkpoint in the older JSON format, which has "
+            f"no reader")
     path = directory / CHECKPOINT_NAME
     if not fsio.exists(path):
         return None
-    try:
-        state = json.loads(fsio.read_bytes(path).decode("utf-8"))
-    except ValueError as error:
+    scan = scan_wal(path)
+    if scan.torn_bytes:
         raise DurabilityError(
-            f"{path}: corrupt checkpoint: {error}") from error
-    if state.get("format") != FORMAT_VERSION:
+            f"{path}: corrupt checkpoint: bad frame at byte "
+            f"{scan.valid_size} of {scan.file_size}")
+    records = [record for _number, record in scan.records]
+    if not records or records[0].get("op") != "checkpoint":
         raise DurabilityError(
-            f"{path}: unsupported checkpoint format "
-            f"{state.get('format')!r}")
+            f"{path}: corrupt checkpoint: no header record")
     if METRICS.enabled:
         METRICS.inc("checkpoint.loads")
-    return state
+    return records

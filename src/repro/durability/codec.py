@@ -1,6 +1,8 @@
-"""JSON encoding of SQL values and schemas.
+"""The record grammar: JSON encoding of values, schemas and records.
 
-WAL records and checkpoints share one value codec.  The SQL value
+WAL records and checkpoints (a compacted log) are one grammar: each
+record shape is built by one function at the end of this module and
+applied by :mod:`repro.durability.recovery`.  The SQL value
 domain (:mod:`repro.sql.values`) is JSON-native except for four cases,
 which are tagged with single-key objects so decoding is unambiguous:
 
@@ -27,9 +29,13 @@ import math
 
 from ..errors import DurabilityError
 from ..schema.schema import Schema, TypeDeclaration
+from ..storage.segment import encode_document
+from ..storage.table import StoredDocument
 
 __all__ = ["encode_value", "decode_value", "encode_schema",
-           "decode_schema"]
+           "decode_schema", "create_table_record", "schema_record",
+           "xml_index_record", "relational_index_record",
+           "encode_row", "insert_record"]
 
 
 def encode_value(value):
@@ -85,3 +91,77 @@ def decode_schema(obj: dict) -> Schema:
         [TypeDeclaration(path, type_name, is_list)
          for path, type_name, is_list in obj["declarations"]],
         strict=obj["strict"])
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+def create_table_record(table) -> dict:
+    return {"op": "create_table", "name": table.name,
+            "columns": [[column, str(sql_type)]
+                        for column, sql_type in table.columns.items()]}
+
+
+def schema_record(schema: Schema) -> dict:
+    return {"op": "register_schema", "schema": encode_schema(schema)}
+
+
+def xml_index_record(index) -> dict:
+    return {"op": "create_xml_index", "name": index.name,
+            "table": index.table, "column": index.column,
+            "pattern": index.pattern_text, "type": index.index_type}
+
+
+def relational_index_record(index) -> dict:
+    return {"op": "create_relational_index", "name": index.name,
+            "table": index.table, "column": index.column}
+
+
+def encode_row(row, tables=None) -> tuple[dict, dict]:
+    """One row for :func:`insert_record`: its values encoded (each
+    document read once, as a column segment with its own name and
+    scope tables, or indexing the shared ``tables``, a checkpoint's)
+    and, by column, the schema object that validated each document."""
+    values: dict[str, object] = {}
+    validated: dict[str, Schema] = {}
+    for column, value in row.values.items():
+        if isinstance(value, StoredDocument):
+            values[column] = encode_document(value.columns, tables)
+            if value.schema is not None:
+                validated[column] = value.schema
+        else:
+            values[column] = encode_value(value)
+    return values, validated
+
+
+def insert_record(schemas: dict, table: str, rows) -> dict:
+    """The record that inserts ``rows`` (:func:`encode_row` pairs) into
+    ``table``, in order (the WAL logs one row per record, a checkpoint
+    a batch).  A validated document names its schema as ``{"$ref":
+    name}`` only while that very schema is the one ``schemas``
+    registers under its name; otherwise as ``{"$inline": i}``, the
+    record's ``inline`` list embedding each such schema once, so a
+    later replacement cannot retype the document on replay."""
+    inline: list[dict] = []
+    positions: dict[int, int] = {}
+    references = []
+    for _values, validated in rows:
+        entry: dict[str, dict] = {}
+        for column, schema in validated.items():
+            if schemas.get(schema.name) is schema:
+                entry[column] = {"$ref": schema.name}
+                continue
+            if id(schema) not in positions:
+                positions[id(schema)] = len(inline)
+                inline.append(encode_schema(schema))
+            entry[column] = {"$inline": positions[id(schema)]}
+        references.append(entry)
+    record = {"op": "insert", "table": table,
+              "rows": [values for values, _validated in rows]}
+    if any(references):
+        record["schemas"] = references
+    if inline:
+        record["inline"] = inline
+    return record

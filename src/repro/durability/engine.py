@@ -6,8 +6,11 @@ writer entry points are overridden, each with the same shape::
 
     with self._rwlock.write():          # reentrant: nests the base op
         result = super().op(...)        # apply in memory (may raise)
-        self._log({...})                # append the logical record
+        self._log(op_record(...))       # append the logical record
         return result
+
+Each record is built by the one function of :mod:`.codec` that the
+checkpoint writer uses too (a checkpoint is a compacted log).
 
 Holding the one exclusive lock across apply **and** log is what makes
 WAL order equal apply order (concurrent writers cannot interleave the
@@ -19,7 +22,9 @@ its write fails) is rolled back before the error propagates, so no
 unlogged row stays visible; a failure after the record reached the
 log (its fsync, a subscriber) keeps the row, which replay restores.
 An insert record holds each document as its column segment, encoded
-from the columns the insert parsed, so no tree is built to log it.
+from the columns the insert parsed, so no tree is built to log it, and
+names a validating schema by reference only while it is the registered
+one (:func:`~repro.durability.codec.insert_record`).
 
 Once a group write or fsync has failed the log
 (:class:`~repro.durability.wal.WriteAheadLog`), memory may hold rows
@@ -44,11 +49,12 @@ import pathlib
 from ..analysis import sanitizer as _sanitizer
 from ..schema.schema import Schema
 from ..storage.catalog import Database
-from ..storage.segment import encode_document
-from ..storage.table import Row, StoredDocument, Table
+from ..storage.table import Row, Table
 from . import fsio
 from .checkpoint import CheckpointInfo, write_checkpoint
-from .codec import encode_schema, encode_value
+from .codec import (create_table_record, encode_row, insert_record,
+                    relational_index_record, schema_record,
+                    xml_index_record)
 from .faults import NO_FAULTS, CrashError
 from .recovery import RecoveryResult, recover
 from .wal import WAL_NAME, WriteAheadLog
@@ -88,10 +94,6 @@ class DurableDatabase(Database):
         # them costs only a re-materialization.
         self._purge_spool()
         self._faults = faults
-        #: Schemas used for per-document validation without being
-        #: registered in the catalog — checkpoints must persist them so
-        #: recovery can re-validate (re-annotate) those documents.
-        self._doc_schemas: dict[str, Schema] = {}
         self._replaying = True
         try:
             self.last_recovery: RecoveryResult = recover(
@@ -112,10 +114,7 @@ class DurableDatabase(Database):
         with self._rwlock.write():
             self._refuse_if_failed()
             table = super().create_table(name, columns)
-            self._log({
-                "op": "create_table", "name": table.name,
-                "columns": [[column, str(sql_type)] for column, sql_type
-                            in table.columns.items()]})
+            self._log(create_table_record(table))
             return table
 
     def drop_table(self, name: str) -> None:
@@ -129,8 +128,7 @@ class DurableDatabase(Database):
         with self._rwlock.write():
             self._refuse_if_failed()
             super().register_schema(schema)
-            self._log({"op": "register_schema",
-                       "schema": encode_schema(schema)})
+            self._log(schema_record(schema))
 
     def create_xml_index(self, name: str, table: str, column: str,
                          pattern: str, index_type: str):
@@ -138,11 +136,7 @@ class DurableDatabase(Database):
             self._refuse_if_failed()
             index = super().create_xml_index(name, table, column,
                                              pattern, index_type)
-            self._log({
-                "op": "create_xml_index", "name": index.name,
-                "table": index.table, "column": index.column,
-                "pattern": index.pattern_text,
-                "type": index.index_type})
+            self._log(xml_index_record(index))
             return index
 
     def _publish_xml_index(self, index) -> None:
@@ -155,20 +149,14 @@ class DurableDatabase(Database):
         with self._rwlock.write():
             self._refuse_if_failed()
             super()._publish_xml_index(index)
-            self._log({
-                "op": "create_xml_index", "name": index.name,
-                "table": index.table, "column": index.column,
-                "pattern": index.pattern_text,
-                "type": index.index_type})
+            self._log(xml_index_record(index))
 
     def create_relational_index(self, name: str, table: str,
                                 column: str):
         with self._rwlock.write():
             self._refuse_if_failed()
             index = super().create_relational_index(name, table, column)
-            self._log({
-                "op": "create_relational_index", "name": index.name,
-                "table": index.table, "column": index.column})
+            self._log(relational_index_record(index))
             return index
 
     def drop_index(self, name: str) -> None:
@@ -183,12 +171,12 @@ class DurableDatabase(Database):
             self._refuse_if_failed()
             row = super().insert(table, values, schema)
             if self._replaying:
-                self._note_row_schemas(row, schema)
                 return row
             table_obj = self.table(table)
             last_lsn = self._wal.last_lsn
             try:
-                self._log(self._insert_record(table_obj, row, schema))
+                self._log(insert_record(self.schemas, table_obj.name,
+                                        [encode_row(row)]))
             except CrashError:
                 raise
             # sa: ok(SA408: an insert whose record is not logged must not
@@ -198,23 +186,6 @@ class DurableDatabase(Database):
                     self._remove_rows(table_obj, [row])
                 raise
             return row
-
-    def _insert_record(self, table: Table, row: Row, schema) -> dict:
-        record_values: dict[str, object] = {}
-        record_schemas: dict[str, dict] = {}
-        for key, value in row.values.items():
-            if isinstance(value, StoredDocument):
-                record_values[key] = encode_document(value.columns)
-                if value.schema_name is not None:
-                    record_schemas[key] = self._note_schema(
-                        self._schema_for(schema, key))
-            else:
-                record_values[key] = encode_value(value)
-        record = {"op": "insert", "table": table.name,
-                  "values": record_values}
-        if record_schemas:
-            record["schemas"] = record_schemas
-        return record
 
     def delete_rows(self, table: str, predicate=None) -> int:
         with self._rwlock.write():
@@ -340,25 +311,3 @@ class DurableDatabase(Database):
             # Append order == apply order only while the exclusive
             # lock spans both; the sanitizer checks exactly that.
             _sanitizer.ACTIVE.note_wal_append(self, lsn)
-
-    def _note_schema(self, schema: Schema) -> dict:
-        """The WAL reference for a validation schema.
-
-        Registered schemas are referenced by name; a schema passed
-        inline is embedded in the record and tracked so checkpoints
-        persist its definition."""
-        if self.schemas.get(schema.name) is schema:
-            return {"$ref": schema.name}
-        self._doc_schemas[schema.name] = schema
-        return encode_schema(schema)
-
-    def _note_row_schemas(self, row: Row, schema) -> None:
-        """During replay, still track inline validation schemas."""
-        for key, value in row.values.items():
-            if (isinstance(value, StoredDocument)
-                    and value.schema_name is not None):
-                resolved = self._schema_for(schema, key)
-                if (resolved is not None
-                        and self.schemas.get(resolved.name)
-                        is not resolved):
-                    self._doc_schemas[resolved.name] = resolved

@@ -55,8 +55,10 @@ def write_bytes(path, data: bytes) -> None:
 
 
 def open_append(path):
-    """An append-mode binary handle (the WAL's long-lived handle)."""
-    return open(os.fspath(path), "ab")
+    """An unbuffered append-mode handle (the WAL's long-lived handle):
+    a write that fails leaves no bytes behind in a user-space buffer
+    to reach the file later."""
+    return open(os.fspath(path), "ab", buffering=0)
 
 
 def fsync_file(handle) -> None:

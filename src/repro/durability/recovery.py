@@ -2,30 +2,31 @@
 
 The protocol::
 
-    load checkpoint.json (if any)        → state as of checkpoint_lsn
-      tables → schemas → rows → indexes  (indexes rebuilt from DDL)
-    scan wal.log, repair torn tail       → records, longest valid prefix
+    scan checkpoint.log (if any), strictly → records as of checkpoint_lsn
+    scan wal.log, repair torn tail         → records, longest valid prefix
     replay records with lsn > checkpoint_lsn, in LSN order
 
+Both files hold one record grammar (:mod:`repro.durability.codec`) and
+go through one per-operation apply; only a bad frame reads differently
+(a torn WAL tail is cut, a bad checkpoint frame is corruption).
+
 Idempotence comes from three layers: every recovery starts from a
-*fresh* in-memory database (never a partially recovered one), the
-checkpoint-LSN guard skips records the checkpoint already covers
-(stale logs left by a crash between checkpoint rename and WAL reset),
-and each DDL apply tolerates already-present/already-absent targets.
-Recovering the same directory twice is therefore a no-op: same state,
-same LSNs, nothing rewritten.
+*fresh* in-memory database, the checkpoint-LSN guard skips records the
+checkpoint already covers (stale logs left by a crash between
+checkpoint rename and WAL reset), and each DDL apply tolerates
+already-present/already-absent targets.
 
-Documents are *adopted*, never parsed: every checkpoint row and every
-logged insert holds its document as a column segment
-(:mod:`repro.storage.segment`), which becomes the document's column
-store directly, and no tree is built until a read asks for one.
-Schema-validated documents are the exception: validation annotates a
-tree, so they materialize as they did at insert.
+Documents are *adopted* from their column segments
+(:mod:`repro.storage.segment`), never parsed, and no tree is built
+until a read asks for one — except for schema-validated documents,
+re-validated against the schema their record names (``{"$ref":
+name}``: registered under that name at that point of the replay) or
+embeds (``{"$inline": i}``: the record's ``inline`` list).
 
-Emits ``recovery`` trace spans (via :mod:`repro.obs.trace`) and
-``recovery.*`` metrics; ``verify=True`` additionally round-trips every
-recovered document — materialize, serialize, parse back — and compares
-the parsed columns with the adopted ones slot by slot.
+Emits ``recovery`` trace spans and ``recovery.*`` metrics;
+``verify=True`` additionally round-trips every recovered document —
+materialize, serialize, parse back — and compares the parsed columns
+with the adopted ones slot by slot.
 """
 
 from __future__ import annotations
@@ -114,10 +115,10 @@ def recover(database, directory, *, verify: bool = False,
     wal_path = directory / WAL_NAME
     with tracer.span("recovery", directory=str(directory)):
         with tracer.span("recovery.checkpoint"):
-            state = load_checkpoint(directory)
-            checkpoint_lsn = state["last_lsn"] if state else 0
-            if state is not None:
-                _apply_checkpoint(database, state)
+            records = load_checkpoint(directory)
+            checkpoint_lsn = records[0]["last_lsn"] if records else 0
+            if records is not None:
+                apply_checkpoint_state(database, records)
         scan = scan_wal(wal_path)
         if scan.torn_bytes:
             # Torn-tail repair: drop the partial final frame so later
@@ -133,7 +134,7 @@ def recover(database, directory, *, verify: bool = False,
                 if lsn <= checkpoint_lsn:
                     skipped += 1
                     continue
-                _apply_record(database, record, lsn)
+                apply_wal_record(database, record, lsn)
                 replayed += 1
         if report is not None:
             _verify_round_trips(database, report)
@@ -152,67 +153,6 @@ def recover(database, directory, *, verify: bool = False,
         rows=sum(len(table.rows)
                  for table in database.tables.values()),
         seconds=seconds, verify=report)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint apply
-# ---------------------------------------------------------------------------
-
-
-def _apply_checkpoint(database, state: dict) -> None:
-    database.index_order = state["index_order"]
-    tables = SegmentTables.from_json(state["names"], state["scopes"],
-                                     "checkpoint")
-    for table in state["tables"]:
-        database.create_table(
-            table["name"],
-            [(column, type_text)
-             for column, type_text in table["columns"]])
-    for entry in state["schemas"]:
-        schema = decode_schema(entry)
-        if entry["registered"]:
-            database.register_schema(schema)
-        else:
-            database._doc_schemas[schema.name] = schema
-    for table in state["tables"]:
-        for position, row in enumerate(table["rows"]):
-            _insert_encoded(database, table["name"], row,
-                            f"checkpoint {table['name']} row {position}",
-                            tables)
-    # Indexes last: one bulk build over the recovered documents beats
-    # per-row incremental maintenance during the load above.
-    for index in state["xml_indexes"]:
-        if index["name"] not in database.xml_indexes:
-            database.create_xml_index(
-                index["name"], index["table"], index["column"],
-                index["pattern"], index["type"])
-    for index in state["rel_indexes"]:
-        if index["name"] not in database.rel_indexes:
-            database.create_relational_index(
-                index["name"], index["table"], index["column"])
-
-
-def _insert_encoded(database, table_name: str, values: dict, where: str,
-                    tables: SegmentTables | None = None,
-                    schemas: dict | None = None) -> None:
-    """Insert one encoded row: scalars decoded, documents adopted from
-    their segments (``tables``: the checkpoint's shared names and
-    scopes; a WAL record's documents carry their own).  A schema named
-    by the row (``$schema``) or in ``schemas`` re-validates its
-    document."""
-    decoded: dict[str, object] = {}
-    schema_map: dict[str, Schema] = dict(schemas or {})
-    for column, encoded in values.items():
-        if isinstance(encoded, dict) and "$seg" in encoded:
-            decoded[column] = decode_document(
-                encoded, f"{where} column {column}", tables)
-            schema_name = encoded.get("$schema")
-            if schema_name:
-                schema_map[column] = _resolve_schema(database,
-                                                     schema_name)
-        else:
-            decoded[column] = decode_value(encoded)
-    database.insert(table_name, decoded, schema_map or None)
 
 
 def _verify_round_trips(database, report: VerifyReport) -> None:
@@ -265,22 +205,33 @@ def _slots(store) -> list[tuple]:
                 store.ns_id, store.path_id, store.text_lo, store.text_hi)]
 
 
-def _resolve_schema(database, name: str) -> Schema:
-    schema = database.schemas.get(name)
-    if schema is None:
-        schema = database._doc_schemas.get(name)
-    if schema is None:
-        raise DurabilityError(
-            f"recovery references unknown schema {name!r}")
-    return schema
-
-
 # ---------------------------------------------------------------------------
-# WAL record apply (idempotent per record)
+# Record apply: one per-operation step for checkpoint and WAL records
 # ---------------------------------------------------------------------------
 
 
-def _apply_record(database, record: dict, lsn: int = 0) -> None:
+def apply_checkpoint_state(database, records: list[dict]) -> None:
+    """Load a checkpoint's records (:func:`load_checkpoint`, or the
+    list a process pool ships its replicas) into a fresh database."""
+    header = records[0]
+    database.index_order = header["index_order"]
+    tables = SegmentTables.from_json(header["names"], header["scopes"],
+                                     "checkpoint")
+    for record in records[1:]:
+        _apply(database, record, "checkpoint", tables)
+
+
+def apply_wal_record(database, record: dict, lsn: int = 0) -> None:
+    """Apply one logical WAL record — the replay step of recovery and
+    of a follower for every record the primary ships."""
+    _apply(database, record, f"WAL record {lsn}: insert into")
+
+
+def _apply(database, record: dict, where: str,
+           tables: SegmentTables | None = None) -> None:
+    """Apply one record, idempotently for DDL.  An insert's documents
+    use the shared ``tables`` (a checkpoint's) when they carry none;
+    errors in it name ``where``, its table and row."""
     op = record.get("op")
     if op == "create_table":
         if record["name"] not in database.tables:
@@ -307,31 +258,39 @@ def _apply_record(database, record: dict, lsn: int = 0) -> None:
                 or record["name"] in database.rel_indexes):
             database.drop_index(record["name"])
     elif op == "insert":
-        schemas: dict[str, Schema] = {}
-        for column, entry in record.get("schemas", {}).items():
-            if "$ref" in entry:
-                schemas[column] = _resolve_schema(database, entry["$ref"])
-            else:
-                schemas[column] = decode_schema(entry)
-        _insert_encoded(database, record["table"], record["values"],
-                        f"WAL record {lsn}: insert into {record['table']}",
-                        schemas=schemas)
+        _insert(database, record, where, tables)
     elif op == "delete_rows":
         database._delete_positions(record["table"], record["positions"])
     else:
         raise DurabilityError(f"unknown WAL record op {op!r}")
 
 
-# ---------------------------------------------------------------------------
-# Replica-facing entry points (log shipping)
-# ---------------------------------------------------------------------------
+def _insert(database, record: dict, where: str,
+            tables: SegmentTables | None) -> None:
+    """Insert the record's rows, one by one: scalars decoded,
+    documents adopted from their segments and re-validated against the
+    schemas the record names or embeds (each decoded once)."""
+    table = record["table"]
+    validated_rows = record.get("schemas") or [{}] * len(record["rows"])
+    inline = [decode_schema(obj) for obj in record.get("inline", ())]
+    for values, validated in zip(record["rows"], validated_rows):
+        row_where = f"{where} {table} row {len(database.table(table).rows)}"
+        decoded: dict[str, object] = {}
+        for column, encoded in values.items():
+            if isinstance(encoded, dict) and "$seg" in encoded:
+                decoded[column] = decode_document(
+                    encoded, f"{row_where} column {column}", tables)
+            else:
+                decoded[column] = decode_value(encoded)
+        schemas = {column: (_resolve_schema(database, entry["$ref"])
+                            if "$ref" in entry else inline[entry["$inline"]])
+                   for column, entry in validated.items()}
+        database.insert(table, decoded, schemas or None)
 
-#: Load an encoded checkpoint document into a fresh database — the
-#: replica-bootstrap half of recovery, reused by
-#: :mod:`repro.parallel.replica` on state shipped over a pipe instead
-#: of read from disk.
-apply_checkpoint_state = _apply_checkpoint
 
-#: Apply one logical WAL record — the replay step a follower runs for
-#: every record the primary ships.
-apply_wal_record = _apply_record
+def _resolve_schema(database, name: str) -> Schema:
+    schema = database.schemas.get(name)
+    if schema is None:
+        raise DurabilityError(
+            f"recovery references unknown schema {name!r}")
+    return schema

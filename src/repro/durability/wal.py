@@ -2,15 +2,15 @@
 
 File layout::
 
-    REPROWAL2\\n                      10-byte magic
+    REPROWAL3\\n                      10-byte magic
     <lsn:u32><length:u32><crc:u32>   per-record frame header (LE)
     <payload: length bytes>          UTF-8 JSON of one logical record
 
-An insert record holds each document as a column segment with its own
-name and scope tables (:func:`repro.storage.segment.encode_document`),
-so replay adopts it without parsing.  The older ``REPROWAL1`` log
-(documents as XML text) has no reader: opening one is a
-:class:`~repro.errors.DurabilityError`.
+Records are built by :mod:`repro.durability.codec`; an insert record
+holds each document as a column segment with its own name and scope
+tables, so replay adopts it without parsing.  ``REPROWAL1`` (XML text)
+and ``REPROWAL2`` (an insert's one row as ``values``) logs have no
+reader: opening one is a :class:`~repro.errors.DurabilityError`.
 
 The log is *logical* (operation-level), mirroring how the engine's
 writers are already atomic critical sections: one committed writer call
@@ -46,8 +46,10 @@ replay out of order.  From then on :meth:`WriteAheadLog.append`,
 :class:`~repro.errors.DurabilityError` until the database is reopened,
 whose torn-tail repair and replay give the authoritative state;
 ``close`` only releases the handle.  The one failure that does not
-fail the log is a write of the one record being appended that failed
-before any byte of it was written: that record is simply not logged.
+fail the log is a write of the one record being appended that left the
+file's size unchanged: that record is simply not logged.  A checkpoint
+(:mod:`repro.durability.checkpoint`) is the same frames, read by the
+same :func:`scan_wal`.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ __all__ = ["WAL_NAME", "WriteAheadLog", "WalScan", "scan_wal",
            "encode_record", "tail_wal"]
 
 WAL_NAME = "wal.log"
-MAGIC = b"REPROWAL2\n"
+MAGIC = b"REPROWAL3\n"
 _FRAME = struct.Struct("<III")  # lsn, payload length, crc32
 _MAX_RECORD = 64 * 1024 * 1024
 
@@ -76,8 +78,15 @@ def _crc(lsn: int, payload: bytes) -> int:
 
 
 def encode_record(lsn: int, record: dict) -> bytes:
+    """``record``'s frame; a payload :func:`scan_wal` would not read
+    back (over ``_MAX_RECORD``) is a
+    :class:`~repro.errors.DurabilityError` instead."""
     payload = json.dumps(record, separators=(",", ":"),
                          ensure_ascii=False).encode("utf-8")
+    if len(payload) > _MAX_RECORD:
+        raise DurabilityError(
+            f"a {record.get('op')!r} record of {len(payload)} bytes is "
+            f"over the {_MAX_RECORD}-byte frame limit")
     return _FRAME.pack(lsn, len(payload), _crc(lsn, payload)) + payload
 
 
@@ -287,10 +296,11 @@ class WriteAheadLog:
 
     def _write_pending(self, sync: bool, appending: int = 0) -> None:
         """Write the buffered records as one group (fsync with
-        ``sync``); a failure fails the log, except one before any byte
-        was written when the only buffered record is the one an
-        :meth:`append` of LSN ``appending`` logs: its LSN is free
-        again."""
+        ``sync``); a failure fails the log, except one that left the
+        file's size as it was when the only buffered record is the one
+        an :meth:`append` of LSN ``appending`` logs: its LSN is free
+        again.  (After a torn frame, the next record would be cut off
+        with the torn tail.)"""
         alone = appending > 0 and len(self._pending) == 1
         data = b"".join(self._pending)
         self._pending.clear()
@@ -298,18 +308,30 @@ class WriteAheadLog:
         try:
             self._write_group(data, sync)
         except BaseException as error:
-            if alone and self._written_size == written:
+            if (alone and self._written_size == written
+                    and self._size_on_disk_is(written)):
                 self._next_lsn = appending
             else:
                 self._failure = error
             raise
 
+    def _size_on_disk_is(self, size: int) -> bool:
+        """Whether the file still holds ``size`` bytes; a size that
+        cannot be read counts as changed."""
+        try:
+            return fsio.file_size(self.path) == size
+        # sa: ok(SA408: any failure to stat means the size is unknown;
+        # the caller then fails the log with the write's own error)
+        except Exception:
+            return False
+
     def _write_group(self, data: bytes, sync: bool) -> None:
         self._faults.crash_point("wal.append.before_write",
                                  path=self.path,
                                  durable_bytes=self._synced_size)
-        self._handle.write(data)
-        self._handle.flush()
+        view = memoryview(data)
+        while view:  # an unbuffered write may take only part of it
+            view = view[self._handle.write(view):]
         self._written_size += len(data)
         if METRICS.enabled:
             METRICS.inc("wal.bytes_written", len(data))

@@ -2,7 +2,7 @@
 
 :class:`ProcessPool` escapes the GIL for partitionable queries.  On
 construction it takes the database's shared read lock once, encodes a
-checkpoint of the current state (the durability layer's own encoding —
+checkpoint of the current state (the records a disk checkpoint holds —
 replication *is* recovery over a pipe), subscribes to the WAL, and
 records the base LSN/version; it then spawns N worker processes, ships
 each the checkpoint, and streams every subsequently appended WAL
@@ -190,11 +190,11 @@ class ProcessPool:
             self._base_version = database.version
             # Documents ship as column segments: followers adopt them
             # without parsing, as recovery does.
-            state = encode_database(database, self._base_lsn)
+            checkpoint = encode_database(database, self._base_lsn)
             if self._wal is not None:
                 self._wal.subscribe(self._on_wal_append)
         try:
-            self._spawn_workers(processes, state)
+            self._spawn_workers(processes, checkpoint)
         except BaseException:
             self.close()
             raise
@@ -206,7 +206,8 @@ class ProcessPool:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn_workers(self, processes: int, state: dict) -> None:
+    def _spawn_workers(self, processes: int,
+                       checkpoint: list[dict]) -> None:
         if _sanitizer.ACTIVE is not None:
             # The bootstrap read section above has been released by
             # now; a held lock here would be cloned into every child.
@@ -218,7 +219,7 @@ class ProcessPool:
             process.start()
             child_conn.close()
             self._workers.append(_Worker(process, parent_conn))
-        init = ("init", state, self._base_lsn,
+        init = ("init", checkpoint, self._base_lsn,
                 self._database.index_order)
         with self._ship_lock:
             for worker in self._workers:
@@ -329,8 +330,9 @@ class ProcessPool:
                 self._base_lsn = (self._wal.last_lsn
                                   if self._wal else 0)
                 self._base_version = self._database.version
-                state = encode_database(self._database, self._base_lsn)
-                init = ("init", state, self._base_lsn,
+                checkpoint = encode_database(self._database,
+                                             self._base_lsn)
+                init = ("init", checkpoint, self._base_lsn,
                         self._database.index_order)
                 with self._ship_lock:
                     for worker in self._workers:

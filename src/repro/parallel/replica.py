@@ -1,11 +1,11 @@
 """Read-only replicas: a Database rebuilt from shipped state + WAL.
 
 A :class:`ReplicaDatabase` is the follower half of log shipping.  It is
-bootstrapped from the primary's encoded checkpoint state (the same
-document :func:`repro.durability.checkpoint.encode_database` produces
-for disk checkpoints — recovery *is* the replication substrate) and
-then advanced one logical WAL record at a time by
-:meth:`apply_wal_record`, exactly the replay path crash recovery uses.
+bootstrapped from the primary's checkpoint records (the same records
+:func:`repro.durability.checkpoint.encode_database` writes to a disk
+checkpoint — recovery *is* the replication substrate) and then advanced
+one logical WAL record at a time by :meth:`apply_wal_record`; both go
+through the one per-operation apply crash recovery uses.
 Because replay drives the ordinary public write path, the replica
 adopts column segments, re-validates schemas, and maintains its own
 B+Tree indexes from DDL — indexes are derived state on the follower
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from ..durability.recovery import apply_checkpoint_state, apply_wal_record
 from ..errors import ReplicationError, StaleReplicaError
-from ..schema.schema import Schema
 from ..storage.catalog import Database
 
 __all__ = ["ReplicaDatabase", "build_replica"]
@@ -43,9 +42,6 @@ class ReplicaDatabase(Database):
 
     def __init__(self, index_order: int = 64):
         super().__init__(index_order=index_order)
-        #: Validation schemas referenced by shipped rows without being
-        #: registered in the catalog (mirrors DurableDatabase).
-        self._doc_schemas: dict[str, Schema] = {}
         #: LSN of the last applied record — the freshness watermark.
         self.last_applied_lsn = 0
         self._sealed = False
@@ -120,21 +116,21 @@ for _name in _WRITER_NAMES:
 del _name
 
 
-def build_replica(state: dict | None, records, *,
+def build_replica(checkpoint: list[dict] | None, records, *,
                   index_order: int = 64) -> ReplicaDatabase:
-    """Bootstrap a replica from a checkpoint document plus a WAL tail.
+    """Bootstrap a replica from checkpoint records plus a WAL tail.
 
-    ``state`` is the primary's encoded checkpoint (or None for an
-    empty-at-LSN-0 primary); ``records`` is an iterable of
+    ``checkpoint`` is the primary's checkpoint records, header first
+    (or None for an empty-at-LSN-0 primary); ``records`` is an iterable of
     ``(lsn, record)`` pairs — typically :func:`repro.durability.wal.
     tail_wal` output or the pipe-shipped equivalent.  Records at or
     below the checkpoint LSN are skipped, mirroring recovery's stale-
     log guard, so checkpoint + tail overlap is harmless.
     """
     replica = ReplicaDatabase(index_order=index_order)
-    if state is not None:
-        apply_checkpoint_state(replica, state)
-        replica.last_applied_lsn = state["last_lsn"]
+    if checkpoint is not None:
+        apply_checkpoint_state(replica, checkpoint)
+        replica.last_applied_lsn = checkpoint[0]["last_lsn"]
     for lsn, record in records:
         replica.apply_wal_record(lsn, record)
     replica.seal()

@@ -3,7 +3,7 @@
 ``worker_main`` is the target of every :class:`~repro.parallel.pool.
 ProcessPool` process.  Its contract is built on one property: the pipe
 is FIFO.  The primary sends, in order, one ``init`` message (checkpoint
-state + base LSN), then an interleaving of ``wal`` records (log
+records + base LSN), then an interleaving of ``wal`` records (log
 shipping, sent from inside the primary's exclusive writer section) and
 request messages (sent while the primary holds its read lock).  Because
 every record the primary applied before a request was *sent* before
@@ -22,7 +22,7 @@ Message protocol (tuples, pickled by ``multiprocessing.Connection``):
 =========================================  ================================
 primary → worker                           worker → primary
 =========================================  ================================
-``("init", state, base_lsn, order)``       ``("ready", applied, pid)``
+``("init", records, base_lsn, order)``     ``("ready", applied, pid)``
 ``("wal", lsn, record)``                   —
 ``("xquery", id, text, ref, positions,     ``("result", id, payload)`` or
   required_lsn, trace?, indent?)``           ``("error", id, kind, msg,
@@ -105,9 +105,9 @@ def worker_main(conn) -> None:
 
 def _bootstrap(conn, message):
     """Handle an ``init`` message: recover state into a fresh replica."""
-    _kind, state, base_lsn, index_order = message
-    replica = build_replica(state, [], index_order=index_order)
-    if state is None:
+    _kind, checkpoint, base_lsn, index_order = message
+    replica = build_replica(checkpoint, [], index_order=index_order)
+    if checkpoint is None:
         replica.last_applied_lsn = base_lsn
     conn.send(("ready", replica.last_applied_lsn, os.getpid()))
     return replica

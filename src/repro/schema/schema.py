@@ -56,10 +56,6 @@ class TypeDeclaration:
     def components(self) -> tuple[str, ...]:
         return self._components  # type: ignore[attr-defined]
 
-    @property
-    def targets_attribute(self) -> bool:
-        return self.components[-1].startswith("@")
-
     def matches(self, path_locals: tuple[str, ...]) -> bool:
         """True when ``path_locals`` (root-to-node local names, attribute
         as ``@name``) ends with this declaration's components."""

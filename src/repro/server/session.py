@@ -30,7 +30,7 @@ the WAL, when the database is durable).
 
 from __future__ import annotations
 
-from ..errors import ProtocolError, ReproError, SQLError
+from ..errors import ProtocolError, ReproError
 from ..storage.catalog import _WRITE_HEADS
 from ..xdm import atomic
 from ..xmlio.serializer import serialize
@@ -230,12 +230,6 @@ def _as_items(value) -> list:
         return []
     raise ProtocolError(
         f"unsupported variable value of type {type(value).__name__}")
-
-
-# Writes must be statements the engine can actually replay; surface
-# anything else as a typed SQL error rather than a server crash.
-def _unsupported(statement: str) -> SQLError:  # pragma: no cover
-    return SQLError(f"unsupported statement: {statement[:60]!r}", "0A000")
 
 
 _ = ReproError  # re-exported for type context in docstrings

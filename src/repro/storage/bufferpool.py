@@ -12,9 +12,10 @@ navigating read materializes the tree through :meth:`BufferPool.load`
 tree.
 
 * **Tier 1 (always):** eviction drops the materialized tree; the
-  columns stay resident and the next access re-materializes from them
-  (same ``node_id`` for every node, so index postings and
-  document-order keys survive).
+  columns stay resident, and charged, and the next access
+  re-materializes from them (same ``node_id`` for every node, so index
+  postings and document-order keys survive).  Columns alone free
+  nothing at tier 1, so they are never its victims.
 * **Tier 2 (spill directory set):** eviction also writes the columns
   as one segment with their node ids (:mod:`repro.storage.segment`) to
   ``<spill_dir>/doc-<id>.cols`` through the durability layer's
@@ -145,7 +146,7 @@ class BufferPool:
             return
         with self._lock:
             if (self.resident_bytes > self.budget_bytes
-                    and self._charged.get(stored.doc_id, 0) > 0):
+                    and self._frees_bytes(stored)):
                 self._evict(stored)
                 self._publish_gauge()
 
@@ -173,7 +174,7 @@ class BufferPool:
                 return document
             if METRICS.enabled:
                 METRICS.inc("bufferpool.misses")
-            document = self._columns_of(stored).materialize(stored._schema)
+            document = self._columns_of(stored).materialize(stored.schema)
             stored._document = document
             self._charge(stored)
             self._evict_to_fit(keep=stored)
@@ -221,23 +222,28 @@ class BufferPool:
         return cost
 
     def _evict_to_fit(self, keep) -> None:
+        """Evict least-recently used documents until the budget holds
+        or no document other than ``keep`` can free bytes."""
         assert self.budget_bytes is not None
         while self.resident_bytes > self.budget_bytes:
-            victim = None
-            for doc_id in self._lru:
-                if doc_id != keep.doc_id:
-                    candidate = self._lru[doc_id]
-                    if self._charged.get(doc_id, 0) > 0:
-                        victim = candidate
-                        break
+            victim = next((stored for doc_id, stored in self._lru.items()
+                           if doc_id != keep.doc_id
+                           and self._frees_bytes(stored)), None)
             if victim is None:
                 return
             self._evict(victim)
 
+    def _frees_bytes(self, stored) -> bool:
+        """Whether evicting ``stored`` frees its tree or, at tier 2,
+        its resident columns."""
+        return (stored._document is not None
+                or self.spill_dir is not None and stored._store is not None)
+
     def _evict(self, stored) -> None:
+        """Drop the tree and, at tier 2, spill the columns; the charge
+        shrinks by what left memory."""
         store = stored._store
-        document = stored._document
-        if document is not None and store is not None:
+        if stored._document is not None:
             store.detach()
             stored._document = None
         if self.spill_dir is not None and store is not None:
@@ -245,8 +251,9 @@ class BufferPool:
             stored._store = None
         if METRICS.enabled:
             METRICS.inc("bufferpool.evictions")
-        self.resident_bytes -= self._charged.get(stored.doc_id, 0)
-        self._charged[stored.doc_id] = 0
+        cost = self._cost_of(stored)
+        self.resident_bytes -= self._charged.get(stored.doc_id, 0) - cost
+        self._charged[stored.doc_id] = cost
         self._lru.move_to_end(stored.doc_id, last=False)
 
     def _publish_gauge(self) -> None:

@@ -357,11 +357,9 @@ class Database(ReadView):
             if document is None:
                 document = store.materialize()
             validate(document, schema)
-        stored = StoredDocument(next_doc_id(), document,
-                                schema.name if schema else None)
+        stored = StoredDocument(next_doc_id(), document, schema)
         stored._store = store
         stored.path_class = store.path_class()
-        stored._schema = schema
         return stored
 
     def _schema_for(self, schema, column: str) -> Schema | None:

@@ -34,20 +34,20 @@ class StoredDocument:
     which never touch the document at all.
     """
 
-    __slots__ = ("doc_id", "schema_name", "_document", "_store",
-                 "_schema", "_pool", "path_class")
+    __slots__ = ("doc_id", "schema", "_document", "_store", "_pool",
+                 "path_class")
 
     def __init__(self, doc_id: int, document: DocumentNode | None,
-                 schema_name: str | None = None):
+                 schema=None):
         self.doc_id = doc_id
-        self.schema_name = schema_name
+        #: The Schema that validated the document (None: untyped),
+        #: re-applied on re-materialize.
+        self.schema = schema
         #: The materialized tree, or None while the document rests as
         #: columns (never asked for, or evicted).
         self._document: DocumentNode | None = document
         #: Columnar store backing the document (set at catalog ingest).
         self._store = None
-        #: Registered validation Schema, re-applied on re-materialize.
-        self._schema = None
         #: Owning BufferPool, or None when the database is un-pooled.
         self._pool = None
         #: The document's path signature (``ColumnStore.path_class``),
@@ -68,7 +68,7 @@ class StoredDocument:
             document = self._document
             if document is None:
                 document = self._document = self._store.materialize(
-                    self._schema)
+                    self.schema)
             return document
 
     @property
@@ -85,7 +85,7 @@ class StoredDocument:
         """What an XML index keys (``XmlIndex.index_document``): the
         tree of a schema-validated document, whose typed values live on
         its nodes, and the columns of any other."""
-        return self.columns if self._schema is None else self.document
+        return self.columns if self.schema is None else self.document
 
     def __repr__(self) -> str:
         state = "tree" if self._document is not None else "columns"

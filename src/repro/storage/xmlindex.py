@@ -39,7 +39,6 @@ tree still holds every entry of the pinned rows.
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -47,8 +46,7 @@ from ..core.patterns import (PathNode, PathPattern, PatternMatcher,
                              parse_xmlpattern)
 from ..errors import CastError, SchemaValidationError
 from ..obs.metrics import METRICS
-from ..xdm.atomic import (INDEX_KEY_TYPES, T_DATETIME, T_STRING,
-                          T_UNTYPED, AtomicValue)
+from ..xdm.atomic import INDEX_KEY_TYPES, T_STRING, T_UNTYPED, AtomicValue
 from ..xdm.compare import promote
 from ..xdm.nodes import DocumentNode, Node
 from .btree import BPlusTree
@@ -237,13 +235,9 @@ class XmlIndex:
     def key_for_value(self, value: AtomicValue):
         """A value's key: the value it takes in this index's key type,
         by the promotion every comparison uses
-        (:func:`repro.xdm.compare.promote`); raises CastError if it has
-        none.  Timestamps are normalized to naive UTC so that aware and
-        naive values never raise on comparison inside the tree."""
-        key = promote(value, self.key_type)
-        if self.key_type == T_DATETIME and key.tzinfo is not None:
-            key = key.astimezone(_dt.timezone.utc).replace(tzinfo=None)
-        return key
+        (:func:`repro.xdm.compare.promote`, which also normalizes
+        timestamps to naive UTC); raises CastError if it has none."""
+        return promote(value, self.key_type)
 
     def __len__(self) -> int:
         """Live entries (the tree may also hold forgotten ones)."""

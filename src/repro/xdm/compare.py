@@ -35,6 +35,7 @@ comparisons return the empty sequence and general comparisons false.
 
 from __future__ import annotations
 
+import datetime
 from typing import Callable
 
 from ..errors import CastError, XQueryTypeError
@@ -52,6 +53,8 @@ _OPS: dict[str, Callable[[object, object], bool]] = {
     "gt": lambda a, b: a > b,
     "ge": lambda a, b: a >= b,
 }
+
+_UTC = datetime.timezone.utc
 
 #: general-comparison symbol -> value-comparison operator name
 GENERAL_TO_VALUE = {
@@ -84,13 +87,19 @@ def comparison_type(left: str, right: str) -> str:
 def promote(value: AtomicValue, target: str):
     """``value``'s Python value as type ``target`` (raises CastError);
     with ``target`` a :func:`comparison_type`, the value the comparison
-    sees."""
+    sees.  A dateTime is normalized to naive UTC: one without a
+    timezone is taken as UTC (the implicit timezone), so zoned and
+    unzoned values compare instead of raising."""
     source = value.type_name
     if source == target or source == T_UNTYPED and target == T_STRING:
-        return value.value
-    if source == T_UNTYPED and target == T_DOUBLE:
+        promoted = value.value
+    elif source == T_UNTYPED and target == T_DOUBLE:
         return parse_double(value.value)
-    return cast(value, target).value
+    else:
+        promoted = cast(value, target).value
+    if target == T_DATETIME and promoted.tzinfo is not None:
+        return promoted.astimezone(_UTC).replace(tzinfo=None)
+    return promoted
 
 
 def _promote_pair(left: AtomicValue, right: AtomicValue) -> tuple:

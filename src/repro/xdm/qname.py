@@ -62,25 +62,3 @@ class QName:
     def lexical(self) -> str:
         """Prefixed lexical form (``prefix:local`` or ``local``)."""
         return f"{self.prefix}:{self.local}" if self.prefix else self.local
-
-    def clark(self) -> str:
-        """Clark notation: ``{uri}local``."""
-        return f"{{{self.uri}}}{self.local}" if self.uri else self.local
-
-
-def parse_lexical_qname(text: str, namespaces: dict[str, str],
-                        default_ns: str = "") -> QName:
-    """Resolve a lexical QName against in-scope namespace bindings.
-
-    ``default_ns`` is applied to unprefixed names (use ``""`` for
-    attribute names, which never take the default element namespace).
-    """
-    from ..errors import XQueryStaticError
-
-    if ":" in text:
-        prefix, local = text.split(":", 1)
-        if prefix not in namespaces:
-            raise XQueryStaticError(
-                f"undeclared namespace prefix {prefix!r}", code="XPST0081")
-        return QName(namespaces[prefix], local, prefix)
-    return QName(default_ns, text)

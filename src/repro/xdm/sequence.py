@@ -13,8 +13,7 @@ import math
 from typing import Iterable, Union
 
 from ..errors import XQueryTypeError
-from .atomic import (AtomicValue, T_BOOLEAN, T_STRING, T_UNTYPED,
-                     boolean)
+from .atomic import AtomicValue, T_BOOLEAN, T_STRING, T_UNTYPED
 from .nodes import Node
 
 Item = Union[Node, AtomicValue]
@@ -97,25 +96,9 @@ def document_order(nodes: Iterable[Node]) -> list[Node]:
     return unique
 
 
-def require_nodes(items: list[Item], operation: str) -> list[Node]:
-    for item in items:
-        if not isinstance(item, Node):
-            raise XQueryTypeError(
-                f"{operation} requires nodes, got {item!r}", code="XPTY0004")
-    return items  # type: ignore[return-value]
-
-
 def singleton(items: list[Item], operation: str) -> Item:
     if len(items) != 1:
         raise XQueryTypeError(
             f"{operation} requires a singleton sequence, got "
             f"{len(items)} items", code="XPTY0004")
     return items[0]
-
-
-def string_join_values(values: list[AtomicValue], separator: str = " ") -> str:
-    return separator.join(value.string_value() for value in values)
-
-
-def as_boolean_item(value: bool) -> AtomicValue:
-    return boolean(value)

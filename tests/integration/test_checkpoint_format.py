@@ -1,27 +1,27 @@
-"""Format pin: checkpoint format-v3 bytes, column segments included.
+"""Format pin: checkpoint bytes, WAL frames and column segments included.
 
-A checkpoint stores every document as one column segment
-(``{"$seg": base64 bytes, "$text": heap}``, see
-:mod:`repro.storage.segment`) whose names and namespace scopes index
-the checkpoint's shared ``names`` / ``scopes`` tables.  The sha256 of
-``checkpoint.json`` written by ``repro ingest`` for the paper fixture
-and for a generated 30-order collection is pinned here, so any drift in
-segment encoding, table order or row layout fails loudly instead of
-silently changing format v3.  A recovered database re-checkpoints to
-the same bytes; a segment that cannot be adopted (bad parent, name out
-of range, CRC mismatch, truncated heap) is a typed error naming its
+A checkpoint is a compacted log: the records the engine logs, in the
+WAL's frames (``checkpoint.log``, see :mod:`repro.durability.checkpoint`),
+each document one column segment (``{"$seg": base64 bytes, "$text":
+heap}``, see :mod:`repro.storage.segment`) whose names and namespace
+scopes index the header record's shared ``names`` / ``scopes`` tables.
+The sha256 of ``checkpoint.log`` written by ``repro ingest`` for the
+paper fixture and for a generated 30-order collection is pinned here,
+so any drift in frames, record shapes, segment encoding or table order
+fails loudly.  A recovered database re-checkpoints to the same bytes; a
+bad frame, a leftover ``checkpoint.json`` (the older format) and a
+segment that cannot be adopted (bad parent, name out of range, CRC
+mismatch, truncated heap) are typed errors naming the file or the
 table and row, and ``recover --verify`` round-trips every adopted
 document through serialize and parse.
 
-A deliberate format change bumps ``FORMAT_VERSION`` and re-captures
-the hashes with
+A deliberate format change re-captures the hashes with
 ``PYTHONPATH=src python -m tests.integration.test_checkpoint_format``.
 """
 
 import base64
 import hashlib
 import io
-import json
 from array import array
 from pathlib import Path
 
@@ -29,17 +29,19 @@ import pytest
 
 from repro import cli
 from repro.durability import CHECKPOINT_NAME, WAL_NAME
+from repro.durability.checkpoint import frame_records
+from repro.durability.wal import MAGIC, scan_wal
 from repro.errors import DurabilityError
 from repro.storage.columnar import KIND_TEXT
 from repro.storage.segment import Segment
 
 GOLDEN = {
     "fixture": ((),
-                "0fa066f3a01fbad29801fced54bb69c3"
-                "44de6c97cd48cd664925098be892c585"),
+                "ab026180f5eeed8cf5bc7883ff5277e6"
+                "055fa94a7772b9aec0f0d4071ef3013e"),
     "orders-30": (("--orders", "30"),
-                  "81963110aaf7370a53ff86f9cb31ab0f"
-                  "633e044fc5fd30a32d5c38527e59f4f8"),
+                  "47206bf55dfb648ba12a51342442c413"
+                  "99fabec1d12dd1cf059ed8a26e2309a0"),
 }
 
 
@@ -95,20 +97,25 @@ def test_recover_verify_detects_tampered_paths(tmp_path):
     assert "orders row 0 column orddoc: " in out
 
 
+def read_records(checkpoint: Path) -> list[dict]:
+    return [record for _number, record in scan_wal(checkpoint).records]
+
+
 def tampered(directory: Path, change) -> None:
     """Ingest the paper fixture, then rewrite its checkpoint with
-    ``change(state)`` applied."""
+    ``change(records)`` applied, in fresh frames."""
     ingest_digest(directory, ())
     checkpoint = directory / CHECKPOINT_NAME
-    state = json.loads(checkpoint.read_bytes())
-    change(state)
-    checkpoint.write_text(json.dumps(state), encoding="utf-8")
+    records = read_records(checkpoint)
+    change(records)
+    checkpoint.write_bytes(frame_records(records))
 
 
-def orders_document(state) -> dict:
-    orders = next(table for table in state["tables"]
-                  if table["name"] == "orders")
-    return orders["rows"][0]["orddoc"]
+def orders_document(records) -> dict:
+    """The first order's document value, in its insert record."""
+    return next(record["rows"][0]["orddoc"] for record in records
+                if record["op"] == "insert"
+                and record["table"] == "orders")
 
 
 def rewrite_segment(value: dict, change) -> None:
@@ -124,41 +131,88 @@ def rewrite_segment(value: dict, change) -> None:
 
 
 def rewrite_orders_segment(checkpoint: Path, change) -> None:
-    state = json.loads(checkpoint.read_bytes())
-    rewrite_segment(orders_document(state), change)
-    checkpoint.write_text(json.dumps(state), encoding="utf-8")
+    records = read_records(checkpoint)
+    rewrite_segment(orders_document(records), change)
+    checkpoint.write_bytes(frame_records(records))
 
 
 def tampered_segment(directory: Path, change) -> None:
     """Ingest the paper fixture, then rewrite the first order's segment
     with ``change(segment)`` applied and a fresh CRC."""
     tampered(directory,
-             lambda state: rewrite_segment(orders_document(state), change))
+             lambda records: rewrite_segment(orders_document(records),
+                                             change))
 
 
 WHERE = r"checkpoint orders row 0 column orddoc: "
 
 
 def test_a_format_1_checkpoint_has_no_reader(tmp_path):
-    # Neither format 1 (XML text) nor format 2 (XML text and per-
-    # document path counts) has a reader.
-    for old in (1, 2):
-        def change(state):
-            state["format"] = old
+    # Formats 1 to 3 were one JSON document, ``checkpoint.json``; none
+    # has a reader, and a leftover one is refused, never ignored:
+    # alone, or beside a checkpoint.log.
+    for old in (1, 2, 3):
         directory = tmp_path / f"state-{old}"
-        tampered(directory, change)
+        directory.mkdir()
+        (directory / "checkpoint.json").write_text(f'{{"format": {old}}}')
         with pytest.raises(DurabilityError,
-                           match=f"unsupported checkpoint format {old}"):
+                           match=r"checkpoint\.json: a checkpoint in the "
+                                 r"older JSON format"):
+            run("recover", "--data", str(directory))
+        (directory / "checkpoint.json").unlink()
+        ingest_digest(directory, ())
+        (directory / "checkpoint.json").write_text(f'{{"format": {old}}}')
+        with pytest.raises(DurabilityError, match=r"checkpoint\.json"):
             run("recover", "--data", str(directory))
 
 
-def test_a_reprowal1_log_has_no_reader(tmp_path):
+def test_scan_wal_reads_a_checkpoint(tmp_path):
     directory = tmp_path / "state"
     ingest_digest(directory, ())
-    (directory / WAL_NAME).write_bytes(b"REPROWAL1\n")
+    scan = scan_wal(directory / CHECKPOINT_NAME)
+    assert scan.torn_bytes == 0
+    assert [number for number, _record in scan.records] == list(
+        range(1, len(scan.records) + 1))
+    header, *records = [record for _number, record in scan.records]
+    assert header["op"] == "checkpoint" and header["last_lsn"] > 0
+    ops = [record["op"] for record in records]
+    assert ops == sorted(ops, key=["create_table", "register_schema",
+                                   "insert", "create_xml_index",
+                                   "create_relational_index"].index)
+    assert sum(len(record["rows"]) for record in records
+               if record["op"] == "insert") == 15
+
+
+@pytest.mark.parametrize("damage", ["flipped crc", "truncated frame"])
+def test_a_bad_checkpoint_frame_is_corruption(tmp_path, damage):
+    # Unlike the WAL's torn tail, which recovery cuts off, a bad frame
+    # in a renamed checkpoint is an error naming the file.
+    directory = tmp_path / "state"
+    ingest_digest(directory, ())
+    checkpoint = directory / CHECKPOINT_NAME
+    data = bytearray(checkpoint.read_bytes())
+    if damage == "flipped crc":
+        data[len(MAGIC) + 8] ^= 1  # the header frame's CRC
+    else:
+        del data[-5:]
+    checkpoint.write_bytes(bytes(data))
     with pytest.raises(DurabilityError,
-                       match="unsupported WAL format 'REPROWAL1'"):
+                       match=r"checkpoint\.log: corrupt checkpoint: bad "
+                             r"frame at byte \d+"):
         run("recover", "--data", str(directory))
+    assert checkpoint.read_bytes() == bytes(data)
+
+
+def test_a_reprowal1_log_has_no_reader(tmp_path):
+    # Neither REPROWAL1 (XML text) nor REPROWAL2 (an insert record's
+    # one row as "values") has a reader.
+    directory = tmp_path / "state"
+    ingest_digest(directory, ())
+    for old in ("REPROWAL1", "REPROWAL2"):
+        (directory / WAL_NAME).write_bytes(old.encode("ascii") + b"\n")
+        with pytest.raises(DurabilityError,
+                           match=f"unsupported WAL format '{old}'"):
+            run("recover", "--data", str(directory))
 
 
 @pytest.mark.parametrize("parent", [3, 7, -2, 0, None])
@@ -177,9 +231,10 @@ def test_recover_rejects_a_path_row_with_a_bad_parent(tmp_path, parent):
 
 
 def test_recover_rejects_a_malformed_path_row(tmp_path):
-    # The shared name table replaces format 2's shared path table.
-    def change(state):
-        state["names"][2] = [1, "text"]
+    # The header's shared name table replaces format 2's shared path
+    # table.
+    def change(records):
+        records[0]["names"][2] = [1, "text"]
     directory = tmp_path / "state"
     tampered(directory, change)
     with pytest.raises(DurabilityError,
@@ -192,9 +247,9 @@ def test_recover_verify_rejects_a_paths_row_out_of_range(tmp_path,
                                                          path_row):
     # The root element's name index: negative, or ``path_row`` past the
     # end of the checkpoint's name table.
-    def change(state):
-        size = len(state["names"])
-        rewrite_segment(orders_document(state), lambda segment: (
+    def change(records):
+        size = len(records[0]["names"])
+        rewrite_segment(orders_document(records), lambda segment: (
             segment.name.__setitem__(
                 1, path_row if path_row < 0 else size + path_row)))
     directory = tmp_path / "state"
@@ -219,8 +274,8 @@ def test_recover_verify_detects_a_swapped_path_row(tmp_path):
 
 
 def test_recover_rejects_a_segment_whose_crc_does_not_match(tmp_path):
-    def change(state):
-        document = orders_document(state)
+    def change(records):
+        document = orders_document(records)
         data = bytearray(base64.b64decode(document["$seg"]))
         data[-1] ^= 1
         document["$seg"] = base64.b64encode(bytes(data)).decode("ascii")

@@ -16,6 +16,9 @@ import pytest
 from repro import cli
 from repro.durability import (CHECKPOINT_NAME, WAL_NAME, CrashError,
                               DurableDatabase, FaultInjector)
+from repro.durability import checkpoint as checkpoint_module
+from repro.durability import fsio
+from repro.durability import wal as wal_module
 from repro.durability.wal import scan_wal
 from repro.errors import DurabilityError, XMLParseError, XQueryTypeError
 from repro.schema.schema import Schema
@@ -148,6 +151,129 @@ def test_inline_schema_survives_a_checkpoint(tmp_path):
         document = database.table("t").rows[0].values["doc"]
         qty = document.document.root_element.children[0]
         assert qty.typed_value()[0].value == 4.0
+
+
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_a_replaced_schema_keeps_typing_the_documents_it_validated(
+        tmp_path, checkpoint):
+    # The first "po" types price as a string and validates the
+    # document; a stricter "po" (price xs:double) replaces it later.
+    # Replay must validate the document against the schema that
+    # validated it at insert, from the WAL and from a checkpoint alike.
+    loose = Schema("po").declare("price", "xs:string")
+    strict = Schema("po", strict=True).declare("price", "xs:double")
+    with reopen(tmp_path) as database:
+        database.create_table("o", [("d", "XML")])
+        database.register_schema(loose)
+        database.insert("o", {"d": "<o><price>abc</price></o>"},
+                        schema="po")
+        database.register_schema(strict)
+        if checkpoint:
+            database.checkpoint()
+    with reopen(tmp_path) as database:
+        assert database.schemas["po"].strict
+        stored = database.table("o").rows[0].values["d"]
+        price = stored.document.root_element.children[0]
+        assert price.typed_value()[0].type_name == "xs:string"
+        assert price.typed_value()[0].value == "abc"
+        # A document validated against the registered schema names it
+        # by reference, and keeps doing so across a checkpoint.
+        database.insert("o", {"d": "<o><price>2</price></o>"},
+                        schema="po")
+        database.checkpoint()
+    with reopen(tmp_path) as database:
+        rows = database.table("o").rows
+        assert rows[1].values["d"].schema is database.schemas["po"]
+        assert rows[0].values["d"].schema is not database.schemas["po"]
+
+
+def _insert_records(directory) -> list[dict]:
+    return [record for _lsn, record
+            in scan_wal(directory / CHECKPOINT_NAME).records
+            if record["op"] == "insert"]
+
+
+def test_an_inline_schema_is_written_once_per_record(tmp_path):
+    # Three documents validated against one unregistered schema: the
+    # checkpoint's insert record embeds it once, the reopen decodes it
+    # once, and the next checkpoint again embeds it once.
+    inline = Schema("ad-hoc").declare("qty", "xs:double")
+    with reopen(tmp_path) as database:
+        database.create_table("t", [("doc", "XML")])
+        for qty in range(3):
+            database.insert("t", {"doc": f"<item><qty>{qty}</qty></item>"},
+                            schema=inline)
+        database.checkpoint()
+    for _cycle in range(2):
+        [record] = _insert_records(tmp_path)
+        assert len(record["inline"]) == 1
+        assert record["schemas"] == [{"doc": {"$inline": 0}}] * 3
+        with reopen(tmp_path) as database:
+            schemas = {id(row.values["doc"].schema)
+                       for row in database.table("t").rows}
+            assert len(schemas) == 1
+            database.checkpoint()
+
+
+def test_a_checkpoint_batches_rows_by_their_encoded_size(tmp_path,
+                                                         monkeypatch):
+    # Each value is 1 000 characters that JSON escaping doubles; the
+    # batches are cut on those encoded bytes, so every insert record
+    # stays within the frame limit and the reopen reads them all.
+    monkeypatch.setattr(wal_module, "_MAX_RECORD", 8000)
+    monkeypatch.setattr(checkpoint_module, "_BATCH_BYTES", 6000)
+    with reopen(tmp_path) as database:
+        database.create_table("t", [("k", "INTEGER"), ("v", "VARCHAR")])
+        for key in range(12):
+            database.insert("t", {"k": key, "v": '"\\' * 500})
+        database.checkpoint()
+    assert [len(record["rows"])
+            for record in _insert_records(tmp_path)] == [2] * 6
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == list(range(12))
+
+
+def test_a_state_too_large_to_frame_is_refused_before_it_is_written(
+        tmp_path, monkeypatch):
+    # A row whose insert record is over the frame limit: the checkpoint
+    # is refused before it writes, so the old checkpoint and the WAL
+    # stay, the database stays open, and the reopen has every row.
+    with reopen(tmp_path) as database:
+        database.create_table("t", [("k", "INTEGER"), ("v", "VARCHAR")])
+        database.insert("t", {"k": 1, "v": "a"})
+        database.checkpoint()
+        before = (tmp_path / CHECKPOINT_NAME).read_bytes()
+        database.insert("t", {"k": 2, "v": "b" * 5000})
+        with monkeypatch.context() as patched:
+            patched.setattr(wal_module, "_MAX_RECORD", 2000)
+            with pytest.raises(DurabilityError, match="frame limit"):
+                database.checkpoint()
+        assert (tmp_path / CHECKPOINT_NAME).read_bytes() == before
+        assert not (tmp_path / (CHECKPOINT_NAME + ".tmp")).exists()
+        database.insert("t", {"k": 3, "v": "c"})
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 2, 3]
+        assert database.last_recovery.truncated_bytes == 0
+
+
+def test_a_record_too_large_to_frame_is_refused_before_it_is_logged(
+        tmp_path, monkeypatch):
+    # The scanner reads no frame over the limit, so the log must not
+    # acknowledge one: the insert is refused and rolled back, and the
+    # reopen cuts nothing.
+    monkeypatch.setattr(wal_module, "_MAX_RECORD", 2000)
+    with reopen(tmp_path) as database:
+        database.create_table("t", [("k", "INTEGER"), ("d", "XML")])
+        with pytest.raises(DurabilityError, match="frame limit"):
+            database.insert("t", {"k": 1, "d": f"<r>{'x' * 3000}</r>"})
+        assert len(database.table("t").rows) == 0
+        database.insert("t", {"k": 2, "d": "<r>y</r>"})
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [2]
+        assert database.last_recovery.truncated_bytes == 0
 
 
 def test_delete_replays_by_position(tmp_path):
@@ -445,6 +571,95 @@ def test_failed_group_write_rolls_the_insert_back(tmp_path, monkeypatch):
     with reopen(tmp_path) as database:
         assert [row.values["k"]
                 for row in database.table("t").rows] == [1, 3]
+
+
+def test_a_torn_frame_mid_log_fails_the_log(tmp_path, monkeypatch):
+    # The write of k=2's frame puts half of it on disk, then raises.
+    # The LSN must not go to k=3: its frame would land behind the torn
+    # one, and the reopen's torn-tail repair would cut an acknowledged
+    # row off.  The log fails instead, so k=3 is refused.
+    with reopen(tmp_path, fsync_policy="always") as database:
+        _table_with_index(database)
+        wal = database._wal
+        handle = wal._handle
+        failure = OSError("disk full")
+
+        class HalfWritingHandle:
+            torn = False
+
+            def write(self, data):
+                if self.torn:
+                    return handle.write(data)
+                self.torn = True
+                handle.write(data[:len(data) // 2])
+                handle.flush()
+                raise failure
+
+            def __getattr__(self, name):
+                return getattr(handle, name)
+        monkeypatch.setattr(wal, "_handle", HalfWritingHandle())
+        with pytest.raises(OSError) as caught:
+            database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        assert caught.value is failure
+        with pytest.raises(DurabilityError, match="reopen") as refused:
+            database.insert("t", {"k": 3, "d": "<r><v>3</v></r>"})
+        assert refused.value.__cause__ is failure
+    with reopen(tmp_path) as database:
+        assert [row.values["k"] for row in database.table("t").rows] == [1]
+        assert database.last_recovery.truncated_bytes > 0
+
+
+def test_a_failed_write_whose_size_cannot_be_read_fails_the_log(
+        tmp_path, monkeypatch):
+    # The write fails and so does the stat that would show nothing
+    # reached the file: unknown counts as torn, so the log fails with
+    # the write's own error rather than the stat's.
+    with reopen(tmp_path, fsync_policy="always") as database:
+        _table_with_index(database)
+        failure = OSError("write failed")
+        with monkeypatch.context() as patched:
+            _fail_next_write(patched, database._wal, failure)
+            patched.setattr(fsio, "file_size",
+                            _fail_once(OSError("stat failed")))
+            with pytest.raises(OSError) as caught:
+                database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        assert caught.value is failure
+        with pytest.raises(DurabilityError, match="reopen") as refused:
+            database.insert("t", {"k": 3, "d": "<r><v>3</v></r>"})
+        assert refused.value.__cause__ is failure
+    with reopen(tmp_path) as database:
+        assert [row.values["k"] for row in database.table("t").rows] == [1]
+
+
+def test_a_failed_flush_cannot_leave_a_frame_behind(tmp_path, monkeypatch):
+    # The frame of k=2 is handed to the file handle, whose flush then
+    # fails.  Bytes a buffer kept would reach the file ahead of the
+    # next record, under the same LSN, and no reopen could read the
+    # log.  The WAL's handle holds no buffer: the frame is on disk, so
+    # the log fails and the reopen replays it.
+    with reopen(tmp_path, fsync_policy="always") as database:
+        _table_with_index(database)
+        wal = database._wal
+        handle = wal._handle
+        failure = OSError("flush failed")
+        fail = _fail_once(failure)
+
+        class FailingFlushHandle:
+            def flush(self):
+                fail()
+                return handle.flush()
+
+            def __getattr__(self, name):
+                return getattr(handle, name)
+        monkeypatch.setattr(wal, "_handle", FailingFlushHandle())
+        with pytest.raises(OSError) as caught:
+            database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
+        assert caught.value is failure
+        with pytest.raises(DurabilityError, match="reopen"):
+            database.insert("t", {"k": 3, "d": "<r><v>3</v></r>"})
+    with reopen(tmp_path) as database:
+        assert [row.values["k"]
+                for row in database.table("t").rows] == [1, 2]
 
 
 # ---------------------------------------------------------------------------

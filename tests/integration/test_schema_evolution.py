@@ -111,6 +111,6 @@ class TestTolerantIndexes:
         evolving_db.insert("customer",
                            {"cid": 1, "cdoc": _customer(1, "95141")})
         docs = evolving_db.documents("customer", "cdoc")
-        assert docs[0].schema_name is None
+        assert docs[0].schema is None
         node = docs[0].document.root_element.children[-1].children[0]
         assert node.typed_value()[0].type_name == "xdt:untypedAtomic"

@@ -78,6 +78,23 @@ class TestTimestampIndex:
         assert len(result) == 1
         assert result.stats.indexes_used == ["o_ts"]
 
+    def test_zoned_and_unzoned_timestamps_compare_on_both_routes(self):
+        # An unzoned timestamp is taken as UTC, the implicit timezone,
+        # by the scan's comparison as by the index's keys.
+        database = Database()
+        database.create_table("t", [("d", "XML")])
+        database.insert("t", {"d": "<r><t>2006-09-12T10:00:00Z</t></r>"})
+        database.insert("t", {"d": "<r><t>2006-09-13T10:00:00</t></r>"})
+        query = ("db2-fn:xmlcolumn('T.D')"
+                 "//t[. >= xs:dateTime('2006-09-13T00:00:00')]")
+        expected = ["<t>2006-09-13T10:00:00</t>"]
+        assert database.xquery(query).serialize() == expected
+        database.execute("CREATE INDEX t_ts ON t(d) "
+                         "USING XMLPATTERN '//t' AS TIMESTAMP")
+        result = database.xquery(query)
+        assert result.stats.indexes_used == ["t_ts"]
+        assert result.serialize() == expected
+
     def test_mismatched_temporal_types_ineligible(self, temporal_db):
         # A DATE comparison cannot be served by the TIMESTAMP index.
         from repro.core import analyze_eligibility

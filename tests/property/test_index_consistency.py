@@ -459,13 +459,16 @@ def test_column_keys_equal_node_keys(text):
 
 
 #: Eligible predicates over the KEYED indexes' paths, so the index
-#: route probes what the column keys put in the trees.  No timestamp
-#: predicate: the generated documents mix zoned and unzoned
-#: timestamps, which the scan route cannot compare (XPTY0004) while
-#: the index route, keying both in UTC, skips the failing document.
+#: route probes what the column keys put in the trees.  The generated
+#: documents mix zoned and unzoned timestamps; both routes compare them
+#: in UTC, the implicit timezone.
 ROUTE_QUERIES = [
     "declare default element namespace 'urn:d'; "
     "db2-fn:xmlcolumn('T.D')//v[. > 1]",
+    "declare default element namespace 'urn:d'; "
+    "db2-fn:xmlcolumn('T.D')//t[. >= xs:dateTime('2006-09-13T00:00:00')]",
+    "db2-fn:xmlcolumn('T.D')//text()"
+    "[. < xs:dateTime('2006-09-13T12:00:00+02:00')]",
     "declare default element namespace 'urn:d'; "
     "db2-fn:xmlcolumn('T.D')//d[. = xs:date('2006-09-12')]",
     "db2-fn:xmlcolumn('T.D')//*[@a0 = xs:date('2006-09-12')]",

@@ -4,7 +4,7 @@ Hypothesis drives a randomized DDL+DML workload against a durable
 primary — inserts, predicate deletes, index create/drop, scratch-table
 create/drop, and checkpoints at arbitrary cut points.  A replica is
 then bootstrapped exactly the way the process pool does it: the latest
-on-disk checkpoint document (or nothing, if the workload never
+on-disk checkpoint's records (or nothing, if the workload never
 checkpointed) plus :func:`repro.durability.wal.tail_wal` of everything
 after it.  The oracle is the paper's own workload: all 30 numbered
 queries must answer **byte-identically** on primary and replica —
@@ -19,7 +19,6 @@ serve the stale snapshot.
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.durability import WAL_NAME, DurableDatabase
-from repro.durability.checkpoint import CHECKPOINT_NAME
+from repro.durability.checkpoint import load_checkpoint
 from repro.durability.wal import tail_wal
 from repro.errors import ReplicationError, StaleReplicaError
 from repro.parallel import ReplicaDatabase, build_replica
@@ -84,12 +83,10 @@ def _ship_replica(database: DurableDatabase,
                   directory: Path) -> ReplicaDatabase:
     """Bootstrap exactly as the pool's workers do: checkpoint + tail."""
     database.sync()
-    checkpoint_path = directory / CHECKPOINT_NAME
-    state = (json.loads(checkpoint_path.read_text())
-             if checkpoint_path.exists() else None)
-    after_lsn = state["last_lsn"] if state else 0
+    checkpoint = load_checkpoint(directory)
+    after_lsn = checkpoint[0]["last_lsn"] if checkpoint else 0
     records = tail_wal(directory / WAL_NAME, after_lsn=after_lsn)
-    return build_replica(state, records,
+    return build_replica(checkpoint, records,
                          index_order=database.index_order)
 
 
@@ -130,9 +127,8 @@ class TestReplicaFidelity:
                                 {"ordid": 9999,
                                  "orddoc": PAPER_ORDERS[0][1]})
                 database.sync()
-                state = json.loads(
-                    (directory / CHECKPOINT_NAME).read_text())
-                stale = build_replica(state, [],
+                checkpoint = load_checkpoint(directory)
+                stale = build_replica(checkpoint, [],
                                       index_order=database.index_order)
                 required = database.wal.last_lsn
                 assert stale.last_applied_lsn < required
@@ -142,8 +138,9 @@ class TestReplicaFidelity:
                 assert excinfo.value.last_applied_lsn == \
                     stale.last_applied_lsn
                 # ...and the missing tail catches it up exactly.
+                after_lsn = checkpoint[0]["last_lsn"]
                 for lsn, record in tail_wal(directory / WAL_NAME,
-                                            after_lsn=state["last_lsn"]):
+                                            after_lsn=after_lsn):
                     stale.apply_wal_record(lsn, record)
                 stale.ensure_fresh(required)
                 for number in (1, 3, 11, 25):

@@ -222,7 +222,14 @@ class TestBulkBuildPoolCharge:
         # Transient overshoot is bounded by the document in hand, not
         # by the collection size (the pre-fix peak was 6x the budget).
         assert max(peaks) <= self.BUDGET + biggest
-        assert pool.resident_bytes <= self.BUDGET
+        # The columns alone exceed the budget and stay charged (a
+        # tier-1 pool cannot free them): no tree may stay resident.
+        documents = database.documents("orders", "orddoc")
+        assert all(stored._document is None for stored in documents)
+        assert pool.resident_bytes == sum(
+            stored._store.nbytes()
+            for table, column in (("orders", "orddoc"), ("customer", "cdoc"))
+            for stored in database.documents(table, column))
 
     def test_build_answers_match_unbudgeted(self):
         budgeted = Database(buffer_pool_bytes=self.BUDGET)

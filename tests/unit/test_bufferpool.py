@@ -179,6 +179,31 @@ class TestMetrics:
             _ = first.document   # first is now resident -> hit
             assert METRICS.counter("bufferpool.hits") > before
 
+    def test_documents_resting_as_columns_are_not_evicted(self):
+        # Text inserts rest as columns: a tier-1 eviction has no tree
+        # to drop, so none is counted and every column byte stays
+        # charged, however far over budget that leaves the pool.
+        with enabled_metrics():
+            database = Database(buffer_pool_bytes=1)
+            database.create_table("t", [("id", "INTEGER"), ("d", "XML")])
+            for key in range(5):
+                database.insert("t", {"id": key,
+                                      "d": f"<a><b>{key}</b>text</a>"})
+            assert METRICS.counter("bufferpool.evictions") == 0
+        pool = database.buffer_pool
+        stores = [row.values["d"]._store
+                  for row in database.table("t").rows]
+        assert pool.resident_bytes == sum(store.nbytes()
+                                          for store in stores)
+        # A tree is evicted down to its columns, not to nothing.
+        first = database.table("t").rows[0].values["d"]
+        _ = first.document
+        _ = database.table("t").rows[1].values["d"].document
+        assert first._document is None
+        assert pool.resident_bytes == sum(store.nbytes()
+                                          for store in stores) + (
+            stores[1].materialized_nbytes())
+
     def test_spill_and_load_counters(self, tmp_path):
         with enabled_metrics():
             pool = BufferPool(1, spill_dir=str(tmp_path / "spool"))
