@@ -10,7 +10,9 @@ query-side predicate paths:
   and kind tests; predicates are not allowed).
 * :class:`PathNode` is the one identity of a stored root-to-node path,
   and :class:`PatternMatcher` answers whether it matches a pattern,
-  one NFA step (:meth:`PathPattern.advance`) per path;
+  one NFA step (:meth:`PathPattern.advance`) per path; a
+  :class:`PathShape` is one document's path table, and a matcher
+  answers it once for every document with that table;
   :meth:`PathPattern.matches_path` runs the NFA over a spelled-out
   path (the containment models below).
 * :func:`pattern_contains` decides *containment*: every path matched by
@@ -33,6 +35,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 
 from ..errors import PatternSyntaxError
@@ -84,6 +88,36 @@ class PathNode:
 
 #: The empty path, parent of every document's top-level paths.
 ROOT_PATH = PathNode(None, "document")
+
+
+class PathShape:
+    """One document path table: its distinct interned paths in path-id
+    order (``ColumnStore.paths``).  :func:`intern_shape` gives every
+    store with the same path list one shape, so a
+    :class:`PatternMatcher` answers a shape once for all of them.
+    Shapes are interned weakly: a shape dies with its last store."""
+
+    __slots__ = ("paths", "ref", "__weakref__")
+
+    def __init__(self, paths: tuple[PathNode, ...]):
+        self.paths = paths
+        #: The key of this shape's verdicts in every matcher's memo.
+        self.ref = weakref.ref(self)
+
+
+_SHAPES: "weakref.WeakValueDictionary[tuple, PathShape]" = \
+    weakref.WeakValueDictionary()
+_SHAPES_LOCK = threading.Lock()
+
+
+def intern_shape(paths) -> PathShape:
+    """The one live shape whose path list is ``paths``."""
+    key = tuple(paths)
+    with _SHAPES_LOCK:
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = PathShape(key)
+    return shape
 
 
 @dataclass(frozen=True)
@@ -323,18 +357,24 @@ class PathPattern:
         return [alternative.final_test for alternative in self.alternatives]
 
 
+#: Shapes one matcher keeps verdicts for; past it, a new shape's
+#: matching path ids are computed on every ask.
+MAX_MEMO_SHAPES = 256
+
+
 class PatternMatcher:
-    """One pattern's verdicts, memoized per interned :class:`PathNode`.
+    """One pattern's verdicts, memoized per interned :class:`PathNode`
+    and per :class:`PathShape`.
 
     A path's NFA state (and whether it accepts) is its parent's
     advanced by the path's last step.  Steps are memoized per (state,
     kind, uri, local), which determinizes the NFA lazily: a path costs
     one lookup the first time it is asked about, at any depth, and a
     dict hit afterwards.  Unknown ancestors are filled in iteratively,
-    never by recursion.
+    never by recursion.  Build one through :func:`matcher_for`.
     """
 
-    __slots__ = ("pattern", "_memo", "_steps")
+    __slots__ = ("pattern", "_memo", "_steps", "_shapes")
 
     def __init__(self, pattern: PathPattern):
         self.pattern = pattern
@@ -343,6 +383,23 @@ class PatternMatcher:
             ROOT_PATH: (pattern.start, False)}
         #: (state, kind, uri, local) -> the state after that step
         self._steps: dict[tuple, tuple[frozenset, bool]] = {}
+        #: weak shape reference -> :meth:`path_ids` of that shape; an
+        #: entry leaves with its shape
+        self._shapes: dict[weakref.ref, tuple[int, ...]] = {}
+
+    def path_ids(self, shape: PathShape) -> tuple[int, ...]:
+        """The ids (positions in ``shape.paths``) of the matching
+        paths, ascending: one dict hit for every document of a shape
+        asked about before."""
+        ids = self._shapes.get(shape.ref)
+        if ids is None:
+            matches = self.matches
+            ids = tuple(path_id for path_id, path in enumerate(shape.paths)
+                        if matches(path))
+            shapes = self._shapes
+            if len(shapes) < MAX_MEMO_SHAPES:
+                shapes[weakref.ref(shape, shapes.pop)] = ids
+        return ids
 
     def matches(self, path: PathNode) -> bool:
         state = self._memo.get(path)
@@ -447,6 +504,14 @@ def flip_final_axis(path: PathPattern) -> PathPattern | None:
         steps = steps[:-1] + (PatternStep(flipped, final.gap),)
         alternatives.append(LinearPattern(steps))
     return PathPattern(tuple(alternatives))
+
+
+@functools.lru_cache(maxsize=256)
+def matcher_for(pattern: PathPattern) -> PatternMatcher:
+    """The shared matcher of ``pattern``: callers testing one frozen
+    pattern (index builds and probes, summary lookups, cardinalities)
+    fill and reuse the same memos."""
+    return PatternMatcher(pattern)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -8,9 +8,11 @@ number of concurrent query *readers*:
 * writers are exclusive — an ``INSERT`` or ``CREATE INDEX`` runs only
   when no query is in flight, so a query never observes a half-updated
   index or a row list mid-append;
-* writers are *preferred* — once a writer is waiting, new reader
-  threads queue behind it, so a steady query stream cannot starve
-  ingest.
+* writers are *preferred*, for one turn — once a writer is waiting,
+  new reader threads queue behind it, so a steady query stream cannot
+  starve ingest; a reader that has waited through one completed writer
+  turn stops deferring to waiting writers, and writers wait for it, so
+  an unpaced writer cannot starve queries either.
 
 Re-entrancy rules (tracked per thread):
 
@@ -45,7 +47,8 @@ __all__ = ["RWLock"]
 
 
 class RWLock:
-    """Shared-read / exclusive-write lock, writer-preferring, reentrant."""
+    """Shared-read / exclusive-write lock, writer-preferring for one
+    writer turn, reentrant."""
 
     def __init__(self):
         self._cond = threading.Condition()
@@ -54,6 +57,13 @@ class RWLock:
         self._writer: threading.Thread | None = None
         self._write_depth = 0
         self._writers_waiting = 0
+        #: Completed writer turns (the write epoch).
+        self._write_turns = 0
+        #: Readers blocked in :meth:`acquire_read`.
+        self._readers_waiting = 0
+        #: Waiting readers that were waiting when the last writer turn
+        #: ended: they go before any waiting writer.
+        self._readers_due = 0
         self._local = threading.local()
 
     # -- per-thread hold bookkeeping ------------------------------------
@@ -80,9 +90,17 @@ class RWLock:
             else:
                 if self._writer is not None or self._writers_waiting:
                     started = time.perf_counter()
-                    while self._writer is not None or \
-                            self._writers_waiting:
-                        self._cond.wait()
+                    epoch = self._write_turns
+                    self._readers_waiting += 1
+                    try:
+                        while self._writer is not None or (
+                                self._writers_waiting
+                                and self._write_turns == epoch):
+                            self._cond.wait()
+                    finally:
+                        self._readers_waiting -= 1
+                        if self._write_turns != epoch:
+                            self._readers_due -= 1
                     waited = time.perf_counter() - started
                 self._readers += 1
                 self._local.reads = 1
@@ -126,11 +144,13 @@ class RWLock:
                     raise RuntimeError(
                         "read->write upgrade is not supported; classify "
                         "the statement before acquiring the lock")
-                if self._writer is not None or self._readers:
+                if self._writer is not None or self._readers or \
+                        self._readers_due:
                     self._writers_waiting += 1
                     started = time.perf_counter()
                     try:
-                        while self._writer is not None or self._readers:
+                        while self._writer is not None or self._readers \
+                                or self._readers_due:
                             self._cond.wait()
                     finally:
                         self._writers_waiting -= 1
@@ -151,6 +171,8 @@ class RWLock:
             self._write_depth -= 1
             if self._write_depth == 0:
                 self._writer = None
+                self._write_turns += 1
+                self._readers_due = self._readers_waiting
                 self._cond.notify_all()
 
     @contextmanager
@@ -170,3 +192,7 @@ class RWLock:
     @property
     def write_held(self) -> bool:
         return self._writer is not None
+
+    @property
+    def readers_waiting(self) -> int:
+        return self._readers_waiting

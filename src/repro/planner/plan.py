@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..core.between import detect_between
 from ..core.eligibility import analyze_candidates, check_index
-from ..core.patterns import PatternMatcher
+from ..core.patterns import matcher_for
 from ..core.predicates import PredicateCandidate, extract_candidates
 from ..core.querycache import cache_info, compile_query
 from ..errors import ReproError
@@ -320,7 +320,7 @@ def _keyed_docs(index, path_filter, stats: ExecutionStats
     result: dict[object, set[int]] = {}
     scanned = 0
     matches = (None if path_filter is None
-               else PatternMatcher(path_filter).matches)
+               else matcher_for(path_filter).matches)
     for key, entry in index.tree.items():
         scanned += 1
         if matches is None or matches(entry.path):

@@ -579,10 +579,10 @@ class _Inferencer:
             return self._stats_cache[key]
         stats: PathStats | None = None
         try:
-            from ..core.patterns import PatternMatcher
+            from ..core.patterns import matcher_for
             table, _sep, column = shape.column.partition(".")
             classes = self.database.path_classes(table, column)
-            matcher = PatternMatcher(shape.pattern())
+            matcher = matcher_for(shape.pattern())
             docs_total = docs_with = total = per_doc_max = 0
             for path_class, docs in classes.items():
                 docs_total += docs

@@ -24,8 +24,12 @@ Three further structures ride on the columns:
   root-to-node paths, and ``partitions[path_id]`` lists the slots of
   that path in document order.  Paths are interned
   :class:`~repro.core.patterns.PathNode` trie nodes shared by all
-  documents, and an XMLPATTERN is tested once per *distinct path*
-  before the matching partitions are scanned.  This
+  documents, and the path list itself is an interned
+  :class:`~repro.core.patterns.PathShape` shared by every document
+  with the same one: an XMLPATTERN's matching path ids are computed
+  once per *shape* (:meth:`PatternMatcher.path_ids`), so a lookup in
+  any further document of that shape is one dict hit before its
+  matching partitions are read.  This
   path table is the document's only structural summary: the
   evaluator's ``//``-chain fast path reads it through the materialized
   view (:meth:`ColumnStore.nodes_for`), XML index builds read slots
@@ -67,7 +71,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator
 
-from ..core.patterns import ROOT_PATH, PathNode
+from ..core.patterns import ROOT_PATH, PathNode, PathShape, intern_shape
 from ..obs.metrics import METRICS
 from ..errors import XMLParseError
 from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
@@ -117,7 +121,7 @@ class ColumnStore:
 
     __slots__ = ("post", "level", "parent", "kind", "name_id", "ns_id",
                  "path_id", "text_lo", "text_hi", "subtree_end",
-                 "node_ids", "text", "names", "nsscopes", "paths",
+                 "node_ids", "text", "names", "nsscopes", "shape",
                  "partitions", "document_uri", "nodes",
                  "canonical", "spans")
 
@@ -140,8 +144,9 @@ class ColumnStore:
         self.names: list[QName] = []
         #: ns_id -> in-scope namespace bindings of an element.
         self.nsscopes: list[dict[str, str]] = []
-        #: path_id -> interned root-to-node path (parents first).
-        self.paths: list[PathNode] = []
+        #: The interned path table (``shape.paths``: path_id ->
+        #: root-to-node path, parents first), set once it is complete.
+        self.shape: PathShape | None = None
         #: path_id -> slots along that path, in document order — the
         #: path-partitioned clustering axis scans and index builds use.
         self.partitions: list[array] = []
@@ -157,10 +162,15 @@ class ColumnStore:
     def __len__(self) -> int:
         return len(self.kind)
 
+    @property
+    def paths(self) -> tuple[PathNode, ...]:
+        """path_id -> interned root-to-node path."""
+        return self.shape.paths
+
     def __repr__(self) -> str:
         state = "attached" if self.nodes is not None else "detached"
         return (f"<ColumnStore {len(self)} slots, "
-                f"{len(self.paths)} paths, {state}>")
+                f"{len(self.partitions)} paths, {state}>")
 
     # ------------------------------------------------------------------
     # Construction from a live tree
@@ -214,8 +224,9 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # Path table (the document's structural summary)
     # ------------------------------------------------------------------
-    # ``matcher`` is a PatternMatcher: callers that ask across many
-    # documents share one, so each distinct path shape is tested once.
+    # ``matcher`` is a PatternMatcher (``matcher_for``): it keeps the
+    # matching path ids of each shape, so a document whose shape was
+    # asked about before costs one dict hit.
 
     def path_counts(self) -> dict[PathNode, int]:
         """Interned root-to-node path -> number of nodes along it."""
@@ -229,27 +240,27 @@ class ColumnStore:
         return frozenset(zip(self.paths, map(len, self.partitions)))
 
     def nodes_for(self, matcher) -> list[Node]:
-        """All nodes whose path matches, in document order.
+        """All nodes whose path matches, in document order: the
+        partitions of the shape's matching path ids.
 
         Slots are pre-order numbers, so merging several matching
         partitions into document order is a sort of ints."""
         assert self.nodes is not None
-        matched = [partition for path, partition
-                   in zip(self.paths, self.partitions)
-                   if matcher.matches(path)]
-        slots = (matched[0] if len(matched) == 1
-                 else sorted(slot for partition in matched
-                             for slot in partition))
-        nodes = self.nodes
-        return [nodes[slot] for slot in slots]
+        ids = matcher.path_ids(self.shape)
+        partitions = self.partitions
+        slots = (partitions[ids[0]] if len(ids) == 1
+                 else sorted(slot for path_id in ids
+                             for slot in partitions[path_id]))
+        return list(map(self.nodes.__getitem__, slots))
 
     def slots_matching(self, matcher) -> Iterator[tuple[int, PathNode]]:
         """(slot, path) pairs whose path matches, partition by
         partition: no node views needed."""
-        for path, partition in zip(self.paths, self.partitions):
-            if matcher.matches(path):
-                for slot in partition:
-                    yield slot, path
+        paths = self.shape.paths
+        for path_id in matcher.path_ids(self.shape):
+            path = paths[path_id]
+            for slot in self.partitions[path_id]:
+                yield slot, path
 
     # ------------------------------------------------------------------
     # Axis range scans
@@ -431,7 +442,7 @@ class ColumnBuilder:
 
     __slots__ = ("store", "_rows", "_posts", "_post", "_heap",
                  "_heap_length", "_names", "_scopes", "_steps",
-                 "_path_ids")
+                 "_paths", "_path_ids")
 
     def __init__(self, document_uri: str = ""):
         store = self.store = ColumnStore()
@@ -444,6 +455,9 @@ class ColumnBuilder:
         self._names: dict[tuple[str, str, str], int] = {}
         self._scopes: dict[tuple, int] = {}
         self._steps: dict[tuple[int, int, int], int] = {}
+        #: path id -> interned path, until :meth:`finish` interns the
+        #: list as the store's shape
+        self._paths: list[PathNode] = []
         #: interned path -> path id: names differing only in prefix
         #: share a path
         self._path_ids: dict[PathNode, int] = {}
@@ -510,6 +524,7 @@ class ColumnBuilder:
         store.post = array("q", self._posts)
         store.subtree_end = _subtree_ends(store.post, store.level)
         store.text = "".join(self._heap)
+        store.shape = intern_shape(self._paths)
         store.node_ids = (allocate_node_ids(len(kinds))
                           if node_ids is None else node_ids)
         return store
@@ -517,7 +532,8 @@ class ColumnBuilder:
     def _path_id(self, parent_path_id: int, kind: int,
                  name_id: int) -> int:
         store = self.store
-        parent = (store.paths[parent_path_id] if parent_path_id >= 0
+        paths = self._paths
+        parent = (paths[parent_path_id] if parent_path_id >= 0
                   else ROOT_PATH)
         if name_id >= 0:
             name = store.names[name_id]
@@ -526,8 +542,8 @@ class ColumnBuilder:
             path = parent.child(_KIND_NAMES[kind])
         path_id = self._path_ids.get(path)
         if path_id is None:
-            path_id = self._path_ids[path] = len(store.paths)
-            store.paths.append(path)
+            path_id = self._path_ids[path] = len(paths)
+            paths.append(path)
             store.partitions.append(array("q"))
         return path_id
 

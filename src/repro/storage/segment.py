@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 from ..errors import DurabilityError
 from ..xdm.qname import XML_NS, QName
-from ..core.patterns import ROOT_PATH, PathNode
+from ..core.patterns import ROOT_PATH, PathNode, intern_shape
 from ..xdm.nodes import allocate_node_ids
 from .columnar import (_KIND_NAMES, KIND_ATTRIBUTE, KIND_COMMENT,
                        KIND_DOCUMENT, KIND_ELEMENT, KIND_PI, KIND_TEXT,
@@ -326,7 +326,7 @@ class Segment:
         store.text = self.text
         store.names = names
         store.nsscopes = scopes
-        store.paths = paths
+        store.shape = intern_shape(paths)
         store.partitions = partitions
         store.node_ids = (allocate_node_ids(slots) if self.node_ids is None
                           else self.node_ids)

@@ -36,7 +36,7 @@ itself.
 from __future__ import annotations
 
 from ..analysis import sanitizer as _sanitizer
-from ..core.patterns import PatternMatcher
+from ..core.patterns import matcher_for
 from ..errors import CatalogError, SQLError
 from ..obs.metrics import METRICS
 from ..xdm.sequence import Item
@@ -106,7 +106,7 @@ class ReadView:
         structural fraction the cost model folds into probe estimates.
         One pattern test per distinct path of the column's path
         classes; no document is read."""
-        matcher = PatternMatcher(self._as_pattern(pattern))
+        matcher = matcher_for(self._as_pattern(pattern))
         return sum(docs for path_class, docs
                    in self.path_classes(table, column).items()
                    if matcher.nodes_in(path_class))
@@ -114,7 +114,7 @@ class ReadView:
     def path_cardinality(self, table: str, column: str, pattern) -> int:
         """Total node count matching ``pattern`` across the column's
         documents, answered from its path classes."""
-        matcher = PatternMatcher(self._as_pattern(pattern))
+        matcher = matcher_for(self._as_pattern(pattern))
         return sum(docs * matcher.nodes_in(path_class)
                    for path_class, docs
                    in self.path_classes(table, column).items())

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..core.patterns import (PathNode, PathPattern, PatternMatcher,
+from ..core.patterns import (PathNode, PathPattern, matcher_for,
                              parse_xmlpattern)
 from ..errors import CastError, SchemaValidationError
 from ..obs.metrics import METRICS
@@ -82,9 +82,9 @@ class XmlIndex:
         #: B+Tree pages.
         self.pattern_text = pattern_text
         self.pattern: PathPattern = parse_xmlpattern(pattern_text)
-        #: Long-lived matcher: one NFA step per distinct path over the
-        #: whole life of the index, dict hits afterwards.
-        self._pattern_matcher = PatternMatcher(self.pattern)
+        #: Long-lived matcher: one NFA step per distinct path and one
+        #: verdict per document shape, dict hits afterwards.
+        self._pattern_matcher = matcher_for(self.pattern)
         self.index_type = index_type
         #: The atomic type of the keys (xs:double for DOUBLE).
         self.key_type = INDEX_KEY_TYPES[index_type]
@@ -106,8 +106,8 @@ class XmlIndex:
     # ------------------------------------------------------------------
 
     def index_document(self, doc_id: int, document) -> None:
-        """Add the document's matching nodes: a clustered scan over its
-        path partitions, the pattern tested once per distinct path.
+        """Add the document's matching nodes: a clustered scan over the
+        path partitions its shape's verdict names.
 
         ``document`` is a :class:`~repro.storage.columnar.ColumnStore`,
         whose slots are keyed from their text exactly as
@@ -205,7 +205,7 @@ class XmlIndex:
         """Range scan; optionally post-filter entries by a (more
         restrictive) query path pattern."""
         matches = (None if path_filter is None
-                   else PatternMatcher(path_filter).matches)
+                   else matcher_for(path_filter).matches)
         for _key, entry in self.tree.scan(low, high, low_inclusive,
                                           high_inclusive):
             if matches is None or matches(entry.path):

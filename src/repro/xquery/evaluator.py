@@ -979,6 +979,8 @@ def _node_sequence(items: list[Item], operation: str) -> list[Node]:
 def _step_result(results: list[Item]) -> list[Item]:
     """A step's output: nodes in document order, or atomics as they
     came; a mix is an error."""
+    if len(results) < 2:
+        return results
     node_count = sum(1 for item in results if isinstance(item, Node))
     if node_count == len(results):
         return document_order(results)  # type: ignore[arg-type]
@@ -997,6 +999,11 @@ def _summary_lookup(matcher, summary_filter, items: list[Item], ctx
     compiled prefix (:func:`_path_plan`) come straight from the
     stores' path partitions — no subtree walk.  None on any doubt:
     the generic pipeline runs.
+
+    The items arrive in document order without duplicates (they are a
+    step's result or the context root) and documents never nest, so
+    the stores' results, each in document order, concatenate into
+    document order.
     """
     stores = []
     # sa: ok(SA406: one store lookup per document root; bails early)
@@ -1006,14 +1013,16 @@ def _summary_lookup(matcher, summary_filter, items: list[Item], ctx
         if store is None:
             return None
         stores.append(store)
-    nodes: list[Node] = []
-    for store in stores:
-        nodes.extend(store.nodes_for(matcher))
+    if len(stores) == 1:
+        nodes = stores[0].nodes_for(matcher)
+    else:
+        nodes = []
+        for store in stores:
+            nodes.extend(store.nodes_for(matcher))
     if ctx.stats is not None:
         ctx.stats.summary_lookups += 1
     if METRICS.enabled:
         METRICS.inc("pathsummary.hits")
-    nodes = document_order(nodes)
     if summary_filter is not None:
         nodes = summary_filter(nodes, ctx)
     return nodes
@@ -1197,8 +1206,8 @@ def _path_plan(expr: ast.PathExpr) -> tuple:
     pattern_steps, consumed, predicates = _compile_summary_prefix(steps)
     matcher = None
     if consumed:
-        from ..core.patterns import LinearPattern, PathPattern, PatternMatcher
-        matcher = PatternMatcher(
+        from ..core.patterns import LinearPattern, PathPattern, matcher_for
+        matcher = matcher_for(
             PathPattern((LinearPattern(tuple(pattern_steps)),)))
     return steps, matcher, consumed, predicates
 

@@ -124,6 +124,41 @@ class TestExclusion:
             thread.join(5)
         assert order == ["writer", "reader2"]
 
+    def test_unpaced_writer_admits_a_waiting_reader_within_two_turns(self):
+        # The writer re-acquires the moment it releases, with no pause
+        # between turns.  Writer preference must last one turn: the
+        # reader that waited through it goes before the next.
+        lock = RWLock()
+        turns_with_reader_waiting = 0
+        turns = 0
+        writer_running = threading.Event()
+        reader_done = threading.Event()
+
+        def writer():
+            nonlocal turns, turns_with_reader_waiting
+            while not reader_done.is_set() and turns < 20_000:
+                with lock.write():
+                    turns += 1
+                    if lock.readers_waiting:
+                        turns_with_reader_waiting += 1
+                    writer_running.set()
+
+        def reader():
+            writer_running.wait(5)
+            with lock.read():
+                pass
+            reader_done.set()
+
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert reader_done.is_set()
+        assert turns_with_reader_waiting <= 2
+        assert lock.readers_waiting == 0 and not lock.write_held
+
     def test_parallel_readers_make_progress_together(self):
         lock = RWLock()
         barrier = threading.Barrier(4, timeout=5)
