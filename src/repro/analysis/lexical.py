@@ -30,7 +30,7 @@ from .diagnostics import SACode, SAFinding
 
 __all__ = ["check_lexical_rules"]
 
-_TABLE_MUTATORS = frozenset({"new_row", "remove_row"})
+_TABLE_MUTATORS = frozenset({"new_row", "remove_rows"})
 _RAW_IO_MODULES = frozenset({"os", "shutil"})
 _PATHLIB_IO_METHODS = frozenset({
     "write_text", "write_bytes", "read_text", "read_bytes",

@@ -1,4 +1,4 @@
-"""LRU compiled-query cache: parsed module + extracted predicates.
+"""LRU compiled-query cache: parsed XQuery modules and lowered SQL.
 
 Query texts repeat — benchmarks re-run the same workload, the CLI
 replays history, SQL/XML statements embed the same XMLQUERY bodies row
@@ -6,7 +6,13 @@ after row.  Parsing and candidate extraction are pure functions of the
 text (modules are never mutated after parse; rewrites construct new
 Modules), so both are computed once per text and shared by
 ``xquery.evaluate``, the planner (:mod:`repro.planner.plan`), the SQL
-executor's embedded-body cache, and the CLI.
+executor, and the CLI.
+
+SQL/XML statements are lowered once into closures
+(:func:`compile_statement`).  A plan depends on the catalog, so it is
+reused only under the catalog epoch it was lowered against (renewed by
+every DDL); it holds no per-execution state.  Both kinds share one LRU,
+one lock and the hit/miss counters.
 
 The cache is shared process state, so all OrderedDict mutation and the
 hit/miss counters sit behind one :data:`_lock`.  Parsing happens
@@ -28,8 +34,9 @@ from ..obs.metrics import METRICS
 from ..xquery import ast
 from ..xquery.parser import parse_xquery
 
-__all__ = ["CompiledQuery", "compile_query", "pin_query", "unpin_query",
-           "cache_info", "clear_cache", "reinit_after_fork"]
+__all__ = ["CompiledQuery", "compile_query", "compile_statement",
+           "pin_query", "unpin_query", "cache_info", "clear_cache",
+           "reinit_after_fork"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,8 @@ class CacheInfo:
 
 _MAXSIZE = 256
 _lock = threading.Lock()
-_cache: "OrderedDict[str, CompiledQuery]" = OrderedDict()
+#: source -> CompiledQuery; (SQL source, use_indexes) -> lowered SQL
+_cache: OrderedDict = OrderedDict()
 #: source -> pin refcount.  Pinned entries are skipped by eviction, so
 #: a prepared-statement handle's plan survives arbitrary cache churn;
 #: the cache may temporarily exceed _MAXSIZE when everything is pinned
@@ -68,15 +76,20 @@ _misses = 0
 def compile_query(source: str) -> CompiledQuery:
     """Parse ``source`` and extract its predicate candidates, memoized
     with LRU eviction."""
-    global _hits, _misses
-    with _lock:
-        entry = _cache.get(source)
-        if entry is not None:
-            _cache.move_to_end(source)
-            _hits += 1
-            if METRICS.enabled:
-                METRICS.inc("querycache.hits")
-            return entry
+    return _cached(source, lambda: _compile_xquery(source))
+
+
+def compile_statement(view, source: str, use_indexes: bool):
+    """``source`` lowered against ``view``'s catalog.  One entry per
+    text: a plan of another catalog epoch is lowered again, replaced."""
+    from ..sql.executor import lower_statement
+    epoch = view.catalog_epoch
+    return _cached((source, use_indexes),
+                   lambda: lower_statement(view, source, use_indexes),
+                   lambda plan: plan.epoch is epoch)
+
+
+def _compile_xquery(source: str) -> CompiledQuery:
     module = parse_xquery(source)
     from ..static.infer import refine_candidates
     from .predicates import extract_candidates
@@ -87,20 +100,35 @@ def compile_query(source: str) -> CompiledQuery:
     # so every compile_query consumer — eligibility, planner, lint —
     # gets the sharpened candidates.
     refine_candidates(module, candidates)
-    entry = CompiledQuery(source, module, tuple(candidates))
+    return CompiledQuery(source, module, tuple(candidates))
+
+
+def _cached(key, build, valid=lambda entry: True):
+    """The ``valid`` entry for ``key``; a miss builds it unlocked."""
+    global _hits, _misses
+    with _lock:
+        entry = _cache.get(key)
+        if entry is not None and valid(entry):
+            _cache.move_to_end(key)
+            _hits += 1
+            if METRICS.enabled:
+                METRICS.inc("querycache.hits")
+            return entry
+    entry = build()
     with _lock:
         _misses += 1
         if METRICS.enabled:
             METRICS.inc("querycache.misses")
-        racing = _cache.get(source)
-        if racing is not None:
-            _cache.move_to_end(source)
+        racing = _cache.get(key)
+        if racing is not None and valid(racing):
+            _cache.move_to_end(key)
             return racing
-        _cache[source] = entry
+        _cache[key] = entry
+        _cache.move_to_end(key)
         if len(_cache) > _MAXSIZE:
-            for key in _cache:
-                if key not in _pins:
-                    del _cache[key]
+            for old in _cache:
+                if old not in _pins:
+                    del _cache[old]
                     if METRICS.enabled:
                         METRICS.inc("querycache.evictions")
                     break

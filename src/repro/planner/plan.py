@@ -502,20 +502,8 @@ def execute_xquery(database, query: str,
                              path=path_text) as span:
                 span.set(actual_rows=0, unit="documents")
         if prefilters or pruned:
-            estimator = _make_probe_estimator(database) if tracer else None
-            doc_filters: dict[str, set[int]] = dict(pruned)
-            for column, prefilter in prefilters.items():
-                with tracer.span("index-probe", column=column) as span:
-                    docs = prefilter.run(stats, tracer=tracer,
-                                         estimator=estimator)
-                    span.set(actual_rows=len(docs), unit="documents")
-                doc_filters[column] = docs
-                for note in prefilter.notes:
-                    stats.note(note)
-                stats.note(
-                    f"prefilter {column}: {len(doc_filters[column])} "
-                    f"documents survive")
-            runtime_db = PrefilteredDatabase(database, doc_filters)
+            runtime_db = run_prefilters(database, prefilters, stats, tracer,
+                                        pruned)
         else:
             stats.note("no eligible index: full collection scan")
     else:
@@ -535,6 +523,25 @@ def execute_xquery(database, query: str,
         profiler.observe_query(query, "xquery", stats,
                                time.perf_counter() - started)
     return QueryResult(items, stats)
+
+
+def run_prefilters(database, prefilters: dict[str, ColumnPrefilter],
+                   stats: ExecutionStats, tracer,
+                   doc_filters=None) -> PrefilteredDatabase:
+    """``database`` narrowed to the documents each column's planned
+    probes leave (one ``index-probe`` span per column); ``doc_filters``
+    holds columns already decided."""
+    estimator = _make_probe_estimator(database) if tracer else None
+    doc_filters = dict(doc_filters or {})
+    for column, prefilter in prefilters.items():
+        with tracer.span("index-probe", column=column) as span:
+            docs = prefilter.run(stats, tracer=tracer, estimator=estimator)
+            span.set(actual_rows=len(docs), unit="documents")
+        doc_filters[column] = docs
+        for note in prefilter.notes:
+            stats.note(note)
+        stats.note(f"prefilter {column}: {len(docs)} documents survive")
+    return PrefilteredDatabase(database, doc_filters)
 
 
 def explain_xquery(database, query: str) -> str:

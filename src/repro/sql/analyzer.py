@@ -51,8 +51,6 @@ class EmbeddedQuery:
     alias_of_var: dict[str, str] = field(default_factory=dict)
     row_candidates: list[PredicateCandidate] = field(default_factory=list)
     global_candidates: list[PredicateCandidate] = field(default_factory=list)
-    #: set for XMLTABLE refs: the produced alias
-    produces_alias: str | None = None
 
 
 _BOOLEAN_FUNCTIONS = {"not", "exists", "empty", "boolean", "true", "false",
@@ -78,56 +76,19 @@ def body_is_boolean(module) -> bool:
     return False
 
 
-def alias_table_map(statement: ast.SelectStmt | ast.ValuesStmt
-                    ) -> dict[str, str]:
-    """FROM alias -> base table name (XMLTABLE aliases map to '')."""
-    aliases: dict[str, str] = {}
-    if isinstance(statement, ast.SelectStmt):
-        for ref in statement.from_refs:
-            if isinstance(ref, ast.TableRef):
-                aliases[ref.alias] = ref.name
-            else:
-                aliases[ref.alias] = ""
-    return aliases
-
-
-def resolve_column(database, aliases: dict[str, str],
-                   ref: ast.ColumnRef) -> tuple[str, str, SQLType] | None:
-    """Resolve a column reference to (table, column, type)."""
-    if ref.qualifier is not None:
-        table_name = aliases.get(ref.qualifier)
-        if not table_name:
-            return None
-        table = database.table(table_name)
-        if ref.name in table.columns:
-            return table_name, ref.name, table.columns[ref.name]
+def resolve_column(database, aliases: dict[str, str], ref: ast.ColumnRef
+                   ) -> tuple[str, str, SQLType] | None:
+    """(alias, table, type) of the one table column ``ref`` names, or
+    None (an XMLTABLE column, no column, or more than one)."""
+    owners = ([ref.qualifier] if ref.qualifier is not None
+              else list(aliases))
+    matches = [(alias, aliases[alias]) for alias in owners
+               if aliases.get(alias)
+               and ref.name in database.table(aliases[alias]).columns]
+    if len(matches) != 1:
         return None
-    matches = []
-    for alias, table_name in aliases.items():
-        if not table_name:
-            continue
-        table = database.table(table_name)
-        if ref.name in table.columns:
-            matches.append((table_name, ref.name,
-                            table.columns[ref.name]))
-    if len(matches) == 1:
-        return matches[0]
-    return None
-
-
-def alias_for_column(aliases: dict[str, str], database,
-                     ref: ast.ColumnRef) -> str | None:
-    if ref.qualifier is not None:
-        return ref.qualifier if ref.qualifier in aliases else None
-    found = None
-    for alias, table_name in aliases.items():
-        if not table_name:
-            continue
-        if ref.name in database.table(table_name).columns:
-            if found is not None:
-                return None
-            found = alias
-    return found
+    alias, table_name = matches[0]
+    return alias, table_name, database.table(table_name).columns[ref.name]
 
 
 def build_scope(database, aliases: dict[str, str],
@@ -142,21 +103,19 @@ def build_scope(database, aliases: dict[str, str],
         resolved = resolve_column(database, aliases, argument.expr)
         if resolved is None:
             continue
-        table_name, column, sql_type = resolved
+        alias, table_name, sql_type = resolved
         if sql_type.is_xml:
-            scope[argument.variable] = Origin(f"{table_name}.{column}")
+            scope[argument.variable] = Origin(
+                f"{table_name}.{argument.expr.name}")
         else:
             scope[argument.variable] = SQLTypedValue(sql_type.name)
-        alias = alias_for_column(aliases, database, argument.expr)
-        if alias is not None:
-            alias_of_var[argument.variable] = alias
+        alias_of_var[argument.variable] = alias
     return scope, alias_of_var
 
 
 def analyze_embedded(database, aliases: dict[str, str], text: str,
                      passing: list[ast.PassingArg],
-                     sql_context: PredicateContext,
-                     produces_alias: str | None = None) -> EmbeddedQuery:
+                     sql_context: PredicateContext) -> EmbeddedQuery:
     module = parse_xquery(text)
     scope, alias_of_var = build_scope(database, aliases, passing)
     context = sql_context
@@ -164,7 +123,7 @@ def analyze_embedded(database, aliases: dict[str, str], text: str,
             body_is_boolean(module):
         context = PredicateContext.SQL_BOOLEAN_XMLEXISTS
     embedded = EmbeddedQuery(text, module, passing, context, scope,
-                             alias_of_var, produces_alias=produces_alias)
+                             alias_of_var)
     embedded.row_candidates = extract_candidates(
         module, base_scope=scope, base_context=context,
         suppress_xmlcolumn=True)
@@ -174,35 +133,25 @@ def analyze_embedded(database, aliases: dict[str, str], text: str,
 
 def collect_embedded(database, statement) -> list[EmbeddedQuery]:
     """Every embedded XQuery in the statement, fully classified."""
-    aliases = alias_table_map(statement)
+    #: FROM alias -> base table name (XMLTABLE aliases map to '')
+    aliases = {ref.alias: getattr(ref, "name", "")
+               for ref in getattr(statement, "from_refs", ())}
     found: list[EmbeddedQuery] = []
 
     def scan_expr(expr, context: PredicateContext) -> None:
-        if isinstance(expr, ast.XMLQueryExpr):
+        if isinstance(expr, (ast.XMLQueryExpr, ast.XMLExistsExpr)):
             found.append(analyze_embedded(database, aliases, expr.xquery,
                                           expr.passing, context))
-        elif isinstance(expr, ast.XMLExistsExpr):
-            found.append(analyze_embedded(
-                database, aliases, expr.xquery, expr.passing,
-                PredicateContext.SQL_WHERE_XMLEXISTS
-                if context is PredicateContext.SQL_WHERE_XMLEXISTS
-                else context))
-        elif isinstance(expr, ast.XMLCastExpr):
+        elif isinstance(expr, (ast.XMLCastExpr, ast.NotCond,
+                               ast.IsNullCond)):
             scan_expr(expr.operand, context)
         elif isinstance(expr, (ast.XMLElementExpr, ast.XMLForestExpr,
                                ast.XMLConcatExpr)):
             for child in _publishing_children(expr):
                 scan_expr(child, context)
-        elif isinstance(expr, ast.Comparison):
+        elif isinstance(expr, (ast.Comparison, ast.AndCond, ast.OrCond)):
             scan_expr(expr.left, context)
             scan_expr(expr.right, context)
-        elif isinstance(expr, (ast.AndCond, ast.OrCond)):
-            scan_expr(expr.left, context)
-            scan_expr(expr.right, context)
-        elif isinstance(expr, ast.NotCond):
-            scan_expr(expr.operand, context)
-        elif isinstance(expr, ast.IsNullCond):
-            scan_expr(expr.operand, context)
 
     if isinstance(statement, ast.ValuesStmt):
         for expr in statement.exprs:
@@ -213,21 +162,18 @@ def collect_embedded(database, statement) -> list[EmbeddedQuery]:
         scan_expr(item.expr, PredicateContext.SQL_SELECT_LIST)
     for ref in statement.from_refs:
         if isinstance(ref, ast.XMLTableRef):
-            found.append(analyze_embedded(
-                database, aliases, ref.row_xquery, ref.passing,
-                PredicateContext.SQL_XMLTABLE_ROW,
-                produces_alias=ref.alias))
-            row_module = parse_xquery(ref.row_xquery)
-            scope, _alias_map = build_scope(database, aliases, ref.passing)
-            extractor_scope = dict(scope)
+            row = analyze_embedded(database, aliases, ref.row_xquery,
+                                   ref.passing,
+                                   PredicateContext.SQL_XMLTABLE_ROW)
+            found.append(row)
             from ..core.predicates import _Extractor
-            row_origin = _Extractor().origin_of(row_module.body,
-                                                extractor_scope)
+            row_origin = _Extractor().origin_of(row.module.body,
+                                                dict(row.scope))
             for column in ref.columns:
                 if column.path is None or column.for_ordinality:
                     continue
                 column_module = parse_xquery(column.path)
-                column_scope = dict(scope)
+                column_scope = dict(row.scope)
                 if row_origin is not None:
                     column_scope["."] = row_origin
                 embedded = EmbeddedQuery(

@@ -1,7 +1,7 @@
 """SQL/XML executor with index-aware access paths.
 
-Executes SELECT/VALUES statements over the catalog with exactly the
-semantics Section 3.2/3.3 describe:
+Executes SELECT/VALUES/INSERT/DELETE statements over the catalog with
+exactly the semantics Section 3.2/3.3 describe:
 
 * ``XMLQUERY`` in the select list runs per row and returns possibly
   empty sequences — rows are never eliminated (Query 5);
@@ -13,6 +13,13 @@ semantics Section 3.2/3.3 describe:
   Query 14 runtime errors;
 * SQL comparisons use padded string semantics, unlike XQuery.
 
+A statement is lowered once (:func:`lower_statement`, cached for one
+catalog epoch by :func:`repro.core.querycache.compile_statement`) into
+closures ``f(run, env)``, ``env`` holding one row per FROM item: columns
+resolved, bodies compiled, join order and strategy planned (and printed
+by :func:`explain_sql`).  A :class:`_Run` holds what depends on the
+data: probe verdicts, the hash table, the stats.
+
 Access paths (``use_indexes=True``):
 
 * row prefilters from eligible XMLEXISTS / XMLTABLE-row predicates with
@@ -20,8 +27,11 @@ Access paths (``use_indexes=True``):
 * index nested-loop joins: an eligible join predicate probes the XML
   index with a value computed from the outer row (Queries 13/16), or a
   relational index with an SQL-side value (Query 14);
+* a hash join on the WHERE clause's leading ``=`` (Query 15);
 * embedded ``db2-fn:xmlcolumn`` bodies get their own collection-level
   prefilter via the XQuery planner (Query 6).
+
+``use_indexes=False`` lowers the reference plan: nested loops, no index.
 """
 
 from __future__ import annotations
@@ -33,26 +43,27 @@ from decimal import Decimal
 
 from ..core.eligibility import check_index
 from ..core.predicates import Origin, PredicateCandidate
+from ..core.querycache import compile_query, compile_statement
 from ..errors import ReproError, SQLCastError, SQLError, XQueryError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..planner.plan import (PrefilteredDatabase, _make_probe_estimator,
-                            plan_prefilters)
+from ..planner.plan import _bounds_for, plan_prefilters, run_prefilters
 from ..planner.stats import ExecutionStats
-from ..storage.table import StoredDocument
+from ..storage.table import Row
+from ..xquery import ast as xast
 from ..xquery.guard import active_guard
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
-from ..xdm.nodes import AttributeNode, ElementNode, Node, TextNode, copy_node
+from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
+                         TextNode, copy_node)
 from ..xdm.qname import QName
 from ..xdm.sequence import Item, atomize
 from ..xquery.evaluator import evaluate_module, lower_expression
 from ..xquery.joins import JoinTable
-from ..xquery.parser import parse_xquery
 from . import ast
-from .analyzer import (EmbeddedQuery, alias_table_map, collect_embedded,
-                       resolve_column, split_conjuncts)
-from .values import SQLType, XMLValue, sql_compare, sql_equality_key
+from .analyzer import EmbeddedQuery, collect_embedded, split_conjuncts
+from .values import (SQLType, XMLValue, coerce_to_type, sql_compare,
+                     sql_equality_key)
 
 
 @dataclass
@@ -80,66 +91,17 @@ class SQLResult:
         return rendered
 
 
-@dataclass
-class _JoinProbe:
-    target_alias: str
-    kind: str                       # 'xml' | 'rel'
-    index: object
-    outer_deps: frozenset[str]
-    # xml probes:
-    candidate: PredicateCandidate | None = None
-    embedded: EmbeddedQuery | None = None
-    #: the candidate's operand, lowered once per module
-    operand: object | None = None
-    # rel probes:
-    sql_expr: object | None = None
-
-
-@dataclass
-class _HashJoin:
-    """The WHERE clause's leading ``=``, hashed on one table's side.
-
-    Rows of ``alias`` are keyed once (built on first use); every binding
-    of the tables before it probes with ``outer``.  A row is skipped
-    only when both keys are of one class and differ — the equality is
-    then FALSE without raising and, as the leading conjunct, decides the
-    WHERE clause before anything else in it runs — or, when it is the
-    whole WHERE clause, when a key is NULL.  Rows, order, NULLs and
-    errors are the nested loop's.
-    """
-
-    alias: str
-    inner: object
-    outer: object
-    #: The WHERE clause is this equality alone: equal keys decide it.
-    key_only: bool
-    rows: list | None = None
-    table: JoinTable | None = None
-
-
-@dataclass
-class _Plan:
-    row_filters: dict[str, set[int]] = field(default_factory=dict)
-    #: alias -> {XML column: allowed doc ids} (for XML prefilters)
-    doc_filters: dict[str, dict[str, set[int]]] = field(
-        default_factory=dict)
-    join_probes: list[_JoinProbe] = field(default_factory=list)
-    #: the hash join, or why the join stays a nested loop (None: no join)
-    hash_join: _HashJoin | str | None = None
-
-
 def execute_sql(database, statement_text: str,
                 use_indexes: bool = True, tracer=None) -> SQLResult:
-    from .parser import parse_statement
     profiler = getattr(database, "workload_profiler", None)
     started = (time.perf_counter()
                if METRICS.enabled or profiler is not None else 0.0)
     tracer = tracer or NULL_TRACER
     with tracer.span("parse") as span:
-        statement = parse_statement(statement_text)
-        span.set(kind=type(statement).__name__)
-    executor = _SQLExecutor(database, use_indexes, tracer)
-    result = executor.run(statement)
+        statement = compile_statement(database, statement_text,
+                                      use_indexes)
+        span.set(kind=statement.kind)
+    result = statement.execute(_Run(statement, database, tracer))
     if METRICS.enabled:
         METRICS.inc("queries.sql")
         METRICS.inc("rows.scanned", result.stats.rows_scanned)
@@ -154,345 +116,620 @@ def explain_sql(database, statement_text: str) -> str:
     """Human-readable eligibility report + access plan for a statement."""
     from ..core.eligibility import analyze_candidates
     from .analyzer import extract_sql_candidates
-    from .parser import parse_statement
 
     candidates = extract_sql_candidates(database, statement_text)
     report = analyze_candidates(database, candidates, statement_text,
                                 "sql")
     lines = [report.explain(), "plan:"]
-    statement = parse_statement(statement_text)
-    if isinstance(statement, ast.SelectStmt):
-        executor = _SQLExecutor(database, use_indexes=True)
-        aliases = alias_table_map(statement)
-        plan = executor._plan(statement, aliases)
-        ordered = executor._order_joins(statement.from_refs, plan)
-        lines.append("  join order: " +
-                     " -> ".join(ref.alias for ref in ordered))
-        join = executor._plan_hash_join(statement, aliases, ordered, plan)
-        if isinstance(join, _HashJoin):
-            lines.append(f"  hash join into {join.alias}: its side of the "
-                         f"WHERE clause's leading '=' keyed once per row, "
-                         f"probed per row of the tables before it")
-        elif join is not None:
-            lines.append(f"  nested-loop join: {join}")
-        for alias, by_column in plan.doc_filters.items():
-            for docs in by_column.values():
-                lines.append(f"  doc prefilter on {alias}: "
-                             f"{len(docs)} documents")
-        for alias, rows in plan.row_filters.items():
-            lines.append(f"  row prefilter on {alias}: {len(rows)} rows")
-        for probe in plan.join_probes:
-            lines.append(
-                f"  {probe.kind} index nested-loop into "
-                f"{probe.target_alias} via {probe.index.name} "
-                f"(outer: {sorted(probe.outer_deps)})")
-        if not (plan.doc_filters or plan.row_filters or plan.join_probes):
-            lines.append("  full scans on every table")
-        for note in executor.stats.plan_notes:
-            lines.append(f"  note: {note}")
-    else:
+    plan = compile_statement(database, statement_text, True)
+    if not isinstance(plan, _Select):
         lines.append("  VALUES: no table access")
+        return "\n".join(lines)
+    run = _Run(plan, database)
+    plan.prepare(run)
+    lines.append("  join order: " +
+                 " -> ".join(source.alias for source in plan.sources))
+    join = plan.hash_join
+    if isinstance(join, _HashJoin):
+        lines.append(f"  hash join into {join.alias}: its side of the "
+                     f"WHERE clause's leading '=' keyed once per row, "
+                     f"probed per row of the tables before it")
+    elif join is not None:
+        lines.append(f"  nested-loop join: {join}")
+    for alias, by_column in run.doc_filters.items():
+        for docs in by_column.values():
+            lines.append(f"  doc prefilter on {alias}: "
+                         f"{len(docs)} documents")
+    for alias, rows in run.row_filters.items():
+        lines.append(f"  row prefilter on {alias}: {len(rows)} rows")
+    for probe in plan.join_probes:
+        lines.append(
+            f"  {probe.kind} index nested-loop into "
+            f"{probe.target_alias} via {probe.index_name} "
+            f"(outer: {sorted(probe.outer_deps)})")
+    if not (run.doc_filters or run.row_filters or plan.join_probes):
+        lines.append("  full scans on every table")
+    for note in run.stats.plan_notes:
+        lines.append(f"  note: {note}")
     return "\n".join(lines)
 
 
-class _SQLExecutor:
-    def __init__(self, database, use_indexes: bool, tracer=NULL_TRACER):
-        self.database = database
+def lower_statement(view, statement_text: str, use_indexes: bool
+                    ) -> "_Statement":
+    """Parse ``statement_text`` and lower it against ``view``'s catalog
+    (unknown or ambiguous columns raise here)."""
+    from .parser import parse_statement
+    statement = parse_statement(statement_text)
+    lowering = {ast.SelectStmt: _Select, ast.ValuesStmt: _Values,
+                ast.InsertStmt: _Insert, ast.DeleteStmt: _Delete}
+    return lowering[type(statement)](view, statement, use_indexes)
+
+
+# ---------------------------------------------------------------------------
+# Lowering: SQL expressions -> closures f(run, env)
+# ---------------------------------------------------------------------------
+
+class _Lowerer:
+    """SQL expressions -> closures over ``refs``, one ``env`` slot each."""
+
+    def __init__(self, view, refs: list):
+        self.refs = refs
+        #: per slot: column name -> SQLType (None for XMLTABLE columns)
+        self.columns: list[dict] = []
+        self.slots: dict[str, int] = {}
+        for slot, ref in enumerate(refs):
+            if isinstance(ref, ast.TableRef):
+                self.columns.append(view.table(ref.name).columns)
+            else:
+                self.columns.append(dict.fromkeys(_xmltable_names(ref)))
+            if ref.alias in self.slots:
+                raise SQLError(f"FROM names {ref.alias!r} twice", "42712")
+            self.slots[ref.alias] = slot
+
+    def resolve(self, ref: ast.ColumnRef) -> int:
+        """The slot of the FROM item ``ref`` names."""
+        if ref.qualifier is not None:
+            slot = self.slots.get(ref.qualifier)
+            if slot is None:
+                raise SQLError(f"unknown qualifier {ref.qualifier!r}",
+                               "42703")
+            if ref.name not in self.columns[slot]:
+                raise SQLError(f"unknown column {ref}", "42703")
+            return slot
+        owners = [slot for slot, columns in enumerate(self.columns)
+                  if ref.name in columns]
+        if not owners:
+            raise SQLError(f"unknown column {ref}", "42703")
+        if len(owners) > 1:
+            raise SQLError(
+                f"column {ref.name!r} is ambiguous: it is in "
+                f"{', '.join(self.refs[slot].alias for slot in owners)}",
+                "42702")
+        return owners[0]
+
+    def deps(self, expr) -> set[str]:
+        """The FROM aliases ``expr`` reads."""
+        return {self.refs[self.resolve(ref)].alias
+                for ref in _nodes(expr, ast.ColumnRef)}
+
+    def column(self, ref: ast.ColumnRef, as_items: bool = False):
+        """``f(run, env)`` -> the value, or (PASSING) its XDM items."""
+        slot, name = self.resolve(ref), ref.name
+        sql_type = self.columns[slot][name]
+        if sql_type is None or not sql_type.is_xml:
+            if as_items:
+                return lambda run, env: _to_xdm_items(env[slot].values[name])
+            return lambda run, env: env[slot].values[name]
+
+        def document(run, env):
+            stored = env[slot].values[name]
+            if as_items:
+                return [] if stored is None else [stored.document]
+            return None if stored is None else XMLValue([stored.document])
+        return document
+
+    def expr(self, expr):
+        if isinstance(expr, ast.SQLLiteral):
+            value = expr.value
+            return lambda run, env: value
+        if isinstance(expr, ast.ColumnRef):
+            return self.column(expr)
+        if isinstance(expr, ast.XMLQueryExpr):
+            body = self.body(expr.xquery, expr.passing)
+            return lambda run, env: XMLValue(body(run, env))
+        if isinstance(expr, ast.XMLExistsExpr):
+            body = self.body(expr.xquery, expr.passing)
+            return lambda run, env: bool(body(run, env))
+        if isinstance(expr, ast.XMLCastExpr):
+            return self.xmlcast(expr)
+        if isinstance(expr, ast.XMLElementExpr):
+            return self.xmlelement(expr)
+        if isinstance(expr, ast.XMLForestExpr):
+            pieces = [(name, self.expr(value))
+                      for name, value in expr.items]
+            return lambda run, env: XMLValue([
+                _publish_element(name, value)
+                for name, piece in pieces
+                for value in (piece(run, env),) if value is not None])
+        if isinstance(expr, ast.XMLConcatExpr):
+            pieces = [self.expr(piece) for piece in expr.items]
+            return lambda run, env: XMLValue([
+                item for piece in pieces
+                for item in _to_xdm_items(piece(run, env))])
+        if isinstance(expr, ast.Comparison):
+            op = expr.op
+            left, right = self.expr(expr.left), self.expr(expr.right)
+            return lambda run, env: sql_compare(op, left(run, env),
+                                                right(run, env))
+        raise SQLError(f"cannot evaluate expression {expr!r}", "42601")
+
+    def cond(self, condition, grouped: bool = False):
+        """A closure returning True, False or None (UNKNOWN), over one
+        row's ``env`` — or, ``grouped`` (HAVING), over a group's rows."""
+        if isinstance(condition, (ast.AndCond, ast.OrCond)):
+            left = self.cond(condition.left, grouped)
+            right = self.cond(condition.right, grouped)
+            decisive = isinstance(condition, ast.OrCond)
+
+            def connective(run, env):
+                first = left(run, env)
+                if first is decisive:
+                    return decisive
+                second = right(run, env)
+                if second is decisive:
+                    return decisive
+                if first is None or second is None:
+                    return None
+                return not decisive
+            return connective
+        if isinstance(condition, ast.NotCond):
+            inner = self.cond(condition.operand, grouped)
+            return lambda run, env: _NOT[inner(run, env)]
+        if grouped:
+            if isinstance(condition, ast.Comparison):
+                return self.grouped(condition)
+            raise SQLError("unsupported HAVING condition", "42903")
+        if isinstance(condition, ast.IsNullCond):
+            operand, negated = self.expr(condition.operand), \
+                condition.negated
+            return lambda run, env: (operand(run, env) is None) != negated
+        if isinstance(condition, (ast.Comparison, ast.XMLExistsExpr)):
+            return self.expr(condition)
+        value = self.expr(condition)
+
+        def truth(run, env):
+            result = value(run, env)
+            if result is None or isinstance(result, bool):
+                return result
+            raise SQLError("WHERE condition must be boolean", "42804")
+        return truth
+
+    def body(self, text: str, passing: list[ast.PassingArg]):
+        """``f(run, env)`` -> the items of an embedded XQuery body."""
+        compiled = compile_query(text)
+        module = compiled.module
+        arguments = [(argument.variable, self.items(argument.expr))
+                     for argument in passing]
+
+        def run_body(run, env):
+            database = run.body_view(compiled)
+            return evaluate_module(
+                module, database=database,
+                variables={variable: items(run, env)
+                           for variable, items in arguments},
+                stats=run.stats, plan_joins=run.use_indexes)
+        return run_body
+
+    def items(self, expr):
+        """``f(run, env)`` -> ``expr`` as XDM items, for PASSING."""
+        if isinstance(expr, ast.ColumnRef):
+            return self.column(expr, as_items=True)
+        value = self.expr(expr)
+        return lambda run, env: _to_xdm_items(value(run, env))
+
+    def xmlcast(self, expr: ast.XMLCastExpr):
+        operand, target = self.expr(expr.operand), expr.target
+
+        def xmlcast(run, env):
+            value = operand(run, env)
+            if value is None:
+                return None
+            if isinstance(value, XMLValue):
+                return (_cast_items_to_sql(value.items, target)
+                        if value.items else None)
+            return coerce_to_type(value, target)
+        return xmlcast
+
+    def xmlelement(self, expr: ast.XMLElementExpr):
+        name = QName("", expr.name)
+        attributes = [(QName("", attribute), self.expr(value))
+                      for attribute, value in expr.attributes]
+        content = [self.expr(piece) for piece in expr.content]
+
+        def xmlelement(run, env):
+            element = ElementNode(name)
+            for attribute, value in attributes:
+                text = value(run, env)
+                if text is not None:
+                    element.add_attribute(AttributeNode(
+                        attribute, _sql_to_text(text)))
+            for piece in content:
+                value = piece(run, env)
+                if value is not None:
+                    _append_items(element, value)
+            return XMLValue([element])
+        return xmlelement
+
+    def xmltable_column(self, column: ast.XMLTableColumn):
+        """``f(run, item, position)`` -> one XMLTABLE cell."""
+        if column.for_ordinality:
+            return lambda run, item, position: position
+        compiled = compile_query(column.path if column.path is not None
+                                 else column.name)
+        module = compiled.module
+        identity = isinstance(module.body, xast.ContextItem)
+        sql_type = column.sql_type
+        assert sql_type is not None
+        copy = sql_type.is_xml and not column.by_ref
+
+        def cell(run, item, position):
+            items = [item] if identity else evaluate_module(
+                module, database=run.body_view(compiled),
+                context_item=item, stats=run.stats,
+                plan_joins=run.use_indexes)
+            if not items:
+                return None   # empty sequence -> NULL (Query 12)
+            if not sql_type.is_xml:
+                return _cast_items_to_sql(items, sql_type)
+            return XMLValue([copy_node(node) if isinstance(node, Node)
+                             else node for node in items]
+                            if copy else items)
+        return cell
+
+    # -- grouped statements: closures f(run, group_envs) -----------------
+
+    def grouped(self, expr):
+        if isinstance(expr, ast.AggregateExpr):
+            return self.aggregate(expr)
+        if any(_nodes(expr, ast.AggregateExpr)):
+            if not isinstance(expr, ast.Comparison):
+                raise SQLError("aggregates may only be nested in "
+                               "comparisons", "42903")
+            op = expr.op
+            left, right = self.grouped(expr.left), self.grouped(expr.right)
+            return lambda run, group: sql_compare(op, left(run, group),
+                                                  right(run, group))
+        value = self.expr(expr)
+        return lambda run, group: value(run, group[0]) if group else None
+
+    def aggregate(self, expr: ast.AggregateExpr):
+        function = expr.function
+        if function == "COUNT" and expr.argument is None:
+            return lambda run, group: len(group)
+        argument, distinct = self.expr(expr.argument), expr.distinct
+
+        def aggregate(run, group_envs):
+            if run.guard is not None:
+                # Aggregates evaluate their argument once per group row.
+                run.guard.tick(len(group_envs) + 1)
+            values = []
+            for env in group_envs:
+                value = argument(run, env)
+                if value is None:
+                    continue  # SQL aggregates skip NULLs
+                if isinstance(value, XMLValue) and function != "COUNT":
+                    raise SQLError(
+                        f"cannot {function} XML values", "42818")
+                values.append(value)
+            if distinct:
+                values = [value for position, value in enumerate(values)
+                          if value not in values[:position]]
+            if function == "COUNT":
+                return len(values)
+            if not values:
+                return None
+            if function == "MIN":
+                return min(values)
+            if function == "MAX":
+                return max(values)
+            total = sum(values[1:], start=values[0])
+            return total / len(values) if function == "AVG" else total
+        return aggregate
+
+
+# ---------------------------------------------------------------------------
+# Lowered statements
+# ---------------------------------------------------------------------------
+
+class _Statement:
+    """Lowered once: nothing of one execution.  ``execute(run)`` runs it."""
+
+    def __init__(self, view, statement, use_indexes: bool):
+        self.kind = type(statement).__name__
         self.use_indexes = use_indexes
-        self.stats = ExecutionStats()
-        self.tracer = tracer
-        self._body_cache: dict[str, tuple[object, object]] = {}
+        self.epoch = view.catalog_epoch   # the catalog it is valid for
 
-    # ------------------------------------------------------------------
-    # Statements
-    # ------------------------------------------------------------------
 
-    def run(self, statement) -> SQLResult:
-        if isinstance(statement, ast.ValuesStmt):
-            row = tuple(self.eval_expr(expr, {}) for expr in statement.exprs)
-            return SQLResult([f"col{i + 1}" for i in range(len(row))],
-                             [row], self.stats)
-        if isinstance(statement, ast.InsertStmt):
-            return self._run_insert(statement)
-        if isinstance(statement, ast.DeleteStmt):
-            return self._run_delete(statement)
-        return self._run_select(statement)
+class _Values(_Statement):
+    def __init__(self, view, statement: ast.ValuesStmt, use_indexes: bool):
+        super().__init__(view, statement, use_indexes)
+        lower = _Lowerer(view, [])
+        self.exprs = [lower.expr(expr) for expr in statement.exprs]
 
-    def _run_insert(self, statement: ast.InsertStmt) -> SQLResult:
-        table = self.database.table(statement.table)
+    def execute(self, run: "_Run") -> SQLResult:
+        row = tuple(expr(run, ()) for expr in self.exprs)
+        return SQLResult([f"col{i + 1}" for i in range(len(row))], [row],
+                         run.stats)
+
+
+class _Insert(_Statement):
+    def __init__(self, view, statement: ast.InsertStmt, use_indexes: bool):
+        super().__init__(view, statement, use_indexes)
+        self.table = statement.table
+        table = view.table(statement.table)
         columns = statement.columns or list(table.columns)
+        lower = _Lowerer(view, [])
+        wrong = next((len(row_exprs) for row_exprs in statement.rows
+                      if len(row_exprs) != len(columns)), None)
+        if wrong is not None:
+            raise SQLError(f"INSERT expects {len(columns)} values, got "
+                           f"{wrong}", "42802")
+        self.rows = [[(column, table.column_type(column), lower.expr(expr))
+                      for column, expr in zip(columns, row_exprs)]
+                     for row_exprs in statement.rows]
+
+    def execute(self, run: "_Run") -> SQLResult:
         inserted = 0
-        # sa: ok(SA406: statement.rows is the VALUES list — query-sized)
-        for row_exprs in statement.rows:
-            if len(row_exprs) != len(columns):
-                raise SQLError(
-                    f"INSERT expects {len(columns)} values, got "
-                    f"{len(row_exprs)}", "42802")
+        # sa: ok(SA406: self.rows is the VALUES list — query-sized)
+        for row in self.rows:
             values: dict[str, object] = {}
-            for column, expr in zip(columns, row_exprs):
-                value = self.eval_expr(expr, {})
-                sql_type = table.column_type(column)
-                if sql_type.is_xml and isinstance(value, str):
-                    pass  # Database.insert parses XML text
-                elif sql_type.is_xml and isinstance(value, XMLValue):
+            for column, sql_type, expr in row:
+                value = expr(run, ())
+                if sql_type.is_xml and isinstance(value, XMLValue):
                     items = value.items
                     if len(items) != 1 or not isinstance(items[0], Node):
                         raise SQLError(
                             "XML column INSERT needs a single node",
                             "42846")
                     node = items[0]
-                    if node.kind != "document":
-                        from ..xdm.nodes import DocumentNode
-                        value = DocumentNode([copy_node(node)])
-                    else:
-                        value = node
+                    value = (node if node.kind == "document"
+                             else DocumentNode([copy_node(node)]))
+                # XML text is parsed by Database.insert.
                 values[column] = value
-            self.database.insert(statement.table, values)
+            run.view.insert(self.table, values)
             inserted += 1
-        self.stats.note(f"inserted {inserted} row(s) into "
-                        f"{statement.table}")
-        return SQLResult(["rows_inserted"], [(inserted,)], self.stats)
+        run.stats.note(f"inserted {inserted} row(s) into {self.table}")
+        return SQLResult(["rows_inserted"], [(inserted,)], run.stats)
 
-    def _run_delete(self, statement: ast.DeleteStmt) -> SQLResult:
-        table = self.database.table(statement.table)
 
-        def matches(row_values: dict) -> bool:
-            if statement.where is None:
-                return True
-            row = next(row for row in table.rows
-                       if row.values is row_values)
-            env = {statement.alias: ("table", statement.table, row)}
-            return self._condition(statement.where, env) is True
+class _Delete(_Statement):
+    def __init__(self, view, statement: ast.DeleteStmt, use_indexes: bool):
+        super().__init__(view, statement, use_indexes)
+        self.table = statement.table
+        lower = _Lowerer(view, [ast.TableRef(statement.table,
+                                             statement.alias)])
+        self.where = (None if statement.where is None
+                      else lower.cond(statement.where))
 
-        removed = self.database.delete_rows(statement.table, matches)
-        self.stats.note(f"deleted {removed} row(s) from "
-                        f"{statement.table}")
-        return SQLResult(["rows_deleted"], [(removed,)], self.stats)
+    def execute(self, run: "_Run") -> SQLResult:
+        where = self.where
+        removed = run.view.delete_rows(
+            self.table, None if where is None else
+            lambda values: where(run, (Row(0, values),)) is True)
+        run.stats.note(f"deleted {removed} row(s) from {self.table}")
+        return SQLResult(["rows_deleted"], [(removed,)], run.stats)
 
-    def _run_select(self, statement: ast.SelectStmt) -> SQLResult:
-        aliases = alias_table_map(statement)
-        with self.tracer.span("plan") as span:
-            plan = (self._plan(statement, aliases)
-                    if self.use_indexes else _Plan())
-            span.set(doc_filters=len(plan.doc_filters),
-                     row_filters=len(plan.row_filters),
-                     join_probes=len(plan.join_probes))
 
-        from_refs = self._order_joins(statement.from_refs, plan)
-        if self.use_indexes:
-            plan.hash_join = self._plan_hash_join(statement, aliases,
-                                                  from_refs, plan)
-            if isinstance(plan.hash_join, _HashJoin):
-                self.stats.note(f"hash join into {plan.hash_join.alias} "
-                                f"on the WHERE clause's leading '='")
-        envs: list[dict] = []
-        rows_before = self.stats.rows_scanned
-        with self.tracer.span("join-scan") as span:
-            self._join([], from_refs, statement, plan, {}, envs)
-            if from_refs != statement.from_refs:
-                # Probe targets ran behind their outer tables: restore
-                # the FROM clause's nested-loop order, which a plan
-                # without indexes returns.
-                envs.sort(key=lambda env: [
-                    env[ref.alias][2] if isinstance(ref, ast.XMLTableRef)
-                    else env[ref.alias][2].row_id
-                    for ref in statement.from_refs])
-            span.set(actual_rows=len(envs), unit="rows",
-                     rows_scanned=self.stats.rows_scanned - rows_before)
+@dataclass
+class _JoinProbe:
+    """An index nested-loop join into ``target_alias``."""
 
-        guard = active_guard()
-        if guard is not None:
-            # Pure SQL obeys the same row budget as a FLWOR return
-            # clause: a joined row set beyond the cap aborts (54000)
-            # instead of being projected and filtered down later.
-            guard.check_items(len(envs))
+    target_alias: str
+    kind: str                       # 'xml' | 'rel'
+    index_name: str
+    outer_deps: frozenset[str]
+    # xml: the candidate, (variable, items getter) of the PASSING
+    # arguments its operand reads, and the lowered operand
+    candidate: PredicateCandidate | None = None
+    arguments: list | None = None
+    operand: object | None = None
+    value: object | None = None     # rel: the SQL-side value
 
-        columns = [self._column_name(item, position)
-                   for position, item in enumerate(statement.items, 1)]
 
-        if statement.group_by or self._has_aggregates(statement):
-            return self._run_grouped(statement, envs, columns)
+@dataclass
+class _HashJoin:
+    """The WHERE clause's leading ``=``, hashed on one table's side.
 
-        if statement.order_by:
-            def sort_key(env):
-                keys = []
-                for expr, descending in statement.order_by:
-                    value = self.eval_expr(expr, env)
-                    keys.append(_OrderKey(value, descending))
-                return keys
-            envs.sort(key=sort_key)
+    Rows of ``alias`` are keyed once per execution (on first use);
+    every binding of the tables before it probes with ``outer``.  A row
+    is skipped only when both keys are of one class and differ — the
+    equality is then FALSE without raising and, as the leading
+    conjunct, decides the WHERE clause before anything else in it runs
+    — or, when it is the whole WHERE clause, when a key is NULL.  Rows,
+    order, NULLs and errors are the nested loop's.
+    """
 
-        with self.tracer.span("project") as span:
-            rows = [tuple(self.eval_expr(item.expr, env)
-                          for item in statement.items)
-                    for env in envs]
-            span.set(actual_rows=len(rows), unit="rows")
-        return SQLResult(columns, rows, self.stats)
+    alias: str
+    inner: object
+    outer: object
+    #: The WHERE clause is this equality alone: equal keys decide it.
+    key_only: bool
 
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
 
-    def _has_aggregates(self, statement: ast.SelectStmt) -> bool:
-        return any(self._contains_aggregate(item.expr)
-                   for item in statement.items) or \
-            (statement.having is not None and
-             self._contains_aggregate(statement.having))
+@dataclass(slots=True)
+class _Source:
+    """One FROM item at its place in the join order."""
 
-    def _contains_aggregate(self, expr) -> bool:
-        if isinstance(expr, ast.AggregateExpr):
-            return True
-        for name in getattr(expr, "__dataclass_fields__", {}):
-            value = getattr(expr, name)
-            if isinstance(value, ast.SQLExpr) and \
-                    self._contains_aggregate(value):
-                return True
-            if isinstance(value, list) and any(
-                    isinstance(element, ast.SQLExpr) and
-                    self._contains_aggregate(element)
-                    for element in value):
-                return True
-        return False
+    slot: int
+    alias: str
+    table: str | None             # the base table; None: an XMLTABLE
+    probes: list                  # index nested-loop probes runnable here
+    hash: _HashJoin | None
+    body: object = None           # XMLTABLE: the row body, and
+    columns: list = field(default_factory=list)   # (name, cell closure)
 
-    def _run_grouped(self, statement: ast.SelectStmt, envs: list[dict],
-                     columns: list[str]) -> SQLResult:
-        guard = active_guard()
-        if guard is not None:
-            # Grouping evaluates the GROUP BY keys once per input row.
-            guard.tick(len(envs) + 1)
-        groups: dict[tuple, list[dict]] = {}
-        for env in envs:
-            key = tuple(_group_key(self.eval_expr(expr, env))
-                        for expr in statement.group_by)
-            groups.setdefault(key, []).append(env)
-        if not statement.group_by and not groups:
-            groups[()] = []   # aggregates over an empty input: one row
 
-        rows: list[tuple] = []
-        keyed_rows: list[tuple[list, tuple]] = []
-        for group_envs in groups.values():
-            if statement.having is not None:
-                keep = self._grouped_condition(statement.having,
-                                               group_envs)
-                if keep is not True:
+class _Select(_Statement):
+    def __init__(self, view, statement: ast.SelectStmt, use_indexes: bool):
+        super().__init__(view, statement, use_indexes)
+        refs = statement.from_refs
+        lower = _Lowerer(view, refs)
+        self.columns = [_column_name(item, position)
+                        for position, item in enumerate(statement.items, 1)]
+        self.where = (None if statement.where is None
+                      else lower.cond(statement.where))
+        self.grouped = bool(statement.group_by) or any(_nodes(
+            [statement.items, statement.having], ast.AggregateExpr))
+        if self.grouped:
+            self.group_by = [lower.expr(expr) for expr in statement.group_by]
+            self.items = [lower.grouped(item.expr)
+                          for item in statement.items]
+            self.having = (None if statement.having is None
+                           else lower.cond(statement.having, grouped=True))
+            self.order_by = [(lower.grouped(expr), descending)
+                             for expr, descending in statement.order_by]
+        else:
+            self.items = [lower.expr(item.expr) for item in statement.items]
+            self.order_by = [(lower.expr(expr), descending)
+                             for expr, descending in statement.order_by]
+
+        #: (_Run method, arguments...) run per execution, in order: the
+        #: index probes that leave row/doc filters, and plan notes
+        self.steps: list = []
+        self.join_probes: list[_JoinProbe] = []
+        if use_indexes:
+            for embedded in collect_embedded(view, statement):
+                self._plan_embedded(view, embedded, lower)
+            for conjunct in split_conjuncts(statement.where):
+                if isinstance(conjunct, ast.Comparison):
+                    self._plan_relational(view, conjunct, lower)
+        order = self._order_joins(refs, lower)
+        #: the hash join, or why the join stays a nested loop (None: no
+        #: join, or the reference plan)
+        self.hash_join = (self._plan_hash_join(statement, order, lower)
+                          if use_indexes else None)
+        self.sources: list[_Source] = []
+        bound: set[str] = set()
+        for ref in order:
+            source = _Source(
+                lower.slots[ref.alias], ref.alias,
+                ref.name if isinstance(ref, ast.TableRef) else None,
+                [probe for probe in self.join_probes
+                 if probe.target_alias == ref.alias
+                 and probe.outer_deps <= bound],
+                self.hash_join if isinstance(self.hash_join, _HashJoin)
+                and self.hash_join.alias == ref.alias else None)
+            if isinstance(ref, ast.XMLTableRef):
+                if not lower.deps(ref.passing) <= bound:
+                    raise SQLError(
+                        f"XMLTABLE {ref.alias} passes a column of a FROM "
+                        f"item that is not joined before it", "42703")
+                source.body = lower.body(ref.row_xquery, ref.passing)
+                # No COLUMNS: the one named column is the row item.
+                cells = [lower.xmltable_column(column)
+                         for column in ref.columns] or \
+                    [lambda run, item, position: XMLValue([item])]
+                source.columns = list(zip(_xmltable_names(ref), cells))
+            self.sources.append(source)
+            bound.add(ref.alias)
+        #: probe targets run behind their outer tables: restore the FROM
+        #: clause's nested-loop order, which the reference plan returns
+        self.reordered = order != refs
+
+    # -- planning (once per lowering) ----------------------------------
+
+    def _plan_embedded(self, view, embedded: EmbeddedQuery,
+                       lower: _Lowerer) -> None:
+        origin_alias = {bound.column: embedded.alias_of_var[var]
+                        for var, bound in embedded.scope.items()
+                        if isinstance(bound, Origin)
+                        and var in embedded.alias_of_var}
+        for candidate in embedded.row_candidates:
+            alias = origin_alias.get(candidate.column)
+            if alias is None:
+                continue
+            table, _sep, column = candidate.column.partition(".")
+            chosen = next((index for index in view.xml_indexes_on(
+                table, column) if check_index(index, candidate).eligible),
+                None)
+            if chosen is None:
+                continue
+            if candidate.operand_value is not None or \
+                    candidate.op == "exists":
+                if _bounds_for(candidate, chosen) is None:
                     continue
-            row = tuple(self._grouped_value(item.expr, group_envs)
-                        for item in statement.items)
-            if statement.order_by:
-                keys = [_OrderKey(self._grouped_value(expr, group_envs),
-                                  descending)
-                        for expr, descending in statement.order_by]
-                keyed_rows.append((keys, row))
-            else:
-                rows.append(row)
-        if statement.order_by:
-            keyed_rows.sort(key=lambda pair: pair[0])
-            rows = [row for _keys, row in keyed_rows]
-        return SQLResult(columns, rows, self.stats)
+                self.steps.append((
+                    _Run.doc_probe, alias, candidate, chosen.name,
+                    f"row prefilter on {alias} via {chosen.name}: "
+                    f"{candidate.description} "
+                    f"[{candidate.context.value}]"))
+            elif candidate.operand_expr is not None and \
+                    candidate.is_equality:
+                deps = {embedded.alias_of_var.get(var)
+                        for var in candidate.operand_vars}
+                if None in deps or not deps:
+                    continue
+                self.join_probes.append(_JoinProbe(
+                    target_alias=alias, kind="xml", index_name=chosen.name,
+                    outer_deps=frozenset(deps), candidate=candidate,
+                    arguments=[(argument.variable,
+                                lower.items(argument.expr))
+                               for argument in embedded.passing
+                               if argument.variable
+                               in candidate.operand_vars],
+                    operand=lower_expression(embedded.module,
+                                             candidate.operand_expr)))
+                self.steps.append((
+                    _Run.note, f"index nested-loop join into {alias} via "
+                    f"{chosen.name}: {candidate.description}"))
 
-    def _grouped_value(self, expr, group_envs: list[dict]):
-        if isinstance(expr, ast.AggregateExpr):
-            return self._eval_aggregate(expr, group_envs)
-        if self._contains_aggregate(expr):
-            if isinstance(expr, ast.Comparison):
-                return sql_compare(
-                    expr.op,
-                    self._grouped_value(expr.left, group_envs),
-                    self._grouped_value(expr.right, group_envs))
-            raise SQLError("aggregates may only be nested in "
-                           "comparisons", "42903")
-        if not group_envs:
-            return None
-        return self.eval_expr(expr, group_envs[0])
+    def _plan_relational(self, view, comparison: ast.Comparison,
+                         lower: _Lowerer) -> None:
+        for own, other in ((comparison.left, comparison.right),
+                           (comparison.right, comparison.left)):
+            if not isinstance(own, ast.ColumnRef):
+                continue
+            ref = lower.refs[lower.resolve(own)]
+            if not isinstance(ref, ast.TableRef) or \
+                    view.table(ref.name).columns[own.name].is_xml:
+                continue
+            indexes = view.rel_indexes_on(ref.name, own.name)
+            if not indexes:
+                continue
+            index, alias = indexes[0], ref.alias
+            if isinstance(other, ast.SQLLiteral):
+                if comparison.op != "=":
+                    continue
+                self.steps.append((
+                    _Run.row_lookup, alias, index.name, other.value,
+                    f"relational index lookup on {alias}.{own.name} via "
+                    f"{index.name}"))
+            elif comparison.op == "=":
+                deps = lower.deps(other)
+                if deps and alias not in deps:
+                    self.join_probes.append(_JoinProbe(
+                        target_alias=alias, kind="rel",
+                        index_name=index.name, outer_deps=frozenset(deps),
+                        value=lower.expr(other)))
+                    self.steps.append((
+                        _Run.note, f"relational index nested-loop join "
+                        f"into {alias} via {index.name}"))
 
-    def _grouped_condition(self, condition, group_envs: list[dict]):
-        if isinstance(condition, ast.AndCond):
-            left = self._grouped_condition(condition.left, group_envs)
-            right = self._grouped_condition(condition.right, group_envs)
-            if left is False or right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if isinstance(condition, ast.OrCond):
-            left = self._grouped_condition(condition.left, group_envs)
-            right = self._grouped_condition(condition.right, group_envs)
-            if left is True or right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        if isinstance(condition, ast.NotCond):
-            inner = self._grouped_condition(condition.operand, group_envs)
-            return None if inner is None else (not inner)
-        if isinstance(condition, ast.Comparison):
-            return sql_compare(
-                condition.op,
-                self._grouped_value(condition.left, group_envs),
-                self._grouped_value(condition.right, group_envs))
-        raise SQLError("unsupported HAVING condition", "42903")
-
-    def _eval_aggregate(self, expr: ast.AggregateExpr,
-                        group_envs: list[dict]):
-        if expr.function == "COUNT" and expr.argument is None:
-            return len(group_envs)
-        guard = active_guard()
-        if guard is not None:
-            # Aggregates evaluate their argument once per group row.
-            guard.tick(len(group_envs) + 1)
-        values = []
-        for env in group_envs:
-            value = self.eval_expr(expr.argument, env)
-            if value is None:
-                continue  # SQL aggregates skip NULLs
-            if isinstance(value, XMLValue) and expr.function != "COUNT":
-                raise SQLError(
-                    f"cannot {expr.function} XML values", "42818")
-            values.append(value)
-        if expr.distinct:
-            seen = []
-            for value in values:
-                if value not in seen:
-                    seen.append(value)
-            values = seen
-        if expr.function == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if expr.function == "SUM":
-            return sum(values[1:], start=values[0])
-        if expr.function == "AVG":
-            total = sum(values[1:], start=values[0])
-            return total / len(values)
-        if expr.function == "MIN":
-            return min(values)
-        if expr.function == "MAX":
-            return max(values)
-        raise SQLError(f"unknown aggregate {expr.function}", "42601")
-
-    def _column_name(self, item: ast.SelectItem, position: int) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ast.ColumnRef):
-            return item.expr.name
-        return f"col{position}"
-
-    def _order_joins(self, from_refs: list, plan: _Plan) -> list:
+    def _order_joins(self, refs: list, lower: _Lowerer) -> list:
         """Greedy join ordering: place an index-probe target after the
         aliases its probe depends on (so Query 14's relational probe
         into products runs per orders row, not the other way around).
         XMLTABLE refs always stay after the aliases they PASS from."""
-        remaining = list(from_refs)
+        remaining = list(refs)
         ordered: list = []
         bound: set[str] = set()
         while remaining:
             chosen = None
             for ref in remaining:
-                if isinstance(ref, ast.XMLTableRef):
-                    deps = self._passing_aliases(ref)
-                    if not deps <= bound:
-                        continue
-                probes = [probe for probe in plan.join_probes
+                if isinstance(ref, ast.XMLTableRef) and \
+                        not lower.deps(ref.passing) <= bound:
+                    continue
+                probes = [probe for probe in self.join_probes
                           if probe.target_alias == ref.alias]
                 if probes and not any(probe.outer_deps <= bound
                                       for probe in probes):
@@ -513,309 +750,241 @@ class _SQLExecutor:
             remaining.remove(chosen)
         return ordered
 
-    def _plan_hash_join(self, statement: ast.SelectStmt,
-                        aliases: dict[str, str], from_refs: list,
-                        plan: _Plan) -> _HashJoin | str | None:
+    def _plan_hash_join(self, statement: ast.SelectStmt, order: list,
+                        lower: _Lowerer) -> _HashJoin | str | None:
         """A hash join for the WHERE clause's leading equality (see
         :class:`_HashJoin`), the reason there is none, or None for a
         statement that joins nothing."""
-        if len(from_refs) < 2 or statement.where is None:
+        if len(order) < 2 or statement.where is None:
             return None
         leading = statement.where
         while isinstance(leading, ast.AndCond):
             leading = leading.left
         if not (isinstance(leading, ast.Comparison) and leading.op == "="):
             return "the WHERE clause does not lead with an '=' comparison"
-        lateral = any(isinstance(ref, ast.XMLTableRef) for ref in from_refs)
-        sides = [(side, self._expr_aliases(side, aliases, lateral))
+        sides = [(side, lower.deps(side))
                  for side in (leading.left, leading.right)]
-        if any(deps is None for _side, deps in sides):
-            return "a column of the leading '=' names no single table"
-        order = {ref.alias: position for position, ref in enumerate(from_refs)}
-        probed = {probe.target_alias for probe in plan.join_probes}
+        position = {ref.alias: place for place, ref in enumerate(order)}
+        probed = {probe.target_alias for probe in self.join_probes}
         reason = ("the leading '=' does not compare one table with the "
                   "tables joined before it")
         for (inner, inner_deps), (outer, outer_deps) in (sides, sides[::-1]):
             if len(inner_deps) != 1 or not outer_deps:
                 continue
             alias = next(iter(inner_deps))
-            if not (isinstance(from_refs[order[alias]], ast.TableRef)
-                    and all(order[dep] < order[alias]
+            if not (isinstance(order[position[alias]], ast.TableRef)
+                    and all(position[dep] < position[alias]
                             for dep in outer_deps)):
                 continue
             if alias in probed:
                 reason = f"an index nested-loop join probes {alias}"
                 continue
-            return _HashJoin(alias, inner, outer,
+            return _HashJoin(alias, lower.expr(inner), lower.expr(outer),
                              key_only=leading is statement.where)
         return reason
 
-    def _expr_aliases(self, expr, aliases: dict[str, str],
-                      lateral: bool) -> set[str] | None:
-        """The FROM aliases ``expr`` reads, or None when a column cannot
-        be pinned to one (an unqualified name beside an XMLTABLE)."""
-        deps: set[str] = set()
-        for ref in _column_refs(expr):
-            if ref.qualifier is not None:
-                alias = ref.qualifier if ref.qualifier in aliases else None
-            else:
-                alias = (None if lateral
-                         else self._alias_of_column(ref, aliases))
-            if alias is None:
-                return None
-            deps.add(alias)
-        return deps
+    # -- execution ------------------------------------------------------
 
-    def _passing_aliases(self, ref: ast.XMLTableRef) -> set[str]:
-        deps: set[str] = set()
-        for argument in ref.passing:
-            if isinstance(argument.expr, ast.ColumnRef) and \
-                    argument.expr.qualifier is not None:
-                deps.add(argument.expr.qualifier)
-        return deps
+    def prepare(self, run: "_Run") -> None:
+        """Run the plan's index probes (row and doc filters) and notes."""
+        for step, *arguments in self.steps:
+            step(run, *arguments)
 
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
+    def execute(self, run: "_Run") -> SQLResult:
+        tracer, stats = run.tracer, run.stats
+        with tracer.span("plan") as span:
+            self.prepare(run)
+            span.set(doc_filters=len(run.doc_filters),
+                     row_filters=len(run.row_filters),
+                     join_probes=len(self.join_probes))
+        if isinstance(self.hash_join, _HashJoin):
+            stats.note(f"hash join into {self.hash_join.alias} "
+                       f"on the WHERE clause's leading '='")
+        envs: list[tuple] = []
+        with tracer.span("join-scan") as span:
+            run._join(0, [None] * len(self.sources), envs, False)
+            if self.reordered:
+                envs.sort(key=lambda env: [binding.row_id
+                                           for binding in env])
+            span.set(actual_rows=len(envs), unit="rows",
+                     rows_scanned=stats.rows_scanned)
 
-    def _plan(self, statement: ast.SelectStmt,
-              aliases: dict[str, str]) -> _Plan:
-        plan = _Plan()
-        embedded_queries = collect_embedded(self.database, statement)
-        for embedded in embedded_queries:
-            self._plan_embedded(embedded, plan)
-        if statement.where is not None:
-            for conjunct in split_conjuncts(statement.where):
-                if isinstance(conjunct, ast.Comparison):
-                    self._plan_relational(conjunct, aliases, plan)
-        return plan
+        if run.guard is not None:
+            # Pure SQL obeys the same row budget as a FLWOR return
+            # clause: a joined row set beyond the cap aborts (54000)
+            # instead of being projected and filtered down later.
+            run.guard.check_items(len(envs))
+        if self.grouped:
+            return SQLResult(self.columns, run._grouped(envs), stats)
+        if self.order_by:
+            envs.sort(key=lambda env: [
+                _OrderKey(key(run, env), descending)
+                for key, descending in self.order_by])
+        with tracer.span("project") as span:
+            items = self.items
+            rows = [tuple([item(run, env) for item in items])
+                    for env in envs]
+            span.set(actual_rows=len(rows), unit="rows")
+        return SQLResult(self.columns, rows, stats)
 
-    def _plan_embedded(self, embedded: EmbeddedQuery, plan: _Plan) -> None:
-        #: var -> alias for origin columns
-        origin_alias: dict[str, str] = {}
-        for var, bound in embedded.scope.items():
-            if isinstance(bound, Origin):
-                alias = embedded.alias_of_var.get(var)
-                if alias is not None:
-                    origin_alias[bound.column] = alias
-        for candidate in embedded.row_candidates:
-            alias = origin_alias.get(candidate.column)
-            if alias is None:
-                continue
-            table, _sep, column = candidate.column.partition(".")
-            chosen = None
-            for index in self.database.xml_indexes_on(table, column):
-                if check_index(index, candidate).eligible:
-                    chosen = index
-                    break
-            if chosen is None:
-                continue
-            if candidate.operand_value is not None or \
-                    candidate.op == "exists":
-                docs = self._probe_docs(chosen, candidate)
-                if docs is None:
-                    continue
-                # Doc ids of different XML columns never meet, so only
-                # verdicts on one column intersect as doc ids.
-                by_column = plan.doc_filters.setdefault(alias, {})
-                existing = by_column.get(candidate.column)
-                by_column[candidate.column] = (docs if existing is None
-                                               else existing & docs)
-                self.stats.note(
-                    f"row prefilter on {alias} via {chosen.name}: "
-                    f"{candidate.description} "
-                    f"[{candidate.context.value}]")
-            elif candidate.operand_expr is not None and \
-                    candidate.is_equality:
-                deps = {embedded.alias_of_var.get(var)
-                        for var in candidate.operand_vars}
-                if None in deps or not deps:
-                    continue
-                plan.join_probes.append(_JoinProbe(
-                    target_alias=alias, kind="xml", index=chosen,
-                    outer_deps=frozenset(deps), candidate=candidate,
-                    embedded=embedded,
-                    operand=lower_expression(embedded.module,
-                                             candidate.operand_expr)))
-                self.stats.note(
-                    f"index nested-loop join into {alias} via "
-                    f"{chosen.name}: {candidate.description}")
 
-    def _probe_docs(self, index, candidate: PredicateCandidate
-                    ) -> set[int] | None:
-        from ..planner.plan import _bounds_for
+# ---------------------------------------------------------------------------
+# One execution
+# ---------------------------------------------------------------------------
+
+class _Run:
+    """One execution: index verdicts, the hash table, the views bodies
+    read, the stats and the guard — all that depends on the data."""
+
+    def __init__(self, statement: _Statement, view, tracer=NULL_TRACER):
+        self.statement = statement
+        self.view = view
+        self.tracer = tracer
+        self.use_indexes = statement.use_indexes
+        self.stats = ExecutionStats()
+        self.guard = active_guard()
+        #: alias -> allowed row ids; alias -> {XML column: doc ids}
+        self.row_filters: dict[str, set[int]] = {}
+        self.doc_filters: dict[str, dict[str, set[int]]] = {}
+        #: body source -> the view it reads (its prefilters applied)
+        self._bodies: dict[str, object] = {}
+        self._hash_rows: list | None = None
+        self._hash_table: JoinTable | None = None
+
+    def doc_probe(self, alias: str, candidate: PredicateCandidate,
+                  index_name: str, note: str) -> None:
+        """An XML index probe of a literal bound filters ``alias``."""
+        index = self.view.xml_indexes[index_name]
         probe = _bounds_for(candidate, index)
-        if probe is None:
-            return None
         with self.tracer.span("index-scan", index=index.name) as span:
             if span:
                 span.set(range=probe.bounds_text())
             docs = probe.run(self.stats)
             span.set(actual_rows=len(docs), unit="documents")
-        return docs
+        # Doc ids of different XML columns never meet, so only verdicts
+        # on one column intersect as doc ids.
+        by_column = self.doc_filters.setdefault(alias, {})
+        existing = by_column.get(candidate.column)
+        by_column[candidate.column] = (docs if existing is None
+                                       else existing & docs)
+        self.note(note)
 
-    def _plan_relational(self, comparison: ast.Comparison,
-                         aliases: dict[str, str], plan: _Plan) -> None:
-        for own, other in ((comparison.left, comparison.right),
-                           (comparison.right, comparison.left)):
-            if not isinstance(own, ast.ColumnRef):
-                continue
-            resolved = resolve_column(self.database, aliases, own)
-            if resolved is None:
-                continue
-            table_name, column, sql_type = resolved
-            if sql_type.is_xml:
-                continue
-            indexes = self.database.rel_indexes_on(table_name, column)
-            if not indexes:
-                continue
-            index = indexes[0]
-            alias = own.qualifier or self._alias_of_table(aliases,
-                                                          table_name)
-            if alias is None:
-                continue
-            if isinstance(other, ast.SQLLiteral):
-                if comparison.op != "=":
-                    continue
-                rows = set(index.lookup(other.value, stats=self.stats))
-                existing = plan.row_filters.get(alias)
-                plan.row_filters[alias] = (rows if existing is None
-                                           else existing & rows)
-                self.stats.note(
-                    f"relational index lookup on {alias}.{column} via "
-                    f"{index.name}")
-            elif comparison.op == "=":
-                deps = self._expr_aliases(other, aliases, lateral=False)
-                if deps and alias not in deps:
-                    plan.join_probes.append(_JoinProbe(
-                        target_alias=alias, kind="rel", index=index,
-                        outer_deps=frozenset(deps), sql_expr=other))
-                    self.stats.note(
-                        f"relational index nested-loop join into {alias} "
-                        f"via {index.name}")
+    def row_lookup(self, alias: str, index_name: str, value,
+                   note: str) -> None:
+        """A relational index lookup of a literal filters ``alias``."""
+        rows = set(self.view.rel_indexes[index_name].lookup(
+            value, stats=self.stats))
+        existing = self.row_filters.get(alias)
+        self.row_filters[alias] = rows if existing is None else existing & rows
+        self.note(note)
 
-    def _alias_of_table(self, aliases: dict[str, str],
-                        table_name: str) -> str | None:
-        found = None
-        for alias, name in aliases.items():
-            if name == table_name:
-                if found is not None:
-                    return None
-                found = alias
-        return found
+    def note(self, note: str) -> None:
+        self.stats.note(note)
 
-    def _alias_of_column(self, ref: ast.ColumnRef,
-                         aliases: dict[str, str]) -> str | None:
-        found = None
-        for alias, table_name in aliases.items():
-            if not table_name:
-                continue
-            if ref.name in self.database.table(table_name).columns:
-                if found is not None:
-                    return None
-                found = alias
-        return found
+    def body_view(self, compiled) -> object:
+        """The view a body reads: its own xmlcolumn prefilters (Query 6),
+        planned on first use."""
+        view = self._bodies.get(compiled.source)
+        if view is None:
+            prefilters = (plan_prefilters(self.view,
+                                          list(compiled.candidates),
+                                          self.stats)
+                          if self.use_indexes and compiled.candidates
+                          else None)
+            view = self._bodies[compiled.source] = (
+                run_prefilters(self.view, prefilters, self.stats,
+                               self.tracer) if prefilters else self.view)
+        return view
 
-    # ------------------------------------------------------------------
-    # Join enumeration
-    # ------------------------------------------------------------------
+    # -- join enumeration ----------------------------------------------
 
-    def _join(self, bound: list[str], remaining: list, statement,
-              plan: _Plan, env: dict, out: list[dict],
-              decided: bool = False) -> None:
+    def _join(self, depth: int, env: list, out: list,
+              decided: bool) -> None:
         """Enumerate bindings; ``decided`` means a hash-join key match
         already made the WHERE clause TRUE."""
-        if not remaining:
-            if decided or statement.where is None or \
-                    self._condition(statement.where, env) is True:
-                out.append(dict(env))
+        plan = self.statement
+        if depth == len(plan.sources):
+            if decided or plan.where is None or \
+                    plan.where(self, env) is True:
+                out.append(tuple(env))
             return
-        ref = remaining[0]
-        rest = remaining[1:]
-        guard = active_guard()
-        if isinstance(ref, ast.TableRef):
-            join = plan.hash_join
-            if isinstance(join, _HashJoin) and join.alias == ref.alias:
-                candidates = self._hash_candidates(join, ref, plan, bound,
-                                                   env)
-            else:
-                candidates = [(row, False) for row
-                              in self._rows_for(ref, plan, bound, env)]
-            for row, matched in candidates:
+        source = plan.sources[depth]
+        slot = source.slot
+        guard = self.guard
+        if source.table is None:
+            for row in self._xmltable_rows(source, env):
                 if guard is not None:
-                    # The join scan is where a runaway cross product
-                    # burns time; the deadline must interrupt it here.
                     guard.tick()
-                self.stats.rows_scanned += 1
-                env[ref.alias] = ("table", ref.name, row)
-                self._join(bound + [ref.alias], rest, statement, plan,
-                           env, out, decided or matched)
-                del env[ref.alias]
+                env[slot] = row
+                self._join(depth + 1, env, out, decided)
+            return
+        if source.hash is not None:
+            candidates = self._hash_candidates(source, env)
         else:
-            for ordinal, values in enumerate(self._xmltable_rows(ref, env)):
-                if guard is not None:
-                    guard.tick()
-                env[ref.alias] = ("xmltable", values, ordinal)
-                self._join(bound + [ref.alias], rest, statement, plan,
-                           env, out)
-                del env[ref.alias]
+            candidates = [(row, False)
+                          for row in self._rows_for(source, env)]
+        for row, matched in candidates:
+            if guard is not None:
+                # The join scan is where a runaway cross product burns
+                # time; the deadline must interrupt it here.
+                guard.tick()
+            self.stats.rows_scanned += 1
+            env[slot] = row
+            self._join(depth + 1, env, out, decided or matched)
 
-    def _hash_candidates(self, join: _HashJoin, ref: ast.TableRef,
-                         plan: _Plan, bound: list[str], env: dict
+    def _hash_candidates(self, source: _Source, env: list
                          ) -> list[tuple[object, bool]]:
-        """(row, WHERE decided by the keys) for the rows of
-        ``join.alias`` the WHERE clause may accept, in table order."""
-        if join.rows is None:
-            self._hash_build(join, ref, plan, bound)
-        if not join.rows:
+        """(row, WHERE decided by the keys) for the rows of the hash
+        join's table the WHERE clause may accept, in table order."""
+        join = source.hash
+        if self._hash_rows is None:
+            self._hash_build(source, len(env))
+        if not self._hash_rows:
             return []
-        slots, decided = join.table.probe(*self._equality_key(join.outer,
-                                                              env))
-        return [(join.rows[slot], join.key_only and slot in decided)
+        slots, decided = self._hash_table.probe(
+            *self._equality_key(join.outer, env))
+        rows = self._hash_rows
+        return [(rows[slot], join.key_only and slot in decided)
                 for slot in slots]
 
-    def _hash_build(self, join: _HashJoin, ref: ast.TableRef, plan: _Plan,
-                    bound: list[str]) -> None:
+    def _hash_build(self, source: _Source, width: int) -> None:
         # No index probe targets this alias, so its rows do not depend
         # on the outer binding.
-        rows = self._rows_for(ref, plan, bound, {})
-        guard = active_guard()
-        if guard is not None:
-            guard.tick(len(rows) + 1)
+        join = source.hash
+        rows = self._rows_for(source, None)
+        if self.guard is not None:
+            self.guard.tick(len(rows) + 1)
         self.stats.rows_scanned += len(rows)
-        join.table = JoinTable(lambda probe, row:
-                               _keys_undecided(probe, row, join.key_only))
+        self._hash_table = table = JoinTable(
+            lambda probe, row: _keys_undecided(probe, row, join.key_only))
+        scratch: list = [None] * width
         for slot, row in enumerate(rows):
-            join.table.add(slot, *self._equality_key(
-                join.inner, {ref.alias: ("table", ref.name, row)}))
-        join.rows = rows
+            scratch[source.slot] = row
+            table.add(slot, *self._equality_key(join.inner, scratch))
+        self._hash_rows = rows
 
-    def _equality_key(self, expr, env: dict) -> tuple[str, list]:
+    def _equality_key(self, expr, env) -> tuple[str, list]:
         """(key class, [key]) of one ``=`` operand for :class:`JoinTable`
         (see :func:`sql_equality_key`); class "error" when evaluating
         the operand raises."""
         try:
-            key_class, key = sql_equality_key(self.eval_expr(expr, env))
+            key_class, key = sql_equality_key(expr(self, env))
         except (SQLError, XQueryError):
             return "error", []
         return key_class, ([] if key is None else [(key_class, key)])
 
-    def _rows_for(self, ref: ast.TableRef, plan: _Plan,
-                  bound: list[str], env: dict):
-        """The rows of ``ref`` the plan's index verdicts leave, in table
-        order: every row without a verdict, else the intersection of
-        the verdicts' rows, located in O(matches)."""
-        table = self.database.table(ref.name)
-        probes = [probe for probe in plan.join_probes
-                  if probe.target_alias == ref.alias and
-                  probe.outer_deps <= set(bound)]
-        row_ids = plan.row_filters.get(ref.alias)
-        doc_filters = plan.doc_filters.get(ref.alias, {})
-        if not probes and row_ids is None and not doc_filters:
+    def _rows_for(self, source: _Source, env):
+        """The rows of ``source`` the plan's index verdicts leave, in
+        table order: every row without a verdict, else the intersection
+        of the verdicts' rows, located in O(matches)."""
+        table = self.view.table(source.table)
+        row_ids = self.row_filters.get(source.alias)
+        doc_filters = self.doc_filters.get(source.alias, {})
+        if not source.probes and row_ids is None and not doc_filters:
             return table.rows
         locator = table.locator()
         verdicts = []
-        for probe in probes:
+        for probe in source.probes:
             matched = self._run_join_probe(probe, env, locator)
             if matched is not None:
                 verdicts.append(matched)
@@ -832,13 +1001,13 @@ class _SQLExecutor:
             return locator.rows
         return locator.rows_at(set.intersection(*verdicts))
 
-    def _run_join_probe(self, probe: _JoinProbe, env: dict,
+    def _run_join_probe(self, probe: _JoinProbe, env: list,
                         locator) -> set[int] | None:
         """Row positions an index nested-loop probe admits for the outer
         binding ``env``; None when the probe cannot run (scan instead)."""
         if probe.kind == "rel":
             try:
-                value = self.eval_expr(probe.sql_expr, env)
+                value = probe.value(self, env)
             except ReproError:
                 # The join key itself errors for this outer row (e.g.
                 # XMLCAST over a multi-item sequence).  Fall back to a
@@ -848,255 +1017,85 @@ class _SQLExecutor:
             if value is None:
                 return set()
             return locator.positions_of_rows(
-                probe.index.lookup(value, stats=self.stats))
+                self.view.rel_indexes[probe.index_name].lookup(
+                    value, stats=self.stats))
         # XML probe: evaluate the operand per outer row.
-        candidate = probe.candidate
-        embedded = probe.embedded
-        assert candidate is not None and embedded is not None
-        variables: dict[str, list[Item]] = {}
-        for argument in embedded.passing:
-            if argument.variable in candidate.operand_vars:
-                variables[argument.variable] = _to_xdm_items(
-                    self.eval_expr(argument.expr, env))
+        variables = {variable: items(self, env)
+                     for variable, items in probe.arguments}
         try:
-            values = atomize(probe.operand(variables, self.database,
+            values = atomize(probe.operand(variables, self.view,
                                            self.stats))
         except ReproError:
             return None  # fall back to full scan of the inner table
+        index = self.view.xml_indexes[probe.index_name]
         docs: set[int] = set()
         for value in values:
             try:
-                key = probe.index.key_for_value(value)
+                key = index.key_for_value(value)
             except ReproError:
                 continue
-            docs |= probe.index.matching_documents(
-                key, key, path_filter=candidate.path, stats=self.stats)
+            docs |= index.matching_documents(
+                key, key, path_filter=probe.candidate.path,
+                stats=self.stats)
         return locator.positions_of_docs(docs)
 
-    # ------------------------------------------------------------------
-    # XMLTABLE
-    # ------------------------------------------------------------------
+    def _xmltable_rows(self, source: _Source, env: list) -> list[Row]:
+        items = source.body(self, env)
+        columns = source.columns
+        return [Row(position, {name: cell(self, item, position)
+                               for name, cell in columns})
+                for position, item in enumerate(items, start=1)]
 
-    def _xmltable_rows(self, ref: ast.XMLTableRef, env: dict):
-        items = self._eval_embedded(ref.row_xquery, ref.passing, env)
-        column_names = list(ref.column_aliases)
-        rows = []
-        for position, item in enumerate(items, start=1):
-            values: dict[str, object] = {}
-            for index, column in enumerate(ref.columns):
-                name = (column_names[index]
-                        if index < len(column_names) else column.name)
-                values[name] = self._xmltable_column_value(
-                    column, item, position)
-            if not ref.columns and column_names:
-                values[column_names[0]] = XMLValue([item])
-            rows.append(values)
-        return rows
+    def _grouped(self, envs: list[tuple]) -> list[tuple]:
+        plan = self.statement
+        if self.guard is not None:
+            # Grouping evaluates the GROUP BY keys once per input row.
+            self.guard.tick(len(envs) + 1)
+        groups: dict[tuple, list[tuple]] = {}
+        for env in envs:
+            key = tuple(_group_key(expr(self, env))
+                        for expr in plan.group_by)
+            groups.setdefault(key, []).append(env)
+        if not plan.group_by and not groups:
+            groups[()] = []   # aggregates over an empty input: one row
 
-    def _xmltable_column_value(self, column: ast.XMLTableColumn,
-                               item: Item, position: int):
-        if column.for_ordinality:
-            return position
-        path = column.path if column.path is not None else column.name
-        module, runtime_db = self._parse_body(path)
-        items = evaluate_module(module, database=runtime_db,
-                                context_item=item, stats=self.stats,
-                                plan_joins=self.use_indexes)
-        assert column.sql_type is not None
-        if column.sql_type.is_xml:
-            if column.by_ref:
-                return XMLValue(items) if items else None
-            return XMLValue([copy_node(node) if isinstance(node, Node)
-                             else node for node in items]) \
-                if items else None
-        if not items:
-            return None  # empty sequence -> NULL (Query 12)
-        return _cast_items_to_sql(items, column.sql_type)
-
-    # ------------------------------------------------------------------
-    # Conditions
-    # ------------------------------------------------------------------
-
-    def _condition(self, condition, env: dict) -> bool | None:
-        if isinstance(condition, ast.AndCond):
-            left = self._condition(condition.left, env)
-            if left is False:
-                return False
-            right = self._condition(condition.right, env)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if isinstance(condition, ast.OrCond):
-            left = self._condition(condition.left, env)
-            if left is True:
-                return True
-            right = self._condition(condition.right, env)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        if isinstance(condition, ast.NotCond):
-            inner = self._condition(condition.operand, env)
-            return None if inner is None else (not inner)
-        if isinstance(condition, ast.IsNullCond):
-            value = self.eval_expr(condition.operand, env)
-            is_null = value is None
-            return (not is_null) if condition.negated else is_null
-        if isinstance(condition, ast.Comparison):
-            left = self.eval_expr(condition.left, env)
-            right = self.eval_expr(condition.right, env)
-            return sql_compare(condition.op, left, right)
-        if isinstance(condition, ast.XMLExistsExpr):
-            items = self._eval_embedded(condition.xquery,
-                                        condition.passing, env)
-            return bool(items)
-        value = self.eval_expr(condition, env)
-        if value is None:
-            return None
-        if isinstance(value, bool):
-            return value
-        raise SQLError("WHERE condition must be boolean", "42804")
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-
-    def eval_expr(self, expr, env: dict):
-        if isinstance(expr, ast.SQLLiteral):
-            return expr.value
-        if isinstance(expr, ast.ColumnRef):
-            return self._column_value(expr, env)
-        if isinstance(expr, ast.XMLQueryExpr):
-            items = self._eval_embedded(expr.xquery, expr.passing, env)
-            return XMLValue(items)
-        if isinstance(expr, ast.XMLExistsExpr):
-            items = self._eval_embedded(expr.xquery, expr.passing, env)
-            return bool(items)
-        if isinstance(expr, ast.XMLCastExpr):
-            return self._xmlcast(expr, env)
-        if isinstance(expr, ast.XMLElementExpr):
-            return self._xmlelement(expr, env)
-        if isinstance(expr, ast.XMLForestExpr):
-            items: list[Item] = []
-            for name, value_expr in expr.items:
-                value = self.eval_expr(value_expr, env)
-                if value is None:
-                    continue
-                items.append(_publish_element(name, value))
-            return XMLValue(items)
-        if isinstance(expr, ast.XMLConcatExpr):
-            items = []
-            for piece in expr.items:
-                value = self.eval_expr(piece, env)
-                if value is None:
-                    continue
-                items.extend(_to_xdm_items(value))
-            return XMLValue(items)
-        if isinstance(expr, ast.Comparison):
-            return sql_compare(expr.op, self.eval_expr(expr.left, env),
-                               self.eval_expr(expr.right, env))
-        raise SQLError(f"cannot evaluate expression {expr!r}", "42601")
-
-    def _column_value(self, ref: ast.ColumnRef, env: dict):
-        bindings = ([env[ref.qualifier]] if ref.qualifier in env
-                    else list(env.values()) if ref.qualifier is None
-                    else None)
-        if bindings is None:
-            raise SQLError(f"unknown qualifier {ref.qualifier!r}", "42703")
-        for binding in bindings:
-            if binding[0] == "table":
-                _kind, table_name, row = binding
-                if ref.name in row.values:
-                    return _sql_value(row.values[ref.name])
-            else:
-                values = binding[1]
-                if ref.name in values:
-                    return values[ref.name]
-        raise SQLError(f"unknown column {ref}", "42703")
-
-    def _xmlcast(self, expr: ast.XMLCastExpr, env: dict):
-        value = self.eval_expr(expr.operand, env)
-        if value is None:
-            return None
-        if isinstance(value, XMLValue):
-            if not value.items:
-                return None
-            return _cast_items_to_sql(value.items, expr.target)
-        from .values import coerce_to_type
-        return coerce_to_type(value, expr.target)
-
-    def _xmlelement(self, expr: ast.XMLElementExpr, env: dict) -> XMLValue:
-        element = ElementNode(QName("", expr.name))
-        for name, value_expr in expr.attributes:
-            value = self.eval_expr(value_expr, env)
-            if value is None:
+        keyed_rows: list[tuple[list, tuple]] = []
+        for group_envs in groups.values():
+            if plan.having is not None and \
+                    plan.having(self, group_envs) is not True:
                 continue
-            element.add_attribute(AttributeNode(QName("", name),
-                                                _sql_to_text(value)))
-        for content_expr in expr.content:
-            value = self.eval_expr(content_expr, env)
-            if value is None:
-                continue
-            for item in _to_xdm_items(value):
-                if isinstance(item, Node):
-                    element.append_child(copy_node(item))
-                else:
-                    element.append_child(TextNode(item.string_value()))
-        return XMLValue([element])
-
-    # ------------------------------------------------------------------
-    # Embedded XQuery
-    # ------------------------------------------------------------------
-
-    def _parse_body(self, text: str):
-        cached = self._body_cache.get(text)
-        if cached is None:
-            from ..core.querycache import compile_query
-            compiled = compile_query(text)
-            module = compiled.module
-            runtime_db = self.database
-            if self.use_indexes:
-                candidates = list(compiled.candidates)
-                prefilters = plan_prefilters(self.database, candidates,
-                                             self.stats)
-                if prefilters:
-                    estimator = (_make_probe_estimator(self.database)
-                                 if self.tracer else None)
-                    doc_filters = {}
-                    for column, prefilter in prefilters.items():
-                        with self.tracer.span("index-probe",
-                                              column=column) as span:
-                            docs = prefilter.run(
-                                self.stats, tracer=self.tracer,
-                                estimator=estimator)
-                            span.set(actual_rows=len(docs),
-                                     unit="documents")
-                        doc_filters[column] = docs
-                        for note in prefilter.notes:
-                            self.stats.note(note)
-                    runtime_db = PrefilteredDatabase(self.database,
-                                                     doc_filters)
-            cached = (module, runtime_db)
-            self._body_cache[text] = cached
-        return cached
-
-    def _eval_embedded(self, text: str, passing, env: dict) -> list[Item]:
-        module, runtime_db = self._parse_body(text)
-        variables: dict[str, list[Item]] = {}
-        for argument in passing:
-            variables[argument.variable] = _to_xdm_items(
-                self.eval_expr(argument.expr, env))
-        return evaluate_module(module, database=runtime_db,
-                               variables=variables, stats=self.stats,
-                               plan_joins=self.use_indexes)
+            row = tuple(item(self, group_envs) for item in plan.items)
+            keys = [_OrderKey(key(self, group_envs), descending)
+                    for key, descending in plan.order_by]
+            keyed_rows.append((keys, row))
+        if plan.order_by:
+            keyed_rows.sort(key=lambda pair: pair[0])
+        return [row for _keys, row in keyed_rows]
 
 
 # ---------------------------------------------------------------------------
-# Value conversions
+# Helpers and value conversions
 # ---------------------------------------------------------------------------
+
+def _xmltable_names(ref: ast.XMLTableRef) -> list[str]:
+    """The column names an XMLTABLE's rows carry."""
+    aliases = ref.column_aliases
+    names = [aliases[index] if index < len(aliases) else column.name
+             for index, column in enumerate(ref.columns)]
+    return names if ref.columns else aliases[:1]
+
+
+def _column_name(item: ast.SelectItem, position: int) -> str:
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ast.ColumnRef):
+        return item.expr.name
+    return f"col{position}"
+
+
+#: SQL NOT in three-valued logic (None is UNKNOWN)
+_NOT = {True: False, False: True, None: None}
+
 
 def _keys_undecided(probe: str, row: str, key_only: bool) -> bool:
     """Must the WHERE clause judge a pair whose ``=`` operands have key
@@ -1108,16 +1107,16 @@ def _keys_undecided(probe: str, row: str, key_only: bool) -> bool:
     return probe == "x" or probe != row
 
 
-def _column_refs(value):
-    """Every column reference inside an SQL expression tree."""
-    if isinstance(value, ast.ColumnRef):
+def _nodes(value, kind):
+    """Every ``kind`` node inside an SQL expression tree."""
+    if isinstance(value, kind):
         yield value
-    elif isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)):
         for element in value:
-            yield from _column_refs(element)
+            yield from _nodes(element, kind)
     elif hasattr(value, "__dataclass_fields__"):
         for name in value.__dataclass_fields__:
-            yield from _column_refs(getattr(value, name))
+            yield from _nodes(getattr(value, name), kind)
 
 
 def _group_key(value):
@@ -1127,12 +1126,6 @@ def _group_key(value):
     if isinstance(value, XMLValue):
         raise SQLError("cannot GROUP BY an XML value", "42818")
     return value
-
-
-def _sql_value(stored):
-    if isinstance(stored, StoredDocument):
-        return XMLValue([stored.document])
-    return stored
 
 
 def _to_xdm_items(value) -> list[Item]:
@@ -1167,13 +1160,18 @@ def _sql_to_text(value) -> str:
     return str(value)
 
 
-def _publish_element(name: str, value) -> ElementNode:
-    element = ElementNode(QName("", name))
+def _append_items(element: ElementNode, value) -> None:
+    """Append an SQL value's items: nodes copied, atoms as text."""
     for item in _to_xdm_items(value):
         if isinstance(item, Node):
             element.append_child(copy_node(item))
         else:
             element.append_child(TextNode(item.string_value()))
+
+
+def _publish_element(name: str, value) -> ElementNode:
+    element = ElementNode(QName("", name))
+    _append_items(element, value)
     return element
 
 

@@ -76,6 +76,9 @@ class Database(ReadView):
         self.schemas: dict[str, Schema] = {}
         #: Monotone write counter: every committed DDL/DML bumps it.
         self.version = 0
+        #: A fresh token per DDL: lowered SQL statements are cached per
+        #: epoch (core.querycache), which keeps the token alive.
+        self.catalog_epoch = object()
         self._rwlock = RWLock()
         if buffer_pool_bytes is None:
             env_budget = os.environ.get("REPRO_BUFFER_POOL_BYTES")
@@ -95,6 +98,11 @@ class Database(ReadView):
     # DDL (writers: exclusive lock + copy-on-write catalog updates)
     # ------------------------------------------------------------------
 
+    def _catalog_changed(self) -> None:
+        with self._rwlock.write():  # reentrant: every DDL holds it
+            self.version += 1
+            self.catalog_epoch = object()
+
     def create_table(self, name: str,
                      columns: list[tuple[str, str]]) -> Table:
         with self._rwlock.write():
@@ -105,7 +113,7 @@ class Database(ReadView):
             tables = dict(self.tables)
             tables[key] = table
             self.tables = tables
-            self.version += 1
+            self._catalog_changed()
             return table
 
     def drop_table(self, name: str) -> None:
@@ -128,14 +136,14 @@ class Database(ReadView):
                 for value in row.values.values():
                     if isinstance(value, StoredDocument):
                         self.buffer_pool.discard(value)
-            self.version += 1
+            self._catalog_changed()
 
     def register_schema(self, schema: Schema) -> None:
         with self._rwlock.write():
             schemas = dict(self.schemas)
             schemas[schema.name] = schema
             self.schemas = schemas
-            self.version += 1
+            self._catalog_changed()
 
     def create_xml_index(self, name: str, table: str, column: str,
                          pattern: str, index_type: str) -> XmlIndex:
@@ -161,7 +169,7 @@ class Database(ReadView):
             xml_indexes = dict(self.xml_indexes)
             xml_indexes[key] = index
             self.xml_indexes = xml_indexes
-            self.version += 1
+            self._catalog_changed()
             return index
 
     def create_xml_index_online(self, name: str, table: str, column: str,
@@ -241,7 +249,7 @@ class Database(ReadView):
             xml_indexes = dict(self.xml_indexes)
             xml_indexes[index.name] = index
             self.xml_indexes = xml_indexes
-            self.version += 1
+            self._catalog_changed()
 
     def autopilot(self, **options):
         """This database's self-driving-indexing facade (lazily built).
@@ -273,7 +281,7 @@ class Database(ReadView):
             rel_indexes = dict(self.rel_indexes)
             rel_indexes[key] = index
             self.rel_indexes = rel_indexes
-            self.version += 1
+            self._catalog_changed()
             return index
 
     def drop_index(self, name: str) -> None:
@@ -289,7 +297,7 @@ class Database(ReadView):
                 self.rel_indexes = rel_indexes
             else:
                 raise CatalogError(f"unknown index {name!r}")
-            self.version += 1
+            self._catalog_changed()
 
     # ------------------------------------------------------------------
     # DML (writers)
@@ -329,7 +337,7 @@ class Database(ReadView):
             # sa: ok(SA408: row rollback must fire for any indexing
             # failure before the error propagates)
             except Exception:
-                table_obj.remove_row(row)
+                table_obj.remove_rows([row])
                 raise
             for stored in stored_docs:
                 self.buffer_pool.admit(stored)
@@ -472,7 +480,8 @@ class Database(ReadView):
         with self._rwlock.write():
             for row in victims:
                 self._forget_row(table_obj, row)
-                table_obj.remove_row(row)
+            table_obj.remove_rows(victims)
+            for row in victims:
                 for value in row.values.values():
                     if isinstance(value, StoredDocument):
                         self.buffer_pool.discard(value)

@@ -236,6 +236,7 @@ class Snapshot(ReadView):
 
     def __init__(self, database):
         self.version = database.version
+        self.catalog_epoch = database.catalog_epoch
         self.index_order = database.index_order
         self.tables = {name: _TableSnapshot(table)
                        for name, table in database.tables.items()}

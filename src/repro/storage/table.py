@@ -190,7 +190,7 @@ class Table:
     pairs.  Documents of one workload share a handful of
     classes, so the planner's structural questions are answered over
     classes, never over documents.  It is maintained in the same
-    :meth:`new_row` / :meth:`remove_row` call that replaces ``rows``
+    :meth:`new_row` / :meth:`remove_rows` call that replaces ``rows``
     and is copy-on-write in the same way: a changed column gets a new
     map, and the outer dict is replaced too."""
 
@@ -254,11 +254,17 @@ class Table:
         self._count_classes(row, +1)
         return row
 
-    def remove_row(self, row: Row) -> None:
-        if row not in self.rows:
-            raise ValueError(f"row {row.row_id} not in table {self.name}")
-        self.rows = [kept for kept in self.rows if kept is not row]
-        self._count_classes(row, -1)
+    def remove_rows(self, victims: list[Row]) -> None:
+        """Drop ``victims`` (rows of this table) in one pass over the
+        row list, however many there are."""
+        gone = {id(row) for row in victims}
+        kept = [row for row in self.rows if id(row) not in gone]
+        if len(kept) != len(self.rows) - len(gone):
+            raise ValueError(f"rows to remove are not all in table "
+                             f"{self.name}")
+        self.rows = kept
+        for row in victims:
+            self._count_classes(row, -1)
 
     def _count_classes(self, row: Row, delta: int) -> None:
         """Add (``+1``) or remove (``-1``) the row's documents from

@@ -1159,9 +1159,12 @@ def _literal_position(value: AtomicValue) -> int:
 
 def _non_positional(predicate: ast.Expr) -> bool:
     """Can ``predicate`` be applied to a merged node list instead of
-    per-context?  Requires a provably boolean result (no numeric
-    position shorthand) and no position()/last() anywhere inside."""
-    if not isinstance(predicate, _BOOLEAN_PREDICATE_TYPES):
+    per-context?  Requires a result that is never a number (a boolean,
+    or the nodes of a path ending in an axis step — never a position
+    shorthand) and no position()/last() anywhere inside."""
+    if not (isinstance(predicate, _BOOLEAN_PREDICATE_TYPES)
+            or (isinstance(predicate, ast.PathExpr) and predicate.steps
+                and isinstance(predicate.steps[-1], ast.AxisStep))):
         return False
     for obj in ast.walk(predicate):
         if (isinstance(obj, ast.FunctionCall)

@@ -98,16 +98,16 @@ class TestDocFilterKeepsDoclessRows:
         # Unit-level pin on _rows_for: with a doc filter installed, a
         # row whose XML column is NULL must survive to the residual
         # WHERE (the old dead-arm filter dropped it outright).
-        from repro.sql.executor import _SQLExecutor, alias_table_map
-        from repro.sql.parser import parse_statement
-        statement = parse_statement(
-            "SELECT id FROM t WHERE XMLEXISTS('$DOC/item[price > 100]' "
-            "PASSING doc AS \"DOC\")")
-        executor = _SQLExecutor(mixed_db, use_indexes=True)
-        plan = executor._plan(statement, alias_table_map(statement))
-        ref = statement.from_refs[0]
-        assert ref.alias in plan.doc_filters, "index prefilter expected"
-        rows = executor._rows_for(ref, plan, [], {})
+        from repro.core.querycache import compile_statement
+        from repro.sql.executor import _Run
+        plan = compile_statement(
+            mixed_db, "SELECT id FROM t WHERE XMLEXISTS("
+            "'$DOC/item[price > 100]' PASSING doc AS \"DOC\")", True)
+        run = _Run(plan, mixed_db)
+        plan.prepare(run)
+        source = plan.sources[0]
+        assert source.alias in run.doc_filters, "index prefilter expected"
+        rows = run._rows_for(source, [None])
         ids = {row.values["id"] for row in rows}
         assert 3 in ids, "doc-less row must not be dropped by the " \
                          "doc filter"
