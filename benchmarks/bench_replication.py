@@ -7,12 +7,12 @@ the paper's serving-layer promise only when real cores exist:
 
 * ``test_serial_descendant_filter`` / ``test_process_pool_*`` — the
   same descendant-heavy predicate query, serial on the primary vs
-  fanned across 2 log-shipped replica processes.  Indexes are
+  fanned across 2 worker processes, each holding the pool's cut.  Indexes are
   disabled for the pair so both sides evaluate every document — the
   honest GIL-escape comparison (an index prefilter would shrink the
   work until IPC dominates either way).
 * ``test_pool_bootstrap_and_shutdown`` — the one-time cost a pool
-  amortizes: checkpoint encode + ship + replica recovery × 2 workers.
+  amortizes: checkpoint encode + ship + worker recovery × 2 workers.
 * ``test_speedup_process_pool_vs_serial`` — the headline ratio,
   measured with raw perf_counter medians and recorded in
   BENCH_results.json under ``notes``.  On hosts with >= 2 CPUs the

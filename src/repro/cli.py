@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--processes", type=int, default=1,
                              metavar="N",
                              help="fan the query across N worker "
-                                  "PROCESSES serving log-shipped read "
-                                  "replicas — escapes the GIL on "
+                                  "PROCESSES, each serving a copy of "
+                                  "the database — escapes the GIL on "
                                   "multi-core hosts (falls back to "
                                   "serial when not partitionable)")
         if name != "describe":

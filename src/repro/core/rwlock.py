@@ -3,8 +3,8 @@
 The :class:`Database` serializes DDL/ingest *writers* against any
 number of concurrent query *readers*:
 
-* readers share the lock — ``execute_many`` fans statements across a
-  thread pool and all of them hold the read side simultaneously;
+* readers share the lock — concurrent query threads (server sessions,
+  a process pool's bootstrap) hold the read side simultaneously;
 * writers are exclusive — an ``INSERT`` or ``CREATE INDEX`` runs only
   when no query is in flight, so a query never observes a half-updated
   index or a row list mid-append;

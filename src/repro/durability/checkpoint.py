@@ -62,7 +62,7 @@ class CheckpointInfo:
 
 def encode_database(database, last_lsn: int) -> list[dict]:
     """The checkpoint records for the database's current state — also
-    what a process pool ships to bootstrap its replicas.
+    what a process pool ships to bootstrap its workers.
 
     Caller holds the exclusive write lock (a pool: the shared one,
     which excludes writers too), so the traversal sees one consistent

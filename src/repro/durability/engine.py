@@ -20,7 +20,7 @@ this is redo logging of committed operations only.  Conversely, an
 insert whose record never reaches the log (it cannot be encoded, or
 its write fails) is rolled back before the error propagates, so no
 unlogged row stays visible; a failure after the record reached the
-log (its fsync, a subscriber) keeps the row, which replay restores.
+log (its fsync) keeps the row, which replay restores.
 An insert record holds each document as its column segment, encoded
 from the columns the insert parsed, so no tree is built to log it, and
 names a validating schema by reference only while it is the registered
@@ -208,9 +208,6 @@ class DurableDatabase(Database):
                     self._remove_rows(table_obj, victims)
             return len(victims)
 
-    # ``_delete_positions`` (the replay arm of ``delete_rows``) lives on
-    # the base Database so read replicas can replay shipped records too.
-
     # ------------------------------------------------------------------
     # Reads (refused, like writes, once the log has failed)
     # ------------------------------------------------------------------
@@ -241,9 +238,8 @@ class DurableDatabase(Database):
 
     @property
     def wal(self) -> WriteAheadLog:
-        """The live write-ahead log — the log-shipping subscription
-        point (:meth:`WriteAheadLog.subscribe`) and LSN watermark
-        source (:attr:`WriteAheadLog.last_lsn`) for replication."""
+        """The live write-ahead log; :attr:`WriteAheadLog.last_lsn` is
+        the LSN a checkpoint or a process pool's cut is taken at."""
         return self._wal
 
     def checkpoint(self, tracer=None) -> CheckpointInfo:

@@ -212,7 +212,7 @@ def _slots(store) -> list[tuple]:
 
 def apply_checkpoint_state(database, records: list[dict]) -> None:
     """Load a checkpoint's records (:func:`load_checkpoint`, or the
-    list a process pool ships its replicas) into a fresh database."""
+    list a process pool ships its workers) into a fresh database."""
     header = records[0]
     database.index_order = header["index_order"]
     tables = SegmentTables.from_json(header["names"], header["scopes"],
@@ -222,8 +222,7 @@ def apply_checkpoint_state(database, records: list[dict]) -> None:
 
 
 def apply_wal_record(database, record: dict, lsn: int = 0) -> None:
-    """Apply one logical WAL record — the replay step of recovery and
-    of a follower for every record the primary ships."""
+    """Apply one logical WAL record — the replay step of recovery."""
     _apply(database, record, f"WAL record {lsn}: insert into")
 
 

@@ -65,7 +65,7 @@ from . import fsio
 from .faults import NO_FAULTS
 
 __all__ = ["WAL_NAME", "WriteAheadLog", "WalScan", "scan_wal",
-           "encode_record", "tail_wal"]
+           "encode_record"]
 
 WAL_NAME = "wal.log"
 MAGIC = b"REPROWAL3\n"
@@ -158,33 +158,12 @@ def scan_wal(path) -> WalScan:
     return scan
 
 
-def tail_wal(path, after_lsn: int = 0) -> list[tuple[int, dict]]:
-    """The WAL tail: every valid record with ``lsn > after_lsn``.
-
-    This is the log-shipping bootstrap read — a new replica receives a
-    checkpoint at LSN *c* plus ``tail_wal(path, c)`` and is then caught
-    up to the durable prefix; live records arrive via
-    :meth:`WriteAheadLog.subscribe` from there on."""
-    return [(lsn, record) for lsn, record in scan_wal(path).records
-            if lsn > after_lsn]
-
-
 class WriteAheadLog:
     """Append side of the log; one instance per open database.
 
     ``start_lsn`` is the LSN already consumed (recovery's
     ``max(checkpoint_lsn, last WAL lsn)``); appends continue at
     ``start_lsn + 1``.
-
-    Subscribers (:meth:`subscribe`) observe every appended record in
-    LSN order, synchronously inside the writer's critical section —
-    the log-shipping hook: because the engine appends under its
-    exclusive write lock, a subscriber that forwards records down a
-    FIFO pipe gives each follower the exact apply order of the
-    primary.  Subscribers see records at *append* time (when the
-    primary's in-memory state already reflects them), not at fsync
-    time: replicas track the primary's served state, so they may lag
-    durability by at most one group-commit batch.
     """
 
     def __init__(self, path, *, fsync_policy: str = "always",
@@ -210,24 +189,8 @@ class WriteAheadLog:
         self._synced_size = self._written_size
         self._next_lsn = start_lsn + 1
         self._pending: list[bytes] = []
-        self._subscribers: list = []
         #: The error that failed the log; None while it is usable.
         self._failure: BaseException | None = None
-
-    # -- subscriptions (log shipping) -----------------------------------
-
-    def subscribe(self, listener) -> None:
-        """Register ``listener(lsn, record)`` for every future append.
-
-        Called synchronously from :meth:`append`, i.e. inside the
-        engine's exclusive writer section; listeners must be fast and
-        must not re-enter the database."""
-        self._subscribers.append(listener)
-
-    def unsubscribe(self, listener) -> None:
-        """Remove a listener registered with :meth:`subscribe`."""
-        if listener in self._subscribers:
-            self._subscribers.remove(listener)
 
     # -- properties -----------------------------------------------------
 
@@ -261,8 +224,6 @@ class WriteAheadLog:
             self._write_pending(self.fsync_policy != "off", appending=lsn)
         if METRICS.enabled:
             METRICS.inc("wal.appends")
-        for listener in self._subscribers:
-            listener(lsn, record)
         return lsn
 
     def flush(self) -> None:

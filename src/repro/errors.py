@@ -152,16 +152,4 @@ class ProtocolError(ServerError):
 
 
 class ReplicationError(ReproError):
-    """A read replica or the process pool serving it misbehaved."""
-
-
-class StaleReplicaError(ReplicationError):
-    """A replica was asked to serve a snapshot version it has not yet
-    applied (``required_lsn`` is above its ``last_applied_lsn``)."""
-
-    def __init__(self, required_lsn: int, last_applied_lsn: int):
-        self.required_lsn = required_lsn
-        self.last_applied_lsn = last_applied_lsn
-        super().__init__(
-            f"replica is stale: required LSN {required_lsn} but only "
-            f"{last_applied_lsn} applied")
+    """The process pool was misconfigured (fewer than one worker)."""

@@ -46,12 +46,9 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``parallel.fallback_reason.<r>``  fallbacks broken down by reason (see
                                   ``repro.parallel.gate.FALLBACK_REASONS``)
 ``process.fanouts``               process-pool partition executions
-``process.partitions``            replica partitions across all fanouts
+``process.partitions``            worker partitions across all fanouts
 ``process.seconds`` (histogram)   process-pool fan-out wall time
-``replication.shipped_records``   WAL records streamed to replicas
-``replication.bootstrap_seconds`` checkpoint-ship + replica recovery time
-``replication.replica_lag_records`` (gauge) required minus applied LSN at
-                                  the last fan-out (0 = replicas current)
+``replication.bootstrap_seconds`` checkpoint-ship + worker recovery time
 ``wal.appends``                   logical records appended to the WAL
 ``wal.fsyncs``                    WAL fsync calls (group commit batches)
 ``wal.bytes_written``             encoded record bytes written

@@ -1,29 +1,24 @@
-"""Process-parallel execution: read replicas fed by log shipping.
+"""Process-parallel execution: a pool serves the cut it was opened on.
 
 CPython's GIL holds threads to roughly one core of XQuery evaluation;
 this package — the engine's one parallel backend — escapes it with
-real processes.  The primary serializes a checkpoint of its current state (the same encoding
-:mod:`repro.durability.checkpoint` writes to disk), ships it over a
-pipe to N worker processes, and each worker runs recovery into a
-read-only :class:`~repro.parallel.replica.ReplicaDatabase`.  From then
-on the primary streams every appended WAL record to its followers —
-log shipping — so replicas track the primary's applied state with a
-lag of at most one in-flight pipe message, and a long-lived
-:class:`~repro.parallel.pool.ProcessPool` amortizes the one-time
-checkpoint-ship cost across every query it serves.
+real processes.  The primary encodes a checkpoint of its current state
+under the read lock (the same encoding :mod:`repro.durability.
+checkpoint` writes to disk), ships it over a pipe to N worker
+processes, and each worker recovers it into a plain
+:class:`~repro.storage.catalog.Database`.  A long-lived
+:class:`~repro.parallel.pool.ProcessPool` amortizes that one-time
+bootstrap across every query it serves.
 
-A freshness watermark (``last_applied_lsn``) gates every replica read:
-each request carries the LSN the primary had applied when the request
-was issued, and a replica that has not caught up refuses to serve
-(:class:`repro.errors.StaleReplicaError`) rather than return a stale
-snapshot — the orchestrator then falls back to serial execution on the
-primary, recorded under ``parallel.fallback_reason.freshness``.
+Workers never see a write.  The pool notes the primary's ``version``
+at the cut; once any write moves it, every later query runs serially
+on the primary instead, recorded under
+``parallel.fallback_reason.freshness``.  A pool opened after the
+writes serves the new state.
 """
 
 from __future__ import annotations
 
-from .pool import ProcessPool, ShippedQueryResult, ShippedSQLResult
-from .replica import ReplicaDatabase, build_replica
+from .pool import ProcessPool, ShippedQueryResult
 
-__all__ = ["ProcessPool", "ReplicaDatabase", "build_replica",
-           "ShippedQueryResult", "ShippedSQLResult"]
+__all__ = ["ProcessPool", "ShippedQueryResult"]

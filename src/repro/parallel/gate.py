@@ -1,7 +1,7 @@
 """The partition soundness gate and the serial-fallback taxonomy.
 
 A ``db2-fn:xmlcolumn`` query touches many independent documents, so it
-can be split by document: each replica process evaluates the *same*
+can be split by document: each worker process evaluates the *same*
 compiled query over a disjoint slice of the column and the pool
 concatenates the slices in document order — the partition parallelism
 RadegastXDB gets from independent workers over a shared sorted store.
@@ -43,10 +43,9 @@ __all__ = ["partition_reference", "record_fallback", "FALLBACK_REASONS"]
 #: contract.
 FALLBACK_REASONS = (
     "gate-rejected",     # partition_reference refused the query shape
-    "single-worker",     # fewer than two live replicas: nothing to fan to
+    "single-worker",     # fewer than two live workers: nothing to fan to
     "too-few-docs",      # fewer documents than would pay for a fan-out
-    "freshness",         # replicas behind the required LSN / version
-    "write-statements",  # batch contains writes: primary-only
+    "freshness",         # the primary was written since the pool's cut
     "worker-error",      # a worker process failed or timed out
     "pool-closed",       # the process pool was already shut down
 )

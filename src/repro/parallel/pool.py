@@ -1,41 +1,33 @@
-"""The primary's side of log shipping: a pool of replica processes.
+"""A pool of worker processes serving the cut it was opened on.
 
 :class:`ProcessPool` escapes the GIL for partitionable queries.  On
 construction it takes the database's shared read lock once, encodes a
-checkpoint of the current state (the records a disk checkpoint holds —
-replication *is* recovery over a pipe), subscribes to the WAL, and
-records the base LSN/version; it then spawns N worker processes, ships
-each the checkpoint, and streams every subsequently appended WAL
-record to all of them.  Each worker replays into a sealed
-:class:`~repro.parallel.replica.ReplicaDatabase` and serves partition
-requests from it — real processes, so N partitions evaluate on N cores.
+checkpoint of the current state (the records a disk checkpoint holds)
+and notes the database ``version``; it then spawns N worker processes
+and ships each that checkpoint.  Each worker recovers it into a plain
+:class:`~repro.storage.catalog.Database` and serves partition requests
+from it — real processes, so N partitions evaluate on N cores.
 
 Correctness rests on two invariants:
 
-* **FIFO freshness.**  WAL records are shipped from inside the
-  primary's exclusive writer section, and query requests are sent
-  while the primary holds its read lock; both go down the same pipe,
-  and one :attr:`_ship_lock` serializes the sends.  A request stamped
-  with ``required_lsn = wal.last_lsn`` therefore travels *behind*
-  every record it depends on, so replicas are never stale in practice;
-  the watermark check on the worker is a tripwire, and a tripped one
-  falls back to serial execution under
-  ``parallel.fallback_reason.freshness``.
+* **One freshness rule.**  Workers hold the cut and nothing after it.
+  Every write bumps ``database.version`` (DDL, insert and delete on a
+  plain or a durable primary alike), so a request is fanned out only
+  while the version still equals the cut's; after any write the query
+  runs serially on the primary, recorded under
+  ``parallel.fallback_reason.freshness``.  The check and the fan-out
+  happen under one hold of the read lock, so no writer slips between.
 * **Order-preserving partitions.**  Partitions are contiguous ranges
   of *positions* in the column's document list (doc_ids are process-
-  local counters and do not survive the pipe), replica row order
-  equals primary row order (records replay in LSN order), and workers
-  document-order pure path results locally — so concatenating the
-  partition results in order is byte-identical to the serial answer.
-
-Non-durable primaries have no WAL to ship; the pool then pins the
-database ``version`` it bootstrapped from and falls back to serial for
-any query after a write until :meth:`ProcessPool.resync` re-ships the
-full state.
+  local counters and do not survive the pipe), worker row order
+  equals primary row order (the checkpoint lists rows in order), and
+  workers document-order pure path results locally — so concatenating
+  the partition results in order is byte-identical to the serial
+  answer.
 
 Every serial fallback is recorded through
-:func:`repro.parallel.gate.record_fallback`, and every pool entry
-point degrades to the primary's ordinary execution paths rather than
+:func:`repro.parallel.gate.record_fallback`, and :meth:`ProcessPool.
+xquery` degrades to the primary's ordinary execution path rather than
 failing the query.
 """
 
@@ -53,11 +45,10 @@ from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
 from ..planner.plan import plan_prefilters
 from ..planner.stats import ExecutionStats
-from ..storage.catalog import _WRITE_HEADS
 from .gate import _partition, partition_reference, record_fallback
 from .worker import worker_main
 
-__all__ = ["ProcessPool", "ShippedQueryResult", "ShippedSQLResult"]
+__all__ = ["ProcessPool", "ShippedQueryResult"]
 
 
 class ShippedQueryResult:
@@ -102,48 +93,20 @@ class ShippedQueryResult:
         return "".join(parts)
 
 
-class ShippedSQLResult:
-    """An SQLResult lookalike: rows arrive already rendered to text."""
-
-    def __init__(self, columns: list[str], rows: list[tuple],
-                 stats: ExecutionStats):
-        self.columns = columns
-        self.rows = rows
-        self.stats = stats
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def serialize_rows(self) -> list[tuple]:
-        return self.rows
-
-
 class _Worker:
-    """One follower process and its pipe endpoint."""
+    """One worker process and its pipe endpoint."""
 
-    __slots__ = ("process", "conn", "alive", "pid", "applied_lsn")
+    __slots__ = ("process", "conn", "alive", "pid")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.alive = True
         self.pid: int | None = None
-        self.applied_lsn = 0
-
-
-class _Failure:
-    __slots__ = ("reason", "detail")
-
-    def __init__(self, reason: str, detail: str):
-        self.reason = reason
-        self.detail = detail
 
 
 class ProcessPool:
-    """N replica processes serving partitioned reads for one primary.
+    """N worker processes serving partitioned reads of one cut.
 
     Use as a context manager (or call :meth:`close`); worker processes
     are daemons, but a graceful shutdown message lets them exit their
@@ -163,36 +126,21 @@ class ProcessPool:
         self._workers: list[_Worker] = []
         self._closed = False
         self._request_counter = 0
-        #: Serializes every pipe send: the WAL subscriber fires on
-        #: writer threads while request fan-out runs on caller threads,
-        #: and interleaved sends would corrupt the stream.  Lock order
-        #: is always database rwlock -> _ship_lock (the subscriber runs
-        #: inside the write lock, dispatch inside the read lock), so
-        #: the pair is acyclic.
-        self._ship_lock = threading.Lock()
-        #: Serializes whole fan-outs: responses are read off the worker
-        #: pipes, and two concurrent dispatchers would steal each
-        #: other's replies.
-        self._dispatch_lock = threading.RLock()
-        #: Records appended between WAL subscription and worker INIT —
-        #: buffered, then drained in order once every pipe is primed.
-        self._backlog: list[tuple[int, dict]] = []
-        self._accepting = False
-        self._wal = getattr(database, "wal", None)
+        #: Serializes whole fan-outs and every pipe send: responses are
+        #: read off the worker pipes, and two concurrent dispatchers
+        #: would interleave requests and steal each other's replies.
+        self._dispatch_lock = threading.Lock()
 
         started = time.perf_counter() if METRICS.enabled else 0.0
-        # One consistent cut: state, base LSN/version, and the WAL
-        # subscription point all describe the same instant because the
-        # shared lock excludes writers (encode_database only needs
-        # writer exclusion, not the exclusive side).
+        # One consistent cut: the shared lock excludes writers, so the
+        # state, its LSN and its version describe the same instant.
+        wal = getattr(database, "wal", None)
         with database._rwlock.read():
-            self._base_lsn = self._wal.last_lsn if self._wal else 0
-            self._base_version = database.version
-            # Documents ship as column segments: followers adopt them
+            self._version = database.version
+            # Documents ship as column segments: workers adopt them
             # without parsing, as recovery does.
-            checkpoint = encode_database(database, self._base_lsn)
-            if self._wal is not None:
-                self._wal.subscribe(self._on_wal_append)
+            checkpoint = encode_database(
+                database, wal.last_lsn if wal is not None else 0)
         try:
             self._spawn_workers(processes, checkpoint)
         except BaseException:
@@ -219,20 +167,10 @@ class ProcessPool:
             process.start()
             child_conn.close()
             self._workers.append(_Worker(process, parent_conn))
-        init = ("init", checkpoint, self._base_lsn,
-                self._database.index_order)
-        with self._ship_lock:
-            for worker in self._workers:
-                self._send(worker, init)
+        for worker in self._workers:
+            self._send(worker, ("init", checkpoint))
         for worker in self._workers:
             self._await_ready(worker)
-        with self._ship_lock:
-            for lsn, record in self._backlog:
-                for worker in self._workers:
-                    if worker.alive:
-                        self._send(worker, ("wal", lsn, record))
-            self._backlog.clear()
-            self._accepting = True
 
     def _await_ready(self, worker: _Worker) -> None:
         if not worker.alive:
@@ -246,26 +184,22 @@ class ProcessPool:
             self._demote(worker, "init-eof")
             return
         if message[0] == "ready":
-            worker.applied_lsn = message[1]
-            worker.pid = message[2]
+            worker.pid = message[1]
         else:
             self._demote(worker, "init-protocol")
 
     def close(self) -> None:
-        """Graceful shutdown: unsubscribe, signal, join, reap.
+        """Graceful shutdown: signal, join, reap.
 
         Idempotent; also invoked by ``__exit__``.  Workers that ignore
         the shutdown message within a short grace period are
-        terminated — they are daemons serving an in-memory replica, so
+        terminated — they are daemons serving an in-memory copy, so
         nothing needs flushing.
         """
         if self._closed:
             return
         self._closed = True
-        if self._wal is not None:
-            self._wal.unsubscribe(self._on_wal_append)
-        with self._ship_lock:
-            self._accepting = False
+        with self._dispatch_lock:
             for worker in self._workers:
                 if worker.alive:
                     self._send(worker, ("shutdown",))
@@ -297,85 +231,20 @@ class ProcessPool:
     def workers_alive(self) -> int:
         return sum(1 for worker in self._workers if worker.alive)
 
-    def ping(self) -> list[tuple[int, int]]:
-        """``(pid, last_applied_lsn)`` per live worker — the lag probe."""
-        with self._dispatch_lock:
-            requests = []
-            with self._ship_lock:
-                for worker in self._workers:
-                    if not worker.alive:
-                        continue
-                    request_id = self._next_request_id()
-                    self._send(worker, ("ping", request_id))
-                    requests.append((worker, request_id))
-            states: list[tuple[int, int]] = []
-            for worker, request_id in requests:
-                message = self._recv_matching(worker, "pong", request_id)
-                if message is not None:
-                    worker.applied_lsn = message[2]
-                    states.append((worker.pid or -1, message[2]))
-            return states
-
-    def resync(self) -> int:
-        """Re-ship the full current state to every live worker.
-
-        The recovery path for non-durable primaries (no WAL to stream):
-        after writes, reads fall back serially until resync re-bases
-        the replicas.  Returns the number of workers refreshed.
-        """
-        if self._closed:
-            return 0
-        with self._dispatch_lock:
-            with self._database._rwlock.read():
-                self._base_lsn = (self._wal.last_lsn
-                                  if self._wal else 0)
-                self._base_version = self._database.version
-                checkpoint = encode_database(self._database,
-                                             self._base_lsn)
-                init = ("init", checkpoint, self._base_lsn,
-                        self._database.index_order)
-                with self._ship_lock:
-                    for worker in self._workers:
-                        if worker.alive:
-                            self._send(worker, init)
-            refreshed = 0
-            for worker in self._workers:
-                if worker.alive:
-                    self._await_ready(worker)
-                    refreshed += 1 if worker.alive else 0
-            return refreshed
-
-    # ------------------------------------------------------------------
-    # Log shipping
-    # ------------------------------------------------------------------
-
-    def _on_wal_append(self, lsn: int, record: dict) -> None:
-        """WAL subscriber: runs inside the primary's writer section."""
-        with self._ship_lock:
-            if not self._accepting:
-                self._backlog.append((lsn, record))
-                return
-            shipped = 0
-            for worker in self._workers:
-                if worker.alive:
-                    self._send(worker, ("wal", lsn, record))
-                    shipped += 1
-        if METRICS.enabled and shipped:
-            METRICS.inc("replication.shipped_records", shipped)
-
     # ------------------------------------------------------------------
     # Partitioned reads
     # ------------------------------------------------------------------
 
     def xquery(self, query: str, use_indexes: bool = True,
                tracer=None, indent: bool = False):
-        """Fan one partitionable XQuery across the replica processes.
+        """Fan one partitionable XQuery across the worker processes.
 
         Anything the soundness gate (:mod:`repro.parallel.gate`)
-        refuses — and any replica failure — runs serially on the
-        primary instead, with the reason recorded.  Returns a
-        :class:`ShippedQueryResult` on the parallel path, the primary's
-        ordinary ``QueryResult`` on fallbacks.
+        refuses, any write since the pool opened, and any worker
+        failure runs serially on the primary instead, with the reason
+        recorded.  Returns a :class:`ShippedQueryResult` on the
+        parallel path, the primary's ordinary ``QueryResult`` on
+        fallbacks.
         """
         tracer = tracer or NULL_TRACER
         if self._closed:
@@ -393,14 +262,10 @@ class ProcessPool:
         started = time.perf_counter() if METRICS.enabled else 0.0
         database = self._database
         with self._dispatch_lock, database._rwlock.read():
-            if self._wal is not None:
-                required_lsn = self._wal.last_lsn
-            else:
-                required_lsn = self._base_lsn
-                if database.version != self._base_version:
-                    # No WAL to ship: replicas froze at bootstrap.
-                    return self._fallback(query, use_indexes, tracer,
-                                          "freshness")
+            if database.version != self._version:
+                # The workers hold the cut; the primary has moved on.
+                return self._fallback(query, use_indexes, tracer,
+                                      "freshness")
             table, column = database._split_reference(reference)
             documents = database.documents(table, column)
             if len(documents) < 2:
@@ -419,29 +284,24 @@ class ProcessPool:
                        f"of {reference} across {len(partitions)} "
                        f"replica processes")
             requests = []
-            with self._ship_lock:
-                for worker, partition in zip(alive, partitions):
-                    request_id = self._next_request_id()
-                    self._send(worker, (
-                        "xquery", request_id, query, reference,
-                        partition, required_lsn, bool(tracer),
-                        indent))
-                    requests.append((worker, request_id))
-            payloads, failure = self._collect(requests)
-        if failure is not None or len(payloads) != len(requests):
-            reason = failure.reason if failure else "worker-error"
-            return self._fallback(query, use_indexes, tracer, reason)
+            for worker, partition in zip(alive, partitions):
+                request_id = self._next_request_id()
+                self._send(worker, (
+                    "xquery", request_id, query, reference, partition,
+                    bool(tracer), indent))
+                requests.append((worker, request_id))
+            payloads = self._collect(requests)
+        if len(payloads) != len(requests):
+            return self._fallback(query, use_indexes, tracer,
+                                  "worker-error")
 
         segments: list[tuple[str, bool]] = []
         cache_hits = 0
-        min_applied = required_lsn
         for worker_index, (worker, request_id) in enumerate(requests):
             payload = payloads[request_id]
             segments.extend(payload["items"])
             stats.merge(payload["stats"])
             cache_hits += 1 if payload["cache_hit"] else 0
-            worker.applied_lsn = payload["applied"]
-            min_applied = min(min_applied, payload["applied"])
             if payload["spans"]:
                 tracer.attach_remote(payload["spans"],
                                      worker=worker_index,
@@ -453,76 +313,9 @@ class ProcessPool:
             METRICS.inc("process.partitions", len(partitions))
             METRICS.observe("process.seconds",
                             time.perf_counter() - started)
-            METRICS.set_gauge("replication.replica_lag_records",
-                              required_lsn - min_applied)
         return ShippedQueryResult(segments, stats,
                                   partitions=len(partitions),
                                   worker_cache_hits=cache_hits)
-
-    def execute_many(self, statements, max_workers: int | None = None
-                     ) -> list:
-        """Round-robin a batch of read statements across the replicas.
-
-        Mirrors ``Database.execute_many`` but with process-level
-        parallelism.  A batch containing any write statement runs
-        entirely on the primary (``write-statements`` fallback — the
-        primary is the only writer), as does a batch of fewer than two
-        statements.  ``max_workers`` caps how many replicas share the
-        batch.  Results are in input order: ``ShippedQueryResult`` for
-        XQuery texts, ``ShippedSQLResult`` for SQL reads.
-        """
-        statements = list(statements)
-        if self._closed:
-            record_fallback("pool-closed")
-            return self._database.execute_many(statements)
-        if any(statement.lstrip().upper().startswith(_WRITE_HEADS)
-               for statement in statements):
-            record_fallback("write-statements")
-            return self._database.execute_many(statements)
-        alive = [worker for worker in self._workers if worker.alive]
-        if max_workers is not None:
-            alive = alive[:max(1, max_workers)]
-        if len(alive) < 2 or len(statements) < 2:
-            record_fallback("single-worker" if len(alive) < 2
-                            else "too-few-docs")
-            return self._database.execute_many(statements)
-        database = self._database
-        with self._dispatch_lock, database._rwlock.read():
-            if self._wal is not None:
-                required_lsn = self._wal.last_lsn
-            else:
-                required_lsn = self._base_lsn
-                if database.version != self._base_version:
-                    record_fallback("freshness")
-                    return database.execute_many(statements)
-            requests = []
-            with self._ship_lock:
-                for position, statement in enumerate(statements):
-                    worker = alive[position % len(alive)]
-                    request_id = self._next_request_id()
-                    self._send(worker, ("stmt", request_id, statement,
-                                        required_lsn))
-                    requests.append((worker, request_id))
-            payloads, failure = self._collect(requests)
-        if failure is not None or len(payloads) != len(requests):
-            record_fallback(failure.reason if failure
-                            else "worker-error")
-            return database.execute_many(statements)
-        results = []
-        for worker, request_id in requests:
-            payload = payloads[request_id]
-            worker.applied_lsn = payload["applied"]
-            if payload.get("sql"):
-                results.append(ShippedSQLResult(
-                    payload["columns"],
-                    [tuple(row) for row in payload["rows"]],
-                    payload["stats"]))
-            else:
-                stats = payload["stats"]
-                results.append(ShippedQueryResult(
-                    payload["items"], stats, partitions=1,
-                    worker_cache_hits=1 if payload["cache_hit"] else 0))
-        return results
 
     # ------------------------------------------------------------------
     # Internals
@@ -564,8 +357,9 @@ class ProcessPool:
         return self._request_counter
 
     def _send(self, worker: _Worker, message: tuple) -> None:
-        """Send under ``_ship_lock`` (caller holds it); a dead pipe
-        demotes the worker instead of failing the operation."""
+        """Send under ``_dispatch_lock`` (the caller holds it, or is
+        the constructor); a dead pipe demotes the worker instead of
+        failing the operation."""
         try:
             worker.conn.send(message)
         except (OSError, ValueError):
@@ -601,8 +395,8 @@ class ProcessPool:
         if not already and METRICS.enabled:
             METRICS.inc("parallel.workers_demoted")
 
-    def _collect(self, requests) -> tuple[dict, _Failure | None]:
-        """Await one response per request, in send order per worker.
+    def _collect(self, requests) -> dict[int, dict]:
+        """Await one response per request; the payloads that arrived.
 
         Pipes are FIFO and workers serve serially, so each worker's
         replies arrive in its own request order.  On a failure the
@@ -611,30 +405,15 @@ class ProcessPool:
         unresponsive worker is demoted.
         """
         payloads: dict[int, dict] = {}
-        failure: _Failure | None = None
         for worker, request_id in requests:
-            message = self._recv_matching(worker, "result", request_id)
-            if message is None:
-                if failure is None:
-                    failure = _Failure(
-                        "worker-error",
-                        f"worker pid {worker.pid} stopped responding")
-                continue
-            if message[0] == "error":
-                kind, detail = message[2], message[3]
-                worker.applied_lsn = message[4]
-                if failure is None:
-                    reason = ("freshness" if kind == "StaleReplicaError"
-                              else "worker-error")
-                    failure = _Failure(reason, f"{kind}: {detail}")
-                continue
-            payloads[request_id] = message[2]
-        return payloads, failure
+            message = self._recv_matching(worker, request_id)
+            if message is not None and message[0] == "result":
+                payloads[request_id] = message[2]
+        return payloads
 
-    def _recv_matching(self, worker: _Worker, kind: str,
-                       request_id: int):
-        """The next reply for ``request_id`` (or the matching error);
-        None on timeout/EOF, which also demotes the worker."""
+    def _recv_matching(self, worker: _Worker, request_id: int):
+        """The next reply (result or error) for ``request_id``; None on
+        timeout/EOF, which also demotes the worker."""
         if not worker.alive:
             return None
         deadline = time.monotonic() + self._response_timeout
@@ -648,8 +427,6 @@ class ProcessPool:
             except (EOFError, OSError):
                 self._demote(worker, "recv-eof")
                 return None
-            if message[0] == kind and message[1] == request_id:
-                return message
-            if message[0] == "error" and message[1] == request_id:
+            if message[1] == request_id:
                 return message
             # A reply to an abandoned earlier request: drop it.

@@ -60,6 +60,7 @@ from ..xdm.qname import QName
 from ..xdm.sequence import Item, atomize
 from ..xquery.evaluator import evaluate_module, lower_expression
 from ..xquery.joins import JoinTable
+from ..xmlio.parser import parse_columns
 from . import ast
 from .analyzer import EmbeddedQuery, collect_embedded, split_conjuncts
 from .values import (SQLType, XMLValue, coerce_to_type, sql_compare,
@@ -479,27 +480,35 @@ class _Insert(_Statement):
                      for row_exprs in statement.rows]
 
     def execute(self, run: "_Run") -> SQLResult:
-        inserted = 0
+        # Every row is evaluated, parsed and coerced before the first
+        # insert, so a bad value in any row leaves the table untouched.
         # sa: ok(SA406: self.rows is the VALUES list — query-sized)
-        for row in self.rows:
-            values: dict[str, object] = {}
-            for column, sql_type, expr in row:
-                value = expr(run, ())
-                if sql_type.is_xml and isinstance(value, XMLValue):
-                    items = value.items
-                    if len(items) != 1 or not isinstance(items[0], Node):
-                        raise SQLError(
-                            "XML column INSERT needs a single node",
-                            "42846")
-                    node = items[0]
-                    value = (node if node.kind == "document"
-                             else DocumentNode([copy_node(node)]))
-                # XML text is parsed by Database.insert.
-                values[column] = value
+        prepared = [{column: _insert_value(expr(run, ()), sql_type)
+                     for column, sql_type, expr in row}
+                    for row in self.rows]
+        for values in prepared:
             run.view.insert(self.table, values)
-            inserted += 1
-        run.stats.note(f"inserted {inserted} row(s) into {self.table}")
-        return SQLResult(["rows_inserted"], [(inserted,)], run.stats)
+        run.stats.note(f"inserted {len(prepared)} row(s) into "
+                       f"{self.table}")
+        return SQLResult(["rows_inserted"], [(len(prepared),)], run.stats)
+
+
+def _insert_value(value, sql_type: SQLType):
+    """One INSERT value as the row will hold it: XML as a parsed column
+    store (or a tree), anything else coerced to the column's type."""
+    if value is None:
+        return None
+    if not sql_type.is_xml:
+        return coerce_to_type(value, sql_type)
+    if isinstance(value, XMLValue):
+        items = value.items
+        if len(items) != 1 or not isinstance(items[0], Node):
+            raise SQLError("XML column INSERT needs a single node",
+                           "42846")
+        node = items[0]
+        return (node if node.kind == "document"
+                else DocumentNode([copy_node(node)]))
+    return parse_columns(str(value))
 
 
 class _Delete(_Statement):

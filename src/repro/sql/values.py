@@ -85,36 +85,45 @@ class XMLValue:
 
 
 def coerce_to_type(value, sql_type: SQLType):
-    """Coerce a Python value into the column's SQL type (for INSERT)."""
+    """Coerce a Python value into the column's SQL type (for INSERT).
+
+    A value the type cannot hold raises :class:`SQLError` with SQLSTATE
+    ``22018`` (a ``22001`` when a string is too long)."""
     if value is None:
         return None
     name = sql_type.name
-    if name in ("INTEGER", "BIGINT"):
-        return int(value)
-    if name == "DOUBLE":
-        return float(value)
-    if name == "DECIMAL":
-        result = Decimal(str(value))
-        if sql_type.scale is not None:
-            result = result.quantize(Decimal(1).scaleb(-sql_type.scale))
-        return result
     if name in ("VARCHAR", "CHAR"):
         text = str(value)
         if sql_type.length is not None and len(text) > sql_type.length:
             raise SQLError(
                 f"value {text!r} too long for {sql_type}", "22001")
         return text
-    if name == "DATE":
-        if isinstance(value, _dt.date) and not isinstance(value,
-                                                          _dt.datetime):
-            return value
-        return _dt.date.fromisoformat(str(value))
-    if name == "TIMESTAMP":
-        if isinstance(value, _dt.datetime):
-            return value
-        return _dt.datetime.fromisoformat(str(value))
     if name == "BOOLEAN":
         return bool(value)
+    try:
+        if name in ("INTEGER", "BIGINT"):
+            return int(value)
+        if name == "DOUBLE":
+            return float(value)
+        if name == "DECIMAL":
+            result = Decimal(str(value))
+            if sql_type.scale is not None:
+                result = result.quantize(
+                    Decimal(1).scaleb(-sql_type.scale))
+            return result
+        if name == "DATE":
+            if isinstance(value, _dt.date) and \
+                    not isinstance(value, _dt.datetime):
+                return value
+            return _dt.date.fromisoformat(str(value))
+        if name == "TIMESTAMP":
+            if isinstance(value, _dt.datetime):
+                return value
+            return _dt.datetime.fromisoformat(str(value))
+    # ArithmeticError covers decimal.InvalidOperation and int(inf).
+    except (ValueError, TypeError, ArithmeticError) as error:
+        raise SQLError(f"cannot cast {value!r} to {sql_type}: {error}",
+                       "22018") from error
     raise SQLError(f"cannot coerce into {sql_type}", "42846")
 
 

@@ -307,7 +307,7 @@ class Database(ReadView):
                schema: str | Schema | dict[str, str | Schema] | None = None
                ) -> Row:
         """Insert a row.  XML column values may be XML text, a
-        DocumentNode, or a ColumnStore (recovery and replicas adopt
+        DocumentNode, or a ColumnStore (recovery and pool workers adopt
         stored segments this way); ``schema`` optionally names a
         registered schema (or maps column name -> schema) for
         per-document validation.
@@ -350,7 +350,7 @@ class Database(ReadView):
     def _store_document(value, schema: Schema | None) -> StoredDocument:
         """A new stored document for an XML column value: XML text
         (parsed into columns), a column store (adopted as-is, the
-        recovery and replica route) or a tree (captured).  It rests as
+        recovery and pool-worker route) or a tree (captured).  It rests as
         columns, without a tree, unless it arrived as a tree or is
         validated: a schema's typed values live on the nodes.  Its path
         signature joins the column's path classes in ``new_row``, which
@@ -453,11 +453,10 @@ class Database(ReadView):
     def _delete_positions(self, table: str, positions: list[int]) -> int:
         """Delete rows addressed by position in the table's row list.
 
-        The replay arm of ``delete_rows``: a WAL record (and the
-        shipped copy a read replica applies) stores victim *positions*
-        because an arbitrary Python predicate is not serializable.
-        Rows are reconstructed in original order during replay, so
-        positions are deterministic on primary and follower alike."""
+        The replay arm of ``delete_rows``: a WAL record stores victim
+        *positions* because an arbitrary Python predicate is not
+        serializable.  Rows are reconstructed in original order during
+        replay, so positions are deterministic."""
         with self._rwlock.write():
             table_obj = self.table(table)
             victims = []
@@ -500,7 +499,7 @@ class Database(ReadView):
 
         A snapshot pinned earlier keeps the old object, which no writer
         touches again, so it still answers for the rows it pinned.  No
-        WAL record is written: recovery, replicas and the process pool
+        WAL record is written: recovery and the process pool's workers
         rebuild indexes from their DDL."""
         for attribute in ("xml_indexes", "rel_indexes"):
             indexes = getattr(self, attribute)
@@ -541,13 +540,14 @@ class Database(ReadView):
                 variables=variables)
 
     def process_pool(self, processes: int = 2, **options):
-        """A :class:`repro.parallel.pool.ProcessPool` of read replicas.
+        """A :class:`repro.parallel.pool.ProcessPool` serving this
+        database's current state.
 
         Spawns ``processes`` worker processes, each bootstrapped from a
-        shipped checkpoint of this database's current state; when the
-        database is durable, subsequent WAL records stream to the
-        followers so they stay fresh.  Use as a context manager (or
-        call ``close()``) so workers shut down gracefully::
+        shipped checkpoint of the state at this call.  After any later
+        write the pool answers serially, on this database.  Use as a
+        context manager (or call ``close()``) so workers shut down
+        gracefully::
 
             with db.process_pool(processes=4) as pool:
                 result = pool.xquery(query)
@@ -575,10 +575,7 @@ class Database(ReadView):
 
         ``statements`` is an iterable of XQuery or SQL/DDL texts; each
         result is whatever the matching single-statement entry point
-        returns, and each statement is its own critical section.  For
-        parallelism across a batch use
-        :meth:`repro.parallel.pool.ProcessPool.execute_many`, which
-        falls back to this loop.
+        returns, and each statement is its own critical section.
         """
         return [self.execute_any(statement) for statement in statements]
 

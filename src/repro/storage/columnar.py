@@ -53,7 +53,7 @@ Three further structures ride on the columns:
   :meth:`ColumnStore.detach` and is never written to a segment.
 
 The columns are a stored document's resting state: an insert of XML
-text, a checkpoint load, a WAL replay and a replica bootstrap all end
+text, a checkpoint load, a WAL replay and a pool worker's bootstrap all end
 with columns and no tree (:mod:`repro.storage.segment` is their one
 on-disk form).  Node objects are *views*: :meth:`ColumnStore.materialize`
 builds the XDM tree from the columns when a read first asks for it

@@ -501,7 +501,7 @@ def _fail_once(failure):
 
 
 @pytest.mark.parametrize("policy, where", [
-    ("always", "fsync"), ("batch", "group write"), ("batch", "subscriber")])
+    ("always", "fsync"), ("batch", "group write")])
 def test_failure_after_the_record_is_logged_keeps_the_row(
         tmp_path, monkeypatch, policy, where):
     # The record is in wal.log when these fail, so reopening replays
@@ -510,31 +510,24 @@ def test_failure_after_the_record_is_logged_keeps_the_row(
         _table_with_index(database)
         wal = database._wal
         failure = OSError(f"{where} failed")
-        if where == "subscriber":
-            wal.subscribe(_fail_once(failure))
-        else:
-            fsync = wal._fsync
-            fail = _fail_once(failure)
+        fsync = wal._fsync
+        fail = _fail_once(failure)
 
-            def fsync_failing_once():
-                fail()
-                fsync()
-            monkeypatch.setattr(wal, "_fsync", fsync_failing_once)
-            if where == "group write":
-                monkeypatch.setattr(wal, "group_size", 1)
+        def fsync_failing_once():
+            fail()
+            fsync()
+        monkeypatch.setattr(wal, "_fsync", fsync_failing_once)
+        if where == "group write":
+            monkeypatch.setattr(wal, "group_size", 1)
         with pytest.raises(OSError) as caught:
             database.insert("t", {"k": 2, "d": "<r><v>2</v></r>"})
         assert caught.value is failure
         assert [row.values["k"]
                 for row in database.table("t").rows] == [1, 2]
         expected = ["<v>1</v>", "<v>2</v>"]
-        query = "db2-fn:xmlcolumn('T.D')//v[. > 0]"
-        if where == "subscriber":
-            assert database.xquery(query).serialize() == expected
-        else:
-            # A failed fsync fails the log: reads refuse until reopen.
-            with pytest.raises(DurabilityError, match="reopen"):
-                database.xquery(query)
+        # A failed fsync fails the log: reads refuse until reopen.
+        with pytest.raises(DurabilityError, match="reopen"):
+            database.xquery("db2-fn:xmlcolumn('T.D')//v[. > 0]")
     with reopen(tmp_path) as database:
         assert [row.values["k"]
                 for row in database.table("t").rows] == [1, 2]

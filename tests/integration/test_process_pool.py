@@ -1,9 +1,9 @@
-"""End-to-end process pool: log-shipped replicas serving real queries.
+"""End-to-end process pool: workers serving the cut it was opened on.
 
 These tests fork real worker processes (2 per pool — pinned, so the
 suite behaves the same on 1-core CI and a big workstation) and check
 the pool's one promise: every answer is byte-identical to the serial
-answer on the primary, whether it came back from the replicas or from
+answer on the primary, whether it came back from the workers or from
 a recorded serial fallback.
 """
 
@@ -15,8 +15,7 @@ from repro import Database
 from repro.durability import DurableDatabase
 from repro.obs.metrics import METRICS, enabled_metrics
 from repro.obs.trace import Tracer, validate_trace
-from repro.parallel import ProcessPool, ShippedQueryResult, \
-    ShippedSQLResult
+from repro.parallel import ShippedQueryResult
 from repro.workload.paperqueries import load_paper_fixture
 
 PATH_QUERY = "db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/custid"
@@ -106,124 +105,54 @@ class TestPartitionedReads:
         assert "parallel.serial_fallbacks" not in snapshot["counters"]
         assert snapshot["counters"]["process.partitions"] == 2
         assert snapshot["histograms"]["process.seconds"]["count"] == 1
-        assert snapshot["gauges"][
-            "replication.replica_lag_records"] == 0
+        # Workers never lag: they hold the cut, and nothing after it.
+        assert "replication.replica_lag_records" not in \
+            snapshot["gauges"]
 
 
-class TestLogShipping:
-    def test_writes_stream_to_replicas(self, durable_pool_db):
-        database = durable_pool_db
+def _insert(database):
+    database.insert("orders", {"ordid": 99, "orddoc": NEW_ORDER})
+
+
+def _delete(database):
+    database.delete_rows("orders",
+                         lambda values: values["ordid"] in (3, 5))
+
+
+def _create_index(database):
+    database.create_xml_index("li_qty", "orders", "orddoc",
+                              "//lineitem/@quantity", "DOUBLE")
+
+
+class TestFreshness:
+    """A pool serves the cut it was opened on: after any write, reads
+    run serially on the primary, plain or durable alike; a pool opened
+    later fans out again."""
+
+    @pytest.mark.parametrize("engine", ["plain", "durable"])
+    @pytest.mark.parametrize("write", [_insert, _delete, _create_index],
+                             ids=["insert", "delete", "create-index"])
+    def test_a_write_after_the_cut_runs_serially(self, request, engine,
+                                                  write):
+        database = request.getfixturevalue(
+            "durable_pool_db" if engine == "durable" else "pool_db")
         with database.process_pool(processes=2) as pool:
-            before = pool.xquery(PATH_QUERY)
-            database.insert("orders", {"ordid": 99, "orddoc": NEW_ORDER})
-            with enabled_metrics():
-                after = pool.xquery(PATH_QUERY)
-                counters = METRICS.snapshot()["counters"]
-            # Served in parallel — log shipping kept replicas fresh, so
-            # no freshness fallback was needed.
-            assert isinstance(after, ShippedQueryResult)
-            assert counters.get("parallel.serial_fallbacks", 0) == 0
-            assert after.serialized() == \
-                database.xquery(PATH_QUERY).serialized()
-            assert len(after.serialize()) == len(before.serialize()) + 1
-
-    def test_ping_reports_caught_up_watermarks(self, durable_pool_db):
-        database = durable_pool_db
-        with database.process_pool(processes=2) as pool:
-            database.insert("orders", {"ordid": 98, "orddoc": NEW_ORDER})
-            database.delete_rows(
-                "orders", lambda values: values["ordid"] == 98)
-            states = pool.ping()
-            assert len(states) == 2
-            assert all(applied == database.wal.last_lsn
-                       for _pid, applied in states)
-
-    def test_delete_replays_on_replicas(self, durable_pool_db):
-        database = durable_pool_db
-        with database.process_pool(processes=2) as pool:
-            database.delete_rows(
-                "orders", lambda values: values["ordid"] in (3, 5))
-            shipped = pool.xquery(PATH_QUERY)
-            assert isinstance(shipped, ShippedQueryResult)
-            assert shipped.serialized() == \
-                database.xquery(PATH_QUERY).serialized()
-
-    def test_ddl_replays_on_replicas(self, durable_pool_db):
-        database = durable_pool_db
-        with database.process_pool(processes=2) as pool:
-            database.execute(
-                "CREATE INDEX li_qty ON orders(orddoc) "
-                "USING XMLPATTERN '//lineitem/@quantity' AS DOUBLE")
-            query = ("db2-fn:xmlcolumn('ORDERS.ORDDOC')"
-                     "//order[lineitem/@quantity = 2]")
-            shipped = pool.xquery(query)
-            assert isinstance(shipped, ShippedQueryResult)
-            assert shipped.serialized() == \
-                database.xquery(query).serialized()
-
-    def test_plain_database_freshness_fallback_and_resync(self, pool_db):
-        with pool_db.process_pool(processes=2) as pool:
-            assert isinstance(pool.xquery(PATH_QUERY),
+            assert isinstance(pool.xquery(PRICE_QUERY),
                               ShippedQueryResult)
-            pool_db.insert("orders", {"ordid": 97, "orddoc": NEW_ORDER})
+            write(database)
             with enabled_metrics():
-                stale = pool.xquery(PATH_QUERY)
+                answer = pool.xquery(PRICE_QUERY)
                 counters = METRICS.snapshot()["counters"]
-            # No WAL to ship on a plain Database: correct but serial.
-            assert not isinstance(stale, ShippedQueryResult)
+            assert not isinstance(answer, ShippedQueryResult)
             assert counters["parallel.fallback_reason.freshness"] == 1
-            assert stale.serialize() == \
-                pool_db.xquery(PATH_QUERY).serialize()
-            assert pool.resync() == 2
+            assert answer.serialized() == \
+                database.xquery(PRICE_QUERY).serialized()
+        with database.process_pool(processes=2) as pool:
             fresh = pool.xquery(PATH_QUERY)
-            assert isinstance(fresh, ShippedQueryResult)
-            assert fresh.serialized() == \
-                pool_db.xquery(PATH_QUERY).serialized()
-
-
-class TestExecuteMany:
-    STATEMENTS = [
-        PATH_QUERY,
-        "SELECT ordid FROM orders WHERE ordid = 3",
-        FLWOR_QUERY,
-        "SELECT cid FROM customer",
-    ]
-
-    def test_round_robin_matches_serial(self, durable_pool_db):
-        database = durable_pool_db
-        serial = database.execute_many(self.STATEMENTS)
-        with database.process_pool(processes=2) as pool:
-            shipped = pool.execute_many(self.STATEMENTS)
-        assert [type(result).__name__ for result in shipped] == [
-            "ShippedQueryResult", "ShippedSQLResult",
-            "ShippedQueryResult", "ShippedSQLResult"]
-        for ours, theirs in zip(shipped, serial):
-            if isinstance(ours, ShippedSQLResult):
-                assert ours.columns == theirs.columns
-                assert ours.serialize_rows() == theirs.serialize_rows()
-            else:
-                assert ours.serialized() == theirs.serialized()
-
-    def test_write_batch_runs_on_primary(self, durable_pool_db):
-        database = durable_pool_db
-        batch = ["INSERT INTO orders (ordid, orddoc) VALUES "
-                 f"(96, '{NEW_ORDER}')", PATH_QUERY]
-        with database.process_pool(processes=2) as pool:
-            with enabled_metrics():
-                results = pool.execute_many(batch)
-                counters = METRICS.snapshot()["counters"]
-        assert counters[
-            "parallel.fallback_reason.write-statements"] == 1
-        assert results[0].rows == [(1,)]
-        assert database.table("orders").rows[-1].values["ordid"] == 96
-
-    def test_single_statement_batch_stays_serial(self, durable_pool_db):
-        with durable_pool_db.process_pool(processes=2) as pool:
-            with enabled_metrics():
-                results = pool.execute_many([PATH_QUERY])
-                counters = METRICS.snapshot()["counters"]
-        assert len(results) == 1
-        assert counters["parallel.fallback_reason.too-few-docs"] == 1
+        assert isinstance(fresh, ShippedQueryResult)
+        assert fresh.partitions == 2
+        assert fresh.serialized() == \
+            database.xquery(PATH_QUERY).serialized()
 
 
 class TestTracing:
@@ -252,15 +181,6 @@ class TestLifecycle:
         assert pool.workers_alive() == 0
         assert all(not worker.process.is_alive() for worker in workers)
         pool.close()  # idempotent
-
-    def test_wal_subscription_removed_on_close(self, durable_pool_db):
-        database = durable_pool_db
-        pool = database.process_pool(processes=2)
-        assert database.wal._subscribers
-        pool.close()
-        assert not database.wal._subscribers
-        # Writes after close must not try to ship anywhere.
-        database.insert("orders", {"ordid": 95, "orddoc": NEW_ORDER})
 
     def test_hung_worker_is_demoted_and_reaped(self, pool_db):
         """A worker that stops responding must be *reaped* — process

@@ -190,19 +190,6 @@ def test_pool_answers_and_traces(database, golden):
         assert tree == golden[name], name
 
 
-def test_pool_batch_answers_sql(database):
-    """The SQL/XML statements go through the pool as a batch."""
-    expected = {name: answer(database, kind, text, options)
-                for name, (kind, text, options) in STATEMENTS.items()
-                if kind == "sql" and not options}
-    batch = [name for name, text in expected.items()
-             if not text.startswith("error:")]
-    with database.process_pool(processes=2) as pool:
-        shipped = pool.execute_many(STATEMENTS[name][1] for name in batch)
-    for name, result in zip(batch, shipped):
-        assert rendered(result) == expected[name], name
-
-
 def test_durability_traces(tmp_path, golden):
     for name, tree in durability_shapes(tmp_path / "state").items():
         assert tree == golden[name], name

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Database
-from repro.errors import SQLError
+from repro.durability import DurableDatabase
+from repro.errors import SQLError, XMLParseError
 
 
 @pytest.fixture()
@@ -63,6 +64,49 @@ class TestInsert:
         dml_db.execute("INSERT INTO orders VALUES (3, '<order/>')")
         result = dml_db.sql("SELECT ordid FROM orders")
         assert result.rows == [(3,)]
+
+
+class TestMultiRowInsertIsAllOrNothing:
+    """Every VALUES row is parsed and coerced before the first is
+    inserted: a bad value in any row leaves the table as it was, on a
+    plain and on a durable database (also after a reopen)."""
+
+    @pytest.mark.parametrize("engine", ["plain", "durable"])
+    def test_malformed_xml_in_a_later_row_inserts_nothing(
+            self, tmp_path, engine):
+        self._assert_all_or_nothing(
+            tmp_path, engine, "INTEGER",
+            "INSERT INTO t VALUES (1, '<a/>'), (2, '<b')", XMLParseError)
+
+    @pytest.mark.parametrize("engine", ["plain", "durable"])
+    @pytest.mark.parametrize("sql_type, good", [
+        ("INTEGER", "3"), ("BIGINT", "3"), ("DOUBLE", "1.5"),
+        ("DECIMAL(6,2)", "1.5"), ("DATE", "'2006-09-12'"),
+        ("TIMESTAMP", "'2006-09-12T10:00:00'")])
+    def test_uncastable_value_is_sqlstate_22018(self, tmp_path, engine,
+                                                sql_type, good):
+        error = self._assert_all_or_nothing(
+            tmp_path, engine, sql_type,
+            f"INSERT INTO t VALUES ({good}, '<a/>'), ('x', '<b/>')",
+            SQLError)
+        assert error.sqlstate == "22018"
+
+    @staticmethod
+    def _assert_all_or_nothing(tmp_path, engine, sql_type, statement,
+                               error_type):
+        def open_database():
+            return (DurableDatabase(tmp_path / "state")
+                    if engine == "durable" else Database())
+        database = open_database()
+        database.execute(f"CREATE TABLE t (k {sql_type}, d XML)")
+        with pytest.raises(error_type) as caught:
+            database.execute(statement)
+        assert database.table("t").rows == []
+        if engine == "durable":
+            database.close()
+            with open_database() as reopened:
+                assert reopened.table("t").rows == []
+        return caught.value
 
 
 class TestDelete:

@@ -7,7 +7,7 @@ rollbacks (an index failure injected as in ``test_index_consistency``)
 it must equal the fold of path tables freshly captured from re-parsed
 copies of the stored documents, and ``docs_with_path`` /
 ``path_cardinality`` must equal a per-document count.  The same holds
-after crash recovery (checkpoint load + WAL replay), on a replica
+after crash recovery (checkpoint load + WAL replay), on a copy
 bootstrapped as the process pool's workers are, and inside a real
 process-pool worker.  A snapshot keeps the answers it was taken with.
 """
@@ -24,8 +24,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.patterns import parse_xmlpattern
 from repro.durability import DurableDatabase
 from repro.durability.checkpoint import encode_database
-from repro.parallel import ProcessPool, build_replica
+from repro.parallel import ProcessPool
 from repro.parallel import worker as pool_worker
+from repro.planner.stats import ExecutionStats
 from repro.storage.catalog import Database
 from repro.storage.columnar import ColumnStore
 from repro.workload.paperqueries import load_paper_fixture
@@ -191,19 +192,15 @@ def test_summary_survives_recovery_and_replication(before, after):
         database = DurableDatabase(directory)
         build_database(database)
         apply_all(database, before)
-        # Bootstrap a replica exactly as the pool's workers are —
-        # shipped column segments — then log-ship every later write to
-        # it.
-        with database._rwlock.read():
-            state = encode_database(database, database.wal.last_lsn)
-        replica = build_replica(state, [],
-                                index_order=database.index_order)
-        database.wal.subscribe(replica.apply_wal_record)
         apply_all(database, after, first_ordid=200)
-        database.wal.unsubscribe(replica.apply_wal_record)
+        # Bootstrap a copy exactly as the pool's workers are: shipped
+        # column segments of one cut.
+        with database._rwlock.read():
+            worker = pool_worker.bootstrap(
+                encode_database(database, database.wal.last_lsn))
         assert_summary_exact(database)
-        assert_summary_exact(replica)
-        assert summary(replica) == summary(database)
+        assert_summary_exact(worker)
+        assert summary(worker) == summary(database)
         expected = summary(database)
         # Crash: no clean close, no final checkpoint.
         database.wal.abandon()
@@ -213,13 +210,11 @@ def test_summary_survives_recovery_and_replication(before, after):
             assert_summary_exact(recovered)
 
 
-def _serve_summary(replica, statement, required_lsn):
-    """Stand-in for a pool worker's statement handler that reports the
-    worker replica's own column summary."""
-    replica.ensure_fresh(required_lsn)
-    return {"sql": True, "columns": ["summary"],
-            "rows": [[canonical(summary(replica))]], "stats": None,
-            "applied": replica.last_applied_lsn}
+def _serve_summary(database, *_request):
+    """Stand-in for a pool worker's xquery handler that reports the
+    worker database's own column summary."""
+    return {"items": [(repr(canonical(summary(database))), True)],
+            "stats": ExecutionStats(), "spans": None, "cache_hit": False}
 
 
 def canonical(classes: Counter) -> list:
@@ -230,22 +225,21 @@ def canonical(classes: Counter) -> list:
 
 def test_summary_inside_process_pool_workers(tmp_path, monkeypatch):
     # Forked workers inherit the patched handler.
-    monkeypatch.setattr(pool_worker, "_serve_statement", _serve_summary)
+    monkeypatch.setattr(pool_worker, "_serve_xquery", _serve_summary)
     with DurableDatabase(tmp_path / "state") as database:
         build_database(database)
+        # Inserts, a rolled-back insert, and a delete, all in the cut.
         apply_all(database, [("insert", ["150"], 1001, ["note"], 9),
-                             ("insert", [], None, ["pi", "comment"], 9)])
+                             ("insert", [], None, ["pi", "comment"], 9),
+                             ("insert", ["0"], 1002, ["note"], 9),
+                             ("insert", ["7.25"], None, [], 0),
+                             ("delete", 3)], first_ordid=200)
         with ProcessPool(database, 2, start_method="fork") as pool:
-            # Shipped as WAL records after bootstrap: inserts, a
-            # rolled-back insert, and a delete.
-            apply_all(database, [("insert", ["0"], 1002, ["note"], 9),
-                                 ("insert", ["7.25"], None, [], 0),
-                                 ("delete", 3)], first_ordid=200)
-            results = pool.execute_many(["VALUES 1", "VALUES 2"])
+            result = pool.xquery("db2-fn:xmlcolumn('ORDERS.ORDDOC')")
         expected = canonical(fold(database))
         assert canonical(summary(database)) == expected
-        for result in results:
-            assert result.rows == [(expected,)]
+        assert result.partitions == 2
+        assert result.serialize() == [repr(expected)] * 2
 
 
 @pytest.mark.parametrize("column", [("orders", "orddoc"),

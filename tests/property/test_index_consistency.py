@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.durability import DurableDatabase
 from repro.durability.checkpoint import encode_database
 from repro.errors import ReproError
-from repro.parallel import build_replica
+from repro.parallel.worker import bootstrap
 from repro.storage.catalog import Database
 from repro.storage.table import StoredDocument
 from repro.workload.paperqueries import (PAPER_QUERIES,
@@ -366,13 +366,11 @@ def test_row_ids_increase_after_recovery_and_on_replicas(before, after):
         database = DurableDatabase(directory)
         build_routes_database(database)
         apply_routes(database, before)
-        with database._rwlock.read():
-            state = encode_database(database, database.wal.last_lsn)
-        replica = build_replica(state, [],
-                                index_order=database.index_order)
-        database.wal.subscribe(replica.apply_wal_record)
         apply_routes(database, after, first_key=200)
-        database.wal.unsubscribe(replica.apply_wal_record)
+        # Bootstrap a copy exactly as the pool's workers are.
+        with database._rwlock.read():
+            replica = bootstrap(
+                encode_database(database, database.wal.last_lsn))
         expected = route_answers(database)
         assert_locators_exact(database)
         assert route_answers(replica) == expected
