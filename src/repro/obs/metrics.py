@@ -19,6 +19,9 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``relindex.lookups``              relational index lookups
 ``pathsummary.hits``              step chains answered from a column
                                   store's path table
+``pathsummary.column_predicates`` of those, lookups whose value
+                                  predicate ``[path op value]`` was
+                                  decided on the path partitions
 ``docs.scanned``                  XML documents materialized from columns
 ``rows.scanned``                  relational rows examined
 ``bufferpool.hits``               accesses that found the tree resident

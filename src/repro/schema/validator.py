@@ -19,8 +19,13 @@ def validate(document: DocumentNode, schema: Schema) -> None:
     Matching elements/attributes get type annotations and typed values.
     In strict mode a value that cannot be cast raises
     :class:`SchemaValidationError` (modelling DB2 rejecting the insert);
-    in lenient mode the node simply stays untyped.
+    in lenient mode the node simply stays untyped.  The column store
+    behind ``document`` (a stored document's, validated at its insert
+    and again at each materialization) stops being
+    :attr:`~repro.storage.columnar.ColumnStore.untyped`.
     """
+    if document.column_store is not None:
+        document.column_store.untyped = False
     root = document.root_element
     if root is None:
         raise SchemaValidationError("document has no root element")

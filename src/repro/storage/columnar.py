@@ -51,6 +51,18 @@ Three further structures ride on the columns:
   numbered, so it never changes and the cache is never invalidated:
   it is the right slice for every materialization, survives
   :meth:`ColumnStore.detach` and is never written to a segment.
+* **A value cache** (derived, filled lazily by
+  :meth:`ColumnStore.nodes_where`): for a path whose values a
+  predicate compared as ``xs:double``, the partition's values in slot
+  order packed as doubles in one ``bytes`` (one allocation per path,
+  read through a ``memoryview``), with the positions of values that do
+  not cast kept apart (NaN cannot mark them: ``NaN ne x`` is true).
+  Like the canonical text it describes a tree that never changes, so an
+  entry is immutable, built in full before it is published, survives
+  :meth:`ColumnStore.detach` and is never written to a segment.  It
+  serves only an *untyped* store (:attr:`ColumnStore.untyped`): once
+  schema validation or a captured annotated tree types a document,
+  its nodes' values are no longer the raw text.
 
 The columns are a stored document's resting state: an insert of XML
 text, a checkpoint load, a WAL replay and a pool worker's bootstrap all end
@@ -69,15 +81,18 @@ Either way the tree ends up numbered and so immutable
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
+from itertools import compress, repeat
+from math import nan
+from typing import Iterator, Sequence
 
 from ..core.patterns import ROOT_PATH, PathNode, PathShape, intern_shape
 from ..obs.metrics import METRICS
-from ..errors import XMLParseError
-from ..xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
-                         ElementNode, Node, ProcessingInstructionNode,
-                         TextNode, allocate_node_ids,
-                         number_from_columns)
+from ..errors import CastError, XMLParseError
+from ..xdm.atomic import T_UNTYPED, parse_double
+from ..xdm.nodes import (UNTYPED_ELEMENT, AttributeNode, CommentNode,
+                         DocumentNode, ElementNode, Node,
+                         ProcessingInstructionNode, TextNode,
+                         allocate_node_ids, number_from_columns)
 from ..xdm.qname import QName
 from ..xmlio.parser import MAX_DEPTH
 
@@ -105,6 +120,10 @@ _KIND_CODES = {
 
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 
+#: kind code -> the annotation of a node of that kind that atomizes to
+#: its text as one xs:untypedAtomic
+_UNANNOTATED = {KIND_ELEMENT: UNTYPED_ELEMENT, KIND_ATTRIBUTE: T_UNTYPED}
+
 #: Rough per-node cost of a materialized XDM view (object headers,
 #: slot storage, child-list entries) used for buffer-pool accounting.
 MATERIALIZED_NODE_BYTES = 400
@@ -123,7 +142,7 @@ class ColumnStore:
                  "path_id", "text_lo", "text_hi", "subtree_end",
                  "node_ids", "text", "names", "nsscopes", "shape",
                  "partitions", "document_uri", "nodes",
-                 "canonical", "spans")
+                 "canonical", "spans", "untyped", "value_cache")
 
     def __init__(self):
         self.post = array("q")
@@ -158,6 +177,16 @@ class ColumnStore:
         #: end in ``canonical`` (-1 without a span); None until an
         #: element of the document is serialized.
         self.spans: array | None = None
+        #: No node carries a type annotation, so every element and
+        #: attribute atomizes to its text as one xs:untypedAtomic.
+        #: Cleared for good once one may (schema validation, a captured
+        #: annotated tree).
+        self.untyped = True
+        #: The value cache, flat: ``path_id, packed doubles, uncastable
+        #: positions`` for each cached path.  A document's predicates
+        #: touch few paths; one tuple costs less than a dict per store,
+        #: and a ``bytes`` less than an ``array`` (one allocation).
+        self.value_cache: tuple = ()
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -185,7 +214,9 @@ class ColumnStore:
         them, keeps each node's ``node_id``; the tree is then numbered
         from the columns, so slot *i* is the node with pre number *i*,
         and can no longer change.  A capture that fails (a tree nested
-        deeper than ``MAX_DEPTH``) leaves the tree unnumbered.
+        deeper than ``MAX_DEPTH``) leaves the tree unnumbered.  A tree
+        with an annotated element or attribute (validated, or copied
+        with its types) gives a store that is not :attr:`untyped`.
         """
         builder = ColumnBuilder(document.document_uri)
         nodes: list[Node] = [document]
@@ -193,12 +224,18 @@ class ColumnStore:
         # (node, parent slot); a None node closes the parent slot.
         stack: list[tuple[Node | None, int]] = [
             (child, 0) for child in reversed(document.children)]
+        untyped = True
         while stack:
             node, parent = stack.pop()
             if node is None:
                 builder.close(parent)
                 continue
             kind = _KIND_CODES[node.kind]
+            unannotated = _UNANNOTATED.get(kind)
+            if unannotated is not None and (
+                    node.type_annotation != unannotated
+                    or node._typed_values is not None):
+                untyped = False
             name = node.name
             name_id = (-1 if name is None else
                        builder.name_id(name.uri, name.local, name.prefix))
@@ -216,6 +253,7 @@ class ColumnStore:
             nodes.append(node)
             node_ids.append(node.node_id)
         store = builder.finish(node_ids)
+        store.untyped = untyped
         number_from_columns(nodes, store.post, store.level)
         store.nodes = nodes
         document.column_store = store
@@ -252,6 +290,98 @@ class ColumnStore:
                  else sorted(slot for path_id in ids
                              for slot in partitions[path_id]))
         return list(map(self.nodes.__getitem__, slots))
+
+    def nodes_where(self, matcher, up: int, numeric: bool, compare,
+                    fixed, strict: bool, guard=None) -> list[Node] | None:
+        """A value predicate ``[rel op operand]`` decided on the
+        columns: the nodes ``up`` parent links above the slots whose
+        path matches (``matcher`` is the predicate's path and ``rel``,
+        ``up`` the length of ``rel``) and whose value ``v`` passes
+        ``compare(v, fixed)``, without duplicates, in document order.
+
+        Only for an :attr:`untyped` store, whose matching slots atomize
+        to their text.  ``numeric`` compares the values as xs:double
+        (from the value cache; one that does not cast is a non-match)
+        and otherwise as raw strings.  ``strict`` is a value
+        comparison: None when a result candidate has two values or a
+        value does not cast, where the generic route raises.  ``guard``
+        (a :class:`~repro.xquery.guard.QueryGuard` or None) is ticked
+        once per partition, by its length."""
+        assert self.nodes is not None
+        ids = matcher.path_ids(self.shape)
+        partitions = self.partitions
+        passing: list[int] = []
+        for path_id in ids:
+            partition = partitions[path_id]
+            if guard is not None:
+                guard.tick(len(partition) + 1)
+            if not numeric:
+                passing.extend(compress(partition, map(
+                    compare, self._strings(partition), repeat(fixed))))
+                continue
+            doubles, uncastable = self._doubles(path_id)
+            if not uncastable:
+                passing.extend(compress(partition, map(
+                    compare, doubles, repeat(fixed))))
+                continue
+            if strict:
+                return None
+            verdicts = list(map(compare, doubles, repeat(fixed)))
+            for position in uncastable:
+                verdicts[position] = False
+            passing.extend(compress(partition, verdicts))
+        if up:
+            if strict:
+                candidates = self._ancestors(
+                    [slot for path_id in ids
+                     for slot in partitions[path_id]], up)
+                if len(set(candidates)) < len(candidates):
+                    return None
+            passing = sorted(set(self._ancestors(passing, up)))
+        elif len(ids) > 1:
+            passing.sort()
+        return list(map(self.nodes.__getitem__, passing))
+
+    def _ancestors(self, slots: list[int], up: int) -> list[int]:
+        """Each slot's ancestor ``up`` parent links above it."""
+        parent = self.parent
+        for _level in range(up):
+            slots = list(map(parent.__getitem__, slots))
+        return slots
+
+    def _strings(self, partition: array) -> list[str]:
+        """The string values of one partition's slots (all one kind)."""
+        text_lo = self.text_lo
+        if text_lo[partition[0]] < 0:
+            return list(map(self.text_of, partition))
+        text, text_hi = self.text, self.text_hi
+        return [text[text_lo[slot]:text_hi[slot]] for slot in partition]
+
+    def _doubles(self, path_id: int) -> tuple[Sequence[float],
+                                              tuple[int, ...]]:
+        """The partition's values as doubles and the positions of those
+        that do not cast, from the value cache; a missing entry is
+        built in full, then published by one assignment (a racing
+        builder at worst publishes an equal entry, or drops one that is
+        built again)."""
+        cache = self.value_cache
+        for index in range(0, len(cache), 3):
+            if cache[index] == path_id:
+                packed = cache[index + 1]
+                return memoryview(packed).cast("d"), cache[index + 2]
+        values = []
+        uncastable = []
+        for position, text in enumerate(
+                self._strings(self.partitions[path_id])):
+            try:
+                values.append(parse_double(text))
+            except CastError:
+                values.append(nan)
+                uncastable.append(position)
+        uncastable = tuple(uncastable)
+        self.value_cache += (path_id, array("d", values).tobytes(),
+                             uncastable)
+        return values, uncastable
 
     def slots_matching(self, matcher) -> Iterator[tuple[int, PathNode]]:
         """(slot, path) pairs whose path matches, partition by
@@ -404,7 +534,8 @@ class ColumnStore:
 
     def nbytes(self) -> int:
         """Approximate resident size of the columns + text heap, and of
-        the canonical text and its spans once they are filled."""
+        the value cache, the canonical text and its spans once they are
+        filled."""
         columns = (self.post, self.level, self.parent, self.kind,
                    self.name_id, self.ns_id, self.path_id, self.text_lo,
                    self.text_hi, self.subtree_end, self.node_ids)
@@ -412,6 +543,7 @@ class ColumnStore:
         total += sum(partition.itemsize * len(partition)
                      for partition in self.partitions)
         total += len(self.text)
+        total += sum(map(len, self.value_cache[1::3]))
         if self.canonical is not None:
             total += len(self.canonical)
         if self.spans is not None:

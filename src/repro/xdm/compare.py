@@ -36,6 +36,7 @@ comparisons return the empty sequence and general comparisons false.
 from __future__ import annotations
 
 import datetime
+import operator
 from typing import Callable
 
 from ..errors import CastError, XQueryTypeError
@@ -45,13 +46,12 @@ from .atomic import (NUMERIC_TYPES, AtomicValue, T_DATE, T_DATETIME,
 from .nodes import Node
 from .sequence import Item, atomize
 
+#: operator -> its test on promoted values (C functions, so
+#: ``map(test, values, repeat(fixed))`` runs a column without a Python
+#: frame per value).
 _OPS: dict[str, Callable[[object, object], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
 }
 
 _UTC = datetime.timezone.utc

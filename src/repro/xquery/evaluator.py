@@ -9,6 +9,20 @@ predicates are decided while lowering.  Closures hold no per-execution
 state (cached modules are shared across threads), and a static error
 found while lowering is raised by its closure, so only when reached.
 
+A path whose leading steps compile to a summary pattern answers them
+from the stores' path partitions (:func:`_summary_lookup`).  When the
+last of those steps carries one value predicate ``[rel op operand]``
+(:func:`_column_plan`) and every store is untyped, the predicate is
+decided on the columns too: the partitions of *prefix + rel* are
+compared in one pass and the ``len(rel)``-th parent of each passing
+slot is kept (:meth:`~repro.storage.columnar.ColumnStore.nodes_where`).
+The comparison semantics are the generic route's — the operand is
+promoted by :func:`~repro.xdm.compare.promote`, a value that does not
+cast is a non-match of a general comparison — and anything the kernel
+does not decide (a typed store, an operand that is not one atom
+comparing as xs:double or as a string, a value comparison that would
+raise) runs the predicate node by node, raising the same errors.
+
 The dynamic semantics the paper's pitfalls hinge on:
 
 * path steps over the XDM axes with document-order dedup;
@@ -33,10 +47,11 @@ from ..errors import (XQueryDynamicError, XQueryError, XQueryStaticError,
                       XQueryTypeError)
 from ..obs.metrics import METRICS
 from ..xdm import atomic
-from ..xdm.atomic import AtomicValue
-from ..xdm.compare import (GENERAL_TO_VALUE, KEY_OTHER, MIRRORED,
-                           compare_atoms, compare_with, equality_keys,
-                           keys_may_raise, node_compare, value_compare)
+from ..xdm.atomic import T_DOUBLE, T_STRING, T_UNTYPED, AtomicValue
+from ..xdm.compare import (_OPS, GENERAL_TO_VALUE, KEY_OTHER, MIRRORED,
+                           compare_atoms, compare_with, comparison_type,
+                           equality_keys, keys_may_raise, node_compare,
+                           promote, value_compare)
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
 from ..xdm.qname import QName
@@ -643,7 +658,7 @@ class _Lowering:
     # -- paths ------------------------------------------------------------
 
     def _path(self, expr: ast.PathExpr) -> Lowered:
-        steps, matcher, consumed, predicates = _path_plan(expr)
+        steps, matcher, consumed, predicates, column = _path_plan(expr)
         if expr.absolute:
             start = _context_root
         elif isinstance(expr.steps[0], ast.ExprStep):
@@ -658,6 +673,7 @@ class _Lowering:
         applied = [self._axis_step(step) if isinstance(step, ast.AxisStep)
                    else self._expr_step(step) for step in steps]
         summary_filter = self._predicates(predicates)
+        decide = None if column is None else _column_predicate(*column)
         after_summary = applied[consumed:]
 
         def path(ctx):
@@ -667,8 +683,8 @@ class _Lowering:
             # predicates see element contexts thousands of times).
             if matcher is not None and items and \
                     isinstance(items[0], DocumentNode):
-                nodes = _summary_lookup(matcher, summary_filter, items,
-                                        ctx)
+                nodes = _summary_lookup(matcher, summary_filter, decide,
+                                        items, ctx)
                 if nodes is not None:
                     items, steps_left = nodes, after_summary
                 else:
@@ -990,15 +1006,18 @@ def _step_result(results: list[Item]) -> list[Item]:
     return results
 
 
-def _summary_lookup(matcher, summary_filter, items: list[Item], ctx
-                    ) -> list[Node] | None:
+def _summary_lookup(matcher, summary_filter, decide, items: list[Item],
+                    ctx) -> list[Node] | None:
     """Answer a path's leading step chain from path tables.
 
     When every context item is a live stored document (the current
     materialization of a column store), the nodes matching the path's
     compiled prefix (:func:`_path_plan`) come straight from the
     stores' path partitions — no subtree walk.  None on any doubt:
-    the generic pipeline runs.
+    the generic pipeline runs.  When the consumed predicates have a
+    column plan, ``decide`` answers them over the partitions of
+    untyped stores (:func:`_column_predicate`); otherwise, or when it
+    declines, ``summary_filter`` evaluates them node by node.
 
     The items arrive in document order without duplicates (they are a
     step's result or the context root) and documents never nest, so
@@ -1013,16 +1032,22 @@ def _summary_lookup(matcher, summary_filter, items: list[Item], ctx
         if store is None:
             return None
         stores.append(store)
+    if ctx.stats is not None:
+        ctx.stats.summary_lookups += 1
+    if METRICS.enabled:
+        METRICS.inc("pathsummary.hits")
+    if decide is not None and all(store.untyped for store in stores):
+        nodes = decide(stores, ctx)
+        if nodes is not None:
+            if METRICS.enabled:
+                METRICS.inc("pathsummary.column_predicates")
+            return nodes
     if len(stores) == 1:
         nodes = stores[0].nodes_for(matcher)
     else:
         nodes = []
         for store in stores:
             nodes.extend(store.nodes_for(matcher))
-    if ctx.stats is not None:
-        ctx.stats.summary_lookups += 1
-    if METRICS.enabled:
-        METRICS.inc("pathsummary.hits")
     if summary_filter is not None:
         nodes = summary_filter(nodes, ctx)
     return nodes
@@ -1193,10 +1218,67 @@ def _summary_step_test(step: ast.AxisStep):
     return None  # element()/attribute()/document-node(): generic path
 
 
+def _column_predicate(matcher, up: int, op: str, strict: bool,
+                      operand: ast.Expr):
+    """``decide(stores, ctx)``: the nodes of a summary lookup whose
+    consumed predicate is ``[rel op operand]`` (:func:`_column_plan`),
+    decided on the untyped ``stores``' columns
+    (:meth:`~repro.storage.columnar.ColumnStore.nodes_where`), or None
+    where the generic route must run: an operand that is not one atom
+    comparing with untyped values as xs:double or as strings, or a
+    value comparison that would raise.  A literal operand is promoted
+    once, here; a variable once per lookup."""
+    compare = _OPS[op]
+    if isinstance(operand, ast.Literal):
+        promoted = _column_operand([operand.value])
+        if promoted is None:
+            return None
+
+        def resolve(ctx):
+            return promoted
+    else:
+        name = operand.name
+
+        def resolve(ctx):
+            try:
+                return _column_operand(atomize(ctx.lookup(name)))
+            except XQueryError:
+                return None
+
+    def decide(stores, ctx) -> list[Node] | None:
+        promoted = resolve(ctx)
+        if promoted is None:
+            return None
+        numeric, fixed = promoted
+        guard = active_guard()
+        nodes: list[Node] = []
+        for store in stores:
+            found = store.nodes_where(matcher, up, numeric, compare,
+                                      fixed, strict, guard)
+            if found is None:
+                return None
+            nodes.extend(found)
+        return nodes
+    return decide
+
+
+def _column_operand(atoms: list[AtomicValue]) -> tuple[bool, object] | None:
+    """(numeric, promoted value) of a comparison operand against
+    untyped node values, or None unless ``atoms`` is one atom that
+    compares with them as xs:double or as a string (as an untyped atom
+    does)."""
+    if len(atoms) != 1:
+        return None
+    target = comparison_type(T_UNTYPED, atoms[0].type_name)
+    if target not in (T_DOUBLE, T_STRING, T_UNTYPED):
+        return None
+    return target == T_DOUBLE, promote(atoms[0], target)
+
+
 def _path_plan(expr: ast.PathExpr) -> tuple:
     """(steps after the initial context, summary matcher or None, steps
-    it consumes, predicates of its last step) for ``expr``, computed
-    once when the path is lowered."""
+    it consumes, predicates of its last step, column plan or None) for
+    ``expr``, computed once when the path is lowered."""
     steps: list = list(expr.steps)
     if expr.absolute == "//":
         # Keep the expansion symbolic so the path-summary fast path can
@@ -1207,12 +1289,67 @@ def _path_plan(expr: ast.PathExpr) -> tuple:
     elif not expr.absolute and isinstance(steps[0], ast.ExprStep):
         steps = steps[1:]
     pattern_steps, consumed, predicates = _compile_summary_prefix(steps)
-    matcher = None
-    if consumed:
-        from ..core.patterns import LinearPattern, PathPattern, matcher_for
-        matcher = matcher_for(
-            PathPattern((LinearPattern(tuple(pattern_steps)),)))
-    return steps, matcher, consumed, predicates
+    if not consumed:
+        return steps, None, 0, predicates, None
+    return (steps, _linear_matcher(pattern_steps), consumed, predicates,
+            _column_plan(pattern_steps, predicates))
+
+
+def _linear_matcher(pattern_steps):
+    from ..core.patterns import LinearPattern, PathPattern, matcher_for
+    return matcher_for(PathPattern((LinearPattern(tuple(pattern_steps)),)))
+
+
+def _column_plan(pattern_steps: list, predicates: list) -> tuple | None:
+    """``(matcher, up, op, strict, operand)`` — the arguments of
+    :func:`_column_predicate` — when ``predicates`` is one general or
+    value comparison of ``rel`` with a literal or a variable, ``rel``
+    being ``.`` or child and attribute name-test steps without
+    predicates that end on an element or attribute.  ``matcher``
+    matches the prefix's path followed by ``rel``, ``up`` is ``rel``'s
+    length and ``strict`` marks a value comparison."""
+    if len(predicates) != 1:
+        return None
+    predicate = predicates[0]
+    kind = type(predicate)
+    if kind is ast.GeneralComparison:
+        op = GENERAL_TO_VALUE[predicate.op]
+    elif kind is ast.ValueComparison:
+        op = predicate.op
+    else:
+        return None
+    rel, operand = predicate.left, predicate.right
+    if isinstance(rel, (ast.Literal, ast.VarRef)):
+        rel, operand, op = operand, rel, MIRRORED[op]
+    if not isinstance(operand, (ast.Literal, ast.VarRef)):
+        return None
+    rel_steps = _relative_steps(rel)
+    if rel_steps is None:
+        return None
+    steps = list(pattern_steps) + rel_steps
+    if steps[-1].test.kind not in ("element", "attribute"):
+        return None
+    return (_linear_matcher(steps), len(rel_steps), op,
+            kind is ast.ValueComparison, operand)
+
+
+def _relative_steps(rel: ast.Expr) -> list | None:
+    """``rel`` as pattern steps when it is ``.`` (none) or a relative
+    run of child and attribute name-test steps without predicates."""
+    from ..core.patterns import PatternStep
+    if isinstance(rel, ast.ContextItem):
+        return []
+    if not isinstance(rel, ast.PathExpr) or rel.absolute:
+        return None
+    steps = []
+    for step in rel.steps:
+        if not (isinstance(step, ast.AxisStep)
+                and step.axis in ("child", "attribute")
+                and isinstance(step.test, ast.NameTest)
+                and not step.predicates):
+            return None
+        steps.append(PatternStep(_summary_step_test(step)))
+    return steps
 
 
 def _compile_summary_prefix(steps) -> tuple[list, int, list]:

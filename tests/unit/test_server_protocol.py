@@ -90,7 +90,9 @@ _S = "db2-fn:xmlcolumn('S.D')"   # <r k="1"> with 200 <x>1</x>
 GUARDED_LOOPS = [
     ("for", f"for $a in {_T}//x, $b in {_T}//x return $a + $b",
      "for_clause"),
-    ("predicate", f"{_T}/r/x[. = 1]", "predicate_filter"),
+    # A sequence operand keeps the predicate off the column kernel.
+    ("predicate", f"{_T}/r/x[. = (1, 2)]", "predicate_filter"),
+    ("column-predicate", f"{_T}/r/x[. = 1]", "nodes_where"),
     ("positional-predicate", f"{_T}/r/x[1]", "predicate_filter"),
     ("axis-step", f"{_T}/r/x/parent::r", "axis_step"),
     ("expression-step", f"{_T}//x/xs:double(.)", "expr_step"),
