@@ -5,10 +5,10 @@ Three questions, answered with numbers in BENCH_results.json:
 * how much faster is a descendant-axis sweep over the (pre, post,
   level) columns than the recursive object-graph walk it replaced
   (``columnar.axis_scan_speedup`` note);
-* what does re-materializing a spilled document from its column
+* what does re-materializing an evicted document from its column
   segment cost relative to re-parsing its canonical text (the buffer
-  pool's tier-2 reload path — ``columnar.materialize_vs_reparse``
-  note);
+  pool's reload from the log, the segment adopted under the resident
+  node ids — ``columnar.materialize_vs_reparse`` note);
 * how much peak RSS does a capped buffer pool actually save on an
   ingest-and-query workload that overflows the budget
   (``bufferpool.peak_rss_reduction`` note, measured in subprocesses so
@@ -24,7 +24,7 @@ import sys
 import time
 
 from repro.storage.columnar import ColumnStore
-from repro.storage.segment import decode_document, encode_document
+from repro.storage.segment import Segment, SegmentTables
 from repro.xmlio import parse_document
 from repro.xmlio.serializer import serialize
 
@@ -88,18 +88,23 @@ def test_axis_scan_speedup_note():
         f"({speedup:.2f}x)")
 
 
-def _spilled(document) -> dict:
-    """The document's spill segment (node ids included)."""
-    return encode_document(ColumnStore.from_document(document),
-                           node_ids=True)
+def _spilled(document):
+    """What a cold document's reload reads: a function that adopts the
+    document's segment bytes (which carry no node ids) under the ids
+    its resident document keeps, as ``SegmentRef.load`` does after its
+    ``pread``."""
+    store = ColumnStore.from_document(document)
+    tables = SegmentTables()
+    data = Segment.of(store, tables).to_bytes()
+    return lambda: Segment.from_bytes(data, "bench").adopt(
+        tables, "bench", node_ids=store.node_ids)
 
 
 def test_materialize_from_columns(benchmark):
     document = _big_document()
-    segment = _spilled(document)
+    reload = _spilled(document)
 
-    rebuilt = benchmark(
-        lambda: decode_document(segment, "bench").materialize())
+    rebuilt = benchmark(lambda: reload().materialize())
     assert serialize(rebuilt) == serialize(document)
 
 
@@ -107,10 +112,9 @@ def test_materialize_vs_reparse_note():
     """The buffer pool's reload path against naive re-parsing."""
     document = _big_document()
     text = serialize(document)
-    segment = _spilled(document)
+    reload = _spilled(document)
     reparse = _median(lambda: parse_document(text))
-    materialize = _median(
-        lambda: decode_document(segment, "bench").materialize())
+    materialize = _median(lambda: reload().materialize())
     register_bench_note("columnar.materialize_vs_reparse",
                         round(reparse / materialize, 2))
 

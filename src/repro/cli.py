@@ -233,9 +233,9 @@ def _add_data_arguments(sub, required: bool = False) -> None:
     sub.add_argument("--buffer-pool-bytes", type=int, default=None,
                      metavar="N",
                      help="cap resident document memory at N bytes; "
-                          "cold documents are evicted LRU (and, with "
-                          "--data, spilled under DIR/spool) and "
-                          "re-materialized on demand (default: "
+                          "cold documents are evicted LRU (with --data "
+                          "their columns too, read back from the log) "
+                          "and re-materialized on demand (default: "
                           "unlimited, or $REPRO_BUFFER_POOL_BYTES)")
 
 

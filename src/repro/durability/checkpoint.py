@@ -15,12 +15,12 @@ in file order::
 
 A document is its column segment (:mod:`repro.storage.segment`), whose
 names and scopes index the header's shared tables; recovery adopts it
-without parsing.  Recovery reads the file with
-:func:`~repro.durability.wal.scan_wal` and replays it through the WAL's
-own apply.  Being renamed into place whole, a checkpoint has no torn
-tail: a bad frame is a :class:`~repro.errors.DurabilityError` naming
-the file, and so is a ``checkpoint.json`` (the older format, which has
-no reader).
+without parsing, and under a buffer pool the document points at it.
+Recovery reads the file with :func:`~repro.durability.wal.scan_wal`
+and replays it through the WAL's own apply.  Being renamed into place
+whole, a checkpoint has no torn tail: a bad frame is a
+:class:`~repro.errors.DurabilityError` naming the file, and so is a
+``checkpoint.json`` (the older format, which has no reader).
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .codec import (create_table_record, encode_row, insert_record,
                     relational_index_record, schema_record,
                     xml_index_record)
 from .faults import NO_FAULTS
-from .wal import MAGIC, encode_record, scan_wal
+from .wal import (MAGIC, WalScan, encode_record, point_documents,
+                  scan_wal)
 
 __all__ = ["CHECKPOINT_NAME", "CheckpointInfo", "encode_database",
            "write_checkpoint", "load_checkpoint"]
@@ -60,14 +61,16 @@ class CheckpointInfo:
     bytes_written: int
 
 
-def encode_database(database, last_lsn: int) -> list[dict]:
+def encode_database(database, last_lsn: int,
+                    documents: list | None = None) -> list[dict]:
     """The checkpoint records for the database's current state — also
-    what a process pool ships to bootstrap its workers.
+    what a process pool ships to bootstrap its workers (``documents``:
+    :func:`~repro.durability.codec.encode_row`).
 
     Caller holds the exclusive write lock (a pool: the shared one,
     which excludes writers too), so the traversal sees one consistent
-    version.  No document is materialized: each is encoded from its
-    columns."""
+    version.  No document is materialized, and none is evicted: each
+    is encoded from its ``StoredDocument.columns``."""
     tables = SegmentTables()
     records = [create_table_record(table)
                for table in database.tables.values()]
@@ -75,7 +78,8 @@ def encode_database(database, last_lsn: int) -> list[dict]:
                    for schema in database.schemas.values())
     for table in database.tables.values():
         records.extend(insert_record(database.schemas, table.name, batch)
-                       for batch in _batches(table.rows, tables))
+                       for batch in _batches(table.rows, tables,
+                                             documents))
     records.extend(xml_index_record(index)
                    for index in database.xml_indexes.values())
     records.extend(relational_index_record(index)
@@ -87,17 +91,18 @@ def encode_database(database, last_lsn: int) -> list[dict]:
     return [header, *records]
 
 
-def _batches(rows, tables: SegmentTables):
+def _batches(rows, tables: SegmentTables, documents: list | None):
     """``rows``, each encoded once (:func:`encode_row`), in consecutive
-    batches of at most ``_BATCH_BYTES`` of JSON.  A row's size is its
-    ASCII-escaped JSON, never less than the UTF-8 it is written as; a
-    record's inline schemas are left out of the count (each is written
-    once per record), and :func:`~repro.durability.wal.encode_record`
-    refuses a frame too large to read back."""
+    batches of at most ``_BATCH_BYTES``: a row counts its ASCII-escaped
+    JSON (a blob as long as it is), never less than what is written,
+    but not its record's inline schemas (each written once per record);
+    :func:`~repro.durability.wal.encode_record` refuses a frame too
+    large to read back."""
     batch, size = [], 0
     for row in rows:
-        encoded = encode_row(row, tables)
-        row_size = len(json.dumps(encoded[0], separators=(",", ":")))
+        encoded = encode_row(row, tables, documents)
+        row_size = len(json.dumps(encoded[0], separators=(",", ":"),
+                                  default=lambda blob: " " * len(blob)))
         if batch and size + row_size > _BATCH_BYTES:
             yield batch
             batch, size = [], 0
@@ -122,11 +127,13 @@ def write_checkpoint(database, directory, last_lsn: int, *,
 
     A state that cannot be framed (a record over the frame limit) is a
     :class:`~repro.errors.DurabilityError` before any byte is written,
-    so the previous checkpoint and the WAL stay as they were.
+    so the previous checkpoint and the WAL stay as they were.  After
+    the rename every document is re-pointed at the new file.
     The WAL reset that completes a checkpoint is the caller's step
     (``DurableDatabase.checkpoint``) so its crash points wrap the
     actual truncation."""
-    data = frame_records(encode_database(database, last_lsn))
+    documents = [] if database.buffer_pool.enabled else None
+    data = frame_records(encode_database(database, last_lsn, documents))
     destination = directory / CHECKPOINT_NAME
     temp = directory / (CHECKPOINT_NAME + ".tmp")
     tracer = tracer or NULL_TRACER
@@ -139,6 +146,10 @@ def write_checkpoint(database, directory, last_lsn: int, *,
         fsio.replace(temp, destination)
         fsio.fsync_dir(directory)
         faults.crash_point("checkpoint.after_rename")
+        faults.crash_point("checkpoint.before_repoint")
+        if documents:
+            point_documents(documents, fsio.ReadHandle(destination), data,
+                            0, len(MAGIC))
     if METRICS.enabled:
         METRICS.inc("checkpoint.writes")
         METRICS.inc("checkpoint.bytes_written", len(data))
@@ -148,9 +159,9 @@ def write_checkpoint(database, directory, last_lsn: int, *,
         bytes_written=len(data))
 
 
-def load_checkpoint(directory) -> list[dict] | None:
-    """The checkpoint's records, header first, or None for a fresh
-    directory.
+def load_checkpoint(directory) -> WalScan | None:
+    """The checkpoint's records, header first, with their blobs'
+    offsets, or None for a fresh directory.
 
     A leftover ``checkpoint.log.tmp`` (crash between write and
     rename) is ignorable garbage: the rename never happened, so the
@@ -168,10 +179,9 @@ def load_checkpoint(directory) -> list[dict] | None:
         raise DurabilityError(
             f"{path}: corrupt checkpoint: bad frame at byte "
             f"{scan.valid_size} of {scan.file_size}")
-    records = [record for _number, record in scan.records]
-    if not records or records[0].get("op") != "checkpoint":
+    if not scan.records or scan.records[0][1].get("op") != "checkpoint":
         raise DurabilityError(
             f"{path}: corrupt checkpoint: no header record")
     if METRICS.enabled:
         METRICS.inc("checkpoint.loads")
-    return records
+    return scan

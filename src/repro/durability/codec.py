@@ -13,8 +13,8 @@ which are tagged with single-key objects so decoding is unambiguous:
 ``{"$f": "nan" | "inf" …}``    non-finite floats (invalid JSON)
 =============================  =======================================
 
-A stored document is an object keyed ``$seg`` and ``$text``: its column
-segment (:func:`repro.storage.segment.encode_document`).
+A stored document is ``{"$seg": bytes}``: its column segment
+(:func:`repro.storage.segment.encode_document`), raw in the frame.
 Plain strings never collide with tags (tags are objects), and finite
 floats/ints/bools/None pass through as JSON scalars.  Decoded scalars
 re-enter the engine through ``Table.new_row``'s ``coerce_to_type``,
@@ -29,7 +29,7 @@ import math
 
 from ..errors import DurabilityError
 from ..schema.schema import Schema, TypeDeclaration
-from ..storage.segment import encode_document
+from ..storage.segment import SegmentTables, encode_document
 from ..storage.table import StoredDocument
 
 __all__ = ["encode_value", "decode_value", "encode_schema",
@@ -119,16 +119,20 @@ def relational_index_record(index) -> dict:
             "table": index.table, "column": index.column}
 
 
-def encode_row(row, tables=None) -> tuple[dict, dict]:
+def encode_row(row, tables: SegmentTables,
+               documents: list | None = None) -> tuple[dict, dict]:
     """One row for :func:`insert_record`: its values encoded (each
-    document read once, as a column segment with its own name and
-    scope tables, or indexing the shared ``tables``, a checkpoint's)
-    and, by column, the schema object that validated each document."""
+    document read once, as a column segment indexing ``tables``, the
+    record's or a checkpoint's) and, by column, the schema object that
+    validated each document; ``documents`` gets a (document, tables)
+    pair per segment, in order (see ``WriteAheadLog.append``)."""
     values: dict[str, object] = {}
     validated: dict[str, Schema] = {}
     for column, value in row.values.items():
         if isinstance(value, StoredDocument):
             values[column] = encode_document(value.columns, tables)
+            if documents is not None:
+                documents.append((value, tables))
             if value.schema is not None:
                 validated[column] = value.schema
         else:
@@ -136,10 +140,12 @@ def encode_row(row, tables=None) -> tuple[dict, dict]:
     return values, validated
 
 
-def insert_record(schemas: dict, table: str, rows) -> dict:
+def insert_record(schemas: dict, table: str, rows,
+                  tables: SegmentTables | None = None) -> dict:
     """The record that inserts ``rows`` (:func:`encode_row` pairs) into
     ``table``, in order (the WAL logs one row per record, a checkpoint
-    a batch).  A validated document names its schema as ``{"$ref":
+    a batch; a WAL record carries the ``tables`` its segments index).
+    A validated document names its schema as ``{"$ref":
     name}`` only while that very schema is the one ``schemas``
     registers under its name; otherwise as ``{"$inline": i}``, the
     record's ``inline`` list embedding each such schema once, so a
@@ -160,6 +166,8 @@ def insert_record(schemas: dict, table: str, rows) -> dict:
         references.append(entry)
     record = {"op": "insert", "table": table,
               "rows": [values for values, _validated in rows]}
+    if tables is not None:
+        record["names"], record["scopes"] = tables.to_json()
     if any(references):
         record["schemas"] = references
     if inline:

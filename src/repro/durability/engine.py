@@ -24,7 +24,8 @@ log (its fsync) keeps the row, which replay restores.
 An insert record holds each document as its column segment, encoded
 from the columns the insert parsed, so no tree is built to log it, and
 names a validating schema by reference only while it is the registered
-one (:func:`~repro.durability.codec.insert_record`).
+one (:func:`~repro.durability.codec.insert_record`); under a buffer
+pool, once its frame is written, the document points at it there.
 
 Once a group write or fsync has failed the log
 (:class:`~repro.durability.wal.WriteAheadLog`), memory may hold rows
@@ -49,6 +50,7 @@ import pathlib
 from ..analysis import sanitizer as _sanitizer
 from ..schema.schema import Schema
 from ..storage.catalog import Database
+from ..storage.segment import SegmentTables
 from ..storage.table import Row, Table
 from . import fsio
 from .checkpoint import CheckpointInfo, write_checkpoint
@@ -75,24 +77,10 @@ class DurableDatabase(Database):
                  group_size: int = 256, index_order: int = 64,
                  buffer_pool_bytes: int | None = None,
                  faults=NO_FAULTS, verify: bool = False, tracer=None):
-        # With a byte budget the pool spills evicted documents' columns
-        # under the data directory ("spool/"); the files are pure cache
-        # (checkpoint + WAL stay authoritative), so recovery ignores
-        # them.  The pool deletes a file when its document is discarded
-        # and close() clears the rest; open purges whatever a crash
-        # left behind.
         super().__init__(index_order=index_order,
-                         buffer_pool_bytes=buffer_pool_bytes,
-                         buffer_pool_spill_dir=pathlib.Path(directory)
-                         / "spool")
+                         buffer_pool_bytes=buffer_pool_bytes)
         self.directory = pathlib.Path(directory)
         fsio.ensure_dir(self.directory)
-        # Purge spill files left by a previous process life (crash, or
-        # a close that never got to run): doc_ids restart at 1 in every
-        # process, so a stale doc-<id>.cols could alias a document this
-        # incarnation is about to spill.  They are pure cache; deleting
-        # them costs only a re-materialization.
-        self._purge_spool()
         self._faults = faults
         self._replaying = True
         try:
@@ -174,9 +162,13 @@ class DurableDatabase(Database):
                 return row
             table_obj = self.table(table)
             last_lsn = self._wal.last_lsn
+            tables = SegmentTables()
+            documents = [] if self.buffer_pool.enabled else None
             try:
-                self._log(insert_record(self.schemas, table_obj.name,
-                                        [encode_row(row)]))
+                self._log(insert_record(
+                    self.schemas, table_obj.name,
+                    [encode_row(row, tables, documents)], tables),
+                    documents)
             except CrashError:
                 raise
             # sa: ok(SA408: an insert whose record is not logged must not
@@ -266,17 +258,6 @@ class DurableDatabase(Database):
     def close(self) -> None:
         with self._rwlock.write():
             self._wal.close()
-        self.buffer_pool.close()
-
-    def _purge_spool(self) -> None:
-        spool = self.directory / "spool"
-        if not spool.is_dir():
-            return
-        for path in spool.glob("doc-*.cols"):
-            try:
-                fsio.remove(path)
-            except FileNotFoundError:
-                pass
 
     def __enter__(self) -> "DurableDatabase":
         return self
@@ -299,10 +280,10 @@ class DurableDatabase(Database):
     # sa: ok(SA403: WAL append fsyncs inside the writer section BY
     # DESIGN — the write lock is what serializes the log with the
     # in-memory mutation it describes; see the class docstring)
-    def _log(self, record: dict) -> None:
+    def _log(self, record: dict, documents=None) -> None:
         if self._replaying:
             return
-        lsn = self._wal.append(record)
+        lsn = self._wal.append(record, documents)
         if _sanitizer.ACTIVE is not None:
             # Append order == apply order only while the exclusive
             # lock spans both; the sanitizer checks exactly that.

@@ -37,11 +37,12 @@ FAULT_POINTS = (
     # written+fsynced, then renamed over the old log.
     "wal.reset.before_rename",
     "wal.reset.after_rename",
-    # Checkpoint: temp write → fsync → rename → dir fsync → WAL reset.
+    # Checkpoint: temp write → fsync → rename → re-point → WAL reset.
     "checkpoint.before_tmp_fsync",
     "checkpoint.after_tmp_fsync",
     "checkpoint.before_rename",
     "checkpoint.after_rename",
+    "checkpoint.before_repoint",
     "checkpoint.before_wal_reset",
     "checkpoint.after_wal_reset",
     # Online index build (repro.storage.catalog.create_xml_index_online):

@@ -26,7 +26,7 @@ import pathlib
 __all__ = [
     "ensure_dir", "exists", "file_size", "read_bytes", "write_bytes",
     "open_append", "fsync_file", "fsync_path", "fsync_dir", "replace",
-    "truncate", "remove",
+    "truncate", "ReadHandle",
 ]
 
 
@@ -94,9 +94,23 @@ def truncate(path, size: int) -> None:
     os.truncate(os.fspath(path), size)
 
 
-def remove(path) -> None:
-    os.unlink(os.fspath(path))
-
-
 def parent_dir(path) -> pathlib.Path:
     return pathlib.Path(os.fspath(path)).resolve().parent
+
+
+class ReadHandle:
+    """A read-only descriptor for ``pread``; it keeps reading its file
+    after a rename over the path, until its last holder lets go."""
+
+    __slots__ = ("path", "_descriptor")
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+        self._descriptor = os.open(self.path, os.O_RDONLY)
+
+    def pread(self, offset: int, length: int) -> bytes:
+        return os.pread(self._descriptor, length, offset)
+
+    def __del__(self):
+        if hasattr(self, "_descriptor"):  # the open may have failed
+            os.close(self._descriptor)

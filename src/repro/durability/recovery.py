@@ -18,7 +18,8 @@ already-present/already-absent targets.
 
 Documents are *adopted* from their column segments
 (:mod:`repro.storage.segment`), never parsed, and no tree is built
-until a read asks for one — except for schema-validated documents,
+until a read asks for one (under a buffer pool each points at its
+segment in the file it came from) — except for schema-validated documents,
 re-validated against the schema their record names (``{"$ref":
 name}``: registered under that name at that point of the replay) or
 embeds (``{"$inline": i}``: the record's ``inline`` list).
@@ -43,7 +44,7 @@ from ..storage.table import StoredDocument
 from ..xmlio.parser import parse_columns
 from ..xmlio.serializer import serialize
 from . import fsio
-from .checkpoint import load_checkpoint
+from .checkpoint import CHECKPOINT_NAME, load_checkpoint
 from .codec import decode_schema, decode_value
 from .wal import WAL_NAME, scan_wal
 
@@ -114,11 +115,17 @@ def recover(database, directory, *, verify: bool = False,
     report = VerifyReport() if verify else None
     wal_path = directory / WAL_NAME
     with tracer.span("recovery", directory=str(directory)):
+        pooled = database.buffer_pool.enabled
         with tracer.span("recovery.checkpoint"):
-            records = load_checkpoint(directory)
-            checkpoint_lsn = records[0]["last_lsn"] if records else 0
-            if records is not None:
-                apply_checkpoint_state(database, records)
+            checkpoint = load_checkpoint(directory)
+            checkpoint_lsn = 0
+            if checkpoint is not None:
+                records = [record for _number, record in checkpoint.records]
+                checkpoint_lsn = records[0]["last_lsn"]
+                reader = (fsio.ReadHandle(directory / CHECKPOINT_NAME)
+                          if pooled else None)
+                apply_checkpoint_state(database, records, reader,
+                                       checkpoint.blob_offsets)
         scan = scan_wal(wal_path)
         if scan.torn_bytes:
             # Torn-tail repair: drop the partial final frame so later
@@ -128,13 +135,16 @@ def recover(database, directory, *, verify: bool = False,
             if METRICS.enabled:
                 METRICS.inc("wal.torn_bytes_truncated", scan.torn_bytes)
         replayed = skipped = 0
+        reader = (fsio.ReadHandle(wal_path) if pooled and scan.records
+                  else None)
         with tracer.span("recovery.wal", records=len(scan.records),
                          torn_bytes=scan.torn_bytes):
-            for lsn, record in scan.records:
+            for (lsn, record), offsets in zip(scan.records,
+                                              scan.blob_offsets):
                 if lsn <= checkpoint_lsn:
                     skipped += 1
                     continue
-                apply_wal_record(database, record, lsn)
+                apply_wal_record(database, record, lsn, reader, offsets)
                 replayed += 1
         if report is not None:
             _verify_round_trips(database, report)
@@ -210,27 +220,32 @@ def _slots(store) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def apply_checkpoint_state(database, records: list[dict]) -> None:
+def apply_checkpoint_state(database, records: list[dict], file=None,
+                           blob_offsets=None) -> None:
     """Load a checkpoint's records (:func:`load_checkpoint`, or the
-    list a process pool ships its workers) into a fresh database."""
+    list a process pool ships its workers) into a fresh database;
+    ``file`` and ``blob_offsets`` as for :func:`_insert`."""
     header = records[0]
     database.index_order = header["index_order"]
     tables = SegmentTables.from_json(header["names"], header["scopes"],
                                      "checkpoint")
-    for record in records[1:]:
-        _apply(database, record, "checkpoint", tables)
+    for index, record in enumerate(records[1:], 1):
+        _apply(database, record, "checkpoint", tables, file,
+               blob_offsets[index] if file is not None else ())
 
 
-def apply_wal_record(database, record: dict, lsn: int = 0) -> None:
+def apply_wal_record(database, record: dict, lsn: int = 0, file=None,
+                     blob_offsets=()) -> None:
     """Apply one logical WAL record — the replay step of recovery."""
-    _apply(database, record, f"WAL record {lsn}: insert into")
+    _apply(database, record, f"WAL record {lsn}: insert into", None, file,
+           blob_offsets)
 
 
 def _apply(database, record: dict, where: str,
-           tables: SegmentTables | None = None) -> None:
+           tables: SegmentTables | None, file, blob_offsets) -> None:
     """Apply one record, idempotently for DDL.  An insert's documents
-    use the shared ``tables`` (a checkpoint's) when they carry none;
-    errors in it name ``where``, its table and row."""
+    index the shared ``tables`` (a checkpoint's) or, without them, the
+    record's own; errors in it name ``where``, its table and row."""
     op = record.get("op")
     if op == "create_table":
         if record["name"] not in database.tables:
@@ -257,7 +272,7 @@ def _apply(database, record: dict, where: str,
                 or record["name"] in database.rel_indexes):
             database.drop_index(record["name"])
     elif op == "insert":
-        _insert(database, record, where, tables)
+        _insert(database, record, where, tables, file, blob_offsets)
     elif op == "delete_rows":
         database._delete_positions(record["table"], record["positions"])
     else:
@@ -265,26 +280,36 @@ def _apply(database, record: dict, where: str,
 
 
 def _insert(database, record: dict, where: str,
-            tables: SegmentTables | None) -> None:
+            tables: SegmentTables | None, file, blob_offsets) -> None:
     """Insert the record's rows, one by one: scalars decoded,
     documents adopted from their segments and re-validated against the
-    schemas the record names or embeds (each decoded once)."""
+    schemas the record names or embeds (each decoded once), and with
+    ``file`` pointed at their segments, at ``blob_offsets`` in order."""
     table = record["table"]
+    if tables is None:
+        tables = SegmentTables.from_json(record.get("names", ()),
+                                         record.get("scopes", ()), where)
     validated_rows = record.get("schemas") or [{}] * len(record["rows"])
     inline = [decode_schema(obj) for obj in record.get("inline", ())]
+    offsets = iter(blob_offsets)
     for values, validated in zip(record["rows"], validated_rows):
         row_where = f"{where} {table} row {len(database.table(table).rows)}"
         decoded: dict[str, object] = {}
+        document_columns = []
         for column, encoded in values.items():
             if isinstance(encoded, dict) and "$seg" in encoded:
                 decoded[column] = decode_document(
                     encoded, f"{row_where} column {column}", tables)
+                document_columns.append(column)
             else:
                 decoded[column] = decode_value(encoded)
         schemas = {column: (_resolve_schema(database, entry["$ref"])
                             if "$ref" in entry else inline[entry["$inline"]])
                    for column, entry in validated.items()}
-        database.insert(table, decoded, schemas or None)
+        row = database.insert(table, decoded, schemas or None)
+        for column in document_columns if file is not None else ():
+            row.values[column].point_at(file, next(offsets),
+                                        len(values[column]["$seg"]), tables)
 
 
 def _resolve_schema(database, name: str) -> Schema:

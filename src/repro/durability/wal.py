@@ -2,15 +2,19 @@
 
 File layout::
 
-    REPROWAL3\\n                      10-byte magic
+    REPROWAL4\\n                      10-byte magic
     <lsn:u32><length:u32><crc:u32>   per-record frame header (LE)
-    <payload: length bytes>          UTF-8 JSON of one logical record
+    <payload: length bytes>          one logical record:
+      <json length:u32><json>        its UTF-8 JSON header
+      (<blob length:u32><blob>)*     its byte strings, raw
 
 Records are built by :mod:`repro.durability.codec`; an insert record
-holds each document as a column segment with its own name and scope
-tables, so replay adopts it without parsing.  ``REPROWAL1`` (XML text)
-and ``REPROWAL2`` (an insert's one row as ``values``) logs have no
-reader: opening one is a :class:`~repro.errors.DurabilityError`.
+holds each document as a column segment (``bytes``: a blob, ``{"$blob":
+i}`` in the JSON) indexing the record's own name and scope tables, so
+replay adopts it without parsing and the buffer pool can read it back.
+``REPROWAL1`` (XML text), ``REPROWAL2`` (an insert's one row as
+``values``) and ``REPROWAL3`` (segments as text inside JSON) logs have
+no reader: opening one is a :class:`~repro.errors.DurabilityError`.
 
 The log is *logical* (operation-level), mirroring how the engine's
 writers are already atomic critical sections: one committed writer call
@@ -65,24 +69,32 @@ from . import fsio
 from .faults import NO_FAULTS
 
 __all__ = ["WAL_NAME", "WriteAheadLog", "WalScan", "scan_wal",
-           "encode_record"]
+           "encode_record", "point_documents"]
 
 WAL_NAME = "wal.log"
-MAGIC = b"REPROWAL3\n"
+MAGIC = b"REPROWAL4\n"
 _FRAME = struct.Struct("<III")  # lsn, payload length, crc32
+_LENGTH = struct.Struct("<I")   # a payload's JSON or blob length
 _MAX_RECORD = 64 * 1024 * 1024
 
 
-def _crc(lsn: int, payload: bytes) -> int:
-    return zlib.crc32(struct.pack("<I", lsn) + payload)
+def _crc(lsn: int, payload) -> int:
+    return zlib.crc32(payload, zlib.crc32(_LENGTH.pack(lsn)))
 
 
 def encode_record(lsn: int, record: dict) -> bytes:
-    """``record``'s frame; a payload :func:`scan_wal` would not read
-    back (over ``_MAX_RECORD``) is a
+    """``record``'s frame, its ``bytes`` values as blobs; a payload
+    :func:`scan_wal` would not read back (over ``_MAX_RECORD``) is a
     :class:`~repro.errors.DurabilityError` instead."""
-    payload = json.dumps(record, separators=(",", ":"),
-                         ensure_ascii=False).encode("utf-8")
+    blobs: list[bytes] = []  # each blob after its length
+
+    def lift(blob: bytes) -> dict:
+        blobs.extend((_LENGTH.pack(len(blob)), blob))
+        return {"$blob": len(blobs) // 2 - 1}
+
+    header = json.dumps(record, separators=(",", ":"), ensure_ascii=False,
+                        default=lift).encode("utf-8")
+    payload = b"".join([_LENGTH.pack(len(header)), header, *blobs])
     if len(payload) > _MAX_RECORD:
         raise DurabilityError(
             f"a {record.get('op')!r} record of {len(payload)} bytes is "
@@ -90,11 +102,42 @@ def encode_record(lsn: int, record: dict) -> bytes:
     return _FRAME.pack(lsn, len(payload), _crc(lsn, payload)) + payload
 
 
+def point_documents(documents, file, frames: bytes, base: int,
+                    start: int = 0) -> None:
+    """Point each (stored document, tables) pair at its segment, the
+    blobs of the frames in ``frames[start:]`` in order (``frames`` sits
+    at byte ``base`` of ``file``)."""
+    spans = []
+    while start < len(frames):
+        end = start + _FRAME.size + _FRAME.unpack_from(frames, start)[1]
+        spans += _blob_spans(frames, start + _FRAME.size, end)[1]
+        start = end
+    for (stored, tables), (offset, length) in zip(documents, spans):
+        stored.point_at(file, base + offset, length, tables)
+
+
+def _blob_spans(data, start: int, end: int) -> tuple[int, list]:
+    """Where the JSON of the payload at ``data[start:end]`` ends, and
+    the (offset, length) of each blob after it."""
+    at = json_end = (start + _LENGTH.size
+                     + _LENGTH.unpack_from(data, start)[0])
+    spans = []
+    while at < end:
+        length = _LENGTH.unpack_from(data, at)[0]
+        spans.append((at + _LENGTH.size, length))
+        at += _LENGTH.size + length
+    if at != end:
+        raise ValueError("a payload's blobs do not end where it does")
+    return json_end, spans
+
+
 @dataclass
 class WalScan:
     """The readable prefix of a WAL file."""
 
     records: list[tuple[int, dict]] = field(default_factory=list)
+    #: Per record, the file offset of each of its blobs, in order.
+    blob_offsets: list[list[int]] = field(default_factory=list)
     #: Byte size of the valid prefix (magic + whole records).
     valid_size: int = 0
     #: Actual file size; > valid_size means a torn/corrupt tail.
@@ -136,21 +179,27 @@ def scan_wal(path) -> WalScan:
         lsn, length, crc = _FRAME.unpack_from(data, offset)
         if length > _MAX_RECORD:
             break
-        end = offset + _FRAME.size + length
+        start = offset + _FRAME.size
+        end = start + length
         if end > len(data):
             break
-        payload = data[offset + _FRAME.size:end]
-        if _crc(lsn, payload) != crc:
+        if _crc(lsn, data[start:end]) != crc:
             break
         if previous_lsn and lsn <= previous_lsn:
             raise DurabilityError(
                 f"{path}: LSN order violated at byte {offset}: "
                 f"{lsn} after {previous_lsn}")
         try:
-            record = json.loads(payload.decode("utf-8"))
-        except ValueError:
+            json_end, spans = _blob_spans(data, start, end)
+            blobs = [data[at:at + length] for at, length in spans]
+            record = json.loads(
+                data[start + _LENGTH.size:json_end],
+                object_hook=lambda value: (blobs[value["$blob"]]
+                                           if "$blob" in value else value))
+        except (ValueError, LookupError, TypeError, struct.error):
             break
         scan.records.append((lsn, record))
+        scan.blob_offsets.append([at for at, _length in spans])
         scan.last_record_start = offset
         previous_lsn = lsn
         offset = end
@@ -188,7 +237,8 @@ class WriteAheadLog:
         self._written_size = fsio.file_size(path)
         self._synced_size = self._written_size
         self._next_lsn = start_lsn + 1
-        self._pending: list[bytes] = []
+        self._pending: list[tuple[bytes, list | None]] = []
+        self._reader = fsio.ReadHandle(path)  # what documents point at
         #: The error that failed the log; None while it is usable.
         self._failure: BaseException | None = None
 
@@ -205,7 +255,7 @@ class WriteAheadLog:
 
     # -- appending ------------------------------------------------------
 
-    def append(self, record: dict) -> int:
+    def append(self, record: dict, documents=None) -> int:
         """Append one logical record; returns its LSN.
 
         Durability on return depends on the fsync policy; callers that
@@ -213,12 +263,15 @@ class WriteAheadLog:
         :meth:`sync`.  If it raises before the record is written or
         buffered, :attr:`last_lsn` is unchanged: the record is not in
         the log and its LSN goes to the next append.
+
+        ``documents`` (:func:`point_documents`) are pointed at their
+        segments once the frame is written, not while it is pending.
         """
         self.raise_if_failed()
         lsn = self._next_lsn
         data = encode_record(lsn, record)
         self._next_lsn += 1
-        self._pending.append(data)
+        self._pending.append((data, documents))
         if (self.fsync_policy != "batch"
                 or len(self._pending) >= self.group_size):
             self._write_pending(self.fsync_policy != "off", appending=lsn)
@@ -263,11 +316,10 @@ class WriteAheadLog:
         again.  (After a torn frame, the next record would be cut off
         with the torn tail.)"""
         alone = appending > 0 and len(self._pending) == 1
-        data = b"".join(self._pending)
-        self._pending.clear()
+        pending, self._pending = self._pending, []
         written = self._written_size
         try:
-            self._write_group(data, sync)
+            self._write_group(b"".join(frame for frame, _ in pending), sync)
         except BaseException as error:
             if (alone and self._written_size == written
                     and self._size_on_disk_is(written)):
@@ -275,6 +327,10 @@ class WriteAheadLog:
             else:
                 self._failure = error
             raise
+        for frame, documents in pending:
+            if documents:
+                point_documents(documents, self._reader, frame, written)
+            written += len(frame)
 
     def _size_on_disk_is(self, size: int) -> bool:
         """Whether the file still holds ``size`` bytes; a size that
@@ -337,6 +393,7 @@ class WriteAheadLog:
             # crash: tests recover the directory with a new instance,
             # but this one must close cleanly.
             self._handle = fsio.open_append(self.path)
+            self._reader = fsio.ReadHandle(self.path)  # the old one stays
             self._written_size = fsio.file_size(self.path)
             self._synced_size = self._written_size
         self._next_lsn = last_lsn + 1

@@ -27,8 +27,8 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``bufferpool.hits``               accesses that found the tree resident
 ``bufferpool.misses``             accesses that had to re-materialize
 ``bufferpool.evictions``          documents evicted by the LRU budget
-``bufferpool.spills``             column segments written to spool files
-``bufferpool.loads``              column segments read back from spool
+``bufferpool.loads``              column segments read back from the
+                                  log (a cold document's columns)
 ``bufferpool.resident_bytes``     (gauge) bytes charged against the
                                   buffer-pool budget
 ``columnar.materializations``     XDM trees built from column stores
@@ -76,8 +76,6 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
                                   as the server observed it
 ``parallel.workers_demoted``      pool workers forcibly reaped (hung,
                                   EOF, or send failure)
-``bufferpool.spill_deletes``      spool files deleted when their
-                                  document was discarded
 ``sanitizer.violations``          total runtime-sanitizer findings
                                   (``REPRO_SANITIZE=1``; always 0 in a
                                   healthy run)

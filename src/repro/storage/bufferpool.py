@@ -15,19 +15,17 @@ tree.
   columns stay resident, and charged, and the next access
   re-materializes from them (same ``node_id`` for every node, so index
   postings and document-order keys survive).  Columns alone free
-  nothing at tier 1, so they are never its victims.
-* **Tier 2 (spill directory set):** eviction also writes the columns
-  as one segment with their node ids (:mod:`repro.storage.segment`) to
-  ``<spill_dir>/doc-<id>.cols`` through the durability layer's
-  :mod:`~repro.durability.fsio` helpers and drops them; the next access
-  adopts the segment again.  Spill files are pure cache — the
-  authoritative copy is the checkpoint + WAL — so they are written
-  without fsync and never read unless this pool wrote them first.
-
-Structural reads (``StoredDocument.columns``: path tables for the
-planner and static analysis) never re-materialize: at tier 1 they read
-the resident columns, at tier 2 :meth:`BufferPool.load_columns` reads
-the spill back and charges only the columns.
+  nothing at tier 1, so they are never its victims.  A plain
+  ``Database`` has only this tier.
+* **The log (a durable database):** a document whose segment sits in a
+  written frame of ``checkpoint.log`` or ``wal.log`` points at it
+  (:class:`~repro.storage.segment.SegmentRef`); eviction drops its
+  columns too, and the next access reads them back with one ``pread``
+  (:meth:`BufferPool.read_back`) under the node ids it kept.  A record
+  pending in a group-commit batch has no pointer yet.  Passes over
+  documents that need no tree (``StoredDocument.columns``: index
+  builds, a checkpoint, a pool bootstrap) read cold columns without
+  keeping or charging them, so they evict nothing.
 
 A stored tree is numbered and so never changes: dropping it loses
 nothing its columns do not hold.
@@ -38,23 +36,17 @@ un-pooled engine's performance exactly.
 
 Observability (``bufferpool.*`` in :mod:`repro.obs.metrics`):
 ``hits`` (accesses finding a live tree), ``misses`` (accesses that had
-to materialize one), ``evictions``, ``spills`` / ``loads`` /
-``spill_deletes`` (tier-2 writes / reads / removals), and the
-``resident_bytes`` gauge.  Spill files are deleted when their document
-is discarded (row deleted, table dropped) and when the pool is closed
-— an orphaned spill file both leaks disk and, because doc_ids restart
-with every process, could alias a future document.
+to materialize one), ``evictions``, ``loads`` (segments read back from
+the log), and the ``resident_bytes`` gauge.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 
 from ..obs.metrics import METRICS
 from .columnar import ColumnStore
-from .segment import decode_document, encode_document
 
 __all__ = ["BufferPool"]
 
@@ -67,23 +59,13 @@ class BufferPool:
     RWLock, so it may be entered from either side of that lock.
     """
 
-    def __init__(self, budget_bytes: int | None = None,
-                 spill_dir=None):
+    def __init__(self, budget_bytes: int | None = None):
         self.budget_bytes = budget_bytes
-        self.spill_dir = spill_dir
         self._lock = threading.Lock()
         #: doc_id -> StoredDocument, least-recently used first.
         self._lru: "OrderedDict[int, object]" = OrderedDict()
         self._charged: dict[int, int] = {}
-        #: doc_ids with a spill file on disk.  Spill files are pure
-        #: cache, but they must be *deleted* when their document leaves
-        #: the pool: doc_ids are process-local counters, so an orphan
-        #: from a dead document can collide with a future document's id
-        #: and be read back as its (stale) columns — besides leaking
-        #: disk for every deleted row.
-        self._spilled: set[int] = set()
         self.resident_bytes = 0
-        self._spill_ready = False
 
     @property
     def enabled(self) -> bool:
@@ -109,39 +91,23 @@ class BufferPool:
             self._publish_gauge()
 
     def discard(self, stored) -> None:
-        """Forget a deleted document (its rows left the table): drop
-        its pool entry *and* its spill file, if one was written."""
+        """Forget a deleted document (its rows left the table); a
+        resident one drops its log pointer, a cold one keeps it for the
+        snapshots pinned before the delete."""
         if not self.enabled:
             return
         with self._lock:
             self._lru.pop(stored.doc_id, None)
             self.resident_bytes -= self._charged.pop(stored.doc_id, 0)
-            self._remove_spill(stored.doc_id)
+            if stored._store is not None:
+                stored._cold = None
             self._publish_gauge()
 
-    def close(self) -> None:
-        """Discard the pool's on-disk cache: every spill file this
-        pool wrote is removed.  The database owning the pool calls
-        this on shutdown; spill files never outlive their pool
-        (doc_ids restart per process, so a survivor could alias a
-        future document)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            for doc_id in list(self._spilled):
-                self._remove_spill(doc_id)
-
     def release(self, stored) -> None:
-        """A bulk scan (index build) is done with this document.
-
-        Scan-resistance for index builds: a build touches every
-        document exactly once, so letting each one ride the LRU both
-        blows past the budget transiently (the previous scan document
-        is still charged when the next one loads) and evicts the whole
-        pre-build working set.  Builders call this after finishing a
-        document; when the pool is over budget the *scanned* document
-        is evicted immediately instead of a colder — but hotter in
-        truth — working-set entry."""
+        """An index build is done with this document: when the pool is
+        over budget, evict it rather than a working-set entry (a build
+        loads the tree of each schema-validated document, whose typed
+        keys live on the nodes, and touches it once)."""
         if not self.enabled:
             return
         with self._lock:
@@ -161,8 +127,8 @@ class BufferPool:
                     METRICS.inc("bufferpool.hits")
 
     def load(self, stored):
-        """Materialize a document's tree (reading the spill file first
-        when the columns themselves were dropped), then evict colder
+        """Materialize a document's tree (reading its segment back from
+        the log first when its columns were evicted), then evict colder
         documents to stay within budget."""
         with self._lock:
             document = stored._document
@@ -174,31 +140,23 @@ class BufferPool:
                 return document
             if METRICS.enabled:
                 METRICS.inc("bufferpool.misses")
-            document = self._columns_of(stored).materialize(stored.schema)
+            store = stored._store
+            if store is None:
+                store = stored._store = self.read_back(stored)
+            document = store.materialize(stored.schema)
             stored._document = document
             self._charge(stored)
             self._evict_to_fit(keep=stored)
             self._publish_gauge()
             return document
 
-    def load_columns(self, stored) -> ColumnStore:
-        """The first half of :meth:`load`: bring a spilled document's
-        columns back and charge them, without materializing a tree
-        (structural reads — path tables — need no nodes)."""
-        with self._lock:
-            store = self._columns_of(stored)
-            self._charge(stored)
-            self._evict_to_fit(keep=stored)
-            self._publish_gauge()
-            return store
-
-    def _columns_of(self, stored) -> ColumnStore:
-        """The document's columns, read from its spill file when a
-        tier-2 eviction dropped them (lock held)."""
-        store = stored._store
-        if store is None:
-            store = stored._store = self._read_spill(stored.doc_id)
-        return store
+    @staticmethod
+    def read_back(stored) -> ColumnStore:
+        """A cold document's columns, read back from the log; keeping
+        and charging them is the caller's choice."""
+        if METRICS.enabled:
+            METRICS.inc("bufferpool.loads")
+        return stored._cold.load()
 
     # ------------------------------------------------------------------
     # Eviction (lock held)
@@ -233,21 +191,21 @@ class BufferPool:
                 return
             self._evict(victim)
 
-    def _frees_bytes(self, stored) -> bool:
-        """Whether evicting ``stored`` frees its tree or, at tier 2,
-        its resident columns."""
+    @staticmethod
+    def _frees_bytes(stored) -> bool:
+        """Whether evicting ``stored`` frees its tree or, once its
+        segment sits in the log, its resident columns."""
         return (stored._document is not None
-                or self.spill_dir is not None and stored._store is not None)
+                or stored._cold is not None and stored._store is not None)
 
     def _evict(self, stored) -> None:
-        """Drop the tree and, at tier 2, spill the columns; the charge
-        shrinks by what left memory."""
+        """Drop the tree and, for a document the log holds, the columns;
+        the charge shrinks by what left memory."""
         store = stored._store
         if stored._document is not None:
             store.detach()
             stored._document = None
-        if self.spill_dir is not None and store is not None:
-            self._write_spill(stored.doc_id, store)
+        if stored._cold is not None:
             stored._store = None
         if METRICS.enabled:
             METRICS.inc("bufferpool.evictions")
@@ -260,48 +218,3 @@ class BufferPool:
         if METRICS.enabled:
             METRICS.set_gauge("bufferpool.resident_bytes",
                               self.resident_bytes)
-
-    # ------------------------------------------------------------------
-    # Tier-2 spill files
-    # ------------------------------------------------------------------
-    # fsio is imported lazily: the storage layer must stay importable
-    # without dragging in durability, and only tier-2 pools touch disk.
-
-    def _spill_path(self, doc_id: int) -> str:
-        import os
-        return os.path.join(os.fspath(self.spill_dir),
-                            f"doc-{doc_id}.cols")
-
-    def _write_spill(self, doc_id: int, store: ColumnStore) -> None:
-        from ..durability import fsio
-        if not self._spill_ready:
-            fsio.ensure_dir(self.spill_dir)
-            self._spill_ready = True
-        payload = json.dumps(encode_document(store, node_ids=True),
-                             separators=(",", ":"),
-                             ensure_ascii=False).encode("utf-8")
-        fsio.write_bytes(self._spill_path(doc_id), payload)
-        self._spilled.add(doc_id)
-        if METRICS.enabled:
-            METRICS.inc("bufferpool.spills")
-
-    def _remove_spill(self, doc_id: int) -> None:
-        """Delete one spill file (lock held; no-op when never spilled)."""
-        if doc_id not in self._spilled:
-            return
-        import os
-        self._spilled.discard(doc_id)
-        try:
-            os.remove(self._spill_path(doc_id))
-        except FileNotFoundError:
-            pass
-        if METRICS.enabled:
-            METRICS.inc("bufferpool.spill_deletes")
-
-    def _read_spill(self, doc_id: int) -> ColumnStore:
-        from ..durability import fsio
-        path = self._spill_path(doc_id)
-        payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-        if METRICS.enabled:
-            METRICS.inc("bufferpool.loads")
-        return decode_document(payload, f"spill file {path}")

@@ -67,8 +67,7 @@ class Database(ReadView):
     """An in-memory XML database in the mould of DB2 Viper."""
 
     def __init__(self, index_order: int = 64,
-                 buffer_pool_bytes: int | None = None,
-                 buffer_pool_spill_dir=None):
+                 buffer_pool_bytes: int | None = None):
         self.index_order = index_order
         self.tables: dict[str, Table] = {}
         self.xml_indexes: dict[str, XmlIndex] = {}
@@ -87,8 +86,7 @@ class Database(ReadView):
         #: Byte-budgeted LRU over materialized documents; budget None
         #: (the default) leaves it fully inactive — documents are then
         #: never registered and never evicted.
-        self.buffer_pool = BufferPool(buffer_pool_bytes,
-                                      spill_dir=buffer_pool_spill_dir)
+        self.buffer_pool = BufferPool(buffer_pool_bytes)
         #: Workload profiler installed by :meth:`autopilot` (None keeps
         #: the query path's observation hook a no-op attribute read).
         self.workload_profiler = None
@@ -131,7 +129,7 @@ class Database(ReadView):
             del tables[table.name]
             self.tables = tables
             # The rows leave with the table, so their documents leave
-            # the buffer pool — and their spill files leave the disk.
+            # the buffer pool.
             for row in table.rows:
                 for value in row.values.values():
                     if isinstance(value, StoredDocument):
@@ -157,12 +155,8 @@ class Database(ReadView):
                     f"{table}.{column} is not an XML column")
             index = XmlIndex(key, table_obj.name, column.lower(), pattern,
                              index_type, order=self.index_order)
-            # Build: index existing documents, from their columns.  Each
-            # document is released back to the buffer pool as soon as it
-            # has been indexed — a bulk build touches every document
-            # once, and without the release the spilled columns (or
-            # schema-validated trees) it loads stack up past the pool
-            # budget and evict the real working set.
+            # Build: index existing documents, from their columns (a
+            # validated one's tree, released to the pool once indexed).
             for stored in self.documents(table, column):
                 index.index_document(stored.doc_id, stored.index_view())
                 self.buffer_pool.release(stored)

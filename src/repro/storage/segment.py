@@ -9,42 +9,39 @@ cannot derive:
   the distance ``slot - parent``, small wherever children sit near
   their parent, so deep or wide documents keep narrow columns;
 * the ``length`` of each heap-backed slot (attribute, text, comment,
-  PI), in slot order, and the text heap itself, kept beside the bytes
-  as a string;
-* node ids, only where identity must survive: the buffer pool's spill.
+  PI), in slot order, and the text heap itself, as UTF-8 after the
+  columns.  Never node ids: recovery draws fresh ones, a buffer-pool
+  reload passes in the ones its document kept (:class:`SegmentRef`).
 
 Names and namespace scopes are indexes into a :class:`SegmentTables`.
-A checkpoint keeps one for all of its documents; a WAL record and a
-spill file keep one per document.  :meth:`Segment.adopt` re-derives
-everything else (post, level, ``subtree_end``, path ids and partitions,
-text offsets) in one pass over the slots, numbering them as
+A checkpoint keeps one for all of its documents, a WAL insert record
+one for its row.  :meth:`Segment.adopt` re-derives everything else
+(post, level, ``subtree_end``, path ids and partitions, text offsets)
+in one pass over the slots, numbering them as
 :class:`~repro.storage.columnar.ColumnBuilder` does, without parsing.
 
 Byte layout (little-endian)::
 
-    <flags:u8><widths:u8><slots:u32><crc:u32>        header
+    <widths:u8><slots:u32><crc:u32>                      header
     kind[slots] parent[slots] name[slots] scope[slots]
-    length[heap slots] [node_id[slots] as i64 when flags & 1]
+    length[heap slots] heap[UTF-8]
 
 ``widths`` holds four 2-bit codes (1, 2, 4 or 8 bytes) for parent,
-name, scope and length.  The CRC32 covers every byte after the header
-and the UTF-8 heap.  Anything a reader cannot adopt — a CRC mismatch,
-sizes that disagree with the header, a parent outside ``[-1, slot)``
-or not an open element, a name or scope index out of range, lengths
-that do not add up to the heap — is a
-:class:`~repro.errors.DurabilityError` naming where the segment came
-from.
+name, scope and length.  The CRC32 covers every byte after the header.
+Anything a reader cannot adopt — a CRC mismatch, sizes that disagree
+with the header, a parent outside ``[-1, slot)`` or not an open
+element, a name or scope index out of range, lengths that do not add
+up to the heap — is a :class:`~repro.errors.DurabilityError` naming
+where the segment came from.
 
-In JSON (WAL records, checkpoints, spill files) a document is
-``{"$seg": base64 bytes, "$text": heap}``, plus ``"$names"`` and
-``"$scopes"`` when it carries its own tables and ``"$uri"`` when its
-document URI is not empty (:func:`encode_document`,
-:func:`decode_document`).
+In a log record a document is ``{"$seg": segment bytes}``, plus
+``"$uri"`` when its document URI is not empty (:func:`encode_document`,
+:func:`decode_document`); the frame carries the bytes raw
+(:mod:`repro.durability.wal`).
 """
 
 from __future__ import annotations
 
-import base64
 import operator
 import struct
 import sys
@@ -60,11 +57,10 @@ from .columnar import (_KIND_NAMES, KIND_ATTRIBUTE, KIND_COMMENT,
                        KIND_DOCUMENT, KIND_ELEMENT, KIND_PI, KIND_TEXT,
                        ColumnStore, _subtree_ends)
 
-__all__ = ["Segment", "SegmentTables", "encode_document",
+__all__ = ["Segment", "SegmentTables", "SegmentRef", "encode_document",
            "decode_document"]
 
-_HEADER = struct.Struct("<BBII")  # flags, widths, slots, crc32
-_HAS_NODE_IDS = 1
+_HEADER = struct.Struct("<BII")  # widths, slots, crc32
 #: width code -> (signed, unsigned) typecodes of that many bytes
 _TYPECODES = [(signed, unsigned) for signed, unsigned
               in (("b", "B"), ("h", "H"), ("i", "I"), ("q", "Q"))]
@@ -147,11 +143,9 @@ class Segment:
     scope: array
     length: array
     text: str
-    node_ids: array | None = None
 
     @classmethod
-    def of(cls, store: ColumnStore, tables: SegmentTables,
-           node_ids: bool = False) -> "Segment":
+    def of(cls, store: ColumnStore, tables: SegmentTables) -> "Segment":
         """``store``'s segment, its names and scopes added to
         ``tables``."""
         return cls(
@@ -161,8 +155,7 @@ class Segment:
             length=array("q", [high - low for low, high
                                in zip(store.text_lo, store.text_hi)
                                if low >= 0]),
-            text=store.text,
-            node_ids=store.node_ids if node_ids else None)
+            text=store.text)
 
     def to_bytes(self) -> bytes:
         distances = array("q", map(operator.sub, range(len(self.parent)),
@@ -173,24 +166,21 @@ class Segment:
         for position, column in enumerate(columns):
             widths |= _WIDTHS.index(column.itemsize) << (2 * position)
         columns.insert(0, self.kind)
-        flags = 0
-        if self.node_ids is not None:
-            columns.append(self.node_ids)
-            flags |= _HAS_NODE_IDS
-        body = b"".join(map(_to_bytes, columns))
-        return _HEADER.pack(flags, widths, len(self.kind),
-                            _crc(body, self.text)) + body
+        body = b"".join([*map(_to_bytes, columns),
+                         self.text.encode("utf-8", "surrogatepass")])
+        return _HEADER.pack(widths, len(self.kind),
+                            zlib.crc32(body)) + body
 
     @classmethod
-    def from_bytes(cls, data: bytes, text: str, where: str) -> "Segment":
-        """Split ``data`` into columns after checking its sizes and
-        CRC; no slot is interpreted yet (see :meth:`adopt`)."""
+    def from_bytes(cls, data: bytes, where: str) -> "Segment":
+        """Split ``data`` into columns and heap after checking its sizes
+        and CRC; no slot is interpreted yet (see :meth:`adopt`)."""
         if len(data) < _HEADER.size:
             raise DurabilityError(f"{where}: segment of {len(data)} bytes "
                                   f"is shorter than its header")
-        flags, widths, slots, crc = _HEADER.unpack_from(data)
+        widths, slots, crc = _HEADER.unpack_from(data)
         body = memoryview(data)[_HEADER.size:]
-        if _crc(body, text) != crc:
+        if zlib.crc32(body) != crc:
             raise DurabilityError(f"{where}: segment CRC mismatch")
         offset = 0
 
@@ -214,21 +204,22 @@ class Segment:
         parent = array("q", map(operator.sub, range(slots), distances))
         leaves = slots - kind.count(KIND_DOCUMENT) - kind.count(KIND_ELEMENT)
         length = take(_TYPECODES[(widths >> 6) & 3][1], leaves)
-        node_ids = take("q", slots) if flags & _HAS_NODE_IDS else None
-        if offset != len(body):
-            raise DurabilityError(f"{where}: segment has "
-                                  f"{len(body) - offset} bytes past its "
-                                  f"columns")
-        return cls(kind, parent, name, scope, length, text, node_ids)
+        try:
+            text = str(body[offset:], "utf-8", "surrogatepass")
+        except UnicodeDecodeError as error:
+            raise DurabilityError(
+                f"{where}: segment heap is not UTF-8: {error}") from None
+        return cls(kind, parent, name, scope, length, text)
 
     def adopt(self, tables: SegmentTables, where: str,
-              document_uri: str = "") -> ColumnStore:
+              document_uri: str = "",
+              node_ids: array | None = None) -> ColumnStore:
         """The column store this segment describes: one pass over the
         slots checks them and re-derives post, level, path ids and
         partitions, and text offsets, numbered as :class:`ColumnBuilder`
         numbers them, whose per-slot calls would cost about twice as
-        much here; node ids are fresh unless the segment carries
-        them."""
+        much here; node ids are fresh unless ``node_ids`` (a reloaded
+        document's own) are given."""
         kind, parent, name, scope, lengths = (
             self.kind, self.parent, self.name, self.scope, self.length)
         names, scopes, steps = tables.names, tables.scopes, tables.steps
@@ -328,8 +319,8 @@ class Segment:
         store.nsscopes = scopes
         store.shape = intern_shape(paths)
         store.partitions = partitions
-        store.node_ids = (allocate_node_ids(slots) if self.node_ids is None
-                          else self.node_ids)
+        store.node_ids = (allocate_node_ids(slots) if node_ids is None
+                          else node_ids)
         return store
 
 
@@ -343,43 +334,44 @@ def _extend(step: tuple, names: list[QName]) -> PathNode:
     return parent.child(_KIND_NAMES[code], name.uri, name.local)
 
 
-def encode_document(store: ColumnStore, tables: SegmentTables | None = None,
-                    node_ids: bool = False) -> dict:
-    """``store`` as a JSON value.  Without shared ``tables`` the value
-    carries its own names and scopes (WAL records, spill files)."""
-    own = tables is None
-    if own:
-        tables = SegmentTables()
-    value = {"$seg": base64.b64encode(
-                 Segment.of(store, tables, node_ids).to_bytes()
-             ).decode("ascii"),
-             "$text": store.text}
-    if own:
-        value["$names"], value["$scopes"] = tables.to_json()
+def encode_document(store: ColumnStore, tables: SegmentTables) -> dict:
+    """``store`` as a record value, its names and scopes indexing
+    ``tables`` (a checkpoint's, or a WAL insert record's own)."""
+    value = {"$seg": Segment.of(store, tables).to_bytes()}
     if store.document_uri:
         value["$uri"] = store.document_uri
     return value
 
 
 def decode_document(value, where: str,
-                    tables: SegmentTables | None = None) -> ColumnStore:
-    """Adopt the column store :func:`encode_document` wrote; shared
-    ``tables`` stand in for a value that carries none."""
-    try:
-        if tables is None:
-            tables = SegmentTables.from_json(value["$names"],
-                                             value["$scopes"], where)
-        data = base64.b64decode(value["$seg"].encode("ascii"),
-                                validate=True)
-        text = value["$text"]
-        document_uri = value.get("$uri", "")
-        if not isinstance(text, str) or not isinstance(document_uri, str):
-            raise TypeError("text and uri must be strings")
-    except (KeyError, TypeError, AttributeError, ValueError) as error:
-        raise DurabilityError(
-            f"{where}: malformed document value: {error!r}") from None
-    return Segment.from_bytes(data, text, where).adopt(tables, where,
-                                                       document_uri)
+                    tables: SegmentTables) -> ColumnStore:
+    """Adopt the column store :func:`encode_document` wrote."""
+    data, document_uri = value.get("$seg"), value.get("$uri", "")
+    if not isinstance(data, bytes) or not isinstance(document_uri, str):
+        raise DurabilityError(f"{where}: malformed document value")
+    return Segment.from_bytes(data, where).adopt(tables, where,
+                                                 document_uri)
+
+
+@dataclass(frozen=True, slots=True)
+class SegmentRef:
+    """Where a document's segment sits in a written log frame: its
+    columns come back with one ``pread`` of ``file`` (a read handle)."""
+
+    file: object
+    offset: int
+    length: int
+    tables: SegmentTables
+    node_ids: array
+    document_uri: str = ""
+
+    def load(self) -> ColumnStore:
+        """Read the segment back; a CRC mismatch or a short read is a
+        :class:`~repro.errors.DurabilityError` naming the file."""
+        where = f"{self.file.path} segment at byte {self.offset}"
+        data = self.file.pread(self.offset, self.length)
+        return Segment.from_bytes(data, where).adopt(
+            self.tables, where, self.document_uri, self.node_ids)
 
 
 def _indexes(items, table: list, ids: dict, key) -> list[int]:
@@ -419,7 +411,3 @@ def _to_bytes(column: array) -> bytes:
         column.byteswap()
     return column.tobytes()
 
-
-def _crc(body, text: str) -> int:
-    return zlib.crc32(text.encode("utf-8", "surrogatepass"),
-                      zlib.crc32(body))

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from ..errors import CatalogError, SQLError
 from ..sql.values import SQLType, coerce_to_type
 from ..xdm.nodes import DocumentNode
+from .segment import SegmentRef
 
 _DOC_IDS = itertools.count(1)
 _ROW_IDS = itertools.count(1)
@@ -24,8 +25,8 @@ class StoredDocument:
     :mod:`repro.storage.columnar`); the XDM tree behind
     :attr:`document` is a *view* built from the columns the first time
     a read asks for it, exactly once even when readers race.  When the
-    database runs with a buffer pool, the tree (and, with a spill
-    directory, the columns) may later be evicted; the property
+    database runs with a buffer pool, the tree (and, once the log holds
+    the segment, the columns) may later be evicted; the property
     transparently re-materializes it — with identical node ids — so
     callers never observe the difference beyond latency.  Structural
     questions (which paths, how many nodes) and index builds go through
@@ -35,7 +36,7 @@ class StoredDocument:
     """
 
     __slots__ = ("doc_id", "schema", "_document", "_store", "_pool",
-                 "path_class")
+                 "_cold", "path_class")
 
     def __init__(self, doc_id: int, document: DocumentNode | None,
                  schema=None):
@@ -50,6 +51,8 @@ class StoredDocument:
         self._store = None
         #: Owning BufferPool, or None when the database is un-pooled.
         self._pool = None
+        #: Its segment in the log (a SegmentRef); None pins the columns.
+        self._cold = None
         #: The document's path signature (``ColumnStore.path_class``),
         #: captured at ingest and interned by the owning table.
         self.path_class: frozenset | None = None
@@ -73,13 +76,21 @@ class StoredDocument:
 
     @property
     def columns(self):
-        """The document's column store, never materializing a tree:
-        the resident columns as-is (tree built or not), or a spilled
-        document's columns read back from the spill file."""
+        """The document's column store, never materializing a tree: the
+        resident columns as-is (tree built or not), or a cold
+        document's read back from the log, neither kept nor charged
+        (its readers are passes over documents)."""
         store = self._store
         if store is not None:
             return store
-        return self._pool.load_columns(self)
+        return self._pool.read_back(self)
+
+    def point_at(self, file, offset: int, length: int, tables) -> None:
+        """Note where the segment sits in a log (``file``, a read
+        handle), encoded against ``tables``."""
+        held = self._cold if self._store is None else self._store
+        self._cold = SegmentRef(file, offset, length, tables,
+                                held.node_ids, held.document_uri)
 
     def index_view(self):
         """What an XML index keys (``XmlIndex.index_document``): the

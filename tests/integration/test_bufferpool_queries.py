@@ -1,11 +1,16 @@
 """Buffer-pool transparency over the full paper workload.
 
-The ISSUE 7 acceptance criterion: with the pool capped below the
-total data size (forcing eviction churn on every access pattern), all
-30 paper queries must be byte-identical to an uncapped database, and
-``bufferpool.evictions`` must actually fire — proving the identical
-answers came *through* the eviction/reload machinery, not around it.
+With the pool capped below the total data size (forcing eviction
+churn on every access pattern), all 30 paper queries must be
+byte-identical to an uncapped database, and ``bufferpool.evictions``
+must actually fire — proving the identical answers came *through* the
+eviction/reload machinery, not around it.  In a durable database an
+eviction also drops the columns and a reload reads the document's
+segment back from the log (``bufferpool.loads``); nothing but
+``checkpoint.log`` and ``wal.log`` is ever written.
 """
+
+import gc
 
 import pytest
 
@@ -15,6 +20,8 @@ from repro.storage.catalog import Database
 from repro.workload.paperqueries import (PAPER_QUERIES,
                                          load_paper_fixture,
                                          run_paper_query)
+
+from .test_cold_tier import replaced_files_open
 
 #: Far below the fixture's resident footprint: every document access
 #: competes for the budget, so the LRU churns continuously.
@@ -70,54 +77,48 @@ class TestSpillingDurableDatabase:
                 load_paper_fixture(database)
                 answers = {number: run_paper_query(database, number)
                            for number in PAPER_QUERIES}
-                spills = METRICS.counter("bufferpool.spills")
+                evictions = METRICS.counter("bufferpool.evictions")
                 loads = METRICS.counter("bufferpool.loads")
-                spool = tmp_path / "db" / "spool"
-                assert spool.is_dir() and any(spool.iterdir())
+                cold = [stored for stored
+                        in database.documents("orders", "orddoc")
+                        if stored._store is None]
         assert answers == oracle
-        assert spills > 0
+        assert evictions > 0
         assert loads > 0
-        # close() clears the spool: the files are pure cache and
-        # doc_ids restart per process, so none may outlive the pool.
-        assert not any(spool.iterdir())
+        assert cold
+        # The log is the only on-disk copy: no other file is written.
+        assert sorted(path.name for path in (tmp_path / "db").iterdir()) \
+            == ["wal.log"]
 
     def test_row_delete_removes_spill_files(self, tmp_path):
         with DurableDatabase(tmp_path / "db",
                              buffer_pool_bytes=TINY_BUDGET) as database:
             load_paper_fixture(database)
-            spool = tmp_path / "db" / "spool"
-            before = len(list(spool.glob("doc-*.cols")))
-            assert before > 0
+            orders = database.documents("orders", "orddoc")
+            assert any(stored._cold is not None for stored in orders)
             deleted = database.delete_rows("orders", lambda values: True)
-            assert deleted > 0
-            after = len(list(spool.glob("doc-*.cols")))
-            # Every spilled orders document's file went with its row.
-            assert after < before
+            assert deleted == len(orders) > 0
+            pool = database.buffer_pool
+            assert not {stored.doc_id for stored in orders} & set(pool._lru)
+            # Resident documents dropped their pointers; once the rows
+            # are gone and a checkpoint replaced the log, no handle on
+            # a replaced file stays open.
+            assert all(stored._cold is None for stored in orders
+                       if stored._store is not None)
+            del orders
+            gc.collect()
+            database.checkpoint()
+            assert replaced_files_open(tmp_path / "db") == []
 
     def test_drop_table_removes_spill_files(self, tmp_path):
         with DurableDatabase(tmp_path / "db",
                              buffer_pool_bytes=TINY_BUDGET) as database:
             load_paper_fixture(database)
-            spool = tmp_path / "db" / "spool"
-            assert any(spool.glob("doc-*.cols"))
+            assert database.buffer_pool.resident_bytes > 0
             for name in list(database.tables):
                 database.drop_table(name)
-            assert not any(spool.glob("doc-*.cols"))
-
-    def test_open_purges_stale_spool_files(self, tmp_path):
-        with DurableDatabase(tmp_path / "db",
-                             buffer_pool_bytes=TINY_BUDGET) as database:
-            load_paper_fixture(database)
-            database.checkpoint()
-        spool = tmp_path / "db" / "spool"
-        # Model a crash: a stale file survives from a previous process
-        # life.  doc_ids restart per process, so it could alias a
-        # future document; open must purge it.
-        spool.mkdir(exist_ok=True)
-        (spool / "doc-1.cols").write_text("{}")
-        with DurableDatabase(tmp_path / "db",
-                             buffer_pool_bytes=TINY_BUDGET):
-            assert not (spool / "doc-1.cols").exists()
+            assert not database.buffer_pool._lru
+            assert database.buffer_pool.resident_bytes == 0
 
     def test_recovery_ignores_spool_files(self, oracle, tmp_path):
         # Spool files are pure cache: a recovered database answers

@@ -2,9 +2,10 @@
 
 A checkpoint is a compacted log: the records the engine logs, in the
 WAL's frames (``checkpoint.log``, see :mod:`repro.durability.checkpoint`),
-each document one column segment (``{"$seg": base64 bytes, "$text":
-heap}``, see :mod:`repro.storage.segment`) whose names and namespace
-scopes index the header record's shared ``names`` / ``scopes`` tables.
+each document one column segment (``{"$seg": bytes}``, carried raw
+after the record's JSON, see :mod:`repro.storage.segment`) whose names
+and namespace scopes index the header record's shared ``names`` /
+``scopes`` tables.
 The sha256 of ``checkpoint.log`` written by ``repro ingest`` for the
 paper fixture and for a generated 30-order collection is pinned here,
 so any drift in frames, record shapes, segment encoding or table order
@@ -13,13 +14,13 @@ bad frame, a leftover ``checkpoint.json`` (the older format) and a
 segment that cannot be adopted (bad parent, name out of range, CRC
 mismatch, truncated heap) are typed errors naming the file or the
 table and row, and ``recover --verify`` round-trips every adopted
-document through serialize and parse.
+document through serialize and parse.  A ``wal.log`` or
+``checkpoint.log`` of an older frame format has no reader.
 
 A deliberate format change re-captures the hashes with
 ``PYTHONPATH=src python -m tests.integration.test_checkpoint_format``.
 """
 
-import base64
 import hashlib
 import io
 from array import array
@@ -37,11 +38,11 @@ from repro.storage.segment import Segment
 
 GOLDEN = {
     "fixture": ((),
-                "ab026180f5eeed8cf5bc7883ff5277e6"
-                "055fa94a7772b9aec0f0d4071ef3013e"),
+                "ec9bddf0551ccea8a02497dff1462f35"
+                "5807003a54ad4a92101e703cfbdccde9"),
     "orders-30": (("--orders", "30"),
-                  "47206bf55dfb648ba12a51342442c413"
-                  "99fabec1d12dd1cf059ed8a26e2309a0"),
+                  "d2404f4953c2885c698df1da9be234f7"
+                  "5465712321210a273656ef2881ac9e0b"),
 }
 
 
@@ -121,13 +122,11 @@ def orders_document(records) -> dict:
 def rewrite_segment(value: dict, change) -> None:
     """Apply ``change(segment)`` to a document value's segment (columns
     widened to 64 bits) and re-pack it with a fresh CRC."""
-    segment = Segment.from_bytes(base64.b64decode(value["$seg"]),
-                                 value["$text"], "test")
+    segment = Segment.from_bytes(value["$seg"], "test")
     for column in ("parent", "name", "scope", "length"):
         setattr(segment, column, array("q", getattr(segment, column)))
     change(segment)
-    value["$seg"] = base64.b64encode(segment.to_bytes()).decode("ascii")
-    value["$text"] = segment.text
+    value["$seg"] = segment.to_bytes()
 
 
 def rewrite_orders_segment(checkpoint: Path, change) -> None:
@@ -215,6 +214,20 @@ def test_a_reprowal1_log_has_no_reader(tmp_path):
             run("recover", "--data", str(directory))
 
 
+@pytest.mark.parametrize("name", [WAL_NAME, CHECKPOINT_NAME])
+def test_a_reprowal3_file_has_no_reader(tmp_path, name):
+    # REPROWAL3 carried segments as text inside the JSON; a log or a
+    # checkpoint in it is refused, naming the file.
+    directory = tmp_path / "state"
+    ingest_digest(directory, ())
+    path = directory / name
+    path.write_bytes(b"REPROWAL3\n" + path.read_bytes()[len(MAGIC):])
+    with pytest.raises(DurabilityError,
+                       match=rf"{name}: unsupported WAL format "
+                             rf"'REPROWAL3'"):
+        run("recover", "--data", str(directory))
+
+
 @pytest.mark.parametrize("parent", [3, 7, -2, 0, None])
 def test_recover_rejects_a_path_row_with_a_bad_parent(tmp_path, parent):
     # Slot 3 (the first order's date text) gets a parent after it (3,
@@ -276,9 +289,9 @@ def test_recover_verify_detects_a_swapped_path_row(tmp_path):
 def test_recover_rejects_a_segment_whose_crc_does_not_match(tmp_path):
     def change(records):
         document = orders_document(records)
-        data = bytearray(base64.b64decode(document["$seg"]))
+        data = bytearray(document["$seg"])
         data[-1] ^= 1
-        document["$seg"] = base64.b64encode(bytes(data)).decode("ascii")
+        document["$seg"] = bytes(data)
     directory = tmp_path / "state"
     tampered(directory, change)
     with pytest.raises(DurabilityError, match=WHERE + "segment CRC"):

@@ -463,11 +463,11 @@ def test_failed_wal_append_rolls_the_insert_back(tmp_path, monkeypatch):
         append = database._wal.append
         calls = []
 
-        def fail_once(record):
+        def fail_once(record, *documents):
             calls.append(record)
             if len(calls) == 1:
                 raise failure
-            return append(record)
+            return append(record, *documents)
 
         monkeypatch.setattr(database._wal, "append", fail_once)
         with pytest.raises(OSError) as caught:

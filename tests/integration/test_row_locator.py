@@ -9,8 +9,8 @@ build the locator exactly once and never call ``ReadView.documents``;
 after one insert the next statement rebuilds it exactly once; a
 statement on a pinned snapshot builds the snapshot's own locator, never
 the live table's.  Under a capped buffer pool building the locator
-reads only ``Row.values`` — no spill load, no materialization — and a
-statement materializes at most the documents it returns.  A snapshot
+reads only ``Row.values`` — no segment read back, no materialization —
+and a statement materializes at most the documents it returns.  A snapshot
 pinned before a delete answers on the XMLEXISTS, ``xmlcolumn`` and
 relational-index routes exactly as without indexes: the deleted rows'
 entries are still in the index objects it pinned.
@@ -189,35 +189,32 @@ def test_snapshot_pinned_before_a_delete_keeps_its_rows(language, statement,
 def test_capped_locator_reads_only_row_values(monkeypatch):
     database, bound = build(buffer_pool_bytes=2000)
     pool = database.buffer_pool
-    try:
-        assert pool.enabled
-        orders = database.table("orders")
+    assert pool.enabled
+    orders = database.table("orders")
+    with enabled_metrics():
+        locator = orders.locator()
+        assert METRICS.counter("columnar.materializations") == 0
+        assert METRICS.counter("bufferpool.loads") == 0
+        assert METRICS.counter("bufferpool.misses") == 0
+    assert len(locator.by_doc) == ORDERS
+
+    # The orders both shapes return, as doc ids.
+    ordids = {row[0] for row in database.sql(p6(bound)).rows}
+    returned = {row.values["orddoc"].doc_id for row in orders.rows
+                if row.values["ordid"] in ordids}
+    materialized: list[int] = []
+    load = pool.load
+
+    def recording_load(stored):
+        materialized.append(stored.doc_id)
+        return load(stored)
+
+    monkeypatch.setattr(pool, "load", recording_load)
+    for statement in (p1(bound), p6(bound)):
+        materialized.clear()
         with enabled_metrics():
-            locator = orders.locator()
-            assert METRICS.counter("columnar.materializations") == 0
-            assert METRICS.counter("bufferpool.loads") == 0
-            assert METRICS.counter("bufferpool.misses") == 0
-        assert len(locator.by_doc) == ORDERS
-
-        # The orders both shapes return, as doc ids.
-        ordids = {row[0] for row in database.sql(p6(bound)).rows}
-        returned = {row.values["orddoc"].doc_id for row in orders.rows
-                    if row.values["ordid"] in ordids}
-        materialized: list[int] = []
-        load = pool.load
-
-        def recording_load(stored):
-            materialized.append(stored.doc_id)
-            return load(stored)
-
-        monkeypatch.setattr(pool, "load", recording_load)
-        for statement in (p1(bound), p6(bound)):
-            materialized.clear()
-            with enabled_metrics():
-                assert run(database, statement) == len(returned)
-                loads = METRICS.counter("bufferpool.loads")
-            assert loads == 0
-            assert materialized and set(materialized) <= returned
-        assert orders._locator is locator
-    finally:
-        pool.close()
+            assert run(database, statement) == len(returned)
+            loads = METRICS.counter("bufferpool.loads")
+        assert loads == 0
+        assert materialized and set(materialized) <= returned
+    assert orders._locator is locator

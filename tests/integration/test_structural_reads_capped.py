@@ -4,9 +4,10 @@
 (``static_prefilter_facts``) and the ``repro lint`` drift check are
 questions about root-to-node paths, answered from the column's path
 summary (``Table.path_classes``).  Under a buffer pool capped far
-below the collection's trees — tier 1, where eviction keeps the columns
-resident, and tier 2, where it spills them to disk — they must
-re-materialize no document and read no spill file (zero
+below the collection's trees — tier 1, a plain database whose eviction
+keeps the columns resident, and tier 2, a durable one whose eviction
+drops them, leaving the segment in the log — they must re-materialize
+no document and read no segment back (zero
 ``columnar.materializations``, ``bufferpool.misses`` and
 ``bufferpool.loads``) and return exactly what an uncapped twin does.
 With ``StoredDocument.columns`` made to raise they still answer.
@@ -15,6 +16,7 @@ With ``StoredDocument.columns`` made to raise they still answer.
 import pytest
 
 from repro.core.querycache import compile_query
+from repro.durability import DurableDatabase
 from repro.obs.metrics import METRICS, enabled_metrics
 from repro.static import lint_statement
 from repro.static.infer import static_prefilter_facts
@@ -40,9 +42,9 @@ STATEMENTS = (
 EXPECTED_CODES = {"SE005", "SW307", "SW308", "SW309"}
 
 
-def build(budget=None, spill_dir=None) -> Database:
-    database = Database(buffer_pool_bytes=budget,
-                        buffer_pool_spill_dir=spill_dir)
+def build(budget=None, directory=None) -> Database:
+    database = (Database(buffer_pool_bytes=budget) if directory is None
+                else DurableDatabase(directory, buffer_pool_bytes=budget))
     populate_paper_schema(database, orders=ORDERS, customers=8,
                           products=10, seed=7)
     return database
@@ -80,8 +82,8 @@ def uncapped() -> dict:
 @pytest.mark.parametrize("tier", [1, 2])
 def test_capped_structural_reads_materialize_nothing(tier, tmp_path,
                                                      uncapped):
-    spill_dir = tmp_path / "spool" if tier == 2 else None
-    database = build(budget=1, spill_dir=spill_dir)
+    database = build(budget=1,
+                     directory=tmp_path / "db" if tier == 2 else None)
     try:
         # A one-byte budget: ingest left every tree but the newest
         # evicted (and, at tier 2, every column store but its own).
@@ -104,7 +106,8 @@ def test_capped_structural_reads_materialize_nothing(tier, tmp_path,
                  for code, _text in answers["lint", statement]}
         assert EXPECTED_CODES <= codes
     finally:
-        database.buffer_pool.close()
+        if tier == 2:
+            database.close()
 
 
 def test_structural_reads_never_read_a_document(monkeypatch, uncapped):

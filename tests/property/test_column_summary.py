@@ -204,7 +204,6 @@ def test_summary_survives_recovery_and_replication(before, after):
         expected = summary(database)
         # Crash: no clean close, no final checkpoint.
         database.wal.abandon()
-        database.buffer_pool.close()
         with DurableDatabase(directory) as recovered:
             assert summary(recovered) == expected
             assert_summary_exact(recovered)

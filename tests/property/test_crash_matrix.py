@@ -103,9 +103,9 @@ def oracle_answers(prefix: int) -> dict[int, str]:
     return _oracle_cache[prefix]
 
 
-def run_until_crash(directory, faults) -> int:
+def run_until_crash(directory, faults, **options) -> int:
     """Apply the workload; return how many ops completed pre-crash."""
-    database = DurableDatabase(str(directory), faults=faults)
+    database = DurableDatabase(str(directory), faults=faults, **options)
     completed = 0
     try:
         for index, (_name, op) in enumerate(OPS):
@@ -155,6 +155,33 @@ def test_crash_point_recovers_to_exact_durable_prefix(
         assert second.last_lsn == prefix
         assert second.truncated_bytes == 0  # first recovery repaired
         assert answers(database) == oracle_answers(prefix)
+
+
+def test_a_one_byte_pool_answers_like_the_oracle(tmp_path):
+    # Every document but the newest is cold, its columns only in the
+    # log: the checkpoint re-points them at checkpoint.log, and a crash
+    # between its rename and the re-pointing leaves the old pointers
+    # readable in the crashed process and the new checkpoint for the
+    # next one.
+    faults = FaultInjector("checkpoint.before_repoint")
+    live = tmp_path / "crashed"
+    completed = run_until_crash(live, faults, buffer_pool_bytes=1)
+    with DurableDatabase(str(live), buffer_pool_bytes=1) as database:
+        prefix = database.last_recovery.last_lsn
+        assert prefix == completed == CHECKPOINT_AT
+        assert answers(database) == oracle_answers(prefix)
+    with DurableDatabase(str(tmp_path / "whole"),
+                         buffer_pool_bytes=1) as database:
+        for index, (_name, op) in enumerate(OPS):
+            if index == CHECKPOINT_AT:
+                database.checkpoint()
+            op(database)
+        assert answers(database) == oracle_answers(len(OPS))
+        assert any(stored._store is None
+                   for stored in database.documents("orders", "orddoc"))
+    with DurableDatabase(str(tmp_path / "whole"),
+                         buffer_pool_bytes=1) as database:
+        assert answers(database) == oracle_answers(len(OPS))
 
 
 def test_torn_tail_matrix_recovers_at_every_offset(tmp_path):

@@ -377,7 +377,6 @@ def test_row_ids_increase_after_recovery_and_on_replicas(before, after):
         assert_locators_exact(replica)
         # Crash: no clean close, no final checkpoint.
         database.wal.abandon()
-        database.buffer_pool.close()
         with DurableDatabase(directory) as recovered:
             assert route_answers(recovered) == expected
             assert_locators_exact(recovered)

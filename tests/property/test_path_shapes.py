@@ -9,8 +9,8 @@ of the document's own table with ``matches`` returns (the reference
 below, which lives only here): for generated documents with namespaced
 names sharing a local name, attributes, comments and ``//`` gaps; for a
 document whose path set equals another's but first appears in another
-order; for columns read back after a tier-2 spill; and for columns
-adopted from a checkpoint at reopen.  A shape dies with its last
+order; for columns an eviction dropped and the log gave back; and for
+columns adopted from a checkpoint at reopen.  A shape dies with its last
 document, and a matcher memoizes at most ``MAX_MEMO_SHAPES`` shapes.
 """
 
@@ -181,11 +181,9 @@ def test_equal_path_sets_in_another_order_are_two_shapes():
 def test_verdicts_after_tier_two_eviction_and_reload(specs):
     texts = texts_of(specs)
     with tempfile.TemporaryDirectory() as scratch:
-        # A one-byte pool with a spill directory: every document but
-        # the newest rests on disk, columns included.
-        database = Database(buffer_pool_bytes=1,
-                            buffer_pool_spill_dir=Path(scratch))
-        try:
+        # A durable database under a one-byte pool: every document but
+        # the newest rests in the log only, columns included.
+        with DurableDatabase(Path(scratch), buffer_pool_bytes=1) as database:
             create(database)
             insert_all(database, texts)
             documents = database.documents("t", "doc")
@@ -195,8 +193,6 @@ def test_verdicts_after_tier_two_eviction_and_reload(specs):
                 assert_verdicts(stored.columns)
                 assert_verdicts(stored.document.column_store)
             assert_lookups_match_generic(database)
-        finally:
-            database.buffer_pool.close()
 
 
 @settings(max_examples=8, deadline=None,

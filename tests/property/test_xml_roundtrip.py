@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from repro.errors import XMLParseError, XQueryTypeError
 from repro.obs.metrics import METRICS, enabled_metrics
 from repro.storage.columnar import ColumnStore, get_store
-from repro.storage.segment import decode_document, encode_document
+from repro.storage.segment import (SegmentTables, decode_document,
+                                   encode_document)
 from repro.workload import WorkloadGenerator
 from repro.workload.generator import OrderProfile
 from repro.xdm.nodes import (AttributeNode, CommentNode, DocumentNode,
@@ -321,10 +322,11 @@ def test_cache_survives_eviction_and_rematerialization(root):
     again = store.materialize()
     assert store.canonical is canonical and store.spans is spans
     assert [serialize(node) for node in stored_nodes(again)] == expected
-    # Tier 2: columns read back from a spill segment start without a
-    # cache.
-    reloaded = decode_document(encode_document(store, node_ids=True),
-                               "spill")
+    # Columns read back from the log (a durable database's eviction
+    # dropped them) start without a cache.
+    tables = SegmentTables()
+    reloaded = decode_document(encode_document(store, tables), "log",
+                               tables)
     assert reloaded.canonical is None and reloaded.spans is None
     fresh = reloaded.materialize()
     assert [serialize(node) for node in stored_nodes(fresh)] == expected

@@ -1,18 +1,22 @@
 """Unit tests for the document buffer pool (``repro.storage.bufferpool``).
 
 Covers the LRU accounting, tier-1 eviction (drop the materialized
-tree, keep the columns), tier-2 spill (drop the columns to a spool
-file), transparent reload through ``StoredDocument.document``, and the
-``bufferpool.*`` metrics contract.
+tree, keep the columns), eviction in a durable database (drop the
+columns too, keeping a pointer to the segment in the log), transparent
+reload through ``StoredDocument.document``, and the ``bufferpool.*``
+metrics contract.  The log-tier cases run on a ``DurableDatabase``
+with a one-byte budget, where every document but the newest is cold.
 """
 
 import pytest
 
+from repro.durability import DurableDatabase
+from repro.errors import DurabilityError
 from repro.obs.metrics import METRICS, enabled_metrics
 from repro.storage.bufferpool import BufferPool
 from repro.storage.catalog import Database
 from repro.storage.columnar import ingest_document
-from repro.storage.segment import encode_document
+from repro.storage.segment import SegmentTables, encode_document
 from repro.storage.table import StoredDocument
 from repro.xmlio import parse_document
 from repro.xmlio.serializer import serialize
@@ -28,6 +32,17 @@ def make_stored(doc_id: int, xml: str = BIG_XML) -> StoredDocument:
     stored = StoredDocument(doc_id, document)
     stored._store = ingest_document(document)
     return stored
+
+
+def cold_pair(tmp_path, xml: str = BIG_XML):
+    """A durable database under a one-byte pool and its two documents:
+    the second's insert evicted the first, columns included."""
+    database = DurableDatabase(tmp_path / "db", buffer_pool_bytes=1)
+    database.create_table("t", [("id", "INTEGER"), ("d", "XML")])
+    for key in (1, 2):
+        database.insert("t", {"id": key, "d": xml})
+    first, second = (row.values["d"] for row in database.table("t").rows)
+    return database, first, second
 
 
 class TestPoolMechanics:
@@ -93,74 +108,64 @@ class TestPoolMechanics:
 
 
 class TestSpill:
+    """Eviction in a durable database drops the columns; the segment's
+    one copy is the log frame that logged it."""
+
     def test_tier2_spill_writes_and_reloads(self, tmp_path):
-        pool = BufferPool(1, spill_dir=str(tmp_path / "spool"))
-        first, second = make_stored(1), make_stored(2)
-        expected = serialize(first._document)
-        for stored in (first, second):
-            stored._pool = pool
-            pool.admit(stored)
-        # Tier-2 eviction dropped the columns too; only the spool file
-        # remains.
-        assert first._document is None
-        assert first._store is None
-        spool_files = list((tmp_path / "spool").iterdir())
-        assert any(path.name == "doc-1.cols" for path in spool_files)
-        assert serialize(first.document) == expected
+        expected = serialize(parse_document(BIG_XML))
+        database, first, _second = cold_pair(tmp_path)
+        with database:
+            assert first._document is None
+            assert first._store is None
+            assert first._cold.file.path.endswith("wal.log")
+            # Nothing but the log is written for it.
+            assert sorted(path.name for path
+                          in (tmp_path / "db").iterdir()) == ["wal.log"]
+            assert serialize(first.document) == expected
 
     def test_spill_preserves_node_ids(self, tmp_path):
-        pool = BufferPool(1, spill_dir=str(tmp_path / "spool"))
-        first, second = make_stored(1), make_stored(2)
-        original = [n.node_id for n in first._document.descendants_or_self()]
-        for stored in (first, second):
-            stored._pool = pool
-            pool.admit(stored)
-        reloaded = first.document
-        restored = [n.node_id for n in reloaded.descendants_or_self()]
-        assert restored == original
+        database, first, second = cold_pair(tmp_path)
+        with database:
+            original = [node.node_id
+                        for node in first.document.descendants_or_self()]
+            _ = second.document  # evicts the first again
+            assert first._store is None
+            restored = [node.node_id
+                        for node in first.document.descendants_or_self()]
+            assert restored == original
+
+    def test_a_reloaded_segment_that_fails_its_crc_is_corruption(
+            self, tmp_path):
+        database, first, _second = cold_pair(tmp_path)
+        with database:
+            pointer = first._cold
+            with open(pointer.file.path, "r+b") as log:
+                log.seek(pointer.offset + pointer.length - 1)
+                last = log.read(1)
+                log.seek(pointer.offset + pointer.length - 1)
+                log.write(bytes([last[0] ^ 1]))
+            with pytest.raises(DurabilityError,
+                               match=r"wal\.log segment at byte \d+: "
+                                     r"segment CRC mismatch"):
+                _ = first.document
+            assert first._store is None
 
 
 class TestSpillInvalidation:
-    def _spill_one(self, tmp_path):
-        pool = BufferPool(1, spill_dir=str(tmp_path / "spool"))
-        first, second = make_stored(1), make_stored(2)
-        for stored in (first, second):
-            stored._pool = pool
-            pool.admit(stored)
-        assert (tmp_path / "spool" / "doc-1.cols").exists()
-        return pool, first, second
-
     def test_discard_deletes_spill_file(self, tmp_path):
-        pool, first, _second = self._spill_one(tmp_path)
-        pool.discard(first)
-        assert not (tmp_path / "spool" / "doc-1.cols").exists()
-        assert 1 not in pool._spilled
-
-    def test_discard_without_spill_is_noop(self, tmp_path):
-        pool = BufferPool(50_000_000, spill_dir=str(tmp_path / "spool"))
-        stored = make_stored(1)
-        stored._pool = pool
-        pool.admit(stored)
-        pool.discard(stored)  # never evicted -> never spilled
-        assert not (tmp_path / "spool").exists()
-
-    def test_close_removes_every_spill_file(self, tmp_path):
-        pool, _first, second = self._spill_one(tmp_path)
-        # Spill the second document too by evicting it with a third.
-        third = make_stored(3)
-        third._pool = pool
-        pool.admit(third)
-        pool._evict(second)
-        assert any((tmp_path / "spool").iterdir())
-        pool.close()
-        assert not any((tmp_path / "spool").iterdir())
-        assert not pool._spilled
-
-    def test_spill_delete_counter(self, tmp_path):
-        with enabled_metrics():
-            pool, first, _second = self._spill_one(tmp_path)
-            pool.discard(first)
-            assert METRICS.counter("bufferpool.spill_deletes") == 1
+        # A deleted row's resident document drops its log pointer; a
+        # cold one keeps it, for a snapshot pinned before the delete.
+        database, first, second = cold_pair(tmp_path)
+        with database:
+            snapshot = database.snapshot()
+            assert second._cold is not None
+            assert database.delete_rows("t") == 2
+            pool = database.buffer_pool
+            assert second._cold is None and first._cold is not None
+            assert not pool._lru and pool.resident_bytes == 0
+            assert snapshot.xquery(
+                "count(db2-fn:xmlcolumn('T.D')//lineitem)"
+            ).serialized() == "80"
 
 
 class TestMetrics:
@@ -206,20 +211,18 @@ class TestMetrics:
 
     def test_spill_and_load_counters(self, tmp_path):
         with enabled_metrics():
-            pool = BufferPool(1, spill_dir=str(tmp_path / "spool"))
-            first, second = make_stored(1), make_stored(2)
-            for stored in (first, second):
-                stored._pool = pool
-                pool.admit(stored)
-            assert METRICS.counter("bufferpool.spills") >= 1
-            _ = first.document
-            assert METRICS.counter("bufferpool.loads") >= 1
+            database, first, _second = cold_pair(tmp_path)
+            with database:
+                assert METRICS.counter("bufferpool.evictions") == 1
+                assert METRICS.counter("bufferpool.loads") == 0
+                _ = first.document
+                assert METRICS.counter("bufferpool.loads") == 1
 
 
 class TestCanonicalText:
     """The serializer's canonical text and spans live on the column
     store: charged by ``nbytes``, never in a segment, kept by a tier-1
-    eviction and gone with a tier-2 spill."""
+    eviction and gone with the columns in a durable one."""
 
     def _serialized(self, stored):
         lineitem = stored.document.root_element.children[3]
@@ -236,9 +239,9 @@ class TestCanonicalText:
 
     def test_payload_never_carries_the_cache(self):
         stored = make_stored(1)
-        before = encode_document(stored._store, node_ids=True)
+        before = encode_document(stored._store, SegmentTables())
         self._serialized(stored)
-        assert encode_document(stored._store, node_ids=True) == before
+        assert encode_document(stored._store, SegmentTables()) == before
 
     def test_tier1_eviction_keeps_the_cache(self):
         pool = BufferPool(1)
@@ -257,18 +260,17 @@ class TestCanonicalText:
             assert METRICS.counter("serialize.walks") == 0
 
     def test_tier2_spill_drops_the_cache(self, tmp_path):
-        pool = BufferPool(1, spill_dir=str(tmp_path / "spool"))
-        first, second = make_stored(1), make_stored(2)
-        expected = self._serialized(first)
-        for stored in (first, second):
-            stored._pool = pool
-            pool.admit(stored)
-        assert first._store is None
-        assert first.document is not None  # reads the spill back
-        assert first._store.canonical is None
-        assert first._store.spans is None
-        assert self._serialized(first) == expected
-        assert first._store.canonical == expected[0]
+        database, first, second = cold_pair(tmp_path)
+        with database:
+            expected = self._serialized(first)
+            assert first._store.canonical is not None
+            _ = second.document  # evicts the first, columns and cache
+            assert first._store is None
+            assert first.document is not None  # reads the log back
+            assert first._store.canonical is None
+            assert first._store.spans is None
+            assert self._serialized(first) == expected
+            assert first._store.canonical == expected[0]
 
 
 class TestDatabaseIntegration:

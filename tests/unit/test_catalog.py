@@ -216,9 +216,11 @@ class TestIndexCompaction:
         assert self.answers(snapshot, use_indexes=True) == expected
 
     def test_delete_reads_no_document(self, tmp_path):
+        from repro.durability import DurableDatabase
         from repro.obs.metrics import METRICS, enabled_metrics
-        db = Database(buffer_pool_bytes=1, buffer_pool_spill_dir=tmp_path)
-        try:
+        # A one-byte durable pool: every document but the newest is
+        # cold, its columns only in the log.
+        with DurableDatabase(tmp_path, buffer_pool_bytes=1) as db:
             db.create_table("t", [("n", "INTEGER"), ("d", "XML")])
             db.create_xml_index("xi", "t", "d", "//k", "DOUBLE")
             for number in range(6):
@@ -230,5 +232,3 @@ class TestIndexCompaction:
                 assert METRICS.counter("bufferpool.loads") == 0
                 assert METRICS.counter("columnar.materializations") == 0
             assert len(db.xml_indexes["xi"]) == 3
-        finally:
-            db.buffer_pool.close()

@@ -8,8 +8,6 @@ only structural summary), and a lazy
 the original node identities.
 """
 
-import base64
-import json
 from collections import Counter
 
 import pytest
@@ -19,7 +17,8 @@ from repro.errors import DurabilityError, XQueryTypeError
 from repro.storage.columnar import (ColumnStore, KIND_ATTRIBUTE,
                                     KIND_DOCUMENT, get_store,
                                     ingest_document, store_for_node)
-from repro.storage.segment import Segment, decode_document, encode_document
+from repro.storage.segment import (Segment, SegmentTables, decode_document,
+                                   encode_document)
 from repro.xdm.nodes import DocumentNode
 from repro.xmlio import parse_document
 from repro.xmlio.serializer import serialize
@@ -197,28 +196,27 @@ class TestPathTable:
         assert sum(store.path_counts().values()) == len(store) - 1
 
 
-def segment_round_trip(store, node_ids: bool = False) -> ColumnStore:
-    """``store`` through its JSON segment form and adopted back."""
-    value = json.loads(json.dumps(encode_document(store,
-                                                  node_ids=node_ids)))
-    return decode_document(value, "test segment")
+def segment_round_trip(store, tables=None) -> ColumnStore:
+    """``store`` through its segment bytes and adopted back."""
+    tables = tables or SegmentTables()
+    return decode_document(encode_document(store, tables), "test segment",
+                           tables)
 
 
-def tampered_segment(store, change) -> dict:
-    """``store``'s JSON segment after ``change(segment)``, re-packed
-    with a fresh CRC."""
-    value = encode_document(store)
-    segment = Segment.from_bytes(base64.b64decode(value["$seg"]),
-                                 value["$text"], "test segment")
+def tampered_segment(store, change) -> tuple[dict, SegmentTables]:
+    """``store``'s record value after ``change(segment)``, re-packed
+    with a fresh CRC, and the tables it indexes."""
+    tables = SegmentTables()
+    value = encode_document(store, tables)
+    segment = Segment.from_bytes(value["$seg"], "test segment")
     change(segment)
-    value["$seg"] = base64.b64encode(segment.to_bytes()).decode("ascii")
-    value["$text"] = segment.text
-    return value
+    value["$seg"] = segment.to_bytes()
+    return value, tables
 
 
 class TestPayloadRoundTrip:
     """The column segment (``repro.storage.segment``): the one form WAL
-    records, checkpoints, replicas and spill files hold a document in."""
+    records, checkpoints and pool workers hold a document in."""
 
     def test_payload_round_trip_serialize_identical(self):
         document, store = build()
@@ -226,9 +224,13 @@ class TestPayloadRoundTrip:
         assert serialize(restored.materialize()) == serialize(document)
 
     def test_payload_round_trip_preserves_node_ids(self):
-        # The spill segment carries node ids; the others do not.
+        # A segment carries no node ids: a buffer-pool reload adopts it
+        # under the ids its resident document kept.
         document, store = build()
-        rebuilt = segment_round_trip(store, node_ids=True).materialize()
+        tables = SegmentTables()
+        data = encode_document(store, tables)["$seg"]
+        rebuilt = Segment.from_bytes(data, "test segment").adopt(
+            tables, "test segment", node_ids=store.node_ids).materialize()
         original = [n.node_id for n in walk_all(document)]
         assert [n.node_id for n in walk_all(rebuilt)] == original
 
@@ -280,18 +282,21 @@ class TestPayloadRoundTrip:
 
             def change(segment):
                 getattr(segment, column)[slot] = bad
-            value = tampered_segment(store, change)
+            value, tables = tampered_segment(store, change)
         else:
-            value = encode_document(store)
-            if row == "x":
-                value["$text"] = "x" + value["$text"][1:]
+            tables = SegmentTables()
+            value = encode_document(store, tables)
+            if row == "x":  # the heap is the segment's last run
+                data = bytearray(value["$seg"])
+                data[-1] ^= 1
+                value["$seg"] = bytes(data)
                 message = "segment CRC mismatch"
             else:
                 value["$seg"] = value["$seg"][:8]
-                message = "segment of 6 bytes is shorter than its header"
+                message = "segment of 8 bytes is shorter than its header"
         with pytest.raises(DurabilityError,
                            match=f"^test segment: {message}"):
-            decode_document(value, "test segment")
+            decode_document(value, "test segment", tables)
 
 
 class TestStoreLifecycle:
