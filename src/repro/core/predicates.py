@@ -89,7 +89,6 @@ class SQLTypedValue:
 
 
 _CONJUNCT_GROUPS = itertools.count(1)
-_COMPARISON_IDS = itertools.count(1)
 
 
 @dataclass
@@ -113,9 +112,19 @@ class PredicateCandidate:
     #: outer row and probing the index with the result.
     operand_expr: object | None = None
     operand_vars: frozenset[str] = frozenset()
-    #: Shared by the two candidates a single comparison emits — lets
-    #: the planner pair up the sides of a join predicate.
-    comparison_id: int = 0
+    #: The AST comparison (or ``fn:between`` call) the candidate came
+    #: from; None for an existence test.
+    comparison: object | None = field(default=None, compare=False,
+                                      repr=False)
+
+    @property
+    def comparison_id(self) -> int:
+        """Shared by the candidates one comparison emits (0 for none):
+        the planner pairs up the sides of a join predicate by it, and
+        keys an exact probe's node answers, which the evaluator finds
+        from the same AST node.  The candidate holds the node, so no
+        other live comparison has its id."""
+        return 0 if self.comparison is None else id(self.comparison)
 
     @property
     def is_range(self) -> bool:
@@ -409,11 +418,10 @@ class _Extractor:
         left_info = self._side_info(expr.left, scope, state)
         right_info = self._side_info(expr.right, scope, state)
 
-        comparison_id = next(_COMPARISON_IDS)
         self._emit_side(left_info, right_info, op, state,
-                        is_value_comparison, comparison_id)
+                        is_value_comparison, expr)
         self._emit_side(right_info, left_info, _flip(op), state,
-                        is_value_comparison, comparison_id)
+                        is_value_comparison, expr)
 
     def _side_info(self, expr, scope, state) -> dict:
         origin = self.origin_of(expr, scope)
@@ -486,7 +494,7 @@ class _Extractor:
 
     def _emit_side(self, side: dict, other: dict, op: str,
                    state: _WalkState, is_value_comparison: bool,
-                   comparison_id: int = 0) -> None:
+                   comparison) -> None:
         origin: Origin | None = side["origin"]
         if origin is None or not origin.column or not origin.steps:
             return
@@ -521,7 +529,7 @@ class _Extractor:
             operand_expr=operand_expr,
             operand_vars=frozenset(_variables_in(operand_expr))
             if operand_expr is not None else frozenset(),
-            comparison_id=comparison_id))
+            comparison=comparison))
 
     def _analyze_between_call(self, expr, scope,
                               state: _WalkState) -> None:
@@ -540,13 +548,10 @@ class _Extractor:
         high = self._side_info(expr.args[2], scope, group_state)
         side = {"origin": origin, "literal": None, "sql_type": None,
                 "expr": expr.args[0], "is_context": True}
-        comparison_id = next(_COMPARISON_IDS)
         self._emit_side(side, low, "ge", group_state,
-                        is_value_comparison=True,
-                        comparison_id=comparison_id)
+                        is_value_comparison=True, comparison=expr)
         self._emit_side(side, high, "le", group_state,
-                        is_value_comparison=True,
-                        comparison_id=comparison_id)
+                        is_value_comparison=True, comparison=expr)
 
     def _emit_exists(self, expr, scope, state: _WalkState) -> None:
         origin = self.origin_of(expr, scope)

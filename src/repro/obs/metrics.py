@@ -16,6 +16,9 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``btree.leaf_scans``              leaves walked by range scans
 ``index.probes``                  XML index range probes executed
 ``index.entries_scanned``         index entries touched across all probes
+``index.node_answers``            documents whose predicate nodes came
+                                  from an exact probe's entries, not
+                                  from their partitions
 ``relindex.lookups``              relational index lookups
 ``pathsummary.hits``              step chains answered from a column
                                   store's path table

@@ -15,6 +15,13 @@ For a standalone XQuery, the planner:
 5. evaluates the query against a view of the database in which
    ``db2-fn:xmlcolumn`` returns only the surviving documents.
 
+A probe whose verdict is *exact* goes one step past document filtering:
+its entries are the very nodes its comparison selects, so it keeps
+their node ids, and the evaluator's column kernel answers that
+comparison's predicate from them for the surviving documents instead
+of re-testing every candidate node (:func:`_only_documents` names the
+conditions; :meth:`PrefilteredDatabase.node_answers`).
+
 If nothing is eligible the query runs as a full collection scan — the
 performance cliff every pitfall in Section 3 produces.
 """
@@ -32,9 +39,10 @@ from ..core.querycache import cache_info, compile_query
 from ..errors import ReproError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
+from ..xdm.atomic import T_STRING
 from ..xdm.sequence import Item
 from ..xquery.evaluator import evaluate_module
-from ..xquery.joins import flwor_join_report
+from ..xquery.joins import flwor_fold_report, flwor_join_report
 from .stats import ExecutionStats
 
 
@@ -70,11 +78,23 @@ class _Probe:
     low_inclusive: bool = True
     high_inclusive: bool = True
     path_filter: object = None
+    #: The ``comparison_id`` of the comparison whose nodes the entries
+    #: are, when the verdict is exact (:func:`_only_documents`); None
+    #: for a document filter.
+    answers_for: int | None = None
 
-    def run(self, stats: ExecutionStats) -> set[int]:
-        return self.index.matching_documents(
+    def run(self, stats: ExecutionStats, answers: dict | None = None
+            ) -> set[int]:
+        """The documents with entries in range; an exact probe also
+        puts its :class:`NodeAnswer` in ``answers`` when given."""
+        nodes = (None if self.answers_for is None or answers is None
+                 else {})
+        docs = self.index.matching_documents(
             self.low, self.high, self.low_inclusive, self.high_inclusive,
-            path_filter=self.path_filter, stats=stats)
+            path_filter=self.path_filter, stats=stats, nodes=nodes)
+        if nodes is not None:
+            answers[self.answers_for] = NodeAnswer(self.path_filter, nodes)
+        return docs
 
     def bounds_text(self) -> str:
         low = "-inf" if self.low is None else repr(self.low)
@@ -82,6 +102,54 @@ class _Probe:
         open_bracket = "[" if self.low_inclusive else "("
         close_bracket = "]" if self.high_inclusive else ")"
         return f"{open_bracket}{low}, {high}{close_bracket}"
+
+
+@dataclass
+class NodeAnswer:
+    """An exact probe's entries: the nodes its comparison selects."""
+
+    #: The probe's path filter; only a lookup over this path may use it.
+    pattern: object
+    #: doc_id -> node ids, ascending.
+    by_doc: dict[int, list[int]]
+    #: Document node id -> node ids, for the surviving documents, filled
+    #: when the view first returns them.
+    by_root: dict[int, list[int]] | None = None
+
+
+#: General comparisons whose index range is exactly their truth set.
+_EXACT_OPS = frozenset({"=", "<", "<=", ">", ">="})
+
+
+def _only_documents(candidate: PredicateCandidate, index,
+                    paired: bool) -> str | None:
+    """Why ``candidate``'s probe on ``index`` only filters documents, or
+    None when its entries are exactly the nodes the comparison selects.
+
+    Exact: one general comparison (not ``!=``) with a literal, alone
+    (no disjunction, no between pair), on a DOUBLE index with a numeric
+    literal or a VARCHAR index with a string literal.  An untyped value
+    the index could not cast (or NaN) is a non-match of such a
+    comparison, just as the tolerant index skips it.  The probe's path
+    filter is checked against the lookup's own path where the answers
+    are used."""
+    if candidate.comparison is None:
+        return "an existence test"
+    if candidate.op not in _EXACT_OPS:
+        return f"'{candidate.op}' is not a general =, <, <=, > or >="
+    if candidate.negated or candidate.in_disjunction:
+        return "the comparison is negated or in a disjunction"
+    if paired:
+        return "the comparison is one of a between pair"
+    value = candidate.operand_value
+    if candidate.operand_expr is not None or value is None:
+        return "the operand is not a literal"
+    if index.index_type == "DOUBLE" and value.is_numeric:
+        return None
+    if index.index_type == "VARCHAR" and value.type_name == T_STRING:
+        return None
+    return (f"a {index.index_type} index with a {value.type_name} "
+            f"literal")
 
 
 def _bounds_for(candidate: PredicateCandidate, index) -> _Probe | None:
@@ -127,12 +195,14 @@ class ColumnPrefilter:
     notes: list[str] = field(default_factory=list)
 
     def run(self, stats: ExecutionStats, tracer=None,
-            estimator=None) -> set[int]:
+            estimator=None, answers: dict | None = None) -> set[int]:
+        """The surviving doc ids; exact conjunct probes put their node
+        answers in ``answers`` when given."""
         tracer = tracer or NULL_TRACER
         result: set[int] | None = None
         for probe in self.conjunct_probes:
             docs = self._run_probe(probe, stats, tracer, estimator,
-                                   "conjunct")
+                                   "conjunct", answers)
             result = docs if result is None else (result & docs)
         for group in self.disjunction_probes:
             union: set[int] = set()
@@ -147,13 +217,14 @@ class ColumnPrefilter:
         return result if result is not None else set()
 
     def _run_probe(self, probe: _Probe, stats: ExecutionStats, tracer,
-                   estimator, role: str) -> set[int]:
+                   estimator, role: str, answers: dict | None = None
+                   ) -> set[int]:
         with tracer.span("index-scan", index=probe.index.name,
                          column=self.column, role=role) as span:
             if span:
                 span.set(range=probe.bounds_text())
             entries_before = stats.index_entries_scanned
-            docs = probe.run(stats)
+            docs = probe.run(stats, answers)
             span.set(actual_rows=len(docs), unit="documents",
                      entries_scanned=(stats.index_entries_scanned -
                                       entries_before))
@@ -227,6 +298,10 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
                     f"between collapsed to single range scan on "
                     f"{chosen_index.name} ({group.lower.description} AND "
                     f"{group.upper.description})")
+                prefilter.notes.append(
+                    f"index {chosen_index.name} filters documents only "
+                    f"for {candidate.description}: "
+                    f"{_only_documents(candidate, chosen_index, True)}")
                 continue
         if group is not None and not group.single_scan:
             prefilter.notes.append(
@@ -236,6 +311,17 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
         prefilter.notes.append(
             f"index scan {chosen_index.name} for {candidate.description} "
             f"[{candidate.context.value}]")
+        refusal = _only_documents(candidate, chosen_index,
+                                  group is not None)
+        if refusal is None:
+            probe.answers_for = candidate.comparison_id
+            prefilter.notes.append(
+                f"index {chosen_index.name} answers nodes for "
+                f"{candidate.description}")
+        else:
+            prefilter.notes.append(
+                f"index {chosen_index.name} filters documents only for "
+                f"{candidate.description}: {refusal}")
 
     _plan_semi_joins(database, candidates, prefilters, stats)
 
@@ -343,10 +429,14 @@ class PrefilteredDatabase:
     database's (possibly pinned) row list are dropped.
     """
 
-    def __init__(self, database, doc_filters: dict[str, set[int]]):
+    def __init__(self, database, doc_filters: dict[str, set[int]],
+                 answers: dict[str, dict[int, NodeAnswer]] | None = None):
         self._database = database
         self._doc_filters = {column.lower(): docs
                              for column, docs in doc_filters.items()}
+        #: column -> {comparison_id: NodeAnswer} of its exact probes.
+        self._answers = {column.lower(): found for column, found
+                         in (answers or {}).items() if found}
 
     def xmlcolumn(self, reference: str, stats=None) -> list[Item]:
         key = reference.lower()
@@ -360,7 +450,28 @@ class PrefilteredDatabase:
             stats.docs_scanned += len(stored_docs)
         if METRICS.enabled:
             METRICS.inc("docs.scanned", len(stored_docs))
-        return [stored.document for stored in stored_docs]
+        documents = [stored.document for stored in stored_docs]
+        for answer in self._answers.get(key, {}).values():
+            if answer.by_root is None:
+                by_doc = answer.by_doc
+                answer.by_root = {
+                    document.node_id: by_doc[stored.doc_id]
+                    for stored, document in zip(stored_docs, documents)
+                    if stored.doc_id in by_doc}
+        return documents
+
+    def node_answers(self, key: int, pattern) -> dict[int, list[int]] | None:
+        """Document node id -> node ids (ascending) that the exact probe
+        of the comparison ``key`` (its ``comparison_id``) selected, per
+        surviving document this view returned; None without such a
+        probe, or when the asking lookup's path ``pattern`` is not the
+        one the probe filtered its entries by."""
+        for found in self._answers.values():
+            answer = found.get(key)
+            if answer is not None:
+                return (answer.by_root if answer.pattern == pattern
+                        else None)
+        return None
 
     def __getattr__(self, name):
         return getattr(self._database, name)
@@ -533,15 +644,17 @@ def run_prefilters(database, prefilters: dict[str, ColumnPrefilter],
     holds columns already decided."""
     estimator = _make_probe_estimator(database) if tracer else None
     doc_filters = dict(doc_filters or {})
+    answers: dict[str, dict[int, NodeAnswer]] = {}
     for column, prefilter in prefilters.items():
         with tracer.span("index-probe", column=column) as span:
-            docs = prefilter.run(stats, tracer=tracer, estimator=estimator)
+            docs = prefilter.run(stats, tracer=tracer, estimator=estimator,
+                                 answers=answers.setdefault(column, {}))
             span.set(actual_rows=len(docs), unit="documents")
         doc_filters[column] = docs
         for note in prefilter.notes:
             stats.note(note)
         stats.note(f"prefilter {column}: {len(docs)} documents survive")
-    return PrefilteredDatabase(database, doc_filters)
+    return PrefilteredDatabase(database, doc_filters, answers)
 
 
 def explain_xquery(database, query: str) -> str:
@@ -567,4 +680,5 @@ def explain_xquery(database, query: str) -> str:
     elif not facts.empty_columns:
         lines.append("  full collection scan")
     lines.extend(f"  {line}" for line in flwor_join_report(compiled.module))
+    lines.extend(f"  {line}" for line in flwor_fold_report(compiled.module))
     return "\n".join(lines)

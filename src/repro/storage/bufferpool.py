@@ -93,10 +93,12 @@ class BufferPool:
     def discard(self, stored) -> None:
         """Forget a deleted document (its rows left the table); a
         resident one drops its log pointer, a cold one keeps it for the
-        snapshots pinned before the delete."""
+        snapshots pinned before the delete, whose reads :meth:`load`
+        serves without keeping or charging anything."""
         if not self.enabled:
             return
         with self._lock:
+            stored.discarded = True
             self._lru.pop(stored.doc_id, None)
             self.resident_bytes -= self._charged.pop(stored.doc_id, 0)
             if stored._store is not None:
@@ -129,9 +131,19 @@ class BufferPool:
     def load(self, stored):
         """Materialize a document's tree (reading its segment back from
         the log first when its columns were evicted), then evict colder
-        documents to stay within budget."""
+        documents to stay within budget.  A discarded document's tree
+        (a read through a snapshot pinned before its delete) is built
+        for the caller alone: neither it nor columns read back are
+        kept or charged, so a deleted row never re-enters the pool."""
         with self._lock:
             document = stored._document
+            if stored.discarded:
+                if document is not None:
+                    return document
+                store = stored._store
+                if store is None:
+                    store = self.read_back(stored)
+                return store.materialize(stored.schema)
             if document is not None:
                 # Another thread materialized it while we waited.
                 self._lru.move_to_end(stored.doc_id)

@@ -342,6 +342,29 @@ class ColumnStore:
             passing.sort()
         return list(map(self.nodes.__getitem__, passing))
 
+    def nodes_at(self, node_ids: list[int], up: int) -> list[Node] | None:
+        """The nodes ``up`` parent links above the nodes with
+        ``node_ids`` (ascending, each once), without duplicates, in
+        document order: an exact index verdict's answer, no partition
+        read.  A document numbered in one block holds node id ``i`` in
+        slot ``i - node_ids[0]``; None when an id is not there (a store
+        numbered otherwise)."""
+        assert self.nodes is not None
+        held, parent = self.node_ids, self.parent
+        first, size = held[0], len(held)
+        slots = []
+        for node_id in node_ids:
+            slot = node_id - first
+            if slot < 0 or slot >= size or held[slot] != node_id:
+                return None
+            for _level in range(up):
+                slot = parent[slot]
+            slots.append(slot)
+        if up and len(slots) > 1:
+            slots = sorted(set(slots))
+        nodes = self.nodes
+        return [nodes[slot] for slot in slots]
+
     def _ancestors(self, slots: list[int], up: int) -> list[int]:
         """Each slot's ancestor ``up`` parent links above it."""
         parent = self.parent

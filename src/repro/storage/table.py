@@ -36,7 +36,7 @@ class StoredDocument:
     """
 
     __slots__ = ("doc_id", "schema", "_document", "_store", "_pool",
-                 "_cold", "path_class")
+                 "_cold", "path_class", "discarded")
 
     def __init__(self, doc_id: int, document: DocumentNode | None,
                  schema=None):
@@ -56,6 +56,9 @@ class StoredDocument:
         #: The document's path signature (``ColumnStore.path_class``),
         #: captured at ingest and interned by the owning table.
         self.path_class: frozenset | None = None
+        #: Its rows left the table (``BufferPool.discard``): snapshots
+        #: pinned before the delete still read it, outside the pool.
+        self.discarded = False
 
     @property
     def document(self) -> DocumentNode:

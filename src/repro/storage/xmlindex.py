@@ -215,15 +215,25 @@ class XmlIndex:
                            low_inclusive: bool = True,
                            high_inclusive: bool = True,
                            path_filter: PathPattern | None = None,
-                           stats=None) -> set[int]:
+                           stats=None,
+                           nodes: dict[int, list[int]] | None = None
+                           ) -> set[int]:
         """Document ids with at least one entry in the range — the
-        I(P, D) pre-filter of Definition 1."""
+        I(P, D) pre-filter of Definition 1.  ``nodes``, when given,
+        also receives each document's entry node ids, ascending: where
+        the probe's verdict is exact, the nodes its comparison
+        selects."""
         docs: set[int] = set()
         scanned = 0
         for entry in self.scan(low, high, low_inclusive, high_inclusive,
                                path_filter):
             scanned += 1
             docs.add(entry.doc_id)
+            if nodes is not None:
+                nodes.setdefault(entry.doc_id, []).append(entry.node_id)
+        if nodes:
+            for held in nodes.values():
+                held.sort()
         if stats is not None:
             stats.index_entries_scanned += scanned
             stats.record_index_use(self.name)

@@ -149,6 +149,9 @@ class _Lowering:
         self.prolog = prolog = module.prolog
         self.plan_joins = plan_joins
         self.preserve = prolog.construction_mode == "preserve"
+        #: ``id`` of a where clause's folded predicate -> the where
+        #: clause's comparison, which keys its index node answers.
+        self.stands_for: dict[int, ast.Expr] = {}
         #: User function bodies, looked up by call closures when they
         #: run, so recursive functions need no forward declaration.
         self.bodies: dict[tuple, Lowered] = {}
@@ -498,10 +501,17 @@ class _Lowering:
             index += 1
             if isinstance(clause, ast.ForClause):
                 join = plan.joins.get(index - 1)
+                fold = plan.folds.get(index - 1)
                 if join is not None:
                     # The where clause right after is applied by the join.
                     stages.append(self._hash_join(join, clause.expr,
                                                   clauses[index].expr))
+                    index += 1
+                elif fold is not None:
+                    # ... or by the predicate folded into the sequence.
+                    self.stands_for[id(fold.predicate)] = fold.comparison
+                    stages.append(self._for(fold.clause,
+                                            index - 1 in plan.invariant))
                     index += 1
                 else:
                     stages.append(self._for(clause,
@@ -673,7 +683,11 @@ class _Lowering:
         applied = [self._axis_step(step) if isinstance(step, ast.AxisStep)
                    else self._expr_step(step) for step in steps]
         summary_filter = self._predicates(predicates)
-        decide = None if column is None else _column_predicate(*column)
+        decide = None
+        if column is not None:
+            comparison = self.stands_for.get(id(predicates[0]),
+                                             predicates[0])
+            decide = _column_predicate(*column, comparison)
         after_summary = applied[consumed:]
 
         def path(ctx):
@@ -1015,9 +1029,9 @@ def _summary_lookup(matcher, summary_filter, decide, items: list[Item],
     compiled prefix (:func:`_path_plan`) come straight from the
     stores' path partitions — no subtree walk.  None on any doubt:
     the generic pipeline runs.  When the consumed predicates have a
-    column plan, ``decide`` answers them over the partitions of
-    untyped stores (:func:`_column_predicate`); otherwise, or when it
-    declines, ``summary_filter`` evaluates them node by node.
+    column plan, ``decide`` answers them store by store, an untyped
+    store on its partitions (:func:`_column_predicate`); otherwise, or
+    when it declines, ``summary_filter`` evaluates them node by node.
 
     The items arrive in document order without duplicates (they are a
     step's result or the context root) and documents never nest, so
@@ -1036,11 +1050,10 @@ def _summary_lookup(matcher, summary_filter, decide, items: list[Item],
         ctx.stats.summary_lookups += 1
     if METRICS.enabled:
         METRICS.inc("pathsummary.hits")
-    if decide is not None and all(store.untyped for store in stores):
-        nodes = decide(stores, ctx)
+    if decide is not None:
+        nodes = decide(stores, ctx, lambda store: summary_filter(
+            store.nodes_for(matcher), ctx))
         if nodes is not None:
-            if METRICS.enabled:
-                METRICS.inc("pathsummary.column_predicates")
             return nodes
     if len(stores) == 1:
         nodes = stores[0].nodes_for(matcher)
@@ -1219,16 +1232,28 @@ def _summary_step_test(step: ast.AxisStep):
 
 
 def _column_predicate(matcher, up: int, op: str, strict: bool,
-                      operand: ast.Expr):
-    """``decide(stores, ctx)``: the nodes of a summary lookup whose
-    consumed predicate is ``[rel op operand]`` (:func:`_column_plan`),
-    decided on the untyped ``stores``' columns
+                      operand: ast.Expr, comparison: ast.Expr):
+    """``decide(stores, ctx, generic)``: the nodes of a summary lookup
+    whose consumed predicate is ``[rel op operand]``
+    (:func:`_column_plan`), decided on the ``stores``' columns
     (:meth:`~repro.storage.columnar.ColumnStore.nodes_where`), or None
     where the generic route must run: an operand that is not one atom
-    comparing with untyped values as xs:double or as strings, or a
-    value comparison that would raise.  A literal operand is promoted
-    once, here; a variable once per lookup."""
+    comparing with untyped values as xs:double or as strings.  A typed
+    store, or an untyped one where a value comparison would raise,
+    runs ``generic(store)``, the predicate node by node; the predicate
+    is non-positional, so filtering store by store, in document order,
+    answers and raises as filtering all their nodes at once.  A
+    literal operand is promoted once, here; a variable once per lookup.
+
+    When an index probe planned for ``comparison`` (the predicate, or
+    the where clause it was folded from) has an exact verdict, the
+    stores of the probed column's surviving documents are answered
+    from its entries (:func:`_node_answers`,
+    :meth:`~repro.storage.columnar.ColumnStore.nodes_at`) without
+    reading a partition; any other store runs the kernel."""
     compare = _OPS[op]
+    key = id(comparison)
+    answerable = isinstance(operand, ast.Literal) and not strict
     if isinstance(operand, ast.Literal):
         promoted = _column_operand([operand.value])
         if promoted is None:
@@ -1245,21 +1270,49 @@ def _column_predicate(matcher, up: int, op: str, strict: bool,
             except XQueryError:
                 return None
 
-    def decide(stores, ctx) -> list[Node] | None:
+    def decide(stores, ctx, generic) -> list[Node] | None:
         promoted = resolve(ctx)
         if promoted is None:
             return None
         numeric, fixed = promoted
+        answers = (_node_answers(ctx.database, key, matcher)
+                   if answerable else None)
         guard = active_guard()
         nodes: list[Node] = []
+        on_columns = True
         for store in stores:
-            found = store.nodes_where(matcher, up, numeric, compare,
-                                      fixed, strict, guard)
+            found = None
+            if store.untyped:
+                node_ids = (None if answers is None
+                            else answers.get(store.node_ids[0]))
+                if node_ids is not None:
+                    if guard is not None:
+                        guard.tick(len(node_ids) + 1)
+                    found = store.nodes_at(node_ids, up)
+                    if found is not None and METRICS.enabled:
+                        METRICS.inc("index.node_answers")
+                if found is None:
+                    found = store.nodes_where(matcher, up, numeric,
+                                              compare, fixed, strict, guard)
             if found is None:
-                return None
+                on_columns = False
+                found = generic(store)
             nodes.extend(found)
+        if on_columns and METRICS.enabled:
+            METRICS.inc("pathsummary.column_predicates")
         return nodes
     return decide
+
+
+def _node_answers(database, key: int, matcher) -> dict | None:
+    """Document node id -> ascending node ids of the nodes an exact
+    index verdict selected, per surviving document of the probed
+    column, for the comparison whose ``id`` (its candidates'
+    ``comparison_id``) is ``key`` — when ``database`` is a prefiltered
+    view holding them for ``matcher``'s path
+    (:meth:`repro.planner.plan.PrefilteredDatabase.node_answers`)."""
+    lookup = getattr(database, "node_answers", None)
+    return None if lookup is None else lookup(key, matcher.pattern)
 
 
 def _column_operand(atoms: list[AtomicValue]) -> tuple[bool, object] | None:

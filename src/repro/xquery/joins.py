@@ -24,17 +24,29 @@ classes decide per pair at run time.  The plan changes no answer:
 Joins that fail a rule keep the loop; :func:`flwor_join_report` names
 the rule for EXPLAIN.  A loop whose inner sequence still cannot change
 between outer tuples evaluates it once.
+
+A where clause that directly follows ``for $x in P`` (no ``at``, no
+hash join) and is one comparison of ``$x/rel`` — ``rel`` being child
+and attribute name steps without predicates — with a literal or a
+variable is folded into the sequence: the pair runs as ``for $x in
+P[rel op operand]`` (:class:`WhereFold`), so the path's column kernel
+or the index's node answers decide it instead of one where evaluation
+per binding.  ``P`` must be a path ending in an axis step; the
+predicate is non-positional and reads no focus, so filtering ``P``'s
+nodes before binding them keeps the tuples, their order and whether
+the clause raises.  :func:`flwor_fold_report` names the rule that keeps
+any other where clause.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import ast
 from .functions import lookup_function
 
-__all__ = ["FlworPlan", "HashJoin", "JoinTable", "plan_flwor",
-           "flwor_join_report"]
+__all__ = ["FlworPlan", "HashJoin", "JoinTable", "WhereFold", "plan_flwor",
+           "flwor_fold_report", "flwor_join_report"]
 
 #: Node constructors: an inner sequence holding one builds fresh node
 #: identities per outer tuple, which evaluating it once would merge.
@@ -97,6 +109,20 @@ class JoinTable:
 
 
 @dataclass(frozen=True)
+class WhereFold:
+    """``for $x in P where $x/rel op operand`` run as ``for $x in
+    P[rel op operand]``."""
+
+    #: The for clause over the filtered sequence.
+    clause: ast.ForClause
+    #: ``rel op operand``, the predicate on the sequence's last step.
+    predicate: ast.Expr
+    #: The where clause's comparison: the predicate stands for it (an
+    #: index probe planned for it answers the predicate's nodes).
+    comparison: ast.Expr
+
+
+@dataclass(frozen=True)
 class FlworPlan:
     """How the for clauses of one FLWOR run, by clause index."""
 
@@ -106,15 +132,24 @@ class FlworPlan:
     invariant: frozenset[int]
     #: (variable, reason) for every inner for clause left a loop.
     loops: list[tuple[str, str]]
+    #: For clauses that absorb the where clause right after them.
+    folds: dict[int, WhereFold] = field(default_factory=dict)
+    #: (variable, reason) for every other where clause right after a
+    #: for clause.
+    kept: list[tuple[str, str]] = field(default_factory=list)
+
+
+def _plans(module: ast.Module):
+    """The plan of every FLWOR in ``module``'s body."""
+    for node in ast.walk(module.body):
+        if isinstance(node, ast.FLWORExpr):
+            yield plan_flwor(node, module.prolog)
 
 
 def flwor_join_report(module: ast.Module) -> list[str]:
     """One EXPLAIN line per inner for clause of every FLWOR."""
     lines = []
-    for node in ast.walk(module.body):
-        if not isinstance(node, ast.FLWORExpr):
-            continue
-        plan = plan_flwor(node, module.prolog)
+    for plan in _plans(module):
         for join in plan.joins.values():
             outer = ", ".join(f"${name}" for name
                               in sorted(_variables(join.probe_key)))
@@ -128,22 +163,37 @@ def flwor_join_report(module: ast.Module) -> list[str]:
     return lines
 
 
+def flwor_fold_report(module: ast.Module) -> list[str]:
+    """One EXPLAIN line per where clause right after a for clause:
+    folded into its sequence, or the rule that kept it."""
+    lines = []
+    for plan in _plans(module):
+        for fold in plan.folds.values():
+            lines.append(f"where clause folded into for ${fold.clause.var}:"
+                         f" its comparison filters the sequence's last "
+                         f"step")
+        for var, reason in plan.kept:
+            lines.append(f"where clause kept after for ${var}: {reason}")
+    return lines
+
+
 def plan_flwor(expr: ast.FLWORExpr, prolog: ast.Prolog) -> FlworPlan:
     """Which for clauses of ``expr`` hash-join, which run their sequence
     once, and why the others stay loops."""
     joins: dict[int, HashJoin] = {}
     invariant: set[int] = set()
     loops: list[tuple[str, str]] = []
+    folds: dict[int, WhereFold] = {}
+    kept: list[tuple[str, str]] = []
     clauses = expr.clauses
     bound: set[str] = set()
     seen_for = False
     for index, clause in enumerate(clauses):
+        following = clauses[index + 1] if index + 1 < len(clauses) else None
         if isinstance(clause, ast.ForClause) and seen_for:
             verdict = _variance(clause, bound, prolog)
             if verdict is None:
                 invariant.add(index)
-                following = (clauses[index + 1]
-                             if index + 1 < len(clauses) else None)
                 verdict = _hash_join(clause, following, bound)
             if isinstance(verdict, HashJoin):
                 joins[index] = verdict
@@ -151,6 +201,18 @@ def plan_flwor(expr: ast.FLWORExpr, prolog: ast.Prolog) -> FlworPlan:
                 if index in invariant:
                     verdict += "; inner sequence evaluated once"
                 loops.append((clause.var, verdict))
+        if (isinstance(clause, ast.ForClause)
+                and isinstance(following, ast.WhereClause)):
+            fold = _fold(clause, following.expr)
+            if isinstance(fold, WhereFold) and index in joins:
+                fold = f"the hash join for ${clause.var} applies it"
+            if isinstance(fold, WhereFold):
+                folds[index] = fold
+                if (index in invariant
+                        and _variance(fold.clause, bound, prolog)):
+                    invariant.discard(index)
+            else:
+                kept.append((clause.var, fold))
         if isinstance(clause, ast.ForClause):
             seen_for = True
             bound.add(clause.var)
@@ -158,7 +220,7 @@ def plan_flwor(expr: ast.FLWORExpr, prolog: ast.Prolog) -> FlworPlan:
                 bound.add(clause.position_var)
         elif isinstance(clause, ast.LetClause):
             bound.add(clause.var)
-    return FlworPlan(joins, frozenset(invariant), loops)
+    return FlworPlan(joins, frozenset(invariant), loops, folds, kept)
 
 
 def _variance(clause: ast.ForClause, outer: set[str],
@@ -200,6 +262,65 @@ def _hash_join(clause: ast.ForClause, following, outer: set[str]
         return f"the ${clause.var} side also depends on the outer tuple"
     return HashJoin(clause.var, clause.position_var, build, probe, general,
                     key_only=leading is following.expr)
+
+
+def _fold(clause: ast.ForClause, where: ast.Expr) -> WhereFold | str:
+    """The fold of ``where`` into ``clause``'s sequence, or why the
+    where clause stays."""
+    var = clause.var
+    if clause.position_var:
+        return f"for ${var} has a positional variable"
+    sequence = clause.expr
+    if not (isinstance(sequence, ast.PathExpr)
+            and isinstance(sequence.steps[-1], ast.AxisStep)):
+        return "the for sequence is not a path ending in an axis step"
+    if not isinstance(where, (ast.GeneralComparison, ast.ValueComparison)):
+        return "the where clause is not one comparison"
+    left, right = _relative_to(where.left, var), _relative_to(where.right,
+                                                               var)
+    if left is not None and right is None:
+        rel, operand = left, where.right
+    elif right is not None and left is None:
+        rel, operand = right, where.left
+    else:
+        return (f"not exactly one side is ${var} or ${var}/… over "
+                f"child and attribute name steps without predicates")
+    if isinstance(operand, ast.ContextItem) or (
+            isinstance(operand, ast.FunctionCall)
+            and operand.name.local in ("position", "last")):
+        # In P's predicate the focus would be P's item, not the FLWOR's.
+        return "the where clause reads the focus"
+    if not isinstance(operand, (ast.Literal, ast.VarRef)):
+        return "the other side is not a literal or a variable"
+    predicate = (type(where)(where.op, rel, where.right) if left is not None
+                 else type(where)(where.op, where.left, rel))
+    last = sequence.steps[-1]
+    filtered = ast.AxisStep(last.axis, last.test,
+                            [*last.predicates, predicate])
+    return WhereFold(
+        ast.ForClause(var, ast.PathExpr(sequence.absolute,
+                                        [*sequence.steps[:-1], filtered])),
+        predicate, where)
+
+
+def _relative_to(expr: ast.Expr, var: str) -> ast.Expr | None:
+    """``expr`` = ``$var`` or ``$var/rel`` over child and attribute name
+    steps without predicates, as ``.`` or the relative path ``rel``."""
+    if isinstance(expr, ast.VarRef):
+        return ast.ContextItem() if expr.name == var else None
+    if not isinstance(expr, ast.PathExpr) or expr.absolute:
+        return None
+    first, rest = expr.steps[0], expr.steps[1:]
+    if not (isinstance(first, ast.ExprStep) and not first.predicates
+            and isinstance(first.expr, ast.VarRef)
+            and first.expr.name == var):
+        return None
+    if not all(isinstance(step, ast.AxisStep)
+               and step.axis in ("child", "attribute")
+               and isinstance(step.test, ast.NameTest)
+               and not step.predicates for step in rest):
+        return None
+    return ast.PathExpr("", rest) if rest else ast.ContextItem()
 
 
 def _may_construct(node, prolog: ast.Prolog) -> bool:

@@ -137,3 +137,28 @@ def test_a_checkpoint_evicts_no_working_set(tmp_path, scan):
                 if stored._document is not None] == trees
         assert [stored.doc_id for stored in documents
                 if stored._store is not None] == columns
+
+
+def test_a_pinned_snapshot_re_admits_no_deleted_document(tmp_path):
+    # Deleted rows leave the pool; a snapshot pinned before the delete
+    # still reads them, but its reads keep and charge nothing, so no
+    # entry (and no handle on a replaced log) outlives the snapshot.
+    with DurableDatabase(tmp_path, buffer_pool_bytes=1) as database:
+        database.execute("CREATE TABLE t (id INTEGER, d XML)")
+        for number in (1, 2, 3):
+            database.insert("t", {"id": number,
+                                  "d": f"<a><b>{number}</b></a>"})
+        database.checkpoint()
+        pool = database.buffer_pool
+        snapshot = database.snapshot()
+        assert database.delete_rows("t") == 3
+        assert not pool._lru and pool.resident_bytes == 0
+        for _read in range(2):
+            assert snapshot.xquery(
+                "db2-fn:xmlcolumn('T.D')//b").serialize() == [
+                    "<b>1</b>", "<b>2</b>", "<b>3</b>"]
+            assert not pool._lru and pool.resident_bytes == 0
+        del snapshot
+        database.checkpoint()
+        assert not pool._lru and pool.resident_bytes == 0
+        assert replaced_files_open(tmp_path) == []
