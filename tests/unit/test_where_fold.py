@@ -9,10 +9,12 @@ import pytest
 
 from repro import Database
 from repro.core.querycache import clear_cache, compile_query
+from repro.errors import ReproError
 from repro.obs.metrics import METRICS, enabled_metrics
 from repro.workload import populate_paper_schema
 from repro.xquery import evaluator
-from repro.xquery.joins import flwor_fold_report, flwor_join_report
+from repro.xquery.joins import (flwor_fold_report, flwor_join_report,
+                                plan_flwor)
 
 _O = "db2-fn:xmlcolumn('ORDERS.ORDDOC')/order"
 _C = "db2-fn:xmlcolumn('CUSTOMER.CDOC')/customer"
@@ -34,6 +36,14 @@ def database() -> Database:
 
 def _folds(query: str) -> list[str]:
     return flwor_fold_report(compile_query(query).module)
+
+
+def _outcome(database, query: str, use_indexes: bool = True):
+    """The answer, or the error's class and code."""
+    try:
+        return database.xquery(query, use_indexes=use_indexes).serialize()
+    except ReproError as error:
+        return type(error).__name__, getattr(error, "code", None)
 
 
 class TestFoldRefusals:
@@ -65,19 +75,10 @@ class TestFoldRefusals:
         (line,) = _folds(query)
         assert line.startswith("where clause kept after for $")
         assert reason in line
-        plan = evaluator.plan_flwor(compile_query(query).module.body,
-                                    compile_query(query).module.prolog)
-        assert not plan.folds
-        outcomes = []
-        for use_indexes in (True, False):
-            try:
-                outcomes.append(
-                    database.xquery(query,
-                                    use_indexes=use_indexes).serialize())
-            except Exception as error:  # noqa: BLE001 - compared below
-                outcomes.append((type(error).__name__,
-                                 getattr(error, "code", None)))
-        assert outcomes[0] == outcomes[1]
+        module = compile_query(query).module
+        assert not plan_flwor(module.body, module.prolog).folds
+        assert _outcome(database, query) == _outcome(database, query,
+                                                     use_indexes=False)
 
     def test_j1_stays_a_hash_join(self):
         assert _folds(_J1) == [
@@ -99,12 +100,26 @@ class TestFolds:
         "$i/product/id = 'P00003'", "'P00003' = $i/product/id",
         "$i/@price > 100", "$i/@price eq 100", "$i = 'x'",
         "$i/@price > $v"])
-    def test_a_comparison_of_rel_with_an_operand_folds(self, where):
+    def test_a_comparison_of_rel_with_an_operand_folds(self, database,
+                                                       where):
         query = (f"let $v := 10 for $i in {_O}/lineitem where {where} "
                  f"return $i")
         assert _folds(query) == [
             "where clause folded into for $i: its comparison filters the "
             "sequence's last step"]
+        assert _outcome(database, query) == _outcome(database, query,
+                                                     use_indexes=False)
+
+    @pytest.mark.parametrize("operand", [
+        "()", "(1, 100)", "'P00003'", "xs:untypedAtomic(' 100 ')",
+        "xs:date('2006-01-01')"])
+    def test_a_variable_operand_answers_as_the_where_clause(
+            self, database, operand):
+        for op in ("=", "<", "eq"):
+            query = (f"let $v := {operand} for $i in {_O}/lineitem "
+                     f"where $i/@price {op} $v return $i/product/id")
+            assert _outcome(database, query) == _outcome(
+                database, query, use_indexes=False), query
 
     def test_explain_names_the_fold_and_the_node_answers(self, database):
         text = database.explain(_P5)
