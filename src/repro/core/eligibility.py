@@ -40,6 +40,8 @@ from .report import (EligibilityReport, IndexVerdict, PredicateReport,
 _CONTEXT_REASONS = {
     PredicateContext.LET_BINDING: Reason.LET_BINDING,
     PredicateContext.CONSTRUCTOR_CONTENT: Reason.CONSTRUCTOR_CONTENT,
+    PredicateContext.KEPT_VALUE: Reason.KEPT_VALUE,
+    PredicateContext.AFTER_POSITION: Reason.AFTER_POSITION,
     PredicateContext.SQL_SELECT_LIST: Reason.SQL_SELECT_LIST,
     PredicateContext.SQL_BOOLEAN_XMLEXISTS: Reason.BOOLEAN_XMLEXISTS,
     PredicateContext.SQL_XMLTABLE_COLUMN: Reason.XMLTABLE_COLUMN,

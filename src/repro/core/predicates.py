@@ -39,6 +39,8 @@ class PredicateContext(enum.Enum):
     LET_BINDING = "let binding"
     LET_WITH_WHERE = "let binding consumed by where"
     RETURN_BINDOUT = "return bind-out"
+    KEPT_VALUE = "value kept whether empty or not"
+    AFTER_POSITION = "after a positional variable"
     CONSTRUCTOR_CONTENT = "constructor content"
     QUANTIFIED_SOME = "some-quantified"
     QUANTIFIED_EVERY = "every-quantified"
@@ -112,6 +114,10 @@ class PredicateCandidate:
     #: outer row and probing the index with the result.
     operand_expr: object | None = None
     operand_vars: frozenset[str] = frozenset()
+    #: The comparison type a cast on the document side forces
+    #: (``custid/xs:double(.)``: DOUBLE; ``string()``: VARCHAR;
+    #: ``data()``: ANY), or None without one.
+    cast: str | None = None
     #: The AST comparison (or ``fn:between`` call) the candidate came
     #: from; None for an existence test.
     comparison: object | None = field(default=None, compare=False,
@@ -171,6 +177,9 @@ def extract_candidates(module: ast.Module,
 class _Extractor:
     def __init__(self, suppress_xmlcolumn: bool = False):
         self.candidates: list[PredicateCandidate] = []
+        #: Variables a where clause being analyzed discards the empty
+        #: sequences of (:meth:`_consume`); None outside one.
+        self.consumed: set[str] | None = None
         self.suppress_xmlcolumn = suppress_xmlcolumn
 
     def emit(self, candidate: PredicateCandidate) -> None:
@@ -290,47 +299,72 @@ class _Extractor:
     # -- FLWOR -----------------------------------------------------------
 
     def _walk_FLWORExpr(self, expr: ast.FLWORExpr, scope, state) -> None:
+        """A clause filters documents only where the FLWOR itself does
+        (an enclosing let binding, constructor or select list keeps its
+        context), and only up to a positional variable: dropping a
+        document after ``at $p`` renumbers the positions later clauses
+        see."""
         scope = dict(scope)
         let_vars: dict[str, list[PredicateCandidate]] = {}
+        #: The state of every later clause once none may filter.
+        blocked = None if state.context in FILTERING_CONTEXTS else state
         for clause in expr.clauses:
             if isinstance(clause, ast.ForClause):
-                self._analyze_binding(clause.expr, scope, state,
-                                      PredicateContext.FOR_BINDING)
+                self.walk(clause.expr, scope, blocked or state.with_context(
+                    PredicateContext.FOR_BINDING))
                 scope[clause.var] = self.origin_of(clause.expr, scope)
+                if clause.position_var is not None:
+                    blocked = _kept(state, PredicateContext.AFTER_POSITION)
             elif isinstance(clause, ast.LetClause):
+                # Only this FLWOR's own where clause may upgrade a let,
+                # and only a let of a path as it is: ``($d/a[b], 1)`` is
+                # never empty.
                 before = len(self.candidates)
-                self._analyze_binding(clause.expr, scope, state,
-                                      PredicateContext.LET_BINDING)
+                let_state = blocked or state.with_context(
+                    PredicateContext.LET_BINDING)
+                if blocked is not None or not _as_is(clause.expr):
+                    let_state = _kept(let_state, PredicateContext.KEPT_VALUE)
+                self.walk(clause.expr, scope, let_state)
                 let_vars[clause.var] = self.candidates[before:]
                 scope[clause.var] = self.origin_of(clause.expr, scope)
             elif isinstance(clause, ast.WhereClause):
+                outer, self.consumed = self.consumed, set()
                 self._analyze_boolean(
-                    clause.expr, scope,
-                    state.with_context(PredicateContext.WHERE_CLAUSE))
+                    clause.expr, scope, blocked or state.with_context(
+                        PredicateContext.WHERE_CLAUSE))
+                consumed, self.consumed = self.consumed, outer
+                if blocked is not None:
+                    continue
                 # A where clause that consumes a let variable discards
                 # its empty sequences — upgrade (Section 3.4, Query 21).
-                for var in _variables_in(clause.expr):
+                for var in consumed:
                     for candidate in let_vars.get(var, []):
                         if candidate.context is PredicateContext.LET_BINDING:
                             candidate.context = \
                                 PredicateContext.LET_WITH_WHERE
             elif isinstance(clause, ast.OrderByClause):
                 for spec in clause.specs:
-                    self.walk(spec.expr, scope, state)
-        self._walk_return(expr.return_expr, scope, state)
-
-    def _analyze_binding(self, expr, scope, state,
-                         context: PredicateContext) -> None:
-        self.walk(expr, scope, state.with_context(context))
+                    self.walk(spec.expr, scope, blocked or _kept(
+                        state, PredicateContext.KEPT_VALUE))
+        self._walk_return(expr.return_expr, scope, blocked or state)
 
     def _walk_return(self, expr, scope, state) -> None:
-        self.walk(expr, scope,
-                  state.with_context(PredicateContext.RETURN_BINDOUT))
+        """Only a path returned as it is (or a nested FLWOR's return) is
+        empty exactly when its binding contributes nothing; inside a
+        function call, a sequence, arithmetic or a comparison it is a
+        value the binding returns either way."""
+        if not _as_is(expr):
+            state = _kept(state, PredicateContext.KEPT_VALUE)
+        elif state.context in FILTERING_CONTEXTS:
+            state = state.with_context(PredicateContext.RETURN_BINDOUT)
+        self.walk(expr, scope, state)
 
     def _walk_QuantifiedExpr(self, expr: ast.QuantifiedExpr, scope,
                              state) -> None:
         scope = dict(scope)
-        context = (PredicateContext.QUANTIFIED_SOME
+        context = (state.context
+                   if state.context not in FILTERING_CONTEXTS
+                   else PredicateContext.QUANTIFIED_SOME
                    if expr.quantifier == "some"
                    else PredicateContext.QUANTIFIED_EVERY)
         for var, binding in expr.bindings:
@@ -394,6 +428,7 @@ class _Extractor:
             return
         if isinstance(expr, ast.FunctionCall) and \
                 expr.name.local in ("exists",) and len(expr.args) == 1:
+            self._consume(expr.args[0], state)
             self._emit_exists(expr.args[0], scope, state)
             return
         if isinstance(expr, ast.FunctionCall) and \
@@ -401,9 +436,12 @@ class _Extractor:
             self._analyze_between_call(expr, scope, state)
             return
         if isinstance(expr, (ast.PathExpr, ast.FilterExpr, ast.VarRef)):
+            self._consume(expr, state)
             self._emit_exists(expr, scope, state)
             return
-        self.walk(expr, scope, state)
+        # empty(), count(...) = 0, if/then/else: the value decides, not
+        # whether a path inside it is empty.
+        self.walk(expr, scope, _kept(state, PredicateContext.KEPT_VALUE))
 
     # -- comparisons -------------------------------------------------------
 
@@ -412,11 +450,22 @@ class _Extractor:
 
     _walk_ValueComparison = _walk_GeneralComparison
 
+    def _consume(self, expr, state: _WalkState) -> None:
+        """``expr`` is a path or a comparison operand in a where clause:
+        empty, it makes the clause false — unless negated or one of a
+        disjunction."""
+        if self.consumed is not None and not state.negated and \
+                state.disjunction_group is None:
+            self.consumed.update(_variables_in(expr))
+
     def _analyze_comparison(self, expr, scope, state: _WalkState) -> None:
         is_value_comparison = isinstance(expr, ast.ValueComparison)
         op = expr.op
         left_info = self._side_info(expr.left, scope, state)
         right_info = self._side_info(expr.right, scope, state)
+        for info in (left_info, right_info):
+            if info["origin"] is not None:
+                self._consume(info["expr"], state)
 
         self._emit_side(left_info, right_info, op, state,
                         is_value_comparison, expr)
@@ -435,7 +484,8 @@ class _Extractor:
         # (e.g. $d//a[b > 1]/c > 2) — but only when it isn't a plain
         # path, to avoid double-emitting.
         if origin is None and literal is None and sql_typed is None:
-            self.walk(expr, scope, state)
+            self.walk(expr, scope,
+                      _kept(state, PredicateContext.KEPT_VALUE))
         else:
             self._walk_step_predicates(expr, scope, state)
         return {"origin": origin, "literal": literal,
@@ -529,6 +579,7 @@ class _Extractor:
             operand_expr=operand_expr,
             operand_vars=frozenset(_variables_in(operand_expr))
             if operand_expr is not None else frozenset(),
+            cast=origin.cast_type,
             comparison=comparison))
 
     def _analyze_between_call(self, expr, scope,
@@ -596,6 +647,24 @@ def _child_expressions(expr) -> list[ast.Expr]:
                 if isinstance(element, ast.Expr):
                     children.append(element)
     return children
+
+
+def _as_is(expr) -> bool:
+    """Is ``expr`` empty exactly when the paths in it select nothing: a
+    path, a variable, or a FLWOR (whose clauses say the rest)?"""
+    return isinstance(expr, (ast.PathExpr, ast.FilterExpr, ast.VarRef,
+                             ast.FLWORExpr))
+
+
+def _kept(state: _WalkState, context: PredicateContext) -> _WalkState:
+    """``state`` at a position whose value is kept for every binding:
+    ``context``, unless the enclosing context already filters nothing
+    (it stays, with its reason) — but never a let binding, which a
+    where clause could upgrade."""
+    if state.context in FILTERING_CONTEXTS or \
+            state.context is PredicateContext.LET_BINDING:
+        return state.with_context(context)
+    return state
 
 
 def _variables_in(expr) -> set[str]:

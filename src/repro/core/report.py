@@ -54,6 +54,16 @@ class Reason(enum.Enum):
         "the predicate is embedded in an element constructor in a "
         "return clause; an (empty) element is built for every binding, "
         "so nothing is filtered")
+    KEPT_VALUE = (
+        "VALUE", "3.4", None,
+        "the predicate's path is inside a function call, sequence, "
+        "arithmetic or comparison operand, or an order key, whose value "
+        "counts whether the path is empty or not; no documents may be "
+        "eliminated")
+    AFTER_POSITION = (
+        "POSITION", "2.2", None,
+        "a for clause before the predicate binds a positional variable; "
+        "eliminating documents would renumber the positions")
     SQL_SELECT_LIST = (
         "SELECT-LIST", "3.2", 2,
         "XMLQUERY in the select list cannot eliminate rows; empty "

@@ -19,6 +19,8 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``index.node_answers``            documents whose predicate nodes came
                                   from an exact probe's entries, not
                                   from their partitions
+``index.decided_rows``            SQL rows whose XMLEXISTS an exact
+                                  probe decided: the body did not run
 ``relindex.lookups``              relational index lookups
 ``pathsummary.hits``              step chains answered from a column
                                   store's path table

@@ -39,6 +39,7 @@ from ..core.querycache import cache_info, compile_query
 from ..errors import ReproError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
+from ..storage.xmlindex import SHARED_PARENT, SKIPPED
 from ..xdm.atomic import T_STRING
 from ..xdm.sequence import Item
 from ..xquery.evaluator import evaluate_module
@@ -82,16 +83,21 @@ class _Probe:
     #: are, when the verdict is exact (:func:`_only_documents`); None
     #: for a document filter.
     answers_for: int | None = None
+    #: Document facts on which the comparison may raise rather than be
+    #: false (:func:`_raising_facts`): such documents are admitted too.
+    admit: int = 0
 
     def run(self, stats: ExecutionStats, answers: dict | None = None
             ) -> set[int]:
-        """The documents with entries in range; an exact probe also
-        puts its :class:`NodeAnswer` in ``answers`` when given."""
+        """The documents with entries in range (and those it admits);
+        an exact probe also puts its :class:`NodeAnswer` in ``answers``
+        when given."""
         nodes = (None if self.answers_for is None or answers is None
                  else {})
         docs = self.index.matching_documents(
             self.low, self.high, self.low_inclusive, self.high_inclusive,
-            path_filter=self.path_filter, stats=stats, nodes=nodes)
+            path_filter=self.path_filter, stats=stats, nodes=nodes,
+            admit=self.admit)
         if nodes is not None:
             answers[self.answers_for] = NodeAnswer(self.path_filter, nodes)
         return docs
@@ -119,10 +125,13 @@ class NodeAnswer:
 
 #: General comparisons whose index range is exactly their truth set.
 _EXACT_OPS = frozenset({"=", "<", "<=", ">", ">="})
+#: Value comparisons: exact too over one step, on a document whose
+#: facts say no operand has two items and no value failed its cast.
+_VALUE_OPS = frozenset({"eq", "lt", "le", "gt", "ge"})
 
 
-def _only_documents(candidate: PredicateCandidate, index,
-                    paired: bool) -> str | None:
+def _only_documents(candidate: PredicateCandidate, index, paired: bool,
+                    one_step: bool = False) -> str | None:
     """Why ``candidate``'s probe on ``index`` only filters documents, or
     None when its entries are exactly the nodes the comparison selects.
 
@@ -132,24 +141,57 @@ def _only_documents(candidate: PredicateCandidate, index,
     the index could not cast (or NaN) is a non-match of such a
     comparison, just as the tolerant index skips it.  The probe's path
     filter is checked against the lookup's own path where the answers
-    are used."""
+    are used.
+
+    ``one_step`` (the compared path is one step below the predicate's
+    context) also makes a value comparison exact, on the documents
+    whose facts (:meth:`~repro.storage.xmlindex.XmlIndex.facts`) show
+    no skipped value and no shared parent.  A join's operand is
+    computed per outer row: ``=`` (or ``eq``) is exact on a DOUBLE or
+    VARCHAR index, for the operands :func:`exact_atoms` accepts."""
     if candidate.comparison is None:
         return "an existence test"
-    if candidate.op not in _EXACT_OPS:
-        return f"'{candidate.op}' is not a general =, <, <=, > or >="
+    op = candidate.op
+    if not (op in _EXACT_OPS or one_step and op in _VALUE_OPS):
+        return f"'{op}' is not a general =, <, <=, > or >="
     if candidate.negated or candidate.in_disjunction:
         return "the comparison is negated or in a disjunction"
     if paired:
         return "the comparison is one of a between pair"
-    value = candidate.operand_value
-    if candidate.operand_expr is not None or value is None:
-        return "the operand is not a literal"
-    if index.index_type == "DOUBLE" and value.is_numeric:
+    if candidate.operand_expr is not None:
+        if op not in ("=", "eq"):
+            return f"a join on '{op}'"
+        if index.index_type not in ("DOUBLE", "VARCHAR"):
+            return f"a join on a {index.index_type} index"
         return None
-    if index.index_type == "VARCHAR" and value.type_name == T_STRING:
+    value = candidate.operand_value
+    if value is None:
+        return "the operand is not a literal"
+    if exact_atoms(index, [value]):
         return None
     return (f"a {index.index_type} index with a {value.type_name} "
             f"literal")
+
+
+def exact_atoms(index, atoms: list) -> bool:
+    """Do ``atoms`` compare with the untyped values ``index`` keys in
+    its own key type: numbers on a DOUBLE index, strings on VARCHAR?"""
+    if index.index_type == "DOUBLE":
+        return all(atom.is_numeric for atom in atoms)
+    return (index.index_type == "VARCHAR"
+            and all(atom.type_name == T_STRING for atom in atoms))
+
+
+def _raising_facts(candidate: PredicateCandidate) -> int:
+    """The document facts on which ``candidate``'s comparison may raise
+    where the index has no entry: a value comparison over a skipped
+    value or two items, a cast of a skipped value on the document
+    side."""
+    if candidate.op in _VALUE_OPS:
+        return SKIPPED | SHARED_PARENT
+    if candidate.cast not in (None, "VARCHAR", "ANY"):
+        return SKIPPED
+    return 0
 
 
 def _bounds_for(candidate: PredicateCandidate, index) -> _Probe | None:
@@ -165,19 +207,22 @@ def _bounds_for(candidate: PredicateCandidate, index) -> _Probe | None:
         # tolerant-index contract); anything else is a bug and raises.
         return None
     op = candidate.op
+    admit = _raising_facts(candidate)
     if op in ("=", "eq"):
         return _Probe(index, low=key, high=key,
-                      path_filter=candidate.path)
+                      path_filter=candidate.path, admit=admit)
     if op in (">", "gt"):
         return _Probe(index, low=key, low_inclusive=False,
-                      path_filter=candidate.path)
+                      path_filter=candidate.path, admit=admit)
     if op in (">=", "ge"):
-        return _Probe(index, low=key, path_filter=candidate.path)
+        return _Probe(index, low=key, path_filter=candidate.path,
+                      admit=admit)
     if op in ("<", "lt"):
         return _Probe(index, high=key, high_inclusive=False,
-                      path_filter=candidate.path)
+                      path_filter=candidate.path, admit=admit)
     if op in ("<=", "le"):
-        return _Probe(index, high=key, path_filter=candidate.path)
+        return _Probe(index, high=key, path_filter=candidate.path,
+                      admit=admit)
     return None  # '!='/'ne' need two scans; not worth it for a prefilter
 
 
@@ -382,6 +427,13 @@ def _plan_semi_joins(database, candidates: list[PredicateCandidate],
         (left, left_index), (right, right_index) = sides
         if left_index.index_type != right_index.index_type:
             continue  # keys would not be comparable
+        if any(index.documents_with(_raising_facts(candidate))
+               for candidate, index in sides):
+            # The join raises on such a document wherever it meets a
+            # partner candidate; dropping either side would hide that.
+            stats.note(f"semi-join skipped for {left.description}: a "
+                       f"document's join value may raise")
+            continue
         left_docs_by_key = _keyed_docs(left_index, left.path, stats)
         right_docs_by_key = _keyed_docs(right_index, right.path, stats)
         common = left_docs_by_key.keys() & right_docs_by_key.keys()

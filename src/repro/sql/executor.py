@@ -31,6 +31,11 @@ Access paths (``use_indexes=True``):
 * embedded ``db2-fn:xmlcolumn`` bodies get their own collection-level
   prefilter via the XQuery planner (Query 6).
 
+When the WHERE clause is one XMLEXISTS of ``$doc/P[rel op operand]``
+and the probe planned for that comparison is exact, a row whose
+document the probe admitted and whose index facts are clean takes the
+WHERE clause as TRUE without running the body (:class:`_Decider`).
+
 ``use_indexes=False`` lowers the reference plan: nested loops, no index.
 """
 
@@ -42,21 +47,24 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from ..core.eligibility import check_index
-from ..core.predicates import Origin, PredicateCandidate
+from ..core.predicates import Origin, PredicateCandidate, PredicateContext
 from ..core.querycache import compile_query, compile_statement
 from ..errors import ReproError, SQLCastError, SQLError, XQueryError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..planner.plan import _bounds_for, plan_prefilters, run_prefilters
+from ..planner.plan import (_bounds_for, _only_documents, _raising_facts,
+                            _VALUE_OPS, exact_atoms, plan_prefilters,
+                            run_prefilters)
 from ..planner.stats import ExecutionStats
 from ..storage.table import Row
+from ..storage.xmlindex import SHARED_PARENT, SKIPPED, TYPED
 from ..xquery import ast as xast
 from ..xquery.guard import active_guard
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
-from ..xdm.qname import QName
+from ..xdm.qname import XS_NS, QName
 from ..xdm.sequence import Item, atomize
 from ..xquery.evaluator import evaluate_module, lower_expression
 from ..xquery.joins import JoinTable
@@ -529,6 +537,31 @@ class _Delete(_Statement):
         return SQLResult(["rows_deleted"], [(removed,)], run.stats)
 
 
+@dataclass(frozen=True)
+class _Decider:
+    """An exact probe deciding the WHERE clause, one XMLEXISTS over a
+    document of the probed table: a row whose document the probe
+    admitted takes it as TRUE unless the document is no longer live in
+    the index or has one of the ``unsafe`` facts (it then runs the
+    body)."""
+
+    unsafe: int
+    #: A value comparison: the operand must be one atom.
+    single: bool
+
+    def documents(self, index, docs, atoms=None) -> set[int]:
+        """The documents among ``docs`` (a probe's) it decides; a join
+        probe's operand ``atoms`` must compare in the index's type."""
+        if atoms is not None and not (
+                exact_atoms(index, atoms)
+                and (len(atoms) == 1 or not self.single)):
+            return set()
+        unsafe = self.unsafe
+        return {doc_id for doc_id in docs
+                if (facts := index.facts(doc_id)) is not None
+                and not facts & unsafe}
+
+
 @dataclass
 class _JoinProbe:
     """An index nested-loop join into ``target_alias``."""
@@ -543,6 +576,7 @@ class _JoinProbe:
     arguments: list | None = None
     operand: object | None = None
     value: object | None = None     # rel: the SQL-side value
+    decider: _Decider | None = None
 
 
 @dataclass
@@ -608,7 +642,7 @@ class _Select(_Statement):
         self.join_probes: list[_JoinProbe] = []
         if use_indexes:
             for embedded in collect_embedded(view, statement):
-                self._plan_embedded(view, embedded, lower)
+                self._plan_embedded(view, embedded, lower, statement.where)
             for conjunct in split_conjuncts(statement.where):
                 if isinstance(conjunct, ast.Comparison):
                     self._plan_relational(view, conjunct, lower)
@@ -648,7 +682,7 @@ class _Select(_Statement):
     # -- planning (once per lowering) ----------------------------------
 
     def _plan_embedded(self, view, embedded: EmbeddedQuery,
-                       lower: _Lowerer) -> None:
+                       lower: _Lowerer, where) -> None:
         origin_alias = {bound.column: embedded.alias_of_var[var]
                         for var, bound in embedded.scope.items()
                         if isinstance(bound, Origin)
@@ -667,17 +701,21 @@ class _Select(_Statement):
                     candidate.op == "exists":
                 if _bounds_for(candidate, chosen) is None:
                     continue
+                decider, note = self._decider(embedded, where, alias,
+                                              candidate, chosen)
                 self.steps.append((
                     _Run.doc_probe, alias, candidate, chosen.name,
                     f"row prefilter on {alias} via {chosen.name}: "
                     f"{candidate.description} "
-                    f"[{candidate.context.value}]"))
+                    f"[{candidate.context.value}]", decider))
             elif candidate.operand_expr is not None and \
                     candidate.is_equality:
                 deps = {embedded.alias_of_var.get(var)
                         for var in candidate.operand_vars}
                 if None in deps or not deps:
                     continue
+                decider, note = self._decider(embedded, where, alias,
+                                              candidate, chosen)
                 self.join_probes.append(_JoinProbe(
                     target_alias=alias, kind="xml", index_name=chosen.name,
                     outer_deps=frozenset(deps), candidate=candidate,
@@ -687,10 +725,44 @@ class _Select(_Statement):
                                if argument.variable
                                in candidate.operand_vars],
                     operand=lower_expression(embedded.module,
-                                             candidate.operand_expr)))
+                                             candidate.operand_expr),
+                    decider=decider))
                 self.steps.append((
                     _Run.note, f"index nested-loop join into {alias} via "
                     f"{chosen.name}: {candidate.description}"))
+            else:
+                continue
+            if note is not None:
+                self.steps.append((_Run.note, note))
+
+    @staticmethod
+    def _decider(embedded: EmbeddedQuery, where, alias: str,
+                 candidate: PredicateCandidate, index
+                 ) -> tuple[_Decider | None, str | None]:
+        """The :class:`_Decider` of ``candidate``'s probe on ``index``
+        when the WHERE clause is its XMLEXISTS and the verdict is exact,
+        else None; and, for an XMLEXISTS of the WHERE clause, the plan
+        note saying which."""
+        if embedded.sql_context is not PredicateContext.SQL_WHERE_XMLEXISTS:
+            return None, None
+        shape = _exists_shape(embedded, where, alias, candidate)
+        if isinstance(shape, str):
+            refusal = shape
+        else:
+            rel, cast = shape
+            refusal = _only_documents(candidate, index, False,
+                                      one_step=len(rel) == 1)
+            if refusal is None and cast and index.index_type != "DOUBLE":
+                refusal = f"xs:double(.) on a {index.index_type} index"
+        if refusal is not None:
+            return None, (f"index {index.name} filters rows only for "
+                          f"{candidate.description}: {refusal}")
+        value = candidate.op in _VALUE_OPS
+        unsafe = TYPED | (SKIPPED if value or cast else 0) | \
+            (SHARED_PARENT if value else 0)
+        return _Decider(unsafe, value), (
+            f"index {index.name} decides XMLEXISTS for "
+            f"{candidate.description}")
 
     def _plan_relational(self, view, comparison: ast.Comparison,
                          lower: _Lowerer) -> None:
@@ -855,14 +927,19 @@ class _Run:
         #: alias -> allowed row ids; alias -> {XML column: doc ids}
         self.row_filters: dict[str, set[int]] = {}
         self.doc_filters: dict[str, dict[str, set[int]]] = {}
+        #: alias -> the doc ids whose rows a literal probe decided
+        #: (:class:`_Decider`)
+        self.decided: dict[str, set[int]] = {}
         #: body source -> the view it reads (its prefilters applied)
         self._bodies: dict[str, object] = {}
         self._hash_rows: list | None = None
         self._hash_table: JoinTable | None = None
 
     def doc_probe(self, alias: str, candidate: PredicateCandidate,
-                  index_name: str, note: str) -> None:
-        """An XML index probe of a literal bound filters ``alias``."""
+                  index_name: str, note: str,
+                  decider: _Decider | None) -> None:
+        """An XML index probe of a literal bound filters ``alias`` (and,
+        exact, decides the WHERE clause for the rows it admits)."""
         index = self.view.xml_indexes[index_name]
         probe = _bounds_for(candidate, index)
         with self.tracer.span("index-scan", index=index.name) as span:
@@ -870,6 +947,8 @@ class _Run:
                 span.set(range=probe.bounds_text())
             docs = probe.run(self.stats)
             span.set(actual_rows=len(docs), unit="documents")
+        if decider is not None:
+            self.decided[alias] = decider.documents(index, docs)
         # Doc ids of different XML columns never meet, so only verdicts
         # on one column intersect as doc ids.
         by_column = self.doc_filters.setdefault(alias, {})
@@ -930,8 +1009,8 @@ class _Run:
         if source.hash is not None:
             candidates = self._hash_candidates(source, env)
         else:
-            candidates = [(row, False)
-                          for row in self._rows_for(source, env)]
+            rows, flags = self._located(source, env)
+            candidates = zip(rows, flags or [False] * len(rows))
         for row, matched in candidates:
             if guard is not None:
                 # The join scan is where a runaway cross product burns
@@ -982,21 +1061,31 @@ class _Run:
             return "error", []
         return key_class, ([] if key is None else [(key_class, key)])
 
-    def _rows_for(self, source: _Source, env):
+    def _rows_for(self, source: _Source, env) -> list[Row]:
         """The rows of ``source`` the plan's index verdicts leave, in
         table order: every row without a verdict, else the intersection
         of the verdicts' rows, located in O(matches)."""
+        return self._located(source, env)[0]
+
+    def _located(self, source: _Source, env
+                 ) -> tuple[list[Row], list[bool] | None]:
+        """:meth:`_rows_for`'s rows, and for each whether an exact probe
+        decided the WHERE clause (None: no row decided)."""
         table = self.view.table(source.table)
         row_ids = self.row_filters.get(source.alias)
         doc_filters = self.doc_filters.get(source.alias, {})
         if not source.probes and row_ids is None and not doc_filters:
-            return table.rows
+            return table.rows, None
         locator = table.locator()
         verdicts = []
+        decided = self.decided.get(source.alias)
         for probe in source.probes:
             matched = self._run_join_probe(probe, env, locator)
             if matched is not None:
-                verdicts.append(matched)
+                positions, by_probe = matched
+                verdicts.append(positions)
+                if by_probe:
+                    decided = by_probe if not decided else decided | by_probe
         if row_ids is not None:
             verdicts.append(locator.positions_of_rows(row_ids))
         for allowed_docs in doc_filters.values():
@@ -1007,13 +1096,23 @@ class _Run:
             verdicts.append(locator.positions_of_docs(allowed_docs)
                             .union(locator.docless))
         if not verdicts:
-            return locator.rows
-        return locator.rows_at(set.intersection(*verdicts))
+            return locator.rows, None
+        positions = sorted(set.intersection(*verdicts))
+        rows = locator.rows
+        located = [rows[position] for position in positions]
+        if not decided:
+            return located, None
+        decided = locator.positions_of_docs(decided)
+        flags = [position in decided for position in positions]
+        if METRICS.enabled:
+            METRICS.inc("index.decided_rows", sum(flags))
+        return located, flags
 
-    def _run_join_probe(self, probe: _JoinProbe, env: list,
-                        locator) -> set[int] | None:
-        """Row positions an index nested-loop probe admits for the outer
-        binding ``env``; None when the probe cannot run (scan instead)."""
+    def _run_join_probe(self, probe: _JoinProbe, env: list, locator
+                        ) -> tuple[set[int], set[int]] | None:
+        """(row positions, doc ids it decides) of an index nested-loop
+        probe for the outer binding ``env``; None when the probe cannot
+        run (scan instead)."""
         if probe.kind == "rel":
             try:
                 value = probe.value(self, env)
@@ -1024,10 +1123,10 @@ class _Run:
                 # the WHERE clause's own evaluation order.
                 return None
             if value is None:
-                return set()
+                return set(), set()
             return locator.positions_of_rows(
                 self.view.rel_indexes[probe.index_name].lookup(
-                    value, stats=self.stats))
+                    value, stats=self.stats)), set()
         # XML probe: evaluate the operand per outer row.
         variables = {variable: items(self, env)
                      for variable, items in probe.arguments}
@@ -1036,17 +1135,23 @@ class _Run:
                                            self.stats))
         except ReproError:
             return None  # fall back to full scan of the inner table
+        candidate = probe.candidate
+        if len(values) > 1 and candidate.op in _VALUE_OPS:
+            return None  # the comparison raises: let every row say so
         index = self.view.xml_indexes[probe.index_name]
-        docs: set[int] = set()
+        admit = _raising_facts(candidate)
+        docs: set[int] = index.documents_with(admit) if admit else set()
         for value in values:
             try:
                 key = index.key_for_value(value)
             except ReproError:
                 continue
             docs |= index.matching_documents(
-                key, key, path_filter=probe.candidate.path,
-                stats=self.stats)
-        return locator.positions_of_docs(docs)
+                key, key, path_filter=candidate.path, stats=self.stats)
+        decider = probe.decider
+        return locator.positions_of_docs(docs), (
+            set() if decider is None
+            else decider.documents(index, docs, values))
 
     def _xmltable_rows(self, source: _Source, env: list) -> list[Row]:
         items = source.body(self, env)
@@ -1100,6 +1205,83 @@ def _column_name(item: ast.SelectItem, position: int) -> str:
     if isinstance(item.expr, ast.ColumnRef):
         return item.expr.name
     return f"col{position}"
+
+
+def _exists_shape(embedded: EmbeddedQuery, where, alias: str,
+                  candidate: PredicateCandidate):
+    """(rel's axis steps, whether rel ends in ``xs:double(.)``) when the
+    WHERE clause is ``embedded`` alone, every PASSING argument a column,
+    and its body ``$doc/P[rel op operand]``: ``$doc`` a document of
+    ``alias``, ``P`` axis steps, the one predicate ``candidate``'s
+    comparison, ``rel`` child or attribute name steps, the operand a
+    literal or a path from a variable.  Else why not, as text."""
+    if not (isinstance(where, ast.XMLExistsExpr)
+            and where.passing is embedded.passing):
+        return "the WHERE clause is not this XMLEXISTS alone"
+    if not all(isinstance(argument.expr, ast.ColumnRef)
+               for argument in embedded.passing):
+        return "a PASSING argument is not a column"
+    body = embedded.module.body
+    refusal = "the body is not $doc/P[rel op operand]"
+    if not (isinstance(body, xast.PathExpr) and not body.absolute
+            and len(body.steps) > 1):
+        return refusal
+    first, *steps = body.steps
+    if not (isinstance(first, xast.ExprStep) and not first.predicates
+            and isinstance(first.expr, xast.VarRef)
+            and embedded.alias_of_var.get(first.expr.name) == alias
+            and getattr(embedded.scope.get(first.expr.name), "column",
+                        None) == candidate.column
+            and all(isinstance(step, xast.AxisStep) for step in steps)
+            and not any(step.predicates for step in steps[:-1])
+            and len(steps[-1].predicates) == 1
+            and steps[-1].predicates[0] is candidate.comparison):
+        return refusal
+    comparison = candidate.comparison
+    for rel, operand in ((comparison.left, comparison.right),
+                         (comparison.right, comparison.left)):
+        shape = _rel_shape(rel)
+        if shape is not None and (
+                operand is candidate.operand_expr
+                and _unfocused(operand)
+                or candidate.operand_expr is None
+                and isinstance(operand, xast.Literal)):
+            return shape
+    return refusal
+
+
+def _rel_shape(expr) -> tuple[list, bool] | None:
+    """(axis steps, cast) of ``rel``: child or attribute name steps,
+    without predicates, maybe ending in ``xs:double(.)``; else None."""
+    if not (isinstance(expr, xast.PathExpr) and not expr.absolute):
+        return None
+    steps, cast = list(expr.steps), False
+    last = steps[-1]
+    if isinstance(last, xast.ExprStep) and not last.predicates:
+        call = last.expr
+        if not (isinstance(call, xast.FunctionCall)
+                and call.name.uri == XS_NS and call.name.local == "double"
+                and len(call.args) == 1
+                and isinstance(call.args[0], xast.ContextItem)):
+            return None
+        steps, cast = steps[:-1], True
+    if not steps or not all(
+            isinstance(step, xast.AxisStep) and not step.predicates
+            and step.axis in ("child", "attribute")
+            and isinstance(step.test, xast.NameTest)
+            for step in steps):
+        return None
+    return steps, cast
+
+
+def _unfocused(operand) -> bool:
+    """Does ``operand`` mean the same with and without the predicate's
+    focus: a variable, or a path starting at one?"""
+    if isinstance(operand, xast.VarRef):
+        return True
+    return (isinstance(operand, xast.PathExpr) and not operand.absolute
+            and isinstance(operand.steps[0], xast.ExprStep)
+            and isinstance(operand.steps[0].expr, xast.VarRef))
 
 
 #: SQL NOT in three-valued logic (None is UNKNOWN)

@@ -17,7 +17,12 @@ USING XMLPATTERN 'pattern' AS type`` where type is one of ``VARCHAR``,
   :class:`~repro.core.patterns.PathNode`) so a scan can apply the
   query's *more restrictive* path as a residual filter (§2.2: the
   index on ``//lineitem/@price`` answering a
-  ``//order/lineitem/@price`` predicate).
+  ``//order/lineitem/@price`` predicate);
+* per document, the index keeps the *facts* that make evaluating a
+  predicate on it differ from reading its entries (:data:`SKIPPED`,
+  :data:`SHARED_PARENT`, :data:`TYPED`): a probe whose comparison could
+  raise on such a document admits it, and an exact verdict decides
+  only documents without them.
 
 Entries are never deleted.  Deleting a row calls :meth:`XmlIndex.forget`,
 which only stops counting the document as live; its entries stay in the
@@ -55,6 +60,21 @@ from .columnar import KIND_COMMENT, KIND_PI
 #: Slot kinds whose typed value is an ``xs:string`` (comments and PIs);
 #: every other unannotated kind is ``xs:untypedAtomic``.
 _STRING_KINDS = (KIND_COMMENT, KIND_PI)
+
+#: Document facts (bit flags, :meth:`XmlIndex.facts`).  A value on the
+#: pattern that the index skipped (no key of its type, or NaN): a value
+#: comparison or a cast of it raises.
+SKIPPED = 1
+#: Two matching nodes on one path share a parent: a value comparison
+#: over that one step atomizes two items and raises.
+SHARED_PARENT = 2
+#: Keyed through the annotated-tree route (a schema-validated document,
+#: or columns captured from an annotated tree): its typed values are
+#: not the text the index keyed.
+TYPED = 4
+#: The document was forgotten (its facts stay for pinned snapshots
+#: until :meth:`XmlIndex.compacted` drops them).
+_FORGOTTEN = 8
 
 @dataclass(frozen=True)
 class IndexEntry:
@@ -96,6 +116,11 @@ class XmlIndex:
         self._doc_entry_counts: dict[int, int] = {}
         #: The sum of ``_doc_entry_counts``: ``len(index)``.
         self._live_entries = 0
+        #: doc_id -> its facts, for documents that have any.
+        self._facts: dict[int, int] = {}
+        #: The documents among them with SKIPPED or SHARED_PARENT, the
+        #: facts a probe admits (a typed collection has TYPED on all).
+        self._raising: set[int] = set()
 
     def __repr__(self) -> str:
         return (f"<XmlIndex {self.name} ON {self.table}({self.column}) "
@@ -114,33 +139,50 @@ class XmlIndex:
         ``typed_value()`` keys an unannotated node (``xs:untypedAtomic``
         for elements, attributes and text, ``xs:string`` for comments
         and PIs), or a tree, whose nodes key by their typed values — the
-        route of schema-annotated documents."""
+        route of schema-annotated documents.  The document's facts are
+        recorded on the way."""
         if isinstance(document, DocumentNode):
             store = document.column_store
             nodes = store.nodes
             keyed = ((self._key_for(nodes[slot]), slot, path)
                      for slot, path in store.slots_matching(
                          self._pattern_matcher))
+            facts = TYPED
         else:
             store = document
             keyed = ((self._key_for_slot(store, slot), slot, path)
                      for slot, path in store.slots_matching(
                          self._pattern_matcher))
-        node_ids = store.node_ids
+            facts = 0 if store.untyped else TYPED
+        node_ids, parents = store.node_ids, store.parent
         counts = self._doc_entry_counts
+        # Slots of one path come in document order, so siblings on it
+        # are neighbours.
+        last_path = last_parent = None
         for key, slot, path in keyed:
+            parent = parents[slot]
+            if path is last_path and parent == last_parent:
+                facts |= SHARED_PARENT
+            last_path, last_parent = path, parent
             if key is None:
                 self.skipped_nodes += 1
+                facts |= SKIPPED
                 continue
             self.tree.insert(key, IndexEntry(doc_id, node_ids[slot], path))
             counts[doc_id] = counts.get(doc_id, 0) + 1
             self._live_entries += 1
+        if facts:
+            self._facts[doc_id] = facts
+            if facts & (SKIPPED | SHARED_PARENT):
+                self._raising.add(doc_id)
 
     def forget(self, doc_id: int) -> None:
         """Stop counting the document's entries as live.  No document is
         read and the tree is not touched: the entries stay until
-        :meth:`compacted` leaves them out."""
+        :meth:`compacted` leaves them out; so do its facts."""
         self._live_entries -= self._doc_entry_counts.pop(doc_id, 0)
+        if doc_id in self._facts:
+            self._facts[doc_id] |= _FORGOTTEN
 
     #: The name ``benchmarks/ledger/tracing.py`` wraps for its
     #: ``storage.index_remove`` span.
@@ -155,7 +197,24 @@ class XmlIndex:
         fresh.tree = self.tree.filtered(lambda entry: entry.doc_id in live)
         fresh._live_entries = self._live_entries
         fresh.skipped_nodes = self.skipped_nodes
+        fresh._facts = {doc_id: facts for doc_id, facts
+                        in self._facts.items() if not facts & _FORGOTTEN}
+        fresh._raising = self._raising & fresh._facts.keys()
         return fresh
+
+    def facts(self, doc_id: int) -> int | None:
+        """The facts of a live document with entries (0: none), or None
+        for a document without entries or no longer live."""
+        if doc_id not in self._doc_entry_counts:
+            return None
+        return self._facts.get(doc_id, 0)
+
+    def documents_with(self, facts: int) -> set[int]:
+        """Documents (forgotten ones included: the row locator of a
+        pinned row list drops what it lacks) with any of ``facts``."""
+        held = self._facts
+        return {doc_id for doc_id in self._raising
+                if held[doc_id] & facts}
 
     def keys(self):
         """Distinct keys in order, skipping those whose entries all
@@ -216,14 +275,15 @@ class XmlIndex:
                            high_inclusive: bool = True,
                            path_filter: PathPattern | None = None,
                            stats=None,
-                           nodes: dict[int, list[int]] | None = None
-                           ) -> set[int]:
+                           nodes: dict[int, list[int]] | None = None,
+                           admit: int = 0) -> set[int]:
         """Document ids with at least one entry in the range — the
-        I(P, D) pre-filter of Definition 1.  ``nodes``, when given,
-        also receives each document's entry node ids, ascending: where
-        the probe's verdict is exact, the nodes its comparison
-        selects."""
-        docs: set[int] = set()
+        I(P, D) pre-filter of Definition 1 — plus those with any of the
+        facts ``admit``, on which the predicate may raise rather than
+        be false.  ``nodes``, when given, also receives each document's
+        entry node ids, ascending: where the probe's verdict is exact,
+        the nodes its comparison selects."""
+        docs: set[int] = self.documents_with(admit) if admit else set()
         scanned = 0
         for entry in self.scan(low, high, low_inclusive, high_inclusive,
                                path_filter):
