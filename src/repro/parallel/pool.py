@@ -329,20 +329,16 @@ class ProcessPool:
         positions = list(range(len(documents)))
         if not use_indexes:
             return positions
-        allowed: set[int] | None = None
-        prefilters = plan_prefilters(database, list(compiled.candidates),
-                                     stats)
-        for column, prefilter in prefilters.items():
-            if column.lower() != reference.lower():
-                continue
-            docs = prefilter.run(stats)
-            allowed = docs if allowed is None else (allowed & docs)
-            for note in prefilter.notes:
-                stats.note(note)
-            stats.note(f"prefilter {column}: {len(docs)} documents "
-                       f"survive")
-        if allowed is None:
+        prefilter = next((prefilter for column, prefilter in plan_prefilters(
+            database, list(compiled.candidates), stats).items()
+            if column.lower() == reference.lower()), None)
+        if prefilter is None:
             return positions
+        allowed = prefilter.run(stats)
+        for note in prefilter.notes:
+            stats.note(note)
+        stats.note(f"prefilter {prefilter.column}: {len(allowed)} documents "
+                   f"survive")
         return [position for position in positions
                 if documents[position].doc_id in allowed]
 

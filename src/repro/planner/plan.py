@@ -29,7 +29,7 @@ performance cliff every pitfall in Section 3 produces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.between import detect_between
 from ..core.eligibility import analyze_candidates, check_index
@@ -39,9 +39,10 @@ from ..core.querycache import cache_info, compile_query
 from ..errors import ReproError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..storage.xmlindex import SHARED_PARENT, SKIPPED
+from ..storage.xmlindex import SHARED_PARENT, SKIPPED, TYPED
 from ..xdm.atomic import T_STRING
 from ..xdm.sequence import Item
+from ..xquery import ast as xast
 from ..xquery.evaluator import evaluate_module
 from ..xquery.joins import flwor_fold_report, flwor_join_report
 from .stats import ExecutionStats
@@ -79,28 +80,38 @@ class _Probe:
     low_inclusive: bool = True
     high_inclusive: bool = True
     path_filter: object = None
-    #: The ``comparison_id`` of the comparison whose nodes the entries
-    #: are, when the verdict is exact (:func:`_only_documents`); None
-    #: for a document filter.
-    answers_for: int | None = None
     #: Document facts on which the comparison may raise rather than be
     #: false (:func:`_raising_facts`): such documents are admitted too.
     admit: int = 0
+    #: The ``comparison_id`` of the comparison probed (0: none).
+    comparison: int = 0
+    #: Why the entries only filter documents (:func:`_only_documents`);
+    #: None: they are the very nodes the comparison selects.
+    refusal: str | None = "an existence test"
 
     def run(self, stats: ExecutionStats, answers: dict | None = None
             ) -> set[int]:
         """The documents with entries in range (and those it admits);
         an exact probe also puts its :class:`NodeAnswer` in ``answers``
-        when given."""
-        nodes = (None if self.answers_for is None or answers is None
-                 else {})
+        when given, for the documents without a fact it admits for (the
+        comparison may raise there; a typed store never reads it)."""
+        nodes = {} if self.refusal is None and answers is not None else None
         docs = self.index.matching_documents(
             self.low, self.high, self.low_inclusive, self.high_inclusive,
             path_filter=self.path_filter, stats=stats, nodes=nodes,
             admit=self.admit)
         if nodes is not None:
-            answers[self.answers_for] = NodeAnswer(self.path_filter, nodes)
+            for doc_id in nodes.keys() & self.index.documents_with(
+                    self.admit):
+                del nodes[doc_id]
+            answers[self.comparison] = NodeAnswer(self.path_filter, nodes)
         return docs
+
+    def clean(self, docs) -> set[int]:
+        """The documents among ``docs`` on which an exact probe decides
+        its comparison's whole predicate: live in the index, not typed,
+        and without a fact it admits for."""
+        return self.index.clean(docs, TYPED | self.admit)
 
     def bounds_text(self) -> str:
         low = "-inf" if self.low is None else repr(self.low)
@@ -123,63 +134,60 @@ class NodeAnswer:
     by_root: dict[int, list[int]] | None = None
 
 
-#: General comparisons whose index range is exactly their truth set.
-_EXACT_OPS = frozenset({"=", "<", "<=", ">", ">="})
-#: Value comparisons: exact too over one step, on a document whose
-#: facts say no operand has two items and no value failed its cast.
+#: Value comparisons: they raise on two items or an uncastable value.
 _VALUE_OPS = frozenset({"eq", "lt", "le", "gt", "ge"})
 
 
 def _only_documents(candidate: PredicateCandidate, index, paired: bool,
-                    one_step: bool = False) -> str | None:
-    """Why ``candidate``'s probe on ``index`` only filters documents, or
-    None when its entries are exactly the nodes the comparison selects.
+                    value=None) -> str | None:
+    """Why ``candidate``'s probe on ``index`` of the literal (or a join
+    operand's atom ``value``) only filters documents, or None when its
+    entries are exactly the nodes the comparison selects.
 
-    Exact: one general comparison (not ``!=``) with a literal, alone
-    (no disjunction, no between pair), on a DOUBLE index with a numeric
-    literal or a VARCHAR index with a string literal.  An untyped value
-    the index could not cast (or NaN) is a non-match of such a
-    comparison, just as the tolerant index skips it.  The probe's path
-    filter is checked against the lookup's own path where the answers
-    are used.
-
-    ``one_step`` (the compared path is one step below the predicate's
-    context) also makes a value comparison exact, on the documents
-    whose facts (:meth:`~repro.storage.xmlindex.XmlIndex.facts`) show
-    no skipped value and no shared parent.  A join's operand is
-    computed per outer row: ``=`` (or ``eq``) is exact on a DOUBLE or
-    VARCHAR index, for the operands :func:`exact_atoms` accepts."""
+    Exact: one comparison (not ``!=`` or ``ne``, which get no probe),
+    alone (no disjunction, no between pair), of a number on a DOUBLE
+    index or a string on a VARCHAR index; a join only on ``=`` or
+    ``eq``.  An untyped value the index could not cast (or NaN) is a
+    non-match of a general comparison, just as the tolerant index skips
+    it; a value comparison (probed over one step only: :func:`_unprobed`)
+    raises there instead, so its entries decide only the documents
+    :meth:`_Probe.clean` keeps.  The probe's path filter is checked
+    against the lookup's own path where the answers are used."""
     if candidate.comparison is None:
         return "an existence test"
-    op = candidate.op
-    if not (op in _EXACT_OPS or one_step and op in _VALUE_OPS):
-        return f"'{op}' is not a general =, <, <=, > or >="
     if candidate.negated or candidate.in_disjunction:
         return "the comparison is negated or in a disjunction"
     if paired:
         return "the comparison is one of a between pair"
-    if candidate.operand_expr is not None:
-        if op not in ("=", "eq"):
-            return f"a join on '{op}'"
-        if index.index_type not in ("DOUBLE", "VARCHAR"):
-            return f"a join on a {index.index_type} index"
+    if candidate.operand_expr is not None and not candidate.is_equality:
+        return f"a join on '{candidate.op}'"
+    value = candidate.operand_value if value is None else value
+    kind = index.index_type
+    if value is None:  # a join's, before its operand is known
+        return None if kind in ("DOUBLE", "VARCHAR") \
+            else f"a join on a {kind} index"
+    if kind == "DOUBLE" and value.is_numeric or \
+            kind == "VARCHAR" and value.type_name == T_STRING:
         return None
-    value = candidate.operand_value
-    if value is None:
-        return "the operand is not a literal"
-    if exact_atoms(index, [value]):
-        return None
-    return (f"a {index.index_type} index with a {value.type_name} "
-            f"literal")
+    return f"a {kind} index with a {value.type_name} operand"
 
 
-def exact_atoms(index, atoms: list) -> bool:
-    """Do ``atoms`` compare with the untyped values ``index`` keys in
-    its own key type: numbers on a DOUBLE index, strings on VARCHAR?"""
-    if index.index_type == "DOUBLE":
-        return all(atom.is_numeric for atom in atoms)
-    return (index.index_type == "VARCHAR"
-            and all(atom.type_name == T_STRING for atom in atoms))
+def _unprobed(candidate: PredicateCandidate) -> str | None:
+    """Why ``candidate`` gets no probe although an index is eligible: a
+    value comparison whose compared path (:func:`~repro.xquery.ast.
+    rel_path`) is not at most one child or attribute step from its
+    focus or variable may atomize two nodes of different parents and
+    raise, and no document fact records that."""
+    comparison = candidate.comparison
+    if not isinstance(comparison, xast.ValueComparison):
+        return None
+    rels = [rel for side in (comparison.left, comparison.right)
+            if side is not candidate.operand_expr
+            and (rel := xast.rel_path(side)) is not None]
+    if len(rels) == 1 and len(rels[0].steps) <= 1:
+        return None
+    return (f"'{candidate.op}' compares a path that is not one child or "
+            f"attribute step from its focus or variable")
 
 
 def _raising_facts(candidate: PredicateCandidate) -> int:
@@ -194,36 +202,34 @@ def _raising_facts(candidate: PredicateCandidate) -> int:
     return 0
 
 
-def _bounds_for(candidate: PredicateCandidate, index) -> _Probe | None:
-    """Translate an eligible predicate into B+Tree scan bounds."""
+def _bounds_for(candidate: PredicateCandidate, index, value=None,
+                paired: bool = False) -> _Probe | None:
+    """Translate an eligible predicate into B+Tree scan bounds: its
+    literal's, or (a join's, per outer row) those of the atom
+    ``value``; ``paired`` marks one of a between pair."""
     if candidate.op == "exists":
         return _Probe(index, path_filter=candidate.path)
-    if candidate.operand_value is None:
+    if value is None:
+        value = candidate.operand_value
+    if value is None:
         return None  # join predicate: no static bound to scan with
     try:
-        key = index.key_for_value(candidate.operand_value)
+        key = index.key_for_value(value)
     except ReproError:
         # An uncastable bound legitimately disqualifies the probe (the
         # tolerant-index contract); anything else is a bug and raises.
         return None
     op = candidate.op
-    admit = _raising_facts(candidate)
-    if op in ("=", "eq"):
-        return _Probe(index, low=key, high=key,
-                      path_filter=candidate.path, admit=admit)
-    if op in (">", "gt"):
-        return _Probe(index, low=key, low_inclusive=False,
-                      path_filter=candidate.path, admit=admit)
-    if op in (">=", "ge"):
-        return _Probe(index, low=key, path_filter=candidate.path,
-                      admit=admit)
-    if op in ("<", "lt"):
-        return _Probe(index, high=key, high_inclusive=False,
-                      path_filter=candidate.path, admit=admit)
-    if op in ("<=", "le"):
-        return _Probe(index, high=key, path_filter=candidate.path,
-                      admit=admit)
-    return None  # '!='/'ne' need two scans; not worth it for a prefilter
+    if op in ("!=", "ne"):
+        return None  # two scans; not worth it for a prefilter
+    return _Probe(index, low=None if op in ("<", "lt", "<=", "le") else key,
+                  high=None if op in (">", "gt", ">=", "ge") else key,
+                  low_inclusive=op not in (">", "gt"),
+                  high_inclusive=op not in ("<", "lt"),
+                  path_filter=candidate.path,
+                  admit=_raising_facts(candidate),
+                  comparison=candidate.comparison_id,
+                  refusal=_only_documents(candidate, index, paired, value))
 
 
 @dataclass
@@ -277,20 +283,45 @@ class ColumnPrefilter:
                 span.set(**estimator(self.column, probe))
         return docs
 
+    def on(self, database) -> "ColumnPrefilter":
+        """This plan over ``database``'s own index objects: a plan kept
+        across executions (the SQL executor's) names its indexes, and
+        compaction swaps the object behind a name."""
+        indexes = database.xml_indexes
+        groups = [self.conjunct_probes, *self.disjunction_probes]
+        if all(indexes.get(probe.index.name) is probe.index
+               for group in groups for probe in group):
+            return self
+        bound = [[replace(probe, index=indexes[probe.index.name])
+                  for probe in group] for group in groups]
+        return replace(self, conjunct_probes=bound[0],
+                       disjunction_probes=bound[1:])
+
 
 def plan_prefilters(database, candidates: list[PredicateCandidate],
                     stats: ExecutionStats) -> dict[str, ColumnPrefilter]:
+    """:func:`plan_probes`, plus index-assisted semi-joins of
+    XML-to-XML equality joins (:func:`_plan_semi_joins`)."""
+    prefilters = plan_probes(database, candidates, stats)
+    _plan_semi_joins(database, candidates, prefilters, stats)
+    return prefilters
+
+
+def plan_probes(database, candidates: list[PredicateCandidate],
+                stats: ExecutionStats) -> dict[str, ColumnPrefilter]:
     """Choose index probes per XML column from eligible candidates.
 
     Eligibility alone decides: every candidate with an eligible index
-    and statically-known bounds is probed, however unselective.
+    and statically-known bounds is probed, however unselective, except
+    a value comparison :func:`_unprobed` refuses (noted in ``stats``).
+    A between pair with the singleton guarantee merges into one range
+    scan; a disjunction group is the union of its branches' probes,
+    used only when every branch, all on one column, got one.  Each
+    probe knows whether its entries are exact (:func:`_only_documents`).
     """
-    betweens = detect_between(candidates)
-    between_members: dict[int, object] = {}
-    for group in betweens:
-        between_members[id(group.lower)] = group
-        between_members[id(group.upper)] = group
-
+    between_members = {id(member): group
+                       for group in detect_between(candidates)
+                       for member in (group.lower, group.upper)}
     prefilters: dict[str, ColumnPrefilter] = {}
     handled_groups: set[int] = set()
     disjunctions: dict[int, list[tuple[PredicateCandidate, _Probe]]] = {}
@@ -300,20 +331,22 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
         if candidate.in_disjunction:
             disjunction_sizes[candidate.disjunction_group] = \
                 disjunction_sizes.get(candidate.disjunction_group, 0) + 1
-
-    for candidate in candidates:
         table, _sep, column = candidate.column.partition(".")
+        group = between_members.get(id(candidate))
         probe = None
-        chosen_index = None
         for index in database.xml_indexes_on(table, column):
-            verdict = check_index(index, candidate)
-            if not verdict.eligible:
-                continue
-            probe = _bounds_for(candidate, index)
-            if probe is not None:
-                chosen_index = index
-                break
+            if check_index(index, candidate).eligible:
+                probe = _bounds_for(candidate, index,
+                                    paired=group is not None)
+                if probe is not None:
+                    break
         if probe is None:
+            continue
+        chosen_index = probe.index
+        refusal = _unprobed(candidate)
+        if refusal is not None:
+            stats.note(f"index {chosen_index.name} not probed for "
+                       f"{candidate.description}: {refusal}")
             continue
 
         prefilter = prefilters.setdefault(
@@ -324,20 +357,16 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
                 (candidate, probe))
             continue
 
-        group = between_members.get(id(candidate))
         if group is not None and group.single_scan:
             if id(group) in handled_groups:
                 continue
             handled_groups.add(id(group))
-            low_probe = _bounds_for(group.lower, chosen_index)
-            high_probe = _bounds_for(group.upper, chosen_index)
+            low_probe = _bounds_for(group.lower, chosen_index, paired=True)
+            high_probe = _bounds_for(group.upper, chosen_index, paired=True)
             if low_probe is not None and high_probe is not None:
-                merged = _Probe(chosen_index,
-                                low=low_probe.low,
-                                low_inclusive=low_probe.low_inclusive,
-                                high=high_probe.high,
-                                high_inclusive=high_probe.high_inclusive,
-                                path_filter=candidate.path)
+                merged = replace(low_probe, high=high_probe.high,
+                                 high_inclusive=high_probe.high_inclusive,
+                                 admit=low_probe.admit | high_probe.admit)
                 prefilter.conjunct_probes.append(merged)
                 prefilter.notes.append(
                     f"between collapsed to single range scan on "
@@ -345,8 +374,7 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
                     f"{group.upper.description})")
                 prefilter.notes.append(
                     f"index {chosen_index.name} filters documents only "
-                    f"for {candidate.description}: "
-                    f"{_only_documents(candidate, chosen_index, True)}")
+                    f"for {candidate.description}: {merged.refusal}")
                 continue
         if group is not None and not group.single_scan:
             prefilter.notes.append(
@@ -356,34 +384,67 @@ def plan_prefilters(database, candidates: list[PredicateCandidate],
         prefilter.notes.append(
             f"index scan {chosen_index.name} for {candidate.description} "
             f"[{candidate.context.value}]")
-        refusal = _only_documents(candidate, chosen_index,
-                                  group is not None)
-        if refusal is None:
-            probe.answers_for = candidate.comparison_id
+        if probe.refusal is None:
             prefilter.notes.append(
                 f"index {chosen_index.name} answers nodes for "
                 f"{candidate.description}")
         else:
             prefilter.notes.append(
                 f"index {chosen_index.name} filters documents only for "
-                f"{candidate.description}: {refusal}")
-
-    _plan_semi_joins(database, candidates, prefilters, stats)
+                f"{candidate.description}: {probe.refusal}")
 
     # Disjunction groups are usable only when every branch got a probe.
     for group_id, members in disjunctions.items():
-        if len(members) != disjunction_sizes.get(group_id, -1):
+        columns = {candidate.column for candidate, _probe in members}
+        if len(members) != disjunction_sizes[group_id] or len(columns) > 1:
             continue
-        column = members[0][0].column
-        prefilter = prefilters.setdefault(column, ColumnPrefilter(column))
+        prefilter = prefilters[columns.pop()]
         prefilter.disjunction_probes.append(
             [probe for _candidate, probe in members])
         prefilter.notes.append(
             f"disjunction answered by union of {len(members)} index scans")
 
     return {column: prefilter for column, prefilter in prefilters.items()
-            if prefilter.conjunct_probes or prefilter.disjunction_probes
-            or prefilter.fixed_sets}
+            if prefilter.conjunct_probes or prefilter.disjunction_probes}
+
+
+def join_index(database, candidate: PredicateCandidate,
+               stats: ExecutionStats) -> tuple[object, str | None] | None:
+    """The index an index nested-loop join probes for the equality
+    join ``candidate``, and why its verdict only filters documents
+    (:func:`_only_documents`; None: exact); None when no index is
+    eligible, the candidate is in a disjunction (a probe per branch
+    would intersect), or :func:`_unprobed` refuses it (noted in
+    ``stats``)."""
+    index = _eligible_index(database, candidate)
+    if index is None or candidate.in_disjunction or not candidate.is_equality:
+        return None
+    refusal = _unprobed(candidate)
+    if refusal is not None:
+        stats.note(f"index {index.name} not probed for "
+                   f"{candidate.description}: {refusal}")
+        return None
+    return index, _only_documents(candidate, index, False)
+
+
+def probe_join(index, candidate: PredicateCandidate, atoms: list,
+               stats: ExecutionStats
+               ) -> tuple[set[int], set[int]] | None:
+    """One outer row's probe of an index nested-loop join
+    (:func:`join_index`): the documents with an entry equal to one of
+    the operand's ``atoms`` or a fact the comparison may raise on, and
+    those among them its exact entries decide; None when the
+    comparison raises on the operand itself (scan instead)."""
+    if len(atoms) > 1 and candidate.op in _VALUE_OPS:
+        return None
+    probes = [probe for atom in atoms
+              if (probe := _bounds_for(candidate, index, atom)) is not None]
+    if not probes:
+        return index.documents_with(_raising_facts(candidate)), set()
+    docs = set().union(*(probe.run(stats) for probe in probes))
+    if len(probes) < len(atoms) or any(probe.refusal for probe in probes):
+        return docs, set()
+    return docs, probes[0].clean(docs)
 
 
 def _plan_semi_joins(database, candidates: list[PredicateCandidate],
@@ -411,18 +472,9 @@ def _plan_semi_joins(database, candidates: list[PredicateCandidate],
     for pair in by_comparison.values():
         if len(pair) != 2 or pair[0].column == pair[1].column:
             continue
-        sides = []
-        for candidate in pair:
-            table, _sep, column = candidate.column.partition(".")
-            chosen = None
-            for index in database.xml_indexes_on(table, column):
-                if check_index(index, candidate).eligible:
-                    chosen = index
-                    break
-            if chosen is None:
-                break
-            sides.append((candidate, chosen))
-        if len(sides) != 2:
+        sides = [(candidate, _eligible_index(database, candidate))
+                 for candidate in pair]
+        if any(index is None for _candidate, index in sides):
             continue
         (left, left_index), (right, right_index) = sides
         if left_index.index_type != right_index.index_type:
@@ -450,6 +502,13 @@ def _plan_semi_joins(database, candidates: list[PredicateCandidate],
                 f"semi-join prefilter via {left_index.name} ⋈ "
                 f"{right_index.name}: {len(docs)} documents keep a "
                 f"join partner for {candidate.description}")
+
+
+def _eligible_index(database, candidate: PredicateCandidate):
+    """The first index eligible for ``candidate``, or None."""
+    table, _sep, column = candidate.column.partition(".")
+    return next((index for index in database.xml_indexes_on(table, column)
+                 if check_index(index, candidate).eligible), None)
 
 
 def _keyed_docs(index, path_filter, stats: ExecutionStats
@@ -638,32 +697,8 @@ def execute_xquery(database, query: str,
             candidates = extract_candidates(module)
     runtime_db = database
     if use_indexes:
-        from ..static.infer import static_prefilter_facts
-        with tracer.span("static-analysis") as span:
-            facts = static_prefilter_facts(database, candidates)
-            span.set(checks=facts.checked,
-                     empty_columns=len(facts.empty_columns))
-            if span:
-                _annotate_static_bounds(module, database, span)
-        if METRICS.enabled and facts.checked:
-            METRICS.inc("static.checks", facts.checked)
-        with tracer.span("plan") as span:
-            prefilters = plan_prefilters(database, candidates, stats)
-            span.set(prefilter_columns=len(prefilters))
-        pruned: dict[str, set[int]] = {}
-        for column, path_text in facts.empty_columns.items():
-            # A statically-empty filtering path behaves exactly like an
-            # index probe that returned zero documents, minus the scan:
-            # drop the column's probes and pin its document set to ∅.
-            prefilters.pop(column, None)
-            pruned[column] = set()
-            stats.note(f"static prune {column}: path '{path_text}' "
-                       f"matches no stored document; branch eliminated")
-            if METRICS.enabled:
-                METRICS.inc("static.empty_prunes")
-            with tracer.span("static-prune", column=column,
-                             path=path_text) as span:
-                span.set(actual_rows=0, unit="documents")
+        prefilters, pruned = _plan_query(database, module, candidates,
+                                         stats, tracer)
         if prefilters or pruned:
             runtime_db = run_prefilters(database, prefilters, stats, tracer,
                                         pruned)
@@ -686,6 +721,39 @@ def execute_xquery(database, query: str,
         profiler.observe_query(query, "xquery", stats,
                                time.perf_counter() - started)
     return QueryResult(items, stats)
+
+
+def _plan_query(database, module, candidates: list[PredicateCandidate],
+                stats: ExecutionStats, tracer=NULL_TRACER
+                ) -> tuple[dict[str, ColumnPrefilter], dict[str, set]]:
+    """The plan of a standalone XQuery, for running and for EXPLAIN
+    alike: static facts, :func:`plan_prefilters`, and the columns whose
+    filtering path is statically empty, pruned (column -> no document)."""
+    from ..static.infer import static_prefilter_facts
+    with tracer.span("static-analysis") as span:
+        facts = static_prefilter_facts(database, candidates)
+        span.set(checks=facts.checked,
+                 empty_columns=len(facts.empty_columns))
+        if span:
+            _annotate_static_bounds(module, database, span)
+    if METRICS.enabled and facts.checked:
+        METRICS.inc("static.checks", facts.checked)
+    with tracer.span("plan") as span:
+        prefilters = plan_prefilters(database, candidates, stats)
+        span.set(prefilter_columns=len(prefilters))
+    for column, path_text in facts.empty_columns.items():
+        # A statically-empty filtering path behaves exactly like an
+        # index probe that returned zero documents, minus the scan:
+        # drop the column's probes and pin its document set to ∅.
+        prefilters.pop(column, None)
+        stats.note(f"static prune {column}: path '{path_text}' "
+                   f"matches no stored document; branch eliminated")
+        if METRICS.enabled:
+            METRICS.inc("static.empty_prunes")
+        with tracer.span("static-prune", column=column,
+                         path=path_text) as span:
+            span.set(actual_rows=0, unit="documents")
+    return prefilters, {column: set() for column in facts.empty_columns}
 
 
 def run_prefilters(database, prefilters: dict[str, ColumnPrefilter],
@@ -715,22 +783,15 @@ def explain_xquery(database, query: str) -> str:
     candidates = list(compiled.candidates)
     report = analyze_candidates(database, candidates, query, "xquery")
     stats = ExecutionStats()
-    from ..static.infer import static_prefilter_facts
-    facts = static_prefilter_facts(database, candidates)
-    prefilters = plan_prefilters(database, candidates, stats)
+    prefilters, pruned = _plan_query(database, compiled.module, candidates,
+                                     stats)
     lines = [report.explain(), "plan:"]
-    for column, path_text in facts.empty_columns.items():
-        prefilters.pop(column, None)
-        lines.append(f"  {column}: statically empty "
-                     f"(path '{path_text}' matches no stored document); "
-                     f"branch pruned")
-    if prefilters:
-        for column, prefilter in prefilters.items():
-            lines.append(f"  {column}:")
-            for note in prefilter.notes:
-                lines.append(f"    {note}")
-    elif not facts.empty_columns:
+    for column, prefilter in prefilters.items():
+        lines.append(f"  {column}:")
+        lines.extend(f"    {note}" for note in prefilter.notes)
+    if not (prefilters or pruned):
         lines.append("  full collection scan")
+    lines.extend(f"  note: {note}" for note in stats.plan_notes)
     lines.extend(f"  {line}" for line in flwor_join_report(compiled.module))
     lines.extend(f"  {line}" for line in flwor_fold_report(compiled.module))
     return "\n".join(lines)

@@ -23,7 +23,8 @@ data: probe verdicts, the hash table, the stats.
 Access paths (``use_indexes=True``):
 
 * row prefilters from eligible XMLEXISTS / XMLTABLE-row predicates with
-  literal bounds (Definition 1 at row granularity);
+  literal bounds (Definition 1 at row granularity), one plan per FROM
+  alias by the XQuery planner's candidate loop;
 * index nested-loop joins: an eligible join predicate probes the XML
   index with a value computed from the outer row (Queries 13/16), or a
   relational index with an SQL-side value (Query 14);
@@ -31,10 +32,11 @@ Access paths (``use_indexes=True``):
 * embedded ``db2-fn:xmlcolumn`` bodies get their own collection-level
   prefilter via the XQuery planner (Query 6).
 
-When the WHERE clause is one XMLEXISTS of ``$doc/P[rel op operand]``
-and the probe planned for that comparison is exact, a row whose
-document the probe admitted and whose index facts are clean takes the
-WHERE clause as TRUE without running the body (:class:`_Decider`).
+The planner (:mod:`repro.planner.plan`) chooses every XML probe.  When
+the WHERE clause is one XMLEXISTS of ``$doc/P[rel op operand]`` and the
+probe planned for that comparison is exact, a row whose document the
+probe admitted and whose index facts are clean takes the WHERE clause
+as TRUE without running the body.
 
 ``use_indexes=False`` lowers the reference plan: nested loops, no index.
 """
@@ -46,25 +48,22 @@ import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from ..core.eligibility import check_index
 from ..core.predicates import Origin, PredicateCandidate, PredicateContext
 from ..core.querycache import compile_query, compile_statement
 from ..errors import ReproError, SQLCastError, SQLError, XQueryError
 from ..obs.metrics import METRICS
 from ..obs.trace import NULL_TRACER
-from ..planner.plan import (_bounds_for, _only_documents, _raising_facts,
-                            _VALUE_OPS, exact_atoms, plan_prefilters,
-                            run_prefilters)
+from ..planner.plan import (join_index, plan_prefilters, plan_probes,
+                            probe_join, run_prefilters)
 from ..planner.stats import ExecutionStats
 from ..storage.table import Row
-from ..storage.xmlindex import SHARED_PARENT, SKIPPED, TYPED
 from ..xquery import ast as xast
 from ..xquery.guard import active_guard
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
 from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
-from ..xdm.qname import XS_NS, QName
+from ..xdm.qname import QName
 from ..xdm.sequence import Item, atomize
 from ..xquery.evaluator import evaluate_module, lower_expression
 from ..xquery.joins import JoinTable
@@ -537,31 +536,6 @@ class _Delete(_Statement):
         return SQLResult(["rows_deleted"], [(removed,)], run.stats)
 
 
-@dataclass(frozen=True)
-class _Decider:
-    """An exact probe deciding the WHERE clause, one XMLEXISTS over a
-    document of the probed table: a row whose document the probe
-    admitted takes it as TRUE unless the document is no longer live in
-    the index or has one of the ``unsafe`` facts (it then runs the
-    body)."""
-
-    unsafe: int
-    #: A value comparison: the operand must be one atom.
-    single: bool
-
-    def documents(self, index, docs, atoms=None) -> set[int]:
-        """The documents among ``docs`` (a probe's) it decides; a join
-        probe's operand ``atoms`` must compare in the index's type."""
-        if atoms is not None and not (
-                exact_atoms(index, atoms)
-                and (len(atoms) == 1 or not self.single)):
-            return set()
-        unsafe = self.unsafe
-        return {doc_id for doc_id in docs
-                if (facts := index.facts(doc_id)) is not None
-                and not facts & unsafe}
-
-
 @dataclass
 class _JoinProbe:
     """An index nested-loop join into ``target_alias``."""
@@ -576,7 +550,8 @@ class _JoinProbe:
     arguments: list | None = None
     operand: object | None = None
     value: object | None = None     # rel: the SQL-side value
-    decider: _Decider | None = None
+    #: xml: its exact verdict decides the WHERE clause
+    decides: bool = False
 
 
 @dataclass
@@ -641,8 +616,8 @@ class _Select(_Statement):
         self.steps: list = []
         self.join_probes: list[_JoinProbe] = []
         if use_indexes:
-            for embedded in collect_embedded(view, statement):
-                self._plan_embedded(view, embedded, lower, statement.where)
+            self._plan_embedded(view, collect_embedded(view, statement),
+                                lower, statement.where)
             for conjunct in split_conjuncts(statement.where):
                 if isinstance(conjunct, ast.Comparison):
                     self._plan_relational(view, conjunct, lower)
@@ -681,88 +656,63 @@ class _Select(_Statement):
 
     # -- planning (once per lowering) ----------------------------------
 
-    def _plan_embedded(self, view, embedded: EmbeddedQuery,
+    def _plan_embedded(self, view, embedded: list[EmbeddedQuery],
                        lower: _Lowerer, where) -> None:
-        origin_alias = {bound.column: embedded.alias_of_var[var]
-                        for var, bound in embedded.scope.items()
-                        if isinstance(bound, Origin)
-                        and var in embedded.alias_of_var}
-        for candidate in embedded.row_candidates:
-            alias = origin_alias.get(candidate.column)
-            if alias is None:
-                continue
-            table, _sep, column = candidate.column.partition(".")
-            chosen = next((index for index in view.xml_indexes_on(
-                table, column) if check_index(index, candidate).eligible),
-                None)
-            if chosen is None:
-                continue
-            if candidate.operand_value is not None or \
-                    candidate.op == "exists":
-                if _bounds_for(candidate, chosen) is None:
+        """Per FROM alias, the row prefilter its row candidates leave
+        (:func:`plan_probes` over all of them: one plan, as an XQuery
+        gets) and its index nested-loop joins (:func:`join_index`)."""
+        by_alias: dict[str, list] = {}
+        for query in embedded:
+            origin_alias = {bound.column: query.alias_of_var[var]
+                            for var, bound in query.scope.items()
+                            if isinstance(bound, Origin)
+                            and var in query.alias_of_var}
+            for candidate in query.row_candidates:
+                alias = origin_alias.get(candidate.column)
+                if alias is not None:
+                    by_alias.setdefault(alias, []).append(
+                        (query, candidate))
+        for alias, found in by_alias.items():
+            notes = ExecutionStats()
+            prefilters = plan_probes(
+                view, [candidate for _query, candidate in found], notes)
+            probes = {probe.comparison: probe
+                      for prefilter in prefilters.values()
+                      for probe in prefilter.conjunct_probes}
+            decides = 0
+            for query, candidate in found:
+                if candidate.operand_expr is None:
+                    probe = probes.get(candidate.comparison_id)
+                    if candidate.comparison is not None and probe and \
+                            _decides(query, where, alias, candidate,
+                                     probe.index.name, probe.refusal, notes):
+                        decides = candidate.comparison_id
                     continue
-                decider, note = self._decider(embedded, where, alias,
-                                              candidate, chosen)
-                self.steps.append((
-                    _Run.doc_probe, alias, candidate, chosen.name,
-                    f"row prefilter on {alias} via {chosen.name}: "
-                    f"{candidate.description} "
-                    f"[{candidate.context.value}]", decider))
-            elif candidate.operand_expr is not None and \
-                    candidate.is_equality:
-                deps = {embedded.alias_of_var.get(var)
+                deps = {query.alias_of_var.get(var)
                         for var in candidate.operand_vars}
-                if None in deps or not deps:
+                planned = (None if None in deps or not deps
+                           else join_index(view, candidate, notes))
+                if planned is None:
                     continue
-                decider, note = self._decider(embedded, where, alias,
-                                              candidate, chosen)
+                index, refusal = planned
+                notes.note(f"index nested-loop join into {alias} via "
+                           f"{index.name}: {candidate.description}")
                 self.join_probes.append(_JoinProbe(
-                    target_alias=alias, kind="xml", index_name=chosen.name,
+                    target_alias=alias, kind="xml", index_name=index.name,
                     outer_deps=frozenset(deps), candidate=candidate,
                     arguments=[(argument.variable,
                                 lower.items(argument.expr))
-                               for argument in embedded.passing
+                               for argument in query.passing
                                if argument.variable
                                in candidate.operand_vars],
-                    operand=lower_expression(embedded.module,
+                    operand=lower_expression(query.module,
                                              candidate.operand_expr),
-                    decider=decider))
-                self.steps.append((
-                    _Run.note, f"index nested-loop join into {alias} via "
-                    f"{chosen.name}: {candidate.description}"))
-            else:
-                continue
-            if note is not None:
-                self.steps.append((_Run.note, note))
-
-    @staticmethod
-    def _decider(embedded: EmbeddedQuery, where, alias: str,
-                 candidate: PredicateCandidate, index
-                 ) -> tuple[_Decider | None, str | None]:
-        """The :class:`_Decider` of ``candidate``'s probe on ``index``
-        when the WHERE clause is its XMLEXISTS and the verdict is exact,
-        else None; and, for an XMLEXISTS of the WHERE clause, the plan
-        note saying which."""
-        if embedded.sql_context is not PredicateContext.SQL_WHERE_XMLEXISTS:
-            return None, None
-        shape = _exists_shape(embedded, where, alias, candidate)
-        if isinstance(shape, str):
-            refusal = shape
-        else:
-            rel, cast = shape
-            refusal = _only_documents(candidate, index, False,
-                                      one_step=len(rel) == 1)
-            if refusal is None and cast and index.index_type != "DOUBLE":
-                refusal = f"xs:double(.) on a {index.index_type} index"
-        if refusal is not None:
-            return None, (f"index {index.name} filters rows only for "
-                          f"{candidate.description}: {refusal}")
-        value = candidate.op in _VALUE_OPS
-        unsafe = TYPED | (SKIPPED if value or cast else 0) | \
-            (SHARED_PARENT if value else 0)
-        return _Decider(unsafe, value), (
-            f"index {index.name} decides XMLEXISTS for "
-            f"{candidate.description}")
+                    decides=_decides(query, where, alias, candidate,
+                                     index.name, refusal, notes)))
+            if prefilters:
+                self.steps.append((_Run.prefilter, alias, prefilters,
+                                   decides))
+            self.steps.extend((_Run.note, note) for note in notes.plan_notes)
 
     def _plan_relational(self, view, comparison: ast.Comparison,
                          lower: _Lowerer) -> None:
@@ -927,35 +877,27 @@ class _Run:
         #: alias -> allowed row ids; alias -> {XML column: doc ids}
         self.row_filters: dict[str, set[int]] = {}
         self.doc_filters: dict[str, dict[str, set[int]]] = {}
-        #: alias -> the doc ids whose rows a literal probe decided
-        #: (:class:`_Decider`)
+        #: alias -> the doc ids whose rows an exact literal probe decided
         self.decided: dict[str, set[int]] = {}
         #: body source -> the view it reads (its prefilters applied)
         self._bodies: dict[str, object] = {}
         self._hash_rows: list | None = None
         self._hash_table: JoinTable | None = None
 
-    def doc_probe(self, alias: str, candidate: PredicateCandidate,
-                  index_name: str, note: str,
-                  decider: _Decider | None) -> None:
-        """An XML index probe of a literal bound filters ``alias`` (and,
-        exact, decides the WHERE clause for the rows it admits)."""
-        index = self.view.xml_indexes[index_name]
-        probe = _bounds_for(candidate, index)
-        with self.tracer.span("index-scan", index=index.name) as span:
-            if span:
-                span.set(range=probe.bounds_text())
-            docs = probe.run(self.stats)
-            span.set(actual_rows=len(docs), unit="documents")
-        if decider is not None:
-            self.decided[alias] = decider.documents(index, docs)
-        # Doc ids of different XML columns never meet, so only verdicts
-        # on one column intersect as doc ids.
-        by_column = self.doc_filters.setdefault(alias, {})
-        existing = by_column.get(candidate.column)
-        by_column[candidate.column] = (docs if existing is None
-                                       else existing & docs)
-        self.note(note)
+    def prefilter(self, alias: str, prefilters: dict, decides: int) -> None:
+        """``alias``'s planned index prefilter (:func:`plan_probes`)
+        filters its rows; the exact probe of the comparison ``decides``
+        (its ``comparison_id``; 0: none) decides the WHERE clause for the
+        clean documents among them."""
+        by_column = self.doc_filters[alias] = {}
+        for column, prefilter in prefilters.items():
+            prefilter = prefilter.on(self.view)
+            docs = by_column[column] = prefilter.run(self.stats,
+                                                     tracer=self.tracer)
+            self.stats.plan_notes.extend(prefilter.notes)
+            for probe in prefilter.conjunct_probes:
+                if decides and probe.comparison == decides:
+                    self.decided[alias] = probe.clean(docs)
 
     def row_lookup(self, alias: str, index_name: str, value,
                    note: str) -> None:
@@ -1039,7 +981,7 @@ class _Run:
         # No index probe targets this alias, so its rows do not depend
         # on the outer binding.
         join = source.hash
-        rows = self._rows_for(source, None)
+        rows = self._located(source, None)[0]
         if self.guard is not None:
             self.guard.tick(len(rows) + 1)
         self.stats.rows_scanned += len(rows)
@@ -1061,16 +1003,13 @@ class _Run:
             return "error", []
         return key_class, ([] if key is None else [(key_class, key)])
 
-    def _rows_for(self, source: _Source, env) -> list[Row]:
-        """The rows of ``source`` the plan's index verdicts leave, in
-        table order: every row without a verdict, else the intersection
-        of the verdicts' rows, located in O(matches)."""
-        return self._located(source, env)[0]
-
     def _located(self, source: _Source, env
                  ) -> tuple[list[Row], list[bool] | None]:
-        """:meth:`_rows_for`'s rows, and for each whether an exact probe
-        decided the WHERE clause (None: no row decided)."""
+        """The rows of ``source`` the plan's index verdicts leave, in
+        table order: every row without a verdict, else the intersection
+        of the verdicts' rows, located in O(matches); and for each
+        whether an exact probe decided the WHERE clause (None: no row
+        decided)."""
         table = self.view.table(source.table)
         row_ids = self.row_filters.get(source.alias)
         doc_filters = self.doc_filters.get(source.alias, {})
@@ -1131,27 +1070,17 @@ class _Run:
         variables = {variable: items(self, env)
                      for variable, items in probe.arguments}
         try:
-            values = atomize(probe.operand(variables, self.view,
-                                           self.stats))
+            atoms = atomize(probe.operand(variables, self.view,
+                                          self.stats))
         except ReproError:
             return None  # fall back to full scan of the inner table
-        candidate = probe.candidate
-        if len(values) > 1 and candidate.op in _VALUE_OPS:
+        found = probe_join(self.view.xml_indexes[probe.index_name],
+                           probe.candidate, atoms, self.stats)
+        if found is None:
             return None  # the comparison raises: let every row say so
-        index = self.view.xml_indexes[probe.index_name]
-        admit = _raising_facts(candidate)
-        docs: set[int] = index.documents_with(admit) if admit else set()
-        for value in values:
-            try:
-                key = index.key_for_value(value)
-            except ReproError:
-                continue
-            docs |= index.matching_documents(
-                key, key, path_filter=candidate.path, stats=self.stats)
-        decider = probe.decider
-        return locator.positions_of_docs(docs), (
-            set() if decider is None
-            else decider.documents(index, docs, values))
+        docs, decided = found
+        return (locator.positions_of_docs(docs),
+                decided if probe.decides else set())
 
     def _xmltable_rows(self, source: _Source, env: list) -> list[Row]:
         items = source.body(self, env)
@@ -1207,14 +1136,33 @@ def _column_name(item: ast.SelectItem, position: int) -> str:
     return f"col{position}"
 
 
+def _decides(embedded: EmbeddedQuery, where, alias: str,
+             candidate: PredicateCandidate, index_name: str,
+             refusal: str | None, notes: ExecutionStats) -> bool:
+    """Does the exact verdict (``refusal`` None) of ``candidate``'s
+    probe decide the WHERE clause, its XMLEXISTS being the whole
+    clause?  An XMLEXISTS of the WHERE clause notes which."""
+    if embedded.sql_context is not PredicateContext.SQL_WHERE_XMLEXISTS:
+        return False
+    refusal = _exists_shape(embedded, where, alias, candidate) or refusal
+    if refusal is not None:
+        notes.note(f"index {index_name} filters rows only for "
+                   f"{candidate.description}: {refusal}")
+        return False
+    notes.note(f"index {index_name} decides XMLEXISTS for "
+               f"{candidate.description}")
+    return True
+
+
 def _exists_shape(embedded: EmbeddedQuery, where, alias: str,
-                  candidate: PredicateCandidate):
-    """(rel's axis steps, whether rel ends in ``xs:double(.)``) when the
-    WHERE clause is ``embedded`` alone, every PASSING argument a column,
-    and its body ``$doc/P[rel op operand]``: ``$doc`` a document of
-    ``alias``, ``P`` axis steps, the one predicate ``candidate``'s
-    comparison, ``rel`` child or attribute name steps, the operand a
-    literal or a path from a variable.  Else why not, as text."""
+                  candidate: PredicateCandidate) -> str | None:
+    """Why not all of: the WHERE clause is ``embedded`` alone, every
+    PASSING argument a column, and its body ``$doc/P[rel op operand]``
+    with ``$doc`` a document of ``alias``, ``P`` axis steps, the one
+    predicate ``candidate``'s comparison, ``rel`` a
+    :func:`~repro.xquery.ast.rel_path` from the focus without predicates
+    (maybe ending in ``xs:double(.)``), the operand a literal or a
+    ``rel_path`` from a variable; None when all hold."""
     if not (isinstance(where, ast.XMLExistsExpr)
             and where.passing is embedded.passing):
         return "the WHERE clause is not this XMLEXISTS alone"
@@ -1223,8 +1171,10 @@ def _exists_shape(embedded: EmbeddedQuery, where, alias: str,
         return "a PASSING argument is not a column"
     body = embedded.module.body
     refusal = "the body is not $doc/P[rel op operand]"
+    comparison = candidate.comparison
     if not (isinstance(body, xast.PathExpr) and not body.absolute
-            and len(body.steps) > 1):
+            and len(body.steps) > 1 and isinstance(
+                comparison, (xast.GeneralComparison, xast.ValueComparison))):
         return refusal
     first, *steps = body.steps
     if not (isinstance(first, xast.ExprStep) and not first.predicates
@@ -1235,53 +1185,20 @@ def _exists_shape(embedded: EmbeddedQuery, where, alias: str,
             and all(isinstance(step, xast.AxisStep) for step in steps)
             and not any(step.predicates for step in steps[:-1])
             and len(steps[-1].predicates) == 1
-            and steps[-1].predicates[0] is candidate.comparison):
+            and steps[-1].predicates[0] is comparison):
         return refusal
-    comparison = candidate.comparison
     for rel, operand in ((comparison.left, comparison.right),
                          (comparison.right, comparison.left)):
-        shape = _rel_shape(rel)
-        if shape is not None and (
-                operand is candidate.operand_expr
-                and _unfocused(operand)
-                or candidate.operand_expr is None
-                and isinstance(operand, xast.Literal)):
-            return shape
-    return refusal
-
-
-def _rel_shape(expr) -> tuple[list, bool] | None:
-    """(axis steps, cast) of ``rel``: child or attribute name steps,
-    without predicates, maybe ending in ``xs:double(.)``; else None."""
-    if not (isinstance(expr, xast.PathExpr) and not expr.absolute):
-        return None
-    steps, cast = list(expr.steps), False
-    last = steps[-1]
-    if isinstance(last, xast.ExprStep) and not last.predicates:
-        call = last.expr
-        if not (isinstance(call, xast.FunctionCall)
-                and call.name.uri == XS_NS and call.name.local == "double"
-                and len(call.args) == 1
-                and isinstance(call.args[0], xast.ContextItem)):
+        shape = xast.rel_path(rel)
+        if shape is None or shape.var is not None or shape.filtered \
+                or shape.cast not in (None, "double"):
+            continue
+        if (isinstance(operand, xast.Literal)
+                if candidate.operand_expr is None
+                else operand is candidate.operand_expr
+                and getattr(xast.rel_path(operand), "var", None)):
             return None
-        steps, cast = steps[:-1], True
-    if not steps or not all(
-            isinstance(step, xast.AxisStep) and not step.predicates
-            and step.axis in ("child", "attribute")
-            and isinstance(step.test, xast.NameTest)
-            for step in steps):
-        return None
-    return steps, cast
-
-
-def _unfocused(operand) -> bool:
-    """Does ``operand`` mean the same with and without the predicate's
-    focus: a variable, or a path starting at one?"""
-    if isinstance(operand, xast.VarRef):
-        return True
-    return (isinstance(operand, xast.PathExpr) and not operand.absolute
-            and isinstance(operand.steps[0], xast.ExprStep)
-            and isinstance(operand.steps[0].expr, xast.VarRef))
+    return refusal
 
 
 #: SQL NOT in three-valued logic (None is UNKNOWN)

@@ -209,6 +209,12 @@ class XmlIndex:
             return None
         return self._facts.get(doc_id, 0)
 
+    def clean(self, docs, facts: int) -> set[int]:
+        """The live documents among ``docs`` with none of ``facts``."""
+        live, held = self._doc_entry_counts, self._facts
+        return {doc_id for doc_id in docs
+                if doc_id in live and not held.get(doc_id, 0) & facts}
+
     def documents_with(self, facts: int) -> set[int]:
         """Documents (forgotten ones included: the row locator of a
         pinned row list drops what it lacks) with any of ``facts``."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..xdm.atomic import AtomicValue
-from ..xdm.qname import QName
+from ..xdm.qname import XS_NS, QName
 
 # ---------------------------------------------------------------------------
 # Node tests
@@ -436,3 +436,46 @@ def _walk_into(obj, found: list[object]) -> None:
     found.append(obj)
     for attribute in getattr(obj, "__dataclass_fields__", {}):
         _walk_into(getattr(obj, attribute), found)
+
+
+@dataclass(frozen=True)
+class RelPath:
+    """A comparison side of the ``rel`` shape (:func:`rel_path`)."""
+
+    #: The variable it starts at; None: the focus.
+    var: Optional[str]
+    #: Its child and attribute name-test steps.
+    steps: tuple
+    #: The xs: constructor it ends in (``xs:double(.)``: "double").
+    cast: Optional[str]
+    #: Some step has predicates.
+    filtered: bool
+
+
+def rel_path(expr) -> Optional[RelPath]:
+    """``expr`` as ``.``, ``$v``, ``rel`` or ``$v/rel``, ``rel`` being
+    child and attribute name-test steps, maybe ending in an xs:
+    constructor of ``.`` (``xs:double(.)``); else None.  The predicate
+    planner, the where clause fold, the column kernel and the SQL
+    executor's decided XMLEXISTS all read comparison sides this way."""
+    if isinstance(expr, (VarRef, ContextItem)):
+        return RelPath(getattr(expr, "name", None), (), None, False)
+    if not isinstance(expr, PathExpr) or expr.absolute:
+        return None
+    var, steps, cast = None, list(expr.steps), None
+    first = steps[0]
+    if (isinstance(first, ExprStep) and not first.predicates
+            and isinstance(first.expr, VarRef)):
+        var, steps = first.expr.name, steps[1:]
+    last = steps[-1] if steps else None
+    if (isinstance(last, ExprStep) and not last.predicates
+            and isinstance(last.expr, FunctionCall)
+            and last.expr.name.uri == XS_NS and len(last.expr.args) == 1
+            and isinstance(last.expr.args[0], ContextItem)):
+        steps, cast = steps[:-1], last.expr.name.local
+    if not all(isinstance(step, AxisStep)
+               and step.axis in ("child", "attribute")
+               and isinstance(step.test, NameTest) for step in steps):
+        return None
+    return RelPath(var, tuple(steps), cast,
+                   any(step.predicates for step in steps))

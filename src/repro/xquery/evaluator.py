@@ -1250,10 +1250,11 @@ def _column_predicate(matcher, up: int, op: str, strict: bool,
     stores of the probed column's surviving documents are answered
     from its entries (:func:`_node_answers`,
     :meth:`~repro.storage.columnar.ColumnStore.nodes_at`) without
-    reading a partition; any other store runs the kernel."""
+    reading a partition; any other store runs the kernel, so does one
+    on which the index facts say the comparison may raise."""
     compare = _OPS[op]
     key = id(comparison)
-    answerable = isinstance(operand, ast.Literal) and not strict
+    answerable = isinstance(operand, ast.Literal)
     if isinstance(operand, ast.Literal):
         promoted = _column_operand([operand.value])
         if promoted is None:
@@ -1376,33 +1377,18 @@ def _column_plan(pattern_steps: list, predicates: list) -> tuple | None:
         rel, operand, op = operand, rel, MIRRORED[op]
     if not isinstance(operand, (ast.Literal, ast.VarRef)):
         return None
-    rel_steps = _relative_steps(rel)
-    if rel_steps is None:
+    shape = ast.rel_path(rel)
+    if shape is None or shape.var is not None or shape.cast \
+            or shape.filtered:
         return None
+    from ..core.patterns import PatternStep
+    rel_steps = [PatternStep(_summary_step_test(step))
+                 for step in shape.steps]
     steps = list(pattern_steps) + rel_steps
     if steps[-1].test.kind not in ("element", "attribute"):
         return None
     return (_linear_matcher(steps), len(rel_steps), op,
             kind is ast.ValueComparison, operand)
-
-
-def _relative_steps(rel: ast.Expr) -> list | None:
-    """``rel`` as pattern steps when it is ``.`` (none) or a relative
-    run of child and attribute name-test steps without predicates."""
-    from ..core.patterns import PatternStep
-    if isinstance(rel, ast.ContextItem):
-        return []
-    if not isinstance(rel, ast.PathExpr) or rel.absolute:
-        return None
-    steps = []
-    for step in rel.steps:
-        if not (isinstance(step, ast.AxisStep)
-                and step.axis in ("child", "attribute")
-                and isinstance(step.test, ast.NameTest)
-                and not step.predicates):
-            return None
-        steps.append(PatternStep(_summary_step_test(step)))
-    return steps
 
 
 def _compile_summary_prefix(steps) -> tuple[list, int, list]:

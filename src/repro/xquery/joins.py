@@ -276,8 +276,8 @@ def _fold(clause: ast.ForClause, where: ast.Expr) -> WhereFold | str:
         return "the for sequence is not a path ending in an axis step"
     if not isinstance(where, (ast.GeneralComparison, ast.ValueComparison)):
         return "the where clause is not one comparison"
-    left, right = _relative_to(where.left, var), _relative_to(where.right,
-                                                               var)
+    left, right = (_relative_to(where.left, var),
+                   _relative_to(where.right, var))
     if left is not None and right is None:
         rel, operand = left, where.right
     elif right is not None and left is None:
@@ -304,23 +304,13 @@ def _fold(clause: ast.ForClause, where: ast.Expr) -> WhereFold | str:
 
 
 def _relative_to(expr: ast.Expr, var: str) -> ast.Expr | None:
-    """``expr`` = ``$var`` or ``$var/rel`` over child and attribute name
-    steps without predicates, as ``.`` or the relative path ``rel``."""
-    if isinstance(expr, ast.VarRef):
-        return ast.ContextItem() if expr.name == var else None
-    if not isinstance(expr, ast.PathExpr) or expr.absolute:
+    """``expr`` = ``$var`` or ``$var/rel`` (a plain
+    :func:`ast.rel_path`), as ``.`` or the relative path ``rel``."""
+    rel = ast.rel_path(expr)
+    if rel is None or rel.var != var or rel.cast or rel.filtered:
         return None
-    first, rest = expr.steps[0], expr.steps[1:]
-    if not (isinstance(first, ast.ExprStep) and not first.predicates
-            and isinstance(first.expr, ast.VarRef)
-            and first.expr.name == var):
-        return None
-    if not all(isinstance(step, ast.AxisStep)
-               and step.axis in ("child", "attribute")
-               and isinstance(step.test, ast.NameTest)
-               and not step.predicates for step in rest):
-        return None
-    return ast.PathExpr("", rest) if rest else ast.ContextItem()
+    return ast.PathExpr("", list(rel.steps)) if rel.steps \
+        else ast.ContextItem()
 
 
 def _may_construct(node, prolog: ast.Prolog) -> bool:

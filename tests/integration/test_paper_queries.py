@@ -16,7 +16,8 @@ doc 6 has the §3.8 mixed-content price.
 
 import pytest
 
-from repro.errors import SQLCastError, XQueryDynamicError
+from repro.errors import ReproError, SQLCastError, XQueryDynamicError
+from repro.obs.metrics import METRICS, enabled_metrics
 from tests.conftest import assert_same_results
 
 XMLCOL = "db2-fn:xmlcolumn('ORDERS.ORDDOC')"
@@ -632,8 +633,44 @@ class TestSection310Between:
         assert_same_results(indexed_db, query)
 
     def test_value_comparison_single_scan(self, indexed_db):
+        # The merged scan admits doc 4, whose "20 USD" price makes `gt`
+        # raise FORG0001, as the full scan does.
         query = (f"{XMLCOL}//lineitem"
                  "[@price gt 100.0 and @price lt 200.0]")
-        result = indexed_db.xquery(query)
-        assert result.stats.index_scans == 1
-        assert len(result) == 1
+        for use_indexes in (False, True):
+            with enabled_metrics():
+                with pytest.raises(ReproError) as raised:
+                    indexed_db.xquery(query, use_indexes=use_indexes)
+                assert raised.value.code == "FORG0001"
+                assert METRICS.counter("index.probes") == int(use_indexes)
+
+
+class TestOnePrefilterPlanner:
+    """The XQuery twins of the SQL route matrix's planner statements
+    (``tests/property/test_sql_routes.py``, ``PLANNER_TEMPLATES``), and
+    a disjunction over two columns: each answers, or raises, as the full
+    scan does."""
+
+    CUSTOMERS = "db2-fn:xmlcolumn('CUSTOMER.CDOC')/customer"
+
+    @pytest.mark.parametrize("query", [
+        f"{XMLCOL}/order[custid = 1001 or custid = 1002]",
+        f"{XMLCOL}/order[custid = 1003 or lineitem/@price = 150]",
+        f"{XMLCOL}/order[(custid = 1001 or custid = 1002) "
+        f"and lineitem/@price = 150]",
+        f"for $c in {CUSTOMERS}, $o in {XMLCOL}/order where $o/custid = "
+        f"$c/id or $o/lineitem/@price = 150 return <r>{{$c/id, $o}}</r>",
+        f"{XMLCOL}//lineitem[@price gt 100.0 and @price lt 200.0]",
+        f"{XMLCOL}/order[lineitem/@price eq 99.5]",
+        f"{XMLCOL}//lineitem[between(@price, 100, 200)]",
+        f"for $o in {XMLCOL}/order, $c in {CUSTOMERS} where $o/custid = "
+        f"1001 or $c/id = 1003 return <r>{{$o/custid, $c/id}}</r>",
+    ])
+    def test_answers_as_the_full_scan(self, indexed_db, query):
+        def outcome(use_indexes):
+            try:
+                return indexed_db.xquery(
+                    query, use_indexes=use_indexes).serialize()
+            except ReproError as error:
+                return error.code
+        assert outcome(True) == outcome(False)

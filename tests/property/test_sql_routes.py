@@ -55,11 +55,38 @@ TEMPLATES = [
     f"c.cdoc as \"cust\")",
 ]
 
+#: One prefilter per FROM alias: a disjunction unions its branches'
+#: probes (or filters nothing), a join probe skips a disjunct, a merged
+#: between pair admits what either bound admits, a value comparison over
+#: two steps is not probed, and fn:between is no comparison to decide.
+PLANNER_TEMPLATES = [
+    f"SELECT ordid FROM orders WHERE XMLExists("
+    f"'$order/order[custid = 1001 or custid = 1002]' {_PASSING})",
+    "SELECT o.ordid, t.c FROM orders o, XMLTable("
+    "'$order/order[custid = 1001 or custid = 1002]' passing o.orddoc as "
+    "\"order\" COLUMNS \"c\" XML BY REF PATH 'custid') as t(c)",
+    f"SELECT ordid FROM orders WHERE XMLExists("
+    f"'$order/order[custid = 1003 or lineitem/@price = 150]' {_PASSING})",
+    "SELECT c.cid, o.ordid FROM customer c, orders o WHERE XMLExists("
+    "'$order/order[custid = $cust/customer/id or lineitem/@price = 150]' "
+    "passing o.orddoc as \"order\", c.cdoc as \"cust\")",
+    f"SELECT ordid FROM orders WHERE XMLExists('$order/order[(custid = "
+    f"1001 or custid = 1002) and lineitem/@price = 150]' {_PASSING})",
+    f"SELECT ordid FROM orders WHERE XMLExists("
+    f"'$order//lineitem[@price gt 100.0 and @price lt 200.0]' {_PASSING})",
+    f"SELECT ordid FROM orders WHERE XMLExists("
+    f"'$order/order[lineitem/@price eq 99.5]' {_PASSING})",
+    f"SELECT ordid FROM orders WHERE XMLExists("
+    f"'$order//lineitem[between(@price, 100, 200)]' {_PASSING})",
+]
+
 STATEMENTS = {f"q{number}": text
               for number, (kind, text) in sorted(PAPER_QUERIES.items())
               if kind == "sql"}
 STATEMENTS.update({f"t{position}": text
                    for position, text in enumerate(TEMPLATES, 1)})
+STATEMENTS.update({f"u{position}": text
+                   for position, text in enumerate(PLANNER_TEMPLATES, 1)})
 
 
 def outcome(view, text: str, use_indexes: bool = True):

@@ -95,7 +95,7 @@ class TestDocFilterKeepsDoclessRows:
         return db
 
     def test_rows_for_keeps_null_xml_row_under_doc_filter(self, mixed_db):
-        # Unit-level pin on _rows_for: with a doc filter installed, a
+        # Unit-level pin on _located: with a doc filter installed, a
         # row whose XML column is NULL must survive to the residual
         # WHERE (the old dead-arm filter dropped it outright).
         from repro.core.querycache import compile_statement
@@ -107,7 +107,7 @@ class TestDocFilterKeepsDoclessRows:
         plan.prepare(run)
         source = plan.sources[0]
         assert source.alias in run.doc_filters, "index prefilter expected"
-        rows = run._rows_for(source, [None])
+        rows = run._located(source, [None])[0]
         ids = {row.values["id"] for row in rows}
         assert 3 in ids, "doc-less row must not be dropped by the " \
                          "doc filter"
