@@ -372,20 +372,40 @@ class PatternMatcher:
     one lookup the first time it is asked about, at any depth, and a
     dict hit afterwards.  Unknown ancestors are filled in iteratively,
     never by recursion.  Build one through :func:`matcher_for`.
+
+    The pattern matches a path from the document root, or, in the
+    matcher :meth:`anchored` at a path, the rest of a path below it
+    (a relative path from an element of that path).
     """
 
-    __slots__ = ("pattern", "_memo", "_steps", "_shapes")
+    __slots__ = ("pattern", "_memo", "_steps", "_shapes", "_anchors")
 
-    def __init__(self, pattern: PathPattern):
+    def __init__(self, pattern: PathPattern, anchor: PathNode = ROOT_PATH,
+                 steps: dict | None = None):
         self.pattern = pattern
-        #: path -> (NFA state, verdict)
+        #: path -> (NFA state, verdict); a path off the anchor's
+        #: subtree climbs to the root, whose state is then empty
         self._memo: dict[PathNode, tuple[frozenset, bool]] = {
-            ROOT_PATH: (pattern.start, False)}
-        #: (state, kind, uri, local) -> the state after that step
-        self._steps: dict[tuple, tuple[frozenset, bool]] = {}
+            ROOT_PATH: (frozenset(), False), anchor: (pattern.start, False)}
+        #: (state, kind, uri, local) -> the state after that step,
+        #: shared with the anchored matchers of the same pattern
+        self._steps: dict[tuple, tuple[frozenset, bool]] = (
+            {} if steps is None else steps)
         #: weak shape reference -> :meth:`path_ids` of that shape; an
         #: entry leaves with its shape
         self._shapes: dict[weakref.ref, tuple[int, ...]] = {}
+        #: anchor path -> the matcher anchored there
+        self._anchors: dict[PathNode, PatternMatcher] = {anchor: self}
+
+    def anchored(self, anchor: PathNode) -> "PatternMatcher":
+        """This pattern matching the paths below ``anchor`` — each path
+        ``anchor + rest`` whose ``rest`` the pattern matches from the
+        root — memoized per anchor (this matcher for its own)."""
+        matcher = self._anchors.get(anchor)
+        if matcher is None:
+            matcher = self._anchors.setdefault(anchor, PatternMatcher(
+                self.pattern, anchor, self._steps))
+        return matcher
 
     def path_ids(self, shape: PathShape) -> tuple[int, ...]:
         """The ids (positions in ``shape.paths``) of the matching

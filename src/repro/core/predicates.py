@@ -78,9 +78,11 @@ class Origin:
     steps: tuple[PatternStep, ...] = ()
     #: Comparison type forced by a trailing cast step (e.g. xs:double(.)).
     cast_type: str | None = None
+    #: Reached through a let variable, which may hold several nodes.
+    let_bound: bool = False
 
     def extend(self, steps: tuple[PatternStep, ...]) -> "Origin":
-        return Origin(self.column, self.steps + steps, None)
+        return Origin(self.column, self.steps + steps, None, self.let_bound)
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,8 @@ class PredicateCandidate:
     #: (``custid/xs:double(.)``: DOUBLE; ``string()``: VARCHAR;
     #: ``data()``: ANY), or None without one.
     cast: str | None = None
+    #: The compared path starts at a let variable (``Origin.let_bound``).
+    let_bound: bool = False
     #: The AST comparison (or ``fn:between`` call) the candidate came
     #: from; None for an existence test.
     comparison: object | None = field(default=None, compare=False,
@@ -280,7 +284,7 @@ class _Extractor:
             pattern_steps_delta, pending_gap = converted
             pattern_steps.extend(pattern_steps_delta)
         return Origin(origin.column, tuple(pattern_steps),
-                      cast_type or origin.cast_type)
+                      cast_type or origin.cast_type, origin.let_bound)
 
     # ------------------------------------------------------------------
     # Walk
@@ -326,7 +330,9 @@ class _Extractor:
                     let_state = _kept(let_state, PredicateContext.KEPT_VALUE)
                 self.walk(clause.expr, scope, let_state)
                 let_vars[clause.var] = self.candidates[before:]
-                scope[clause.var] = self.origin_of(clause.expr, scope)
+                origin = self.origin_of(clause.expr, scope)
+                scope[clause.var] = (None if origin is None
+                                     else replace(origin, let_bound=True))
             elif isinstance(clause, ast.WhereClause):
                 outer, self.consumed = self.consumed, set()
                 self._analyze_boolean(
@@ -580,6 +586,7 @@ class _Extractor:
             operand_vars=frozenset(_variables_in(operand_expr))
             if operand_expr is not None else frozenset(),
             cast=origin.cast_type,
+            let_bound=origin.let_bound,
             comparison=comparison))
 
     def _analyze_between_call(self, expr, scope,

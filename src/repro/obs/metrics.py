@@ -27,6 +27,13 @@ of the trace/EXPLAIN ANALYZE contract documented in EXPERIMENTS.md):
 ``pathsummary.column_predicates`` of those, lookups whose value
                                   predicate ``[path op value]`` was
                                   decided on the path partitions
+``pathsummary.element_lookups``   of those, lookups from stored
+                                  element contexts (each a slot range
+                                  of its store's partitions)
+``sql.batched_bodies``            SQL/XML bodies run once for many rows:
+                                  an XMLTABLE column path over one call's
+                                  row items, a select-list XMLQuery over
+                                  the distinct documents of the rows
 ``docs.scanned``                  XML documents materialized from columns
 ``rows.scanned``                  relational rows examined
 ``bufferpool.hits``               accesses that found the tree resident

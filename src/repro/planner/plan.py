@@ -176,11 +176,15 @@ def _unprobed(candidate: PredicateCandidate) -> str | None:
     """Why ``candidate`` gets no probe although an index is eligible: a
     value comparison whose compared path (:func:`~repro.xquery.ast.
     rel_path`) is not at most one child or attribute step from its
-    focus or variable may atomize two nodes of different parents and
-    raise, and no document fact records that."""
+    focus or variable, or starts at a let variable (a sequence), may
+    atomize two nodes of different parents and raise, and no document
+    fact records that."""
     comparison = candidate.comparison
     if not isinstance(comparison, xast.ValueComparison):
         return None
+    if candidate.let_bound:
+        return (f"'{candidate.op}' compares a path from a let variable, "
+                f"which may hold several nodes")
     rels = [rel for side in (comparison.left, comparison.right)
             if side is not candidate.operand_expr
             and (rel := xast.rel_path(side)) is not None]

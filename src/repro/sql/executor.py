@@ -30,7 +30,13 @@ Access paths (``use_indexes=True``):
   relational index with an SQL-side value (Query 14);
 * a hash join on the WHERE clause's leading ``=`` (Query 15);
 * embedded ``db2-fn:xmlcolumn`` bodies get their own collection-level
-  prefilter via the XQuery planner (Query 6).
+  prefilter via the XQuery planner (Query 6);
+* set-at-a-time bodies (:func:`~repro.xquery.evaluator.evaluate_each`):
+  an XMLTABLE column path runs once over all row items of a call, and a
+  select-list ``XMLQuery('$v/P' passing <XML column> as "v")`` once per
+  distinct document among the rows; casts stay per cell, and a batch
+  that declines or raises leaves its cells to run one by one, in the
+  reference order.
 
 The planner (:mod:`repro.planner.plan`) chooses every XML probe.  When
 the WHERE clause is one XMLEXISTS of ``$doc/P[rel op operand]`` and the
@@ -65,7 +71,8 @@ from ..xdm.nodes import (AttributeNode, DocumentNode, ElementNode, Node,
                          TextNode, copy_node)
 from ..xdm.qname import QName
 from ..xdm.sequence import Item, atomize
-from ..xquery.evaluator import evaluate_module, lower_expression
+from ..xquery.evaluator import (batches, evaluate_each, evaluate_module,
+                                lower_expression)
 from ..xquery.joins import JoinTable
 from ..xmlio.parser import parse_columns
 from . import ast
@@ -178,10 +185,12 @@ def lower_statement(view, statement_text: str, use_indexes: bool
 # ---------------------------------------------------------------------------
 
 class _Lowerer:
-    """SQL expressions -> closures over ``refs``, one ``env`` slot each."""
+    """SQL expressions -> closures over ``refs``, one ``env`` slot each;
+    ``use_indexes`` lowers the batched SQL/XML bodies too."""
 
-    def __init__(self, view, refs: list):
+    def __init__(self, view, refs: list, use_indexes: bool = False):
         self.refs = refs
+        self.use_indexes = use_indexes
         #: per slot: column name -> SQLType (None for XMLTABLE columns)
         self.columns: list[dict] = []
         self.slots: dict[str, int] = {}
@@ -368,10 +377,11 @@ class _Lowerer:
             return XMLValue([element])
         return xmlelement
 
-    def xmltable_column(self, column: ast.XMLTableColumn):
-        """``f(run, item, position)`` -> one XMLTABLE cell."""
+    def xmltable_column(self, column: ast.XMLTableColumn) -> "_Column":
+        """One XMLTABLE column: its cell per row and, for a path
+        :func:`evaluate_each` batches, its paths per document."""
         if column.for_ordinality:
-            return lambda run, item, position: position
+            return _Column(lambda run, item, position: position)
         compiled = compile_query(column.path if column.path is not None
                                  else column.name)
         module = compiled.module
@@ -380,11 +390,7 @@ class _Lowerer:
         assert sql_type is not None
         copy = sql_type.is_xml and not column.by_ref
 
-        def cell(run, item, position):
-            items = [item] if identity else evaluate_module(
-                module, database=run.body_view(compiled),
-                context_item=item, stats=run.stats,
-                plan_joins=run.use_indexes)
+        def value(items):
             if not items:
                 return None   # empty sequence -> NULL (Query 12)
             if not sql_type.is_xml:
@@ -392,7 +398,68 @@ class _Lowerer:
             return XMLValue([copy_node(node) if isinstance(node, Node)
                              else node for node in items]
                             if copy else items)
-        return cell
+
+        def cell(run, item, position):
+            return value([item] if identity else evaluate_module(
+                module, database=run.body_view(compiled),
+                context_item=item, stats=run.stats,
+                plan_joins=run.use_indexes))
+
+        def each(run, items):
+            return evaluate_each(module, items,
+                                 database=run.body_view(compiled),
+                                 stats=run.stats)
+        batched = self.use_indexes and not identity and batches(module)
+        return _Column(cell, value, each if batched else None)
+
+    def batch(self, expr):
+        """``f(run, envs)`` -> the values of a select-list
+        ``XMLQuery('$v/P' passing <one XML column> as "v")`` for all
+        ``envs``, its body evaluated once per distinct document among
+        them (:func:`evaluate_each`) and rows sharing a document sharing
+        its nodes; None for any other expression, and from ``f`` where
+        the batch declines or raises (the rows then run it one by
+        one)."""
+        if not (self.use_indexes and isinstance(expr, ast.XMLQueryExpr)
+                and len(expr.passing) == 1
+                and isinstance(expr.passing[0].expr, ast.ColumnRef)):
+            return None
+        argument = expr.passing[0]
+        slot, name = self.resolve(argument.expr), argument.expr.name
+        sql_type = self.columns[slot][name]
+        compiled = compile_query(expr.xquery)
+        module, variable = compiled.module, argument.variable
+        if sql_type is None or not sql_type.is_xml or \
+                not batches(module, variable):
+            return None
+
+        def batch(run, envs):
+            if run.guard is not None:
+                # One pass over the rows for their documents, one to
+                # hand them their values.
+                run.guard.tick(2 * len(envs) + 1)
+            column = [env[slot].values[name] for env in envs]
+            documents: dict[int, DocumentNode] = {}
+            for stored in column:
+                if stored is not None and id(stored) not in documents:
+                    documents[id(stored)] = stored.document
+            try:
+                found = evaluate_each(module, list(documents.values()),
+                                      database=run.body_view(compiled),
+                                      variable=variable, stats=run.stats)
+            except XQueryError:
+                return None
+            if found is None:
+                return None
+            if METRICS.enabled:
+                METRICS.inc("sql.batched_bodies")
+            run.note(f"XMLQuery evaluated once per document "
+                     f"({len(found)} documents for {len(envs)} rows)")
+            by_document = dict(zip(documents, found))
+            return [XMLValue([] if stored is None
+                             else list(by_document[id(stored)]))
+                    for stored in column]
+        return batch
 
     # -- grouped statements: closures f(run, group_envs) -----------------
 
@@ -584,14 +651,27 @@ class _Source:
     probes: list                  # index nested-loop probes runnable here
     hash: _HashJoin | None
     body: object = None           # XMLTABLE: the row body, and
-    columns: list = field(default_factory=list)   # (name, cell closure)
+    columns: list = field(default_factory=list)   # (name, _Column)
+
+
+@dataclass
+class _Column:
+    """One XMLTABLE column: ``cell(run, item, position)`` -> the cell of
+    the row of ``item``; and for a path evaluated once per document,
+    ``each(run, items)`` -> the path's items for each row
+    (:func:`evaluate_each`; None: declined) and ``value(items)`` -> the
+    cell they make."""
+
+    cell: object
+    value: object = None
+    each: object = None
 
 
 class _Select(_Statement):
     def __init__(self, view, statement: ast.SelectStmt, use_indexes: bool):
         super().__init__(view, statement, use_indexes)
         refs = statement.from_refs
-        lower = _Lowerer(view, refs)
+        lower = _Lowerer(view, refs, use_indexes)
         self.columns = [_column_name(item, position)
                         for position, item in enumerate(statement.items, 1)]
         self.where = (None if statement.where is None
@@ -610,10 +690,18 @@ class _Select(_Statement):
             self.items = [lower.expr(item.expr) for item in statement.items]
             self.order_by = [(lower.expr(expr), descending)
                              for expr, descending in statement.order_by]
+        #: per select item: ``f(run, envs)`` projecting it for all rows
+        #: at once (:meth:`_Lowerer.batch`), or None
+        self.batches = [None if self.grouped else lower.batch(item.expr)
+                        for item in statement.items]
 
         #: (_Run method, arguments...) run per execution, in order: the
         #: index probes that leave row/doc filters, and plan notes
-        self.steps: list = []
+        self.steps: list = [
+            (_Run.note, f"XMLQuery in select item {position} evaluated "
+                        f"once per document")
+            for position, batch in enumerate(self.batches, start=1)
+            if batch is not None]
         self.join_probes: list[_JoinProbe] = []
         if use_indexes:
             self._plan_embedded(view, collect_embedded(view, statement),
@@ -646,8 +734,13 @@ class _Select(_Statement):
                 # No COLUMNS: the one named column is the row item.
                 cells = [lower.xmltable_column(column)
                          for column in ref.columns] or \
-                    [lambda run, item, position: XMLValue([item])]
+                    [_Column(lambda run, item, position: XMLValue([item]))]
                 source.columns = list(zip(_xmltable_names(ref), cells))
+                self.steps.extend(
+                    (_Run.note, f"XMLTABLE {ref.alias} column \"{name}\" "
+                                f"evaluated per document")
+                    for name, column in source.columns
+                    if column.each is not None)
             self.sources.append(source)
             bound.add(ref.alias)
         #: probe targets run behind their outer tables: restore the FROM
@@ -663,10 +756,15 @@ class _Select(_Statement):
         gets) and its index nested-loop joins (:func:`join_index`)."""
         by_alias: dict[str, list] = {}
         for query in embedded:
-            origin_alias = {bound.column: query.alias_of_var[var]
-                            for var, bound in query.scope.items()
-                            if isinstance(bound, Origin)
-                            and var in query.alias_of_var}
+            # A candidate names its column, not its variable: a column
+            # the body reads through two aliases has no alias to filter.
+            origin_alias: dict[str, str | None] = {}
+            for var, bound in query.scope.items():
+                alias = query.alias_of_var.get(var)
+                if isinstance(bound, Origin) and alias is not None:
+                    known = origin_alias.setdefault(bound.column, alias)
+                    if known != alias:
+                        origin_alias[bound.column] = None
             for candidate in query.row_candidates:
                 alias = origin_alias.get(candidate.column)
                 if alias is not None:
@@ -853,8 +951,15 @@ class _Select(_Statement):
                 for key, descending in self.order_by])
         with tracer.span("project") as span:
             items = self.items
-            rows = [tuple([item(run, env) for item in items])
-                    for env in envs]
+            batched = [batch and batch(run, envs) for batch in self.batches]
+            if any(batched):
+                rows = [tuple([item(run, env) if values is None
+                               else values[position]
+                               for item, values in zip(items, batched)])
+                        for position, env in enumerate(envs)]
+            else:
+                rows = [tuple([item(run, env) for item in items])
+                        for env in envs]
             span.set(actual_rows=len(rows), unit="rows")
         return SQLResult(self.columns, rows, stats)
 
@@ -1083,11 +1188,34 @@ class _Run:
                 decided if probe.decides else set())
 
     def _xmltable_rows(self, source: _Source, env: list) -> list[Row]:
+        """The rows an XMLTABLE's row body makes for ``env``.  A column
+        path :func:`evaluate_each` batches runs once over all the row
+        items (one document's, as a rule); where the batch declines or
+        raises, that column runs cell by cell.  Casts, and cells run
+        one by one, go row by row, column by column, so the first
+        error is the one a cell-by-cell run raises."""
         items = source.body(self, env)
         columns = source.columns
-        return [Row(position, {name: cell(self, item, position)
-                               for name, cell in columns})
-                for position, item in enumerate(items, start=1)]
+        found = [self._column_batch(column, items) for _name, column
+                 in columns]
+        return [Row(position, {
+            name: column.cell(self, item, position) if paths is None
+            else column.value(paths[position - 1])
+            for (name, column), paths in zip(columns, found)})
+            for position, item in enumerate(items, start=1)]
+
+    def _column_batch(self, column: _Column, items: list
+                      ) -> list | None:
+        """``column``'s path results for all ``items``, or None."""
+        if column.each is None or not items:
+            return None
+        try:
+            found = column.each(self, items)
+        except XQueryError:
+            return None
+        if found is not None and METRICS.enabled:
+            METRICS.inc("sql.batched_bodies")
+        return found
 
     def _grouped(self, envs: list[tuple]) -> list[tuple]:
         plan = self.statement

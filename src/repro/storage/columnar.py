@@ -81,7 +81,8 @@ Either way the tree ends up numbered and so immutable
 from __future__ import annotations
 
 from array import array
-from itertools import compress, repeat
+from bisect import bisect_left
+from itertools import chain, compress, repeat
 from math import nan
 from typing import Iterator, Sequence
 
@@ -277,27 +278,46 @@ class ColumnStore:
         their column's summary (``Table.path_classes``)."""
         return frozenset(zip(self.paths, map(len, self.partitions)))
 
-    def nodes_for(self, matcher) -> list[Node]:
-        """All nodes whose path matches, in document order: the
-        partitions of the shape's matching path ids.
+    def nodes_for(self, matcher, slot: int = 0) -> list[Node]:
+        """The nodes of ``slot``'s subtree (the whole document's by
+        default) whose path below ``slot`` matches, in document order.
 
-        Slots are pre-order numbers, so merging several matching
-        partitions into document order is a sort of ints."""
+        The pattern is anchored at ``slot``'s path
+        (:meth:`~repro.core.patterns.PatternMatcher.anchored`; the
+        document's is the root), and a matching partition's slots in
+        ``slot``'s subtree are one run of it, ``slot + 1 ..
+        subtree_end[slot]``.  Slots are pre-order numbers, so merging
+        several matching partitions into document order is a sort of
+        ints."""
         assert self.nodes is not None
-        ids = matcher.path_ids(self.shape)
         partitions = self.partitions
-        slots = (partitions[ids[0]] if len(ids) == 1
-                 else sorted(slot for path_id in ids
-                             for slot in partitions[path_id]))
+        ids = (matcher.anchored(self.shape.paths[self.path_id[slot]])
+               if slot else matcher).path_ids(self.shape)
+        if slot:
+            high = self.subtree_end[slot]
+            runs = [partition[bisect_left(partition, slot):
+                              bisect_left(partition, high)]
+                    for partition in map(partitions.__getitem__, ids)]
+        elif len(ids) == 1:
+            return list(map(self.nodes.__getitem__, partitions[ids[0]]))
+        else:
+            runs = list(map(partitions.__getitem__, ids))
+        slots = runs[0] if len(runs) == 1 else sorted(chain(*runs))
         return list(map(self.nodes.__getitem__, slots))
 
     def nodes_where(self, matcher, up: int, numeric: bool, compare,
-                    fixed, strict: bool, guard=None) -> list[Node] | None:
+                    fixed, strict: bool, guard=None,
+                    slots: Sequence[int] = (0,)) -> list[list[Node]] | None:
         """A value predicate ``[rel op operand]`` decided on the
-        columns: the nodes ``up`` parent links above the slots whose
-        path matches (``matcher`` is the predicate's path and ``rel``,
-        ``up`` the length of ``rel``) and whose value ``v`` passes
+        columns, for each context of ``slots``: the nodes ``up`` parent
+        links above the slots of its subtree whose path below it
+        matches (``matcher`` is the predicate's path and ``rel``, ``up``
+        the length of ``rel``) and whose value ``v`` passes
         ``compare(v, fixed)``, without duplicates, in document order.
+        ``slots`` is the document (``(0,)``), or elements of one path in
+        document order (so none holds another): one pass over each
+        matching partition's run from the first subtree to the end of
+        the last decides them all.
 
         Only for an :attr:`untyped` store, whose matching slots atomize
         to their text.  ``numeric`` compares the values as xs:double
@@ -306,22 +326,40 @@ class ColumnStore:
         comparison: None when a result candidate has two values or a
         value does not cast, where the generic route raises.  ``guard``
         (a :class:`~repro.xquery.guard.QueryGuard` or None) is ticked
-        once per partition, by its length."""
+        once per partition run, by its length."""
         assert self.nodes is not None
-        ids = matcher.path_ids(self.shape)
+        low = slots[0]
+        high = self.subtree_end[slots[-1]]
         partitions = self.partitions
+        runs = []   # a value comparison's, to find two-valued candidates
         passing: list[int] = []
+        ids = (matcher.anchored(self.shape.paths[self.path_id[low]])
+               if low else matcher).path_ids(self.shape)
         for path_id in ids:
-            partition = partitions[path_id]
+            run = partitions[path_id]
+            first = 0
+            if low:
+                first = bisect_left(run, low)
+                run = run[first:bisect_left(run, high, first)]
+            if strict:
+                runs.append(run)
             if guard is not None:
-                guard.tick(len(partition) + 1)
+                guard.tick(len(run) + 1)
+            if not run:
+                continue
             if not numeric:
-                passing.extend(compress(partition, map(
-                    compare, self._strings(partition), repeat(fixed))))
+                passing.extend(compress(run, map(
+                    compare, self._strings(run), repeat(fixed))))
                 continue
             doubles, uncastable = self._doubles(path_id)
+            if low and len(run) < len(doubles):
+                doubles = doubles[first:first + len(run)]
+                if uncastable:
+                    uncastable = [position - first
+                                  for position in uncastable
+                                  if first <= position < first + len(run)]
             if not uncastable:
-                passing.extend(compress(partition, map(
+                passing.extend(compress(run, map(
                     compare, doubles, repeat(fixed))))
                 continue
             if strict:
@@ -329,18 +367,28 @@ class ColumnStore:
             verdicts = list(map(compare, doubles, repeat(fixed)))
             for position in uncastable:
                 verdicts[position] = False
-            passing.extend(compress(partition, verdicts))
+            passing.extend(compress(run, verdicts))
         if up:
             if strict:
-                candidates = self._ancestors(
-                    [slot for path_id in ids
-                     for slot in partitions[path_id]], up)
+                candidates = self._ancestors(list(chain(*runs)), up)
                 if len(set(candidates)) < len(candidates):
                     return None
             passing = sorted(set(self._ancestors(passing, up)))
         elif len(ids) > 1:
             passing.sort()
-        return list(map(self.nodes.__getitem__, passing))
+        nodes = self.nodes
+        if len(slots) == 1:
+            return [list(map(nodes.__getitem__, passing))]
+        # Split by subtree; a passing slot between two subtrees belongs
+        # to an element of the same path that is no context.
+        found = []
+        end, start = self.subtree_end, 0
+        for slot in slots:
+            start = bisect_left(passing, slot, start)
+            stop = bisect_left(passing, end[slot], start)
+            found.append(list(map(nodes.__getitem__, passing[start:stop])))
+            start = stop
+        return found
 
     def nodes_at(self, node_ids: list[int], up: int) -> list[Node] | None:
         """The nodes ``up`` parent links above the nodes with
@@ -388,10 +436,13 @@ class ColumnStore:
         builder at worst publishes an equal entry, or drops one that is
         built again)."""
         cache = self.value_cache
-        for index in range(0, len(cache), 3):
-            if cache[index] == path_id:
-                packed = cache[index + 1]
-                return memoryview(packed).cast("d"), cache[index + 2]
+        try:
+            # Path ids are the entries' only ints.
+            index = cache.index(path_id)
+        except ValueError:
+            pass
+        else:
+            return memoryview(cache[index + 1]).cast("d"), cache[index + 2]
         values = []
         uncastable = []
         for position, text in enumerate(

@@ -10,12 +10,18 @@ state (cached modules are shared across threads), and a static error
 found while lowering is raised by its closure, so only when reached.
 
 A path whose leading steps compile to a summary pattern answers them
-from the stores' path partitions (:func:`_summary_lookup`).  When the
+from the stores' path partitions (:func:`_summary_lookup`): from stored
+documents, and — in the ``plan_joins`` lowering, where the path has a
+column plan or runs as a batch — from stored elements of untyped
+stores, the pattern anchored at the element's path and each partition
+read in the slot range of its subtree.  When the
 last of those steps carries one value predicate ``[rel op operand]``
 (:func:`_column_plan`) and every store is untyped, the predicate is
 decided on the columns too: the partitions of *prefix + rel* are
 compared in one pass and the ``len(rel)``-th parent of each passing
 slot is kept (:meth:`~repro.storage.columnar.ColumnStore.nodes_where`).
+:func:`evaluate_each` runs a module's path body for many contexts (an
+SQL call's row items, its rows' documents) as one such lookup.
 The comparison semantics are the generic route's — the operand is
 promoted by :func:`~repro.xdm.compare.promote`, a value that does not
 cast is a non-match of a general comparison — and anything the kernel
@@ -41,6 +47,7 @@ Every loop that scales with data volume ticks the active
 from __future__ import annotations
 
 import functools
+from itertools import repeat
 from typing import Callable
 
 from ..errors import (XQueryDynamicError, XQueryError, XQueryStaticError,
@@ -63,7 +70,8 @@ from .functions import lookup_function
 from .guard import QueryGuard, active_guard
 from .joins import FlworPlan, HashJoin, JoinTable, plan_flwor
 
-__all__ = ["evaluate", "evaluate_module", "lower_expression"]
+__all__ = ["batches", "evaluate", "evaluate_each", "evaluate_module",
+           "lower_expression"]
 
 #: A lowered expression: the dynamic context in, the result sequence out.
 Lowered = Callable[[DynamicContext], list]
@@ -114,6 +122,35 @@ def evaluate_module(module: ast.Module, database=None,
         variables, context_item, focus, focus, database, stats))
 
 
+def evaluate_each(module: ast.Module, contexts: list[Node],
+                  database=None, variable: str | None = None,
+                  stats=None) -> list[list[Item]] | None:
+    """``module``'s body evaluated once for each of ``contexts`` — the
+    context item, or ``$variable`` bound to it — as one batch: the
+    result of each, in order, or None where the batch does not apply
+    and the caller evaluates them one by one.
+
+    It applies to a body that is a relative path ``P``, or ``$variable/P``
+    with no other variable, whose leading steps the path summary
+    answers (:func:`_summary_lookup`), over live nodes of untyped
+    stores; the ``plan_joins`` lowering.  Each result is the one
+    ``evaluate_module`` gives for that context alone.  A batch that
+    raises need not raise the first context's error: the caller runs
+    context by context again for that."""
+    each = _lowering(module, True).each
+    if each is None or each[0] != variable:
+        return None
+    return each[1](contexts, DynamicContext(None, None, 0, 0, database,
+                                            stats))
+
+
+def batches(module: ast.Module, variable: str | None = None) -> bool:
+    """Does :func:`evaluate_each` take ``module``'s body, for contexts
+    bound to ``$variable`` (None: the context item)?"""
+    each = _lowering(module, True).each
+    return each is not None and each[0] == variable
+
+
 def lower_expression(module: ast.Module, expr: ast.Expr):
     """``run(variables, database, stats)`` evaluating ``expr``, a
     sub-expression of ``module`` (the SQL executor's index join probe
@@ -161,6 +198,9 @@ class _Lowering:
         #: Sub-expressions lowered on their own, by ``id`` (the module
         #: holds them, so an id is never reused while this lives).
         self.parts: dict[int, Lowered] = {}
+        #: (variable or None, ``each(contexts, ctx)``) evaluating the
+        #: body per context in one batch (:func:`evaluate_each`)
+        self.each = self._each(module.body) if plan_joins else None
 
     def lower(self, expr: ast.Expr) -> Lowered:
         method = _LOWER.get(type(expr))
@@ -668,6 +708,69 @@ class _Lowering:
     # -- paths ------------------------------------------------------------
 
     def _path(self, expr: ast.PathExpr) -> Lowered:
+        start, lookup, applied, consumed, elements = self._path_parts(expr)
+        after_summary = applied[consumed:]
+
+        def path(ctx):
+            items = start(ctx)
+            steps_left = applied
+            # Cheap pre-check: relative paths inside predicates see
+            # element contexts thousands of times.
+            if lookup is not None and items and (
+                    type(items[0]) is DocumentNode
+                    or elements and type(items[0]) is ElementNode):
+                found = lookup(items, ctx)
+                if found is not None:
+                    items, steps_left = found, after_summary
+            for apply in steps_left:
+                items = apply(items, ctx)
+            return items
+        return path
+
+    def _each(self, expr: ast.Expr) -> tuple | None:
+        """(variable, ``each``) when ``expr`` is ``P`` or ``$variable/P``
+        with a summary lookup and no other variable: ``each(contexts,
+        ctx)`` answers the lookup for all contexts at once, from
+        untyped stores only, and runs the remaining steps per
+        context."""
+        if not isinstance(expr, ast.PathExpr) or expr.absolute:
+            return None
+        first, variable = expr.steps[0], None
+        if isinstance(first, ast.ExprStep):
+            if first.predicates or not isinstance(first.expr, ast.VarRef):
+                return None
+            variable = first.expr.name
+        references = sum(isinstance(node, ast.VarRef)
+                         for node in ast.walk(expr))
+        if references != (0 if variable is None else 1):
+            return None
+        _start, lookup, applied, consumed, _elements = \
+            self._path_parts(expr)
+        if lookup is None:
+            return None
+        after = applied[consumed:]
+
+        def each(contexts, ctx):
+            if not contexts:
+                return []
+            found = lookup(contexts, ctx, True)
+            if found is None or not after:
+                return found
+            results = []
+            for nodes in found:
+                for apply in after:
+                    nodes = apply(nodes, ctx)
+                results.append(nodes)
+            return results
+        return variable, each
+
+    def _path_parts(self, expr: ast.PathExpr) -> tuple:
+        """(start, lookup, steps, consumed, elements) of a path:
+        ``start(ctx)`` the initial context items, ``steps`` the lowered
+        steps after them, and ``lookup(items, ctx, each=False)`` (None
+        without a summary matcher) answering the first ``consumed`` of
+        them from the path partitions (:func:`_summary_lookup`), from
+        element contexts too where ``elements`` or ``each``."""
         steps, matcher, consumed, predicates, column = _path_plan(expr)
         if expr.absolute:
             start = _context_root
@@ -682,33 +785,25 @@ class _Lowering:
             start = _focus
         applied = [self._axis_step(step) if isinstance(step, ast.AxisStep)
                    else self._expr_step(step) for step in steps]
+        if matcher is None:
+            return start, None, applied, 0, False
         summary_filter = self._predicates(predicates)
         decide = None
         if column is not None:
             comparison = self.stands_for.get(id(predicates[0]),
                                              predicates[0])
             decide = _column_predicate(*column, comparison)
-        after_summary = applied[consumed:]
 
-        def path(ctx):
-            items = start(ctx)
-            # Cheap pre-check: the summary fast path only applies when
-            # the context is document nodes (relative paths inside
-            # predicates see element contexts thousands of times).
-            if matcher is not None and items and \
-                    isinstance(items[0], DocumentNode):
-                nodes = _summary_lookup(matcher, summary_filter, decide,
-                                        items, ctx)
-                if nodes is not None:
-                    items, steps_left = nodes, after_summary
-                else:
-                    steps_left = applied
-            else:
-                steps_left = applied
-            for apply in steps_left:
-                items = apply(items, ctx)
-            return items
-        return path
+        # Stored documents are looked up in both lowerings; stored
+        # elements in a batch, and where the lookup replaces node-by-node
+        # predicate work in the ``plan_joins`` lowering, so
+        # ``use_indexes=False`` keeps the node-by-node reference.
+        elements = decide is not None and self.plan_joins
+
+        def lookup(items, ctx, each=False):
+            return _summary_lookup(matcher, summary_filter, decide, items,
+                                   ctx, elements or each, each)
+        return start, lookup, applied, consumed, elements
 
     def _axis_step(self, step: ast.AxisStep):
         select = _node_selector(step.axis, step.test)
@@ -1021,49 +1116,74 @@ def _step_result(results: list[Item]) -> list[Item]:
 
 
 def _summary_lookup(matcher, summary_filter, decide, items: list[Item],
-                    ctx) -> list[Node] | None:
-    """Answer a path's leading step chain from path tables.
+                    ctx, elements: bool, each: bool = False):
+    """Answer a path's leading step chain from path tables: the nodes
+    as one path result, or, ``each`` (a batch: :func:`evaluate_each`),
+    one node list per context item.
 
-    When every context item is a live stored document (the current
-    materialization of a column store), the nodes matching the path's
-    compiled prefix (:func:`_path_plan`) come straight from the
-    stores' path partitions — no subtree walk.  None on any doubt:
-    the generic pipeline runs.  When the consumed predicates have a
-    column plan, ``decide`` answers them store by store, an untyped
+    When every context item is a live node of a column store (its
+    current materialization) — a document, or, where ``elements``
+    allows, an element of an untyped store — the nodes matching the
+    path's compiled prefix (:func:`_path_plan`) below it come straight
+    from the store's path partitions, an element's subtree being one
+    slot range of each
+    (:meth:`~repro.storage.columnar.ColumnStore.nodes_for`) — no
+    subtree walk.  None on any doubt: the generic pipeline runs.  A
+    batch takes untyped stores only.  When the consumed predicates have
+    a column plan, ``decide`` answers them per context, an untyped
     store on its partitions (:func:`_column_predicate`); otherwise, or
-    when it declines, ``summary_filter`` evaluates them node by node.
+    when it declines, ``summary_filter`` evaluates them node by node,
+    context by context as the predicate of an axis step does (all of
+    a path's documents at once: they never nest, so that is the same).
 
-    The items arrive in document order without duplicates (they are a
-    step's result or the context root) and documents never nest, so
-    the stores' results, each in document order, concatenate into
-    document order.
+    Documents never nest, so their nodes concatenate in document
+    order; an element context may hold another one (``//a`` inside
+    ``//a``), so theirs are put in document order without duplicates.
     """
     stores = []
-    # sa: ok(SA406: one store lookup per document root; bails early)
+    nested = False
+    # sa: ok(SA406: one store lookup per context node; bails early)
     for item in items:
-        store = (_column_store_for(item)
-                 if isinstance(item, DocumentNode) else None)
+        store = _column_store_for(item)
         if store is None:
             return None
+        if item._order[1]:
+            if not (elements and store.untyped and item.kind == "element"):
+                return None
+            nested = True
+        elif each and not store.untyped:
+            return None
         stores.append(store)
+    slots = [item._order[1] for item in items] if nested else None
     if ctx.stats is not None:
         ctx.stats.summary_lookups += 1
     if METRICS.enabled:
         METRICS.inc("pathsummary.hits")
+        if nested:
+            METRICS.inc("pathsummary.element_lookups")
+    found = None
     if decide is not None:
-        nodes = decide(stores, ctx, lambda store: summary_filter(
-            store.nodes_for(matcher), ctx))
-        if nodes is not None:
-            return nodes
-    if len(stores) == 1:
-        nodes = stores[0].nodes_for(matcher)
-    else:
-        nodes = []
-        for store in stores:
-            nodes.extend(store.nodes_for(matcher))
-    if summary_filter is not None:
-        nodes = summary_filter(nodes, ctx)
-    return nodes
+        found = decide(stores, slots, ctx, lambda store, slot:
+                       summary_filter(store.nodes_for(matcher, slot), ctx))
+    if found is None:
+        if not (each or nested):
+            nodes = []
+            for store in stores:
+                nodes.extend(store.nodes_for(matcher))
+            return nodes if summary_filter is None \
+                else summary_filter(nodes, ctx)
+        found = [store.nodes_for(matcher, slot)
+                 for store, slot in zip(stores, slots or repeat(0))]
+        if summary_filter is not None:
+            found = [summary_filter(nodes, ctx) for nodes in found]
+    if each:
+        return found
+    if len(found) == 1:
+        return found[0]
+    nodes = []
+    for part in found:
+        nodes.extend(part)
+    return document_order(nodes) if nested else nodes
 
 
 def _node_selector(axis: str, test: ast.NodeTest):
@@ -1233,24 +1353,26 @@ def _summary_step_test(step: ast.AxisStep):
 
 def _column_predicate(matcher, up: int, op: str, strict: bool,
                       operand: ast.Expr, comparison: ast.Expr):
-    """``decide(stores, ctx, generic)``: the nodes of a summary lookup
-    whose consumed predicate is ``[rel op operand]``
-    (:func:`_column_plan`), decided on the ``stores``' columns
+    """``decide(stores, slots, ctx, generic)``: per context (a slot of
+    a store; ``slots`` None: each store's document), the nodes of a
+    summary lookup whose consumed predicate is
+    ``[rel op operand]`` (:func:`_column_plan`), decided on the store's
+    columns inside the slot's subtree
     (:meth:`~repro.storage.columnar.ColumnStore.nodes_where`), or None
     where the generic route must run: an operand that is not one atom
     comparing with untyped values as xs:double or as strings.  A typed
     store, or an untyped one where a value comparison would raise,
-    runs ``generic(store)``, the predicate node by node; the predicate
-    is non-positional, so filtering store by store, in document order,
-    answers and raises as filtering all their nodes at once.  A
+    runs ``generic(store, slot)``, the predicate node by node; the
+    predicate is non-positional, so filtering context by context, in
+    document order, answers and raises as the axis step does.  A
     literal operand is promoted once, here; a variable once per lookup.
 
     When an index probe planned for ``comparison`` (the predicate, or
     the where clause it was folded from) has an exact verdict, the
-    stores of the probed column's surviving documents are answered
-    from its entries (:func:`_node_answers`,
+    document contexts of the probed column's surviving documents are
+    answered from its entries (:func:`_node_answers`,
     :meth:`~repro.storage.columnar.ColumnStore.nodes_at`) without
-    reading a partition; any other store runs the kernel, so does one
+    reading a partition; any other context runs the kernel, so does one
     on which the index facts say the comparison may raise."""
     compare = _OPS[op]
     key = id(comparison)
@@ -1271,7 +1393,7 @@ def _column_predicate(matcher, up: int, op: str, strict: bool,
             except XQueryError:
                 return None
 
-    def decide(stores, ctx, generic) -> list[Node] | None:
+    def decide(stores, slots, ctx, generic) -> list[list[Node]] | None:
         promoted = resolve(ctx)
         if promoted is None:
             return None
@@ -1279,30 +1401,61 @@ def _column_predicate(matcher, up: int, op: str, strict: bool,
         answers = (_node_answers(ctx.database, key, matcher)
                    if answerable else None)
         guard = active_guard()
-        nodes: list[Node] = []
+        found: list[list[Node]] = []
         on_columns = True
-        for store in stores:
-            found = None
+        if slots is None:
+            groups = zip(stores, repeat(_DOCUMENT))
+        elif len(slots) == 1:
+            groups = ((stores[0], slots),)
+        else:
+            groups = _groups(stores, slots)
+        for store, group in groups:
+            decided = None
             if store.untyped:
-                node_ids = (None if answers is None
+                node_ids = (None if answers is None or group[0]
                             else answers.get(store.node_ids[0]))
                 if node_ids is not None:
                     if guard is not None:
                         guard.tick(len(node_ids) + 1)
-                    found = store.nodes_at(node_ids, up)
-                    if found is not None and METRICS.enabled:
-                        METRICS.inc("index.node_answers")
-                if found is None:
-                    found = store.nodes_where(matcher, up, numeric,
-                                              compare, fixed, strict, guard)
-            if found is None:
+                    decided = store.nodes_at(node_ids, up)
+                    if decided is not None:
+                        decided = [decided]
+                        if METRICS.enabled:
+                            METRICS.inc("index.node_answers")
+                if decided is None:
+                    decided = store.nodes_where(matcher, up, numeric,
+                                                compare, fixed, strict,
+                                                guard, group)
+            if decided is None:
                 on_columns = False
-                found = generic(store)
-            nodes.extend(found)
+                decided = [generic(store, slot) for slot in group]
+            found.extend(decided)
         if on_columns and METRICS.enabled:
             METRICS.inc("pathsummary.column_predicates")
-        return nodes
+        return found
     return decide
+
+
+#: The slots of a document context: its own, the whole store.
+_DOCUMENT = (0,)
+
+
+def _groups(stores: list, slots: list[int]) -> list[tuple]:
+    """``(store, slots)`` runs of lookup contexts in order: element
+    contexts of one store and one path in document order (none holds
+    another) share a run, which the kernel decides in one pass; a
+    document is a run of its own."""
+    groups: list[tuple] = []
+    previous = None
+    last = 0
+    for store, slot in zip(stores, slots):
+        if slot and store is previous and slot > last and \
+                store.path_id[slot] == store.path_id[last]:
+            groups[-1][1].append(slot)
+        else:
+            groups.append((store, [slot]))
+        previous, last = store, slot
+    return groups
 
 
 def _node_answers(database, key: int, matcher) -> dict | None:

@@ -58,7 +58,8 @@ TEMPLATES = [
 #: One prefilter per FROM alias: a disjunction unions its branches'
 #: probes (or filters nothing), a join probe skips a disjunct, a merged
 #: between pair admits what either bound admits, a value comparison over
-#: two steps is not probed, and fn:between is no comparison to decide.
+#: two steps is not probed, fn:between is no comparison to decide, and
+#: a body reading one column through two aliases filters neither.
 PLANNER_TEMPLATES = [
     f"SELECT ordid FROM orders WHERE XMLExists("
     f"'$order/order[custid = 1001 or custid = 1002]' {_PASSING})",
@@ -78,6 +79,9 @@ PLANNER_TEMPLATES = [
     f"'$order/order[lineitem/@price eq 99.5]' {_PASSING})",
     f"SELECT ordid FROM orders WHERE XMLExists("
     f"'$order//lineitem[between(@price, 100, 200)]' {_PASSING})",
+    "SELECT a.ordid, b.ordid FROM orders a, orders b WHERE XMLExists("
+    "'$x/order[custid = 1001 and $y/order/custid = 1002]' passing "
+    "a.orddoc as \"x\", b.orddoc as \"y\")",
 ]
 
 STATEMENTS = {f"q{number}": text

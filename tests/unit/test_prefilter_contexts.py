@@ -106,3 +106,21 @@ def test_a_path_as_it_is_still_filters(database, query):
     assert database.xquery(query).stats.index_scans >= 1
     assert _outcome(database, query) == _outcome(database, query,
                                                  use_indexes=False)
+
+
+@pytest.mark.parametrize("query", [
+    f"for $d in {_O} let $p := $d//lineitem/@price where $p eq 99.5 "
+    f"return $d/order/custid",
+    f"for $d in {_O} let $l := $d//lineitem where $l/@price eq 99.5 "
+    f"return $d/order/custid",
+])
+def test_a_value_comparison_over_a_let_variable_is_not_probed(database,
+                                                              query):
+    """A let variable holds a sequence: ``eq`` over it raises on a
+    document with two prices, so no probe may drop that document."""
+    result = _outcome(database, query)
+    assert result == _outcome(database, query, use_indexes=False)
+    assert result[0] == "XQueryTypeError"
+    assert database.xquery(query.replace(" eq ", " = ")).stats \
+        .index_scans >= 1
+    assert "from a let variable" in database.explain(query)
