@@ -13,9 +13,17 @@ when the compared item is provably a singleton:
   runtime if price is not a singleton;
 * the self axis (``price[. > 100 and . < 200]`` or the
   ``data()[. > ...]`` form) — '.' binds exactly one node per step;
-* an attribute (``lineitem[@price > 100 and @price < 200]``) — an
+* an attribute one step from its focus or a ``for`` variable
+  (``lineitem[@price > 100 and @price < 200]``, ``$l/@price``) — an
   attribute occurs at most once per element (and list types are
-  prohibited in indexed documents, footnote 5).
+  prohibited in indexed documents, footnote 5).  ``l/@price`` is not
+  one: it crosses a many-valued ``l``, so one ``l`` may pass the lower
+  bound and another the upper one; nor is ``$l/@price`` for a ``let``
+  variable, which may hold several nodes.
+
+The planner's merged range scan of a single-scan pair answers the
+pair's nodes when each bound alone would be exact
+(:func:`repro.planner.plan._merged_probe`).
 """
 
 from __future__ import annotations

@@ -558,15 +558,15 @@ class _Extractor:
                         _implied_type(other, is_value_comparison))
         operand_value = other["literal"]
         pattern = PathPattern((LinearPattern(origin.steps),))
-        final_kind = origin.steps[-1].test.kind
         # Singleton guarantees for between detection (§3.10): value
         # comparisons require singletons; the self axis ('.' inside a
-        # step predicate) always binds one node; attributes occur at
+        # step predicate) always binds one node; an attribute occurs at
         # most once per element (and list types are prohibited in
-        # indexed documents, footnote 5).
+        # indexed documents, footnote 5), so one attribute step from
+        # the focus or a for variable selects at most one node.
         singleton = bool(
-            is_value_comparison or final_kind == "attribute" or
-            side.get("is_context", False))
+            is_value_comparison or side.get("is_context", False) or
+            _one_attribute(side["expr"], origin))
         operand_expr = None if operand_value is not None else other["expr"]
         self.emit(PredicateCandidate(
             column=origin.column,
@@ -672,6 +672,36 @@ def _kept(state: _WalkState, context: PredicateContext) -> _WalkState:
             state.context is PredicateContext.LET_BINDING:
         return state.with_context(context)
     return state
+
+
+#: One-argument calls that keep their argument's cardinality.
+_SAME_CARDINALITY = frozenset({"data", "string", "zero-or-one",
+                               "exactly-one", "one-or-more"})
+
+
+def _one_attribute(expr, origin: Origin) -> bool:
+    """Does ``expr`` (maybe atomized or cast) select at most one
+    attribute: one attribute step from the focus or from a variable
+    bound to one node at a time, or such a variable bound to an
+    attribute?  ``l/@price`` crosses a many-valued ``l``, and a let
+    variable may hold several nodes."""
+    while isinstance(expr, (ast.FunctionCall, ast.CastExpr,
+                            ast.TreatExpr)):
+        if isinstance(expr, ast.FunctionCall):
+            if len(expr.args) != 1 or not (
+                    expr.name.local in _SAME_CARDINALITY
+                    or _cast_function_type(expr) is not None):
+                return False
+            expr = expr.args[0]
+        else:
+            expr = expr.operand
+    rel = ast.rel_path(expr)
+    if rel is None or rel.var is not None and origin.let_bound:
+        return False
+    if not rel.steps:
+        return rel.var is not None and \
+            origin.steps[-1].test.kind == "attribute"
+    return len(rel.steps) == 1 and rel.steps[0].axis == "attribute"
 
 
 def _variables_in(expr) -> set[str]:

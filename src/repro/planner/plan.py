@@ -145,7 +145,8 @@ def _only_documents(candidate: PredicateCandidate, index, paired: bool,
     entries are exactly the nodes the comparison selects.
 
     Exact: one comparison (not ``!=`` or ``ne``, which get no probe),
-    alone (no disjunction, no between pair), of a number on a DOUBLE
+    alone (no disjunction; a between pair only as its merged range
+    scan, :func:`_merged_probe`), of a number on a DOUBLE
     index or a string on a VARCHAR index; a join only on ``=`` or
     ``eq``.  An untyped value the index could not cast (or NaN) is a
     non-match of a general comparison, just as the tolerant index skips
@@ -234,6 +235,25 @@ def _bounds_for(candidate: PredicateCandidate, index, value=None,
                   admit=_raising_facts(candidate),
                   comparison=candidate.comparison_id,
                   refusal=_only_documents(candidate, index, paired, value))
+
+
+def _merged_probe(group, index) -> _Probe | None:
+    """The one range scan of a single-scan between pair on ``index``
+    (§3.10), or None when a bound gets no probe.  Its entries are the
+    nodes the pair selects, keyed by the lower bound's comparison, when
+    each bound alone would be exact (:func:`_only_documents`): the
+    compared item is a singleton, so a node passes both comparisons
+    exactly when its value is in the range.  Documents with a fact
+    either comparison may raise on are admitted and left out."""
+    low = _bounds_for(group.lower, index, paired=True)
+    high = _bounds_for(group.upper, index, paired=True)
+    if low is None or high is None or any(
+            _unprobed(member) for member in (group.lower, group.upper)):
+        return None
+    refusal = (_only_documents(group.lower, index, False)
+               or _only_documents(group.upper, index, False))
+    return replace(low, high=high.high, high_inclusive=high.high_inclusive,
+                   admit=low.admit | high.admit, refusal=refusal)
 
 
 @dataclass
@@ -365,20 +385,20 @@ def plan_probes(database, candidates: list[PredicateCandidate],
             if id(group) in handled_groups:
                 continue
             handled_groups.add(id(group))
-            low_probe = _bounds_for(group.lower, chosen_index, paired=True)
-            high_probe = _bounds_for(group.upper, chosen_index, paired=True)
-            if low_probe is not None and high_probe is not None:
-                merged = replace(low_probe, high=high_probe.high,
-                                 high_inclusive=high_probe.high_inclusive,
-                                 admit=low_probe.admit | high_probe.admit)
+            merged = _merged_probe(group, chosen_index)
+            if merged is not None:
                 prefilter.conjunct_probes.append(merged)
+                between = (f"between {group.lower.description} AND "
+                           f"{group.upper.description}")
                 prefilter.notes.append(
                     f"between collapsed to single range scan on "
                     f"{chosen_index.name} ({group.lower.description} AND "
                     f"{group.upper.description})")
                 prefilter.notes.append(
+                    f"index {chosen_index.name} answers nodes for {between}"
+                    if merged.refusal is None else
                     f"index {chosen_index.name} filters documents only "
-                    f"for {candidate.description}: {merged.refusal}")
+                    f"for {between}: {merged.refusal}")
                 continue
         if group is not None and not group.single_scan:
             prefilter.notes.append(

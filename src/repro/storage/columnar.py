@@ -82,8 +82,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import nan
+from operator import and_, gt
 from typing import Iterator, Sequence
 
 from ..core.patterns import ROOT_PATH, PathNode, PathShape, intern_shape
@@ -305,19 +306,21 @@ class ColumnStore:
         slots = runs[0] if len(runs) == 1 else sorted(chain(*runs))
         return list(map(self.nodes.__getitem__, slots))
 
-    def nodes_where(self, matcher, up: int, numeric: bool, compare,
-                    fixed, strict: bool, guard=None,
+    def nodes_where(self, matcher, up: int, numeric: bool, tests,
+                    strict: bool, guard=None,
                     slots: Sequence[int] = (0,)) -> list[list[Node]] | None:
-        """A value predicate ``[rel op operand]`` decided on the
-        columns, for each context of ``slots``: the nodes ``up`` parent
-        links above the slots of its subtree whose path below it
-        matches (``matcher`` is the predicate's path and ``rel``, ``up``
-        the length of ``rel``) and whose value ``v`` passes
-        ``compare(v, fixed)``, without duplicates, in document order.
-        ``slots`` is the document (``(0,)``), or elements of one path in
-        document order (so none holds another): one pass over each
-        matching partition's run from the first subtree to the end of
-        the last decides them all.
+        """A value predicate ``[rel op operand]``, or a between pair of
+        them over one singleton ``rel``, decided on the columns, for
+        each context of ``slots``: the nodes ``up`` parent links above
+        the slots of its subtree whose path below it matches
+        (``matcher`` is the predicate's path and ``rel``, ``up`` the
+        length of ``rel``) and whose value ``v`` passes
+        ``compare(v, fixed)`` for each ``(compare, fixed)`` of
+        ``tests``, without duplicates, in document order.  ``slots`` is
+        the document (``(0,)``), or elements of one path in document
+        order (so none holds another): one pass over each matching
+        partition's run from the first subtree to the end of the last
+        decides them all, every bound tested in it.
 
         Only for an :attr:`untyped` store, whose matching slots atomize
         to their text.  ``numeric`` compares the values as xs:double
@@ -348,8 +351,8 @@ class ColumnStore:
             if not run:
                 continue
             if not numeric:
-                passing.extend(compress(run, map(
-                    compare, self._strings(run), repeat(fixed))))
+                passing.extend(compress(run, _verdicts(self._strings(run),
+                                                       tests)))
                 continue
             doubles, uncastable = self._doubles(path_id)
             if low and len(run) < len(doubles):
@@ -359,12 +362,11 @@ class ColumnStore:
                                   for position in uncastable
                                   if first <= position < first + len(run)]
             if not uncastable:
-                passing.extend(compress(run, map(
-                    compare, doubles, repeat(fixed))))
+                passing.extend(compress(run, _verdicts(doubles, tests)))
                 continue
             if strict:
                 return None
-            verdicts = list(map(compare, doubles, repeat(fixed)))
+            verdicts = list(_verdicts(doubles, tests))
             for position in uncastable:
                 verdicts[position] = False
             passing.extend(compress(run, verdicts))
@@ -373,7 +375,7 @@ class ColumnStore:
                 candidates = self._ancestors(list(chain(*runs)), up)
                 if len(set(candidates)) < len(candidates):
                     return None
-            passing = sorted(set(self._ancestors(passing, up)))
+            passing = _ascending(self._ancestors(passing, up))
         elif len(ids) > 1:
             passing.sort()
         nodes = self.nodes
@@ -408,8 +410,8 @@ class ColumnStore:
             for _level in range(up):
                 slot = parent[slot]
             slots.append(slot)
-        if up and len(slots) > 1:
-            slots = sorted(set(slots))
+        if up:
+            slots = _ascending(slots)
         nodes = self.nodes
         return [nodes[slot] for slot in slots]
 
@@ -765,6 +767,29 @@ def _subtree_ends(post: array, level: array) -> array:
 # ---------------------------------------------------------------------------
 # Lookup / ingest helpers
 # ---------------------------------------------------------------------------
+
+
+def _verdicts(values: Sequence, tests) -> Iterator[bool]:
+    """``compare(value, fixed)`` for each value, and-ed over every
+    ``(compare, fixed)`` of ``tests``: lazy maps of C functions, so one
+    pass over ``values`` tests every bound without a Python frame per
+    value."""
+    (compare, fixed), *more = tests
+    verdicts = map(compare, values, repeat(fixed))
+    for compare, fixed in more:
+        verdicts = map(and_, verdicts, map(compare, values, repeat(fixed)))
+    return verdicts
+
+
+def _ascending(slots: list[int]) -> list[int]:
+    """``slots`` without duplicates, in document order.  The ancestors
+    of one partition's slots (one depth) already ascend, so one linear
+    pass keeps them; ancestors from partitions at several depths are
+    sorted."""
+    distinct = list(dict.fromkeys(slots))
+    if any(map(gt, distinct, islice(distinct, 1, None))):
+        distinct.sort()
+    return distinct
 
 
 def get_store(document) -> ColumnStore | None:

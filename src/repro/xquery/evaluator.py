@@ -790,9 +790,9 @@ class _Lowering:
         summary_filter = self._predicates(predicates)
         decide = None
         if column is not None:
-            comparison = self.stands_for.get(id(predicates[0]),
-                                             predicates[0])
-            decide = _column_predicate(*column, comparison)
+            *plan, comparison = column
+            decide = _column_predicate(
+                *plan, self.stands_for.get(id(comparison), comparison))
 
         # Stored documents are looked up in both lowerings; stored
         # elements in a batch, and where the lookup replaces node-by-node
@@ -1351,53 +1351,68 @@ def _summary_step_test(step: ast.AxisStep):
     return None  # element()/attribute()/document-node(): generic path
 
 
-def _column_predicate(matcher, up: int, op: str, strict: bool,
-                      operand: ast.Expr, comparison: ast.Expr):
+def _column_predicate(matcher, up: int, strict: bool, bounds: tuple,
+                      comparison: ast.Expr):
     """``decide(stores, slots, ctx, generic)``: per context (a slot of
     a store; ``slots`` None: each store's document), the nodes of a
-    summary lookup whose consumed predicate is
-    ``[rel op operand]`` (:func:`_column_plan`), decided on the store's
-    columns inside the slot's subtree
+    summary lookup whose consumed predicate is ``[rel op operand]`` or
+    a between pair ``[rel op operand and rel op operand]`` over a
+    singleton ``rel`` (:func:`_column_plan`; ``bounds`` holds each
+    ``(op, operand)``), decided on the store's columns inside the
+    slot's subtree
     (:meth:`~repro.storage.columnar.ColumnStore.nodes_where`), or None
     where the generic route must run: an operand that is not one atom
-    comparing with untyped values as xs:double or as strings.  A typed
-    store, or an untyped one where a value comparison would raise,
-    runs ``generic(store, slot)``, the predicate node by node; the
-    predicate is non-positional, so filtering context by context, in
-    document order, answers and raises as the axis step does.  A
-    literal operand is promoted once, here; a variable once per lookup.
+    comparing with untyped values as xs:double or as strings (both as
+    the same).  A typed store, or an untyped one where a value
+    comparison would raise, runs ``generic(store, slot)``, the predicate
+    node by node; the predicate is non-positional, so filtering context
+    by context, in document order, answers and raises as the axis step
+    does.  Literal operands are promoted once, here; a variable once
+    per lookup.
 
-    When an index probe planned for ``comparison`` (the predicate, or
-    the where clause it was folded from) has an exact verdict, the
-    document contexts of the probed column's surviving documents are
-    answered from its entries (:func:`_node_answers`,
+    When an index probe planned for ``comparison`` (the predicate, the
+    where clause it was folded from, or a pair's lower bound) has an
+    exact verdict, the document contexts of the probed column's
+    surviving documents are answered from its entries
+    (:func:`_node_answers`,
     :meth:`~repro.storage.columnar.ColumnStore.nodes_at`) without
     reading a partition; any other context runs the kernel, so does one
     on which the index facts say the comparison may raise."""
-    compare = _OPS[op]
     key = id(comparison)
-    answerable = isinstance(operand, ast.Literal)
-    if isinstance(operand, ast.Literal):
-        promoted = _column_operand([operand.value])
-        if promoted is None:
+    answerable = all(isinstance(operand, ast.Literal)
+                     for _op, operand in bounds)
+
+    def resolve(ctx) -> tuple[bool, list] | None:
+        """(numeric, [(test, promoted operand)]) of the bounds."""
+        numeric, tests = None, []
+        for op, operand in bounds:
+            if isinstance(operand, ast.Literal):
+                atoms = [operand.value]
+            else:
+                try:
+                    atoms = atomize(ctx.lookup(operand.name))
+                except XQueryError:
+                    return None
+            promoted = _column_operand(atoms)
+            if promoted is None or numeric not in (None, promoted[0]):
+                return None
+            numeric = promoted[0]
+            tests.append((_OPS[op], promoted[1]))
+        return numeric, tests
+
+    if answerable:
+        fixed = resolve(None)
+        if fixed is None:
             return None
 
         def resolve(ctx):
-            return promoted
-    else:
-        name = operand.name
-
-        def resolve(ctx):
-            try:
-                return _column_operand(atomize(ctx.lookup(name)))
-            except XQueryError:
-                return None
+            return fixed
 
     def decide(stores, slots, ctx, generic) -> list[list[Node]] | None:
         promoted = resolve(ctx)
         if promoted is None:
             return None
-        numeric, fixed = promoted
+        numeric, tests = promoted
         answers = (_node_answers(ctx.database, key, matcher)
                    if answerable else None)
         guard = active_guard()
@@ -1423,9 +1438,8 @@ def _column_predicate(matcher, up: int, op: str, strict: bool,
                         if METRICS.enabled:
                             METRICS.inc("index.node_answers")
                 if decided is None:
-                    decided = store.nodes_where(matcher, up, numeric,
-                                                compare, fixed, strict,
-                                                guard, group)
+                    decided = store.nodes_where(matcher, up, numeric, tests,
+                                                strict, guard, group)
             if decided is None:
                 on_columns = False
                 decided = [generic(store, slot) for slot in group]
@@ -1508,16 +1522,91 @@ def _linear_matcher(pattern_steps):
 
 
 def _column_plan(pattern_steps: list, predicates: list) -> tuple | None:
-    """``(matcher, up, op, strict, operand)`` — the arguments of
-    :func:`_column_predicate` — when ``predicates`` is one general or
-    value comparison of ``rel`` with a literal or a variable, ``rel``
-    being ``.`` or child and attribute name-test steps without
-    predicates that end on an element or attribute.  ``matcher``
-    matches the prefix's path followed by ``rel``, ``up`` is ``rel``'s
-    length and ``strict`` marks a value comparison."""
+    """``(matcher, up, strict, bounds, comparison)`` — the arguments of
+    :func:`_column_predicate` — when ``predicates`` is one predicate of
+    a :func:`_predicate_shape`, its ``rel`` ending on an element or
+    attribute.  ``matcher`` matches the prefix's path followed by
+    ``rel``, and ``up`` is ``rel``'s length."""
     if len(predicates) != 1:
         return None
-    predicate = predicates[0]
+    shape = _predicate_shape(predicates[0])
+    if shape is None:
+        return None
+    rel_steps, strict, bounds, comparison = shape
+    steps = list(pattern_steps) + rel_steps
+    if steps[-1].test.kind not in ("element", "attribute"):
+        return None
+    return (_linear_matcher(steps), len(rel_steps), strict, bounds,
+            comparison)
+
+
+#: The bounds of a between pair, as value comparison operators.
+_LOWER_BOUNDS = frozenset({"gt", "ge"})
+_UPPER_BOUNDS = frozenset({"lt", "le"})
+
+
+def _predicate_shape(predicate: ast.Expr) -> tuple | None:
+    """``(rel pattern steps, strict, bounds, comparison)`` of a
+    predicate the column kernel decides, or None:
+
+    * ``rel op operand``, a general or value comparison of ``rel``
+      with a literal or a variable, ``rel`` being ``.`` or child and
+      attribute name-test steps without predicates;
+    * ``rel op operand and rel op operand``, a lower (``> >= gt ge``)
+      and an upper bound, both general or both value comparisons, over
+      one ``rel`` that is a singleton when they are general (``.`` or
+      one attribute step): a node passes both exactly when its one
+      value does;
+    * ``step[P]``, one child or attribute name-test step over such a
+      ``P`` of general comparisons: ``step`` joins ``rel``.
+
+    ``strict`` marks value comparisons, ``bounds`` holds each
+    comparison's ``(op, operand)``, and ``comparison`` is the one an
+    exact index probe keys its node answers by (a pair's lower bound:
+    the planner pairs the two into one range scan, and only that scan
+    answers nodes for either)."""
+    if isinstance(predicate, ast.PathExpr):
+        step = predicate.steps[0] if len(predicate.steps) == 1 else None
+        if predicate.absolute or not (
+                isinstance(step, ast.AxisStep)
+                and step.axis in ("child", "attribute")
+                and isinstance(step.test, ast.NameTest)
+                and len(step.predicates) == 1):
+            return None
+        inner = _predicate_shape(step.predicates[0])
+        if inner is None or inner[1]:
+            # A value comparison raises per ``step`` node, which a
+            # lookup of ``step``'s parent does not see.
+            return None
+        from ..core.patterns import PatternStep
+        rel_steps, strict, bounds, comparison = inner
+        return ([PatternStep(_summary_step_test(step)), *rel_steps],
+                strict, bounds, comparison)
+    if isinstance(predicate, ast.AndExpr):
+        pair = [_comparison_shape(side)
+                for side in (predicate.left, predicate.right)]
+        if None in pair:
+            return None
+        pair.sort(key=lambda shape: shape[2][0] not in _LOWER_BOUNDS)
+        (rel_steps, strict, low, lower), (other_steps, other_strict,
+                                          high, _upper) = pair
+        if rel_steps != other_steps or strict != other_strict or \
+                low[0] not in _LOWER_BOUNDS or high[0] not in \
+                _UPPER_BOUNDS or not (strict or not rel_steps or len(
+                    rel_steps) == 1 and rel_steps[0].test.kind == "attribute"):
+            return None
+        return rel_steps, strict, (low, high), lower
+    shape = _comparison_shape(predicate)
+    if shape is None:
+        return None
+    rel_steps, strict, bound, comparison = shape
+    return rel_steps, strict, (bound,), comparison
+
+
+def _comparison_shape(predicate: ast.Expr) -> tuple | None:
+    """``(rel pattern steps, strict, (op, operand), predicate)`` of a
+    comparison ``rel op operand`` (:func:`_predicate_shape`), ``op``
+    as a value comparison with ``rel`` on its left; else None."""
     kind = type(predicate)
     if kind is ast.GeneralComparison:
         op = GENERAL_TO_VALUE[predicate.op]
@@ -1535,13 +1624,8 @@ def _column_plan(pattern_steps: list, predicates: list) -> tuple | None:
             or shape.filtered:
         return None
     from ..core.patterns import PatternStep
-    rel_steps = [PatternStep(_summary_step_test(step))
-                 for step in shape.steps]
-    steps = list(pattern_steps) + rel_steps
-    if steps[-1].test.kind not in ("element", "attribute"):
-        return None
-    return (_linear_matcher(steps), len(rel_steps), op,
-            kind is ast.ValueComparison, operand)
+    return ([PatternStep(_summary_step_test(step)) for step in shape.steps],
+            kind is ast.ValueComparison, (op, operand), predicate)
 
 
 def _compile_summary_prefix(steps) -> tuple[list, int, list]:

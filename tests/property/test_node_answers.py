@@ -186,3 +186,106 @@ def test_a_one_byte_durable_pool_after_a_reopen(corpus, predicates,
         with DurableDatabase(directory) as reopened:
             assert answered(reopened,
                             assert_routes_agree(reopened, predicates))
+
+
+#: §3.10 between pairs: ``(rel, low, high)`` over the DOUBLE index's
+#: path; a bound may equal a stored value ("100", "150").
+BETWEENS = st.tuples(st.just("@price"),
+                     st.sampled_from((">", ">=", "gt", "ge")),
+                     st.sampled_from(("12", "100", "149.87")),
+                     st.sampled_from(("<", "<=", "lt", "le")),
+                     st.sampled_from(("150", "1e3", "100")))
+
+
+def between_forms(rel, low_op, low, high_op, high) -> list[str]:
+    """A value comparison pair over an uncastable price raises
+    FORG0001 on the reference plan, so its forms are child forms whose
+    reference meets the candidates in document order, as the kernel
+    does; general pairs also take the ``//`` and element-pair forms."""
+    test = f"{rel} {low_op} {low} and {rel} {high_op} {high}"
+    forms = [f"for $i in {COLUMN}/order/lineitem[{test}] return $i",
+             f"for $i in {COLUMN}/order[lineitem[{test}]] return $i"]
+    if low_op in (">", ">="):
+        forms += [f"{COLUMN}//lineitem[{test}]",
+                  f"{COLUMN}//order[lineitem[{test}]]",
+                  f"{COLUMN}//order[lineitem[{rel} {low_op} {low}] and "
+                  f"lineitem[{rel} {high_op} {high}]]",
+                  f"{COLUMN}//lineitem[product[id >= 'P1' and "
+                  f"id <= 'P2']]"]
+    return forms
+
+
+def assert_between_routes_agree(view, pairs) -> int:
+    with enabled_metrics():
+        for pair in pairs:
+            for query in between_forms(*pair):
+                reference = outcome(view, query, use_indexes=False)
+                with mock.patch.object(plan, "_only_documents",
+                                       return_value="forced"):
+                    filtered = outcome(view, query)
+                assert filtered == reference, query
+                assert outcome(view, query) == reference, query
+        return METRICS.counter("index.node_answers")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=CORPORA, pairs=st.lists(BETWEENS, min_size=1, max_size=4))
+def test_between_pairs_equal_the_other_routes(corpus, pairs):
+    database = Database()
+    fill(database, corpus)
+    assert_between_routes_agree(database, pairs)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=CORPORA, pairs=st.lists(BETWEENS, min_size=1, max_size=3),
+       data=st.data())
+def test_between_pairs_through_a_snapshot_pinned_before_deletes(
+        corpus, pairs, data):
+    database = Database()
+    fill(database, corpus)
+    snapshot = database.snapshot()
+    ids = [row.values["id"] for row in database.table("t").rows]
+    doomed = set(data.draw(st.lists(st.sampled_from(ids), max_size=4)))
+    database.delete_rows("t", lambda values: values["id"] in doomed)
+    assert_between_routes_agree(snapshot, pairs)
+    assert_between_routes_agree(database, pairs)
+
+
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=CORPORA, pairs=st.lists(BETWEENS, min_size=1, max_size=3))
+def test_between_pairs_on_a_one_byte_durable_pool_after_a_reopen(corpus,
+                                                                  pairs):
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        with DurableDatabase(directory, buffer_pool_bytes=1) as database:
+            fill(database, corpus)
+        with DurableDatabase(directory, buffer_pool_bytes=1) as reopened:
+            assert_between_routes_agree(reopened, pairs)
+
+
+def test_the_probe_between_shape_compares_no_node_one_by_one():
+    """``//order[lineitem[@price > l and @price < h]]`` on clean
+    documents: the merged range scan answers nodes, the kernel reads no
+    partition and no predicate runs node by node."""
+    database = Database()
+    fill(database, ([], None))
+    database.insert("t", {"id": 9, "doc": "<order><lineitem price='120'/>"
+                                          "<lineitem price='90'/></order>"})
+    query = (f"for $i in {COLUMN}//order[lineitem[@price>100 and "
+             f"@price<140]] return $i")
+    with enabled_metrics():
+        with mock.patch("repro.xquery.evaluator.compare_atoms",
+                        side_effect=AssertionError("node by node")), \
+                mock.patch("repro.storage.columnar.ColumnStore.nodes_where",
+                           side_effect=AssertionError("partition read")):
+            answer = database.xquery(query)
+        assert METRICS.counter("index.node_answers") == 1
+        assert METRICS.counter("pathsummary.column_predicates") == 1
+    assert answer.serialize() == database.xquery(
+        query, use_indexes=False).serialize()
+    assert len(answer) == 1
+    assert any("answers nodes for between" in note
+               for note in answer.stats.plan_notes)

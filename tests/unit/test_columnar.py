@@ -354,3 +354,45 @@ class TestEdgeShapes:
         assert serialize(store.materialize()) == serialize(document)
         restored = segment_round_trip(store)
         assert serialize(restored.materialize()) == serialize(document)
+
+
+class TestColumnKernel:
+    """``nodes_where`` / ``nodes_at`` climb ``up`` parent links and
+    return each ancestor once, in document order."""
+
+    # ``//a/b/@v`` matches at two depths.  The deep ``b`` sits between
+    # two shallow ones, so the ancestors two links above the slots, in
+    # partition order or in slot order, do not ascend.
+    XML = ("<r><a><b v='1'/></a><a><x><a><b v='2'/></a></x><b v='6'/></a>"
+           "<a><b v='3'/><b v='5'/></a></r>")
+
+    def kernel(self, tests, up=2):
+        _document, store = build(self.XML)
+        matcher = PatternMatcher(parse_xmlpattern("//a/b/@v"))
+        [found] = store.nodes_where(matcher, up, True, tests, False)
+        return store, found
+
+    def test_ancestors_over_two_depths_are_sorted(self):
+        from operator import gt
+        store, found = self.kernel([(gt, 0.0)])
+        slots = [node._order[1] for node in found]
+        assert slots == sorted(set(slots)) and len(slots) == 4
+
+    def test_ancestors_of_one_partition_keep_each_once(self):
+        from operator import ge
+        store, found = self.kernel([(ge, 3.0)], up=1)
+        assert [node.name.local for node in found] == ["b", "b", "b"]
+        store, found = self.kernel([(ge, 3.0)])
+        assert [node._order[1] for node in found] == [5, 12]
+
+    def test_both_bounds_in_one_pass(self):
+        from operator import gt, lt
+        store, found = self.kernel([(gt, 1.0), (lt, 3.0)], up=0)
+        assert [node.string_value() for node in found] == ["2"]
+
+    def test_node_answers_over_two_depths_are_sorted(self):
+        store, found = self.kernel([(lambda value, _fixed: True, None)],
+                                   up=0)
+        ids = [node.node_id for node in found]
+        climbed = store.nodes_at(ids, 2)
+        assert [node._order[1] for node in climbed] == [2, 5, 7, 12]

@@ -168,3 +168,11 @@ class TestUnanalyzable:
 
     def test_variable_without_origin(self):
         assert candidates("$undefined//a[b > 1]") == []
+
+    def test_attribute_below_a_child_step_not_singleton(self):
+        candidate = single(f"{XMLCOL}//o[l/@price > 100]")
+        assert not candidate.singleton_guaranteed
+
+    def test_cast_attribute_singleton(self):
+        candidate = single(f"{XMLCOL}//l[xs:double(@price) > 100]")
+        assert candidate.singleton_guaranteed
