@@ -499,7 +499,10 @@ class _Extractor:
                 "is_context": isinstance(expr, ast.ContextItem)}
 
     def _walk_step_predicates(self, expr, scope, state) -> None:
-        """Analyze predicates nested inside a path's steps."""
+        """Analyze predicates nested inside a path's steps.  Each has its
+        own focus, so its comparisons pair up (§3.10) only with each
+        other: in ``o[l[@p > 1] and l[@p < 5]]`` two ``l`` may pass."""
+        state = replace(state, conjunct_group=0)
         if isinstance(expr, ast.FilterExpr):
             base = self.origin_of(expr.primary, scope)
             inner_scope = dict(scope)

@@ -121,3 +121,10 @@ def test_a_pair_across_a_child_step_answers_as_without_indexes(form):
     answers = [database.xquery(query, use_indexes=flag).serialize()
                for flag in (True, False)]
     assert answers[0] == answers[1] and len(answers[0]) == 1
+
+
+def test_comparisons_in_two_step_predicates_do_not_pair():
+    """Each ``lineitem`` is its own focus: one may pass the lower bound
+    and another the upper one."""
+    assert groups(f"{XMLCOL}//order[lineitem[@price > 100] and "
+                  f"lineitem[@price < 150]]") == []
