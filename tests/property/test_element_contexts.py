@@ -281,3 +281,38 @@ def test_rows_sharing_a_document_share_one_body_run():
     explained = database.explain(statement)
     assert "XMLQuery in select item 3 evaluated once per document" \
         in explained
+
+
+#: §3.10 between pairs from element contexts: over the one attribute
+#: ``@x`` and ``.`` (singletons: the two-bound kernel), value pairs
+#: over ``b`` (two ``b`` or ``20 USD`` raise), and a general ``b``
+#: pair, which is existential and stays node by node.
+BETWEENS = st.tuples(st.sampled_from(("@x", ".", "b")),
+                     st.sampled_from(((">", "<"), (">=", "<="),
+                                      ("gt", "lt"))),
+                     st.sampled_from(("0", "5.5", "12")),
+                     st.sampled_from(("12", "1e3", "'abc'")))
+
+
+def between_xqueries(rel, ops, low, high) -> list[str]:
+    test = f"{rel} {ops[0]} {low} and {rel} {ops[1]} {high}"
+    step = "b" if rel == "." else "a"
+    return [f"for $a in {COLUMN}//a return <r>{{$a/{step}[{test}]}}</r>",
+            f"({COLUMN}//a)/{step}[{test}]",
+            f"for $a in {COLUMN}/r/a return <r>{{$a[a[{test}]]}}</r>"]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents=DOCUMENTS, typed=st.one_of(st.none(), st.lists(
+    a_specs(), min_size=1, max_size=2)),
+       pairs=st.lists(BETWEENS, min_size=1, max_size=4))
+def test_between_pairs_from_element_contexts(documents, typed, pairs):
+    database = Database()
+    fill(database, documents, typed)
+    for pair in pairs:
+        for query in between_xqueries(*pair):
+            expected = outcome(lambda: database.xquery(
+                query, use_indexes=False).serialize())
+            assert outcome(lambda: database.xquery(query).serialize()) \
+                == expected, query
