@@ -13,13 +13,18 @@ when the compared item is provably a singleton:
   runtime if price is not a singleton;
 * the self axis (``price[. > 100 and . < 200]`` or the
   ``data()[. > ...]`` form) — '.' binds exactly one node per step;
-* an attribute one step from its focus or a ``for`` variable
-  (``lineitem[@price > 100 and @price < 200]``, ``$l/@price``) — an
-  attribute occurs at most once per element (and list types are
-  prohibited in indexed documents, footnote 5).  ``l/@price`` is not
-  one: it crosses a many-valued ``l``, so one ``l`` may pass the lower
-  bound and another the upper one; nor is ``$l/@price`` for a ``let``
-  variable, which may hold several nodes.
+* an attribute step naming one QName, one step from its focus or a
+  ``for`` variable (``lineitem[@price > 100 and @price < 200]``,
+  ``$l/@price``) — an attribute occurs at most once per element (and
+  list types are prohibited in indexed documents, footnote 5).
+  ``l/@price`` is not one: it crosses a many-valued ``l``, so one ``l``
+  may pass the lower bound and another the upper one; nor is
+  ``$l/@price`` for a ``let`` variable, which may hold several nodes,
+  nor a wildcard ``@*``, ``@ns:*`` or ``@*:price``, which selects
+  several attributes of one element.
+
+:func:`one_node` is that rule for a comparison side's steps, read by
+the predicate extractor and by the evaluator's column kernel.
 
 The planner's merged range scan of a single-scan pair answers the
 pair's nodes when each bound alone would be exact
@@ -29,8 +34,11 @@ pair's nodes when each bound alone would be exact
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-from .predicates import PredicateCandidate
+if TYPE_CHECKING:
+    from ..xquery import ast
+    from .predicates import PredicateCandidate
 
 
 @dataclass
@@ -49,8 +57,22 @@ class BetweenGroup:
                 f"{self.upper.description} -> {mode}")
 
 
-_LOWER_OPS = {">", ">=", "gt", "ge"}
-_UPPER_OPS = {"<", "<=", "lt", "le"}
+#: The operators of a pair's lower and upper bound.
+LOWER_OPS = frozenset({">", ">=", "gt", "ge"})
+UPPER_OPS = frozenset({"<", "<=", "lt", "le"})
+
+
+def one_node(steps: Sequence[ast.AxisStep]) -> bool:
+    """Do the child and attribute name-test ``steps`` of a comparison
+    side select at most one node from one context node: none (``.``),
+    or one attribute step whose name test names one QName?"""
+    if not steps:
+        return True
+    if len(steps) != 1:
+        return False
+    step = steps[0]
+    return (step.axis == "attribute" and step.test.uri is not None
+            and step.test.local is not None)
 
 
 def detect_between(candidates: list[PredicateCandidate]
@@ -74,9 +96,9 @@ def detect_between(candidates: list[PredicateCandidate]
 
     for bucket in buckets.values():
         lowers = [candidate for candidate in bucket
-                  if candidate.op in _LOWER_OPS]
+                  if candidate.op in LOWER_OPS]
         uppers = [candidate for candidate in bucket
-                  if candidate.op in _UPPER_OPS]
+                  if candidate.op in UPPER_OPS]
         for lower, upper in zip(lowers, uppers):
             if id(lower) in used or id(upper) in used:
                 continue

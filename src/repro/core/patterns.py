@@ -311,18 +311,8 @@ class PathPattern:
     source: str = ""
 
     def __str__(self) -> str:
-        # Frozen, so its text is kept after the first ask: the planner
-        # keys, checks and notes candidates by it on every run.
-        text = self.__dict__.get("_text")
-        if text is None:
-            text = self.source or " | ".join(
-                str(alternative) for alternative in self.alternatives)
-            object.__setattr__(self, "_text", text)
-        return text
-
-    def __hash__(self) -> int:
-        # Equal patterns have equal text; a str caches its own hash.
-        return hash(str(self))
+        return self.source or " | ".join(str(alternative)
+                                         for alternative in self.alternatives)
 
     @property
     def start(self) -> frozenset[tuple[int, int]]:

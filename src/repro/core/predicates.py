@@ -29,6 +29,7 @@ from ..errors import ReproError
 from ..xdm import atomic
 from ..xdm.atomic import AtomicValue
 from ..xquery import ast
+from .between import one_node
 from .patterns import LinearPattern, PathPattern, PatternStep, StepTest
 
 
@@ -684,10 +685,11 @@ _SAME_CARDINALITY = frozenset({"data", "string", "zero-or-one",
 
 def _one_attribute(expr, origin: Origin) -> bool:
     """Does ``expr`` (maybe atomized or cast) select at most one
-    attribute: one attribute step from the focus or from a variable
-    bound to one node at a time, or such a variable bound to an
-    attribute?  ``l/@price`` crosses a many-valued ``l``, and a let
-    variable may hold several nodes."""
+    attribute: one attribute step naming one QName from the focus or
+    from a variable bound to one node at a time, or such a variable
+    bound to an attribute (:func:`repro.core.between.one_node`)?
+    ``l/@price`` crosses a many-valued ``l``, a let variable may hold
+    several nodes, and ``@*`` selects several attributes."""
     while isinstance(expr, (ast.FunctionCall, ast.CastExpr,
                             ast.TreatExpr)):
         if isinstance(expr, ast.FunctionCall):
@@ -704,7 +706,7 @@ def _one_attribute(expr, origin: Origin) -> bool:
     if not rel.steps:
         return rel.var is not None and \
             origin.steps[-1].test.kind == "attribute"
-    return len(rel.steps) == 1 and rel.steps[0].axis == "attribute"
+    return rel.steps[0].axis == "attribute" and one_node(rel.steps)
 
 
 def _variables_in(expr) -> set[str]:

@@ -1540,11 +1540,6 @@ def _column_plan(pattern_steps: list, predicates: list) -> tuple | None:
             comparison)
 
 
-#: The bounds of a between pair, as value comparison operators.
-_LOWER_BOUNDS = frozenset({"gt", "ge"})
-_UPPER_BOUNDS = frozenset({"lt", "le"})
-
-
 def _predicate_shape(predicate: ast.Expr) -> tuple | None:
     """``(rel pattern steps, strict, bounds, comparison)`` of a
     predicate the column kernel decides, or None:
@@ -1554,8 +1549,9 @@ def _predicate_shape(predicate: ast.Expr) -> tuple | None:
       attribute name-test steps without predicates;
     * ``rel op operand and rel op operand``, a lower (``> >= gt ge``)
       and an upper bound, both general or both value comparisons, over
-      one ``rel`` that is a singleton when they are general (``.`` or
-      one attribute step): a node passes both exactly when its one
+      one ``rel`` that is a singleton when they are general
+      (:func:`repro.core.between.one_node`: ``.`` or one attribute
+      step naming one QName): a node passes both exactly when its one
       value does;
     * ``step[P]``, one child or attribute name-test step over such a
       ``P`` of general comparisons: ``step`` joins ``rel``.
@@ -1578,33 +1574,40 @@ def _predicate_shape(predicate: ast.Expr) -> tuple | None:
             # A value comparison raises per ``step`` node, which a
             # lookup of ``step``'s parent does not see.
             return None
-        from ..core.patterns import PatternStep
         rel_steps, strict, bounds, comparison = inner
-        return ([PatternStep(_summary_step_test(step)), *rel_steps],
-                strict, bounds, comparison)
+        return ([*_pattern_steps([step]), *rel_steps], strict, bounds,
+                comparison)
     if isinstance(predicate, ast.AndExpr):
+        from ..core.between import LOWER_OPS, UPPER_OPS, one_node
         pair = [_comparison_shape(side)
                 for side in (predicate.left, predicate.right)]
         if None in pair:
             return None
-        pair.sort(key=lambda shape: shape[2][0] not in _LOWER_BOUNDS)
+        pair.sort(key=lambda shape: shape[2][0] not in LOWER_OPS)
         (rel_steps, strict, low, lower), (other_steps, other_strict,
                                           high, _upper) = pair
-        if rel_steps != other_steps or strict != other_strict or \
-                low[0] not in _LOWER_BOUNDS or high[0] not in \
-                _UPPER_BOUNDS or not (strict or not rel_steps or len(
-                    rel_steps) == 1 and rel_steps[0].test.kind == "attribute"):
+        if strict != other_strict or low[0] not in LOWER_OPS or \
+                high[0] not in UPPER_OPS or \
+                not (strict or one_node(rel_steps)):
             return None
-        return rel_steps, strict, (low, high), lower
+        steps = _pattern_steps(rel_steps)
+        if steps != _pattern_steps(other_steps):
+            return None
+        return steps, strict, (low, high), lower
     shape = _comparison_shape(predicate)
     if shape is None:
         return None
     rel_steps, strict, bound, comparison = shape
-    return rel_steps, strict, (bound,), comparison
+    return _pattern_steps(rel_steps), strict, (bound,), comparison
+
+
+def _pattern_steps(steps) -> list:
+    from ..core.patterns import PatternStep
+    return [PatternStep(_summary_step_test(step)) for step in steps]
 
 
 def _comparison_shape(predicate: ast.Expr) -> tuple | None:
-    """``(rel pattern steps, strict, (op, operand), predicate)`` of a
+    """``(rel axis steps, strict, (op, operand), predicate)`` of a
     comparison ``rel op operand`` (:func:`_predicate_shape`), ``op``
     as a value comparison with ``rel`` on its left; else None."""
     kind = type(predicate)
@@ -1623,9 +1626,8 @@ def _comparison_shape(predicate: ast.Expr) -> tuple | None:
     if shape is None or shape.var is not None or shape.cast \
             or shape.filtered:
         return None
-    from ..core.patterns import PatternStep
-    return ([PatternStep(_summary_step_test(step)) for step in shape.steps],
-            kind is ast.ValueComparison, (op, operand), predicate)
+    return (shape.steps, kind is ast.ValueComparison, (op, operand),
+            predicate)
 
 
 def _compile_summary_prefix(steps) -> tuple[list, int, list]:
