@@ -176,10 +176,12 @@ def _only_documents(candidate: PredicateCandidate, index, paired: bool,
 def _unprobed(candidate: PredicateCandidate) -> str | None:
     """Why ``candidate`` gets no probe although an index is eligible: a
     value comparison whose compared path (:func:`~repro.xquery.ast.
-    rel_path`) is not at most one child or attribute step from its
-    focus or variable, or starts at a let variable (a sequence), may
-    atomize two nodes of different parents and raise, and no document
-    fact records that."""
+    rel_path`) is not at most one child or attribute step naming one
+    QName from its focus or variable, or starts at a let variable (a
+    sequence), may atomize two nodes of different parents, or of one
+    parent on different paths (``@*``, ``*``, ``*:x``), and raise, and
+    no document fact records that (:data:`~repro.storage.xmlindex.
+    SHARED_PARENT` is per path)."""
     comparison = candidate.comparison
     if not isinstance(comparison, xast.ValueComparison):
         return None
@@ -189,10 +191,12 @@ def _unprobed(candidate: PredicateCandidate) -> str | None:
     rels = [rel for side in (comparison.left, comparison.right)
             if side is not candidate.operand_expr
             and (rel := xast.rel_path(side)) is not None]
-    if len(rels) == 1 and len(rels[0].steps) <= 1:
+    if len(rels) == 1 and len(rels[0].steps) <= 1 and all(
+            step.test.uri is not None and step.test.local is not None
+            for step in rels[0].steps):
         return None
     return (f"'{candidate.op}' compares a path that is not one child or "
-            f"attribute step from its focus or variable")
+            f"attribute step naming one QName from its focus or variable")
 
 
 def _raising_facts(candidate: PredicateCandidate) -> int:

@@ -82,9 +82,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from math import nan
-from operator import and_, gt
+from operator import and_
 from typing import Iterator, Sequence
 
 from ..core.patterns import ROOT_PATH, PathNode, PathShape, intern_shape
@@ -375,7 +375,9 @@ class ColumnStore:
                 candidates = self._ancestors(list(chain(*runs)), up)
                 if len(set(candidates)) < len(candidates):
                     return None
-            passing = _ascending(self._ancestors(passing, up))
+            passing = self._ancestors(passing, up)
+            if len(passing) > 1:
+                passing = sorted(set(passing))
         elif len(ids) > 1:
             passing.sort()
         nodes = self.nodes
@@ -410,8 +412,8 @@ class ColumnStore:
             for _level in range(up):
                 slot = parent[slot]
             slots.append(slot)
-        if up:
-            slots = _ascending(slots)
+        if up and len(slots) > 1:
+            slots = sorted(set(slots))
         nodes = self.nodes
         return [nodes[slot] for slot in slots]
 
@@ -774,22 +776,11 @@ def _verdicts(values: Sequence, tests) -> Iterator[bool]:
     ``(compare, fixed)`` of ``tests``: lazy maps of C functions, so one
     pass over ``values`` tests every bound without a Python frame per
     value."""
-    (compare, fixed), *more = tests
+    compare, fixed = tests[0]
     verdicts = map(compare, values, repeat(fixed))
-    for compare, fixed in more:
+    for compare, fixed in tests[1:]:
         verdicts = map(and_, verdicts, map(compare, values, repeat(fixed)))
     return verdicts
-
-
-def _ascending(slots: list[int]) -> list[int]:
-    """``slots`` without duplicates, in document order.  The ancestors
-    of one partition's slots (one depth) already ascend, so one linear
-    pass keeps them; ancestors from partitions at several depths are
-    sorted."""
-    distinct = list(dict.fromkeys(slots))
-    if any(map(gt, distinct, islice(distinct, 1, None))):
-        distinct.sort()
-    return distinct
 
 
 def get_store(document) -> ColumnStore | None:

@@ -16,7 +16,10 @@ empty, two atoms, typed); for values with blanks, ``-0``, ``NaN``,
 ``INF``, ``1e3``, empty and non-numeric text; for ``@*``, a namespaced
 attribute, a child with several values, a two-step ``rel`` and ``.``;
 in memory, after a checkpoint reopen, after a WAL-only reopen and under
-a 1-byte buffer pool.  Schema-typed stores keep the generic route, a
+a 1-byte buffer pool.  §3.10 between pairs ``[rel > l and rel < h]``,
+bare or as ``[a[…]]``, answer as their twins too, over singletons and
+over ``@*`` and ``@*:x``, where two attributes may each pass one bound.
+Schema-typed stores keep the generic route, a
 deadline interrupts the kernel, and racing readers filling cold value
 caches get the generic answers.
 """
@@ -168,6 +171,53 @@ def test_column_kernel_equals_generic_route(documents, predicates):
     database = Database()
     insert_all(database, documents)
     assert assert_routes_agree(database, FIXED + predicates) > 0
+
+
+#: §3.10 between pairs ``[rel lo l and rel hi h]`` (either order, both
+#: general or both value comparisons), bare or under an existence step
+#: ``[a[…]]``.  The kernel tests both bounds on one value only where
+#: ``rel`` is a singleton (``@x``, ``@p:x``, ``.``); over ``@*``,
+#: ``@*:x``, ``b`` or ``a/b`` one value may pass each bound, so the
+#: pair must stay existential.
+PAIRS = st.tuples(st.sampled_from(FORMS + (("a", "@*:x"),)),
+                  st.sampled_from(((">", "<"), (">=", "<="), ("gt", "lt"),
+                                   ("ge", "le"))),
+                  st.sampled_from(("-0", "5.5", "12")),
+                  st.sampled_from(("12", "1e3", "'12'")),
+                  st.booleans(), st.booleans())
+
+
+def pair_queries(pair) -> tuple[str, str]:
+    """The summary form and its generic twin of one drawn pair."""
+    (step, rel), (low_op, high_op), low, high, swapped, nested = pair
+    bounds = [f"{rel} {low_op} {low}", f"{rel} {high_op} {high}"]
+    test = " and ".join(reversed(bounds) if swapped else bounds)
+    if nested:
+        test = f"a[{test}]"
+    return (f"{PROLOG}{COLUMN}//{step}[{test}]",
+            f"{PROLOG}({COLUMN}//{step})[{test}]")
+
+
+#: Each example draws a wildcard pair over :data:`TWO_ATTRIBUTES`,
+#: whose ``a`` elements each carry one value above 5.5–12 and one below.
+WILDCARD_PAIRS = [(("a", "@*"), (">", "<"), "5.5", "12", False, False),
+                  (("a", "@*:x"), (">", "<"), "5.5", "12", True, True)]
+TWO_ATTRIBUTES = [({"x": "20", "y": "1", "p:x": "3"}, [],
+                   [({"x": "20", "p:x": "3"}, [], [])])]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents=DOCUMENTS, pairs=st.lists(PAIRS, min_size=1, max_size=8))
+def test_between_pairs_on_the_kernel_equal_the_generic_route(documents,
+                                                             pairs):
+    database = Database()
+    insert_all(database, documents + [TWO_ATTRIBUTES])
+    for pair in WILDCARD_PAIRS + pairs:
+        summary, generic = pair_queries(pair)
+        expected = outcome(lambda: database.xquery(generic).serialize())
+        assert outcome(lambda: database.xquery(summary).serialize()) \
+            == expected, summary
 
 
 @settings(max_examples=30, deadline=None,

@@ -23,6 +23,9 @@ code, must be equal:
 * for an XMLTABLE whose row 1 column 2 and row 2 column 1 both raise,
   and SQL casts that fail;
 * for select-list bodies over rows that share a document;
+* for §3.10 between pairs over one ``rel``: the singletons ``@x`` and
+  ``.`` (both bounds tested on one value), and ``@*``, ``@*:x`` and
+  ``b``, where one value may pass each bound;
 
 in memory, through a snapshot pinned before random deletes, and on a
 one-byte durable pool after a reopen.
@@ -52,27 +55,34 @@ SCHEMA = Schema("typed").declare("a/@x", "xs:string")
 
 @st.composite
 def a_specs(draw, depth=0):
-    """(x value or None, b values, nested a specs) of one ``a``."""
+    """(x value or None, other attributes, b values, nested a specs) of
+    one ``a``; ``y`` and ``p:x`` give ``@*`` and ``@*:x`` a second
+    value."""
     x = draw(st.one_of(st.none(), st.sampled_from(VALUES)))
+    others = draw(st.dictionaries(st.sampled_from(("y", "p:x")),
+                                  st.sampled_from(VALUES), max_size=2))
     b_values = draw(st.lists(st.sampled_from(VALUES), max_size=2))
     nested = (draw(st.lists(a_specs(depth=depth + 1), max_size=2))
               if depth < 2 else [])
-    return x, b_values, nested
+    return x, others, b_values, nested
 
 
 def _a(spec) -> str:
-    x, b_values, nested = spec
-    attribute = "" if x is None else f" x='{x}'"
+    x, others, b_values, nested = spec
+    attributes = {} if x is None else {"x": x}
+    attributes.update(others)
+    attributes = "".join(f" {name}='{value}'"
+                         for name, value in attributes.items())
     bs = "".join(f"<b>{value}</b>" for value in b_values)
-    return f"<a{attribute}>{bs}{''.join(map(_a, nested))}</a>"
+    return f"<a{attributes}>{bs}{''.join(map(_a, nested))}</a>"
 
 
 def xml(a_list) -> str:
-    return f"<r>{''.join(map(_a, a_list))}</r>"
+    return f"<r xmlns:p='urn:p'>{''.join(map(_a, a_list))}</r>"
 
 
 #: Every table starts with it, so no path is statically empty.
-ANCHOR = [("12", ["12"], [("5", ["1"], [])])]
+ANCHOR = [("12", {}, ["12"], [("5", {}, ["1"], [])])]
 DOCUMENTS = st.lists(st.lists(a_specs(), max_size=3), min_size=1,
                      max_size=4)
 #: (rel, op, literal): child forms take every op, ``//`` forms only
@@ -266,7 +276,7 @@ def test_the_first_error_of_an_xmltable_is_the_cell_by_cell_one():
 
 def test_rows_sharing_a_document_share_one_body_run():
     database = Database()
-    fill(database, [[("20", ["12"], [])]])
+    fill(database, [[("20", {}, ["12"], [])]])
     statement = ("SELECT t.id, v.k, XMLQuery('$d//a[@x > 10]' passing "
                  "t.doc as \"d\") FROM t, v")
     with enabled_metrics():
@@ -284,14 +294,20 @@ def test_rows_sharing_a_document_share_one_body_run():
 
 
 #: §3.10 between pairs from element contexts: over the one attribute
-#: ``@x`` and ``.`` (singletons: the two-bound kernel), value pairs
-#: over ``b`` (two ``b`` or ``20 USD`` raise), and a general ``b``
-#: pair, which is existential and stays node by node.
-BETWEENS = st.tuples(st.sampled_from(("@x", ".", "b")),
+#: ``@x`` and ``.`` (singletons: the two-bound kernel), over ``@*`` and
+#: ``@*:x`` (several attributes of one ``a``: one may pass each bound),
+#: value pairs over ``b`` (two ``b`` or ``20 USD`` raise), and a
+#: general ``b`` pair, which is existential and stays node by node.
+BETWEENS = st.tuples(st.sampled_from(("@x", ".", "b", "@*", "@*:x")),
                      st.sampled_from(((">", "<"), (">=", "<="),
                                       ("gt", "lt"))),
                      st.sampled_from(("0", "5.5", "12")),
                      st.sampled_from(("12", "1e3", "'abc'")))
+#: Each example draws a wildcard pair over :data:`TWO_ATTRIBUTES`,
+#: whose ``a`` elements each carry one value above 5.5–12 and one below.
+WILDCARD_PAIRS = [("@*", (">", "<"), "5.5", "12"),
+                  ("@*:x", (">=", "<="), "5.5", "12")]
+TWO_ATTRIBUTES = [("3", {"y": "20"}, [], [("3", {"p:x": "20"}, [], [])])]
 
 
 def between_xqueries(rel, ops, low, high) -> list[str]:
@@ -302,6 +318,15 @@ def between_xqueries(rel, ops, low, high) -> list[str]:
             f"for $a in {COLUMN}/r/a return <r>{{$a[a[{test}]]}}</r>"]
 
 
+def assert_between_routes_agree(view, pairs) -> None:
+    for pair in WILDCARD_PAIRS + pairs:
+        for query in between_xqueries(*pair):
+            expected = outcome(lambda: view.xquery(
+                query, use_indexes=False).serialize())
+            assert outcome(lambda: view.xquery(query).serialize()) \
+                == expected, query
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(documents=DOCUMENTS, typed=st.one_of(st.none(), st.lists(
@@ -309,10 +334,41 @@ def between_xqueries(rel, ops, low, high) -> list[str]:
        pairs=st.lists(BETWEENS, min_size=1, max_size=4))
 def test_between_pairs_from_element_contexts(documents, typed, pairs):
     database = Database()
-    fill(database, documents, typed)
-    for pair in pairs:
-        for query in between_xqueries(*pair):
-            expected = outcome(lambda: database.xquery(
-                query, use_indexes=False).serialize())
-            assert outcome(lambda: database.xquery(query).serialize()) \
-                == expected, query
+    fill(database, documents + [TWO_ATTRIBUTES], typed)
+    assert_between_routes_agree(database, pairs)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents=DOCUMENTS, pairs=st.lists(BETWEENS, min_size=1,
+                                           max_size=3),
+       data=st.data())
+def test_between_pairs_through_a_snapshot_pinned_before_deletes(
+        documents, pairs, data):
+    database = Database()
+    fill(database, documents + [TWO_ATTRIBUTES])
+    snapshot = database.snapshot()
+    ids = [row.values["id"] for row in database.table("t").rows]
+    doomed = set(data.draw(st.lists(st.sampled_from(ids), max_size=3)))
+    database.delete_rows("t", lambda values: values["id"] in doomed)
+    assert_between_routes_agree(snapshot, pairs)
+    assert_between_routes_agree(database, pairs)
+
+
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents=DOCUMENTS, pairs=st.lists(BETWEENS, min_size=1,
+                                           max_size=3),
+       checkpoint=st.booleans())
+def test_between_pairs_on_a_one_byte_durable_pool_after_a_reopen(
+        documents, pairs, checkpoint):
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        with DurableDatabase(directory, buffer_pool_bytes=1) as database:
+            fill(database, documents + [TWO_ATTRIBUTES])
+            if checkpoint:
+                database.checkpoint()
+        with DurableDatabase(directory, buffer_pool_bytes=1) as reopened:
+            assert_between_routes_agree(reopened, pairs)
+        with DurableDatabase(directory) as reopened:
+            assert_between_routes_agree(reopened, pairs)

@@ -364,3 +364,33 @@ def test_an_xquery_probe_admits_the_documents_that_raise(predicate):
     reference = run(False)
     assert isinstance(reference, tuple)   # the reference raises
     assert run(True) == reference
+
+
+@pytest.mark.parametrize("predicate", [
+    "[@* gt 12]", "[@* gt 12 and @* lt 1e3]", "[@* gt 1000]",
+    "[@*:price gt 12]"])
+def test_a_value_comparison_over_a_wildcard_step_is_not_probed(predicate):
+    """``@*`` selects several attributes of one element, on different
+    paths, so no SHARED_PARENT fact marks the document where a value
+    comparison over it raises XPTY0004: a wildcard index gets no probe
+    for it, and both routes raise (also where no value is in range)."""
+    database = Database()
+    database.execute("CREATE TABLE t (id INTEGER, doc XML)")
+    database.create_xml_index("t_any", "t", "doc", "//lineitem/@*",
+                              "DOUBLE")
+    for number, doc in enumerate((
+            "<order><lineitem price='150'/></order>",
+            "<order><lineitem price='500' xmlns:n='urn:n' n:price='1'"
+            " qty='7'/></order>")):
+        database.insert("t", {"id": number, "doc": doc})
+    query = f"db2-fn:xmlcolumn('T.DOC')/order/lineitem{predicate}"
+
+    def run(use_indexes):
+        try:
+            return database.xquery(query, use_indexes=use_indexes).serialize()
+        except ReproError as error:
+            return type(error).__name__, error.code
+
+    assert run(False) == ("XQueryTypeError", "XPTY0004")
+    assert run(True) == run(False)
+    assert "naming one QName" in database.explain(query)

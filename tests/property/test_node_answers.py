@@ -21,6 +21,12 @@ untyped ones; in memory, through a snapshot pinned before random
 deletes, and on a one-byte durable pool after a reopen.  The forms are
 general comparisons with literals over castable-or-skipped values,
 which raise nowhere, so no error depends on evaluation order.
+
+§3.10 between pairs over ``@price`` (one range scan answering nodes),
+and over ``@*`` and ``@*:price`` (a lineitem may carry two values, so
+the pair stays two scans), run on the same three routes and on a
+fourth, the reference plan with the column kernel declining too, so
+that every predicate runs node by node.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from repro.obs.metrics import METRICS, enabled_metrics
 from repro.planner import plan
 from repro.schema.schema import Schema
 from repro.storage.catalog import Database
+from repro.storage.columnar import ColumnStore
 
 COLUMN = "db2-fn:xmlcolumn('T.DOC')"
 PRICES = ("100", " 12 ", "149.87", "150", "1e2", "NaN", "INF", "-0",
@@ -65,12 +72,21 @@ def forms(rel: str, op: str, literal: str) -> list[str]:
             f"{COLUMN}//order[lineitem/{test}]"]
 
 
+#: A second attribute of an untyped lineitem, so ``@*`` and
+#: ``@*:price`` may select two values of one element.
+OTHERS = (None, "qty", "n:price")
+
+
 @st.composite
 def lineitems(draw, typed: bool = False):
     prices = ("100", "12", "150", "1e2") if typed else PRICES
     price = draw(st.one_of(st.none(), st.sampled_from(prices)))
     ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=2))
     attribute = "" if price is None else f" price='{price}'"
+    other = None if typed else draw(st.sampled_from(OTHERS))
+    if other is not None:
+        attribute += (f" xmlns:n='urn:n' {other}="
+                      f"'{draw(st.sampled_from(PRICES))}'")
     product = "".join(f"<id>{value}</id>" for value in ids)
     return f"<lineitem{attribute}><product>{product}</product></lineitem>"
 
@@ -94,12 +110,17 @@ FIXED = [("@price", ">", "100"), ("@price", "=", "1e2"),
          ("product/id", "=", "'P1'"), ("product/id", "<=", "' P1 '")]
 
 
-def fill(database, corpus) -> None:
+def fill(database, corpus, wildcard: bool = False) -> None:
+    """``wildcard`` adds a DOUBLE index on ``//lineitem/@*``, which
+    the ``@*`` and ``@*:price`` between pairs probe."""
     untyped, typed = corpus
     database.execute("CREATE TABLE t (id INTEGER, doc XML)")
     database.register_schema(SCHEMA)
     database.create_xml_index("t_price", "t", "doc", "//lineitem/@price",
                               "DOUBLE")
+    if wildcard:
+        database.create_xml_index("t_any", "t", "doc", "//lineitem/@*",
+                                  "DOUBLE")
     database.create_xml_index("t_id", "t", "doc", "//lineitem/product/id",
                               "VARCHAR")
     # An anchor keeps every path in the column, so no lookup is pruned.
@@ -188,13 +209,28 @@ def test_a_one_byte_durable_pool_after_a_reopen(corpus, predicates,
                             assert_routes_agree(reopened, predicates))
 
 
-#: §3.10 between pairs: ``(rel, low, high)`` over the DOUBLE index's
-#: path; a bound may equal a stored value ("100", "150").
-BETWEENS = st.tuples(st.just("@price"),
+#: §3.10 between pairs: ``(rel, low op, low, high op, high)``; a bound
+#: may equal a stored value ("100", "150").  ``@price`` is a singleton
+#: (one range scan, node answers, both bounds on one value); ``@*`` and
+#: ``@*:price`` are not, since one lineitem may carry two values and
+#: each may pass one bound.
+BETWEENS = st.tuples(st.sampled_from(("@price", "@*", "@*:price")),
                      st.sampled_from((">", ">=", "gt", "ge")),
                      st.sampled_from(("12", "100", "149.87")),
                      st.sampled_from(("<", "<=", "lt", "le")),
                      st.sampled_from(("150", "1e3", "100")))
+#: Each example draws a wildcard pair over two attributes of one
+#: lineitem (``@*`` ``[100, 150]`` and ``@*:price`` ``(12, 150)``).
+WILDCARD_PAIRS = [("@*", ">=", "100", "<=", "150"),
+                  ("@*:price", ">", "12", "<", "150")]
+#: A lineitem whose two attributes each pass one bound of both pairs.
+TWO_VALUES = ("<order><lineitem price='500' xmlns:n='urn:n' n:price='1'"
+              " qty='7'/></order>")
+
+
+def with_two_values(corpus):
+    untyped, typed = corpus
+    return [TWO_VALUES, *untyped], typed
 
 
 def between_forms(rel, low_op, low, high_op, high) -> list[str]:
@@ -215,11 +251,21 @@ def between_forms(rel, low_op, low, high_op, high) -> list[str]:
     return forms
 
 
+def node_by_node(view, query: str):
+    """The reference plan with the column kernel declining too, so
+    every predicate runs node by node (``use_indexes=False`` alone
+    still decides a lookup from the document on the columns)."""
+    with mock.patch.object(ColumnStore, "nodes_where", return_value=None):
+        return outcome(view, query, use_indexes=False)
+
+
 def assert_between_routes_agree(view, pairs) -> int:
     with enabled_metrics():
-        for pair in pairs:
+        for pair in WILDCARD_PAIRS + pairs:
             for query in between_forms(*pair):
-                reference = outcome(view, query, use_indexes=False)
+                reference = node_by_node(view, query)
+                assert outcome(view, query, use_indexes=False) == \
+                    reference, query
                 with mock.patch.object(plan, "_only_documents",
                                        return_value="forced"):
                     filtered = outcome(view, query)
@@ -233,7 +279,7 @@ def assert_between_routes_agree(view, pairs) -> int:
 @given(corpus=CORPORA, pairs=st.lists(BETWEENS, min_size=1, max_size=4))
 def test_between_pairs_equal_the_other_routes(corpus, pairs):
     database = Database()
-    fill(database, corpus)
+    fill(database, with_two_values(corpus), wildcard=True)
     assert_between_routes_agree(database, pairs)
 
 
@@ -244,7 +290,7 @@ def test_between_pairs_equal_the_other_routes(corpus, pairs):
 def test_between_pairs_through_a_snapshot_pinned_before_deletes(
         corpus, pairs, data):
     database = Database()
-    fill(database, corpus)
+    fill(database, with_two_values(corpus), wildcard=True)
     snapshot = database.snapshot()
     ids = [row.values["id"] for row in database.table("t").rows]
     doomed = set(data.draw(st.lists(st.sampled_from(ids), max_size=4)))
@@ -261,7 +307,7 @@ def test_between_pairs_on_a_one_byte_durable_pool_after_a_reopen(corpus,
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
         with DurableDatabase(directory, buffer_pool_bytes=1) as database:
-            fill(database, corpus)
+            fill(database, with_two_values(corpus), wildcard=True)
         with DurableDatabase(directory, buffer_pool_bytes=1) as reopened:
             assert_between_routes_agree(reopened, pairs)
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.between import detect_between
+from repro.core.between import detect_between, one_node
 from repro.core.predicates import extract_candidates
 from repro.storage.catalog import Database
+from repro.xquery.ast import rel_path
 from repro.xquery.parser import parse_xquery
 
 XMLCOL = "db2-fn:xmlcolumn('ORDERS.ORDDOC')"
@@ -93,6 +94,32 @@ class TestDetection:
                        f"and $l/@price < 150 return $l")
         assert len(found) == 1
         assert not found[0].single_scan
+
+    @pytest.mark.parametrize("rel", ["@*", "@*:price", "@n:*"])
+    def test_wildcard_attribute_two_scans(self, rel):
+        """A wildcard selects several attributes of one element: one
+        may pass the lower bound and another the upper one."""
+        found = groups(f"declare namespace n='urn:n'; {XMLCOL}//l"
+                       f"[{rel} > 100 and {rel} < 150]")
+        assert len(found) == 1
+        assert not found[0].single_scan
+
+    def test_for_variable_over_wildcard_attributes_single_scan(self):
+        found = groups(f"for $a in {XMLCOL}//l/@* where $a > 100 "
+                       f"and $a < 150 return $a")
+        assert len(found) == 1
+        assert found[0].single_scan
+
+
+@pytest.mark.parametrize("steps, expected", [
+    ("", True), ("@price", True), ("@n:price", True), ("@*", False),
+    ("@n:*", False), ("@*:price", False), ("price", False),
+    ("l/@price", False)])
+def test_one_node(steps, expected):
+    path = f"declare namespace n='urn:n'; {XMLCOL}//l[{steps or '.'} > 1]"
+    comparison = parse_xquery(path).body.steps[-1].predicates[0]
+    rel = rel_path(comparison.left)
+    assert one_node(rel.steps) is expected
 
 
 #: One ``l`` above the range, one at its exclusive lower bound: no

@@ -176,3 +176,7 @@ class TestUnanalyzable:
     def test_cast_attribute_singleton(self):
         candidate = single(f"{XMLCOL}//l[xs:double(@price) > 100]")
         assert candidate.singleton_guaranteed
+
+    def test_wildcard_attribute_not_singleton(self):
+        candidate = single(f"{XMLCOL}//l[@* > 100]")
+        assert not candidate.singleton_guaranteed
